@@ -9,7 +9,6 @@ as exact rationals and are asserted integral before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 
 from .identities.framework import EngineError

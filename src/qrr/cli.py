@@ -9,7 +9,8 @@ transformations.
 Exit codes: 0 when every check agrees (for ``counterexample``: when the
 disagreement is reproduced), 1 when a comparison fails, 2 for
 configuration errors (unknown identity, malformed ranges, violated
-preconditions).
+preconditions) and for a run that made no checks, so that a vacuous run
+never exits 0.
 
 JSON reports are deterministic: the same command line produces the same
 bytes, so timing is reported as 0.0 there (the text format shows real
@@ -153,6 +154,8 @@ def report_to_dict(rep) -> dict:
 
 def emit(command: str, config: dict, reports: list, passed: int,
          fmt: str, out_path: str | None, text_lines: list) -> None:
+    if not reports:
+        raise ValueError(f"{command}: no checks were run")
     if fmt == "json":
         doc = {
             "artifact_version": ARTIFACT_VERSION,
@@ -279,6 +282,10 @@ def _stock_pairs() -> list:
 
 def cmd_bailey(args) -> int:
     trunc = resolve_trunc(args.trunc)
+    if args.n < 0:
+        raise ValueError("--n must be >= 0")
+    if args.n_max < 0:
+        raise ValueError("--n-max must be >= 0: the pair relations would make no checks")
     reports: list = []
     text_lines: list = []
     if args.chain:

@@ -11,7 +11,12 @@ Every identity in the registry has sides built from one of two sum shapes:
   sign^k q^{linear in k} and a quadratic power of q.
 
 A :class:`Prefactor` (finite and infinite Pochhammer quotients, a monomial,
-single binomials) can multiply either shape.  Writing the sides this way
+single binomials) can multiply either shape.  It is assembled as one
+:class:`PochProduct`, where numerator and denominator infinite products
+cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
+to the summed side in place, one O(T) binomial pass each.  The sum is
+rendered through q^(T - mono) so that the prefactor's monomial q^mono still
+leaves the side exact through q^T.  Writing the sides this way
 keeps each record a direct transcription of its printed form, and lets the
 evaluator expose every exponent in every record as a named "site" that tests
 can perturb to confirm the verification actually bites.
@@ -19,9 +24,8 @@ can perturb to confirm the verification actually bites.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from ..pochhammer import (
     PochProduct,
@@ -31,10 +35,8 @@ from ..pochhammer import (
     mul_binomial,
 )
 from ..series import (
-    Coeff,
     NeedsLaurent,
     SeriesError,
-    TruncatedSeries,
     default_truncation,
 )
 
@@ -464,73 +466,61 @@ def _poch_sum_terms(spec: PochSum, env: dict, ctx: EvalCtx, tag: str,
 
 
 def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
-                     trunc: int, offset: int, buf: list) -> tuple[int, list]:
-    # The prefactor itself is a unit series (or exactly zero); build its
-    # coefficients then convolve with the accumulated sum.
-    mono = ctx.site(f"{tag}.pre.mono[{pre.mono}]", eval_affine(pre.mono, env)) \
-        if pre.mono != "0" else 0
-    length = len(buf) - 1
-    unit: list[Coeff] = [0] * (length + 1)
-    unit[0] = 1
+                     mono: int, offset: int, buf: list) -> tuple[int, list]:
+    """Multiply the summed side (offset, buf) by its prefactor, in place.
 
-    for s in pre.inf_num:
-        a = ctx.site(f"{tag}.pre.infnum[{s}]", eval_affine(s, env))
-        if a == 0:
-            return offset + mono, [0] * (length + 1)   # (q^0; q)_inf = 0
-        if a < 0:
-            raise NeedsLaurent(f"{tag}: infinite product argument q^{a}")
-        x = a
-        while x <= length:
-            mul_binomial(unit, x)
-            x += 1
-    for s in pre.inf_den:
-        a = ctx.site(f"{tag}.pre.infden[{s}]", eval_affine(s, env))
-        if a == 0:
-            raise PoleError(f"{tag}: infinite product (q^0; q)_inf in a denominator")
-        if a < 0:
-            raise NeedsLaurent(f"{tag}: infinite product argument q^{a}")
-        x = a
-        while x <= length:
-            div_binomial(unit, x)
-            x += 1
-    for s in pre.qn_num:
-        a = ctx.site(f"{tag}.pre.qnnum[{s}]", eval_affine(s, env))
-        if a < 0:
-            raise EngineError(f"{tag}: prefactor (q; q)_{a}")
-        for x in range(1, a + 1):
-            mul_binomial(unit, x)
-    for s in pre.qn_den:
-        a = ctx.site(f"{tag}.pre.qnden[{s}]", eval_affine(s, env))
-        if a < 0:
-            raise EngineError(f"{tag}: prefactor 1/(q; q)_{a}")
-        for x in range(1, a + 1):
-            div_binomial(unit, x)
-    for s in pre.bin_num:
-        a = ctx.site(f"{tag}.pre.binnum[{s}]", eval_affine(s, env))
-        if a == 0:
-            return offset + mono, [0] * (length + 1)
-        if a < 0:
-            raise NeedsLaurent(f"{tag}: binomial exponent {a}")
-        mul_binomial(unit, a)
-    for s in pre.bin_den:
-        a = ctx.site(f"{tag}.pre.binden[{s}]", eval_affine(s, env))
-        if a == 0:
-            raise PoleError(f"{tag}: division by (1 - q^0)")
-        if a < 0:
-            raise NeedsLaurent(f"{tag}: binomial exponent {a}")
-        div_binomial(unit, a)
+    The whole prefactor is assembled as one PochProduct.  Pairing the sorted
+    numerator and denominator infinite products leaves exact finite
+    quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_{b-a}; only unpaired
+    products are cut, at the top of the buffer.  The factors that survive
+    cancellation in ``powers`` are applied with one binomial pass each, so
+    there is no unit series and no convolution.  ``mono`` is the prefactor's
+    monomial; the caller evaluates it first and renders the sum through
+    q^(trunc - mono).
+    """
+    def args(exprs: tuple[str, ...], kind: str) -> list[int]:
+        return [ctx.site(f"{tag}.pre.{kind}[{s}]", eval_affine(s, env)) for s in exprs]
 
-    out: list[Coeff] = [0] * (length + 1)
-    for i, u in enumerate(unit):
-        if not u:
-            continue
-        for j in range(length + 1 - i):
-            bj = buf[j]
-            if bj:
-                out[i + j] += u * bj
-    if pre.sign != 1:
-        out = [pre.sign * c for c in out]
-    return offset + mono, out
+    inf_num = sorted(args(pre.inf_num, "infnum"))
+    inf_den = sorted(args(pre.inf_den, "infden"))
+    qn_num, qn_den = args(pre.qn_num, "qnnum"), args(pre.qn_den, "qnden")
+    bin_num, bin_den = args(pre.bin_num, "binnum"), args(pre.bin_den, "binden")
+    if min(inf_num + inf_den + bin_num + bin_den, default=0) < 0:
+        raise NeedsLaurent(f"{tag}: prefactor factor with a negative q-exponent")
+    if min(qn_num + qn_den, default=0) < 0:
+        raise EngineError(f"{tag}: prefactor (q; q)_n with n < 0")
+
+    top = len(buf) - 1
+    p = PochProduct().scale(pre.sign).q(mono)
+    for a, b in zip(inf_num, inf_den):
+        p.poch(a, b - a)
+    for a in inf_num[len(inf_den):]:
+        p.poch(a, max(top + 1 - a, 0))
+    for b in inf_den[len(inf_num):]:
+        p.poch(b, max(top + 1 - b, 0), -1)
+    for a in qn_num:
+        p.qn(a)
+    for a in qn_den:
+        p.dqn(a)
+    for a in bin_num:
+        p.factor(a)
+    for a in bin_den:
+        p.dfactor(a)
+
+    st = p.state
+    if st == "zero":
+        return offset + p.shift, [0] * len(buf)
+    if st == "pole":
+        raise PoleError(f"{tag}: the prefactor has a (1 - q^0) in its denominator")
+    for m, t in p.powers.items():
+        if m <= top:
+            kernel = mul_binomial if t > 0 else div_binomial
+            for _ in range(abs(t)):
+                kernel(buf, m)
+    if p.coeff != 1:
+        for i, c in enumerate(buf):
+            buf[i] = p.coeff * c
+    return offset + p.shift, buf
 
 
 def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
@@ -542,19 +532,26 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
     trunc = ctx.trunc
     if side.zero:
         return 0, [0] * (trunc + 1)
+    pre = side.pre
+    mono = 0
+    if pre is not None and pre.mono != "0":
+        mono = ctx.site(f"{tag}.pre.mono[{pre.mono}]", eval_affine(pre.mono, env))
+    # the prefactor shifts the sum by q^mono, so the sum is needed through
+    # q^(trunc - mono) for the product to be exact through q^trunc
+    window = trunc - mono
     if side.sum is None:
-        offset, buf = 0, [1] + [0] * trunc
+        offset, buf = 0, [1] + [0] * window
     else:
         if isinstance(side.sum, QnSum):
-            terms = _qn_sum_terms(side.sum, env, ctx, tag, trunc)
+            terms = _qn_sum_terms(side.sum, env, ctx, tag, window)
         else:
-            terms = _poch_sum_terms(side.sum, env, ctx, tag, trunc)
-        acc = SeriesAccumulator(trunc)
+            terms = _poch_sum_terms(side.sum, env, ctx, tag, window)
+        acc = SeriesAccumulator(window)
         for t in terms:
             acc.add(t)
         offset, buf = acc.value()
-    if side.pre is not None:
-        offset, buf = _apply_prefactor(side.pre, env, ctx, tag, trunc, offset, buf)
+    if pre is not None:
+        offset, buf = _apply_prefactor(pre, env, ctx, tag, mono, offset, buf)
     return offset, buf
 
 

@@ -154,46 +154,35 @@ def div_binomial(buf: list, m: int, c: Coeff = 1) -> None:
 # memoised (q; q)_n tables
 # ---------------------------------------------------------------------------
 
-_QN_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-_INV_QN_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+_QN_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_INV_QN_CACHE: dict[int, list[tuple[int, ...]]] = {}
+
+
+def _qn_table(cache: dict, kernel, n: int, trunc: int) -> tuple[int, ...]:
+    """Row n of the table for this trunc, extended by a loop from the largest
+    cached row.  A factor (1-q^m) with m > trunc cannot reach the window, so
+    rows past n = trunc repeat and the table never grows beyond trunc + 1."""
+    table = cache.setdefault(trunc, [(1,) + (0,) * trunc])
+    n = min(n, trunc)
+    while len(table) <= n:
+        buf = list(table[-1])
+        kernel(buf, len(table))
+        table.append(tuple(buf))
+    return table[n]
 
 
 def qn_coeffs(n: int, trunc: int) -> tuple[int, ...]:
     """Coefficients of (q; q)_n through q^trunc, cached."""
     if n < 0:
         raise ValueError("qn_coeffs is for n >= 0")
-    key = (n, trunc)
-    hit = _QN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        out = (1,) + (0,) * trunc
-    else:
-        prev = qn_coeffs(n - 1, trunc)
-        buf = list(prev)
-        mul_binomial(buf, n)
-        out = tuple(buf)
-    _QN_CACHE[key] = out
-    return out
+    return _qn_table(_QN_CACHE, mul_binomial, n, trunc)
 
 
 def inv_qn_coeffs(n: int, trunc: int) -> tuple[int, ...]:
     """Coefficients of 1/(q; q)_n through q^trunc, cached."""
     if n < 0:
         raise ValueError("inv_qn_coeffs is for n >= 0")
-    key = (n, trunc)
-    hit = _INV_QN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        out = (1,) + (0,) * trunc
-    else:
-        prev = inv_qn_coeffs(n - 1, trunc)
-        buf = list(prev)
-        div_binomial(buf, n)
-        out = tuple(buf)
-    _INV_QN_CACHE[key] = out
-    return out
+    return _qn_table(_INV_QN_CACHE, div_binomial, n, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,22 @@ def test_bailey_default(capsys):
         assert f"chain({target})  reproduced for N=0..1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bailey", "--n-max", "-3"],
+    ["bailey", "--n", "-1"],
+])
+def test_bailey_vacuous_run_exits_2(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --n")
+
+
+def test_emit_refuses_an_empty_run():
+    with pytest.raises(ValueError, match="no checks were run"):
+        cli.emit("verify", {}, [], 0, "json", None, [])
+
+
 def test_bailey_chain(capsys):
     rc, out, _ = run_cli(
         ["bailey", "--chain", "abcde1", "--n", "1", "--exps", "1,1,2,1",

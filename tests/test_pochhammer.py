@@ -15,6 +15,7 @@ from qrr.pochhammer import (
     PoleError,
     NonPositiveExponent,
     SeriesAccumulator,
+    inv_qn_coeffs,
     qn_coeffs,
     qpoch,
     qpoch_infinite,
@@ -37,6 +38,27 @@ def test_qn_frozen():
 
 def test_qn_memoised():
     assert qn_coeffs(7, 30) is qn_coeffs(7, 30)
+
+
+def _direct_qn(n, trunc, inverse=False):
+    buf = [1] + [0] * trunc
+    for m in range(1, n + 1):
+        if inverse:
+            for i in range(m, trunc + 1):
+                buf[i] += buf[i - m]
+        else:
+            for i in range(trunc, m - 1, -1):
+                buf[i] -= buf[i - m]
+    return tuple(buf)
+
+
+def test_qn_tables_are_iterative():
+    # one recursion level per index used to raise RecursionError here
+    assert qn_coeffs(1500, 5) == _direct_qn(1500, 5) == (1, -1, -1, 0, 0, 1)
+    assert inv_qn_coeffs(1500, 5) == _direct_qn(1500, 5, inverse=True)
+    assert qn_coeffs(1500, 40) == _direct_qn(1500, 40)
+    # rows below an already-cached one are served from the same table
+    assert qn_coeffs(12, 40) == _direct_qn(12, 40)
 
 
 def test_qpoch_positive_index():

@@ -1,0 +1,124 @@
+"""The engine's prefactor path against an independent dense evaluation.
+
+``_apply_prefactor`` cancels the infinite products of a side's prefactor
+inside one PochProduct and applies the surviving binomials to the summed
+side in place.  Here the same prefactor is rebuilt from the dense stack
+(``qpoch_infinite``, ``qpoch`` and ``TruncatedSeries`` products), multiplied
+by the summed side, and compared coefficient for coefficient.
+"""
+
+import dataclasses
+from functools import lru_cache
+from itertools import product
+
+import pytest
+
+from qrr.identities import REGISTRY, get_record
+from qrr.identities.framework import EvalCtx, Side, eval_affine, eval_side_value
+from qrr.pochhammer import qpoch, qpoch_infinite, qpoch_reciprocal
+from qrr.series import MonomialParam, TruncatedSeries
+
+Q = MonomialParam.q_power
+
+PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
+                   for side in ("lhs", "rhs")
+                   if getattr(rec, side).pre is not None]
+
+
+@lru_cache(maxsize=None)
+def _dense_unit(sign, inf_num, inf_den, qn_num, qn_den, bin_num, bin_den, trunc):
+    """The prefactor without its monomial, as a dense truncated series."""
+    p = TruncatedSeries.one(trunc) * sign
+    for a in inf_num:
+        p = p * qpoch_infinite(Q(a), trunc)
+    for a in inf_den:
+        p = p * qpoch_infinite(Q(a), trunc).invert()
+    for a in qn_num:
+        p = p * qpoch(Q(1), a, trunc).series
+    for a in qn_den:
+        p = p * qpoch_reciprocal(Q(1), a, trunc).series
+    for a in bin_num:
+        p = p * qpoch(Q(a), 1, trunc).series
+    for a in bin_den:
+        p = p * qpoch_reciprocal(Q(a), 1, trunc).series
+    return p
+
+
+def _coeffs(value, trunc):
+    off, buf = value
+    return {off + i: c for i, c in enumerate(buf) if c and off + i <= trunc}
+
+
+def dense_side(rec, side_name, env, trunc, mono_delta=0):
+    """{exponent: coefficient} through q^trunc: the engine's sum without its
+    prefactor, times the prefactor expanded densely."""
+    side = getattr(rec, side_name)
+    pre = side.pre
+
+    def vals(exprs):
+        return tuple(eval_affine(s, env) for s in exprs)
+
+    mono = eval_affine(pre.mono, env) + mono_delta
+    bare = dataclasses.replace(rec, **{side_name: Side(sum=side.sum)})
+    off, buf = eval_side_value(bare, side_name, env, EvalCtx(trunc - mono)) \
+        if side.sum is not None else (0, [1])
+    width = trunc - mono - off
+    unit = _dense_unit(pre.sign, vals(pre.inf_num), vals(pre.inf_den),
+                       vals(pre.qn_num), vals(pre.qn_den),
+                       vals(pre.bin_num), vals(pre.bin_den), width).coeffs
+    out = {}
+    for i, s in enumerate(buf):
+        if not s:
+            continue
+        for j in range(width - i + 1):
+            if unit[j]:
+                e = mono + off + i + j
+                out[e] = out.get(e, 0) + s * unit[j]
+    return {e: c for e, c in out.items() if c}
+
+
+def _corners(rec):
+    lows = {ps.name: ps.low for ps in rec.params}
+    axes = {name: (lo, hi) for name, lo, hi in rec.default_grid}
+    names = [ps.name for ps in rec.params]
+    for combo in product(*(sorted(set(axes.get(n, (lows[n], lows[n])))) for n in names)):
+        yield dict(zip(names, combo))
+
+
+def test_every_prefactor_record_is_covered():
+    idents = {ident for ident, _ in PREFACTOR_SIDES}
+    assert len(idents) >= 20
+    assert {"ABCDE1", "ABCDE6_4", "BCDE1", "COR52A", "EULERN1", "LMNRS5"} <= idents
+
+
+@pytest.mark.parametrize("ident,side", PREFACTOR_SIDES)
+def test_prefactor_matches_dense_product(ident, side):
+    rec = get_record(ident)
+    for trunc in (40, 160):
+        for env in _corners(rec):
+            got = _coeffs(eval_side_value(rec, side, env, EvalCtx(trunc)), trunc)
+            assert got == dense_side(rec, side, env, trunc), (ident, side, env, trunc)
+
+
+@pytest.mark.parametrize("trunc", [40, 160])
+def test_mutated_monomial_matches_dense_product(trunc):
+    rec = get_record("ABCDE6_4")
+    env = {"n": 2, "l": 1, "m": 2, "u": 0, "v": 1}
+    ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[v]": ("const", -2)})
+    got = _coeffs(eval_side_value(rec, "rhs", env, ctx), trunc)
+    want = dense_side(rec, "rhs", env, trunc, mono_delta=-2)
+    assert min(want) == -1 and max(want) == trunc
+    assert got == want
+
+
+def test_negative_monomial_keeps_top_coefficients():
+    # q^(n-2) times the prefactor: the sum must be rendered through q^(T+2)
+    # or the top two coefficients of the side come back as 0
+    rec = get_record("ABCDE6_3")
+    env = {name: 1 for name in "nlmuv"}
+    values = {}
+    for trunc in (20, 25):
+        ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[n]": ("const", -2)})
+        values[trunc] = _coeffs(eval_side_value(rec, "rhs", env, ctx), 20)
+    assert values[20][20] == -265
+    assert values[20] == values[25]
