@@ -25,20 +25,20 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .series import default_truncation
-from .pochhammer import PochProduct, sum_terms, terms_to_series
+from .pochhammer import PochProduct, _sign, sum_terms, terms_to_series
 from .identities.framework import (
     EngineError,
     EvalCtx,
     VerificationReport,
     _check_params,
-    compare_side_values,
+    compare,
     eval_side_value,
-    window,
 )
-from .identities.engine import _now_millis, get_record
+from .identities.engine import get_record
 
 __all__ = [
     "BaileyPair",
+    "CHAIN_TARGETS",
     "MODES",
     "unit_pair_x1",
     "unit_bilateral_x1",
@@ -54,11 +54,10 @@ __all__ = [
 
 MODES = ("one_sided", "bilateral_x1", "bilateral_xq")
 
+# the five-parameter identities chain_reproduce rebuilds from unit pairs
+CHAIN_TARGETS = ("ABCDE1", "ABCDE2", "ABCDE3")
+
 TermFn = Callable[[int], list]
-
-
-def _sign(n: int) -> int:
-    return -1 if n & 1 else 1
 
 
 def _binom2(n: int) -> int:
@@ -248,18 +247,7 @@ def verify_pair(pair: BaileyPair, n_max: int = 10,
         start = time.perf_counter()
         lhs = pair.beta_value(n, trunc)
         rhs = pair.relation_value(n, trunc)
-        diff = compare_side_values(lhs, rhs, trunc)
-        label = pair.label or "pair"
-        if diff is None:
-            rep = VerificationReport(label, {"n": n}, trunc, "EQUAL")
-        else:
-            e, _, _ = diff
-            rep = VerificationReport(label, {"n": n}, trunc, "MISMATCH",
-                                     mismatch_index=e,
-                                     lhs_window=window(lhs, e, trunc),
-                                     rhs_window=window(rhs, e, trunc))
-        rep.millis = _now_millis(start)
-        reports.append(rep)
+        reports.append(compare(pair.label or "pair", {"n": n}, trunc, lhs, rhs, start))
     return reports
 
 
@@ -291,12 +279,25 @@ def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     e1 = x + 1 - rho1_exp
     e2 = x + 1 - rho2_exp
     e12 = x + 1 - rho1_exp - rho2_exp
-    old_alpha, old_beta = pair.alpha_terms, pair.beta_terms
+    old_alpha = pair.alpha_terms
 
     def alpha(r: int) -> list:
         m = (PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
              .q(e12 * r).dpoch(e1, r).dpoch(e2, r))
         return [t.mul(m) for t in old_alpha(r)]
+
+    beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
+    name = label or f"step[{rho1_exp},{rho2_exp}]({pair.label})"
+    return BaileyPair(pair.mode, x, alpha, beta, label=name)
+
+
+def _beta_transform(old_beta: TermFn, rho1_exp: int, rho2_exp: int,
+                    e1: int, e2: int, e12: int) -> TermFn:
+    """The beta side of a chain or lattice move, with (a)_k = (q^a; q)_k:
+
+        beta_n -> sum_{r=0..n} (rho1, rho2)_r (e12)_{n-r} q^(e12 r)
+                  / ((q)_{n-r} (e1)_n (e2)_n) beta_r.
+    """
 
     def beta(n: int) -> list:
         out = []
@@ -308,8 +309,7 @@ def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
                 out.append(t.mul(c))
         return out
 
-    name = label or f"step[{rho1_exp},{rho2_exp}]({pair.label})"
-    return BaileyPair(pair.mode, x, alpha, beta, label=name)
+    return beta
 
 
 def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
@@ -334,7 +334,7 @@ def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
         raise EngineError(
             f"lattice step needs rho exponents < {x}, got ({rho1_exp}, {rho2_exp})"
         )
-    old_alpha, old_beta = pair.alpha_terms, pair.beta_terms
+    old_alpha = pair.alpha_terms
 
     def alpha(n: int) -> list:
         if n < 0:
@@ -350,16 +350,7 @@ def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
         out.extend(t.mul(second) for t in old_alpha(n - 1))
         return out
 
-    def beta(n: int) -> list:
-        out = []
-        for r in range(0, n + 1):
-            c = (PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
-                 .poch(e12, n - r).q(e12 * r)
-                 .dqn(n - r).dpoch(e1, n).dpoch(e2, n))
-            for t in old_beta(r):
-                out.append(t.mul(c))
-        return out
-
+    beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
     name = label or f"lattice[{rho1_exp},{rho2_exp}]({pair.label})"
     return BaileyPair("one_sided", x - 1, alpha, beta, label=name)
 
@@ -426,26 +417,13 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
 
     lhs = sum_terms(lhs_terms, trunc)
     rhs = sum_terms(rhs_terms, trunc)
-    diff = compare_side_values(lhs, rhs, trunc)
-    label = f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})"
-    if diff is None:
-        rep = VerificationReport(label, {"N": N}, trunc, "EQUAL")
-    else:
-        e, _, _ = diff
-        rep = VerificationReport(label, {"N": N}, trunc, "MISMATCH",
-                                 mismatch_index=e,
-                                 lhs_window=window(lhs, e, trunc),
-                                 rhs_window=window(rhs, e, trunc))
-    rep.millis = _now_millis(start)
-    return rep
+    return compare(f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})",
+                   {"N": N}, trunc, lhs, rhs, start)
 
 
 # ---------------------------------------------------------------------------
 # reconstruction of the five-parameter identities
 # ---------------------------------------------------------------------------
-
-_CHAIN_TARGETS = ("ABCDE1", "ABCDE2", "ABCDE3")
-
 
 def _bridged(terms: list, bridge: PochProduct, trunc: int):
     return sum_terms([t.mul(bridge) for t in terms], trunc)
@@ -482,9 +460,9 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     """
     start = time.perf_counter()
     key = ident.upper()
-    if key not in _CHAIN_TARGETS:
+    if key not in CHAIN_TARGETS:
         raise EngineError(
-            f"chain reconstruction covers {', '.join(_CHAIN_TARGETS)}; "
+            f"chain reconstruction covers {', '.join(CHAIN_TARGETS)}; "
             f"got {ident!r}"
         )
     if N < 0:
@@ -525,16 +503,8 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
             _closed_beta_via_lattice(N, b_exp, c_exp, d_exp, e_exp),
             bridge, trunc))
 
-    rep = VerificationReport(f"chain({key})", dict(params), trunc, "EQUAL")
     for value in routes:
-        diff = compare_side_values(value, target, trunc)
-        if diff is not None:
-            exp, _, _ = diff
-            rep = VerificationReport(
-                f"chain({key})", dict(params), trunc, "MISMATCH",
-                mismatch_index=exp,
-                lhs_window=window(value, exp, trunc),
-                rhs_window=window(target, exp, trunc))
+        rep = compare(f"chain({key})", params, trunc, value, target, start)
+        if not rep.equal:
             break
-    rep.millis = _now_millis(start)
     return rep

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .bailey import (
+    CHAIN_TARGETS,
     chain_reproduce,
     lattice_seed_pair,
     unit_bilateral_x1,
@@ -52,11 +52,10 @@ from .identities import (
     verify_grid,
 )
 from .pochhammer import PochProduct, sum_terms
+from .series import env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
 
 ARTIFACT_VERSION = 1
-
-CHAIN_TARGETS = ("ABCDE1", "ABCDE2", "ABCDE3")
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +107,13 @@ def resolve_trunc(flag_value: int | None) -> int | None:
         if flag_value < 1:
             raise ValueError("--trunc must be >= 1")
         return flag_value
-    raw = os.environ.get("QRR_TRUNC")
-    if raw is not None:
-        value = int(raw)
-        if value < 1:
-            raise ValueError("QRR_TRUNC must be >= 1")
-        return value
-    return None
+    return env_truncation()
+
+
+def resolve_jobs(flag_value: int) -> int:
+    if flag_value < 1:
+        raise ValueError(f"--jobs must be >= 1, got {flag_value}")
+    return flag_value
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +130,20 @@ def _window_json(win) -> list:
     return [[e, _frac_str(c)] for e, c in win]
 
 
-def report_to_dict(rep) -> dict:
-    """Schema shared by VerificationReport and TelescopeReport."""
-    ident = getattr(rep, "ident", None) or getattr(rep, "label", "?")
+def report_to_dict(rep: VerificationReport) -> dict:
     d = {
-        "id": ident,
+        "id": rep.ident,
         "params": {k: rep.params[k] for k in sorted(rep.params)},
         "trunc": rep.trunc,
         "verdict": rep.verdict,
     }
-    if getattr(rep, "mismatch_index", None) is not None:
+    if rep.mismatch_index is not None:
         d["mismatch_index"] = rep.mismatch_index
         d["lhs_window"] = _window_json(rep.lhs_window)
         d["rhs_window"] = _window_json(rep.rhs_window)
-    if getattr(rep, "checks", None):
+    if rep.checks:
         d["checks"] = [[name, verdict] for name, verdict in rep.checks]
-    if getattr(rep, "detail", ""):
+    if rep.detail:
         d["detail"] = rep.detail
     d["millis"] = 0.0
     return d
@@ -201,9 +198,9 @@ def _fmt_params(params: dict) -> str:
     return " ".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-def _mismatch_lines(rep) -> list:
+def _mismatch_lines(rep: VerificationReport) -> list:
     lines = [
-        f"  MISMATCH {rep.ident if hasattr(rep, 'ident') else rep.label} "
+        f"  MISMATCH {rep.ident} "
         f"{_fmt_params(rep.params)}  first differing exponent {rep.mismatch_index}"
     ]
     if rep.lhs_window:
@@ -245,14 +242,15 @@ def cmd_verify(args) -> int:
     rec = get_record(ident)          # unknown id -> exit 2 before any work
     ranges = parse_ranges(args.range) if args.range else None
     trunc = resolve_trunc(args.trunc)
-    reports = verify_grid(rec.ident, ranges, trunc, jobs=args.jobs)
+    jobs = resolve_jobs(args.jobs)
+    reports = verify_grid(rec.ident, ranges, trunc, jobs=jobs)
     text_lines: list = []
     passed = _grid_summary(rec.ident, reports, text_lines)
     config = {
         "id": rec.ident,
         "ranges": {k: list(v) for k, v in ranges.items()} if ranges else None,
         "trunc": trunc,
-        "jobs": args.jobs,
+        "jobs": jobs,
     }
     emit("verify", config, reports, passed, args.format, args.out, text_lines)
     return 0 if passed == len(reports) else 1
@@ -260,18 +258,19 @@ def cmd_verify(args) -> int:
 
 def cmd_verify_all(args) -> int:
     trunc = resolve_trunc(args.trunc)
+    jobs = resolve_jobs(args.jobs)
     all_reports: list = []
     text_lines: list = []
     passed = 0
     for ident in list_identities():
-        reports = verify_grid(ident, None, trunc, jobs=args.jobs)
+        reports = verify_grid(ident, None, trunc, jobs=jobs)
         passed += _grid_summary(ident, reports, text_lines)
         all_reports.extend(reports)
     verdict = "all equal" if passed == len(all_reports) else "MISMATCHES FOUND"
     text_lines.append(
         f"total: {len(list_identities())} identities, {len(all_reports)} points, {verdict}"
     )
-    config = {"trunc": trunc, "jobs": args.jobs}
+    config = {"trunc": trunc, "jobs": jobs}
     emit("verify-all", config, all_reports, passed, args.format, args.out, text_lines)
     return 0 if passed == len(all_reports) else 1
 
@@ -340,7 +339,7 @@ def cmd_telescope(args) -> int:
         for rep in (verify_telescoping(l, m, n, u, v, trunc),
                     verify_sk_tk(l, m, n, u, v, trunc)):
             reports.append(rep)
-            text_lines.append(f"{rep.label}  {_fmt_params(rep.params)}  {rep.verdict}")
+            text_lines.append(f"{rep.ident}  {_fmt_params(rep.params)}  {rep.verdict}")
             for name, verdict in rep.checks:
                 text_lines.append(f"    {name:<24} {verdict}")
             if rep.detail:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product as _cartesian
@@ -32,10 +31,9 @@ from .framework import (
     _check_params,
     _poch_support,
     _qn_support,
-    compare_side_values,
+    compare,
     eval_affine,
     eval_side_value,
-    window,
 )
 
 
@@ -50,12 +48,6 @@ def list_identities() -> list[str]:
     return sorted(REGISTRY)
 
 
-def _now_millis(start: float) -> float:
-    if os.environ.get("QRR_ZERO_MILLIS"):
-        return 0.0
-    return (time.perf_counter() - start) * 1000.0
-
-
 def verify(ident: str, params: dict, trunc: int | None = None,
            ctx: EvalCtx | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one parameter point and compare
@@ -67,18 +59,7 @@ def verify(ident: str, params: dict, trunc: int | None = None,
     env = _check_params(rec, params)
     lhs = eval_side_value(rec, "lhs", env, ctx)
     rhs = eval_side_value(rec, "rhs", env, ctx)
-    mismatch = compare_side_values(lhs, rhs, ctx.trunc)
-    if mismatch is None:
-        return VerificationReport(ident=ident, params=dict(env), trunc=ctx.trunc,
-                                  verdict="EQUAL", millis=_now_millis(start))
-    e, _, _ = mismatch
-    return VerificationReport(
-        ident=ident, params=dict(env), trunc=ctx.trunc, verdict="MISMATCH",
-        mismatch_index=e,
-        lhs_window=window(lhs, e, ctx.trunc),
-        rhs_window=window(rhs, e, ctx.trunc),
-        millis=_now_millis(start),
-    )
+    return compare(ident, dict(env), ctx.trunc, lhs, rhs, start)
 
 
 def grid_points(rec: IdentityRecord,
@@ -166,15 +147,10 @@ def support_bounds(ident: str, side: str, params: dict,
     if isinstance(s, QnSum):
         return _qn_support(s, env, trunc)
     assert isinstance(s, PochSum)
-    flip_num = {i for i, _ in s.flips}
-    flip_den = {j for _, j in s.flips}
-    num_args = [eval_affine(t, env) for t in s.num]
-    den_args = [eval_affine(t, env) for t in s.den]
-    plain_num = [a for i, a in enumerate(num_args) if i not in flip_num]
-    plain_den = [b for j, b in enumerate(den_args) if j not in flip_den]
-    pairs = [(num_args[i], den_args[j]) for i, j in s.flips]
-    one_sided = s.one_sided or any(b == 1 for b in plain_den)
-    return _poch_support(plain_num, plain_den, pairs, one_sided, s, env, trunc)
+    *_, kmin, kmax = _poch_support(s, env, trunc,
+                                   [eval_affine(t, env) for t in s.num],
+                                   [eval_affine(t, env) for t in s.den])
+    return kmin, kmax
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +190,8 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
         k += 1
     lhs = acc.series()
     rhs = _rr_product(product, trunc)
-    mismatch = series_compare(lhs, rhs)
-    params = {"n": n}
-    if mismatch is None:
-        return VerificationReport(ident=which, params=params, trunc=trunc,
-                                  verdict="EQUAL", millis=_now_millis(start))
-    e, _, _ = mismatch
-    return VerificationReport(
-        ident=which, params=params, trunc=trunc, verdict="MISMATCH",
-        mismatch_index=e,
-        lhs_window=window((0, list(lhs.coeffs)), e, trunc),
-        rhs_window=window((0, list(rhs.coeffs)), e, trunc),
-        millis=_now_millis(start),
-    )
+    return compare(which, {"n": n}, trunc, (0, list(lhs.coeffs)),
+                   (0, list(rhs.coeffs)), start)
 
 
 def liu_counterexample(which: str, a_exp: int,
@@ -272,20 +237,8 @@ def liu_counterexample(which: str, a_exp: int,
     lhs = acc.series()
     if series_compare(lhs, closed) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")
-    rhs = TruncatedSeries.zero(trunc)
-    mismatch = series_compare(lhs, rhs)
-    params = {"a_exp": a_exp}
-    if mismatch is None:
-        return VerificationReport(ident=which, params=params, trunc=trunc,
-                                  verdict="EQUAL", millis=_now_millis(start))
-    e, _, _ = mismatch
-    return VerificationReport(
-        ident=which, params=params, trunc=trunc, verdict="MISMATCH",
-        mismatch_index=e,
-        lhs_window=window((0, list(lhs.coeffs)), e, trunc),
-        rhs_window=window((0, list(rhs.coeffs)), e, trunc),
-        millis=_now_millis(start),
-    )
+    return compare(which, {"a_exp": a_exp}, trunc, (0, list(lhs.coeffs)),
+                   (0, [0] * (trunc + 1)), start)
 
 
 # ---------------------------------------------------------------------------

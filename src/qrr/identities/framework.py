@@ -24,8 +24,10 @@ can perturb to confirm the verification actually bites.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..pochhammer import (
     PochProduct,
@@ -281,14 +283,18 @@ class IdentityRecord:
 
 @dataclass
 class VerificationReport:
+    """The verdict of one check, or of one certificate made of named checks."""
+
     ident: str
     params: dict
     trunc: int
-    verdict: str                     # "EQUAL" | "MISMATCH"
+    verdict: str                     # "EQUAL" | "MISMATCH" | "PRECONDITION"
     mismatch_index: int | None = None
     lhs_window: list | None = None   # [(exponent, coefficient), ...]
     rhs_window: list | None = None
     millis: float = 0.0
+    checks: Sequence = ()            # [(name, "EQUAL" | "MISMATCH"), ...]
+    detail: str = ""                 # why a PRECONDITION point was refused
 
     @property
     def equal(self) -> bool:
@@ -374,10 +380,11 @@ def _qn_sum_terms(spec: QnSum, env: dict, ctx: EvalCtx, tag: str,
     return out
 
 
-def _poch_support(num_args: list[int], den_args: list[int],
-                  flip_pairs: list[tuple[int, int]], one_sided: bool,
-                  spec: PochSum, env: Mapping[str, int], trunc: int) -> tuple[int, int]:
-    """Support of a PochSum from its (possibly perturbed) argument exponents.
+def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
+                  num_args: list[int], den_args: list[int]):
+    """Slots and support of a PochSum from its (possibly perturbed) argument
+    exponents: (plain numerator args, plain denominator args, flip pairs,
+    kmin, kmax).
 
     Positive k survive until some numerator (q^a; q)_k with a <= 0 vanishes
     (k <= -a); negative k = -s survive while every denominator (q^b; q)_{-s}
@@ -385,17 +392,23 @@ def _poch_support(num_args: list[int], den_args: list[int],
     contribute through their rewritten form instead: the pair (a, b) with
     a = -b bounds k above by b (when b >= 1, via (q^{1-b}; q)_{k-1}) and
     below by s <= b - 1 like a plain denominator, except that b = 0 imposes
-    no bound at all because the pair cancels identically there.
+    no bound at all because the pair cancels identically there.  A plain
+    (q; q)_k denominator (argument 1), or ``one_sided``, keeps k >= 0.
     """
+    flip_num = {i for i, _ in spec.flips}
+    flip_den = {j for _, j in spec.flips}
+    plain_num = [a for i, a in enumerate(num_args) if i not in flip_num]
+    plain_den = [b for j, b in enumerate(den_args) if j not in flip_den]
+    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
     upper: list[int] = []
     lower: list[int] = []
-    for a in num_args:
+    for a in plain_num:
         if a <= 0:
             upper.append(-a)
-    for b in den_args:
+    for b in plain_den:
         if b >= 1:
             lower.append(b - 1)
-    for a, b in flip_pairs:
+    for a, b in pairs:
         if a == -b:
             if b >= 1:
                 upper.append(b)
@@ -409,33 +422,19 @@ def _poch_support(num_args: list[int], den_args: list[int],
         kmax = min(upper)
     else:
         kmax = _valuation_kmax(spec, env, 0, trunc)
-    if one_sided:
+    if spec.one_sided or 1 in plain_den or not lower:
         kmin = 0
-    elif lower:
-        kmin = -min(lower)
     else:
-        kmin = 0
-    return kmin, kmax
+        kmin = -min(lower)
+    return plain_num, plain_den, pairs, kmin, kmax
 
 
 def _poch_sum_terms(spec: PochSum, env: dict, ctx: EvalCtx, tag: str,
                     trunc: int) -> list[PochProduct]:
-    flip_num = {i for i, _ in spec.flips}
-    flip_den = {j for _, j in spec.flips}
-    num_args = []
-    for i, s in enumerate(spec.num):
-        num_args.append(ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)))
-    den_args = []
-    for j, s in enumerate(spec.den):
-        den_args.append(ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)))
-
-    plain_num = [a for i, a in enumerate(num_args) if i not in flip_num]
-    plain_den = [b for j, b in enumerate(den_args) if j not in flip_den]
-    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
-    one_sided = spec.one_sided or any(b == 1 for b in plain_den)
-
-    kmin, kmax = _poch_support(plain_num, plain_den, pairs,
-                               one_sided, spec, env, trunc)
+    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
+    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
+    plain_num, plain_den, pairs, kmin, kmax = _poch_support(
+        spec, env, trunc, num_args, den_args)
     out = []
     for k in range(kmin, kmax + 1):
         t = PochProduct()
@@ -582,3 +581,38 @@ def window(value: tuple[int, list], center: int, trunc: int) -> list:
         c = buf[e - off] if 0 <= e - off < len(buf) else 0
         out.append((e, c))
     return out
+
+
+def _now_millis(start: float) -> float:
+    if os.environ.get("QRR_ZERO_MILLIS"):
+        return 0.0
+    return (time.perf_counter() - start) * 1000.0
+
+
+def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
+            rhs: tuple[int, list], start: float) -> VerificationReport:
+    """Report on two values compared through q^trunc: EQUAL, or MISMATCH with
+    the first differing exponent and a window of each side around it.
+    ``start`` is the perf_counter reading the report's millis count from."""
+    mismatch = compare_side_values(lhs, rhs, trunc)
+    if mismatch is None:
+        return VerificationReport(ident, params, trunc, "EQUAL",
+                                  millis=_now_millis(start))
+    e = mismatch[0]
+    return VerificationReport(ident, params, trunc, "MISMATCH", mismatch_index=e,
+                              lhs_window=window(lhs, e, trunc),
+                              rhs_window=window(rhs, e, trunc),
+                              millis=_now_millis(start))
+
+
+def compare_checks(ident: str, params: dict, trunc: int, checks: list,
+                   start: float) -> VerificationReport:
+    """Report on a certificate: each (name, lhs, rhs) in ``checks`` is
+    compared through q^trunc and listed with its verdict; the report is
+    EQUAL only if every check is."""
+    verdicts = [
+        (name, "EQUAL" if compare_side_values(lhs, rhs, trunc) is None else "MISMATCH")
+        for name, lhs, rhs in checks]
+    ok = all(v == "EQUAL" for _, v in verdicts)
+    return VerificationReport(ident, params, trunc, "EQUAL" if ok else "MISMATCH",
+                              millis=_now_millis(start), checks=verdicts)

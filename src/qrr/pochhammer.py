@@ -314,6 +314,11 @@ def rr_product_side(which: str, trunc: int | None = None) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _sign(k: int) -> int:
+    """(-1)^k, the sign of the k-th term of an alternating sum."""
+    return -1 if k & 1 else 1
+
+
 class PochProduct:
     """scalar * q^shift * prod_m (1-q^m)^powers[m], with exact bookkeeping.
 

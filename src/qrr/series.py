@@ -18,19 +18,29 @@ Coeff = Union[int, Fraction]
 DEFAULT_TRUNCATION = 60
 
 
+def env_truncation() -> int | None:
+    """The truncation order set by the QRR_TRUNC environment variable, or
+    None when it is unset; raises ValueError unless it is an integer >= 1."""
+    raw = os.environ.get("QRR_TRUNC")
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"QRR_TRUNC must be an integer >= 1, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"QRR_TRUNC must be >= 1, got {value}")
+    return value
+
+
 def default_truncation() -> int:
     """Truncation order used when a caller does not pass one.
 
     Reads the QRR_TRUNC environment variable so the whole suite can be
     re-run at a different precision without touching call sites.
     """
-    raw = os.environ.get("QRR_TRUNC")
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"QRR_TRUNC must be >= 0, got {value}")
-    return value
+    value = env_truncation()
+    return DEFAULT_TRUNCATION if value is None else value
 
 
 class SeriesError(Exception):

@@ -21,46 +21,27 @@ separately on an integer grid.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct, sum_terms
+from .pochhammer import PochProduct, _sign, sum_terms
 from .identities.framework import (
     EngineError,
     EvalCtx,
+    VerificationReport,
     _check_params,
-    compare_side_values,
+    _now_millis,
+    compare_checks,
     eval_side_value,
 )
-from .identities.engine import _now_millis, get_record
+from .identities.engine import get_record
 
 __all__ = [
-    "TelescopeReport",
     "verify_telescoping",
     "verify_sk_tk",
     "quartic_sides",
     "verify_quartic_identity",
 ]
-
-
-@dataclass
-class TelescopeReport:
-    label: str
-    params: dict
-    trunc: int
-    verdict: str                    # "EQUAL" | "MISMATCH" | "PRECONDITION"
-    checks: list = field(default_factory=list)   # (name, "EQUAL"|"MISMATCH")
-    detail: str = ""
-    millis: float = 0.0
-
-    @property
-    def equal(self) -> bool:
-        return self.verdict == "EQUAL"
-
-
-def _sign(k: int) -> int:
-    return -1 if k & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +164,13 @@ def _registry_side(ident: str, env: dict, side: str, trunc: int):
     return eval_side_value(rec, side, checked, EvalCtx(trunc))
 
 
-def _validate(l: int, m: int, n: int, u: int, v: int, label: str,
-              params: dict, trunc: int) -> TelescopeReport | None:
-    if min(l, m, n, u, v) < 0:
+def _validate(ident: str, params: dict, trunc: int,
+              start: float) -> VerificationReport | None:
+    if min(params.values()) < 0:
         raise EngineError("parameters must be nonnegative integers")
-    if u < 1 or v < 1:
-        return TelescopeReport(
-            label, params, trunc, "PRECONDITION",
+    if params["u"] < 1 or params["v"] < 1:
+        return VerificationReport(
+            ident, params, trunc, "PRECONDITION", millis=_now_millis(start),
             detail="the certificate needs u >= 1 and v >= 1: the regrouped "
                    "products carry shifted factorials at u-1 and v-1")
     return None
@@ -201,7 +182,7 @@ def _validate(l: int, m: int, n: int, u: int, v: int, label: str,
 
 
 def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
-                       trunc: int | None = None) -> TelescopeReport:
+                       trunc: int | None = None) -> VerificationReport:
     """Check the full telescoping certificate at one parameter point.
 
     Verifies, through q^trunc: the per-index difference f_k - g_k against
@@ -214,20 +195,11 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     start = time.perf_counter()
     trunc = default_truncation() if trunc is None else trunc
     params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate(l, m, n, u, v, "telescoping", params, trunc)
+    bad = _validate("telescoping", params, trunc, start)
     if bad is not None:
-        bad.millis = _now_millis(start)
         return bad
 
     checks = []
-    ok = True
-
-    def record(name, lhs, rhs):
-        nonlocal ok
-        same = compare_side_values(lhs, rhs, trunc) is None
-        checks.append((name, "EQUAL" if same else "MISMATCH"))
-        ok = ok and same
-
     cap = _f_cap(l, m, n, u, v)
     running = []
     for k in range(cap + 3):
@@ -235,12 +207,13 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         fg += [t.scale(-1) for t in _g_terms(l, m, n, u, v, k)]
         inc = [_F_term(l, m, n, u, v, k + 1),
                _F_term(l, m, n, u, v, k).scale(-1)]
-        record(f"difference k={k}", sum_terms(fg, trunc), sum_terms(inc, trunc))
+        checks.append((f"difference k={k}", sum_terms(fg, trunc),
+                       sum_terms(inc, trunc)))
         running.extend(fg)
         part = [_F_term(l, m, n, u, v, k + 1),
                 _F_term(l, m, n, u, v, 0).scale(-1)]
-        record(f"partial-sum k={k}", sum_terms(running, trunc),
-               sum_terms(part, trunc))
+        checks.append((f"partial-sum k={k}", sum_terms(running, trunc),
+                       sum_terms(part, trunc)))
 
     f_all = [_l0_term(l, m, n, u, v)]
     for k in range(cap + 1):
@@ -250,25 +223,20 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         g_all += _g_terms(l, m, n, u, v, k)
     left = sum_terms(f_all, trunc)
     right = sum_terms(g_all, trunc)
-    record("boundary", left, right)
-    record("sum-splitting", left, sum_terms(_two_sum_terms(l, m, n, u, v), trunc))
-
     c = l + m + n + u + v + 1
-    record("lhs-clearing", left,
-           _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc),
-                           c, trunc))
-    record("rhs-clearing", right,
-           _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc),
-                           c, trunc))
-
-    rep = TelescopeReport("telescoping", params, trunc,
-                          "EQUAL" if ok else "MISMATCH", checks)
-    rep.millis = _now_millis(start)
-    return rep
+    checks += [
+        ("boundary", left, right),
+        ("sum-splitting", left, sum_terms(_two_sum_terms(l, m, n, u, v), trunc)),
+        ("lhs-clearing", left,
+         _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc), c, trunc)),
+        ("rhs-clearing", right,
+         _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc), c, trunc)),
+    ]
+    return compare_checks("telescoping", params, trunc, checks, start)
 
 
 def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
-                 trunc: int | None = None) -> TelescopeReport:
+                 trunc: int | None = None) -> VerificationReport:
     """Check the termwise certificate for the q^(k^2+k) identity.
 
     The two sides regroup into sums over S_k and T_k; this verifies
@@ -278,38 +246,28 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     start = time.perf_counter()
     trunc = default_truncation() if trunc is None else trunc
     params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate(l, m, n, u, v, "termwise", params, trunc)
+    bad = _validate("termwise", params, trunc, start)
     if bad is not None:
-        bad.millis = _now_millis(start)
         return bad
 
     checks = []
-    ok = True
-
-    def record(name, lhs, rhs):
-        nonlocal ok
-        same = compare_side_values(lhs, rhs, trunc) is None
-        checks.append((name, "EQUAL" if same else "MISMATCH"))
-        ok = ok and same
-
     cap = min(l, m, n, u - 1, v - 1)
     s_all, t_all = [], []
     for k in range(cap + 3):
         s_k = _s_terms(l, m, n, u, v, k)
         t_k = _t_terms(l, m, n, u, v, k)
-        record(f"termwise k={k}", sum_terms(s_k, trunc), sum_terms(t_k, trunc))
+        checks.append((f"termwise k={k}", sum_terms(s_k, trunc),
+                       sum_terms(t_k, trunc)))
         s_all += s_k
         t_all += t_k
 
-    record("lhs-assembly", sum_terms(s_all, trunc),
-           _registry_side("LMNRS4", params, "lhs", trunc))
-    record("rhs-assembly", sum_terms(t_all, trunc),
-           _registry_side("LMNRS4", params, "rhs", trunc))
-
-    rep = TelescopeReport("termwise", params, trunc,
-                          "EQUAL" if ok else "MISMATCH", checks)
-    rep.millis = _now_millis(start)
-    return rep
+    checks += [
+        ("lhs-assembly", sum_terms(s_all, trunc),
+         _registry_side("LMNRS4", params, "lhs", trunc)),
+        ("rhs-assembly", sum_terms(t_all, trunc),
+         _registry_side("LMNRS4", params, "rhs", trunc)),
+    ]
+    return compare_checks("termwise", params, trunc, checks, start)
 
 
 # ---------------------------------------------------------------------------

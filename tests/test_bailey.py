@@ -4,8 +4,11 @@ The stock pairs have closed-form entries, so those are frozen here as
 independent oracles before any machinery is exercised on top of them.
 """
 
+import dataclasses
+
 import pytest
 
+from qrr import bailey
 from qrr.bailey import (
     BaileyPair,
     bailey_step,
@@ -187,6 +190,41 @@ def test_weighted_identity_on_stepped_pair():
     stepped = bailey_step(unit_bilateral_x1(), 0, -1)
     rep = symmetrized_identity(stepped, -1, 0, 2, T)
     assert rep.equal
+
+
+def _with_extra_beta_2(pair):
+    """The pair with q^3 added to beta_2: no longer a Bailey pair."""
+    beta = pair.beta_terms
+    return dataclasses.replace(
+        pair, beta_terms=lambda n: beta(n) + ([PochProduct().q(3)] if n == 2 else []))
+
+
+def test_verify_pair_detects_a_corrupted_beta():
+    reports = verify_pair(_with_extra_beta_2(unit_pair_x1()), n_max=3, trunc=T)
+    assert [r.verdict for r in reports] == ["EQUAL", "EQUAL", "MISMATCH", "EQUAL"]
+    bad = reports[2]
+    assert bad.params == {"n": 2} and bad.mismatch_index == 3
+    assert dict(bad.lhs_window)[3] == 1 and dict(bad.rhs_window)[3] == 0
+
+
+def test_weighted_identity_detects_a_corrupted_beta():
+    pair = unit_pair_x1()
+    assert symmetrized_identity(pair, -2, -3, 2, T).equal
+    rep = symmetrized_identity(_with_extra_beta_2(pair), -2, -3, 2, T)
+    assert rep.verdict == "MISMATCH"
+    assert rep.mismatch_index == 7
+    assert dict(rep.lhs_window)[7] != dict(rep.rhs_window)[7]
+
+
+def test_chain_reproduce_detects_a_corrupted_closed_form(monkeypatch):
+    closed = bailey._closed_beta_via_lattice
+    monkeypatch.setattr(bailey, "_closed_beta_via_lattice",
+                        lambda *a: closed(*a) + [PochProduct().q(5)])
+    rep = chain_reproduce("ABCDE3", 2, trunc=T)
+    assert rep.verdict == "MISMATCH"
+    # q^5 times the bridge (q; q)_2^2 starts at q^5 with coefficient 1
+    assert rep.mismatch_index == 5
+    assert dict(rep.lhs_window)[5] - dict(rep.rhs_window)[5] == 1
 
 
 def test_weighted_identity_guards():

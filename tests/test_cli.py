@@ -7,6 +7,7 @@ counts.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,8 @@ def test_verify_single_value_range(capsys):
     ["telescope"],
     ["binomial"],
     ["binomial", "--cor57", "1,2"],
+    ["verify", "--id", "ANDREWS1", "--jobs", "0"],
+    ["verify-all", "--jobs", "-5"],
 ])
 def test_config_errors_exit_2(argv, capsys):
     rc, out, err = run_cli(argv, capsys)
@@ -162,6 +165,33 @@ def test_json_report_bytes_are_stable(tmp_path, capsys):
     json.loads(blobs[0].decode("utf-8"))
 
 
+# sha256 of each command's JSON report with QRR_ZERO_MILLIS=1.  A change to
+# the report schema must update these digests and bump ARTIFACT_VERSION.
+PINNED_REPORTS = {
+    "bailey":
+        "49f0617367143ac2a3296de79ce39cdda07b46104c7744af29dc872b90c72fd0",
+    "bailey --chain abcde3 --n 3 --exps 2,1,3,1":
+        "a386ab129f448946bc9d2f2c0c27fa3a051ad4703dcdd20177773e958ee69f0f",
+    "telescope --params 1,2,1,1,2 --quartic":
+        "24a018b274006b6227e7ed50e2c38f2e3753d4f903275a43138d5397dead1bd8",
+    "counterexample --which liu1 --a-exp 2":
+        "c3b2ce04f7756bccea6cc62c6314f7b321d6413b00d0d372a9cfcde20f081050",
+    "verify --id ABCDE6_3 --trunc 80":
+        "097b262fb5c79095fd8bb79ed45c095c42aaa0f7c770e5ba24a376b5712784f6",
+    "binomial --bino5 --bino4 --divisibility --cor57 1,1,1,1,1 --general 2,2,2":
+        "a630ad137723d6580a1cf0d88095081ecd6a8ed8fdcc5ecd4888748f3855cb71",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("QRR_ZERO_MILLIS", "1")
+    rc, out, _ = run_cli(command.split() + ["--format", "json"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command]
+    assert json.loads(out)["artifact_version"] == cli.ARTIFACT_VERSION == 1
+
+
 def test_worker_count_does_not_change_reports():
     cmd = [sys.executable, "-m", "qrr.cli", "verify", "--id", "ANDREWS1",
            "--range", "n=0..4", "--trunc", "20", "--format", "json"]
@@ -218,6 +248,20 @@ def test_telescope_certificates(capsys):
     assert rc == 0
     assert "telescoping" in out and "termwise" in out
     assert "partial-sum k=0" in out and "MISMATCH" not in out
+
+
+def test_telescope_json_schema(capsys):
+    rc, out, _ = run_cli(
+        ["telescope", "--params", "1,2,1,1,2", "--quartic", "--format", "json"],
+        capsys)
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert [r["id"] for r in reports] == ["telescoping", "termwise", "QUARTIC"]
+    for rep in reports[:2]:
+        assert rep["checks"]
+        assert all(len(check) == 2 and check[1] == "EQUAL" for check in rep["checks"])
+    assert "checks" not in reports[2]
+    assert not any("mismatch_index" in r for r in reports)
 
 
 def test_telescope_precondition(capsys):
@@ -311,8 +355,9 @@ def test_flag_beats_env_truncation(monkeypatch, capsys):
 
 
 def test_bad_env_truncation(monkeypatch, capsys):
-    monkeypatch.setenv("QRR_TRUNC", "0")
-    rc, _, err = run_cli(["verify", "--id", "ANDREWS1", "--range", "n=0..1"],
-                         capsys)
-    assert rc == 2
-    assert "QRR_TRUNC" in err
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("QRR_TRUNC", bad)
+        rc, _, err = run_cli(["verify", "--id", "ANDREWS1", "--range", "n=0..1"],
+                             capsys)
+        assert rc == 2
+        assert "QRR_TRUNC" in err

@@ -18,6 +18,8 @@ from qrr.identities import (
     verify_grid,
     verify_mutated,
 )
+from qrr.identities import engine
+from qrr.series import TruncatedSeries
 
 
 def test_registry_shape():
@@ -144,6 +146,17 @@ def test_rr_limit_check():
     assert rr_limit_check("RR2", 30).equal
     with pytest.raises(UnknownIdentity):
         rr_limit_check("RR3", 30)
+
+
+def test_rr_limit_check_detects_a_corrupted_product(monkeypatch):
+    # bump the q^7 coefficient of the independent product side
+    product = engine._rr_product
+    monkeypatch.setattr(engine, "_rr_product", lambda which, trunc:
+                        product(which, trunc) + TruncatedSeries([0] * 7 + [1], trunc))
+    rep = rr_limit_check("RR1", 30)
+    assert rep.verdict == "MISMATCH"
+    assert rep.mismatch_index == 7
+    assert dict(rep.rhs_window)[7] - dict(rep.lhs_window)[7] == 1
 
 
 def test_liu_records_hold_at_generic_points():

@@ -119,9 +119,10 @@ def test_default_truncation_env(monkeypatch):
     assert default_truncation() == 60
     monkeypatch.setenv("QRR_TRUNC", "25")
     assert default_truncation() == 25
-    monkeypatch.setenv("QRR_TRUNC", "-3")
-    with pytest.raises(ValueError):
-        default_truncation()
+    for bad in ("-3", "0"):
+        monkeypatch.setenv("QRR_TRUNC", bad)
+        with pytest.raises(ValueError):
+            default_truncation()
 
 
 coeff_lists = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=8)

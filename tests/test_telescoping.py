@@ -2,7 +2,9 @@
 
 import pytest
 
+from qrr import telescoping
 from qrr.identities import EngineError
+from qrr.pochhammer import PochProduct
 from qrr.telescoping import (
     quartic_sides,
     verify_quartic_identity,
@@ -44,6 +46,34 @@ def test_termwise_certificate():
 def test_termwise_asymmetric_point():
     rep = verify_sk_tk(3, 0, 1, 2, 1, 40)
     assert rep.equal
+
+
+def _failed(rep):
+    return {name for name, verdict in rep.checks if verdict == "MISMATCH"}
+
+
+def test_telescoping_detects_a_corrupted_increment(monkeypatch):
+    # F(k) times q: the differences and partial sums that involve a nonzero
+    # F(k) break, the checks that never use F do not
+    F = telescoping._F_term
+    monkeypatch.setattr(telescoping, "_F_term", lambda *a: F(*a).q(1))
+    rep = verify_telescoping(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert rep.mismatch_index is None
+    assert _failed(rep) == {"difference k=0", "difference k=1", "partial-sum k=0",
+                            "partial-sum k=1", "partial-sum k=2", "partial-sum k=3"}
+    assert len(rep.checks) == 12
+
+
+def test_termwise_detects_a_corrupted_t_term(monkeypatch):
+    t_terms = telescoping._t_terms
+    monkeypatch.setattr(telescoping, "_t_terms",
+                        lambda *a: t_terms(*a) + [PochProduct().q(a[-1] + 2)])
+    rep = verify_sk_tk(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert rep.mismatch_index is None
+    assert _failed(rep) == {"termwise k=0", "termwise k=1", "termwise k=2",
+                            "rhs-assembly"}
 
 
 def test_precondition_reported_not_raised():
