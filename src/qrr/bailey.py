@@ -388,15 +388,8 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     e1 = x + 1 - rho1_exp
     e2 = x + 1 - rho2_exp
 
-    if pair.mode == "one_sided":
-        lhs_range = range(0, N + 1)
-    elif pair.mode == "bilateral_x1":
-        lhs_range = range(-N, N + 1)
-    else:
-        lhs_range = range(-N - 1, N + 1)
-
     lhs_terms = []
-    for n in lhs_range:
+    for n in pair.relation_range(N):
         w = (PochProduct().scale(_sign(n)).q(-_binom2(n))
              .poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
              .dpoch(e1, n).dpoch(e2, n).dpoch(x + N + 1, n)

@@ -48,10 +48,11 @@ from .identities import (
     VerificationReport,
     get_record,
     list_identities,
+    liu_closed_form,
     liu_counterexample,
     verify_grid,
 )
-from .pochhammer import PochProduct, sum_terms
+from .pochhammer import sum_terms
 from .series import env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
 
@@ -436,10 +437,7 @@ def cmd_counterexample(args) -> int:
     which = args.which.upper()
     trunc = resolve_trunc(args.trunc)
     rep = liu_counterexample(which, args.a_exp, trunc)
-    # the left side collapses to the polynomial (q;q)_e with
-    # e = a_exp-1 (first transformation) or a_exp (second)
-    degree = args.a_exp - 1 if which == "LIU1" else args.a_exp
-    off, coeffs = sum_terms([PochProduct().qn(degree)], rep.trunc)
+    off, coeffs = sum_terms([liu_closed_form(which, args.a_exp)], rep.trunc)
     reproduced = rep.verdict == "MISMATCH"
     text_lines = [
         f"{which} at a = q^{args.a_exp} (T={rep.trunc})",

@@ -9,16 +9,10 @@ from itertools import product as _cartesian
 from ..pochhammer import (
     PochProduct,
     SeriesAccumulator,
-    qpoch_infinite,
     rr_product_side as _rr_product,
+    sum_terms,
 )
-from ..series import (
-    MonomialParam,
-    NeedsLaurent,
-    TruncatedSeries,
-    default_truncation,
-    series_compare,
-)
+from ..series import TruncatedSeries, default_truncation, power_series
 from .catalog import REGISTRY
 from .framework import (
     EngineError,
@@ -32,6 +26,7 @@ from .framework import (
     _poch_support,
     _qn_support,
     compare,
+    compare_side_values,
     eval_affine,
     eval_side_value,
 )
@@ -115,18 +110,8 @@ def eval_side(ident: str, side: str, params: dict,
     rec = get_record(ident)
     ctx = EvalCtx(trunc)
     env = _check_params(rec, params)
-    offset, buf = eval_side_value(rec, side, env, ctx)
-    if offset < 0:
-        head, tail = buf[:-offset], buf[-offset:]
-        if any(head):
-            first = next(i for i, c in enumerate(head) if c)
-            raise NeedsLaurent(
-                f"{ident} {side} retains q^{offset + first} with coefficient {head[first]}"
-            )
-        buf = tail
-    elif offset > 0:
-        buf = [0] * offset + buf
-    return TruncatedSeries(buf[: ctx.trunc + 1], ctx.trunc)
+    return power_series(eval_side_value(rec, side, env, ctx), ctx.trunc,
+                        f"{ident} {side}")
 
 
 def support_bounds(ident: str, side: str, params: dict,
@@ -188,10 +173,15 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
         t.dqn(n - k)
         acc.add(t)
         k += 1
-    lhs = acc.series()
     rhs = _rr_product(product, trunc)
-    return compare(which, {"n": n}, trunc, (0, list(lhs.coeffs)),
-                   (0, list(rhs.coeffs)), start)
+    return compare(which, {"n": n}, trunc, acc.value(), (0, list(rhs.coeffs)), start)
+
+
+def liu_closed_form(which: str, a_exp: int) -> PochProduct:
+    """The closed form of the degenerate LIU1/LIU2 sum at a = q^a_exp:
+    (q)_inf/(a)_inf = (q; q)_{a_exp-1} for LIU1 and (q)_inf/(aq)_inf =
+    (q; q)_{a_exp} for LIU2."""
+    return PochProduct().qn(a_exp - 1 if which == "LIU1" else a_exp)
 
 
 def liu_counterexample(which: str, a_exp: int,
@@ -201,9 +191,9 @@ def liu_counterexample(which: str, a_exp: int,
     Setting the product of the second and third parameters to q (for LIU1)
     or to 1 (for LIU2) makes their Pochhammer factors cancel in pairs, so
     the left side collapses to a one-parameter bilateral sum with the
-    closed form (q)_inf/(a)_inf resp. (q)_inf/(aq)_inf — while the right
-    side's prefactor acquires a (q^0; q)_inf factor and vanishes.  The two
-    sides disagree already at q^0.
+    closed form :func:`liu_closed_form` — while the right side's prefactor
+    acquires a (q^0; q)_inf factor and vanishes.  The two sides disagree
+    already at q^0.
     """
     if which not in ("LIU1", "LIU2"):
         raise UnknownIdentity(f"liu_counterexample knows LIU1 and LIU2, not {which!r}")
@@ -222,8 +212,6 @@ def liu_counterexample(which: str, a_exp: int,
             t.poch(1 - alpha, k)
             t.poch(alpha, k, -1)
             acc.add(t)
-        closed = qpoch_infinite(MonomialParam.q_power(1), trunc) * \
-            qpoch_infinite(MonomialParam.q_power(alpha), trunc).invert()
     else:
         # sum over -alpha <= k <= alpha-1 of (q/a)_k / (aq)_k * a^k q^{k^2}
         for k in range(-alpha, alpha):
@@ -232,12 +220,11 @@ def liu_counterexample(which: str, a_exp: int,
             t.poch(1 - alpha, k)
             t.poch(alpha + 1, k, -1)
             acc.add(t)
-        closed = qpoch_infinite(MonomialParam.q_power(1), trunc) * \
-            qpoch_infinite(MonomialParam.q_power(alpha + 1), trunc).invert()
-    lhs = acc.series()
-    if series_compare(lhs, closed) is not None:
+    closed = sum_terms([liu_closed_form(which, alpha)], trunc)
+    if compare_side_values(acc.value(), closed, trunc) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")
-    return compare(which, {"a_exp": a_exp}, trunc, (0, list(lhs.coeffs)),
+    # the sum equals its closed form through q^trunc, checked just above
+    return compare(which, {"a_exp": a_exp}, trunc, closed,
                    (0, [0] * (trunc + 1)), start)
 
 

@@ -1,43 +1,33 @@
-"""q-Pochhammer symbols over the truncated series ring.
+"""Factored products of (1 - q^m): the engine's one term algebra.
 
-The public entry points (:func:`qpoch`, :func:`qpoch_reciprocal`,
-:func:`qpoch_multi`, :func:`qpoch_infinite`, :func:`rr_product_side`) follow
-the usual conventions:
+A :class:`PochProduct` is a scalar, a power of q, and a multiset of factors
+(1-q^m) with integer multiplicities.  Its builders multiply in q-shifted
+factorials with the usual conventions:
 
     (a; q)_0 = 1
     (a; q)_n = (1-a)(1-aq)...(1-aq^{n-1})          for n > 0
     (a; q)_n = 1 / ((aq^n; q)_{-n})                for n < 0
 
-so that (a; q)_n * (aq^n; q)_m = (a; q)_{n+m} for all integer n, m whenever
-both sides make sense.  A negative index can place a genuine zero in a
-denominator — (q; q)_{-1} involves 1/(1-q^0) — so results are wrapped in a
-three-state :class:`PochValue`: an honest series, an exact zero, or the
-reciprocal of zero.
+so that (a; q)_n * (aq^n; q)_m = (a; q)_{n+m} for all integer n, m.  A
+negative index can place a genuine zero in a denominator — (q; q)_{-1}
+involves 1/(1-q^0) — so the m=0 factor is kept as a multiplicity: zeros in
+numerator and denominator cancel exactly, and what survives makes the
+product exactly zero or a pole (its ``state``).
 
-Internally, sums of quotients of Pochhammer symbols are manipulated as
-:class:`PochProduct` values: a scalar, a power of q, and a multiset of
-factors (1-q^m) with integer multiplicities.  Cancelling zeros between
-numerator and denominator happens exactly (multiplicities of the m=0 factor
-cancel), and rendering to coefficients is a sequence of O(T) passes, one per
-factor, rather than a generic series product.
+:class:`SeriesAccumulator` sums products into an ``(offset, coeffs)`` buffer
+by rendering each one with O(T) passes of :func:`mul_binomial` /
+:func:`div_binomial`, one per factor, rather than a generic series product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .series import (
     Coeff,
-    MonomialParam,
-    NeedsLaurent,
     SeriesError,
     TruncatedSeries,
     default_truncation,
+    power_series,
 )
-
-
-class NonPositiveExponent(SeriesError):
-    """Raised for infinite products (a; q)_inf that need a.exp >= 1 to converge."""
 
 
 class PoleError(SeriesError):
@@ -45,246 +35,29 @@ class PoleError(SeriesError):
 
 
 # ---------------------------------------------------------------------------
-# three-state values
-# ---------------------------------------------------------------------------
-
-
-class PochValue:
-    """Either a series, an exact zero, or the reciprocal of an exact zero."""
-
-    __slots__ = ("kind", "_series")
-
-    SERIES = "series"
-    ZERO = "zero"
-    RECIPROCAL_ZERO = "reciprocal_zero"
-
-    def __init__(self, kind: str, series: TruncatedSeries | None = None):
-        if kind == PochValue.SERIES and series is None:
-            raise ValueError("series kind requires a payload")
-        self.kind = kind
-        self._series = series
-
-    @staticmethod
-    def of(series: TruncatedSeries) -> "PochValue":
-        return PochValue(PochValue.SERIES, series)
-
-    @staticmethod
-    def zero() -> "PochValue":
-        return PochValue(PochValue.ZERO)
-
-    @staticmethod
-    def reciprocal_zero() -> "PochValue":
-        return PochValue(PochValue.RECIPROCAL_ZERO)
-
-    @property
-    def is_series(self) -> bool:
-        return self.kind == PochValue.SERIES
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == PochValue.ZERO
-
-    @property
-    def is_reciprocal_zero(self) -> bool:
-        return self.kind == PochValue.RECIPROCAL_ZERO
-
-    @property
-    def series(self) -> TruncatedSeries:
-        if self.kind != PochValue.SERIES:
-            raise PoleError(f"no series payload for a {self.kind} value")
-        return self._series
-
-    def series_or_zero(self, trunc: int) -> TruncatedSeries:
-        """The series payload, with an exact zero materialised at `trunc`."""
-        if self.kind == PochValue.SERIES:
-            return self._series
-        if self.kind == PochValue.ZERO:
-            return TruncatedSeries.zero(trunc)
-        raise PoleError("reciprocal of zero has no series expansion")
-
-    def reciprocal(self) -> "PochValue":
-        if self.kind == PochValue.ZERO:
-            return PochValue.reciprocal_zero()
-        if self.kind == PochValue.RECIPROCAL_ZERO:
-            return PochValue.zero()
-        return PochValue.of(self._series.invert())
-
-    def __repr__(self) -> str:
-        if self.kind == PochValue.SERIES:
-            return f"PochValue({self._series!r})"
-        return f"PochValue<{self.kind}>"
-
-
-# ---------------------------------------------------------------------------
 # O(T) coefficient kernels
 # ---------------------------------------------------------------------------
 
 
-def mul_binomial(buf: list, m: int, c: Coeff = 1) -> None:
-    """In place: buf *= (1 - c*q^m), m >= 1."""
+def mul_binomial(buf: list, m: int) -> None:
+    """In place: buf *= (1 - q^m), m >= 1."""
     n = len(buf)
-    if m >= n:
-        return
-    if c == 1:
-        for i in range(n - 1, m - 1, -1):
-            if buf[i - m]:
-                buf[i] -= buf[i - m]
-    else:
-        for i in range(n - 1, m - 1, -1):
-            if buf[i - m]:
-                buf[i] -= c * buf[i - m]
+    for i in range(n - 1, m - 1, -1):
+        if buf[i - m]:
+            buf[i] -= buf[i - m]
 
 
-def div_binomial(buf: list, m: int, c: Coeff = 1) -> None:
-    """In place: buf /= (1 - c*q^m), m >= 1."""
+def div_binomial(buf: list, m: int) -> None:
+    """In place: buf /= (1 - q^m), m >= 1."""
     n = len(buf)
-    if m >= n:
-        return
-    if c == 1:
-        for i in range(m, n):
-            if buf[i - m]:
-                buf[i] += buf[i - m]
-    else:
-        for i in range(m, n):
-            if buf[i - m]:
-                buf[i] += c * buf[i - m]
+    for i in range(m, n):
+        if buf[i - m]:
+            buf[i] += buf[i - m]
 
 
 # ---------------------------------------------------------------------------
-# memoised (q; q)_n tables
+# the Rogers-Ramanujan products
 # ---------------------------------------------------------------------------
-
-_QN_CACHE: dict[int, list[tuple[int, ...]]] = {}
-_INV_QN_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _qn_table(cache: dict, kernel, n: int, trunc: int) -> tuple[int, ...]:
-    """Row n of the table for this trunc, extended by a loop from the largest
-    cached row.  A factor (1-q^m) with m > trunc cannot reach the window, so
-    rows past n = trunc repeat and the table never grows beyond trunc + 1."""
-    table = cache.setdefault(trunc, [(1,) + (0,) * trunc])
-    n = min(n, trunc)
-    while len(table) <= n:
-        buf = list(table[-1])
-        kernel(buf, len(table))
-        table.append(tuple(buf))
-    return table[n]
-
-
-def qn_coeffs(n: int, trunc: int) -> tuple[int, ...]:
-    """Coefficients of (q; q)_n through q^trunc, cached."""
-    if n < 0:
-        raise ValueError("qn_coeffs is for n >= 0")
-    return _qn_table(_QN_CACHE, mul_binomial, n, trunc)
-
-
-def inv_qn_coeffs(n: int, trunc: int) -> tuple[int, ...]:
-    """Coefficients of 1/(q; q)_n through q^trunc, cached."""
-    if n < 0:
-        raise ValueError("inv_qn_coeffs is for n >= 0")
-    return _qn_table(_INV_QN_CACHE, div_binomial, n, trunc)
-
-
-# ---------------------------------------------------------------------------
-# public finite and infinite products
-# ---------------------------------------------------------------------------
-
-
-def qpoch(a: MonomialParam, n: int, trunc: int | None = None) -> PochValue:
-    """(a; q)_n for a = c*q^e, as a three-state value."""
-    if trunc is None:
-        trunc = default_truncation()
-    c, e = a.coeff, a.exp
-
-    if n >= 0:
-        exps = [e + j for j in range(n)]
-        if c == 1 and any(x == 0 for x in exps):
-            return PochValue.zero()
-        if any(x < 0 for x in exps):
-            raise NeedsLaurent(
-                f"({a!r}; q)_{n} has a factor with a negative q-exponent"
-            )
-        if c == 1 and e == 1 and n >= 0:
-            return PochValue.of(TruncatedSeries(qn_coeffs(n, trunc), trunc))
-        buf: list[Coeff] = [0] * (trunc + 1)
-        buf[0] = 1
-        for x in exps:
-            if x == 0:
-                # c != 1 here: a constant factor (1 - c)
-                for i in range(trunc + 1):
-                    if buf[i]:
-                        buf[i] = buf[i] * (1 - c)
-            else:
-                mul_binomial(buf, x, c)
-        return PochValue.of(TruncatedSeries(buf, trunc))
-
-    # negative index: reciprocal of the product over (1 - c*q^{e-j}), j = 1..-n
-    exps = [e - j for j in range(1, -n + 1)]
-    if c == 1 and any(x == 0 for x in exps):
-        return PochValue.reciprocal_zero()
-    if any(x < 0 for x in exps):
-        raise NeedsLaurent(
-            f"({a!r}; q)_{n} has a factor with a negative q-exponent"
-        )
-    buf = [0] * (trunc + 1)
-    buf[0] = 1
-    for x in exps:
-        if x == 0:
-            inv = 1 - c
-            for i in range(trunc + 1):
-                if buf[i]:
-                    buf[i] = Fraction(buf[i], 1) / inv
-        else:
-            div_binomial(buf, x, c)
-    return PochValue.of(TruncatedSeries(buf, trunc))
-
-
-def qpoch_reciprocal(a: MonomialParam, n: int, trunc: int | None = None) -> PochValue:
-    """1/(a; q)_n; in particular exactly zero when the symbol itself blows up."""
-    return qpoch(a, n, trunc).reciprocal()
-
-
-def qpoch_multi(params: list[MonomialParam] | tuple[MonomialParam, ...],
-                n: int, trunc: int | None = None) -> PochValue:
-    """Product (a_1; q)_n (a_2; q)_n ... as a combined three-state value."""
-    if trunc is None:
-        trunc = default_truncation()
-    zeros = 0
-    series_parts: list[TruncatedSeries] = []
-    for a in params:
-        v = qpoch(a, n, trunc)
-        if v.is_zero:
-            zeros += 1
-        elif v.is_reciprocal_zero:
-            zeros -= 1
-        else:
-            series_parts.append(v.series)
-    if zeros > 0:
-        return PochValue.zero()
-    if zeros < 0:
-        return PochValue.reciprocal_zero()
-    out = TruncatedSeries.one(trunc)
-    for s in series_parts:
-        out = out * s
-    return PochValue.of(out)
-
-
-def qpoch_infinite(a: MonomialParam, trunc: int | None = None) -> TruncatedSeries:
-    """(a; q)_inf truncated at q^trunc; needs a.exp >= 1 so the product converges."""
-    if trunc is None:
-        trunc = default_truncation()
-    c, e = a.coeff, a.exp
-    if e < 1:
-        raise NonPositiveExponent(
-            f"(a; q)_inf requires a q-exponent >= 1, got {e}"
-        )
-    buf: list[Coeff] = [0] * (trunc + 1)
-    buf[0] = 1
-    x = e
-    while x <= trunc:
-        mul_binomial(buf, x, c)
-        x += 1
-    return TruncatedSeries(buf, trunc)
 
 
 def rr_product_side(which: str, trunc: int | None = None) -> TruncatedSeries:
@@ -414,26 +187,6 @@ class PochProduct:
                 del out.powers[m]
         return out
 
-    def invert(self) -> "PochProduct":
-        out = PochProduct()
-        out.coeff = Fraction(1, 1) / self.coeff if self.coeff not in (1, -1) else self.coeff
-        out.shift = -self.shift
-        out.powers = {m: -t for m, t in self.powers.items()}
-        return out
-
-    def as_scalar(self):
-        """coeff * q^shift if no binomial factors remain, else None."""
-        if any(t for m, t in self.powers.items()):
-            return None
-        return (self.coeff, self.shift)
-
-    def key(self):
-        return (
-            self.coeff,
-            self.shift,
-            tuple(sorted((m, t) for m, t in self.powers.items() if t)),
-        )
-
     # rendering --------------------------------------------------------------
 
     def render_unit(self, length: int) -> list:
@@ -519,16 +272,7 @@ class SeriesAccumulator:
     def series(self) -> TruncatedSeries:
         """The sum as a power series; raises NeedsLaurent if a negative
         q-exponent survives in the total."""
-        offset, out = self.value()
-        if offset < 0:
-            head, tail = out[:-offset], out[-offset:]
-            if any(head):
-                first = next(i for i, c in enumerate(head) if c)
-                raise NeedsLaurent(
-                    f"sum retains q^{offset + first} with coefficient {head[first]}"
-                )
-            out = tail
-        return TruncatedSeries(out, self.trunc)
+        return power_series(self.value(), self.trunc)
 
 
 def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
@@ -539,7 +283,4 @@ def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
 
 
 def terms_to_series(terms: list[PochProduct], trunc: int) -> TruncatedSeries:
-    acc = SeriesAccumulator(trunc)
-    for t in terms:
-        acc.add(t)
-    return acc.series()
+    return power_series(sum_terms(terms, trunc), trunc)

@@ -1,10 +1,13 @@
-"""Truncated formal power series in q with exact rational coefficients.
+"""The truncation order and the read-only power-series result type.
 
-A :class:`TruncatedSeries` stores the coefficients of q^0 .. q^T for some
-truncation order T.  All arithmetic is exact: coefficients are Python ints,
-promoted to :class:`fractions.Fraction` only when division forces it, and
-normalised back to int whenever the denominator is 1.  Two series with
-different truncation orders combine at the smaller order.
+The engine computes with :class:`~qrr.pochhammer.PochProduct` terms rendered
+into ``(offset, coeffs)`` buffers, where ``coeffs[i]`` is the coefficient of
+q^(offset+i).  A :class:`TruncatedSeries` is what the public evaluators hand
+back: the coefficients of q^0 .. q^T of such a value, built by
+:func:`power_series`, which refuses a value that keeps a nonzero coefficient
+on a negative power of q.  Coefficients are exact: Python ints, or
+:class:`fractions.Fraction` normalised back to int whenever the denominator
+is 1.
 """
 
 from __future__ import annotations
@@ -44,15 +47,11 @@ def default_truncation() -> int:
 
 
 class SeriesError(Exception):
-    """Base class for series arithmetic failures."""
-
-
-class ZeroConstantTerm(SeriesError):
-    """Raised when inverting a series whose constant term is zero."""
+    """Base class for evaluation failures."""
 
 
 class ExponentExceedsTruncation(SeriesError):
-    """Raised when a requested monomial exponent lies beyond the truncation."""
+    """Raised when a requested coefficient lies beyond the truncation."""
 
 
 class NeedsLaurent(SeriesError):
@@ -91,18 +90,6 @@ class TruncatedSeries:
         self._c = tuple(data)
         self.trunc = trunc
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zero(trunc: int) -> "TruncatedSeries":
-        return TruncatedSeries([0], trunc)
-
-    @staticmethod
-    def one(trunc: int) -> "TruncatedSeries":
-        return TruncatedSeries([1], trunc)
-
-    # -- inspection ------------------------------------------------------------
-
     @property
     def coeffs(self) -> tuple[Coeff, ...]:
         return self._c
@@ -119,99 +106,13 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self._c)
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._c):
-            if c:
-                return i
-        return None
-
-    # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self.trunc, other.trunc)
-        return TruncatedSeries(
-            [self._c[i] + other._c[i] for i in range(t + 1)], t
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self.trunc, other.trunc)
-        return TruncatedSeries(
-            [self._c[i] - other._c[i] for i in range(t + 1)], t
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._c], self.trunc)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            t = min(self.trunc, other.trunc)
-            out: list[Coeff] = [0] * (t + 1)
-            a, b = self._c, other._c
-            for i in range(t + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(t + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return TruncatedSeries(out, t)
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self._c], self.trunc)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self._c
-        if not a[0]:
-            raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        t = self.trunc
-        inv0 = Fraction(1, 1) / a[0] if a[0] != 1 else 1
-        out: list[Coeff] = [0] * (t + 1)
-        out[0] = _norm(inv0)
-        for i in range(1, t + 1):
-            acc: Coeff = 0
-            for j in range(1, i + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[i - j]
-            out[i] = _norm(-acc * inv0 if acc else 0)
-        return TruncatedSeries(out, t)
-
-    def truncate(self, t: int) -> "TruncatedSeries":
-        if t > self.trunc:
-            raise ExponentExceedsTruncation(
-                f"cannot extend truncation {self.trunc} to {t}"
-            )
-        return TruncatedSeries(self._c[: t + 1], t)
-
-    def shift(self, m: int) -> "TruncatedSeries":
-        """Multiply by q^m (m >= 0), keeping the truncation order."""
-        if m < 0:
-            raise NeedsLaurent("negative shift leaves the power-series ring")
-        if m == 0:
-            return self
-        out = [0] * (self.trunc + 1)
-        for i in range(self.trunc + 1 - m):
-            out[i + m] = self._c[i]
-        return TruncatedSeries(out, self.trunc)
-
-    # -- comparison ---------------------------------------------------------------
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         t = min(self.trunc, other.trunc)
         return all(self._c[i] == other._c[i] for i in range(t + 1))
 
-    __hash__ = None  # mutable-feeling value type; comparisons are by alignment
+    __hash__ = None  # equality is by alignment, which a hash cannot follow
 
     def __repr__(self) -> str:
         terms = []
@@ -231,76 +132,22 @@ class TruncatedSeries:
         return f"<{body} (mod q^{self.trunc + 1})>"
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
+def power_series(value: tuple[int, list], trunc: int,
+                 what: str = "sum") -> TruncatedSeries:
+    """The (offset, coeffs) value as a power series through q^trunc.
 
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert()
-
-
-def series_compare(a: TruncatedSeries, b: TruncatedSeries):
-    """None when equal through the common truncation, else (i, a_i, b_i)."""
-    t = min(a.trunc, b.trunc)
-    for i in range(t + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return i, a.coeffs[i], b.coeffs[i]
-    return None
-
-
-class MonomialParam:
-    """A parameter specialised to c * q^e for an exact rational c and integer e.
-
-    Identity parameters in this package are always powers of q, so a pair
-    (coefficient, exponent) captures them exactly; products and quotients of
-    parameters stay in the same family.
+    Raises NeedsLaurent if a negative q-exponent keeps a nonzero coefficient
+    (individual terms may pass through negative exponents; only the total
+    matters).  `what` names the value in that message.
     """
-
-    __slots__ = ("coeff", "exp")
-
-    def __init__(self, coeff: Coeff = 1, exp: int = 1):
-        self.coeff = _norm(coeff)
-        self.exp = exp
-
-    @staticmethod
-    def q_power(e: int) -> "MonomialParam":
-        return MonomialParam(1, e)
-
-    def __mul__(self, other: "MonomialParam") -> "MonomialParam":
-        return MonomialParam(self.coeff * other.coeff, self.exp + other.exp)
-
-    def shifted(self, de: int) -> "MonomialParam":
-        """The parameter times q^de."""
-        return MonomialParam(self.coeff, self.exp + de)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialParam)
-            and self.coeff == other.coeff
-            and self.exp == other.exp
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.exp))
-
-    def __repr__(self) -> str:
-        if self.coeff == 1:
-            return f"q^{self.exp}"
-        return f"{self.coeff}*q^{self.exp}"
-
-
-def monomial(p: MonomialParam, trunc: int) -> TruncatedSeries:
-    """The series c * q^e for p = (c, e), with 0 <= e <= trunc."""
-    if p.exp < 0:
-        raise NeedsLaurent(f"monomial exponent {p.exp} is negative")
-    if p.exp > trunc:
-        raise ExponentExceedsTruncation(
-            f"monomial exponent {p.exp} exceeds truncation {trunc}"
-        )
-    out: list[Coeff] = [0] * (trunc + 1)
-    out[p.exp] = p.coeff
-    return TruncatedSeries(out, trunc)
+    offset, buf = value
+    if offset < 0:
+        head, buf = buf[:-offset], buf[-offset:]
+        if any(head):
+            first = next(i for i, c in enumerate(head) if c)
+            raise NeedsLaurent(
+                f"{what} retains q^{offset + first} with coefficient {head[first]}"
+            )
+    else:
+        buf = [0] * offset + buf
+    return TruncatedSeries(buf, trunc)

@@ -24,7 +24,7 @@ import time
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct, _sign, sum_terms
+from .pochhammer import PochProduct, _sign, mul_binomial, sum_terms
 from .identities.framework import (
     EngineError,
     EvalCtx,
@@ -148,13 +148,11 @@ def _t_terms(l: int, m: int, n: int, u: int, v: int, k: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _times_binomial(value, c: int, trunc: int):
-    """(offset, buf) representing value * (1 - q^c)."""
+def _times_binomial(value, c: int):
+    """(offset, buf) representing value * (1 - q^c), c >= 1."""
     off, buf = value
     out = list(buf)
-    for i in range(len(buf) - 1, -1, -1):
-        if i >= c:
-            out[i] -= buf[i - c]
+    mul_binomial(out, c)
     return off, out
 
 
@@ -228,9 +226,9 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         ("boundary", left, right),
         ("sum-splitting", left, sum_terms(_two_sum_terms(l, m, n, u, v), trunc)),
         ("lhs-clearing", left,
-         _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc), c, trunc)),
+         _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc), c)),
         ("rhs-clearing", right,
-         _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc), c, trunc)),
+         _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc), c)),
     ]
     return compare_checks("telescoping", params, trunc, checks, start)
 

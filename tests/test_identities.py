@@ -151,8 +151,8 @@ def test_rr_limit_check():
 def test_rr_limit_check_detects_a_corrupted_product(monkeypatch):
     # bump the q^7 coefficient of the independent product side
     product = engine._rr_product
-    monkeypatch.setattr(engine, "_rr_product", lambda which, trunc:
-                        product(which, trunc) + TruncatedSeries([0] * 7 + [1], trunc))
+    monkeypatch.setattr(engine, "_rr_product", lambda which, trunc: TruncatedSeries(
+        [c + (i == 7) for i, c in enumerate(product(which, trunc).coeffs)], trunc))
     rep = rr_limit_check("RR1", 30)
     assert rep.verdict == "MISMATCH"
     assert rep.mismatch_index == 7
@@ -185,6 +185,18 @@ def test_liu1_lhs_window_is_one_minus_q():
     window = dict(rep.lhs_window)
     assert window[0] == 1 and window[1] == -1
     assert all(c == 0 for _, c in rep.rhs_window)
+
+
+def test_liu_counterexample_checks_its_closed_form(monkeypatch):
+    # the degenerate sums equal (q;q)_{a-1} (LIU1) and (q;q)_a (LIU2) exactly
+    for which in ("LIU1", "LIU2"):
+        for a_exp in range(1, 7):
+            assert liu_counterexample(which, a_exp, 40).verdict == "MISMATCH"
+    # a wrong closed form is refused instead of being reported
+    closed = engine.liu_closed_form
+    monkeypatch.setattr(engine, "liu_closed_form", lambda w, a: closed(w, a).factor(a + 3))
+    with pytest.raises(EngineError, match="disagrees with its closed form"):
+        liu_counterexample("LIU1", 2, 20)
 
 
 def test_mutation_hooks_have_teeth():

@@ -1,8 +1,10 @@
-"""q-shifted factorials, their reciprocals, and the factored-product engine.
+"""The factored-product term algebra and its O(T) rendering.
 
-The three-state value (series / exactly zero / reciprocal of zero) is what
-makes termwise evaluation of quotient sums safe at boundary parameters, so
-the zero bookkeeping gets particular attention here.
+PochProduct keeps the vanishing factor (1 - q^0) as a multiplicity, which is
+what makes termwise evaluation of quotient sums safe at boundary
+parameters, so the zero bookkeeping gets particular attention here.  Values
+are cross-checked against the dense oracle in ``dense_oracle.py``, which
+shares no code with the engine.
 """
 
 from fractions import Fraction
@@ -10,34 +12,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dense_oracle import as_dict, expand, poch
 from qrr.pochhammer import (
     PochProduct,
     PoleError,
-    NonPositiveExponent,
     SeriesAccumulator,
-    inv_qn_coeffs,
-    qn_coeffs,
-    qpoch,
-    qpoch_infinite,
-    qpoch_multi,
-    qpoch_reciprocal,
     rr_product_side,
     sum_terms,
     terms_to_series,
 )
-from qrr.series import MonomialParam, NeedsLaurent, TruncatedSeries
+from qrr.series import NeedsLaurent
 
-Q = MonomialParam.q_power
+
+def _coeffs(term, trunc):
+    """{exponent: coefficient} of one rendered product through q^trunc."""
+    return as_dict(sum_terms([term], trunc), trunc)
 
 
 def test_qn_frozen():
     # (q;q)_3 = 1 - q - q^2 + q^4 + q^5 - q^6
-    assert qn_coeffs(3, 8) == (1, -1, -1, 0, 1, 1, -1, 0, 0)
-    assert qn_coeffs(0, 4) == (1, 0, 0, 0, 0)
-
-
-def test_qn_memoised():
-    assert qn_coeffs(7, 30) is qn_coeffs(7, 30)
+    assert sum_terms([PochProduct().qn(3)], 8) == (0, [1, -1, -1, 0, 1, 1, -1, 0, 0])
+    assert sum_terms([PochProduct().qn(0)], 4) == (0, [1, 0, 0, 0, 0])
 
 
 def _direct_qn(n, trunc, inverse=False):
@@ -52,101 +47,112 @@ def _direct_qn(n, trunc, inverse=False):
     return tuple(buf)
 
 
+def _render(term, trunc):
+    return tuple(sum_terms([term], trunc)[1])
+
+
 def test_qn_tables_are_iterative():
-    # one recursion level per index used to raise RecursionError here
-    assert qn_coeffs(1500, 5) == _direct_qn(1500, 5) == (1, -1, -1, 0, 0, 1)
-    assert inv_qn_coeffs(1500, 5) == _direct_qn(1500, 5, inverse=True)
-    assert qn_coeffs(1500, 40) == _direct_qn(1500, 40)
-    # rows below an already-cached one are served from the same table
-    assert qn_coeffs(12, 40) == _direct_qn(12, 40)
+    # (q;q)_n far past the window: factors beyond q^trunc are skipped, and
+    # nothing recurses once per index
+    assert _render(PochProduct().qn(1500), 5) == _direct_qn(1500, 5) == (1, -1, -1, 0, 0, 1)
+    assert _render(PochProduct().dqn(1500), 5) == _direct_qn(1500, 5, inverse=True)
+    assert _render(PochProduct().qn(1500), 40) == _direct_qn(1500, 40)
+    assert _render(PochProduct().qn(12), 40) == _direct_qn(12, 40)
 
 
 def test_qpoch_positive_index():
-    v = qpoch(Q(2), 2, 10)
     # (q^2;q)_2 = (1-q^2)(1-q^3)
-    assert v.is_series
-    assert v.series == terms_to_series([PochProduct().factor(2).factor(3)], 10)
+    t = PochProduct().poch(2, 2)
+    assert t.state == "ok" and t.powers == {2: 1, 3: 1}
+    assert terms_to_series([t], 10) == terms_to_series([PochProduct().factor(2).factor(3)], 10)
+    assert _coeffs(t, 10) == expand(1, 0, [2, 3], [], 10) == {0: 1, 2: -1, 3: -1, 5: 1}
 
 
 def test_qpoch_zero_and_reciprocal_zero():
-    assert qpoch(Q(0), 1, 10).is_zero
-    assert qpoch(Q(0), 3, 10).is_zero
-    assert qpoch_reciprocal(Q(0), 1, 10).is_reciprocal_zero
-    # an exact zero materialises as the zero series; a blown-up one refuses
-    assert qpoch(Q(0), 1, 10).series_or_zero(10).is_zero()
+    assert PochProduct().poch(0, 1).state == "zero"
+    assert PochProduct().poch(0, 3).state == "zero"
+    assert PochProduct().dpoch(0, 1).state == "pole"
+    # an exact zero sums to the zero series; a pole refuses to render
+    assert terms_to_series([PochProduct().poch(0, 1)], 10).is_zero()
     with pytest.raises(PoleError):
-        qpoch_reciprocal(Q(0), 1, 10).series_or_zero(10)
-    # double reciprocal lands back on the exact zero
-    assert qpoch_reciprocal(Q(0), 1, 10).reciprocal().is_zero
+        sum_terms([PochProduct().dpoch(0, 1)], 10)
+    # dividing the zero out and back in lands on the exact zero again
+    assert PochProduct().poch(0, 1).dpoch(0, 1).poch(0, 1).state == "zero"
 
 
 def test_qpoch_negative_index():
     # (q^5;q)_{-2} = 1/((1-q^3)(1-q^4))
-    v = qpoch(Q(5), -2, 20)
-    assert v.series == terms_to_series([PochProduct().dfactor(3).dfactor(4)], 20)
+    t = PochProduct().poch(5, -2)
+    assert terms_to_series([t], 20) == terms_to_series([PochProduct().dfactor(3).dfactor(4)], 20)
+    assert _coeffs(t, 20) == expand(1, 0, [], [3, 4], 20)
     # and it hits the zero denominator exactly when the offset is reached
-    assert qpoch(Q(2), -2, 20).is_reciprocal_zero
+    assert PochProduct().poch(2, -2).state == "pole"
 
 
 def test_qpoch_laurent_guard():
+    # (q^-1;q)_1 = 1 - q^-1 keeps its q^-1 term: no power series
+    assert sum_terms([PochProduct().poch(-1, 1)], 3) == (-1, [-1, 1, 0, 0, 0])
     with pytest.raises(NeedsLaurent):
-        qpoch(Q(-1), 1, 10)
+        terms_to_series([PochProduct().poch(-1, 1)], 10)
 
 
-def test_qpoch_constant_coefficient_parameter():
-    # a = 2q: (a;q)_2 = (1-2q)(1-2q^2)
-    v = qpoch(MonomialParam(2, 1), 2, 6)
-    assert v.series.coeffs == (1, -2, -2, 4, 0, 0, 0)
-    # c != 1 keeps q^0 factors honest: (2q^0;q)_1 = 1-2
-    w = qpoch(MonomialParam(2, 0), 1, 6)
-    assert w.series.coeffs[0] == -1
+def _form(t):
+    return t.state, t.coeff, t.shift, t.powers
 
 
 def test_index_splitting():
-    # (a)_{m+n} = (a)_m (a q^m)_n, across sign combinations of the split
-    for e in (1, 2, 5):
-        a = Q(e)
-        for m in range(0, 4):
-            for n in range(-2, 4):
-                if e + m - 1 < -n:          # would need Laurent factors
-                    continue
-                whole = qpoch(a, m + n, 30)
-                left = qpoch(a, m, 30)
-                right = qpoch(a.shifted(m), n, 30)
-                if not (whole.is_series and left.is_series and right.is_series):
-                    continue
-                assert whole.series == left.series * right.series, (e, m, n)
+    # (a)_{m+n} = (a)_m (a q^m)_n for a = q^e and every sign of m, n and e:
+    # the split cancels to the very same factored form, zeros included
+    for e in (-2, 0, 1, 2, 5):
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                whole = PochProduct().poch(e, m + n)
+                split = PochProduct().poch(e, m).poch(e + m, n)
+                assert _form(split) == _form(whole), (e, m, n)
+                if whole.state == "ok":
+                    assert _coeffs(split, 30) == expand(1, 0, *poch(e, m + n), 30), (e, m, n)
 
 
 def test_reflection_to_reciprocal():
     # (a q^n)_{-n} = 1/(a)_n
-    for e in (1, 3):
+    for e in (-1, 1, 3):
         for n in range(0, 5):
-            v = qpoch(Q(e + n), -n, 25)
-            w = qpoch(Q(e), n, 25)
-            assert (v.series * w.series) == TruncatedSeries.one(25)
+            t = PochProduct().poch(e + n, -n)
+            assert _form(t.mul(PochProduct().poch(e, n))) == ("ok", 1, 0, {})
+            if t.state == "ok":
+                assert _coeffs(t, 25) == expand(1, 0, [], poch(e, n)[0], 25), (e, n)
 
 
 def test_qpoch_multi_states():
-    assert qpoch_multi((Q(0), Q(2)), 2, 15).is_zero
-    assert qpoch_multi((Q(2), Q(3)), -2, 15).is_reciprocal_zero
-    v = qpoch_multi((Q(1), Q(2)), 2, 15)
-    assert v.is_series
-    assert v.series == qpoch(Q(1), 2, 15).series * qpoch(Q(2), 2, 15).series
+    assert PochProduct().poch(0, 2).poch(2, 2).state == "zero"
+    assert PochProduct().poch(2, -2).poch(3, -2).state == "pole"
+    t = PochProduct().poch(1, 2).poch(2, 2)
+    assert _coeffs(t, 15) == expand(1, 0, [1, 2, 2, 3], [], 15)
+
+
+def _pentagonal(trunc):
+    """Euler: (q;q)_inf = sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
+    out = {}
+    for k in range(-trunc, trunc + 1):
+        e = k * (3 * k - 1) // 2
+        if e <= trunc:
+            out[e] = -1 if k % 2 else 1
+    return out
 
 
 def test_qpoch_infinite_euler():
     # pentagonal numbers: 1 - q - q^2 + q^5 + q^7 - q^12 ...
-    s = qpoch_infinite(Q(1), 12)
-    assert list(s.coeffs) == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
-    with pytest.raises(NonPositiveExponent):
-        qpoch_infinite(Q(0), 12)
+    assert _render(PochProduct().qn(12), 12) == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
+    assert _coeffs(PochProduct().qn(60), 60) == _pentagonal(60)
 
 
 def test_finite_matches_infinite_through_window():
+    # (q^e;q)_n no longer changes below q^T once its factors pass the window
     T = 24
-    assert qpoch(Q(1), T, T).series == qpoch_infinite(Q(1), T)
-    assert qpoch(Q(2), T, T).series == qpoch_infinite(Q(2), T)
+    for e in (1, 2):
+        want = expand(1, 0, list(range(e, T + 1)), [], T)
+        assert _coeffs(PochProduct().poch(e, T), T) == want
+        assert _coeffs(PochProduct().poch(e, T + 10), T) == want
 
 
 def _partition_counts(residues, top):
@@ -162,6 +168,12 @@ def _partition_counts(residues, top):
 def test_rr_products_against_partition_oracle():
     assert list(rr_product_side("mod5_14", 30).coeffs) == _partition_counts((1, 4), 30)
     assert list(rr_product_side("mod5_23", 30).coeffs) == _partition_counts((2, 3), 30)
+    for residues in ((1, 4), (2, 3)):
+        t = PochProduct()
+        for m in range(1, 31):
+            if m % 5 in residues:
+                t.dfactor(m)
+        assert sum_terms([t], 30) == (0, _partition_counts(residues, 30))
     with pytest.raises(ValueError):
         rr_product_side("mod7")
 
@@ -193,13 +205,12 @@ def test_zero_and_pole_states():
 
 
 def test_poch_builder_matches_qpoch():
-    for e in (1, 2, 4):
+    for e in (-2, 1, 2, 4):
         for n in (0, 1, 3, -1, -2):
             t = PochProduct().poch(e, n)
-            v = qpoch(Q(e), n, 20)
             if t.state != "ok":
                 continue
-            assert terms_to_series([t], 20) == v.series, (e, n)
+            assert _coeffs(t, 20) == expand(1, 0, *poch(e, n), 20), (e, n)
 
 
 def test_poch_negative_argument_uses_flip():
@@ -217,20 +228,7 @@ def test_mul_returns_new_object():
     assert c.powers == {1: 1, 2: 1}
     # exponents with net power zero are dropped so keys stay canonical
     d = a.mul(PochProduct().dfactor(1))
-    assert d.powers == {} and d.as_scalar() == (1, 0)
-
-
-def test_invert_round_trip():
-    t = PochProduct().scale(Fraction(3, 2)).q(4).factor(1, 2).dfactor(3)
-    round_trip = t.mul(t.invert())
-    assert round_trip.as_scalar() == (1, 0)
-    assert PochProduct().scale(-1).invert().coeff == -1
-
-
-def test_key_is_canonical():
-    a = PochProduct().factor(2).factor(1)
-    b = PochProduct().factor(1).factor(2)
-    assert a.key() == b.key()
+    assert _form(d) == ("ok", 1, 0, {})
 
 
 def test_render_unit_skips_out_of_window_factors():
@@ -275,3 +273,35 @@ def test_qn_index_additivity(m, n):
     whole = terms_to_series([PochProduct().qn(m + n)], 20)
     split = terms_to_series([PochProduct().qn(m).poch(m + 1, n)], 20)
     assert whole == split
+
+
+_factor = st.tuples(st.integers(min_value=-6, max_value=12),
+                    st.integers(min_value=-3, max_value=3))
+_product = st.tuples(
+    st.sampled_from([1, -1, 2, Fraction(-3, 2)]),
+    st.integers(min_value=-8, max_value=8),
+    st.lists(_factor, max_size=6))
+
+
+@given(st.lists(_product, min_size=1, max_size=3), st.integers(min_value=0, max_value=25))
+def test_sum_terms_matches_dense_oracle(drawn, trunc):
+    terms, want, pole = [], {}, False
+    for scale, shift, factors in drawn:
+        t = PochProduct().scale(scale).q(shift)
+        for m, times in factors:
+            t.factor(m, times)
+        terms.append(t)
+        # (1 - q^0) is a formal symbol: its net multiplicity decides the state
+        zeros = sum(times for m, times in factors if m == 0)
+        assert t.state == ("zero" if zeros > 0 else "pole" if zeros < 0 else "ok")
+        pole = pole or zeros < 0
+        if zeros == 0:
+            num = [m for m, times in factors if m for _ in range(times)]
+            den = [m for m, times in factors if m for _ in range(-times)]
+            for e, c in expand(scale, shift, num, den, trunc).items():
+                want[e] = want.get(e, 0) + c
+    if pole:
+        with pytest.raises(PoleError):
+            sum_terms(terms, trunc)
+        return
+    assert as_dict(sum_terms(terms, trunc), trunc) == {e: c for e, c in want.items() if c}

@@ -2,9 +2,10 @@
 
 ``_apply_prefactor`` cancels the infinite products of a side's prefactor
 inside one PochProduct and applies the surviving binomials to the summed
-side in place.  Here the same prefactor is rebuilt from the dense stack
-(``qpoch_infinite``, ``qpoch`` and ``TruncatedSeries`` products), multiplied
-by the summed side, and compared coefficient for coefficient.
+side in place.  Here the same prefactor is expanded by the dense oracle
+(every infinite product cut at the window, multiplied out by convolution,
+the denominator inverted as a power series), multiplied by the summed side,
+and compared coefficient for coefficient.
 """
 
 import dataclasses
@@ -13,12 +14,9 @@ from itertools import product
 
 import pytest
 
+from dense_oracle import as_dict, convolve, expand
 from qrr.identities import REGISTRY, get_record
 from qrr.identities.framework import EvalCtx, Side, eval_affine, eval_side_value
-from qrr.pochhammer import qpoch, qpoch_infinite, qpoch_reciprocal
-from qrr.series import MonomialParam, TruncatedSeries
-
-Q = MonomialParam.q_power
 
 PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
                    for side in ("lhs", "rhs")
@@ -27,26 +25,14 @@ PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
 
 @lru_cache(maxsize=None)
 def _dense_unit(sign, inf_num, inf_den, qn_num, qn_den, bin_num, bin_den, trunc):
-    """The prefactor without its monomial, as a dense truncated series."""
-    p = TruncatedSeries.one(trunc) * sign
-    for a in inf_num:
-        p = p * qpoch_infinite(Q(a), trunc)
-    for a in inf_den:
-        p = p * qpoch_infinite(Q(a), trunc).invert()
-    for a in qn_num:
-        p = p * qpoch(Q(1), a, trunc).series
-    for a in qn_den:
-        p = p * qpoch_reciprocal(Q(1), a, trunc).series
-    for a in bin_num:
-        p = p * qpoch(Q(a), 1, trunc).series
-    for a in bin_den:
-        p = p * qpoch_reciprocal(Q(a), 1, trunc).series
-    return p
+    """The prefactor without its monomial: coefficients of q^0..q^trunc."""
+    def factors(inf, qn, binomials):
+        return ([m for a in inf for m in range(a, trunc + 1)]
+                + [m for n in qn for m in range(1, n + 1)] + list(binomials))
 
-
-def _coeffs(value, trunc):
-    off, buf = value
-    return {off + i: c for i, c in enumerate(buf) if c and off + i <= trunc}
+    unit = expand(sign, 0, factors(inf_num, qn_num, bin_num),
+                  factors(inf_den, qn_den, bin_den), trunc)
+    return [unit.get(e, 0) for e in range(trunc + 1)]
 
 
 def dense_side(rec, side_name, env, trunc, mono_delta=0):
@@ -65,16 +51,8 @@ def dense_side(rec, side_name, env, trunc, mono_delta=0):
     width = trunc - mono - off
     unit = _dense_unit(pre.sign, vals(pre.inf_num), vals(pre.inf_den),
                        vals(pre.qn_num), vals(pre.qn_den),
-                       vals(pre.bin_num), vals(pre.bin_den), width).coeffs
-    out = {}
-    for i, s in enumerate(buf):
-        if not s:
-            continue
-        for j in range(width - i + 1):
-            if unit[j]:
-                e = mono + off + i + j
-                out[e] = out.get(e, 0) + s * unit[j]
-    return {e: c for e, c in out.items() if c}
+                       vals(pre.bin_num), vals(pre.bin_den), width)
+    return as_dict((mono + off, convolve(buf, unit, width + 1)), trunc)
 
 
 def _corners(rec):
@@ -96,7 +74,7 @@ def test_prefactor_matches_dense_product(ident, side):
     rec = get_record(ident)
     for trunc in (40, 160):
         for env in _corners(rec):
-            got = _coeffs(eval_side_value(rec, side, env, EvalCtx(trunc)), trunc)
+            got = as_dict(eval_side_value(rec, side, env, EvalCtx(trunc)), trunc)
             assert got == dense_side(rec, side, env, trunc), (ident, side, env, trunc)
 
 
@@ -105,7 +83,7 @@ def test_mutated_monomial_matches_dense_product(trunc):
     rec = get_record("ABCDE6_4")
     env = {"n": 2, "l": 1, "m": 2, "u": 0, "v": 1}
     ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[v]": ("const", -2)})
-    got = _coeffs(eval_side_value(rec, "rhs", env, ctx), trunc)
+    got = as_dict(eval_side_value(rec, "rhs", env, ctx), trunc)
     want = dense_side(rec, "rhs", env, trunc, mono_delta=-2)
     assert min(want) == -1 and max(want) == trunc
     assert got == want
@@ -119,6 +97,6 @@ def test_negative_monomial_keeps_top_coefficients():
     values = {}
     for trunc in (20, 25):
         ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[n]": ("const", -2)})
-        values[trunc] = _coeffs(eval_side_value(rec, "rhs", env, ctx), 20)
+        values[trunc] = as_dict(eval_side_value(rec, "rhs", env, ctx), 20)
     assert values[20][20] == -265
     assert values[20] == values[25]

@@ -65,6 +65,15 @@ def test_telescoping_detects_a_corrupted_increment(monkeypatch):
     assert len(rep.checks) == 12
 
 
+def test_telescoping_clearing_checks_bite(monkeypatch):
+    # without the cleared factor (1 - q^(l+m+n+u+v+1)) both registry sides
+    # disagree with the reassembled sums, and nothing else changes
+    monkeypatch.setattr(telescoping, "mul_binomial", lambda buf, c: None)
+    rep = verify_telescoping(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"lhs-clearing", "rhs-clearing"}
+
+
 def test_termwise_detects_a_corrupted_t_term(monkeypatch):
     t_terms = telescoping._t_terms
     monkeypatch.setattr(telescoping, "_t_terms",
