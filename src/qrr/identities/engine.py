@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product as _cartesian
@@ -41,6 +42,18 @@ def get_record(ident: str) -> IdentityRecord:
 
 def list_identities() -> list[str]:
     return sorted(REGISTRY)
+
+
+def worker_count(jobs: int, cpus: int, points: int) -> int:
+    """Pool size for a grid: the requested jobs, but never more than the
+    CPUs this process may use or the number of points."""
+    return max(1, min(jobs, cpus, points))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def verify(ident: str, params: dict, trunc: int | None = None,
@@ -85,15 +98,18 @@ def _verify_point(args) -> VerificationReport:
 def verify_grid(ident: str, ranges: dict[str, tuple[int, int]] | None = None,
                 trunc: int | None = None, jobs: int = 1) -> list[VerificationReport]:
     """Verify an identity over a parameter grid; reports come back in the
-    same lexicographic order regardless of the worker count."""
+    same lexicographic order regardless of the worker count.  With no
+    ``trunc``, QRR_TRUNC or else the record's default applies; the pool gets
+    ``worker_count`` processes, never more than ``jobs``."""
     rec = get_record(ident)
     if trunc is None:
-        trunc = rec.default_trunc
+        trunc = default_truncation(rec.default_trunc)
     points = grid_points(rec, ranges)
-    if jobs <= 1 or len(points) < 4:
+    workers = worker_count(jobs, _usable_cpus(), len(points))
+    if workers <= 1 or len(points) < 4:
         return [verify(ident, p, trunc) for p in points]
     tasks = [(ident, p, trunc) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(_verify_point, tasks, chunksize=8))
     return reports
 
@@ -124,7 +140,7 @@ def support_bounds(ident: str, side: str, params: dict,
     """
     rec = get_record(ident)
     if trunc is None:
-        trunc = rec.default_trunc
+        trunc = default_truncation(rec.default_trunc)
     env = _check_params(rec, params)
     s = (rec.lhs if side == "lhs" else rec.rhs).sum
     if s is None:

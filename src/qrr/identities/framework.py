@@ -10,23 +10,25 @@ Every identity in the registry has sides built from one of two sum shapes:
   exponents a are affine in the parameters (k is the index), times
   sign^k q^{linear in k} and a quadratic power of q.
 
-A :class:`Prefactor` (finite and infinite Pochhammer quotients, a monomial,
-single binomials) can multiply either shape.  It is assembled as one
-:class:`PochProduct`, where numerator and denominator infinite products
-cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
-to the summed side in place, one O(T) binomial pass each.  The sum is
-rendered through q^(T - mono) so that the prefactor's monomial q^mono still
-leaves the side exact through q^T.  Writing the sides this way
-keeps each record a direct transcription of its printed form, and lets the
-evaluator expose every exponent in every record as a named "site" that tests
-can perturb to confirm the verification actually bites.
+A :class:`Prefactor` (infinite Pochhammer quotients, (q; q)_a and single
+binomial denominators, a monomial) can multiply either shape.  It is
+assembled as one :class:`PochProduct`, where numerator and denominator
+infinite products cancel to a few finite ranges of (1-q^m) factors; the
+survivors are applied to the summed side in place, one O(T) binomial pass
+each.  The sum is rendered through q^(T - mono) so that the prefactor's
+monomial q^mono still leaves the side exact through q^T.  Writing the sides
+this way keeps each record a direct transcription of its printed form, and
+lets the evaluator expose every exponent in every record as a named "site"
+that tests can perturb to confirm the verification actually bites.
 """
 
 from __future__ import annotations
 
-import os
+import ast
+import functools
 import time
 from dataclasses import dataclass
+from types import CodeType
 from typing import Mapping, Sequence
 
 from ..pochhammer import (
@@ -56,111 +58,39 @@ class EngineError(SeriesError):
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(s: str) -> list:
-    out: list = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-(),*":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append(int(s[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            out.append(s[i:j])
-            i = j
-        else:
-            raise ValueError(f"bad character {ch!r} in affine expression {s!r}")
-    return out
+_AFFINE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub,
+                 ast.UAdd, ast.USub, ast.Name, ast.Load)
+# min(x) of one argument is x; the builtin would try to iterate over x
+_AFFINE_GLOBALS = {"__builtins__": {}, "min": lambda *args: min(args)}
 
 
-class _Parser:
-    def __init__(self, tokens: list):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            if tok == "-":
-                sign = -1
-        terms.append((sign, self.parse_atom()))
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.take() == "+" else -1
-            terms.append((sign, self.parse_atom()))
-        return ("sum", terms)
-
-    def parse_atom(self):
-        tok = self.take()
-        if isinstance(tok, int):
-            return ("const", tok)
-        if tok == "min":
-            if self.take() != "(":
-                raise ValueError("expected ( after min")
-            args = [self.parse_expr()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.parse_expr())
-            if self.take() != ")":
-                raise ValueError("expected ) closing min(...)")
-            return ("min", args)
-        if isinstance(tok, str):
-            return ("name", tok)
-        raise ValueError(f"unexpected token {tok!r}")
+def _affine_node(node: ast.AST) -> bool:
+    if isinstance(node, _AFFINE_NODES):
+        return True
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "min" and bool(node.args) and not node.keywords)
 
 
-def _eval_node(node, env: Mapping[str, int]) -> int:
-    kind = node[0]
-    if kind == "sum":
-        total = 0
-        for sign, atom in node[1]:
-            total += sign * _eval_node(atom, env)
-        return total
-    if kind == "const":
-        return node[1]
-    if kind == "name":
-        return env[node[1]]
-    if kind == "min":
-        return min(_eval_node(a, env) for a in node[1])
-    raise ValueError(f"bad node {node!r}")
-
-
-_AFFINE_CACHE: dict[str, tuple] = {}
-
-
-def parse_affine(s: str):
-    node = _AFFINE_CACHE.get(s)
-    if node is None:
-        parser = _Parser(_tokenize(s))
-        node = parser.parse_expr()
-        if parser.peek() is not None:
-            raise ValueError(f"trailing tokens in affine expression {s!r}")
-        _AFFINE_CACHE[s] = node
-    return node
+@functools.cache
+def parse_affine(s: str) -> CodeType:
+    """Compile an affine expression written in Python syntax: integers,
+    names, unary and binary + and -, and min(...) of one or more of them.
+    Anything else raises ValueError."""
+    try:
+        tree = ast.parse(s, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"malformed affine expression {s!r}") from None
+    for node in ast.walk(tree):
+        if not _affine_node(node):
+            raise ValueError(
+                f"{type(node).__name__} not allowed in affine expression {s!r}")
+    return compile(tree, "<affine>", "eval")
 
 
 def eval_affine(s: str, env: Mapping[str, int]) -> int:
-    return _eval_node(parse_affine(s), env)
+    return eval(parse_affine(s), _AFFINE_GLOBALS, env)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +136,7 @@ class EvalCtx:
 
 @dataclass(frozen=True)
 class QnSum:
-    """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k + aff0}
+    """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k}
     prod (q)_num / prod (q)_den, indices affine in the parameters and k."""
 
     quad: tuple[int, int]            # (A, B) with (A k^2 + B k) always even
@@ -216,12 +146,11 @@ class QnSum:
                                      # q-power passes the truncation order
     alt: bool = False                # include (-1)^k
     lin: str = "0"                   # extra k-linear exponent (affine in params)
-    aff0: str = "0"                  # constant exponent offset (affine in params)
 
 
 @dataclass(frozen=True)
 class PochSum:
-    """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k + aff0}
+    """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k}
     prod (q^a; q)_k / prod (q^b; q)_k, argument exponents affine in params.
 
     ``flips`` pairs a numerator slot with a denominator slot whose arguments
@@ -237,23 +166,19 @@ class PochSum:
     den: tuple[str, ...]
     alt: bool = False
     lin: str = "0"
-    aff0: str = "0"
     flips: tuple[tuple[int, int], ...] = ()
-    one_sided: bool = False          # force k >= 0 even without a (q)_k slot
 
 
 @dataclass(frozen=True)
 class Prefactor:
-    """A side-wide multiplier of Pochhammer quotients and a monomial."""
+    """A side-wide multiplier: a quotient of infinite Pochhammer products,
+    divided by finite (q; q)_a and single binomials, times a monomial."""
 
     inf_num: tuple[str, ...] = ()    # (q^a; q)_inf factors
     inf_den: tuple[str, ...] = ()
-    qn_num: tuple[str, ...] = ()     # finite (q; q)_a factors
-    qn_den: tuple[str, ...] = ()
-    bin_num: tuple[str, ...] = ()    # single binomials (1 - q^a)
-    bin_den: tuple[str, ...] = ()
+    qn_den: tuple[str, ...] = ()     # divided by finite (q; q)_a
+    bin_den: tuple[str, ...] = ()    # divided by single binomials (1 - q^a)
     mono: str = "0"                  # times q^a
-    sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -328,7 +253,7 @@ def _quad_exponent(spec, env: Mapping[str, int], k: int) -> int:
     twice = a * k * k + b * k
     if twice % 2:
         raise EngineError(f"odd quadratic exponent {twice}/2 at k={k}")
-    return twice // 2 + eval_affine(spec.lin, env) * k + eval_affine(spec.aff0, env)
+    return twice // 2 + eval_affine(spec.lin, env) * k
 
 
 def _qn_support(spec: QnSum, env: Mapping[str, int], trunc: int) -> tuple[int, int]:
@@ -393,21 +318,15 @@ def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
     a = -b bounds k above by b (when b >= 1, via (q^{1-b}; q)_{k-1}) and
     below by s <= b - 1 like a plain denominator, except that b = 0 imposes
     no bound at all because the pair cancels identically there.  A plain
-    (q; q)_k denominator (argument 1), or ``one_sided``, keeps k >= 0.
+    (q; q)_k denominator (argument 1) keeps k >= 0.
     """
     flip_num = {i for i, _ in spec.flips}
     flip_den = {j for _, j in spec.flips}
     plain_num = [a for i, a in enumerate(num_args) if i not in flip_num]
     plain_den = [b for j, b in enumerate(den_args) if j not in flip_den]
     pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
-    upper: list[int] = []
-    lower: list[int] = []
-    for a in plain_num:
-        if a <= 0:
-            upper.append(-a)
-    for b in plain_den:
-        if b >= 1:
-            lower.append(b - 1)
+    upper = [-a for a in plain_num if a <= 0]
+    lower = [b - 1 for b in plain_den if b >= 1]
     for a, b in pairs:
         if a == -b:
             if b >= 1:
@@ -422,7 +341,7 @@ def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
         kmax = min(upper)
     else:
         kmax = _valuation_kmax(spec, env, 0, trunc)
-    if spec.one_sided or 1 in plain_den or not lower:
+    if 1 in plain_den or not lower:
         kmin = 0
     else:
         kmin = -min(lower)
@@ -482,27 +401,22 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
 
     inf_num = sorted(args(pre.inf_num, "infnum"))
     inf_den = sorted(args(pre.inf_den, "infden"))
-    qn_num, qn_den = args(pre.qn_num, "qnnum"), args(pre.qn_den, "qnden")
-    bin_num, bin_den = args(pre.bin_num, "binnum"), args(pre.bin_den, "binden")
-    if min(inf_num + inf_den + bin_num + bin_den, default=0) < 0:
+    qn_den, bin_den = args(pre.qn_den, "qnden"), args(pre.bin_den, "binden")
+    if min(inf_num + inf_den + bin_den, default=0) < 0:
         raise NeedsLaurent(f"{tag}: prefactor factor with a negative q-exponent")
-    if min(qn_num + qn_den, default=0) < 0:
+    if min(qn_den, default=0) < 0:
         raise EngineError(f"{tag}: prefactor (q; q)_n with n < 0")
 
     top = len(buf) - 1
-    p = PochProduct().scale(pre.sign).q(mono)
+    p = PochProduct().q(mono)
     for a, b in zip(inf_num, inf_den):
         p.poch(a, b - a)
     for a in inf_num[len(inf_den):]:
         p.poch(a, max(top + 1 - a, 0))
     for b in inf_den[len(inf_num):]:
         p.poch(b, max(top + 1 - b, 0), -1)
-    for a in qn_num:
-        p.qn(a)
     for a in qn_den:
         p.dqn(a)
-    for a in bin_num:
-        p.factor(a)
     for a in bin_den:
         p.dfactor(a)
 
@@ -584,8 +498,6 @@ def window(value: tuple[int, list], center: int, trunc: int) -> list:
 
 
 def _now_millis(start: float) -> float:
-    if os.environ.get("QRR_ZERO_MILLIS"):
-        return 0.0
     return (time.perf_counter() - start) * 1000.0
 
 

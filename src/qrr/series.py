@@ -36,14 +36,15 @@ def env_truncation() -> int | None:
     return value
 
 
-def default_truncation() -> int:
+def default_truncation(fallback: int = DEFAULT_TRUNCATION) -> int:
     """Truncation order used when a caller does not pass one.
 
     Reads the QRR_TRUNC environment variable so the whole suite can be
-    re-run at a different precision without touching call sites.
+    re-run at a different precision without touching call sites; when it
+    is unset, returns ``fallback`` (a record's own default, or 60).
     """
     value = env_truncation()
-    return DEFAULT_TRUNCATION if value is None else value
+    return fallback if value is None else value
 
 
 class SeriesError(Exception):

@@ -73,6 +73,51 @@ def test_default_trunc_comes_from_environment(monkeypatch):
     assert verify("EULERN1", {"n": 2}).trunc == 17
 
 
+def test_grid_and_support_trunc_come_from_environment(monkeypatch):
+    # with no trunc: QRR_TRUNC, else the record's default (40 for EULERN1)
+    monkeypatch.delenv("QRR_TRUNC", raising=False)
+    assert [r.trunc for r in verify_grid("EULERN1", {"n": (2, 2)})] == [40]
+    assert support_bounds("EULERN1", "rhs", {"n": 2}) == (0, 7)
+    monkeypatch.setenv("QRR_TRUNC", "20")
+    reports = verify_grid("EULERN1", {"n": (2, 2)})
+    assert [(r.params, r.trunc, r.verdict) for r in reports] == [({"n": 2}, 20, "EQUAL")]
+    assert support_bounds("EULERN1", "rhs", {"n": 2}) == (0, 5)
+    assert verify_grid("EULERN1", {"n": (2, 2)}, 30)[0].trunc == 30
+
+
+def test_worker_count_is_clamped():
+    assert engine.worker_count(1, 8, 100) == 1
+    assert engine.worker_count(4, 8, 100) == 4
+    assert engine.worker_count(100_000, 2, 10_664) == 2
+    assert engine.worker_count(100_000, 64, 5) == 5
+    assert engine.worker_count(3, 0, 0) == 1
+
+
+def test_verify_grid_pool_size_is_clamped(monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    reports = verify_grid("ANDREWS1", {"n": (0, 4)}, 20, jobs=100_000)
+    assert sizes == [3] and len(reports) == 5 and all(r.equal for r in reports)
+    verify_grid("ANDREWS1", {"n": (0, 4)}, 20, jobs=2)
+    assert sizes == [3, 2]
+
+
 def test_grid_points_order_and_overrides():
     rec = get_record("EULERMN1")
     pts = grid_points(rec, {"m": (0, 1), "n": (2, 3)})

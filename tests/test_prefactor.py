@@ -24,14 +24,14 @@ PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
 
 
 @lru_cache(maxsize=None)
-def _dense_unit(sign, inf_num, inf_den, qn_num, qn_den, bin_num, bin_den, trunc):
+def _dense_unit(inf_num, inf_den, qn_den, bin_den, trunc):
     """The prefactor without its monomial: coefficients of q^0..q^trunc."""
-    def factors(inf, qn, binomials):
-        return ([m for a in inf for m in range(a, trunc + 1)]
-                + [m for n in qn for m in range(1, n + 1)] + list(binomials))
+    def infinite(inf):
+        return [m for a in inf for m in range(a, trunc + 1)]
 
-    unit = expand(sign, 0, factors(inf_num, qn_num, bin_num),
-                  factors(inf_den, qn_den, bin_den), trunc)
+    den = (infinite(inf_den) + [m for n in qn_den for m in range(1, n + 1)]
+           + list(bin_den))
+    unit = expand(1, 0, infinite(inf_num), den, trunc)
     return [unit.get(e, 0) for e in range(trunc + 1)]
 
 
@@ -49,9 +49,8 @@ def dense_side(rec, side_name, env, trunc, mono_delta=0):
     off, buf = eval_side_value(bare, side_name, env, EvalCtx(trunc - mono)) \
         if side.sum is not None else (0, [1])
     width = trunc - mono - off
-    unit = _dense_unit(pre.sign, vals(pre.inf_num), vals(pre.inf_den),
-                       vals(pre.qn_num), vals(pre.qn_den),
-                       vals(pre.bin_num), vals(pre.bin_den), width)
+    unit = _dense_unit(vals(pre.inf_num), vals(pre.inf_den),
+                       vals(pre.qn_den), vals(pre.bin_den), width)
     return as_dict((mono + off, convolve(buf, unit, width + 1)), trunc)
 
 
