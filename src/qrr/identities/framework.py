@@ -10,13 +10,16 @@ Every identity in the registry has sides built from one of two sum shapes:
   exponents a are affine in the parameters (k is the index), times
   sign^k q^{linear in k} and a quadratic power of q.
 
-A :class:`Prefactor` (infinite Pochhammer quotients, (q; q)_a and single
-binomial denominators, a monomial) can multiply either shape.  It is
-assembled as one :class:`PochProduct`, where numerator and denominator
-infinite products cancel to a few finite ranges of (1-q^m) factors; the
-survivors are applied to the summed side in place, one O(T) binomial pass
-each.  The sum is rendered through q^(T - mono) so that the prefactor's
-monomial q^mono still leaves the side exact through q^T.  Writing the sides
+Either shape builds its terms as :class:`PochProduct` values and sums them
+with :class:`SeriesAccumulator`, which evaluates the sum nested over the
+ratios of consecutive terms in one buffer.  A :class:`Prefactor` (infinite
+Pochhammer quotients, (q; q)_a and single binomial denominators, a
+monomial) can multiply either shape.  It is assembled as one
+:class:`PochProduct`, where numerator and denominator infinite products
+cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
+to the summed side in place, one O(T) binomial pass each.  The sum is
+evaluated through q^(T - mono) so that the prefactor's monomial q^mono
+still leaves the side exact through q^T.  Writing the sides
 this way keeps each record a direct transcription of its printed form, and
 lets the evaluator expose every exponent in every record as a named "site"
 that tests can perturb to confirm the verification actually bites.
@@ -77,15 +80,22 @@ def _affine_node(node: ast.AST) -> bool:
 def parse_affine(s: str) -> CodeType:
     """Compile an affine expression written in Python syntax: integers,
     names, unary and binary + and -, and min(...) of one or more of them.
+    ``min`` and ``__builtins__`` are not names a value can be read from.
     Anything else raises ValueError."""
     try:
         tree = ast.parse(s, mode="eval")
     except SyntaxError:
         raise ValueError(f"malformed affine expression {s!r}") from None
+    callees = set()
     for node in ast.walk(tree):
         if not _affine_node(node):
             raise ValueError(
                 f"{type(node).__name__} not allowed in affine expression {s!r}")
+        if isinstance(node, ast.Call):
+            callees.add(node.func)
+        elif (isinstance(node, ast.Name) and node.id in _AFFINE_GLOBALS
+              and node not in callees):
+            raise ValueError(f"bare {node.id!r} not allowed in affine expression {s!r}")
     return compile(tree, "<affine>", "eval")
 
 
@@ -393,7 +403,7 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
     products are cut, at the top of the buffer.  The factors that survive
     cancellation in ``powers`` are applied with one binomial pass each, so
     there is no unit series and no convolution.  ``mono`` is the prefactor's
-    monomial; the caller evaluates it first and renders the sum through
+    monomial; the caller evaluates it first and sums the side through
     q^(trunc - mono).
     """
     def args(exprs: tuple[str, ...], kind: str) -> list[int]:

@@ -15,8 +15,15 @@ numerator and denominator cancel exactly, and what survives makes the
 product exactly zero or a pole (its ``state``).
 
 :class:`SeriesAccumulator` sums products into an ``(offset, coeffs)`` buffer
-by rendering each one with O(T) passes of :func:`mul_binomial` /
-:func:`div_binomial`, one per factor, rather than a generic series product.
+by nested (Horner) evaluation over term ratios.  Consecutive terms of a
+hypergeometric-type sum differ by a few factors, so with
+t_k = c_k q^(s_k) U_k the sum is built from the last term down as
+A_k = c_k q^(s_k) + (U_(k+1)/U_k) A_(k+1) and finished by one product with
+U_(first): each step costs one O(T) pass of :func:`mul_binomial` /
+:func:`div_binomial` per factor of the ratio, not per factor of the term.
+Where a ratio would cost more than closing the chain, the chain is closed
+and a new one started, so a sum never takes more passes than rendering each
+term on its own would.
 """
 
 from __future__ import annotations
@@ -39,18 +46,18 @@ class PoleError(SeriesError):
 # ---------------------------------------------------------------------------
 
 
-def mul_binomial(buf: list, m: int) -> None:
-    """In place: buf *= (1 - q^m), m >= 1."""
+def mul_binomial(buf: list, m: int, lo: int = 0) -> None:
+    """In place: buf *= (1 - q^m), m >= 1, where buf[:lo] is all zero."""
     n = len(buf)
-    for i in range(n - 1, m - 1, -1):
+    for i in range(n - 1, lo + m - 1, -1):
         if buf[i - m]:
             buf[i] -= buf[i - m]
 
 
-def div_binomial(buf: list, m: int) -> None:
-    """In place: buf /= (1 - q^m), m >= 1."""
+def div_binomial(buf: list, m: int, lo: int = 0) -> None:
+    """In place: buf /= (1 - q^m), m >= 1, where buf[:lo] is all zero."""
     n = len(buf)
-    for i in range(m, n):
+    for i in range(lo + m, n):
         if buf[i - m]:
             buf[i] += buf[i - m]
 
@@ -187,28 +194,6 @@ class PochProduct:
                 del out.powers[m]
         return out
 
-    # rendering --------------------------------------------------------------
-
-    def render_unit(self, length: int) -> list:
-        """Coefficients 0..length of prod (1-q^m)^powers[m] (scalar and shift
-        excluded).  Factors with m > length cannot touch the window and are
-        skipped, which keeps each pass O(length)."""
-        if self.state != "ok":
-            raise PoleError(f"cannot render a {self.state} product")
-        buf: list[Coeff] = [0] * (length + 1)
-        buf[0] = 1
-        for m in sorted(self.powers):
-            if m == 0 or m > length:
-                continue
-            t = self.powers[m]
-            if t > 0:
-                for _ in range(t):
-                    mul_binomial(buf, m)
-            else:
-                for _ in range(-t):
-                    div_binomial(buf, m)
-        return buf
-
     def __repr__(self) -> str:
         parts = []
         if self.coeff != 1:
@@ -221,6 +206,45 @@ class PochProduct:
         return "PochProduct[" + " ".join(parts or ["1"]) + "]"
 
 
+def _ratio(lower: dict, upper: dict) -> dict:
+    """The factors of U_upper / U_lower, as a powers dict."""
+    out = dict(upper)
+    for m, t in lower.items():
+        d = out.get(m, 0) - t
+        if d:
+            out[m] = d
+        else:
+            del out[m]
+    return out
+
+
+def _passes(powers: dict, reach: int) -> int:
+    """Kernel passes that apply `powers` to a buffer whose lowest nonzero
+    entry lies `reach` places below its top: factors (1-q^m) with m > reach
+    cannot touch it."""
+    return sum(abs(t) for m, t in powers.items() if 0 < m <= reach)
+
+
+def _apply(buf: list, powers: dict, lo: int, reach: int) -> None:
+    """In place: buf *= prod (1-q^m)^powers[m] over 0 < m <= reach."""
+    for m, t in powers.items():
+        if 0 < m <= reach:
+            kernel = mul_binomial if t > 0 else div_binomial
+            for _ in range(abs(t)):
+                kernel(buf, m, lo)
+
+
+def _close(out: list | None, buf: list, powers: dict, lo: int, top: int) -> list:
+    """Finish a chain: buf *= U_head, then add it into `out` (or become it)."""
+    _apply(buf, powers, lo, top - lo)
+    if out is None:
+        return buf
+    for i in range(lo, top + 1):
+        if buf[i]:
+            out[i] += buf[i]
+    return out
+
+
 class SeriesAccumulator:
     """Sums PochProduct terms, allowing negative q-exponents while summing.
 
@@ -228,6 +252,17 @@ class SeriesAccumulator:
     when the total is an honest power series; the accumulator keeps a wide
     enough window for the most negative shift seen and lets the caller
     decide what to do with any surviving negative part.
+
+    :meth:`value` walks the terms from last to first.  A chain headed by
+    term h holds A_h in one buffer indexed by exponent, and is worth
+    U_h * A_h.  Taking in the next term t multiplies the buffer by U_h / U_t
+    and adds c_t at q^(s_t); closing the chain multiplies it by U_h and adds
+    it to the output.  t joins the chain only if the ratio, plus the extra
+    passes t's own factors will need from the chain's lower floor, costs no
+    more than closing; otherwise the chain is closed and t heads a new one.
+    So the passes spent plus those owed for closing never exceed what
+    rendering each term on its own takes.  A pass is counted only for a
+    factor (1-q^m) whose m can reach q^trunc from the buffer's lowest entry.
     """
 
     def __init__(self, trunc: int):
@@ -244,30 +279,35 @@ class SeriesAccumulator:
 
     def value(self) -> tuple[int, list]:
         """(offset, coeffs) with coeffs[i] the coefficient of q^(offset+i)."""
-        offset = 0
-        for t in self.terms:
-            if t.shift < offset:
-                offset = t.shift
-        out: list[Coeff] = [0] * (self.trunc - offset + 1)
-        for t in self.terms:
-            if t.shift > self.trunc:
+        offset = min([0] + [t.shift for t in self.terms])
+        top = self.trunc - offset            # index of q^trunc
+        out = None
+        buf = None
+        for t in reversed(self.terms):
+            s = t.shift - offset
+            if s > top:
                 continue
-            unit = t.render_unit(self.trunc - t.shift)
-            base = t.shift - offset
-            c = t.coeff
-            if c == 1:
-                for i, u in enumerate(unit):
-                    if u:
-                        out[base + i] += u
-            elif c == -1:
-                for i, u in enumerate(unit):
-                    if u:
-                        out[base + i] -= u
-            else:
-                for i, u in enumerate(unit):
-                    if u:
-                        out[base + i] += c * u
-        return offset, out
+            if buf is not None:
+                reach = top - lo
+                ratio = _ratio(t.powers, head.powers)
+                cost = _passes(ratio, reach)
+                if s >= lo:     # t does not lower the chain's floor
+                    cost += _passes(t.powers, reach) - _passes(t.powers, top - s)
+                if cost <= _passes(head.powers, reach):
+                    _apply(buf, ratio, lo, reach)
+                else:
+                    out = _close(out, buf, head.powers, lo, top)
+                    buf = None
+            if buf is None:
+                buf = [0] * (top + 1)
+                lo = s
+            buf[s] += t.coeff
+            if s < lo:
+                lo = s
+            head = t
+        if buf is not None:
+            out = _close(out, buf, head.powers, lo, top)
+        return offset, out if out is not None else [0] * (top + 1)
 
     def series(self) -> TruncatedSeries:
         """The sum as a power series; raises NeedsLaurent if a negative

@@ -1,6 +1,6 @@
 """The truncation order and the read-only power-series result type.
 
-The engine computes with :class:`~qrr.pochhammer.PochProduct` terms rendered
+The engine computes with :class:`~qrr.pochhammer.PochProduct` terms summed
 into ``(offset, coeffs)`` buffers, where ``coeffs[i]`` is the coefficient of
 q^(offset+i).  A :class:`TruncatedSeries` is what the public evaluators hand
 back: the coefficients of q^0 .. q^T of such a value, built by

@@ -156,6 +156,20 @@ def _times_binomial(value, c: int):
     return off, out
 
 
+def _add_values(a, b):
+    """A new (offset, buf) holding the sum of two values that both end at
+    the same truncation order."""
+    (off_a, buf_a), (off_b, buf_b) = a, b
+    if off_b < off_a:
+        (off_a, buf_a), (off_b, buf_b) = b, a
+    out = list(buf_a)
+    base = off_b - off_a
+    for i, c in enumerate(buf_b):
+        if c:
+            out[base + i] += c
+    return off_a, out
+
+
 def _registry_side(ident: str, env: dict, side: str, trunc: int):
     rec = get_record(ident)
     checked = _check_params(rec, env)
@@ -199,19 +213,18 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
 
     checks = []
     cap = _f_cap(l, m, n, u, v)
-    running = []
+    running = (0, [0] * (trunc + 1))
     for k in range(cap + 3):
         fg = _f_terms(l, m, n, u, v, k)
         fg += [t.scale(-1) for t in _g_terms(l, m, n, u, v, k)]
         inc = [_F_term(l, m, n, u, v, k + 1),
                _F_term(l, m, n, u, v, k).scale(-1)]
-        checks.append((f"difference k={k}", sum_terms(fg, trunc),
-                       sum_terms(inc, trunc)))
-        running.extend(fg)
+        diff = sum_terms(fg, trunc)
+        checks.append((f"difference k={k}", diff, sum_terms(inc, trunc)))
+        running = _add_values(running, diff)
         part = [_F_term(l, m, n, u, v, k + 1),
                 _F_term(l, m, n, u, v, 0).scale(-1)]
-        checks.append((f"partial-sum k={k}", sum_terms(running, trunc),
-                       sum_terms(part, trunc)))
+        checks.append((f"partial-sum k={k}", running, sum_terms(part, trunc)))
 
     f_all = [_l0_term(l, m, n, u, v)]
     for k in range(cap + 1):

@@ -32,7 +32,7 @@ def test_accepted_forms(expr, value):
 @pytest.mark.parametrize("expr", [
     "2*k", "k**2", "1.5", "'a'", "max(k)", "min()", "min(k, key=abs)",
     "l.real", "__import__('os')", "l+", "True", "min(*k)", "(k := 1)",
-    "k if l else m", "[k]", "",
+    "k if l else m", "[k]", "", "min+1", "__builtins__", "min(min)",
 ])
 def test_refused_forms(expr):
     with pytest.raises(ValueError, match="affine expression"):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense_oracle import as_dict, expand, poch
+from per_term import render_unit
 from qrr.pochhammer import (
     PochProduct,
     PoleError,
@@ -233,9 +234,10 @@ def test_mul_returns_new_object():
 
 def test_render_unit_skips_out_of_window_factors():
     t = PochProduct().factor(3).factor(50)
-    assert t.render_unit(10) == [1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0]
+    assert render_unit(t, 10) == [1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0]
+    assert sum_terms([t], 10) == (0, [1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(PoleError):
-        PochProduct().dfactor(0).render_unit(5)
+        render_unit(PochProduct().dfactor(0), 5)
 
 
 def test_accumulator_skips_zeros_and_flags_poles():
