@@ -9,8 +9,9 @@ transformations.
 Exit codes: 0 when every check agrees (for ``counterexample``: when the
 disagreement is reproduced), 1 when a comparison fails, 2 for
 configuration errors (unknown identity, malformed ranges, violated
-preconditions) and for a run that made no checks, so that a vacuous run
-never exits 0.
+preconditions, a grid above ``engine.MAX_GRID_POINTS`` or a truncation order
+above ``series.MAX_TRUNCATION``) and for a run that made no checks, so that a
+vacuous run never exits 0.
 
 JSON reports are deterministic: the same command line produces the same
 bytes, so timing is reported as 0.0 there (the text format shows real
@@ -23,6 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .bailey import (
     CHAIN_TARGETS,
@@ -50,10 +52,12 @@ from .identities import (
     list_identities,
     liu_closed_form,
     liu_counterexample,
+    sweep_tasks,
     verify_grid,
+    verify_points,
 )
 from .pochhammer import sum_terms
-from .series import env_truncation
+from .series import MAX_TRUNCATION, env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
 
 ARTIFACT_VERSION = 1
@@ -105,8 +109,8 @@ def parse_int_list(spec: str, count: int | None = None, flag: str = "") -> list:
 def resolve_trunc(flag_value: int | None) -> int | None:
     """--trunc beats QRR_TRUNC beats each record's default (returned as None)."""
     if flag_value is not None:
-        if flag_value < 1:
-            raise ValueError("--trunc must be >= 1")
+        if not 1 <= flag_value <= MAX_TRUNCATION:
+            raise ValueError(f"--trunc must be in 1..{MAX_TRUNCATION}, got {flag_value}")
         return flag_value
     return env_truncation()
 
@@ -260,13 +264,12 @@ def cmd_verify(args) -> int:
 def cmd_verify_all(args) -> int:
     trunc = resolve_trunc(args.trunc)
     jobs = resolve_jobs(args.jobs)
-    all_reports: list = []
+    points, tasks = sweep_tasks(trunc)
+    all_reports = list(verify_points(tasks, points, jobs))
     text_lines: list = []
     passed = 0
-    for ident in list_identities():
-        reports = verify_grid(ident, None, trunc, jobs=jobs)
-        passed += _grid_summary(ident, reports, text_lines)
-        all_reports.extend(reports)
+    for ident, reports in groupby(all_reports, key=lambda r: r.ident):
+        passed += _grid_summary(ident, list(reports), text_lines)
     verdict = "all equal" if passed == len(all_reports) else "MISMATCHES FOUND"
     text_lines.append(
         f"total: {len(list_identities())} identities, {len(all_reports)} points, {verdict}"

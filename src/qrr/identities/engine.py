@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
+from typing import Iterable, Iterator
 
 from ..pochhammer import (
     PochProduct,
@@ -31,6 +34,12 @@ from .framework import (
     eval_affine,
     eval_side_value,
 )
+
+
+# The most points one grid may have, about a hundred times the largest
+# default grid (1,024 points).  A larger grid is refused before any point is
+# built.
+MAX_GRID_POINTS = 100_000
 
 
 def get_record(ident: str) -> IdentityRecord:
@@ -70,48 +79,104 @@ def verify(ident: str, params: dict, trunc: int | None = None,
     return compare(ident, dict(env), ctx.trunc, lhs, rhs, start)
 
 
-def grid_points(rec: IdentityRecord,
-                ranges: dict[str, tuple[int, int]] | None = None) -> list[dict]:
-    """All parameter dicts of a rectangular grid, in lexicographic order."""
-    axes = []
+def lazy_grid(rec: IdentityRecord, ranges: dict[str, tuple[int, int]] | None = None
+              ) -> tuple[int, Iterator[dict]]:
+    """(number of points, the points) of a rectangular grid; the parameter
+    dicts come in lexicographic order and are built one at a time.
+
+    The grid is checked when this is called: an unknown parameter, a start
+    below the minimum, or more than MAX_GRID_POINTS points (the product of
+    the axis lengths) raises EngineError before any point is built."""
     by_name = {name: (lo, hi) for name, lo, hi in rec.default_grid}
     if ranges:
         for name, bounds in ranges.items():
             if name not in {ps.name for ps in rec.params}:
                 raise EngineError(f"{rec.ident}: unknown parameter {name!r}")
             by_name[name] = bounds
+    names, axes = [], []
     for ps in rec.params:
         lo, hi = by_name.get(ps.name, (ps.low, ps.low))
         if lo < ps.low:
             raise EngineError(
                 f"{rec.ident}: grid for {ps.name} starts at {lo}, below minimum {ps.low}"
             )
-        axes.append([(ps.name, value) for value in range(lo, hi + 1)])
-    return [dict(combo) for combo in _cartesian(*axes)]
+        names.append(ps.name)
+        axes.append(range(lo, hi + 1))
+    size = math.prod(len(axis) for axis in axes)
+    if size > MAX_GRID_POINTS:
+        raise EngineError(f"{rec.ident}: the grid has {size} points, more than "
+                          f"the limit of {MAX_GRID_POINTS}")
+    return size, (dict(zip(names, combo)) for combo in _cartesian(*axes))
 
 
-def _verify_point(args) -> VerificationReport:
-    ident, params, trunc = args
-    return verify(ident, params, trunc)
+def grid_points(rec: IdentityRecord,
+                ranges: dict[str, tuple[int, int]] | None = None) -> list[dict]:
+    """All parameter dicts of a rectangular grid, in lexicographic order."""
+    return list(lazy_grid(rec, ranges)[1])
+
+
+def _verify_chunk(tasks: list) -> list[VerificationReport]:
+    return [verify(ident, params, trunc) for ident, params, trunc in tasks]
+
+
+def verify_points(tasks: Iterable[tuple[str, dict, int]], points: int,
+                  jobs: int = 1) -> Iterator[VerificationReport]:
+    """Verify ``(ident, params, trunc)`` tasks and yield their reports in task
+    order.  ``points`` is the number of tasks.
+
+    With ``worker_count`` above 1 and at least 4 points, one process pool
+    runs the whole stream: tasks are drawn from ``tasks`` only as chunks are
+    handed to it, and a bounded window of chunks is in flight at a time.
+    Otherwise every task runs serially in this process."""
+    tasks = iter(tasks)
+    workers = worker_count(jobs, _usable_cpus(), points)
+    if workers <= 1 or points < 4:
+        for ident, params, trunc in tasks:
+            yield verify(ident, params, trunc)
+        return
+    # about eight chunks per worker keep the workers evenly loaded to the end
+    # of the run, and 256 points make the per-chunk hand-off cheap; two
+    # chunks per worker in flight keep each one busy while this process
+    # takes in the chunk before
+    size, depth = max(1, min(256, points // (8 * workers))), 2 * workers
+    chunks = iter(lambda: list(islice(tasks, size)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(_verify_chunk, chunk)
+                       for chunk in islice(chunks, depth))
+        while window:
+            reports = window.popleft().result()
+            chunk = next(chunks, None)
+            if chunk is not None:
+                window.append(pool.submit(_verify_chunk, chunk))
+            yield from reports
 
 
 def verify_grid(ident: str, ranges: dict[str, tuple[int, int]] | None = None,
                 trunc: int | None = None, jobs: int = 1) -> list[VerificationReport]:
     """Verify an identity over a parameter grid; reports come back in the
     same lexicographic order regardless of the worker count.  With no
-    ``trunc``, QRR_TRUNC or else the record's default applies; the pool gets
-    ``worker_count`` processes, never more than ``jobs``."""
+    ``trunc``, QRR_TRUNC or else the record's default applies.  The grid
+    runs through ``verify_points``, so one pool of ``worker_count``
+    processes, never more than ``jobs``, serves the whole grid."""
     rec = get_record(ident)
     if trunc is None:
         trunc = default_truncation(rec.default_trunc)
-    points = grid_points(rec, ranges)
-    workers = worker_count(jobs, _usable_cpus(), len(points))
-    if workers <= 1 or len(points) < 4:
-        return [verify(ident, p, trunc) for p in points]
-    tasks = [(ident, p, trunc) for p in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(_verify_point, tasks, chunksize=8))
-    return reports
+    points, grid = lazy_grid(rec, ranges)
+    return list(verify_points(((ident, p, trunc) for p in grid), points, jobs))
+
+
+def sweep_tasks(trunc: int | None = None) -> tuple[int, Iterator[tuple[str, dict, int]]]:
+    """Every record's default grid as one stream of ``verify_points`` tasks,
+    in ``list_identities`` order: (number of tasks, tasks).  With no
+    ``trunc``, each record gets QRR_TRUNC or else its own default."""
+    total, grids = 0, []
+    for ident in list_identities():
+        rec = get_record(ident)
+        size, grid = lazy_grid(rec)
+        total += size
+        grids.append((ident, grid, default_truncation(rec.default_trunc)
+                      if trunc is None else trunc))
+    return total, ((ident, p, t) for ident, grid, t in grids for p in grid)
 
 
 def eval_side(ident: str, side: str, params: dict,

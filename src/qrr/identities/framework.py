@@ -480,16 +480,33 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
 
 def compare_side_values(lhs: tuple[int, list], rhs: tuple[int, list],
                         trunc: int):
-    """None if equal through q^trunc, else (exponent, lhs_c, rhs_c)."""
-    off_l, a = lhs
-    off_r, b = rhs
-    lo = min(off_l, off_r)
-    for e in range(lo, trunc + 1):
-        ca = a[e - off_l] if 0 <= e - off_l < len(a) else 0
-        cb = b[e - off_r] if 0 <= e - off_r < len(b) else 0
+    """None if equal through q^trunc, else (exponent, lhs_c, rhs_c) at the
+    lowest exponent where the two differ.
+
+    Both buffers are padded to the exponents min(offsets)..trunc and compared
+    as two lists; only differing lists are walked to find the exponent."""
+    lo = min(lhs[0], rhs[0])
+    a = _aligned(lhs, lo, trunc)
+    b = _aligned(rhs, lo, trunc)
+    if a == b:
+        return None
+    for i, (ca, cb) in enumerate(zip(a, b)):
         if ca != cb:
-            return e, ca, cb
+            return lo + i, ca, cb
     return None
+
+
+def _aligned(value: tuple[int, list], lo: int, hi: int) -> list:
+    """The coefficients of q^lo..q^hi of ``value`` (lo <= its offset) as one
+    list, zero wherever the buffer has no entry."""
+    off, buf = value
+    width = hi + 1 - lo
+    out = buf[:max(hi + 1 - off, 0)]
+    if off > lo:
+        out = [0] * min(off - lo, max(width, 0)) + out
+    if len(out) < width:
+        out += [0] * (width - len(out))
+    return out
 
 
 def window(value: tuple[int, list], center: int, trunc: int) -> list:

@@ -20,10 +20,17 @@ Coeff = Union[int, Fraction]
 
 DEFAULT_TRUNCATION = 60
 
+# The highest truncation order QRR_TRUNC and the command line accept.  Every
+# check works on O(T) buffers with O(T) passes per term, so a mistyped T of
+# millions would run for hours.  The deepest order in regular use is T=300
+# (the Rogers-Ramanujan limit checks).
+MAX_TRUNCATION = 10_000
+
 
 def env_truncation() -> int | None:
     """The truncation order set by the QRR_TRUNC environment variable, or
-    None when it is unset; raises ValueError unless it is an integer >= 1."""
+    None when it is unset; raises ValueError unless it is an integer in
+    1..MAX_TRUNCATION."""
     raw = os.environ.get("QRR_TRUNC")
     if raw is None:
         return None
@@ -31,8 +38,8 @@ def env_truncation() -> int | None:
         value = int(raw)
     except ValueError:
         raise ValueError(f"QRR_TRUNC must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"QRR_TRUNC must be >= 1, got {value}")
+    if not 1 <= value <= MAX_TRUNCATION:
+        raise ValueError(f"QRR_TRUNC must be in 1..{MAX_TRUNCATION}, got {value}")
     return value
 
 

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from qrr import cli
-from qrr.identities import REGISTRY
+from qrr.identities import REGISTRY, engine
 
 
 @pytest.fixture(autouse=True)
@@ -190,13 +190,17 @@ def test_report_bytes_are_pinned(command, capsys):
     assert json.loads(out)["artifact_version"] == cli.ARTIFACT_VERSION == 1
 
 
+def _child_env():
+    # the child imports qrr from where this process found it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_worker_count_does_not_change_reports():
     cmd = [sys.executable, "-m", "qrr.cli", "verify", "--id", "ANDREWS1",
            "--range", "n=0..4", "--trunc", "20", "--format", "json"]
-    # the child imports qrr from where this process found it
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     docs = []
     for jobs in ("1", "2"):
         proc = subprocess.run(cmd + ["--jobs", jobs], capture_output=True,
@@ -206,6 +210,82 @@ def test_worker_count_does_not_change_reports():
     assert docs[0]["config"].pop("jobs") == 1
     assert docs[1]["config"].pop("jobs") == 2
     assert docs[0] == docs[1]
+
+
+# sha256 of the ``verify-all --trunc 40 --format json`` report with its
+# ``config.jobs`` set to 1: the raw bytes of the ``--jobs 1`` report
+SWEEP_T40_DIGEST = "ec94bba469ed24421024d4da613502516d6a978f1fba9d430eca99cdcaf1f65c"
+
+
+def test_pooled_sweep_bytes_are_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrr.cli", "verify-all", "--trunc", "40",
+         "--jobs", "2", "--format", "json"],
+        capture_output=True, env=_child_env(), check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["config"] == {"trunc": 40, "jobs": 2}
+    doc["config"]["jobs"] = 1
+    payload = json.dumps(doc, indent=2) + "\n"
+    assert hashlib.sha256(payload.encode()).hexdigest() == SWEEP_T40_DIGEST
+
+
+def test_pooled_sweep_reports_mismatches_like_serial(monkeypatch, capsys):
+    # cross-wire one record's right side; forked workers inherit the patch
+    broken = dataclasses.replace(REGISTRY["ANDREWS1"], rhs=REGISTRY["ANDREWS2"].rhs)
+    monkeypatch.setitem(REGISTRY, "ANDREWS1", broken)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    pools = []
+
+    class CountedPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountedPool)
+    docs = []
+    for jobs in ("1", "2"):
+        rc, out, _ = run_cli(["verify-all", "--trunc", "8", "--jobs", jobs,
+                              "--format", "json"], capsys)
+        assert rc == 1
+        docs.append(json.loads(out))
+    assert pools == [2]
+    assert docs[0]["config"].pop("jobs") == 1
+    assert docs[1]["config"].pop("jobs") == 2
+    assert docs[0] == docs[1]
+    bad = [r for r in docs[1]["reports"] if r["verdict"] != "EQUAL"]
+    assert bad and all(r["id"] == "ANDREWS1" and r["lhs_window"] for r in bad)
+    ns = [r["params"]["n"] for r in bad]
+    assert ns == sorted(ns)
+    assert docs[1]["summary"]["failed"] == len(bad)
+
+
+def test_verify_all_starts_one_pool(inline_pool, monkeypatch, capsys):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    rc, out, _ = run_cli(["verify-all", "--trunc", "5", "--jobs", "100000"], capsys)
+    assert rc == 0 and out.rstrip().endswith("all equal")
+    assert inline_pool == [3]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--id", "ANDREWS1", "--range", "n=0..100000000"], {}),
+    (["verify", "--id", "LMNRS3", "--range", "l=1..20,m=1..20,n=1..20,u=1..20,v=1..20"],
+     {}),
+    (["verify", "--id", "ANDREWS1", "--range", "n=0..3", "--trunc", "10001"], {}),
+    (["verify-all", "--trunc", "1000000"], {}),
+    (["verify-all"], {"QRR_TRUNC": "10001"}),
+])
+def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(engine, "verify", no_work)
+    monkeypatch.setattr(engine, "_cartesian", no_work)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and ("limit" in err or "1..10000" in err)
 
 
 # ---------------------------------------------------------------------------

@@ -93,29 +93,50 @@ def test_worker_count_is_clamped():
     assert engine.worker_count(3, 0, 0) == 1
 
 
-def test_verify_grid_pool_size_is_clamped(monkeypatch):
-    # a stand-in pool that records its size and maps in this process
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+def test_verify_grid_pool_size_is_clamped(inline_pool, monkeypatch):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     reports = verify_grid("ANDREWS1", {"n": (0, 4)}, 20, jobs=100_000)
-    assert sizes == [3] and len(reports) == 5 and all(r.equal for r in reports)
+    assert inline_pool == [3] and len(reports) == 5 and all(r.equal for r in reports)
     verify_grid("ANDREWS1", {"n": (0, 4)}, 20, jobs=2)
-    assert sizes == [3, 2]
+    assert inline_pool == [3, 2]
+    # fewer than four points run serially, with no pool
+    verify_grid("ANDREWS1", {"n": (0, 2)}, 20, jobs=2)
+    assert inline_pool == [3, 2]
+
+
+def test_verify_points_keeps_task_order_across_chunks(inline_pool, monkeypatch):
+    # 40 tasks in chunks of 2, 4 chunks in flight: every report comes back
+    # in task order, and tasks are drawn only as chunks are handed out (by
+    # the first report: the first window and the chunk that refills it)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    drawn = []
+
+    def tasks():
+        for n in range(40):
+            drawn.append(n)
+            yield "ANDREWS1", {"n": n % 13}, 15
+
+    stream = engine.verify_points(tasks(), 40, jobs=2)
+    first = next(stream)
+    assert first.params == {"n": 0} and len(drawn) == 2 * (4 + 1)
+    rest = list(stream)
+    assert [r.params["n"] for r in [first] + rest] == [n % 13 for n in range(40)]
+    assert inline_pool == [2] and all(r.equal for r in rest)
+
+
+def test_grid_size_limit_is_checked_before_any_point(monkeypatch):
+    rec = get_record("ANDREWS1")
+    assert engine.lazy_grid(rec)[0] == 13
+    assert engine.lazy_grid(get_record("LMNRS2"))[0] == 1024
+    top = engine.MAX_GRID_POINTS
+    assert engine.lazy_grid(rec, {"n": (0, top - 1)})[0] == top
+    monkeypatch.setattr(engine, "_cartesian", None)     # no point may be built
+    with pytest.raises(EngineError, match="more than the limit"):
+        engine.lazy_grid(rec, {"n": (0, top)})
+    with pytest.raises(EngineError, match="more than the limit"):
+        grid_points(get_record("LMNRS3"), {k: (1, 20) for k in "lmnuv"})
+    with pytest.raises(EngineError, match="more than the limit"):
+        verify_grid("ANDREWS1", {"n": (0, 10 ** 8)}, 20)
 
 
 def test_grid_points_order_and_overrides():
