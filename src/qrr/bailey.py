@@ -20,7 +20,6 @@ reciprocal factorials kill every index outside [-n, n] (resp. [-n-1, n]).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,21 +86,11 @@ class BaileyPair:
 
     # -- values -------------------------------------------------------------
 
-    def alpha_value(self, r: int, trunc: int | None = None):
-        trunc = default_truncation() if trunc is None else trunc
-        return sum_terms(self.alpha_terms(r), trunc)
-
-    def beta_value(self, n: int, trunc: int | None = None):
-        trunc = default_truncation() if trunc is None else trunc
-        return sum_terms(self.beta_terms(n), trunc)
-
     def alpha_series(self, r: int, trunc: int | None = None):
-        trunc = default_truncation() if trunc is None else trunc
-        return terms_to_series(self.alpha_terms(r), trunc)
+        return terms_to_series(self.alpha_terms(r), default_truncation(trunc))
 
     def beta_series(self, n: int, trunc: int | None = None):
-        trunc = default_truncation() if trunc is None else trunc
-        return terms_to_series(self.beta_terms(n), trunc)
+        return terms_to_series(self.beta_terms(n), default_truncation(trunc))
 
     # -- the defining relation ------------------------------------------------
 
@@ -127,10 +116,6 @@ class BaileyPair:
             for t in self.alpha_terms(r):
                 out.append(t.mul(den))
         return out
-
-    def relation_value(self, n: int, trunc: int | None = None):
-        trunc = default_truncation() if trunc is None else trunc
-        return sum_terms(self.relation_terms(n), trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +226,11 @@ def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
 def verify_pair(pair: BaileyPair, n_max: int = 10,
                 trunc: int | None = None) -> list[VerificationReport]:
     """Check the defining relation for n = 0..n_max; one report per index."""
-    trunc = default_truncation() if trunc is None else trunc
-    reports = []
-    for n in range(n_max + 1):
-        start = time.perf_counter()
-        lhs = pair.beta_value(n, trunc)
-        rhs = pair.relation_value(n, trunc)
-        reports.append(compare(pair.label or "pair", {"n": n}, trunc, lhs, rhs, start))
-    return reports
+    trunc = default_truncation(trunc)
+    return [compare(pair.label or "pair", {"n": n}, trunc,
+                    sum_terms(pair.beta_terms(n), trunc),
+                    sum_terms(pair.relation_terms(n), trunc))
+            for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +357,9 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     all integers (the weights terminate the sum on both ends); bilateral
     pairs with x = q carry the extra 1/(1-q) that their fold introduces.
     """
-    start = time.perf_counter()
     if N < 0:
         raise EngineError("the terminating parameter N must be >= 0")
-    trunc = default_truncation() if trunc is None else trunc
+    trunc = default_truncation(trunc)
     x = pair.x_exp
     if rho1_exp > x or rho2_exp > x:
         raise EngineError(
@@ -411,16 +392,12 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     lhs = sum_terms(lhs_terms, trunc)
     rhs = sum_terms(rhs_terms, trunc)
     return compare(f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})",
-                   {"N": N}, trunc, lhs, rhs, start)
+                   {"N": N}, trunc, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # reconstruction of the five-parameter identities
 # ---------------------------------------------------------------------------
-
-def _bridged(terms: list, bridge: PochProduct, trunc: int):
-    return sum_terms([t.mul(bridge) for t in terms], trunc)
-
 
 def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
     """The hypergeometric closed form of the doubly transformed beta_N on the
@@ -451,7 +428,6 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     and compares each against the registry's left-hand side.  The report is
     EQUAL only if all routes match.
     """
-    start = time.perf_counter()
     key = ident.upper()
     if key not in CHAIN_TARGETS:
         raise EngineError(
@@ -462,7 +438,7 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
         raise EngineError("N must be >= 0")
     if min(b_exp, c_exp, d_exp, e_exp) < 1:
         raise EngineError("parameter exponents must be >= 1")
-    trunc = default_truncation() if trunc is None else trunc
+    trunc = default_truncation(trunc)
 
     params = {"n": N, "l": b_exp - 1, "m": c_exp - 1,
               "u": d_exp - 1, "v": e_exp - 1}
@@ -471,33 +447,21 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     ctx = EvalCtx(trunc)
     target = eval_side_value(rec, "lhs", env, ctx)
 
-    routes = []
-    if key == "ABCDE1":
-        pair = bailey_step(bailey_step(unit_bilateral_x1(),
-                                       1 - b_exp, 1 - c_exp),
-                           1 - d_exp, 1 - e_exp)
-        bridge = PochProduct().qn(N, 2)
-        routes.append(_bridged(pair.relation_terms(N), bridge, trunc))
-        routes.append(_bridged(pair.beta_terms(N), bridge, trunc))
-    elif key == "ABCDE2":
-        pair = bailey_step(bailey_step(unit_bilateral_xq(),
-                                       1 - b_exp, 1 - c_exp),
-                           1 - d_exp, 1 - e_exp)
-        bridge = PochProduct().qn(N).qn(N + 1)
-        routes.append(_bridged(pair.relation_terms(N), bridge, trunc))
-        routes.append(_bridged(pair.beta_terms(N), bridge, trunc))
-    else:
+    if key == "ABCDE3":
         stepped = bailey_step(lattice_seed_pair(), 2 - d_exp, 2 - e_exp)
         pair = lattice_step(stepped, 1 - b_exp, 1 - c_exp)
-        bridge = PochProduct().qn(N, 2)
-        routes.append(_bridged(pair.relation_terms(N), bridge, trunc))
-        routes.append(_bridged(pair.beta_terms(N), bridge, trunc))
-        routes.append(_bridged(
-            _closed_beta_via_lattice(N, b_exp, c_exp, d_exp, e_exp),
-            bridge, trunc))
+        closed = [_closed_beta_via_lattice(N, b_exp, c_exp, d_exp, e_exp)]
+    else:
+        unit = unit_bilateral_x1() if key == "ABCDE1" else unit_bilateral_xq()
+        pair = bailey_step(bailey_step(unit, 1 - b_exp, 1 - c_exp),
+                           1 - d_exp, 1 - e_exp)
+        closed = []
+    bridge = PochProduct().qn(N).qn(N + 1) if key == "ABCDE2" else PochProduct().qn(N, 2)
 
+    routes = [sum_terms([t.mul(bridge) for t in terms], trunc)
+              for terms in (pair.relation_terms(N), pair.beta_terms(N), *closed)]
     for value in routes:
-        rep = compare(f"chain({key})", params, trunc, value, target, start)
+        rep = compare(f"chain({key})", params, trunc, value, target)
         if not rep.equal:
             break
     return rep

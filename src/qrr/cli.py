@@ -6,16 +6,18 @@ the telescoping certificates, the q -> 1 binomial checks, and the
 degenerate specialisation that refutes the two over-claimed bilateral
 transformations.
 
-Exit codes: 0 when every check agrees (for ``counterexample``: when the
-disagreement is reproduced), 1 when a comparison fails, 2 for
-configuration errors (unknown identity, malformed ranges, violated
-preconditions, a grid above ``engine.MAX_GRID_POINTS`` or a truncation order
-above ``series.MAX_TRUNCATION``) and for a run that made no checks, so that a
+Exit codes: every subcommand that runs checks ends in :func:`emit`, which
+alone decides between 0 and 1: 0 when every report has the verdict that
+counts as a pass (``EQUAL``; for ``counterexample``, ``MISMATCH``, the
+reproduced disagreement), else 1.  Exit 2 is for configuration errors
+(unknown identity, malformed ranges, violated preconditions, a grid above
+``engine.MAX_GRID_POINTS`` or a truncation order outside
+1..``series.MAX_TRUNCATION``) and for a run that made no checks, so that a
 vacuous run never exits 0.
 
 JSON reports are deterministic: the same command line produces the same
-bytes, so timing is reported as 0.0 there (the text format shows real
-timings).
+bytes, so timing is reported as 0.0 there.  Only ``verify`` reports are
+timed, and the text lines of ``verify`` and ``verify-all`` show it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .identities import (
     verify_points,
 )
 from .pochhammer import sum_terms
-from .series import MAX_TRUNCATION, env_truncation
+from .series import MAX_TRUNCATION, default_truncation, env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
 
 ARTIFACT_VERSION = 1
@@ -108,11 +110,12 @@ def parse_int_list(spec: str, count: int | None = None, flag: str = "") -> list:
 
 def resolve_trunc(flag_value: int | None) -> int | None:
     """--trunc beats QRR_TRUNC beats each record's default (returned as None)."""
-    if flag_value is not None:
-        if not 1 <= flag_value <= MAX_TRUNCATION:
-            raise ValueError(f"--trunc must be in 1..{MAX_TRUNCATION}, got {flag_value}")
-        return flag_value
-    return env_truncation()
+    if flag_value is None:
+        return env_truncation()
+    try:
+        return default_truncation(flag_value)
+    except ValueError:
+        raise ValueError(f"--trunc must be in 1..{MAX_TRUNCATION}, got {flag_value}") from None
 
 
 def resolve_jobs(flag_value: int) -> int:
@@ -154,10 +157,14 @@ def report_to_dict(rep: VerificationReport) -> dict:
     return d
 
 
-def emit(command: str, config: dict, reports: list, passed: int,
-         fmt: str, out_path: str | None, text_lines: list) -> None:
+def emit(command: str, config: dict, reports: list, fmt: str,
+         out_path: str | None, text_lines: list, passing: str = "EQUAL") -> int:
+    """Write the run's report and return its exit code: 0 when every report
+    has the verdict ``passing``, else 1.  A run with no reports raises
+    ValueError, so that it exits 2."""
     if not reports:
         raise ValueError(f"{command}: no checks were run")
+    passed = sum(1 for r in reports if r.verdict == passing)
     if fmt == "json":
         doc = {
             "artifact_version": ARTIFACT_VERSION,
@@ -178,6 +185,7 @@ def emit(command: str, config: dict, reports: list, passed: int,
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    return 0 if passed == len(reports) else 1
 
 
 def _poly_str(offset: int, coeffs: list) -> str:
@@ -201,6 +209,19 @@ def _poly_str(offset: int, coeffs: list) -> str:
 
 def _fmt_params(params: dict) -> str:
     return " ".join(f"{k}={params[k]}" for k in sorted(params))
+
+
+def _tally(reports: list) -> str:
+    return f"{sum(1 for r in reports if r.equal)}/{len(reports)}"
+
+
+def _summary(text_lines: list, line: str, reports: list) -> None:
+    """Append a summary line, then the mismatch lines of each of its reports
+    that is not EQUAL."""
+    text_lines.append(line)
+    for rep in reports:
+        if not rep.equal:
+            text_lines.extend(_mismatch_lines(rep))
 
 
 def _mismatch_lines(rep: VerificationReport) -> list:
@@ -231,15 +252,10 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _grid_summary(ident: str, reports: list, text_lines: list) -> int:
-    ok = sum(1 for r in reports if r.equal)
+def _grid_summary(ident: str, reports: list, text_lines: list) -> None:
     millis = sum(r.millis for r in reports)
-    line = f"{ident:<12} {ok}/{len(reports)} equal   T={reports[0].trunc}   {millis:.1f} ms"
-    text_lines.append(line)
-    for rep in reports:
-        if not rep.equal:
-            text_lines.extend(_mismatch_lines(rep))
-    return ok
+    _summary(text_lines, f"{ident:<12} {_tally(reports)} equal   "
+                         f"T={reports[0].trunc}   {millis:.1f} ms", reports)
 
 
 def cmd_verify(args) -> int:
@@ -250,15 +266,14 @@ def cmd_verify(args) -> int:
     jobs = resolve_jobs(args.jobs)
     reports = verify_grid(rec.ident, ranges, trunc, jobs=jobs)
     text_lines: list = []
-    passed = _grid_summary(rec.ident, reports, text_lines)
+    _grid_summary(rec.ident, reports, text_lines)
     config = {
         "id": rec.ident,
         "ranges": {k: list(v) for k, v in ranges.items()} if ranges else None,
         "trunc": trunc,
         "jobs": jobs,
     }
-    emit("verify", config, reports, passed, args.format, args.out, text_lines)
-    return 0 if passed == len(reports) else 1
+    return emit("verify", config, reports, args.format, args.out, text_lines)
 
 
 def cmd_verify_all(args) -> int:
@@ -267,16 +282,14 @@ def cmd_verify_all(args) -> int:
     points, tasks = sweep_tasks(trunc)
     all_reports = list(verify_points(tasks, points, jobs))
     text_lines: list = []
-    passed = 0
     for ident, reports in groupby(all_reports, key=lambda r: r.ident):
-        passed += _grid_summary(ident, list(reports), text_lines)
-    verdict = "all equal" if passed == len(all_reports) else "MISMATCHES FOUND"
+        _grid_summary(ident, list(reports), text_lines)
+    verdict = "all equal" if all(r.equal for r in all_reports) else "MISMATCHES FOUND"
     text_lines.append(
         f"total: {len(list_identities())} identities, {len(all_reports)} points, {verdict}"
     )
     config = {"trunc": trunc, "jobs": jobs}
-    emit("verify-all", config, all_reports, passed, args.format, args.out, text_lines)
-    return 0 if passed == len(all_reports) else 1
+    return emit("verify-all", config, all_reports, args.format, args.out, text_lines)
 
 
 def _stock_pairs() -> list:
@@ -296,31 +309,19 @@ def cmd_bailey(args) -> int:
         exps = parse_int_list(args.exps, 4, "--exps") if args.exps else [1, 1, 1, 1]
         rep = chain_reproduce(target, args.n, *exps, trunc=trunc)
         reports.append(rep)
-        text_lines.append(
-            f"{rep.ident:<14} {_fmt_params(rep.params)}  T={rep.trunc}  {rep.verdict}"
-        )
-        if not rep.equal:
-            text_lines.extend(_mismatch_lines(rep))
+        _summary(text_lines, f"{rep.ident:<14} {_fmt_params(rep.params)}  "
+                             f"T={rep.trunc}  {rep.verdict}", [rep])
     else:
         for pair in _stock_pairs():
             pair_reports = verify_pair(pair, n_max=args.n_max, trunc=trunc)
             reports.extend(pair_reports)
-            ok = sum(1 for r in pair_reports if r.equal)
-            text_lines.append(
-                f"{pair.label:<18} relation holds for n=0..{args.n_max}: "
-                f"{ok}/{len(pair_reports)}"
-            )
-            for rep in pair_reports:
-                if not rep.equal:
-                    text_lines.extend(_mismatch_lines(rep))
+            _summary(text_lines, f"{pair.label:<18} relation holds for n=0..{args.n_max}: "
+                                 f"{_tally(pair_reports)}", pair_reports)
         for target in CHAIN_TARGETS:
-            for n in range(args.n + 1):
-                rep = chain_reproduce(target, n, trunc=trunc)
-                reports.append(rep)
-                if not rep.equal:
-                    text_lines.extend(_mismatch_lines(rep))
-            text_lines.append(f"chain({target})  reproduced for N=0..{args.n}")
-    passed = sum(1 for r in reports if r.equal)
+            chain = [chain_reproduce(target, n, trunc=trunc) for n in range(args.n + 1)]
+            reports.extend(chain)
+            _summary(text_lines, f"chain({target})  reproduced for "
+                                 f"N=0..{args.n}: {_tally(chain)}", chain)
     config = {
         "chain": args.chain.upper() if args.chain else None,
         "n": args.n,
@@ -328,8 +329,7 @@ def cmd_bailey(args) -> int:
         "n_max": args.n_max,
         "trunc": trunc,
     }
-    emit("bailey", config, reports, passed, args.format, args.out, text_lines)
-    return 0 if passed == len(reports) else 1
+    return emit("bailey", config, reports, args.format, args.out, text_lines)
 
 
 def cmd_telescope(args) -> int:
@@ -359,10 +359,8 @@ def cmd_telescope(args) -> int:
                                           "EQUAL" if ok else "MISMATCH"))
         text_lines.append(f"quartic polynomial identity on the 5^4 grid: "
                           f"{'EQUAL' if ok else 'MISMATCH'}")
-    passed = sum(1 for r in reports if r.equal)
     config = {"params": args.params, "quartic": bool(args.quartic), "trunc": trunc}
-    emit("telescope", config, reports, passed, args.format, args.out, text_lines)
-    return 0 if passed == len(reports) else 1
+    return emit("telescope", config, reports, args.format, args.out, text_lines)
 
 
 def _binomial_report(name: str, params: dict, ok: bool) -> VerificationReport:
@@ -423,17 +421,15 @@ def cmd_binomial(args) -> int:
             "GENERAL", {f"n{i}": e for i, e in enumerate(entries)}, ok))
         text_lines.append(f"cyclic alternating sum at {entries}: "
                           f"{'nonnegative and divisible' if ok else 'FAILED'}")
-    passed = sum(1 for r in reports if r.equal)
-    verdict = "all hold" if passed == len(reports) else "FAILURES"
-    text_lines.append(f"{passed}/{len(reports)} checks hold ({verdict})")
+    verdict = "all hold" if all(r.equal for r in reports) else "FAILURES"
+    text_lines.append(f"{_tally(reports)} checks hold ({verdict})")
     config = {
         "bino5": bool(args.bino5), "bino4": bool(args.bino4),
         "divisibility": bool(args.divisibility), "n": n_top,
         "cor57": args.cor57, "cor58a": args.cor58a, "cor58b": args.cor58b,
         "general": args.general,
     }
-    emit("binomial", config, reports, passed, args.format, args.out, text_lines)
-    return 0 if passed == len(reports) else 1
+    return emit("binomial", config, reports, args.format, args.out, text_lines)
 
 
 def cmd_counterexample(args) -> int:
@@ -441,21 +437,19 @@ def cmd_counterexample(args) -> int:
     trunc = resolve_trunc(args.trunc)
     rep = liu_counterexample(which, args.a_exp, trunc)
     off, coeffs = sum_terms([liu_closed_form(which, args.a_exp)], rep.trunc)
-    reproduced = rep.verdict == "MISMATCH"
     text_lines = [
         f"{which} at a = q^{args.a_exp} (T={rep.trunc})",
         f"LHS = {_poly_str(off, coeffs)}",
         "RHS = 0",
     ]
-    if reproduced:
+    if rep.verdict == "MISMATCH":
         text_lines.append(
             f"first mismatch at q^{rep.mismatch_index}: refutation reproduced")
     else:
         text_lines.append("sides agree -- refutation NOT reproduced")
     config = {"which": which, "a_exp": args.a_exp, "trunc": trunc}
-    emit("counterexample", config, [rep], 1 if reproduced else 0,
-         args.format, args.out, text_lines)
-    return 0 if reproduced else 1
+    return emit("counterexample", config, [rep], args.format, args.out, text_lines,
+                passing="MISMATCH")
 
 
 # ---------------------------------------------------------------------------

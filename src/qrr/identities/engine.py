@@ -68,7 +68,8 @@ def _usable_cpus() -> int:
 def verify(ident: str, params: dict, trunc: int | None = None,
            ctx: EvalCtx | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one parameter point and compare
-    every coefficient through the truncation order."""
+    every coefficient through the truncation order.  This is the one check
+    whose report carries its wall time, in ``millis``."""
     rec = get_record(ident)
     if ctx is None:
         ctx = EvalCtx(trunc)
@@ -76,7 +77,9 @@ def verify(ident: str, params: dict, trunc: int | None = None,
     env = _check_params(rec, params)
     lhs = eval_side_value(rec, "lhs", env, ctx)
     rhs = eval_side_value(rec, "rhs", env, ctx)
-    return compare(ident, dict(env), ctx.trunc, lhs, rhs, start)
+    rep = compare(ident, dict(env), ctx.trunc, lhs, rhs)
+    rep.millis = (time.perf_counter() - start) * 1000.0
+    return rep
 
 
 def lazy_grid(rec: IdentityRecord, ranges: dict[str, tuple[int, int]] | None = None
@@ -159,8 +162,7 @@ def verify_grid(ident: str, ranges: dict[str, tuple[int, int]] | None = None,
     runs through ``verify_points``, so one pool of ``worker_count``
     processes, never more than ``jobs``, serves the whole grid."""
     rec = get_record(ident)
-    if trunc is None:
-        trunc = default_truncation(rec.default_trunc)
+    trunc = default_truncation(trunc, fallback=rec.default_trunc)
     points, grid = lazy_grid(rec, ranges)
     return list(verify_points(((ident, p, trunc) for p in grid), points, jobs))
 
@@ -174,8 +176,8 @@ def sweep_tasks(trunc: int | None = None) -> tuple[int, Iterator[tuple[str, dict
         rec = get_record(ident)
         size, grid = lazy_grid(rec)
         total += size
-        grids.append((ident, grid, default_truncation(rec.default_trunc)
-                      if trunc is None else trunc))
+        grids.append((ident, grid,
+                      default_truncation(trunc, fallback=rec.default_trunc)))
     return total, ((ident, p, t) for ident, grid, t in grids for p in grid)
 
 
@@ -186,8 +188,6 @@ def eval_side(ident: str, side: str, params: dict,
     Raises NeedsLaurent if the value genuinely retains negative q-exponents
     (individual terms may pass through them; only the total matters).
     """
-    if side not in ("lhs", "rhs"):
-        raise EngineError(f"side must be 'lhs' or 'rhs', got {side!r}")
     rec = get_record(ident)
     ctx = EvalCtx(trunc)
     env = _check_params(rec, params)
@@ -204,10 +204,9 @@ def support_bounds(ident: str, side: str, params: dict,
     PochSum sides it is derived from the argument exponents.
     """
     rec = get_record(ident)
-    if trunc is None:
-        trunc = default_truncation(rec.default_trunc)
+    trunc = default_truncation(trunc, fallback=rec.default_trunc)
     env = _check_params(rec, params)
-    s = (rec.lhs if side == "lhs" else rec.rhs).sum
+    s = rec.side(side).sum
     if s is None:
         raise EngineError(f"{ident} {side} has no sum")
     if isinstance(s, QnSum):
@@ -240,9 +239,7 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
         product = "mod5_23"
     else:
         raise UnknownIdentity(f"rr_limit_check knows RR1 and RR2, not {which!r}")
-    if trunc is None:
-        trunc = default_truncation()
-    start = time.perf_counter()
+    trunc = default_truncation(trunc)
     n = trunc
     acc = SeriesAccumulator(trunc)
     k = 0
@@ -255,7 +252,7 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
         acc.add(t)
         k += 1
     rhs = _rr_product(product, trunc)
-    return compare(which, {"n": n}, trunc, acc.value(), (0, list(rhs.coeffs)), start)
+    return compare(which, {"n": n}, trunc, acc.value(), (0, list(rhs.coeffs)))
 
 
 def liu_closed_form(which: str, a_exp: int) -> PochProduct:
@@ -280,9 +277,7 @@ def liu_counterexample(which: str, a_exp: int,
         raise UnknownIdentity(f"liu_counterexample knows LIU1 and LIU2, not {which!r}")
     if a_exp < 1:
         raise EngineError(f"the first parameter must be q^e with e >= 1, got e={a_exp}")
-    if trunc is None:
-        trunc = default_truncation()
-    start = time.perf_counter()
+    trunc = default_truncation(trunc)
     alpha = a_exp
     acc = SeriesAccumulator(trunc)
     if which == "LIU1":
@@ -305,8 +300,7 @@ def liu_counterexample(which: str, a_exp: int,
     if compare_side_values(acc.value(), closed, trunc) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")
     # the sum equals its closed form through q^trunc, checked just above
-    return compare(which, {"a_exp": a_exp}, trunc, closed,
-                   (0, [0] * (trunc + 1)), start)
+    return compare(which, {"a_exp": a_exp}, trunc, closed, (0, [0] * (trunc + 1)))
 
 
 # ---------------------------------------------------------------------------

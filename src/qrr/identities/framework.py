@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import time
 from dataclasses import dataclass
 from types import CodeType
 from typing import Mapping, Sequence
@@ -123,7 +122,7 @@ class EvalCtx:
     def __init__(self, trunc: int | None = None,
                  mutations: Mapping[str, tuple[str, int]] | None = None,
                  recorder: set | None = None):
-        self.trunc = default_truncation() if trunc is None else trunc
+        self.trunc = default_truncation(trunc)
         self.mutations = dict(mutations) if mutations else {}
         self.recorder = recorder
 
@@ -215,6 +214,15 @@ class IdentityRecord:
     default_trunc: int = 40
     expect: str = "equal"            # "equal" | "counterexample"
 
+    def side(self, name: str) -> Side:
+        """The side called ``name``; raises EngineError unless it is "lhs"
+        or "rhs"."""
+        if name == "lhs":
+            return self.lhs
+        if name == "rhs":
+            return self.rhs
+        raise EngineError(f"side must be 'lhs' or 'rhs', got {name!r}")
+
 
 @dataclass
 class VerificationReport:
@@ -227,7 +235,7 @@ class VerificationReport:
     mismatch_index: int | None = None
     lhs_window: list | None = None   # [(exponent, coefficient), ...]
     rhs_window: list | None = None
-    millis: float = 0.0
+    millis: float = 0.0              # wall time, stamped by engine.verify only
     checks: Sequence = ()            # [(name, "EQUAL" | "MISMATCH"), ...]
     detail: str = ""                 # why a PRECONDITION point was refused
 
@@ -246,7 +254,10 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     for ps in record.params:
         if ps.name not in params:
             raise EngineError(f"{record.ident}: missing parameter {ps.name!r}")
-        value = int(params[ps.name])
+        value = params[ps.name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EngineError(
+                f"{record.ident}: parameter {ps.name} must be an integer, got {value!r}")
         if value < ps.low:
             raise EngineError(
                 f"{record.ident}: parameter {ps.name}={value} below admissible minimum {ps.low}"
@@ -450,7 +461,7 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
                     ctx: EvalCtx) -> tuple[int, list]:
     """(offset, coeffs) for one side: coeffs[i] is the coefficient of
     q^(offset+i), exact through q^ctx.trunc."""
-    side = record.lhs if side_name == "lhs" else record.rhs
+    side = record.side(side_name)
     tag = f"{side_name}"
     trunc = ctx.trunc
     if side.zero:
@@ -524,28 +535,21 @@ def window(value: tuple[int, list], center: int, trunc: int) -> list:
     return out
 
 
-def _now_millis(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
-
-
 def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
-            rhs: tuple[int, list], start: float) -> VerificationReport:
+            rhs: tuple[int, list]) -> VerificationReport:
     """Report on two values compared through q^trunc: EQUAL, or MISMATCH with
-    the first differing exponent and a window of each side around it.
-    ``start`` is the perf_counter reading the report's millis count from."""
+    the first differing exponent and a window of each side around it."""
     mismatch = compare_side_values(lhs, rhs, trunc)
     if mismatch is None:
-        return VerificationReport(ident, params, trunc, "EQUAL",
-                                  millis=_now_millis(start))
+        return VerificationReport(ident, params, trunc, "EQUAL")
     e = mismatch[0]
     return VerificationReport(ident, params, trunc, "MISMATCH", mismatch_index=e,
                               lhs_window=window(lhs, e, trunc),
-                              rhs_window=window(rhs, e, trunc),
-                              millis=_now_millis(start))
+                              rhs_window=window(rhs, e, trunc))
 
 
-def compare_checks(ident: str, params: dict, trunc: int, checks: list,
-                   start: float) -> VerificationReport:
+def compare_checks(ident: str, params: dict, trunc: int,
+                   checks: list) -> VerificationReport:
     """Report on a certificate: each (name, lhs, rhs) in ``checks`` is
     compared through q^trunc and listed with its verdict; the report is
     EQUAL only if every check is."""
@@ -554,4 +558,4 @@ def compare_checks(ident: str, params: dict, trunc: int, checks: list,
         for name, lhs, rhs in checks]
     ok = all(v == "EQUAL" for _, v in verdicts)
     return VerificationReport(ident, params, trunc, "EQUAL" if ok else "MISMATCH",
-                              millis=_now_millis(start), checks=verdicts)
+                              checks=verdicts)

@@ -73,8 +73,7 @@ def rr_product_side(which: str, trunc: int | None = None) -> TruncatedSeries:
     mod5_14: 1 / ((q; q^5)_inf (q^4; q^5)_inf)  — parts congruent to 1, 4 mod 5
     mod5_23: 1 / ((q^2; q^5)_inf (q^3; q^5)_inf) — parts congruent to 2, 3 mod 5
     """
-    if trunc is None:
-        trunc = default_truncation()
+    trunc = default_truncation(trunc)
     if which == "mod5_14":
         residues = (1, 4)
     elif which == "mod5_23":

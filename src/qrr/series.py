@@ -20,9 +20,9 @@ Coeff = Union[int, Fraction]
 
 DEFAULT_TRUNCATION = 60
 
-# The highest truncation order QRR_TRUNC and the command line accept.  Every
-# check works on O(T) buffers with O(T) passes per term, so a mistyped T of
-# millions would run for hours.  The deepest order in regular use is T=300
+# The highest truncation order any call, QRR_TRUNC and the command line
+# accept.  Every check works on O(T) buffers with O(T) passes per term, so a
+# mistyped T of millions would run for hours.  The deepest order in regular use is T=300
 # (the Rogers-Ramanujan limit checks).
 MAX_TRUNCATION = 10_000
 
@@ -43,15 +43,23 @@ def env_truncation() -> int | None:
     return value
 
 
-def default_truncation(fallback: int = DEFAULT_TRUNCATION) -> int:
-    """Truncation order used when a caller does not pass one.
+def default_truncation(trunc: int | None = None, *,
+                       fallback: int = DEFAULT_TRUNCATION) -> int:
+    """The truncation order a call works at: ``trunc`` when the caller passes
+    one, else the QRR_TRUNC environment variable (so the whole suite can be
+    re-run at a different precision without touching call sites), else
+    ``fallback`` (a record's own default, or 60).
 
-    Reads the QRR_TRUNC environment variable so the whole suite can be
-    re-run at a different precision without touching call sites; when it
-    is unset, returns ``fallback`` (a record's own default, or 60).
+    Raises ValueError unless the order is an integer in 1..MAX_TRUNCATION;
+    a negative order would make a check that compares no coefficient pass.
     """
-    value = env_truncation()
-    return fallback if value is None else value
+    if trunc is None:
+        value = env_truncation()
+        return fallback if value is None else value
+    if not isinstance(trunc, int) or not 1 <= trunc <= MAX_TRUNCATION:
+        raise ValueError(f"the truncation order must be an integer in "
+                         f"1..{MAX_TRUNCATION}, got {trunc!r}")
+    return trunc
 
 
 class SeriesError(Exception):

@@ -20,7 +20,6 @@ separately on an integer grid.
 
 from __future__ import annotations
 
-import time
 from itertools import product
 
 from .series import default_truncation
@@ -30,7 +29,6 @@ from .identities.framework import (
     EvalCtx,
     VerificationReport,
     _check_params,
-    _now_millis,
     compare_checks,
     eval_side_value,
 )
@@ -176,13 +174,12 @@ def _registry_side(ident: str, env: dict, side: str, trunc: int):
     return eval_side_value(rec, side, checked, EvalCtx(trunc))
 
 
-def _validate(ident: str, params: dict, trunc: int,
-              start: float) -> VerificationReport | None:
+def _validate(ident: str, params: dict, trunc: int) -> VerificationReport | None:
     if min(params.values()) < 0:
         raise EngineError("parameters must be nonnegative integers")
     if params["u"] < 1 or params["v"] < 1:
         return VerificationReport(
-            ident, params, trunc, "PRECONDITION", millis=_now_millis(start),
+            ident, params, trunc, "PRECONDITION",
             detail="the certificate needs u >= 1 and v >= 1: the regrouped "
                    "products carry shifted factorials at u-1 and v-1")
     return None
@@ -204,10 +201,9 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     two constituent sums, and that both cleared sides match the registry's
     q^(k^2) identity multiplied by (1 - q^(l+m+n+u+v+1)).
     """
-    start = time.perf_counter()
-    trunc = default_truncation() if trunc is None else trunc
+    trunc = default_truncation(trunc)
     params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate("telescoping", params, trunc, start)
+    bad = _validate("telescoping", params, trunc)
     if bad is not None:
         return bad
 
@@ -243,7 +239,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         ("rhs-clearing", right,
          _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc), c)),
     ]
-    return compare_checks("telescoping", params, trunc, checks, start)
+    return compare_checks("telescoping", params, trunc, checks)
 
 
 def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
@@ -254,10 +250,9 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     S_k = T_k for each index (with sentinels), and that the regrouped sums
     reproduce both registry sides.
     """
-    start = time.perf_counter()
-    trunc = default_truncation() if trunc is None else trunc
+    trunc = default_truncation(trunc)
     params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate("termwise", params, trunc, start)
+    bad = _validate("termwise", params, trunc)
     if bad is not None:
         return bad
 
@@ -278,7 +273,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
         ("rhs-assembly", sum_terms(t_all, trunc),
          _registry_side("LMNRS4", params, "rhs", trunc)),
     ]
-    return compare_checks("termwise", params, trunc, checks, start)
+    return compare_checks("termwise", params, trunc, checks)
 
 
 # ---------------------------------------------------------------------------

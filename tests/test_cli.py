@@ -389,6 +389,29 @@ def test_bailey_default(capsys):
         assert f"chain({target})  reproduced for N=0..1" in out
 
 
+def test_bailey_chain_summary_counts_failures(monkeypatch, capsys):
+    real = cli.chain_reproduce
+
+    def failing(target, n, *args, **kwargs):
+        rep = real(target, n, *args, **kwargs)
+        if target == "ABCDE2" and n == 1:
+            return dataclasses.replace(rep, verdict="MISMATCH", mismatch_index=3,
+                                       lhs_window=[(3, 1)], rhs_window=[(3, 2)])
+        return rep
+
+    monkeypatch.setattr(cli, "chain_reproduce", failing)
+    rc, out, _ = run_cli(["bailey", "--n-max", "1", "--n", "1", "--trunc", "12"],
+                         capsys)
+    assert rc == 1
+    lines = out.splitlines()
+    at = lines.index("chain(ABCDE2)  reproduced for N=0..1: 1/2")
+    assert lines[at + 1].startswith("  MISMATCH chain(ABCDE2) ")
+    assert "first differing exponent 3" in lines[at + 1]
+    assert lines[at + 2:at + 4] == ["    lhs q^3:1", "    rhs q^3:2"]
+    assert "chain(ABCDE1)  reproduced for N=0..1: 2/2" in lines
+    assert "chain(ABCDE3)  reproduced for N=0..1: 2/2" in lines
+
+
 @pytest.mark.parametrize("argv", [
     ["bailey", "--n-max", "-3"],
     ["bailey", "--n", "-1"],
@@ -402,7 +425,7 @@ def test_bailey_vacuous_run_exits_2(argv, capsys):
 
 def test_emit_refuses_an_empty_run():
     with pytest.raises(ValueError, match="no checks were run"):
-        cli.emit("verify", {}, [], 0, "json", None, [])
+        cli.emit("verify", {}, [], "json", None, [])
 
 
 def test_bailey_chain(capsys):

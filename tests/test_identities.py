@@ -19,6 +19,7 @@ from qrr.identities import (
     verify_mutated,
 )
 from qrr.identities import engine
+from qrr.identities.framework import EvalCtx, eval_side_value
 from qrr.series import TruncatedSeries
 
 
@@ -64,6 +65,12 @@ def test_verify_needs_all_params():
         verify("ANDREWS1", {"n": 1, "z": 2}, 20)
     with pytest.raises(EngineError):
         verify("ANDREWS1", {"n": -1}, 20)
+
+
+@pytest.mark.parametrize("value", [3.7, 3.0, True, "3"])
+def test_verify_refuses_non_integral_parameters(value):
+    with pytest.raises(EngineError, match="parameter n must be an integer"):
+        verify("ANDREWS1", {"n": value}, 20)
 
 
 def test_default_trunc_comes_from_environment(monkeypatch):
@@ -170,6 +177,16 @@ def test_eval_side_values():
     assert lhs.coeffs[0] == 1
     with pytest.raises(EngineError):
         eval_side("ANDREWS1", "both", {"n": 3}, 20)
+
+
+@pytest.mark.parametrize("call", [
+    lambda side: eval_side("ANDREWS1", side, {"n": 3}, 20),
+    lambda side: support_bounds("ANDREWS1", side, {"n": 3}, 20),
+    lambda side: eval_side_value(get_record("ANDREWS1"), side, {"n": 3}, EvalCtx(20)),
+], ids=["eval_side", "support_bounds", "eval_side_value"])
+def test_unknown_side_is_refused(call):
+    with pytest.raises(EngineError, match="side must be 'lhs' or 'rhs', got 'both'"):
+        call("both")
 
 
 def test_support_bounds_examples():

@@ -1,5 +1,6 @@
-"""The read-only power-series result type, and the ring laws of the dense
-oracle that the differential tests compare the engine against."""
+"""The truncation-order resolver, the read-only power-series result type,
+and the ring laws of the dense oracle that the differential tests compare
+the engine against."""
 
 from fractions import Fraction
 
@@ -7,6 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense_oracle import convolve, invert
+from qrr import pochhammer
+from qrr.bailey import chain_reproduce, symmetrized_identity, unit_pair_x1, verify_pair
+from qrr.identities import engine, framework
+from qrr.pochhammer import PochProduct, SeriesAccumulator, rr_product_side
+from qrr.telescoping import verify_sk_tk, verify_telescoping
 from qrr.series import (
     ExponentExceedsTruncation,
     NeedsLaurent,
@@ -77,6 +83,45 @@ def test_default_truncation_env(monkeypatch):
         monkeypatch.setenv("QRR_TRUNC", bad)
         with pytest.raises(ValueError):
             default_truncation()
+
+
+_PAIR = unit_pair_x1()
+_FIVE = (1, 1, 1, 1, 1)
+
+# every public call that takes a truncation order, with that order as T
+TRUNC_CALLS = {
+    "verify": lambda T: engine.verify("ANDREWS1", {"n": 3}, T),
+    "verify_grid": lambda T: engine.verify_grid("ANDREWS1", {"n": (0, 2)}, T),
+    "eval_side": lambda T: engine.eval_side("ANDREWS1", "lhs", {"n": 3}, T),
+    "support_bounds": lambda T: engine.support_bounds("ANDREWS1", "lhs", {"n": 3}, T),
+    "rr_limit_check": lambda T: engine.rr_limit_check("RR1", T),
+    "liu_counterexample": lambda T: engine.liu_counterexample("LIU1", 2, T),
+    "rr_product_side": lambda T: rr_product_side("mod5_14", T),
+    "verify_pair": lambda T: verify_pair(_PAIR, n_max=2, trunc=T),
+    "chain_reproduce": lambda T: chain_reproduce("ABCDE1", 1, trunc=T),
+    "symmetrized_identity": lambda T: symmetrized_identity(_PAIR, 0, 0, 1, T),
+    "verify_telescoping": lambda T: verify_telescoping(*_FIVE, T),
+    "verify_sk_tk": lambda T: verify_sk_tk(*_FIVE, T),
+}
+
+
+# building a term or a sum, a coefficient pass, or an affine evaluation
+WORK = [(PochProduct, "__init__"), (SeriesAccumulator, "__init__"),
+        (pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
+        (framework, "mul_binomial"), (framework, "div_binomial"),
+        (framework, "eval_affine"), (engine, "eval_affine")]
+
+
+@pytest.mark.parametrize("T", [-5, 0, 10001])
+@pytest.mark.parametrize("name", sorted(TRUNC_CALLS))
+def test_every_call_refuses_a_bad_truncation_before_any_work(name, T, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} started work at T={T}")
+
+    for owner, attr in WORK:
+        monkeypatch.setattr(owner, attr, no_work)
+    with pytest.raises(ValueError, match="truncation order"):
+        TRUNC_CALLS[name](T)
 
 
 def test_power_series_strips_a_vanishing_laurent_head():
