@@ -69,10 +69,15 @@ def verify(ident: str, params: dict, trunc: int | None = None,
            ctx: EvalCtx | None = None) -> VerificationReport:
     """Evaluate both sides of one identity at one parameter point and compare
     every coefficient through the truncation order.  This is the one check
-    whose report carries its wall time, in ``millis``."""
+    whose report carries its wall time, in ``millis``.  With a ``ctx``, its
+    truncation order applies; passing a different ``trunc`` as well raises
+    EngineError."""
     rec = get_record(ident)
     if ctx is None:
         ctx = EvalCtx(trunc)
+    elif trunc is not None and trunc != ctx.trunc:
+        raise EngineError(f"{ident}: trunc={trunc} disagrees with the context's "
+                          f"truncation order {ctx.trunc}")
     start = time.perf_counter()
     env = _check_params(rec, params)
     lhs = eval_side_value(rec, "lhs", env, ctx)

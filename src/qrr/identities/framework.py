@@ -10,9 +10,14 @@ Every identity in the registry has sides built from one of two sum shapes:
   exponents a are affine in the parameters (k is the index), times
   sign^k q^{linear in k} and a quadratic power of q.
 
-Either shape builds its terms as :class:`PochProduct` values and sums them
-with :class:`SeriesAccumulator`, which evaluates the sum nested over the
-ratios of consecutive terms in one buffer.  A :class:`Prefactor` (infinite
+Either shape builds its terms as one chain of :class:`PochProduct` values:
+a running product holds every slot of the term, and at each k only the
+change of each index is multiplied in (one factor for a slot whose index
+moves by one).  Each index still passes through its site at every k, and
+each kept term is a copy of the running product times its sign and power
+of q.  The terms are summed with :class:`SeriesAccumulator`, which
+evaluates the sum nested over the ratios of consecutive terms in one
+buffer.  A :class:`Prefactor` (infinite
 Pochhammer quotients, (q; q)_a and single binomial denominators, a
 monomial) can multiply either shape.  It is assembled as one
 :class:`PochProduct`, where numerator and denominator infinite products
@@ -100,6 +105,16 @@ def parse_affine(s: str) -> CodeType:
 
 def eval_affine(s: str, env: Mapping[str, int]) -> int:
     return eval(parse_affine(s), _AFFINE_GLOBALS, env)
+
+
+@functools.cache
+def parse_affine_row(exprs: tuple[str, ...]) -> CodeType:
+    """Compile a tuple of affine expressions, each checked as by
+    :func:`parse_affine`, into one code object that evaluates them all."""
+    for s in exprs:
+        parse_affine(s)
+    row = ast.Tuple([ast.parse(s, mode="eval").body for s in exprs], ast.Load())
+    return compile(ast.fix_missing_locations(ast.Expression(row)), "<affine>", "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +284,13 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     return env
 
 
-def _quad_exponent(spec, env: Mapping[str, int], k: int) -> int:
+def _quad_exponent(spec, lin: int, k: int) -> int:
+    """(A k^2 + B k)/2 + lin*k, where lin is the value of ``spec.lin``."""
     a, b = spec.quad
     twice = a * k * k + b * k
     if twice % 2:
         raise EngineError(f"odd quadratic exponent {twice}/2 at k={k}")
-    return twice // 2 + eval_affine(spec.lin, env) * k
+    return twice // 2 + lin * k
 
 
 def _qn_support(spec: QnSum, env: Mapping[str, int], trunc: int) -> tuple[int, int]:
@@ -292,37 +308,60 @@ def _valuation_kmax(spec, env: Mapping[str, int], kmin: int, trunc: int) -> int:
     """
     if spec.quad[0] <= 0:
         raise EngineError("open-ended support requires a positive quadratic power")
+    lin = eval_affine(spec.lin, env)
     k = max(kmin, 0)
-    prev = _quad_exponent(spec, env, k)
+    prev = _quad_exponent(spec, lin, k)
     while True:
-        nxt = _quad_exponent(spec, env, k + 1)
+        nxt = _quad_exponent(spec, lin, k + 1)
         if prev > trunc and nxt > prev:
             return k
         k += 1
         prev = nxt
 
 
+def _chain_term(run: PochProduct, sign: int, shift: int, tag: str, k: int,
+                env: dict) -> PochProduct | None:
+    """The k-th term, sign * q^shift times the running product of a term
+    chain, or None if the running product is exactly zero; a pole raises
+    PoleError."""
+    st = run.state
+    if st == "zero":
+        return None
+    if st == "pole":
+        raise PoleError(f"{tag}: pole at k={k} with {env}")
+    t = run.copy()
+    t.coeff *= sign
+    t.shift += shift
+    return t
+
+
 def _qn_sum_terms(spec: QnSum, env: dict, ctx: EvalCtx, tag: str,
                   trunc: int) -> list[PochProduct]:
+    """The nonzero terms of a QnSum, built as one chain.
+
+    A running product holds every (q)_j slot; at each k the slot indices
+    are evaluated together and only the change of each is multiplied in,
+    (q)_a / (q)_a' = (q^(a'+1); q)_(a-a')."""
     kmin, kmax = _qn_support(spec, env, trunc)
+    lin = eval_affine(spec.lin, env)
+    row = parse_affine_row(spec.num + spec.den)
+    names = [f"{tag}.num[{s}]" for s in spec.num] + [f"{tag}.den[{s}]" for s in spec.den]
+    times = [1] * len(spec.num) + [-1] * len(spec.den)
+    index = [0] * len(names)         # the empty product has every (q)_0 = 1
+    run = PochProduct()
     out = []
     tenv = dict(env)
     for k in range(kmin, kmax + 1):
         tenv["k"] = k
-        t = PochProduct()
-        if spec.alt and (k & 1):
-            t.scale(-1)
-        t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
-        for s in spec.num:
-            t.qn(ctx.site(f"{tag}.num[{s}]", eval_affine(s, tenv), k))
-        for s in spec.den:
-            t.dqn(ctx.site(f"{tag}.den[{s}]", eval_affine(s, tenv), k))
-        st = t.state
-        if st == "zero":
-            continue
-        if st == "pole":
-            raise PoleError(f"{tag}: pole at k={k} with {env}")
-        out.append(t)
+        shift = ctx.site(f"{tag}.qpow", _quad_exponent(spec, lin, k), k)
+        for i, a in enumerate(eval(row, _AFFINE_GLOBALS, tenv)):
+            a = ctx.site(names[i], a, k)
+            if a != index[i]:
+                run.step(1, index[i], a, times[i])
+                index[i] = a
+        t = _chain_term(run, -1 if spec.alt and k & 1 else 1, shift, tag, k, env)
+        if t is not None:
+            out.append(t)
     return out
 
 
@@ -375,32 +414,42 @@ def _poch_sum_terms(spec: PochSum, env: dict, ctx: EvalCtx, tag: str,
     den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
     plain_num, plain_den, pairs, kmin, kmax = _poch_support(
         spec, env, trunc, num_args, den_args)
+    lin = eval_affine(spec.lin, env)
+    # (q^a; q)_k slots as (a, times); a pair with a = -b is rewritten exactly
+    # for k >= 1, with d = b + 1, as -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1)
+    # and kept as (a, argument from k = 1 on, times)
+    plain = [(a, 1) for a in plain_num] + [(b, -1) for b in plain_den]
+    flipped = []
+    for a, b in pairs:
+        if a == -b:
+            flipped += [(a, 1 - b, 1), (b, b + 1, -1)]
+        else:
+            plain += [(a, 1), (b, -1)]
+    flip_sign = -1 if len(flipped) // 2 & 1 else 1
+    flip_shift = -sum(b for a, b in pairs if a == -b)
+    # Every slot starts at index 0, where it is 1 whatever its argument, and
+    # a flipped slot changes argument between k = 0 and k = 1, where both of
+    # its forms have index 0; so each slot steps by its change of index.
+    run = PochProduct()
+    prev = 0
     out = []
     for k in range(kmin, kmax + 1):
-        t = PochProduct()
-        if spec.alt and (k & 1):
-            t.scale(-1)
-        t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
-        for a in plain_num:
-            t.poch(a, k)
-        for b in plain_den:
-            t.poch(b, k, -1)
-        for a, b in pairs:
-            if k >= 1 and a == -b:
-                # exact rewrite of the 0/0-prone quotient; d = b + 1
-                t.scale(-1)
-                t.q(-b)
-                t.poch(1 - b, k - 1)
-                t.poch(b + 1, k - 1, -1)
-            else:
-                t.poch(a, k)
-                t.poch(b, k, -1)
-        st = t.state
-        if st == "zero":
-            continue
-        if st == "pole":
-            raise PoleError(f"{tag}: pole at k={k} with {env}")
-        out.append(t)
+        sign = -1 if spec.alt and k & 1 else 1
+        shift = ctx.site(f"{tag}.qpow", _quad_exponent(spec, lin, k), k)
+        for a, times in plain:
+            run.step(a, prev, k, times)
+        if k < 1:
+            for a, _, times in flipped:
+                run.step(a, prev, k, times)
+        else:
+            for _, a, times in flipped:
+                run.step(a, max(prev - 1, 0), k - 1, times)
+            sign *= flip_sign
+            shift += flip_shift
+        prev = k
+        t = _chain_term(run, sign, shift, tag, k, env)
+        if t is not None:
+            out.append(t)
     return out
 
 

@@ -14,6 +14,14 @@ involves 1/(1-q^0) — so the m=0 factor is kept as a multiplicity: zeros in
 numerator and denominator cancel exactly, and what survives makes the
 product exactly zero or a pole (its ``state``).
 
+Because that rule holds for every integer index, the terms of a sum are
+built as a chain rather than from scratch: one running product holds every
+q-shifted factorial of the term, and :meth:`PochProduct.step` multiplies in
+only the change of one of them, (q^e; q)_n / (q^e; q)_n' =
+(q^(e+n'); q)_(n-n').  The product is canonical (a scalar, a shift and net
+multiplicities), so a chained term equals the one built directly, zero and
+pole states included.
+
 :class:`SeriesAccumulator` sums products into an ``(offset, coeffs)`` buffer
 by nested (Horner) evaluation over term ratios.  Consecutive terms of a
 hypergeometric-type sum differ by a few factors, so with
@@ -146,17 +154,38 @@ class PochProduct:
         return self.factor(m, -1)
 
     def poch(self, e: int, n: int, times: int = 1) -> "PochProduct":
-        """Multiply by (q^e; q)_n^times."""
-        if n >= 0:
-            for j in range(n):
-                self.factor(e + j, times)
-        else:
-            for j in range(1, -n + 1):
-                self.factor(e - j, -times)
+        """Multiply by (q^e; q)_n^times: the factors (1-q^m), e <= m < e+n,
+        for n >= 0, and the reciprocals of e+n <= m < e for n < 0, updated
+        in one loop."""
+        if n < 0:
+            e, n, times = e + n, -n, -times
+        if not n or not times:
+            return self
+        powers = self.powers
+        for m in range(e, e + n):
+            if m < 0:
+                m = -m
+            c = powers.get(m, 0) + times
+            if c:
+                powers[m] = c
+            else:
+                del powers[m]
+        if e < 0:
+            # (1-q^m) = -q^m (1-q^{-m}) for each of the factors with m < 0
+            neg = min(n, -e)
+            self.shift += times * neg * (2 * e + neg - 1) // 2
+            if neg * times % 2:
+                self.coeff = -self.coeff
         return self
 
     def dpoch(self, e: int, n: int) -> "PochProduct":
         return self.poch(e, n, -1)
+
+    def step(self, e: int, old: int, new: int, times: int = 1) -> "PochProduct":
+        """Multiply by ((q^e; q)_new / (q^e; q)_old)^times, which is
+        (q^(e+old); q)_(new-old)^times for all integers old and new: the
+        change of one slot of a term chain from index old to index new."""
+        return self.poch(e + old, new - old, times)
 
     def qn(self, n: int, times: int = 1) -> "PochProduct":
         """Multiply by (q; q)_n^times."""

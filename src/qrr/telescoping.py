@@ -16,6 +16,16 @@ A second certificate covers the q^(k^2+k) variant: its two sides regroup
 into sums over S_k and T_k which agree termwise, the equality S_k = T_k
 being a specialization of a quartic polynomial identity that is verified
 separately on an integer grid.
+
+Both certificates build their terms along k.  Every f_k, g_k and F(k) is
+A(k), the k-th term of the registry's LMNRS3 right side, times a few
+factors (1 - q^j); every S_k and T_k is B(k) times a few.  A(k) and B(k)
+each come from one running product, in which only the indices that depend
+on k step from one k to the next.  Each F(k) is rendered once, for
+k = 0..cap+3, and each f_k and g_k once: the difference and partial-sum
+checks subtract those values and the boundary sums add them up.  S_k and
+T_k are likewise summed once each, for the termwise check and for both
+assemblies.
 """
 
 from __future__ import annotations
@@ -43,33 +53,54 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# certificate pieces, directly as factored products
+# certificate pieces, as factored products built along k
 # ---------------------------------------------------------------------------
 
 
-def _f_terms(l: int, m: int, n: int, u: int, v: int, k: int) -> list:
-    base1 = (PochProduct().scale(_sign(k)).q((5 * k * k - k) // 2)
-             .qn(l + m).qn(l + n).qn(m + n).qn(u).qn(v).qn(u + v)
-             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
-             .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
-    base2 = (PochProduct().scale(_sign(k))
-             .q((5 * k * k + 3 * k) // 2 + u + v).factor(2 * k + 1)
-             .qn(l + m + 1).qn(m + n + 1).qn(l + n + 1)
-             .qn(u - 1).qn(v - 1).qn(u + v - 1)
-             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
-             .dqn(l + k + 1).dqn(m + k + 1).dqn(n + k + 1).dqn(u + k).dqn(v + k))
+def _core_chain(top: tuple, lows: tuple, highs: tuple, count: int) -> list:
+    """prod (q)_t / (prod (q)_(a-k) prod (q)_(b+k)) over t in top, a in lows
+    and b in highs, for k = 0..count-1: one running product, of which only
+    the indices a-k and b+k change, one step each per k."""
+    run = PochProduct()
+    for t in top:
+        run.qn(t)
+    for a in lows + highs:
+        run.dqn(a)
+    out = [run.copy()]
+    for k in range(1, count):
+        for a in lows:
+            run.step(1, a - k + 1, a - k, -1)
+        for b in highs:
+            run.step(1, b + k - 1, b + k, -1)
+        out.append(run.copy())
+    return out
+
+
+def _a_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
+    """A(k) = (-1)^k q^((5k^2-k)/2) (q)_(l+m) (q)_(l+n) (q)_(m+n) (q)_(u-1)
+    (q)_(v-1) (q)_(u+v-1) / ((q)_(l-k) (q)_(m-k) (q)_(n-k) (q)_(u-k) (q)_(v-k)
+    (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k-1) (q)_(v+k-1)), k = 0..count-1:
+    the product every f_k, g_k and F(k) is a few factors away from."""
+    core = _core_chain((l + m, l + n, m + n, u - 1, v - 1, u + v - 1),
+                       (l, m, n, u, v), (l, m, n, u - 1, v - 1), count)
+    return [t.scale(_sign(k)).q((5 * k * k - k) // 2) for k, t in enumerate(core)]
+
+
+def _f_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
+             k: int) -> list:
+    base1 = (a_k.copy().factor(u).factor(v).factor(u + v)
+             .dfactor(u + k).dfactor(v + k))
+    base2 = (a_k.copy().q(2 * k + u + v).factor(2 * k + 1)
+             .factor(l + m + 1).factor(m + n + 1).factor(l + n + 1)
+             .factor(u - k).factor(v - k)
+             .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1)
+             .dfactor(u + k).dfactor(v + k))
     return [base1, base1.copy().q(k), base2]
 
 
-def _a_term(l: int, m: int, n: int, u: int, v: int, k: int) -> PochProduct:
-    return (PochProduct().scale(_sign(k)).q((5 * k * k - k) // 2)
-            .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
-            .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
-            .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k - 1).dqn(v + k - 1))
-
-
-def _g_terms(l: int, m: int, n: int, u: int, v: int, k: int) -> list:
-    head = _a_term(l, m, n, u, v, k).factor(l + m + n + u + v + 1)
+def _g_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
+             k: int) -> list:
+    head = a_k.copy().factor(l + m + n + u + v + 1)
     tail = (head.copy().q(k).factor(u - k).factor(v - k)
             .dfactor(u + k).dfactor(v + k))
     return [head, tail]
@@ -79,12 +110,9 @@ def _f_cap(l: int, m: int, n: int, u: int, v: int) -> int:
     return min(l, m, n, u, v)
 
 
-def _F_term(l: int, m: int, n: int, u: int, v: int, k: int) -> PochProduct:
-    return (PochProduct().scale(_sign(k))
-            .q((5 * k * k - 3 * k) // 2 + u + v).factor(l + m + n + k + 1)
-            .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
-            .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
-            .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k - 1).dqn(v + k - 1))
+def _F_term(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
+            k: int) -> PochProduct:
+    return a_k.copy().q(u + v - k).factor(l + m + n + k + 1)
 
 
 def _l0_term(l: int, m: int, n: int, u: int, v: int) -> PochProduct:
@@ -112,33 +140,35 @@ def _two_sum_terms(l: int, m: int, n: int, u: int, v: int) -> list:
     return out
 
 
-def _s_terms(l: int, m: int, n: int, u: int, v: int, k: int) -> list:
-    first = (PochProduct().scale(_sign(k))
-             .q((5 * k * k + 3 * k) // 2).factor(2 * k + 1)
-             .qn(l + m + 1).qn(m + n + 1).qn(l + n + 1)
-             .qn(u - 1).qn(v - 1).qn(u + v - 1)
-             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
-             .dqn(l + k + 1).dqn(m + k + 1).dqn(n + k + 1).dqn(u + k).dqn(v + k))
-    second = (PochProduct().scale(_sign(k))
-              .q((5 * k * k + k) // 2 + l + m + n + 1)
-              .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
-              .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
-              .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
-    cross = (second.copy().scale(-1).q(4 * k + 2)
-             .factor(l - k).factor(m - k).factor(n - k)
-             .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
-    return [first, second, cross]
+def _b_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
+    """B(k) = (-1)^k q^((5k^2+3k)/2) (q)_(l+m) (q)_(l+n) (q)_(m+n) (q)_(u-1)
+    (q)_(v-1) (q)_(u+v-1) / ((q)_(l-k) (q)_(m-k) (q)_(n-k) (q)_(u-k-1)
+    (q)_(v-k-1) (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k) (q)_(v+k)),
+    k = 0..count-1: the first product of T_k, a few factors away from the
+    others of S_k and T_k."""
+    core = _core_chain((l + m, l + n, m + n, u - 1, v - 1, u + v - 1),
+                       (l, m, n, u - 1, v - 1), (l, m, n, u, v), count)
+    return [t.scale(_sign(k)).q((5 * k * k + 3 * k) // 2) for k, t in enumerate(core)]
 
 
-def _t_terms(l: int, m: int, n: int, u: int, v: int, k: int) -> list:
-    first = (PochProduct().scale(_sign(k)).q((5 * k * k + 3 * k) // 2)
-             .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
-             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
-             .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
-    cross = (first.copy().scale(-1).q(2 * k + 1)
-             .factor(l - k).factor(m - k).factor(n - k)
+def _cross(t: PochProduct, l: int, m: int, n: int, k: int, e: int) -> PochProduct:
+    """-q^e t (1-q^(l-k)) (1-q^(m-k)) (1-q^(n-k))
+    / ((1-q^(l+k+1)) (1-q^(m+k+1)) (1-q^(n+k+1)))."""
+    return (t.copy().scale(-1).q(e)
+            .factor(l - k).factor(m - k).factor(n - k)
+            .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
+
+
+def _s_terms(b_k: PochProduct, l: int, m: int, n: int, k: int) -> list:
+    first = (b_k.copy().factor(2 * k + 1)
+             .factor(l + m + 1).factor(m + n + 1).factor(l + n + 1)
              .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
-    return [first, cross]
+    second = b_k.copy().q(l + m + n + 1 - k)
+    return [first, second, _cross(second, l, m, n, k, 4 * k + 2)]
+
+
+def _t_terms(b_k: PochProduct, l: int, m: int, n: int, k: int) -> list:
+    return [b_k.copy(), _cross(b_k, l, m, n, k, 2 * k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +184,17 @@ def _times_binomial(value, c: int):
     return off, out
 
 
-def _add_values(a, b):
-    """A new (offset, buf) holding the sum of two values that both end at
-    the same truncation order."""
+def _add_values(a, b, scale: int = 1):
+    """A new (offset, buf) holding a + scale * b, for two values that both
+    end at the same truncation order."""
     (off_a, buf_a), (off_b, buf_b) = a, b
-    if off_b < off_a:
-        (off_a, buf_a), (off_b, buf_b) = b, a
-    out = list(buf_a)
-    base = off_b - off_a
+    off = min(off_a, off_b)
+    out = [0] * (off_a - off) + buf_a
+    base = off_b - off
     for i, c in enumerate(buf_b):
         if c:
-            out[base + i] += c
-    return off_a, out
+            out[base + i] += scale * c
+    return off, out
 
 
 def _registry_side(ident: str, env: dict, side: str, trunc: int):
@@ -175,8 +204,15 @@ def _registry_side(ident: str, env: dict, side: str, trunc: int):
 
 
 def _validate(ident: str, params: dict, trunc: int) -> VerificationReport | None:
-    if min(params.values()) < 0:
-        raise EngineError("parameters must be nonnegative integers")
+    """Raise EngineError, naming the parameter, unless every parameter is a
+    nonnegative integer; report PRECONDITION unless u, v >= 1."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EngineError(
+                f"{ident}: parameter {name} must be an integer, got {value!r}")
+        if value < 0:
+            raise EngineError(
+                f"{ident}: parameter {name}={value} must be nonnegative")
     if params["u"] < 1 or params["v"] < 1:
         return VerificationReport(
             ident, params, trunc, "PRECONDITION",
@@ -209,27 +245,21 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
 
     checks = []
     cap = _f_cap(l, m, n, u, v)
+    a = _a_terms(l, m, n, u, v, cap + 4)
+    F = [sum_terms([_F_term(a[k], l, m, n, u, v, k)], trunc) for k in range(cap + 4)]
+    left = sum_terms([_l0_term(l, m, n, u, v)], trunc)
+    right = sum_terms([_r0_term(l, m, n, u, v)], trunc)
     running = (0, [0] * (trunc + 1))
     for k in range(cap + 3):
-        fg = _f_terms(l, m, n, u, v, k)
-        fg += [t.scale(-1) for t in _g_terms(l, m, n, u, v, k)]
-        inc = [_F_term(l, m, n, u, v, k + 1),
-               _F_term(l, m, n, u, v, k).scale(-1)]
-        diff = sum_terms(fg, trunc)
-        checks.append((f"difference k={k}", diff, sum_terms(inc, trunc)))
+        fv = sum_terms(_f_terms(a[k], l, m, n, u, v, k), trunc)
+        gv = sum_terms(_g_terms(a[k], l, m, n, u, v, k), trunc)
+        diff = _add_values(fv, gv, -1)
+        checks.append((f"difference k={k}", diff, _add_values(F[k + 1], F[k], -1)))
         running = _add_values(running, diff)
-        part = [_F_term(l, m, n, u, v, k + 1),
-                _F_term(l, m, n, u, v, 0).scale(-1)]
-        checks.append((f"partial-sum k={k}", running, sum_terms(part, trunc)))
-
-    f_all = [_l0_term(l, m, n, u, v)]
-    for k in range(cap + 1):
-        f_all += _f_terms(l, m, n, u, v, k)
-    g_all = [_r0_term(l, m, n, u, v)]
-    for k in range(cap + 1):
-        g_all += _g_terms(l, m, n, u, v, k)
-    left = sum_terms(f_all, trunc)
-    right = sum_terms(g_all, trunc)
+        checks.append((f"partial-sum k={k}", running, _add_values(F[k + 1], F[0], -1)))
+        if k <= cap:
+            left = _add_values(left, fv)
+            right = _add_values(right, gv)
     c = l + m + n + u + v + 1
     checks += [
         ("boundary", left, right),
@@ -258,20 +288,18 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
 
     checks = []
     cap = min(l, m, n, u - 1, v - 1)
-    s_all, t_all = [], []
+    s_sum = t_sum = (0, [0] * (trunc + 1))
+    b = _b_terms(l, m, n, u, v, cap + 3)
     for k in range(cap + 3):
-        s_k = _s_terms(l, m, n, u, v, k)
-        t_k = _t_terms(l, m, n, u, v, k)
-        checks.append((f"termwise k={k}", sum_terms(s_k, trunc),
-                       sum_terms(t_k, trunc)))
-        s_all += s_k
-        t_all += t_k
+        s_k = sum_terms(_s_terms(b[k], l, m, n, k), trunc)
+        t_k = sum_terms(_t_terms(b[k], l, m, n, k), trunc)
+        checks.append((f"termwise k={k}", s_k, t_k))
+        s_sum = _add_values(s_sum, s_k)
+        t_sum = _add_values(t_sum, t_k)
 
     checks += [
-        ("lhs-assembly", sum_terms(s_all, trunc),
-         _registry_side("LMNRS4", params, "lhs", trunc)),
-        ("rhs-assembly", sum_terms(t_all, trunc),
-         _registry_side("LMNRS4", params, "rhs", trunc)),
+        ("lhs-assembly", s_sum, _registry_side("LMNRS4", params, "lhs", trunc)),
+        ("rhs-assembly", t_sum, _registry_side("LMNRS4", params, "rhs", trunc)),
     ]
     return compare_checks("termwise", params, trunc, checks)
 

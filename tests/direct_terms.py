@@ -1,0 +1,151 @@
+"""The per-k term builders, kept as a slow cross-check of the term chains.
+
+Each term of a QnSum or PochSum side is built from scratch at its k, one
+``qn``/``poch`` call per slot, with every index passed through ``ctx.site``
+under the same name as in the engine.  This is how ``_qn_sum_terms`` and
+``_poch_sum_terms`` built their terms before they kept one running product
+and multiplied in only the change of each index; the differential tests
+compare the two term by term.
+"""
+
+from qrr.identities.framework import (
+    EngineError,
+    _poch_support,
+    _qn_support,
+    eval_affine,
+)
+from qrr.pochhammer import PochProduct, PoleError
+
+
+def _quad_exponent(spec, env, k):
+    a, b = spec.quad
+    twice = a * k * k + b * k
+    if twice % 2:
+        raise EngineError(f"odd quadratic exponent {twice}/2 at k={k}")
+    return twice // 2 + eval_affine(spec.lin, env) * k
+
+
+def _keep(out, t, tag, k, env):
+    st = t.state
+    if st == "pole":
+        raise PoleError(f"{tag}: pole at k={k} with {env}")
+    if st == "ok":
+        out.append(t)
+
+
+def qn_sum_terms(spec, env, ctx, tag, trunc):
+    kmin, kmax = _qn_support(spec, env, trunc)
+    out = []
+    tenv = dict(env)
+    for k in range(kmin, kmax + 1):
+        tenv["k"] = k
+        t = PochProduct()
+        if spec.alt and (k & 1):
+            t.scale(-1)
+        t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
+        for s in spec.num:
+            t.qn(ctx.site(f"{tag}.num[{s}]", eval_affine(s, tenv), k))
+        for s in spec.den:
+            t.dqn(ctx.site(f"{tag}.den[{s}]", eval_affine(s, tenv), k))
+        _keep(out, t, tag, k, env)
+    return out
+
+
+def poch_sum_terms(spec, env, ctx, tag, trunc):
+    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
+    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
+    plain_num, plain_den, pairs, kmin, kmax = _poch_support(
+        spec, env, trunc, num_args, den_args)
+    out = []
+    for k in range(kmin, kmax + 1):
+        t = PochProduct()
+        if spec.alt and (k & 1):
+            t.scale(-1)
+        t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
+        for a in plain_num:
+            t.poch(a, k)
+        for b in plain_den:
+            t.poch(b, k, -1)
+        for a, b in pairs:
+            if k >= 1 and a == -b:
+                t.scale(-1)
+                t.q(-b)
+                t.poch(1 - b, k - 1)
+                t.poch(b + 1, k - 1, -1)
+            else:
+                t.poch(a, k)
+                t.poch(b, k, -1)
+        _keep(out, t, tag, k, env)
+    return out
+
+
+def poch_by_factor(t, e, n, times=1):
+    """t *= (q^e; q)_n^times, one ``factor`` call per (1-q^m): the loop
+    ``PochProduct.poch`` replaced."""
+    if n >= 0:
+        for j in range(n):
+            t.factor(e + j, times)
+    else:
+        for j in range(1, -n + 1):
+            t.factor(e - j, -times)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# the certificate terms of ``qrr.telescoping``, each built at its k
+# ---------------------------------------------------------------------------
+
+
+def _sign(k):
+    return -1 if k & 1 else 1
+
+
+def certificate_terms(l, m, n, u, v, k):
+    """{name: products} for f_k, g_k, F(k), S_k and T_k, transcribed factor
+    by factor from their printed forms."""
+    base1 = (PochProduct().scale(_sign(k)).q((5 * k * k - k) // 2)
+             .qn(l + m).qn(l + n).qn(m + n).qn(u).qn(v).qn(u + v)
+             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
+             .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
+    base2 = (PochProduct().scale(_sign(k))
+             .q((5 * k * k + 3 * k) // 2 + u + v).factor(2 * k + 1)
+             .qn(l + m + 1).qn(m + n + 1).qn(l + n + 1)
+             .qn(u - 1).qn(v - 1).qn(u + v - 1)
+             .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
+             .dqn(l + k + 1).dqn(m + k + 1).dqn(n + k + 1).dqn(u + k).dqn(v + k))
+    head = (PochProduct().scale(_sign(k)).q((5 * k * k - k) // 2)
+            .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
+            .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
+            .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k - 1).dqn(v + k - 1)
+            .factor(l + m + n + u + v + 1))
+    tail = (head.copy().q(k).factor(u - k).factor(v - k)
+            .dfactor(u + k).dfactor(v + k))
+    F = (PochProduct().scale(_sign(k))
+         .q((5 * k * k - 3 * k) // 2 + u + v).factor(l + m + n + k + 1)
+         .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
+         .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
+         .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k - 1).dqn(v + k - 1))
+    s_first = (PochProduct().scale(_sign(k))
+               .q((5 * k * k + 3 * k) // 2).factor(2 * k + 1)
+               .qn(l + m + 1).qn(m + n + 1).qn(l + n + 1)
+               .qn(u - 1).qn(v - 1).qn(u + v - 1)
+               .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
+               .dqn(l + k + 1).dqn(m + k + 1).dqn(n + k + 1).dqn(u + k).dqn(v + k))
+    s_second = (PochProduct().scale(_sign(k))
+                .q((5 * k * k + k) // 2 + l + m + n + 1)
+                .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
+                .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
+                .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
+    t_first = (PochProduct().scale(_sign(k)).q((5 * k * k + 3 * k) // 2)
+               .qn(l + m).qn(l + n).qn(m + n).qn(u - 1).qn(v - 1).qn(u + v - 1)
+               .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
+               .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
+
+    def cross(t, e):
+        return (t.copy().scale(-1).q(e)
+                .factor(l - k).factor(m - k).factor(n - k)
+                .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
+
+    return {"f": [base1, base1.copy().q(k), base2], "g": [head, tail], "F": [F],
+            "S": [s_first, s_second, cross(s_second, 4 * k + 2)],
+            "T": [t_first, cross(t_first, 2 * k + 1)]}

@@ -7,7 +7,12 @@ import dataclasses
 import pytest
 
 from qrr.identities import REGISTRY
-from qrr.identities.framework import eval_affine, parse_affine
+from qrr.identities.framework import (
+    _AFFINE_GLOBALS,
+    eval_affine,
+    parse_affine,
+    parse_affine_row,
+)
 
 ENV = {"l": 3, "m": 5, "n": 2, "u": 7, "v": 4, "k": 1}
 
@@ -41,6 +46,15 @@ def test_refused_forms(expr):
 
 def test_compiled_expression_is_cached():
     assert parse_affine("l+m-k") is parse_affine("l+m-k")
+
+
+def test_a_row_evaluates_each_expression_and_refuses_what_one_would():
+    exprs = ("l+m+n-k+1", "-min(l,m,n,u,v)-1", "m", "- -u")
+    assert (eval(parse_affine_row(exprs), _AFFINE_GLOBALS, ENV)
+            == tuple(eval_affine(s, ENV) for s in exprs))
+    for bad in ("2*k", "min+1", "l+"):
+        with pytest.raises(ValueError, match="affine expression"):
+            parse_affine_row(("l", bad))
 
 
 def _expressions(spec):

@@ -73,6 +73,14 @@ def test_verify_refuses_non_integral_parameters(value):
         verify("ANDREWS1", {"n": value}, 20)
 
 
+def test_verify_refuses_a_trunc_that_disagrees_with_its_context():
+    with pytest.raises(EngineError, match="trunc=30 disagrees"):
+        verify("ANDREWS1", {"n": 3}, 30, ctx=EvalCtx(20))
+    assert verify("ANDREWS1", {"n": 3}, 20, ctx=EvalCtx(20)).trunc == 20
+    assert verify("ANDREWS1", {"n": 3}, ctx=EvalCtx(20)).trunc == 20
+    assert verify_mutated("ANDREWS1", {"n": 3}, "lhs.qpow", 1, trunc=18).trunc == 18
+
+
 def test_default_trunc_comes_from_environment(monkeypatch):
     monkeypatch.delenv("QRR_TRUNC", raising=False)
     assert verify("EULERN1", {"n": 2}).trunc == 60

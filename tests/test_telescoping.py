@@ -65,6 +65,19 @@ def test_telescoping_detects_a_corrupted_increment(monkeypatch):
     assert len(rep.checks) == 12
 
 
+def test_telescoping_detects_a_corrupted_f_term(monkeypatch):
+    # one extra q^5 in f_1 alone: its difference, every partial sum from
+    # k=1 on and every check that reads the reassembled left side break
+    f_terms = telescoping._f_terms
+    monkeypatch.setattr(telescoping, "_f_terms", lambda *a: f_terms(*a) + (
+        [PochProduct().q(5)] if a[-1] == 1 else []))
+    rep = verify_telescoping(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"difference k=1", "partial-sum k=1", "partial-sum k=2",
+                            "partial-sum k=3", "boundary", "sum-splitting",
+                            "lhs-clearing"}
+
+
 def test_telescoping_clearing_checks_bite(monkeypatch):
     # without the cleared factor (1 - q^(l+m+n+u+v+1)) both registry sides
     # disagree with the reassembled sums, and nothing else changes
@@ -99,6 +112,16 @@ def test_negative_parameters_rejected():
         verify_telescoping(-1, 0, 0, 1, 1, 20)
     with pytest.raises(EngineError):
         verify_sk_tk(0, 0, -2, 1, 1, 20)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2", None])
+def test_certificates_refuse_non_integer_parameters(bad, monkeypatch):
+    # refused by name before any term is built
+    monkeypatch.setattr(telescoping, "_a_terms", None)
+    monkeypatch.setattr(telescoping, "_b_terms", None)
+    for certify in (verify_telescoping, verify_sk_tk):
+        with pytest.raises(EngineError, match="parameter m must be an integer"):
+            certify(1, bad, 1, 1, 1, 20)
 
 
 def test_quartic_sides_frozen():

@@ -1,0 +1,177 @@
+"""Term chains against the per-k builders of ``direct_terms.py``.
+
+``_qn_sum_terms`` and ``_poch_sum_terms`` keep one running product per side
+and multiply in only the change of each index from one k to the next.  Here
+every term they build is compared, coefficient, shift and factor powers,
+with the term built from scratch at its k: on every registry side at every
+corner of its default grid, and under every exponent-site perturbation the
+mutation control makes.  A chain step that is off by one must be caught by
+this comparison and by ``engine.verify``.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, strategies as st
+
+import direct_terms
+from qrr import telescoping
+from qrr.identities import REGISTRY, engine, framework
+from qrr.identities.framework import EvalCtx, eval_side_value
+from qrr.pochhammer import PochProduct
+from qrr.series import SeriesError
+from test_prefactor import _corners
+
+
+_slot = st.tuples(st.integers(min_value=-9, max_value=9),
+                  st.integers(min_value=-9, max_value=9),
+                  st.sampled_from([1, -1, 2, -3, 0]))
+
+
+@given(st.lists(_slot, min_size=1, max_size=6))
+def test_poch_matches_one_factor_call_per_index(slots):
+    fast, slow = PochProduct(), PochProduct()
+    for e, n, times in slots:
+        fast.poch(e, n, times)
+        direct_terms.poch_by_factor(slow, e, n, times)
+    assert (fast.coeff, fast.shift, fast.powers) == (slow.coeff, slow.shift, slow.powers)
+
+
+@given(st.integers(min_value=-6, max_value=6),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+       st.sampled_from([1, -1, 2]))
+def test_steps_reach_the_direct_product(e, indices, times):
+    # walking one slot through any sequence of indices, from index 0
+    run, old = PochProduct(), 0
+    for n in indices:
+        run.step(e, old, n, times)
+        old = n
+        want = PochProduct().poch(e, n, times)
+        assert (run.coeff, run.shift, run.powers) == (want.coeff, want.shift, want.powers)
+
+
+def _outcome(build, *args):
+    """The terms as (coeff, shift, powers) triples, or the name of the
+    exception the build raised."""
+    try:
+        terms = build(*args)
+    except SeriesError as exc:
+        return type(exc).__name__
+    return [(t.coeff, t.shift, t.powers) for t in terms]
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """While active, every side the engine sums is built both ways; returns
+    the list of (tag, chained outcome, direct outcome) it fills."""
+    seen = []
+    pairs = ((framework._qn_sum_terms, direct_terms.qn_sum_terms),
+             (framework._poch_sum_terms, direct_terms.poch_sum_terms))
+
+    def both(chained, direct):
+        def run(spec, env, ctx, tag, trunc):
+            got = _outcome(chained, spec, env, ctx, tag, trunc)
+            seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc)))
+            return chained(spec, env, ctx, tag, trunc)
+        return run
+
+    for chained, direct in pairs:
+        monkeypatch.setattr(framework, chained.__name__, both(chained, direct))
+    return seen
+
+
+def _eval_both_sides(rec, env, ctx):
+    for side in ("lhs", "rhs"):
+        try:
+            eval_side_value(rec, side, env, ctx)
+        except SeriesError:
+            pass
+
+
+@pytest.mark.parametrize("trunc", [40, 160])
+def test_registry_sides_chain_to_the_direct_terms(compared, trunc):
+    sides = terms = 0
+    for ident, rec in sorted(REGISTRY.items()):
+        for env in _corners(rec):
+            del compared[:]
+            _eval_both_sides(rec, env, EvalCtx(trunc))
+            for tag, got, want in compared:
+                assert got == want, (ident, env, tag)
+                sides += 1
+                terms += len(got)
+    assert sides > 1500 and terms > 2000
+
+
+def _mutation_probes():
+    """(ident, point, site, delta) for every exponent site of every record at
+    its first off-minimum point, bumped by +1 and -1."""
+    out = []
+    for ident, rec in sorted(REGISTRY.items()):
+        point = {ps.name: ps.low + 1 for ps in rec.params}
+        for site in engine.identity_sites(ident, point, 20):
+            out += [(ident, point, site, delta) for delta in (1, -1)]
+    return out
+
+
+def test_every_perturbed_site_chains_to_the_direct_terms(compared):
+    probes = _mutation_probes()
+    assert len(probes) > 1400
+    built = 0
+    for ident, point, site, delta in probes:
+        kind = "linear" if site.endswith(".qpow") else "const"
+        del compared[:]
+        _eval_both_sides(REGISTRY[ident], point, EvalCtx(20, {site: (kind, delta)}))
+        for tag, got, want in compared:
+            assert got == want, (ident, site, delta, tag)
+        built += len(compared)
+    assert built > len(probes)
+
+
+def _chained_certificate_terms(l, m, n, u, v, count):
+    a = telescoping._a_terms(l, m, n, u, v, count)
+    b = telescoping._b_terms(l, m, n, u, v, count)
+    for k in range(count):
+        yield k, {"f": telescoping._f_terms(a[k], l, m, n, u, v, k),
+                  "g": telescoping._g_terms(a[k], l, m, n, u, v, k),
+                  "F": [telescoping._F_term(a[k], l, m, n, u, v, k)],
+                  "S": telescoping._s_terms(b[k], l, m, n, k),
+                  "T": telescoping._t_terms(b[k], l, m, n, k)}
+
+
+def test_certificate_terms_chain_to_the_direct_terms():
+    # u, v = 0 and k past the support included: zero and pole states too
+    for point in product(range(4), range(4), range(4), range(4), range(4)):
+        for k, chained in _chained_certificate_terms(*point, min(point) + 4):
+            direct = direct_terms.certificate_terms(*point, k)
+            for name, terms in chained.items():
+                assert ([(t.coeff, t.shift, t.powers) for t in terms]
+                        == [(t.coeff, t.shift, t.powers) for t in direct[name]]), \
+                    (point, k, name)
+
+
+# ---------------------------------------------------------------------------
+# negative control: a chain step off by one
+# ---------------------------------------------------------------------------
+
+
+def _off_by_one(self, e, old, new, times=1):
+    # from a nonzero index, start the change at q^(e+old-1), not q^(e+old)
+    start = e + old - 1 if old else e
+    return self.poch(start, new - old, times)
+
+
+def test_an_off_by_one_step_is_caught(monkeypatch, compared):
+    monkeypatch.setattr(PochProduct, "step", _off_by_one)
+    rec = REGISTRY["ANDREWS1"]
+    _eval_both_sides(rec, {"n": 4}, EvalCtx(30))
+    assert any(got != want for _, got, want in compared)
+    chained = dict(_chained_certificate_terms(2, 2, 2, 2, 2, 4))[1]["F"][0]
+    assert chained.powers != direct_terms.certificate_terms(2, 2, 2, 2, 2, 1)["F"][0].powers
+    assert not telescoping.verify_telescoping(2, 2, 2, 2, 2, 30).equal
+    for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
+        params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
+        try:
+            verdict = engine.verify(ident, params, 30).verdict
+        except SeriesError as exc:
+            verdict = type(exc).__name__
+        assert verdict != "EQUAL", ident
