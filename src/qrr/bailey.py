@@ -23,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .series import default_truncation
+from .series import DEFAULT_TRUNCATION, default_truncation
 from .pochhammer import PochProduct, _sign, sum_terms, terms_to_series
 from .identities.framework import (
     EngineError,
     EvalCtx,
+    PochSum,
     VerificationReport,
     _check_params,
+    _poch_sum_terms,
     compare,
     eval_side_value,
 )
@@ -38,6 +40,7 @@ from .identities.engine import get_record
 __all__ = [
     "BaileyPair",
     "CHAIN_TARGETS",
+    "MAX_BAILEY_N",
     "MODES",
     "unit_pair_x1",
     "unit_bilateral_x1",
@@ -55,6 +58,10 @@ MODES = ("one_sided", "bilateral_x1", "bilateral_xq")
 
 # the five-parameter identities chain_reproduce rebuilds from unit pairs
 CHAIN_TARGETS = ("ABCDE1", "ABCDE2", "ABCDE3")
+
+# The largest n_max of verify_pair, and of the command line's chain depth
+# --n: the work grows with a high power of either (the defaults are 8 and 2).
+MAX_BAILEY_N = 40
 
 TermFn = Callable[[int], list]
 
@@ -226,6 +233,8 @@ def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
 def verify_pair(pair: BaileyPair, n_max: int = 10,
                 trunc: int | None = None) -> list[VerificationReport]:
     """Check the defining relation for n = 0..n_max; one report per index."""
+    if n_max > MAX_BAILEY_N:
+        raise EngineError(f"n_max must be at most {MAX_BAILEY_N}, got {n_max}")
     trunc = default_truncation(trunc)
     return [compare(pair.label or "pair", {"n": n}, trunc,
                     sum_terms(pair.beta_terms(n), trunc),
@@ -399,20 +408,21 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
 # reconstruction of the five-parameter identities
 # ---------------------------------------------------------------------------
 
+# the sum of the lattice closed form, at b = q^b and so on
+_LATTICE_SUM = PochSum(quad=(0, 0), lin="1", num=("-N", "1-b", "1-c", "d+e-2"),
+                       den=("1", "d", "e", "2-N-b-c"))
+
+
 def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
     """The hypergeometric closed form of the doubly transformed beta_N on the
     lattice route: (bc/q)_N / ((q, b, c)_N) *
     sum_n (q^-N, q/b, q/c, de/q^2)_n q^n / ((q, d, e, q^{2-N}/bc)_n)."""
     pre = (PochProduct().poch(b + c - 1, N)
            .dqn(N).dpoch(b, N).dpoch(c, N))
-    out = []
-    for n in range(0, N + 1):
-        t = (PochProduct().poch(-N, n).poch(1 - b, n).poch(1 - c, n)
-             .poch(d + e - 2, n).q(n)
-             .dqn(n).dpoch(d, n).dpoch(e, n)
-             .dpoch(2 - N - b - c, n).mul(pre))
-        out.append(t)
-    return out
+    env = {"N": N, "b": b, "c": c, "d": d, "e": e}
+    # unperturbed; the terminating sum never reads the truncation order
+    terms = _poch_sum_terms(_LATTICE_SUM, env, EvalCtx(DEFAULT_TRUNCATION), "lattice", 0)
+    return [t.mul(pre) for t in terms]
 
 
 def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,

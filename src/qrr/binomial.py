@@ -13,6 +13,10 @@ from math import comb, factorial
 
 from .identities.framework import EngineError
 
+# The largest parameter or cycle entry: each sum has O(n) terms of O(n) digits
+# and a sweep repeats it for every n (the acceptance sweeps stop at 20).
+MAX_BINOMIAL_N = 150
+
 __all__ = [
     "binom",
     "cor57_sides",
@@ -34,6 +38,14 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _check_range(values) -> None:
+    """Raise EngineError unless every value lies in 0..MAX_BINOMIAL_N."""
+    if min(values) < 0:
+        raise EngineError("parameters must be nonnegative")
+    if max(values) > MAX_BINOMIAL_N:
+        raise EngineError(f"parameters must be at most {MAX_BINOMIAL_N}, got {max(values)}")
+
+
 def _as_int(x: Fraction, label: str) -> int:
     if x.denominator != 1:
         raise EngineError(f"{label} accumulated to the non-integer {x}")
@@ -42,8 +54,7 @@ def _as_int(x: Fraction, label: str) -> int:
 
 def cor57_sides(l: int, m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """Both sides of the five-fold alternating binomial identity."""
-    if min(l, m, n, u, v) < 0:
-        raise EngineError("parameters must be nonnegative")
+    _check_range((l, m, n, u, v))
     big = max(l, m, n, u, v)
     lhs = sum(
         (-1 if k & 1 else 1)
@@ -64,8 +75,7 @@ def cor57_sides(l: int, m: int, n: int, u: int, v: int) -> tuple[int, int]:
 
 def cor58a_sides(l: int, m: int, n: int, u: int) -> tuple[int, int]:
     """The four-fold variant with a single central column."""
-    if min(l, m, n, u) < 0:
-        raise EngineError("parameters must be nonnegative")
+    _check_range((l, m, n, u))
     big = max(l, m, n, u)
     lhs = sum(
         (-1 if k & 1 else 1)
@@ -86,8 +96,7 @@ def cor58a_sides(l: int, m: int, n: int, u: int) -> tuple[int, int]:
 
 def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """The four-fold variant with a doubled m+n column."""
-    if min(m, n, u, v) < 0:
-        raise EngineError("parameters must be nonnegative")
+    _check_range((m, n, u, v))
     big = max(m, n, u, v)
     lhs = sum(
         (-1 if k & 1 else 1)
@@ -108,8 +117,7 @@ def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
 
 def alt_power_sum(n: int, power: int) -> int:
     """sum_{k=-n}^{n} (-1)^k binom(2n, n+k)^power."""
-    if n < 0:
-        raise EngineError("n must be nonnegative")
+    _check_range((n,))
     return sum(
         (-1 if k & 1 else 1) * binom(2 * n, n + k) ** power
         for k in range(-n, n + 1)
@@ -160,8 +168,7 @@ def general_alt_sum(entries: list[int] | tuple[int, ...]) -> int:
     ns = list(entries)
     if not ns:
         raise EngineError("need at least one entry")
-    if min(ns) < 0:
-        raise EngineError("entries must be nonnegative")
+    _check_range(ns)
     cap = min(ns)
     total = 0
     for k in range(-cap, cap + 1):

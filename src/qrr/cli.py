@@ -11,9 +11,9 @@ alone decides between 0 and 1: 0 when every report has the verdict that
 counts as a pass (``EQUAL``; for ``counterexample``, ``MISMATCH``, the
 reproduced disagreement), else 1.  Exit 2 is for configuration errors
 (unknown identity, malformed ranges, violated preconditions, a grid above
-``engine.MAX_GRID_POINTS`` or a truncation order outside
-1..``series.MAX_TRUNCATION``) and for a run that made no checks, so that a
-vacuous run never exits 0.
+``engine.MAX_GRID_POINTS``, a truncation order outside
+1..``series.MAX_TRUNCATION``, an input above its ``MAX_*`` bound) and for a
+run that made no checks, so that a vacuous run never exits 0.
 
 JSON reports are deterministic: the same command line produces the same
 bytes, so timing is reported as 0.0 there.  Only ``verify`` reports are
@@ -30,6 +30,7 @@ from itertools import groupby
 
 from .bailey import (
     CHAIN_TARGETS,
+    MAX_BAILEY_N,
     chain_reproduce,
     lattice_seed_pair,
     unit_bilateral_x1,
@@ -38,6 +39,7 @@ from .bailey import (
     verify_pair,
 )
 from .binomial import (
+    MAX_BINOMIAL_N,
     bino4_sides,
     bino5_sides,
     cor57_sides,
@@ -298,10 +300,10 @@ def _stock_pairs() -> list:
 
 def cmd_bailey(args) -> int:
     trunc = resolve_trunc(args.trunc)
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
-    if args.n_max < 0:
-        raise ValueError("--n-max must be >= 0: the pair relations would make no checks")
+    if not 0 <= args.n <= MAX_BAILEY_N:
+        raise ValueError(f"--n must be in 0..{MAX_BAILEY_N}, got {args.n}")
+    if not 0 <= args.n_max <= MAX_BAILEY_N:
+        raise ValueError(f"--n-max must be in 0..{MAX_BAILEY_N}, got {args.n_max}")
     reports: list = []
     text_lines: list = []
     if args.chain:
@@ -376,8 +378,8 @@ def cmd_binomial(args) -> int:
         raise ValueError("binomial needs at least one of --bino5/--bino4/"
                          "--divisibility/--cor57/--cor58a/--cor58b/--general")
     n_top = args.n if args.n is not None else 12
-    if n_top < 0:
-        raise ValueError("--n must be >= 0")
+    if not 0 <= n_top <= MAX_BINOMIAL_N:
+        raise ValueError(f"--n must be in 0..{MAX_BINOMIAL_N}, got {n_top}")
     if args.bino5:
         for n in range(n_top + 1):
             lhs, r1, r2 = bino5_sides(n)

@@ -7,7 +7,8 @@ that are pure powers of q; the registry works with their exponent offsets:
 
 with offsets l, m, n, u, v >= 0 (some records need u >= 1 or v >= 1 so a
 (q; q)_{u-1}-type symbol stays meaningful).  Four-parameter records reuse
-the subset of names matching their written form.
+the subset of names matching their written form.  A record's default grid
+declares its parameters: their order, and each floor as the axis start.
 
 QnSum index strings and PochSum argument strings are literal transcriptions
 of the summand: e.g. den entry "l-k" is a (q; q)_{l-k} in the denominator,
@@ -18,16 +19,11 @@ from __future__ import annotations
 
 from .framework import (
     IdentityRecord,
-    ParamSpec,
     PochSum,
     Prefactor,
     QnSum,
     Side,
 )
-
-
-def _params(*names_lows) -> tuple[ParamSpec, ...]:
-    return tuple(ParamSpec(name, low) for name, low in names_lows)
 
 
 def _grid(*entries) -> tuple[tuple[str, int, int], ...]:
@@ -49,7 +45,6 @@ def _add(record: IdentityRecord) -> None:
 
 _add(IdentityRecord(
     ident="ANDREWS1",
-    params=_params(("n", 0)),
     lhs=Side(sum=QnSum(quad=(2, 0), num=(), den=("k", "n-k"),
                        support=("0", "n"))),
     rhs=Side(sum=QnSum(quad=(5, -1), alt=True, num=(),
@@ -61,7 +56,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ANDREWS2",
-    params=_params(("n", 0)),
     lhs=Side(sum=QnSum(quad=(2, 2), num=(), den=("k", "n-k"),
                        support=("0", "n"))),
     rhs=Side(sum=QnSum(quad=(5, -3), alt=True, num=(),
@@ -80,7 +74,6 @@ _SYM5 = ("-min(l,m,n,u,v)", "min(l,m,n,u,v)")
 
 _add(IdentityRecord(
     ident="LMNRS1",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=QnSum(quad=(2, 0),
                        num=("l+m+n-k", "u+v+k"),
                        den=_LMNRS_LHS_DEN,
@@ -96,7 +89,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNRS2",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=QnSum(quad=(2, 2),
                        num=("l+m+n-k+1", "u+v+k+1"),
                        den=("k", "l-k", "m-k", "n-k", "u+k+1", "v+k+1"),
@@ -112,7 +104,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNRS3",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1), ("v", 1)),
     lhs=Side(sum=QnSum(quad=(2, 0),
                        num=("l+m+n-k", "u+v+k-1"),
                        den=_LMNRS_LHS_DEN,
@@ -128,7 +119,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNRS4",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1), ("v", 1)),
     lhs=Side(sum=QnSum(quad=(2, 2),
                        num=("l+m+n-k", "u+v+k-1"),
                        den=_LMNRS_LHS_DEN,
@@ -146,7 +136,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNRS5",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 0)),
     lhs=Side(pre=Prefactor(qn_den=("l+m", "l+n", "u", "v")),
              sum=QnSum(quad=(2, 0),
                        num=("l+m+n-k", "u+v+k"),
@@ -163,7 +152,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNRS6",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 0)),
     lhs=Side(pre=Prefactor(qn_den=("l+m+1", "l+n+1", "u", "v")),
              sum=QnSum(quad=(2, 2),
                        num=("l+m+n-k+1", "u+v+k+1"),
@@ -184,7 +172,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNR1",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0)),
     lhs=Side(sum=QnSum(quad=(2, 0), num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -199,7 +186,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNR2",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0)),
     lhs=Side(sum=QnSum(quad=(2, 2), num=("l+m+n-k+1",),
                        den=("k", "l-k", "m-k", "n-k", "u+k+1"),
                        support=("0", "min(l,m,n)"))),
@@ -214,7 +200,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNR3",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1)),
     lhs=Side(sum=QnSum(quad=(2, 0), num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -229,7 +214,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LMNR4",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1)),
     lhs=Side(sum=QnSum(quad=(2, 2), num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -246,7 +230,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="QINV1",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0)),
     lhs=Side(sum=QnSum(quad=(2, 0), lin="u", num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -261,7 +244,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="QINV2",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0)),
     lhs=Side(sum=QnSum(quad=(2, 0), lin="u+1", num=("l+m+n-k+1",),
                        den=("k", "l-k", "m-k", "n-k", "u+k+1"),
                        support=("0", "min(l,m,n)"))),
@@ -276,7 +258,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="QINV3",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1)),
     lhs=Side(sum=QnSum(quad=(2, 0), lin="u", num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -291,7 +272,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="QINV4",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 1)),
     lhs=Side(sum=QnSum(quad=(2, 0), lin="u-1", num=("l+m+n-k",),
                        den=("k", "l-k", "m-k", "n-k", "u+k"),
                        support=("0", "min(l,m,n)"))),
@@ -310,7 +290,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="EULERMN1",
-    params=_params(("m", 0), ("n", 0)),
     lhs=Side(pre=Prefactor(inf_den=("1",)),
              sum=QnSum(quad=(2, 0), num=(), den=("k", "n-k", "m-k"),
                        support=("0", "min(m,n)"))),
@@ -323,7 +302,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="EULERMN2",
-    params=_params(("m", 0), ("n", 0)),
     lhs=Side(pre=Prefactor(inf_den=("1",)),
              sum=QnSum(quad=(2, 2), num=(), den=("k", "n-k", "m-k"),
                        support=("0", "min(m,n)"))),
@@ -337,7 +315,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="EULERN1",
-    params=_params(("n", 0)),
     lhs=Side(pre=Prefactor(inf_den=("1",)),
              sum=QnSum(quad=(2, 0), num=(), den=("k", "n-k"),
                        support=("0", "n"))),
@@ -350,7 +327,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="EULERN2",
-    params=_params(("n", 0)),
     lhs=Side(pre=Prefactor(inf_den=("1",)),
              sum=QnSum(quad=(2, 2), num=(), den=("k", "n-k"),
                        support=("0", "n"))),
@@ -377,7 +353,6 @@ _PRE6 = Prefactor(inf_num=("1", "n+l+2", "l+m+2", "n+m+2"),
 
 _add(IdentityRecord(
     ident="ABCDE1",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+2",
                          num=_ABCDE_NUM,
                          den=("n+1", "l+1", "m+1", "u+1", "v+1"))),
@@ -391,7 +366,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE2",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+4",
                          num=_ABCDE_NUM,
                          den=("n+2", "l+2", "m+2", "u+2", "v+2"))),
@@ -405,7 +379,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE3",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+2",
                          num=_ABCDE_NUM,
                          den=("n+1", "l+1", "m+1", "u", "v"),
@@ -420,7 +393,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE4",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+1",
                          num=_ABCDE_NUM,
                          den=("n+1", "l+1", "m+1", "u", "v"),
@@ -435,7 +407,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE6_1",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+4",
                          num=_ABCDE_NUM,
                          den=("n+1", "l+2", "m+2", "u+2", "v+2"))),
@@ -449,7 +420,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE6_2",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+4",
                          num=_ABCDE_NUM,
                          den=("n+2", "l+2", "m+2", "u+2", "v+1"))),
@@ -464,7 +434,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE6_3",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+5",
                          num=_ABCDE_NUM,
                          den=("n+1", "l+2", "m+2", "u+2", "v+2"))),
@@ -479,7 +448,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE6_4",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+5",
                          num=_ABCDE_NUM,
                          den=("n+2", "l+2", "m+2", "u+2", "v+1"))),
@@ -494,7 +462,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="ABCDE60",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+5",
                          num=_ABCDE_NUM,
                          den=("n+2", "l+2", "m+2", "u+2", "v+2"))),
@@ -509,7 +476,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="BCDE1",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0)),
     lhs=Side(sum=PochSum(quad=(1, -5), alt=True, lin="n+l+m+u+4",
                          num=("-n", "-l", "-m", "-u"),
                          den=("n+1", "l+1", "m+1", "u+1"))),
@@ -523,7 +489,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="BCDE2",
-    params=_params(("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(1, -1), alt=True, lin="l+m+u+v+4",
                          num=("-l", "-m", "-u", "-v"),
                          den=("l+2", "m+2", "u+2", "v+2"))),
@@ -537,7 +502,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="COR52A",
-    params=_params(("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(1, -5), alt=True, lin="l+m+u+v+4",
                          num=("-l", "-m", "-u", "-v"),
                          den=("l+1", "m+1", "u", "v"),
@@ -552,7 +516,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="COR52B",
-    params=_params(("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(1, -7), alt=True, lin="l+m+u+v+4",
                          num=("-l", "-m", "-u", "-v"),
                          den=("l+1", "m+1", "u", "v"),
@@ -571,7 +534,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="REMARK31",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 1)),
     lhs=Side(sum=QnSum(quad=(2, 0),
                        num=("l+m+n-k", "u+v+k"),
                        den=_LMNRS_LHS_DEN,
@@ -587,7 +549,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="SEC33FINAL",
-    params=_params(("l", 0), ("m", 0), ("n", 0), ("u", 0), ("v", 1)),
     lhs=Side(sum=QnSum(quad=(5, -1), alt=True,
                        num=("l+m", "l+n", "m+n", "u", "v-1", "u+v"),
                        den=("l-k", "m-k", "n-k", "u-k", "v-k",
@@ -603,7 +564,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="SEC33PAIR",
-    params=_params(("n", 0), ("l", 0), ("m", 0), ("u", 0), ("v", 0)),
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+2",
                          num=_ABCDE_NUM,
                          den=("n", "l+1", "m+1", "u+1", "v+1"),
@@ -622,7 +582,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LIU1",
-    params=_params(("n", 0), ("l", 0), ("m", 0)),
     lhs=Side(sum=PochSum(quad=(2, -4), lin="n+l+m+3",
                          num=("-n", "-l", "-m"),
                          den=("n+1", "l+1", "m+1"))),
@@ -637,7 +596,6 @@ _add(IdentityRecord(
 
 _add(IdentityRecord(
     ident="LIU2",
-    params=_params(("n", 0), ("l", 0), ("m", 0)),
     lhs=Side(sum=PochSum(quad=(2, 0), lin="n+l+m+3",
                          num=("-n", "-l", "-m"),
                          den=("n+2", "l+2", "m+2"))),

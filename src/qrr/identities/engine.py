@@ -12,7 +12,6 @@ from typing import Iterable, Iterator
 
 from ..pochhammer import (
     PochProduct,
-    SeriesAccumulator,
     rr_product_side as _rr_product,
     sum_terms,
 )
@@ -27,7 +26,9 @@ from .framework import (
     UnknownIdentity,
     VerificationReport,
     _check_params,
+    _poch_sum_terms,
     _poch_support,
+    _qn_sum_terms,
     _qn_support,
     compare,
     compare_side_values,
@@ -40,6 +41,10 @@ from .framework import (
 # default grid (1,024 points).  A larger grid is refused before any point is
 # built.
 MAX_GRID_POINTS = 100_000
+
+# The largest a_exp of the LIU counterexample.  Its bilateral sum has 2a
+# terms of a factors each; the command line's default is 2.
+MAX_LIU_EXPONENT = 200
 
 
 def get_record(ident: str) -> IdentityRecord:
@@ -169,6 +174,10 @@ def verify_grid(ident: str, ranges: dict[str, tuple[int, int]] | None = None,
     rec = get_record(ident)
     trunc = default_truncation(trunc, fallback=rec.default_trunc)
     points, grid = lazy_grid(rec, ranges)
+    # no point lies above the top corner: checking it refuses the grid at once
+    top = {name: hi for name, _, hi in rec.default_grid}
+    top.update((name, hi) for name, (_, hi) in (ranges or {}).items())
+    _check_params(rec, top)
     return list(verify_points(((ident, p, trunc) for p in grid), points, jobs))
 
 
@@ -228,6 +237,15 @@ def support_bounds(ident: str, side: str, params: dict,
 # ---------------------------------------------------------------------------
 
 
+# the terminating sums of q^(k^2 + extra k) (q)_n / ((q)_k (q)_(n-k)),
+# taken at n = T, and the product each one tends to
+_RR_LIMITS = {
+    which: (QnSum(quad=(2, 2 * extra), num=("n",), den=("k", "n-k"), support=("0", "*")),
+            product)
+    for which, extra, product in (("RR1", 0, "mod5_14"), ("RR2", 1, "mod5_23"))
+}
+
+
 def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     """Stabilised n -> infinity limit of the finite identities.
 
@@ -236,28 +254,13 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     factors all start at exponent T-k+1 and k^2 - k >= 0 pushes them past
     the window — so it must match the corresponding infinite product.
     """
-    if which == "RR1":
-        extra = 0
-        product = "mod5_14"
-    elif which == "RR2":
-        extra = 1
-        product = "mod5_23"
-    else:
+    if which not in _RR_LIMITS:
         raise UnknownIdentity(f"rr_limit_check knows RR1 and RR2, not {which!r}")
+    spec, product = _RR_LIMITS[which]
     trunc = default_truncation(trunc)
-    n = trunc
-    acc = SeriesAccumulator(trunc)
-    k = 0
-    while k * k + extra * k <= trunc and k <= n:
-        t = PochProduct()
-        t.q(k * k + extra * k)
-        t.qn(n)
-        t.dqn(k)
-        t.dqn(n - k)
-        acc.add(t)
-        k += 1
-    rhs = _rr_product(product, trunc)
-    return compare(which, {"n": n}, trunc, acc.value(), (0, list(rhs.coeffs)))
+    env = {"n": trunc}
+    lhs = sum_terms(_qn_sum_terms(spec, env, EvalCtx(trunc), which, trunc), trunc)
+    return compare(which, env, trunc, lhs, (0, list(_rr_product(product, trunc).coeffs)))
 
 
 def liu_closed_form(which: str, a_exp: int) -> PochProduct:
@@ -265,6 +268,14 @@ def liu_closed_form(which: str, a_exp: int) -> PochProduct:
     (q)_inf/(a)_inf = (q; q)_{a_exp-1} for LIU1 and (q)_inf/(aq)_inf =
     (q; q)_{a_exp} for LIU2."""
     return PochProduct().qn(a_exp - 1 if which == "LIU1" else a_exp)
+
+
+# the degenerate left sides at a = q^a: LIU1 sums (q/a)_k / (a)_k a^k q^(k^2-k)
+# over 1-a..a-1, LIU2 (q/a)_k / (aq)_k a^k q^(k^2) over -a..a-1
+_LIU_SUMS = {
+    "LIU1": PochSum(quad=(2, -2), lin="a", num=("1-a",), den=("a",)),
+    "LIU2": PochSum(quad=(2, 0), lin="a", num=("1-a",), den=("a+1",)),
+}
 
 
 def liu_counterexample(which: str, a_exp: int,
@@ -278,31 +289,15 @@ def liu_counterexample(which: str, a_exp: int,
     acquires a (q^0; q)_inf factor and vanishes.  The two sides disagree
     already at q^0.
     """
-    if which not in ("LIU1", "LIU2"):
+    if which not in _LIU_SUMS:
         raise UnknownIdentity(f"liu_counterexample knows LIU1 and LIU2, not {which!r}")
-    if a_exp < 1:
-        raise EngineError(f"the first parameter must be q^e with e >= 1, got e={a_exp}")
+    if not 1 <= a_exp <= MAX_LIU_EXPONENT:
+        raise EngineError(f"the first parameter must be q^e with 1 <= e <= "
+                          f"{MAX_LIU_EXPONENT}, got e={a_exp}")
     trunc = default_truncation(trunc)
-    alpha = a_exp
-    acc = SeriesAccumulator(trunc)
-    if which == "LIU1":
-        # sum over |k| <= alpha-1 of (q/a)_k / (a)_k * a^k q^{k^2-k}
-        for k in range(1 - alpha, alpha):
-            t = PochProduct()
-            t.q(k * k - k + alpha * k)
-            t.poch(1 - alpha, k)
-            t.poch(alpha, k, -1)
-            acc.add(t)
-    else:
-        # sum over -alpha <= k <= alpha-1 of (q/a)_k / (aq)_k * a^k q^{k^2}
-        for k in range(-alpha, alpha):
-            t = PochProduct()
-            t.q(k * k + alpha * k)
-            t.poch(1 - alpha, k)
-            t.poch(alpha + 1, k, -1)
-            acc.add(t)
-    closed = sum_terms([liu_closed_form(which, alpha)], trunc)
-    if compare_side_values(acc.value(), closed, trunc) is not None:
+    terms = _poch_sum_terms(_LIU_SUMS[which], {"a": a_exp}, EvalCtx(trunc), which, trunc)
+    closed = sum_terms([liu_closed_form(which, a_exp)], trunc)
+    if compare_side_values(sum_terms(terms, trunc), closed, trunc) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")
     # the sum equals its closed form through q^trunc, checked just above
     return compare(which, {"a_exp": a_exp}, trunc, closed, (0, [0] * (trunc + 1)))

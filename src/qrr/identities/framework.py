@@ -41,9 +41,9 @@ from typing import Mapping, Sequence
 from ..pochhammer import (
     PochProduct,
     PoleError,
-    SeriesAccumulator,
     div_binomial,
     mul_binomial,
+    sum_terms,
 )
 from ..series import (
     NeedsLaurent,
@@ -212,6 +212,12 @@ class Side:
     zero: bool = False               # the side is literally 0
 
 
+# The largest value of any record parameter.  Every term of a side's support
+# holds O(parameters) factors, so memory grows with their square; the
+# default grids stop at 12.
+MAX_PARAMETER = 200
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
@@ -220,14 +226,20 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """A registered identity; its parameters are the axes of its default grid,
+    in order, each axis starting at the parameter's floor."""
+
     ident: str
-    params: tuple[ParamSpec, ...]
     lhs: Side
     rhs: Side
     citation: str
-    default_grid: tuple[tuple[str, int, int], ...] = ()   # (name, lo, hi)
+    default_grid: tuple[tuple[str, int, int], ...]   # (name, lo, hi)
     default_trunc: int = 40
     expect: str = "equal"            # "equal" | "counterexample"
+
+    @functools.cached_property
+    def params(self) -> tuple[ParamSpec, ...]:
+        return tuple(ParamSpec(name, lo) for name, lo, _ in self.default_grid)
 
     def side(self, name: str) -> Side:
         """The side called ``name``; raises EngineError unless it is "lhs"
@@ -277,6 +289,9 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
             raise EngineError(
                 f"{record.ident}: parameter {ps.name}={value} below admissible minimum {ps.low}"
             )
+        if value > MAX_PARAMETER:
+            raise EngineError(f"{record.ident}: parameter {ps.name}={value} is more "
+                              f"than the limit of {MAX_PARAMETER}")
         env[ps.name] = value
     extra = set(params) - set(env)
     if extra:
@@ -511,7 +526,7 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
     """(offset, coeffs) for one side: coeffs[i] is the coefficient of
     q^(offset+i), exact through q^ctx.trunc."""
     side = record.side(side_name)
-    tag = f"{side_name}"
+    tag = side_name
     trunc = ctx.trunc
     if side.zero:
         return 0, [0] * (trunc + 1)
@@ -525,14 +540,8 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
     if side.sum is None:
         offset, buf = 0, [1] + [0] * window
     else:
-        if isinstance(side.sum, QnSum):
-            terms = _qn_sum_terms(side.sum, env, ctx, tag, window)
-        else:
-            terms = _poch_sum_terms(side.sum, env, ctx, tag, window)
-        acc = SeriesAccumulator(window)
-        for t in terms:
-            acc.add(t)
-        offset, buf = acc.value()
+        build = _qn_sum_terms if isinstance(side.sum, QnSum) else _poch_sum_terms
+        offset, buf = sum_terms(build(side.sum, env, ctx, tag, window), window)
     if pre is not None:
         offset, buf = _apply_prefactor(pre, env, ctx, tag, mono, offset, buf)
     return offset, buf

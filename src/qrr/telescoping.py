@@ -20,8 +20,11 @@ separately on an integer grid.
 Both certificates build their terms along k.  Every f_k, g_k and F(k) is
 A(k), the k-th term of the registry's LMNRS3 right side, times a few
 factors (1 - q^j); every S_k and T_k is B(k) times a few.  A(k) and B(k)
-each come from one running product, in which only the indices that depend
-on k step from one k to the next.  Each F(k) is rendered once, for
+are the terms of two QnSum specs, built by the registry's term chain, in
+which only the indices that depend on k step from one k to the next.  The
+specs are transcribed here from the printed forms, not read from the
+records, so that each certificate stays an independent check of the
+records it ties back to.  Each F(k) is rendered once, for
 k = 0..cap+3, and each f_k and g_k once: the difference and partial-sum
 checks subtract those values and the boundary sums add them up.  S_k and
 T_k are likewise summed once each, for the termwise check and for both
@@ -32,13 +35,16 @@ from __future__ import annotations
 
 from itertools import product
 
-from .series import default_truncation
-from .pochhammer import PochProduct, _sign, mul_binomial, sum_terms
+from .series import DEFAULT_TRUNCATION, default_truncation
+from .pochhammer import PochProduct, mul_binomial, sum_terms
 from .identities.framework import (
     EngineError,
     EvalCtx,
+    QnSum,
     VerificationReport,
     _check_params,
+    _qn_sum_terms,
+    _qn_support,
     compare_checks,
     eval_side_value,
 )
@@ -57,23 +63,42 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _core_chain(top: tuple, lows: tuple, highs: tuple, count: int) -> list:
-    """prod (q)_t / (prod (q)_(a-k) prod (q)_(b+k)) over t in top, a in lows
-    and b in highs, for k = 0..count-1: one running product, of which only
-    the indices a-k and b+k change, one step each per k."""
-    run = PochProduct()
-    for t in top:
-        run.qn(t)
-    for a in lows + highs:
-        run.dqn(a)
-    out = [run.copy()]
-    for k in range(1, count):
-        for a in lows:
-            run.step(1, a - k + 1, a - k, -1)
-        for b in highs:
-            run.step(1, b + k - 1, b + k, -1)
-        out.append(run.copy())
-    return out
+# A(k) and B(k) over k = 0..cap, where every index is nonnegative once
+# u, v >= 1; past cap some denominator index is negative and the term is 0
+_A_SUM = QnSum(quad=(5, -1), alt=True,
+               num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
+               den=("l-k", "m-k", "n-k", "u-k", "v-k",
+                    "l+k", "m+k", "n+k", "u+k-1", "v+k-1"),
+               support=("0", "min(l,m,n,u,v)"))
+_B_SUM = QnSum(quad=(5, 3), alt=True,
+               num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
+               den=("l-k", "m-k", "n-k", "u-k-1", "v-k-1",
+                    "l+k", "m+k", "n+k", "u+k", "v+k"),
+               support=("0", "min(l,m,n,u-1,v-1)"))
+
+# the cleared left side as two one-sided sums over the same denominator
+_SPLIT_DEN = ("k", "l-k", "m-k", "n-k", "u+k", "v+k")
+_SPLIT_SUMS = (
+    QnSum(quad=(2, 0), num=("l+m+n-k", "u+v+k"), den=_SPLIT_DEN,
+          support=("0", "min(l,m,n)")),
+    QnSum(quad=(2, 2), num=("l+m+n-k+1", "u+v+k-1"), den=_SPLIT_DEN,
+          support=("0", "min(l,m,n)")),
+)
+
+# unperturbed, and the finite supports never read its truncation order
+_CTX = EvalCtx(DEFAULT_TRUNCATION)
+
+
+def _core(spec: QnSum, l: int, m: int, n: int, u: int, v: int, count: int) -> list:
+    """The terms of ``spec`` for k = 0..count-1: its chain over the support,
+    then the zero product at every k past it.  A zero term inside the
+    support would shift every later k, so it raises EngineError."""
+    env = {"l": l, "m": m, "n": n, "u": u, "v": v}
+    terms = _qn_sum_terms(spec, env, _CTX, "core", 0)
+    _, cap = _qn_support(spec, env, 0)
+    if len(terms) != cap + 1:
+        raise EngineError(f"certificate core has a zero term in k = 0..{cap} at {env}")
+    return terms + [PochProduct().factor(0) for _ in range(count - cap - 1)]
 
 
 def _a_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
@@ -81,9 +106,7 @@ def _a_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
     (q)_(v-1) (q)_(u+v-1) / ((q)_(l-k) (q)_(m-k) (q)_(n-k) (q)_(u-k) (q)_(v-k)
     (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k-1) (q)_(v+k-1)), k = 0..count-1:
     the product every f_k, g_k and F(k) is a few factors away from."""
-    core = _core_chain((l + m, l + n, m + n, u - 1, v - 1, u + v - 1),
-                       (l, m, n, u, v), (l, m, n, u - 1, v - 1), count)
-    return [t.scale(_sign(k)).q((5 * k * k - k) // 2) for k, t in enumerate(core)]
+    return _core(_A_SUM, l, m, n, u, v, count)
 
 
 def _f_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
@@ -106,10 +129,6 @@ def _g_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
     return [head, tail]
 
 
-def _f_cap(l: int, m: int, n: int, u: int, v: int) -> int:
-    return min(l, m, n, u, v)
-
-
 def _F_term(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
             k: int) -> PochProduct:
     return a_k.copy().q(u + v - k).factor(l + m + n + k + 1)
@@ -128,15 +147,13 @@ def _r0_term(l: int, m: int, n: int, u: int, v: int) -> PochProduct:
 
 
 def _two_sum_terms(l: int, m: int, n: int, u: int, v: int) -> list:
-    """The cleared left side split as two one-sided sums."""
+    """The cleared left side as two one-sided sums, the second times q^(u+v),
+    interleaved: the k-th terms of the two are a few factors apart."""
+    env = {"l": l, "m": m, "n": n, "u": u, "v": v}
+    first, second = (_qn_sum_terms(spec, env, _CTX, "split", 0) for spec in _SPLIT_SUMS)
     out = []
-    for k in range(0, min(l, m, n) + 1):
-        den = (PochProduct().dqn(k).dqn(l - k).dqn(m - k).dqn(n - k)
-               .dqn(u + k).dqn(v + k))
-        out.append(den.copy().q(k * k)
-                   .qn(l + m + n - k).qn(u + v + k))
-        out.append(den.copy().q(k * k + k + u + v)
-                   .qn(l + m + n - k + 1).qn(u + v + k - 1))
+    for a, b in zip(first, second, strict=True):
+        out += [a, b.q(u + v)]
     return out
 
 
@@ -146,9 +163,7 @@ def _b_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
     (q)_(v-k-1) (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k) (q)_(v+k)),
     k = 0..count-1: the first product of T_k, a few factors away from the
     others of S_k and T_k."""
-    core = _core_chain((l + m, l + n, m + n, u - 1, v - 1, u + v - 1),
-                       (l, m, n, u - 1, v - 1), (l, m, n, u, v), count)
-    return [t.scale(_sign(k)).q((5 * k * k + 3 * k) // 2) for k, t in enumerate(core)]
+    return _core(_B_SUM, l, m, n, u, v, count)
 
 
 def _cross(t: PochProduct, l: int, m: int, n: int, k: int, e: int) -> PochProduct:
@@ -198,9 +213,8 @@ def _add_values(a, b, scale: int = 1):
 
 
 def _registry_side(ident: str, env: dict, side: str, trunc: int):
-    rec = get_record(ident)
-    checked = _check_params(rec, env)
-    return eval_side_value(rec, side, checked, EvalCtx(trunc))
+    """One side of a registry record at a point already checked against it."""
+    return eval_side_value(get_record(ident), side, env, EvalCtx(trunc))
 
 
 def _validate(ident: str, params: dict, trunc: int) -> VerificationReport | None:
@@ -242,9 +256,10 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     bad = _validate("telescoping", params, trunc)
     if bad is not None:
         return bad
+    _check_params(get_record("LMNRS3"), params)   # its bounds, before any term
 
     checks = []
-    cap = _f_cap(l, m, n, u, v)
+    cap = min(l, m, n, u, v)
     a = _a_terms(l, m, n, u, v, cap + 4)
     F = [sum_terms([_F_term(a[k], l, m, n, u, v, k)], trunc) for k in range(cap + 4)]
     left = sum_terms([_l0_term(l, m, n, u, v)], trunc)
@@ -285,6 +300,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     bad = _validate("termwise", params, trunc)
     if bad is not None:
         return bad
+    _check_params(get_record("LMNRS4"), params)   # its bounds, before any term
 
     checks = []
     cap = min(l, m, n, u - 1, v - 1)

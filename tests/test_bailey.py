@@ -264,5 +264,12 @@ def test_chain_reproduce_rejects_bad_input():
         chain_reproduce("ABCDE1", 2, 0, 1, 1, 1)
 
 
+def test_relation_index_is_bounded():
+    top = bailey.MAX_BAILEY_N
+    assert len(verify_pair(unit_pair_x1(), n_max=top, trunc=10)) == top + 1
+    with pytest.raises(EngineError, match=f"at most {top}"):
+        verify_pair(unit_pair_x1(), n_max=top + 1, trunc=T)
+
+
 def test_chain_is_case_insensitive():
     assert chain_reproduce("abcde2", 1, trunc=T).equal

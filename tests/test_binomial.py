@@ -9,6 +9,7 @@ import math
 import pytest
 
 from qrr.binomial import (
+    MAX_BINOMIAL_N,
     alt_power_sum,
     binom,
     bino4_sides,
@@ -119,3 +120,14 @@ def test_general_alt_sum_rejects_negatives():
         general_alt_sum([1, -1])
     with pytest.raises(EngineError):
         general_alt_sum([])
+
+
+def test_binomial_inputs_are_bounded():
+    top = MAX_BINOMIAL_N
+    for call in (lambda: alt_power_sum(top + 1, 5), lambda: bino4_sides(top + 1),
+                 lambda: cor57_sides(1, 1, 1, 1, top + 1),
+                 lambda: cor58a_sides(top + 1, 1, 1, 1),
+                 lambda: cor58b_sides(1, top + 1, 1, 1),
+                 lambda: general_alt_sum([2, top + 1])):
+        with pytest.raises(EngineError, match=f"at most {top}"):
+            call()

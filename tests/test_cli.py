@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,25 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
     rc, out, err = run_cli(argv, capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and ("limit" in err or "1..10000" in err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--id", "ANDREWS1", "--range", "n=2000", "--trunc", "20"], "n=2000"),
+    (["verify", "--id", "LMNRS1", "--range", "u=1990..2000", "--trunc", "20", "--jobs", "2"],
+     "u=2000"),
+    (["counterexample", "--which", "liu1", "--a-exp", "800"], "e=800"),
+    (["binomial", "--bino5", "--n", "600"], "--n must be in 0..150"),
+    (["binomial", "--general", "3000,3000"], "at most 150, got 3000"),
+    (["bailey", "--n-max", "240"], "--n-max must be in 0..40"),
+    (["bailey", "--n", "100"], "--n must be in 0..40"),
+    (["telescope", "--params", "1000,1000,1000,1000,1000"], "l=1000"),
+])
+def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and named in err
 
 
 # ---------------------------------------------------------------------------

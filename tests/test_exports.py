@@ -6,7 +6,8 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("module", ["qrr", "qrr.bailey", "qrr.telescoping", "qrr.binomial"])
+@pytest.mark.parametrize("module", ["qrr", "qrr.bailey", "qrr.telescoping", "qrr.binomial",
+                                    "qrr.identities"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert mod.__all__

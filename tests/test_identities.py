@@ -1,5 +1,7 @@
 """Registry records and the verification engine built on them."""
 
+import dataclasses
+
 import pytest
 
 from qrr.identities import (
@@ -19,7 +21,13 @@ from qrr.identities import (
     verify_mutated,
 )
 from qrr.identities import engine
-from qrr.identities.framework import EvalCtx, eval_side_value
+from qrr.identities.framework import (
+    MAX_PARAMETER,
+    EvalCtx,
+    _poch_support,
+    eval_affine,
+    eval_side_value,
+)
 from qrr.series import TruncatedSeries
 
 
@@ -288,6 +296,52 @@ def test_liu_counterexample_checks_its_closed_form(monkeypatch):
     monkeypatch.setattr(engine, "liu_closed_form", lambda w, a: closed(w, a).factor(a + 3))
     with pytest.raises(EngineError, match="disagrees with its closed form"):
         liu_counterexample("LIU1", 2, 20)
+
+
+def test_liu_sums_keep_their_ranges():
+    # LIU1 sums over 1-a..a-1 and LIU2 over -a..a-1, derived from the arguments
+    for a in range(1, 8):
+        env = {"a": a}
+        for which, want in (("LIU1", (1 - a, a - 1)), ("LIU2", (-a, a - 1))):
+            spec = engine._LIU_SUMS[which]
+            args = ([eval_affine(x, env) for x in xs] for xs in (spec.num, spec.den))
+            *_, kmin, kmax = _poch_support(spec, env, 20, *args)
+            assert (kmin, kmax) == want, (which, a)
+
+
+@pytest.mark.parametrize("which, change", [("LIU1", {"den": ("a+1",)}),
+                                           ("LIU2", {"lin": "a+1"})])
+def test_liu_counterexample_refuses_a_corrupted_sum(which, change, monkeypatch):
+    spec = dataclasses.replace(engine._LIU_SUMS[which], **change)
+    monkeypatch.setitem(engine._LIU_SUMS, which, spec)
+    with pytest.raises(EngineError, match="disagrees with its closed form"):
+        liu_counterexample(which, 3, 20)
+
+
+def test_rr_limit_check_detects_a_corrupted_sum(monkeypatch):
+    # the RR2 weight q^(k^2+k) against the RR1 product: they part at q^1
+    spec, product = engine._RR_LIMITS["RR1"]
+    monkeypatch.setitem(engine._RR_LIMITS, "RR1",
+                        (dataclasses.replace(spec, quad=(2, 2)), product))
+    rep = rr_limit_check("RR1", 30)
+    assert rep.verdict == "MISMATCH" and rep.mismatch_index == 1
+    assert dict(rep.lhs_window)[1] == 0 and dict(rep.rhs_window)[1] == 1
+
+
+def test_parameters_above_the_limit_are_refused(monkeypatch):
+    assert verify("ANDREWS1", {"n": MAX_PARAMETER}, 20).equal
+    with pytest.raises(EngineError, match=f"n={MAX_PARAMETER + 1} is more than the limit"):
+        eval_side("ANDREWS1", "lhs", {"n": MAX_PARAMETER + 1}, 20)
+    with pytest.raises(EngineError, match=f"e <= {engine.MAX_LIU_EXPONENT}, got"):
+        liu_counterexample("LIU1", engine.MAX_LIU_EXPONENT + 1, 20)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point was verified")
+
+    # a grid is refused at its top corner, before any of its points
+    monkeypatch.setattr(engine, "verify", no_work)
+    with pytest.raises(EngineError, match=f"v={MAX_PARAMETER + 1} is more than the limit"):
+        verify_grid("LMNRS1", {"v": (0, MAX_PARAMETER + 1)}, 20)
 
 
 def test_mutation_hooks_have_teeth():

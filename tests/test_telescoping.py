@@ -1,9 +1,12 @@
 """The two summation certificates and the quartic polynomial identity."""
 
+import dataclasses
+
 import pytest
 
 from qrr import telescoping
 from qrr.identities import EngineError
+from qrr.identities.framework import MAX_PARAMETER
 from qrr.pochhammer import PochProduct
 from qrr.telescoping import (
     quartic_sides,
@@ -98,6 +101,45 @@ def test_termwise_detects_a_corrupted_t_term(monkeypatch):
                             "rhs-assembly"}
 
 
+def test_telescoping_detects_a_corrupted_a_spec(monkeypatch):
+    # q^k more in every A(k): the increments, the partial sums and every
+    # check that reads the reassembled sides break
+    monkeypatch.setattr(telescoping, "_A_SUM",
+                        dataclasses.replace(telescoping._A_SUM, quad=(5, 1)))
+    rep = verify_telescoping(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"difference k=0", "partial-sum k=0", "partial-sum k=1",
+                            "partial-sum k=2", "partial-sum k=3", "boundary",
+                            "sum-splitting", "lhs-clearing", "rhs-clearing"}
+
+
+def test_telescoping_detects_a_corrupted_split_spec(monkeypatch):
+    first, second = telescoping._SPLIT_SUMS
+    monkeypatch.setattr(telescoping, "_SPLIT_SUMS",
+                        (first, dataclasses.replace(second, quad=(2, 0))))
+    rep = verify_telescoping(1, 1, 1, 1, 1, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"sum-splitting"}
+
+
+def test_termwise_detects_a_corrupted_b_spec(monkeypatch):
+    # q^k more in every B(k) scales S_k and T_k alike, so each termwise
+    # check holds and only the assemblies against the registry break
+    monkeypatch.setattr(telescoping, "_B_SUM",
+                        dataclasses.replace(telescoping._B_SUM, quad=(5, 5)))
+    rep = verify_sk_tk(1, 1, 1, 2, 2, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"lhs-assembly", "rhs-assembly"}
+
+
+def test_certificate_cores_pad_past_the_support():
+    # A(k) is nonzero for k = 0..min(l,m,n,u,v) and the zero product after
+    a = telescoping._a_terms(2, 3, 2, 1, 2, 5)
+    assert [t.state for t in a] == ["ok", "ok", "zero", "zero", "zero"]
+    b = telescoping._b_terms(2, 3, 2, 2, 3, 5)
+    assert [t.state for t in b] == ["ok", "ok", "zero", "zero", "zero"]
+
+
 def test_precondition_reported_not_raised():
     rep = verify_telescoping(1, 1, 1, 0, 1, 30)
     assert rep.verdict == "PRECONDITION"
@@ -112,6 +154,14 @@ def test_negative_parameters_rejected():
         verify_telescoping(-1, 0, 0, 1, 1, 20)
     with pytest.raises(EngineError):
         verify_sk_tk(0, 0, -2, 1, 1, 20)
+
+
+def test_certificates_refuse_oversize_parameters(monkeypatch):
+    monkeypatch.setattr(telescoping, "_a_terms", None)
+    monkeypatch.setattr(telescoping, "_b_terms", None)
+    for certify in (verify_telescoping, verify_sk_tk):
+        with pytest.raises(EngineError, match="more than the limit"):
+            certify(1, 1, MAX_PARAMETER + 1, 1, 1, 20)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "2", None])

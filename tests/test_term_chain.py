@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import direct_terms
 from qrr import telescoping
 from qrr.identities import REGISTRY, engine, framework
-from qrr.identities.framework import EvalCtx, eval_side_value
+from qrr.identities.framework import EngineError, EvalCtx, eval_side_value
 from qrr.pochhammer import PochProduct
 from qrr.series import SeriesError
 from test_prefactor import _corners
@@ -138,15 +138,27 @@ def _chained_certificate_terms(l, m, n, u, v, count):
                   "T": telescoping._t_terms(b[k], l, m, n, k)}
 
 
+def _as_built(terms, in_support):
+    """Each term's (coeff, shift, powers) inside the support of its core, and
+    past it only its state, which must be zero."""
+    if in_support:
+        return [(t.coeff, t.shift, t.powers) for t in terms]
+    return [t.state for t in terms]
+
+
 def test_certificate_terms_chain_to_the_direct_terms():
-    # u, v = 0 and k past the support included: zero and pole states too
-    for point in product(range(4), range(4), range(4), range(4), range(4)):
+    # u, v >= 1, as both certificates require before building any term; k
+    # runs three places past the support, where every term is zero
+    for point in product(range(4), range(4), range(4), range(1, 4), range(1, 4)):
+        l, m, n, u, v = point
+        caps = {"A": min(point), "B": min(l, m, n, u - 1, v - 1)}
         for k, chained in _chained_certificate_terms(*point, min(point) + 4):
             direct = direct_terms.certificate_terms(*point, k)
             for name, terms in chained.items():
-                assert ([(t.coeff, t.shift, t.powers) for t in terms]
-                        == [(t.coeff, t.shift, t.powers) for t in direct[name]]), \
-                    (point, k, name)
+                inside = k <= caps["B" if name in "ST" else "A"]
+                got = _as_built(terms, inside)
+                assert got == _as_built(direct[name], inside), (point, k, name)
+                assert inside or set(got) == {"zero"}, (point, k, name)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +177,13 @@ def test_an_off_by_one_step_is_caught(monkeypatch, compared):
     rec = REGISTRY["ANDREWS1"]
     _eval_both_sides(rec, {"n": 4}, EvalCtx(30))
     assert any(got != want for _, got, want in compared)
-    chained = dict(_chained_certificate_terms(2, 2, 2, 2, 2, 4))[1]["F"][0]
-    assert chained.powers != direct_terms.certificate_terms(2, 2, 2, 2, 2, 1)["F"][0].powers
-    assert not telescoping.verify_telescoping(2, 2, 2, 2, 2, 30).equal
+    # the bad step leaves a zero term inside a certificate core's support,
+    # which the core refuses instead of shifting every later k
+    for build in (telescoping._a_terms, telescoping._b_terms):
+        with pytest.raises(EngineError, match="zero term"):
+            build(2, 2, 2, 2, 2, 4)
+    with pytest.raises(EngineError, match="zero term"):
+        telescoping.verify_telescoping(2, 2, 2, 2, 2, 30)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
         try:
