@@ -258,13 +258,12 @@ class VerificationReport:
     ident: str
     params: dict
     trunc: int
-    verdict: str                     # "EQUAL" | "MISMATCH" | "PRECONDITION"
+    verdict: str                     # "EQUAL" | "MISMATCH"
     mismatch_index: int | None = None
     lhs_window: list | None = None   # [(exponent, coefficient), ...]
     rhs_window: list | None = None
     millis: float = 0.0              # wall time, stamped by engine.verify only
     checks: Sequence = ()            # [(name, "EQUAL" | "MISMATCH"), ...]
-    detail: str = ""                 # why a PRECONDITION point was refused
 
     @property
     def equal(self) -> bool:

@@ -10,34 +10,33 @@ and the difference f_k - g_k telescopes: it equals F(k+1) - F(k) for an
 explicit product F that vanishes for large k.  Everything here checks that
 certificate factor by factor, in exact arithmetic: the per-index difference,
 the partial sums, the reassembled boundary equality, and the tie back to the
-registry identity it certifies.
+registry identity it certifies.  A second certificate covers the q^(k^2+k)
+variant: its two sides regroup into sums over S_k and T_k which agree
+termwise, the equality S_k = T_k being a specialization of a quartic
+polynomial identity that is verified separately on an integer grid.
 
-A second certificate covers the q^(k^2+k) variant: its two sides regroup
-into sums over S_k and T_k which agree termwise, the equality S_k = T_k
-being a specialization of a quartic polynomial identity that is verified
-separately on an integer grid.
-
-Both certificates build their terms along k.  Every f_k, g_k and F(k) is
-A(k), the k-th term of the registry's LMNRS3 right side, times a few
-factors (1 - q^j); every S_k and T_k is B(k) times a few.  A(k) and B(k)
-are the terms of two QnSum specs, built by the registry's term chain, in
-which only the indices that depend on k step from one k to the next.  The
-specs are transcribed here from the printed forms, not read from the
-records, so that each certificate stays an independent check of the
-records it ties back to.  Each F(k) is rendered once, for
-k = 0..cap+3, and each f_k and g_k once: the difference and partial-sum
-checks subtract those values and the boundary sums add them up.  S_k and
-T_k are likewise summed once each, for the termwise check and for both
-assemblies.
+Every certificate term is declared as data in ``_FAMILIES``: a sign, a power
+of q and a few factors (1 - q^j) times the k-th term of a base core, each
+exponent affine in l, m, n, u, v and k.  The cores are QnSum specs built by
+the registry's term chain: A(k), the k-th term of LMNRS3's right side, under
+f_k, g_k and F(k); B(k) under S_k and T_k; a one-term C0 under L0 and R0.
+They are transcribed from the printed forms, not read from the records, so
+that each certificate stays an independent check of the records it ties
+back to.  Every exponent passes through ``ctx.site`` under a name that no
+other declaration uses.  Each quantity is summed once per k, and every check
+that reads it reuses that value.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from itertools import product
 
 from .series import DEFAULT_TRUNCATION, default_truncation
 from .pochhammer import PochProduct, mul_binomial, sum_terms
 from .identities.framework import (
+    _AFFINE_GLOBALS,
     EngineError,
     EvalCtx,
     QnSum,
@@ -47,19 +46,16 @@ from .identities.framework import (
     _qn_support,
     compare_checks,
     eval_side_value,
+    parse_affine_row,
 )
 from .identities.engine import get_record
 
-__all__ = [
-    "verify_telescoping",
-    "verify_sk_tk",
-    "quartic_sides",
-    "verify_quartic_identity",
-]
+__all__ = ["verify_telescoping", "verify_sk_tk", "quartic_sides",
+           "verify_quartic_identity"]
 
 
 # ---------------------------------------------------------------------------
-# certificate pieces, as factored products built along k
+# certificate pieces, declared as data and built along k
 # ---------------------------------------------------------------------------
 
 
@@ -75,6 +71,11 @@ _B_SUM = QnSum(quad=(5, 3), alt=True,
                den=("l-k", "m-k", "n-k", "u-k-1", "v-k-1",
                     "l+k", "m+k", "n+k", "u+k", "v+k"),
                support=("0", "min(l,m,n,u-1,v-1)"))
+# C0, the one-term core of L0 and R0; (q)_l^2 is (q)_(l-k) (q)_(l+k) at
+# k = 0, so that each slot has a site of its own
+_C0_SUM = QnSum(quad=(0, 0), num=("l+m", "l+n", "m+n", "u+v"),
+                den=("l-k", "m-k", "n-k", "l+k", "m+k", "n+k", "u", "v"),
+                support=("0", "0"))
 
 # the cleared left side as two one-sided sums over the same denominator
 _SPLIT_DEN = ("k", "l-k", "m-k", "n-k", "u+k", "v+k")
@@ -89,105 +90,110 @@ _SPLIT_SUMS = (
 _CTX = EvalCtx(DEFAULT_TRUNCATION)
 
 
-def _core(spec: QnSum, l: int, m: int, n: int, u: int, v: int, count: int) -> list:
+@dataclass(frozen=True)
+class _Term:
+    """sign q^qpow prod (1 - q^num) / prod (1 - q^den), times a base term."""
+
+    sign: int = 1
+    qpow: str = "0"
+    num: tuple[str, ...] = ()
+    den: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The terms that make up one certificate quantity at each k."""
+
+    name: str                        # tags its sites
+    base: str                        # "A", "B" or "C0"
+    terms: tuple[_Term, ...]
+
+    @functools.cached_property
+    def row(self):
+        """Every exponent of every term as one compiled row, their sites, and
+        what each does: 0 starts a term at q^e, 1 / -1 multiply / divide it
+        by (1 - q^e)."""
+        exprs, names, times = [], [], []
+        for i, t in enumerate(self.terms):
+            for kind, slots, d in (("qpow", (t.qpow,), 0), ("num", t.num, 1),
+                                   ("den", t.den, -1)):
+                exprs += slots
+                names += [f"{self.name}.{i}.{kind}[{s}]" for s in slots]
+                times += [d] * len(slots)
+        return parse_affine_row(tuple(exprs)), names, times
+
+
+# the printed products, each over its base; R0 divides C0's (q)_(u+v) down
+# to the (q)_(u+v-1) it carries
+_CROSS_DEN = ("l+k+1", "m+k+1", "n+k+1")
+_FAMILIES = {fam.name: fam for fam in (
+    _Family("f", "A", (
+        _Term(num=("u", "v", "u+v"), den=("u+k", "v+k")),
+        _Term(qpow="k", num=("u", "v", "u+v"), den=("u+k", "v+k")),
+        _Term(qpow="k+k+u+v",
+              num=("k+k+1", "l+m+1", "m+n+1", "l+n+1", "u-k", "v-k"),
+              den=_CROSS_DEN + ("u+k", "v+k")))),
+    _Family("g", "A", (
+        _Term(num=("l+m+n+u+v+1",)),
+        _Term(qpow="k", num=("l+m+n+u+v+1", "u-k", "v-k"), den=("u+k", "v+k")))),
+    _Family("F", "A", (_Term(qpow="u+v-k", num=("l+m+n+k+1",)),)),
+    _Family("L0", "C0", (_Term(sign=-1),)),
+    _Family("R0", "C0", (_Term(sign=-1, num=("l+m+n+u+v+1",), den=("u+v",)),)),
+    _Family("S", "B", (
+        _Term(num=("k+k+1", "l+m+1", "m+n+1", "l+n+1"), den=_CROSS_DEN),
+        _Term(qpow="l+m+n+1-k"),
+        _Term(sign=-1, qpow="l+m+n+k+k+k+3", num=("l-k", "m-k", "n-k"),
+              den=_CROSS_DEN))),
+    _Family("T", "B", (
+        _Term(),
+        _Term(sign=-1, qpow="k+k+1", num=("l-k", "m-k", "n-k"), den=_CROSS_DEN))),
+)}
+
+
+def _core(spec: QnSum, tag: str, params: dict, count: int) -> list:
     """The terms of ``spec`` for k = 0..count-1: its chain over the support,
     then the zero product at every k past it.  A zero term inside the
     support would shift every later k, so it raises EngineError."""
-    env = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    terms = _qn_sum_terms(spec, env, _CTX, "core", 0)
-    _, cap = _qn_support(spec, env, 0)
+    terms = _qn_sum_terms(spec, params, _CTX, tag, 0)
+    _, cap = _qn_support(spec, params, 0)
     if len(terms) != cap + 1:
-        raise EngineError(f"certificate core has a zero term in k = 0..{cap} at {env}")
+        raise EngineError(f"{tag}: zero term in k = 0..{cap} at {params}")
     return terms + [PochProduct().factor(0) for _ in range(count - cap - 1)]
 
 
-def _a_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
-    """A(k) = (-1)^k q^((5k^2-k)/2) (q)_(l+m) (q)_(l+n) (q)_(m+n) (q)_(u-1)
-    (q)_(v-1) (q)_(u+v-1) / ((q)_(l-k) (q)_(m-k) (q)_(n-k) (q)_(u-k) (q)_(v-k)
-    (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k-1) (q)_(v+k-1)), k = 0..count-1:
-    the product every f_k, g_k and F(k) is a few factors away from."""
-    return _core(_A_SUM, l, m, n, u, v, count)
-
-
-def _f_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
-             k: int) -> list:
-    base1 = (a_k.copy().factor(u).factor(v).factor(u + v)
-             .dfactor(u + k).dfactor(v + k))
-    base2 = (a_k.copy().q(2 * k + u + v).factor(2 * k + 1)
-             .factor(l + m + 1).factor(m + n + 1).factor(l + n + 1)
-             .factor(u - k).factor(v - k)
-             .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1)
-             .dfactor(u + k).dfactor(v + k))
-    return [base1, base1.copy().q(k), base2]
-
-
-def _g_terms(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
-             k: int) -> list:
-    head = a_k.copy().factor(l + m + n + u + v + 1)
-    tail = (head.copy().q(k).factor(u - k).factor(v - k)
-            .dfactor(u + k).dfactor(v + k))
-    return [head, tail]
-
-
-def _F_term(a_k: PochProduct, l: int, m: int, n: int, u: int, v: int,
-            k: int) -> PochProduct:
-    return a_k.copy().q(u + v - k).factor(l + m + n + k + 1)
-
-
-def _l0_term(l: int, m: int, n: int, u: int, v: int) -> PochProduct:
-    return (PochProduct().scale(-1)
-            .qn(l + m).qn(l + n).qn(m + n).qn(u + v)
-            .qn(l, -2).qn(m, -2).qn(n, -2).dqn(u).dqn(v))
-
-
-def _r0_term(l: int, m: int, n: int, u: int, v: int) -> PochProduct:
-    return (PochProduct().scale(-1).factor(l + m + n + u + v + 1)
-            .qn(l + m).qn(l + n).qn(m + n).qn(u + v - 1)
-            .qn(l, -2).qn(m, -2).qn(n, -2).dqn(u).dqn(v))
-
-
-def _two_sum_terms(l: int, m: int, n: int, u: int, v: int) -> list:
-    """The cleared left side as two one-sided sums, the second times q^(u+v),
-    interleaved: the k-th terms of the two are a few factors apart."""
-    env = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    first, second = (_qn_sum_terms(spec, env, _CTX, "split", 0) for spec in _SPLIT_SUMS)
+def _terms(name: str, cores: dict, params: dict, k: int) -> list:
+    """The k-th terms of family ``name``: each declared term times the k-th
+    term of its base in ``cores``, every exponent passed through its site."""
+    family = _FAMILIES[name]
+    row, names, times = family.row
+    site = _CTX.site
+    base = cores[family.base][k]
     out = []
-    for a, b in zip(first, second, strict=True):
-        out += [a, b.q(u + v)]
+    exps = eval(row, _AFFINE_GLOBALS, dict(params, k=k))
+    for s, e, d in zip(names, exps, times):
+        e = site(s, e, k)
+        if d:
+            t.factor(e, d)
+        else:
+            t = base.copy().q(e)
+            out.append(t)
+    for t, term in zip(out, family.terms):
+        t.coeff *= term.sign
     return out
 
 
-def _b_terms(l: int, m: int, n: int, u: int, v: int, count: int) -> list:
-    """B(k) = (-1)^k q^((5k^2+3k)/2) (q)_(l+m) (q)_(l+n) (q)_(m+n) (q)_(u-1)
-    (q)_(v-1) (q)_(u+v-1) / ((q)_(l-k) (q)_(m-k) (q)_(n-k) (q)_(u-k-1)
-    (q)_(v-k-1) (q)_(l+k) (q)_(m+k) (q)_(n+k) (q)_(u+k) (q)_(v+k)),
-    k = 0..count-1: the first product of T_k, a few factors away from the
-    others of S_k and T_k."""
-    return _core(_B_SUM, l, m, n, u, v, count)
-
-
-def _cross(t: PochProduct, l: int, m: int, n: int, k: int, e: int) -> PochProduct:
-    """-q^e t (1-q^(l-k)) (1-q^(m-k)) (1-q^(n-k))
-    / ((1-q^(l+k+1)) (1-q^(m+k+1)) (1-q^(n+k+1)))."""
-    return (t.copy().scale(-1).q(e)
-            .factor(l - k).factor(m - k).factor(n - k)
-            .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
-
-
-def _s_terms(b_k: PochProduct, l: int, m: int, n: int, k: int) -> list:
-    first = (b_k.copy().factor(2 * k + 1)
-             .factor(l + m + 1).factor(m + n + 1).factor(l + n + 1)
-             .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
-    second = b_k.copy().q(l + m + n + 1 - k)
-    return [first, second, _cross(second, l, m, n, k, 4 * k + 2)]
-
-
-def _t_terms(b_k: PochProduct, l: int, m: int, n: int, k: int) -> list:
-    return [b_k.copy(), _cross(b_k, l, m, n, k, 2 * k + 1)]
+def _two_sum_terms(params: dict) -> list:
+    """The cleared left side as two one-sided sums, the second times q^(u+v),
+    interleaved: the k-th terms of the two are a few factors apart."""
+    count = min(params["l"], params["m"], params["n"]) + 1
+    first, second = (_core(spec, f"split{i}", params, count)
+                     for i, spec in enumerate(_SPLIT_SUMS))
+    return [t for a, b in zip(first, second, strict=True)
+            for t in (a, b.q(params["u"] + params["v"]))]
 
 
 # ---------------------------------------------------------------------------
-# value plumbing
+# the certificates
 # ---------------------------------------------------------------------------
 
 
@@ -217,27 +223,25 @@ def _registry_side(ident: str, env: dict, side: str, trunc: int):
     return eval_side_value(get_record(ident), side, env, EvalCtx(trunc))
 
 
-def _validate(ident: str, params: dict, trunc: int) -> VerificationReport | None:
-    """Raise EngineError, naming the parameter, unless every parameter is a
-    nonnegative integer; report PRECONDITION unless u, v >= 1."""
-    for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise EngineError(
-                f"{ident}: parameter {name} must be an integer, got {value!r}")
-        if value < 0:
-            raise EngineError(
-                f"{ident}: parameter {name}={value} must be nonnegative")
-    if params["u"] < 1 or params["v"] < 1:
-        return VerificationReport(
-            ident, params, trunc, "PRECONDITION",
-            detail="the certificate needs u >= 1 and v >= 1: the regrouped "
-                   "products carry shifted factorials at u-1 and v-1")
-    return None
+# The most work a certificate may take, in coefficient updates: each k of
+# 0..cap+3 whose A(k) starts at or below q^T renders a few terms of up to
+# about min(l+m+n+u+v, T) factors (1 - q^j), one pass over T coefficients
+# each.  At the limit both certificates of a point take about a second.
+MAX_CERTIFICATE_WORK = 2_000_000
 
 
-# ---------------------------------------------------------------------------
-# the certificates
-# ---------------------------------------------------------------------------
+def _checked(ident: str, record: str, point: tuple, trunc: int) -> dict:
+    """The point as parameters, once they are within the record's bounds,
+    u, v >= 1 among them, and its work within MAX_CERTIFICATE_WORK; raises
+    EngineError before any term is built otherwise."""
+    params = _check_params(get_record(record), dict(zip("lmnuv", point)))
+    ks = sum(1 for k in range(min(point) + 4) if 5 * k * k - k <= 2 * trunc)
+    work = ks * min(sum(point), trunc) * trunc
+    if work > MAX_CERTIFICATE_WORK:
+        raise EngineError(
+            f"{ident}: {point} at T={trunc} needs about {work:,} coefficient "
+            f"updates, more than the limit of {MAX_CERTIFICATE_WORK:,}")
+    return params
 
 
 def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
@@ -252,22 +256,20 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     q^(k^2) identity multiplied by (1 - q^(l+m+n+u+v+1)).
     """
     trunc = default_truncation(trunc)
-    params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate("telescoping", params, trunc)
-    if bad is not None:
-        return bad
-    _check_params(get_record("LMNRS3"), params)   # its bounds, before any term
+    params = _checked("telescoping", "LMNRS3", (l, m, n, u, v), trunc)
+    cap = min(l, m, n, u, v)
+    cores = {"A": _core(_A_SUM, "A", params, cap + 4),
+             "C0": _core(_C0_SUM, "C0", params, 1)}
+
+    def value(name: str, k: int):
+        return sum_terms(_terms(name, cores, params, k), trunc)
 
     checks = []
-    cap = min(l, m, n, u, v)
-    a = _a_terms(l, m, n, u, v, cap + 4)
-    F = [sum_terms([_F_term(a[k], l, m, n, u, v, k)], trunc) for k in range(cap + 4)]
-    left = sum_terms([_l0_term(l, m, n, u, v)], trunc)
-    right = sum_terms([_r0_term(l, m, n, u, v)], trunc)
+    F = [value("F", k) for k in range(cap + 4)]
+    left, right = value("L0", 0), value("R0", 0)
     running = (0, [0] * (trunc + 1))
     for k in range(cap + 3):
-        fv = sum_terms(_f_terms(a[k], l, m, n, u, v, k), trunc)
-        gv = sum_terms(_g_terms(a[k], l, m, n, u, v, k), trunc)
+        fv, gv = value("f", k), value("g", k)
         diff = _add_values(fv, gv, -1)
         checks.append((f"difference k={k}", diff, _add_values(F[k + 1], F[k], -1)))
         running = _add_values(running, diff)
@@ -278,7 +280,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     c = l + m + n + u + v + 1
     checks += [
         ("boundary", left, right),
-        ("sum-splitting", left, sum_terms(_two_sum_terms(l, m, n, u, v), trunc)),
+        ("sum-splitting", left, sum_terms(_two_sum_terms(params), trunc)),
         ("lhs-clearing", left,
          _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc), c)),
         ("rhs-clearing", right,
@@ -296,23 +298,17 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     reproduce both registry sides.
     """
     trunc = default_truncation(trunc)
-    params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    bad = _validate("termwise", params, trunc)
-    if bad is not None:
-        return bad
-    _check_params(get_record("LMNRS4"), params)   # its bounds, before any term
+    params = _checked("termwise", "LMNRS4", (l, m, n, u, v), trunc)
+    cap = min(l, m, n, u - 1, v - 1)
+    cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
 
     checks = []
-    cap = min(l, m, n, u - 1, v - 1)
     s_sum = t_sum = (0, [0] * (trunc + 1))
-    b = _b_terms(l, m, n, u, v, cap + 3)
     for k in range(cap + 3):
-        s_k = sum_terms(_s_terms(b[k], l, m, n, k), trunc)
-        t_k = sum_terms(_t_terms(b[k], l, m, n, k), trunc)
+        s_k, t_k = (sum_terms(_terms(name, cores, params, k), trunc) for name in "ST")
         checks.append((f"termwise k={k}", s_k, t_k))
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
-
     checks += [
         ("lhs-assembly", s_sum, _registry_side("LMNRS4", params, "lhs", trunc)),
         ("rhs-assembly", t_sum, _registry_side("LMNRS4", params, "rhs", trunc)),

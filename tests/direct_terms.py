@@ -101,8 +101,8 @@ def _sign(k):
 
 
 def certificate_terms(l, m, n, u, v, k):
-    """{name: products} for f_k, g_k, F(k), S_k and T_k, transcribed factor
-    by factor from their printed forms."""
+    """{name: products} for f_k, g_k, F(k), L0, R0, S_k and T_k, transcribed
+    factor by factor from their printed forms (L0 and R0 do not depend on k)."""
     base1 = (PochProduct().scale(_sign(k)).q((5 * k * k - k) // 2)
              .qn(l + m).qn(l + n).qn(m + n).qn(u).qn(v).qn(u + v)
              .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k).dqn(v - k)
@@ -141,11 +141,19 @@ def certificate_terms(l, m, n, u, v, k):
                .dqn(l - k).dqn(m - k).dqn(n - k).dqn(u - k - 1).dqn(v - k - 1)
                .dqn(l + k).dqn(m + k).dqn(n + k).dqn(u + k).dqn(v + k))
 
+    L0 = (PochProduct().scale(-1)
+          .qn(l + m).qn(l + n).qn(m + n).qn(u + v)
+          .qn(l, -2).qn(m, -2).qn(n, -2).dqn(u).dqn(v))
+    R0 = (PochProduct().scale(-1).factor(l + m + n + u + v + 1)
+          .qn(l + m).qn(l + n).qn(m + n).qn(u + v - 1)
+          .qn(l, -2).qn(m, -2).qn(n, -2).dqn(u).dqn(v))
+
     def cross(t, e):
         return (t.copy().scale(-1).q(e)
                 .factor(l - k).factor(m - k).factor(n - k)
                 .dfactor(l + k + 1).dfactor(m + k + 1).dfactor(n + k + 1))
 
     return {"f": [base1, base1.copy().q(k), base2], "g": [head, tail], "F": [F],
+            "L0": [L0], "R0": [R0],
             "S": [s_first, s_second, cross(s_second, 4 * k + 2)],
             "T": [t_first, cross(t_first, 2 * k + 1)]}

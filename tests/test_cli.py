@@ -299,6 +299,7 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
     (["bailey", "--n-max", "240"], "--n-max must be in 0..40"),
     (["bailey", "--n", "100"], "--n must be in 0..40"),
     (["telescope", "--params", "1000,1000,1000,1000,1000"], "l=1000"),
+    (["telescope", "--params", "200,200,200,200,200", "--trunc", "2000"], "T=2000"),
 ])
 def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
     start = time.perf_counter()
@@ -371,7 +372,7 @@ def test_telescope_precondition(capsys):
         ["telescope", "--params", "1,1,1,0,1", "--trunc", "25"], capsys)
     assert rc == 2
     assert out == ""
-    assert "PRECONDITION" in err
+    assert "parameter u=0 below admissible minimum 1" in err
 
 
 def test_telescope_quartic(capsys):

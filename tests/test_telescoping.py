@@ -6,7 +6,7 @@ import pytest
 
 from qrr import telescoping
 from qrr.identities import EngineError
-from qrr.identities.framework import MAX_PARAMETER
+from qrr.identities.framework import MAX_PARAMETER, EvalCtx
 from qrr.pochhammer import PochProduct
 from qrr.telescoping import (
     quartic_sides,
@@ -55,11 +55,21 @@ def _failed(rep):
     return {name for name, verdict in rep.checks if verdict == "MISMATCH"}
 
 
+def _patch_family(monkeypatch, name, change):
+    """Route the terms of family ``name`` through change(terms, k)."""
+    terms = telescoping._terms
+
+    def patched(which, cores, params, k):
+        out = terms(which, cores, params, k)
+        return change(out, k) if which == name else out
+
+    monkeypatch.setattr(telescoping, "_terms", patched)
+
+
 def test_telescoping_detects_a_corrupted_increment(monkeypatch):
     # F(k) times q: the differences and partial sums that involve a nonzero
     # F(k) break, the checks that never use F do not
-    F = telescoping._F_term
-    monkeypatch.setattr(telescoping, "_F_term", lambda *a: F(*a).q(1))
+    _patch_family(monkeypatch, "F", lambda terms, k: [t.q(1) for t in terms])
     rep = verify_telescoping(1, 1, 1, 1, 1, 30)
     assert rep.verdict == "MISMATCH"
     assert rep.mismatch_index is None
@@ -71,9 +81,8 @@ def test_telescoping_detects_a_corrupted_increment(monkeypatch):
 def test_telescoping_detects_a_corrupted_f_term(monkeypatch):
     # one extra q^5 in f_1 alone: its difference, every partial sum from
     # k=1 on and every check that reads the reassembled left side break
-    f_terms = telescoping._f_terms
-    monkeypatch.setattr(telescoping, "_f_terms", lambda *a: f_terms(*a) + (
-        [PochProduct().q(5)] if a[-1] == 1 else []))
+    _patch_family(monkeypatch, "f", lambda terms, k: terms + (
+        [PochProduct().q(5)] if k == 1 else []))
     rep = verify_telescoping(1, 1, 1, 1, 1, 30)
     assert rep.verdict == "MISMATCH"
     assert _failed(rep) == {"difference k=1", "partial-sum k=1", "partial-sum k=2",
@@ -91,9 +100,7 @@ def test_telescoping_clearing_checks_bite(monkeypatch):
 
 
 def test_termwise_detects_a_corrupted_t_term(monkeypatch):
-    t_terms = telescoping._t_terms
-    monkeypatch.setattr(telescoping, "_t_terms",
-                        lambda *a: t_terms(*a) + [PochProduct().q(a[-1] + 2)])
+    _patch_family(monkeypatch, "T", lambda terms, k: terms + [PochProduct().q(k + 2)])
     rep = verify_sk_tk(1, 1, 1, 1, 1, 30)
     assert rep.verdict == "MISMATCH"
     assert rep.mismatch_index is None
@@ -132,21 +139,66 @@ def test_termwise_detects_a_corrupted_b_spec(monkeypatch):
     assert _failed(rep) == {"lhs-assembly", "rhs-assembly"}
 
 
+def test_telescoping_detects_a_split_spec_that_drops_a_term(monkeypatch):
+    # (q)_(l-k-1) puts a zero at k = l inside the support: refused by name,
+    # not a crash of the interleaving
+    first, second = telescoping._SPLIT_SUMS
+    den = ("k", "l-k-1") + second.den[2:]
+    monkeypatch.setattr(telescoping, "_SPLIT_SUMS",
+                        (first, dataclasses.replace(second, den=den)))
+    with pytest.raises(EngineError, match=r"split1: zero term in k = 0..1 at .*'l': 1"):
+        verify_telescoping(1, 1, 1, 1, 1, 30)
+
+
+@pytest.mark.parametrize("name", sorted(telescoping._FAMILIES))
+def test_every_declared_family_bites(name, monkeypatch):
+    # one more in the last exponent of the family's last term
+    family = telescoping._FAMILIES[name]
+    last = family.terms[-1]
+    slot = "den" if last.den else "num" if last.num else "qpow"
+    if slot == "qpow":
+        last = dataclasses.replace(last, qpow=last.qpow + "+1")
+    else:
+        exps = getattr(last, slot)
+        last = dataclasses.replace(last, **{slot: exps[:-1] + (exps[-1] + "+1",)})
+    monkeypatch.setitem(telescoping._FAMILIES, name, dataclasses.replace(
+        family, terms=family.terms[:-1] + (last,)))
+    certify = verify_sk_tk if family.base == "B" else verify_telescoping
+    assert certify(1, 1, 1, 2, 2, 30).verdict == "MISMATCH"
+
+
+def test_every_site_belongs_to_one_declaration(monkeypatch):
+    names = set()
+    monkeypatch.setattr(telescoping, "_CTX", EvalCtx(30, recorder=names))
+    for certify in (verify_telescoping, verify_sk_tk):
+        assert certify(2, 2, 2, 2, 2, 30).equal
+    # the tag before the first "." names the declaration a site belongs to
+    declared = {"A", "B", "C0", "split0", "split1", *telescoping._FAMILIES}
+    assert {name.split(".")[0] for name in names} == declared
+    # and within a declaration no two slots share a name
+    for family in telescoping._FAMILIES.values():
+        _, sites, _ = family.row
+        assert len(set(sites)) == len(sites), family.name
+    for spec in (telescoping._A_SUM, telescoping._B_SUM, telescoping._C0_SUM,
+                 *telescoping._SPLIT_SUMS):
+        assert len(set(spec.num)) == len(spec.num)
+        assert len(set(spec.den)) == len(spec.den)
+
+
 def test_certificate_cores_pad_past_the_support():
     # A(k) is nonzero for k = 0..min(l,m,n,u,v) and the zero product after
-    a = telescoping._a_terms(2, 3, 2, 1, 2, 5)
+    a = telescoping._core(telescoping._A_SUM, "A", dict(zip("lmnuv", (2, 3, 2, 1, 2))), 5)
     assert [t.state for t in a] == ["ok", "ok", "zero", "zero", "zero"]
-    b = telescoping._b_terms(2, 3, 2, 2, 3, 5)
+    b = telescoping._core(telescoping._B_SUM, "B", dict(zip("lmnuv", (2, 3, 2, 2, 3))), 5)
     assert [t.state for t in b] == ["ok", "ok", "zero", "zero", "zero"]
 
 
-def test_precondition_reported_not_raised():
-    rep = verify_telescoping(1, 1, 1, 0, 1, 30)
-    assert rep.verdict == "PRECONDITION"
-    assert not rep.equal
-    assert "u >= 1" in rep.detail
-    rep2 = verify_sk_tk(1, 1, 1, 1, 0, 30)
-    assert rep2.verdict == "PRECONDITION"
+def test_precondition_refused_by_name():
+    # u, v >= 1 is the floor of LMNRS3 and LMNRS4 themselves
+    with pytest.raises(EngineError, match="parameter u=0 below admissible minimum 1"):
+        verify_telescoping(1, 1, 1, 0, 1, 30)
+    with pytest.raises(EngineError, match="parameter v=0 below admissible minimum 1"):
+        verify_sk_tk(1, 1, 1, 1, 0, 30)
 
 
 def test_negative_parameters_rejected():
@@ -156,19 +208,32 @@ def test_negative_parameters_rejected():
         verify_sk_tk(0, 0, -2, 1, 1, 20)
 
 
+def _no_terms(monkeypatch):
+    monkeypatch.setattr(telescoping, "_core", None)
+    monkeypatch.setattr(telescoping, "_terms", None)
+
+
 def test_certificates_refuse_oversize_parameters(monkeypatch):
-    monkeypatch.setattr(telescoping, "_a_terms", None)
-    monkeypatch.setattr(telescoping, "_b_terms", None)
+    _no_terms(monkeypatch)
     for certify in (verify_telescoping, verify_sk_tk):
         with pytest.raises(EngineError, match="more than the limit"):
             certify(1, 1, MAX_PARAMETER + 1, 1, 1, 20)
 
 
+@pytest.mark.parametrize("point, trunc", [((200,) * 5, 2000), ((20,) * 5, 2000),
+                                          ((6,) * 5, 10000)])
+def test_certificates_refuse_too_much_work(point, trunc, monkeypatch):
+    # each parameter and T within its own bound, refused before any term
+    _no_terms(monkeypatch)
+    for certify in (verify_telescoping, verify_sk_tk):
+        with pytest.raises(EngineError, match="coefficient updates, more than the limit"):
+            certify(*point, trunc)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "2", None])
 def test_certificates_refuse_non_integer_parameters(bad, monkeypatch):
     # refused by name before any term is built
-    monkeypatch.setattr(telescoping, "_a_terms", None)
-    monkeypatch.setattr(telescoping, "_b_terms", None)
+    _no_terms(monkeypatch)
     for certify in (verify_telescoping, verify_sk_tk):
         with pytest.raises(EngineError, match="parameter m must be an integer"):
             certify(1, bad, 1, 1, 1, 20)

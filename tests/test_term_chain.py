@@ -128,14 +128,13 @@ def test_every_perturbed_site_chains_to_the_direct_terms(compared):
 
 
 def _chained_certificate_terms(l, m, n, u, v, count):
-    a = telescoping._a_terms(l, m, n, u, v, count)
-    b = telescoping._b_terms(l, m, n, u, v, count)
+    params = {"l": l, "m": m, "n": n, "u": u, "v": v}
+    cores = {"A": telescoping._core(telescoping._A_SUM, "A", params, count),
+             "B": telescoping._core(telescoping._B_SUM, "B", params, count),
+             "C0": telescoping._core(telescoping._C0_SUM, "C0", params, 1)}
     for k in range(count):
-        yield k, {"f": telescoping._f_terms(a[k], l, m, n, u, v, k),
-                  "g": telescoping._g_terms(a[k], l, m, n, u, v, k),
-                  "F": [telescoping._F_term(a[k], l, m, n, u, v, k)],
-                  "S": telescoping._s_terms(b[k], l, m, n, k),
-                  "T": telescoping._t_terms(b[k], l, m, n, k)}
+        names = ["f", "g", "F", "S", "T"] + (["L0", "R0"] if k == 0 else [])
+        yield k, {name: telescoping._terms(name, cores, params, k) for name in names}
 
 
 def _as_built(terms, in_support):
@@ -179,9 +178,10 @@ def test_an_off_by_one_step_is_caught(monkeypatch, compared):
     assert any(got != want for _, got, want in compared)
     # the bad step leaves a zero term inside a certificate core's support,
     # which the core refuses instead of shifting every later k
-    for build in (telescoping._a_terms, telescoping._b_terms):
+    params = dict.fromkeys("lmnuv", 2)
+    for spec in (telescoping._A_SUM, telescoping._B_SUM):
         with pytest.raises(EngineError, match="zero term"):
-            build(2, 2, 2, 2, 2, 4)
+            telescoping._core(spec, "core", params, 4)
     with pytest.raises(EngineError, match="zero term"):
         telescoping.verify_telescoping(2, 2, 2, 2, 2, 30)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
