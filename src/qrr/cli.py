@@ -75,7 +75,8 @@ ARTIFACT_VERSION = 1
 def parse_ranges(spec: str) -> dict:
     """``"l=0..3,m=0..3"`` -> {"l": (0, 3), "m": (0, 3)}.
 
-    A bare ``name=4`` means the single value 4.
+    A bare ``name=4`` means the single value 4; a parameter may be named
+    only once.
     """
     out = {}
     for piece in spec.split(","):
@@ -87,11 +88,16 @@ def parse_ranges(spec: str) -> dict:
         span = span.strip()
         if not eq or not name or not span:
             raise ValueError(f"range piece {piece!r} is not name=lo..hi")
-        if ".." in span:
-            lo_s, _, hi_s = span.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(span)
+        if name in out:
+            raise ValueError(f"range piece {piece!r} names parameter {name!r} again")
+        try:
+            if ".." in span:
+                lo_s, _, hi_s = span.partition("..")
+                lo, hi = int(lo_s), int(hi_s)
+            else:
+                lo = hi = int(span)
+        except ValueError:
+            raise ValueError(f"range piece {piece!r} has a bound that is not an integer") from None
         if hi < lo:
             raise ValueError(f"range for {name!r} runs backwards: {span}")
         out[name] = (lo, hi)

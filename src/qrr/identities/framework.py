@@ -22,7 +22,10 @@ Pochhammer quotients, (q; q)_a and single binomial denominators, a
 monomial) can multiply either shape.  It is assembled as one
 :class:`PochProduct`, where numerator and denominator infinite products
 cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
-to the summed side in place, one O(T) binomial pass each.  The sum is
+to the summed side in place, one O(T) binomial pass each.  A denominator
+(q^b; q)_inf left without a partner is written (q; q)_(b-1) / (q; q)_inf:
+the finite part joins the product, and the summed side is divided by
+(q; q)_inf in one pass of Euler's pentagonal recurrence.  The sum is
 evaluated through q^(T - mono) so that the prefactor's monomial q^mono
 still leaves the side exact through q^T.  Writing the sides
 this way keeps each record a direct transcription of its printed form, and
@@ -42,6 +45,7 @@ from ..pochhammer import (
     PochProduct,
     PoleError,
     div_binomial,
+    div_euler,
     mul_binomial,
     sum_terms,
 )
@@ -473,12 +477,16 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
 
     The whole prefactor is assembled as one PochProduct.  Pairing the sorted
     numerator and denominator infinite products leaves exact finite
-    quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_{b-a}; only unpaired
-    products are cut, at the top of the buffer.  The factors that survive
-    cancellation in ``powers`` are applied with one binomial pass each, so
-    there is no unit series and no convolution.  ``mono`` is the prefactor's
-    monomial; the caller evaluates it first and sums the side through
-    q^(trunc - mono).
+    quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_{b-a}.  An unpaired
+    denominator that reaches the buffer (b <= top) is rewritten exactly as
+    1/(q^b; q)_inf = (q; q)_{b-1} / (q; q)_inf: the product takes
+    (q; q)_{b-1}, which cancels with the other factors, and the buffer is
+    divided by (q; q)_inf with :func:`div_euler`; b = 0 leaves
+    (q; q)_{-1}, a pole.  An unpaired numerator is cut at the top of the
+    buffer.  The factors that survive cancellation in ``powers`` are applied
+    with one binomial pass each, so there is no unit series and no
+    convolution.  ``mono`` is the prefactor's monomial; the caller evaluates
+    it first and sums the side through q^(trunc - mono).
     """
     def args(exprs: tuple[str, ...], kind: str) -> list[int]:
         return [ctx.site(f"{tag}.pre.{kind}[{s}]", eval_affine(s, env)) for s in exprs]
@@ -497,8 +505,9 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
         p.poch(a, b - a)
     for a in inf_num[len(inf_den):]:
         p.poch(a, max(top + 1 - a, 0))
-    for b in inf_den[len(inf_num):]:
-        p.poch(b, max(top + 1 - b, 0), -1)
+    euler = [b for b in inf_den[len(inf_num):] if b <= top]
+    for b in euler:
+        p.qn(b - 1)
     for a in qn_den:
         p.dqn(a)
     for a in bin_den:
@@ -509,6 +518,8 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
         return offset + p.shift, [0] * len(buf)
     if st == "pole":
         raise PoleError(f"{tag}: the prefactor has a (1 - q^0) in its denominator")
+    for _ in euler:
+        div_euler(buf)
     for m, t in p.powers.items():
         if m <= top:
             kernel = mul_binomial if t > 0 else div_binomial

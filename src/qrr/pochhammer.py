@@ -70,6 +70,42 @@ def div_binomial(buf: list, m: int, lo: int = 0) -> None:
             buf[i] += buf[i - m]
 
 
+def _pentagonal_pairs(reach: int) -> list:
+    """(k(3k-1)/2, k(3k+1)/2, k odd) for each k >= 1 with k(3k-1)/2 <= reach:
+    the exponents past q^0 of (q; q)_inf = sum_k (-1)^k q^(k(3k-1)/2), in
+    pairs that share the sign (-1)^k."""
+    pairs = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= reach:
+        g = k * (3 * k - 1) // 2
+        pairs.append((g, g + k, k & 1))
+        k += 1
+    return pairs
+
+
+def div_euler(buf: list, lo: int = 0) -> None:
+    """In place: buf /= (q; q)_inf = prod_{m>=1} (1 - q^m) through the top
+    of buf, where buf[:lo] is all zero.
+
+    By Euler's pentagonal number theorem the quotient y of x satisfies
+    y_i = x_i + y_(i-1) + y_(i-2) - y_(i-5) - y_(i-7) + y_(i-12) + ...
+    over the generalized pentagonal numbers g <= i - lo: about
+    2 sqrt(2n/3) terms per coefficient, n = len(buf), where one binomial
+    pass per factor (1 - q^m) would take n.
+    """
+    n = len(buf)
+    pairs = _pentagonal_pairs(n - 1 - lo)
+    for i in range(lo + 1, n):
+        reach = i - lo
+        acc = buf[i]
+        for g, h, odd in pairs:
+            if g > reach:
+                break
+            x = buf[i - g] + buf[i - h] if h <= reach else buf[i - g]
+            acc = acc + x if odd else acc - x
+        buf[i] = acc
+
+
 # ---------------------------------------------------------------------------
 # the Rogers-Ramanujan products
 # ---------------------------------------------------------------------------

@@ -300,6 +300,16 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
     (["bailey", "--n", "100"], "--n must be in 0..40"),
     (["telescope", "--params", "1000,1000,1000,1000,1000"], "l=1000"),
     (["telescope", "--params", "200,200,200,200,200", "--trunc", "2000"], "T=2000"),
+    (["verify", "--id", "EULERN1", "--range", "n=1..3,n=2"],
+     "range piece 'n=2' names parameter 'n' again"),
+    (["verify", "--id", "EULERMN1", "--range", "m=0..1, n=2 ,m=1"],
+     "range piece 'm=1' names parameter 'm' again"),
+    (["verify", "--id", "EULERN1", "--range", "n=x..3"],
+     "range piece 'n=x..3' has a bound that is not an integer"),
+    (["verify", "--id", "EULERN1", "--range", "n=1..2.5"],
+     "range piece 'n=1..2.5' has a bound that is not an integer"),
+    (["verify", "--id", "EULERN1", "--range", "n=1.."],
+     "range piece 'n=1..' has a bound that is not an integer"),
 ])
 def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
     start = time.perf_counter()

@@ -10,7 +10,7 @@ shares no code with the engine.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dense_oracle import as_dict, expand, poch
 from per_term import render_unit
@@ -18,6 +18,8 @@ from qrr.pochhammer import (
     PochProduct,
     PoleError,
     SeriesAccumulator,
+    div_binomial,
+    div_euler,
     rr_product_side,
     sum_terms,
     terms_to_series,
@@ -307,3 +309,37 @@ def test_sum_terms_matches_dense_oracle(drawn, trunc):
             sum_terms(terms, trunc)
         return
     assert as_dict(sum_terms(terms, trunc), trunc) == {e: c for e, c in want.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# division by (q; q)_inf against one binomial pass per factor
+# ---------------------------------------------------------------------------
+
+
+_coeff = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@given(st.lists(st.tuples(_coeff, st.integers(min_value=0, max_value=30)), max_size=40),
+       st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
+@example(runs=[(7, 0)], n=0, lo=0)
+@example(runs=[(7, 0)], n=1, lo=0)
+@example(runs=[(7, 0), (-3, 0)], n=2, lo=0)
+@example(runs=[(7, 0), (-3, 0)], n=2, lo=1)
+@example(runs=[(10**30, 3), (-10**30, 0)], n=200, lo=17)
+def test_div_euler_matches_binomial_passes(runs, n, lo):
+    # coefficients with runs of zeros after each, from buf[lo] on
+    lo = min(lo, n)
+    body = [x for c, zeros in runs for x in [c] + [0] * zeros]
+    buf = [0] * lo + (body + [0] * n)[:n - lo]
+    want = list(buf)
+    for m in range(1, n):
+        div_binomial(want, m, lo)
+    div_euler(buf, lo)
+    assert buf == want
+
+
+def test_div_euler_gives_partition_numbers():
+    buf = [1] + [0] * 100
+    div_euler(buf)
+    assert buf[:12] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+    assert buf[100] == 190569292

@@ -9,14 +9,17 @@ and compared coefficient for coefficient.
 """
 
 import dataclasses
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from dense_oracle import as_dict, convolve, expand
-from qrr.identities import REGISTRY, get_record
+from qrr import pochhammer
+from qrr.identities import REGISTRY, engine, framework, get_record
 from qrr.identities.framework import EvalCtx, Side, eval_affine, eval_side_value
+from qrr.pochhammer import PoleError
 
 PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
                    for side in ("lhs", "rhs")
@@ -35,22 +38,28 @@ def _dense_unit(inf_num, inf_den, qn_den, bin_den, trunc):
     return [unit.get(e, 0) for e in range(trunc + 1)]
 
 
-def dense_side(rec, side_name, env, trunc, mono_delta=0):
+def dense_side(rec, side_name, env, trunc, shifts=None):
     """{exponent: coefficient} through q^trunc: the engine's sum without its
-    prefactor, times the prefactor expanded densely."""
+    prefactor, times the prefactor expanded densely.  ``shifts`` maps
+    prefactor site names to a constant added to their values, as a
+    ("const", d) mutation does."""
     side = getattr(rec, side_name)
     pre = side.pre
+    shifts = shifts or {}
 
-    def vals(exprs):
-        return tuple(eval_affine(s, env) for s in exprs)
+    def value(kind, s):
+        return eval_affine(s, env) + shifts.get(f"{side_name}.pre.{kind}[{s}]", 0)
 
-    mono = eval_affine(pre.mono, env) + mono_delta
+    def vals(exprs, kind):
+        return tuple(value(kind, s) for s in exprs)
+
+    mono = value("mono", pre.mono)
     bare = dataclasses.replace(rec, **{side_name: Side(sum=side.sum)})
     off, buf = eval_side_value(bare, side_name, env, EvalCtx(trunc - mono)) \
         if side.sum is not None else (0, [1])
     width = trunc - mono - off
-    unit = _dense_unit(vals(pre.inf_num), vals(pre.inf_den),
-                       vals(pre.qn_den), vals(pre.bin_den), width)
+    unit = _dense_unit(vals(pre.inf_num, "infnum"), vals(pre.inf_den, "infden"),
+                       vals(pre.qn_den, "qnden"), vals(pre.bin_den, "binden"), width)
     return as_dict((mono + off, convolve(buf, unit, width + 1)), trunc)
 
 
@@ -83,7 +92,7 @@ def test_mutated_monomial_matches_dense_product(trunc):
     env = {"n": 2, "l": 1, "m": 2, "u": 0, "v": 1}
     ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[v]": ("const", -2)})
     got = as_dict(eval_side_value(rec, "rhs", env, ctx), trunc)
-    want = dense_side(rec, "rhs", env, trunc, mono_delta=-2)
+    want = dense_side(rec, "rhs", env, trunc, {"rhs.pre.mono[v]": -2})
     assert min(want) == -1 and max(want) == trunc
     assert got == want
 
@@ -99,3 +108,82 @@ def test_negative_monomial_keeps_top_coefficients():
         values[trunc] = as_dict(eval_side_value(rec, "rhs", env, ctx), 20)
     assert values[20][20] == -265
     assert values[20] == values[25]
+
+
+# The EULER records' left sides carry the registry's only unpaired infinite
+# product, 1/(q^b; q)_inf with b = 1: the engine divides by (q; q)_inf and
+# multiplies by (q; q)_(b-1).  Moving b covers that rewrite with a finite
+# part, on both sides of the top of the buffer (b = T is the last b that
+# reaches it), against the dense oracle's cut product.
+EULER_SITE = "lhs.pre.infden[1]"
+
+
+@pytest.mark.parametrize("ident", ["EULERMN1", "EULERN1"])
+@pytest.mark.parametrize("times_t, plus", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 40)],
+                         ids=["1", "2", "T-1", "T", "T+40"])
+def test_moved_euler_denominator_matches_dense_product(ident, times_t, plus):
+    rec = get_record(ident)
+    for trunc in (40, 160):
+        d = times_t * trunc + plus
+        ctx = EvalCtx(trunc, mutations={EULER_SITE: ("const", d)})
+        for env in _corners(rec):
+            got = as_dict(eval_side_value(rec, "lhs", env, ctx), trunc)
+            assert got == dense_side(rec, "lhs", env, trunc, {EULER_SITE: d}), (env, trunc, d)
+
+
+@pytest.mark.parametrize("ident", ["EULERMN1", "EULERN1"])
+def test_euler_denominator_at_q0_is_a_pole(ident):
+    rec = get_record(ident)
+    env = {ps.name: 2 for ps in rec.params}
+    ctx = EvalCtx(40, mutations={EULER_SITE: ("const", -1)})
+    with pytest.raises(PoleError):
+        eval_side_value(rec, "lhs", env, ctx)
+
+
+@pytest.mark.parametrize("at, wrong, first", [
+    (0, (2, 2, 1), 1),          # q^1 read as q^2
+    (1, (5, 8, 0), 7),          # q^7 read as q^8
+    (2, (12, 15, 0), 12),       # q^12 and q^15 with the sign of q^5 and q^7
+    (9, (145, 155, 1), 145),    # q^145 and q^155 with the sign of q^117 and q^126
+])
+def test_a_wrong_pentagonal_term_is_a_mismatch(at, wrong, first, monkeypatch):
+    # (k(3k-1)/2, k(3k+1)/2, k odd) at index k - 1 replaced by ``wrong``
+    honest = pochhammer._pentagonal_pairs
+
+    def pairs(reach):
+        out = honest(reach)
+        if at < len(out):
+            out[at] = wrong
+        return out
+
+    monkeypatch.setattr(pochhammer, "_pentagonal_pairs", pairs)
+    rep = engine.verify("EULERMN1", {"m": 4, "n": 5}, 160)
+    assert rep.verdict == "MISMATCH" and rep.mismatch_index == first
+
+
+@pytest.mark.parametrize("ident, env", [("EULERMN1", {"m": 4, "n": 5}),
+                                        ("EULERN1", {"n": 5})])
+def test_unpaired_euler_product_is_one_division(ident, env, monkeypatch):
+    # Kernel calls while the left side is evaluated at T=160: the prefactor's
+    # through framework's bindings, the sum's through pochhammer's.  Cutting
+    # 1/(q; q)_inf at the top took 160 prefactor passes here, on top of the
+    # sum's 19 (EULERMN1) and 13 (EULERN1).
+    calls = Counter()
+
+    def count(owner, name):
+        kernel = getattr(owner, name)
+        key = (owner.__name__.rsplit(".", 1)[-1], name)
+
+        def counted(*args):
+            calls[key] += 1
+            return kernel(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("mul_binomial", "div_binomial", "div_euler"):
+        count(framework, name)
+    for name in ("mul_binomial", "div_binomial"):
+        count(pochhammer, name)
+    eval_side_value(get_record(ident), "lhs", env, EvalCtx(160))
+    assert calls.pop(("framework", "div_euler")) == 1
+    assert not any(n for (owner, _), n in calls.items() if owner == "framework")
+    assert 0 < sum(calls.values()) <= 30

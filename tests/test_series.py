@@ -109,6 +109,7 @@ TRUNC_CALLS = {
 WORK = [(PochProduct, "__init__"), (SeriesAccumulator, "__init__"),
         (pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
         (framework, "mul_binomial"), (framework, "div_binomial"),
+        (framework, "div_euler"),
         (framework, "eval_affine"), (engine, "eval_affine")]
 
 
