@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .series import DEFAULT_TRUNCATION, default_truncation
+from .series import default_truncation
 from .pochhammer import PochProduct, _sign, sum_terms, terms_to_series
 from .identities.framework import (
+    UNPERTURBED,
     EngineError,
-    EvalCtx,
     PochSum,
     VerificationReport,
     _check_params,
@@ -64,6 +64,14 @@ CHAIN_TARGETS = ("ABCDE1", "ABCDE2", "ABCDE3")
 MAX_BAILEY_N = 40
 
 TermFn = Callable[[int], list]
+
+
+def _check_index(name: str, value) -> None:
+    """Refuse an index that is not an integer in 0..MAX_BAILEY_N."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 0 <= value <= MAX_BAILEY_N):
+        raise EngineError(f"{name} must be an integer >= 0 and at most "
+                          f"{MAX_BAILEY_N}, got {value!r}")
 
 
 def _binom2(n: int) -> int:
@@ -233,8 +241,7 @@ def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
 def verify_pair(pair: BaileyPair, n_max: int = 10,
                 trunc: int | None = None) -> list[VerificationReport]:
     """Check the defining relation for n = 0..n_max; one report per index."""
-    if n_max > MAX_BAILEY_N:
-        raise EngineError(f"n_max must be at most {MAX_BAILEY_N}, got {n_max}")
+    _check_index("n_max", n_max)
     trunc = default_truncation(trunc)
     return [compare(pair.label or "pair", {"n": n}, trunc,
                     sum_terms(pair.beta_terms(n), trunc),
@@ -247,8 +254,7 @@ def verify_pair(pair: BaileyPair, n_max: int = 10,
 # ---------------------------------------------------------------------------
 
 
-def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
-                label: str | None = None) -> BaileyPair:
+def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
     """One move along the Bailey chain with rho_i = q^rho_i_exp.
 
     Keeps the mode and the parameter x; multiplies alpha_r by
@@ -278,8 +284,8 @@ def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
         return [t.mul(m) for t in old_alpha(r)]
 
     beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
-    name = label or f"step[{rho1_exp},{rho2_exp}]({pair.label})"
-    return BaileyPair(pair.mode, x, alpha, beta, label=name)
+    return BaileyPair(pair.mode, x, alpha, beta,
+                      label=f"step[{rho1_exp},{rho2_exp}]({pair.label})")
 
 
 def _beta_transform(old_beta: TermFn, rho1_exp: int, rho2_exp: int,
@@ -303,8 +309,7 @@ def _beta_transform(old_beta: TermFn, rho1_exp: int, rho2_exp: int,
     return beta
 
 
-def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
-                 label: str | None = None) -> BaileyPair:
+def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
     """One move along the Bailey lattice: x -> x/q.
 
     Takes a one-sided pair with parameter x and returns a one-sided pair
@@ -342,8 +347,8 @@ def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
         return out
 
     beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
-    name = label or f"lattice[{rho1_exp},{rho2_exp}]({pair.label})"
-    return BaileyPair("one_sided", x - 1, alpha, beta, label=name)
+    return BaileyPair("one_sided", x - 1, alpha, beta,
+                      label=f"lattice[{rho1_exp},{rho2_exp}]({pair.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +371,7 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     all integers (the weights terminate the sum on both ends); bilateral
     pairs with x = q carry the extra 1/(1-q) that their fold introduces.
     """
-    if N < 0:
-        raise EngineError("the terminating parameter N must be >= 0")
+    _check_index("the terminating parameter N", N)
     trunc = default_truncation(trunc)
     x = pair.x_exp
     if rho1_exp > x or rho2_exp > x:
@@ -408,6 +412,10 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
 # reconstruction of the five-parameter identities
 # ---------------------------------------------------------------------------
 
+# the context of the lattice sum, read at each call so that a test can
+# perturb it
+_CTX = UNPERTURBED
+
 # the sum of the lattice closed form, at b = q^b and so on
 _LATTICE_SUM = PochSum(quad=(0, 0), lin="1", num=("-N", "1-b", "1-c", "d+e-2"),
                        den=("1", "d", "e", "2-N-b-c"))
@@ -420,8 +428,8 @@ def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
     pre = (PochProduct().poch(b + c - 1, N)
            .dqn(N).dpoch(b, N).dpoch(c, N))
     env = {"N": N, "b": b, "c": c, "d": d, "e": e}
-    # unperturbed; the terminating sum never reads the truncation order
-    terms = _poch_sum_terms(_LATTICE_SUM, env, EvalCtx(DEFAULT_TRUNCATION), "lattice", 0)
+    # the terminating sum never reads the truncation order
+    terms = _poch_sum_terms(_LATTICE_SUM, env, _CTX, "lattice", 0)
     return [t.mul(pre) for t in terms]
 
 
@@ -454,8 +462,7 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
               "u": d_exp - 1, "v": e_exp - 1}
     rec = get_record(key)
     env = _check_params(rec, params)
-    ctx = EvalCtx(trunc)
-    target = eval_side_value(rec, "lhs", env, ctx)
+    target = eval_side_value(rec, "lhs", env, trunc)
 
     if key == "ABCDE3":
         stepped = bailey_step(lattice_seed_pair(), 2 - d_exp, 2 - e_exp)

@@ -536,10 +536,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownIdentity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EngineError, ValueError, OSError) as exc:
+    except (UnknownIdentity, EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ from ..pochhammer import (
 from ..series import TruncatedSeries, default_truncation, power_series
 from .catalog import REGISTRY
 from .framework import (
+    UNPERTURBED,
     EngineError,
     EvalCtx,
     IdentityRecord,
@@ -26,6 +27,7 @@ from .framework import (
     UnknownIdentity,
     VerificationReport,
     _check_params,
+    _poch_slots,
     _poch_sum_terms,
     _poch_support,
     _qn_sum_terms,
@@ -71,23 +73,18 @@ def _usable_cpus() -> int:
 
 
 def verify(ident: str, params: dict, trunc: int | None = None,
-           ctx: EvalCtx | None = None) -> VerificationReport:
-    """Evaluate both sides of one identity at one parameter point and compare
-    every coefficient through the truncation order.  This is the one check
-    whose report carries its wall time, in ``millis``.  With a ``ctx``, its
-    truncation order applies; passing a different ``trunc`` as well raises
-    EngineError."""
+           ctx: EvalCtx = UNPERTURBED) -> VerificationReport:
+    """Evaluate both sides of one identity at one parameter point, with the
+    perturbations of ``ctx``, and compare every coefficient through the
+    truncation order (QRR_TRUNC or else 60 when ``trunc`` is None).  This is
+    the one check whose report carries its wall time, in ``millis``."""
     rec = get_record(ident)
-    if ctx is None:
-        ctx = EvalCtx(trunc)
-    elif trunc is not None and trunc != ctx.trunc:
-        raise EngineError(f"{ident}: trunc={trunc} disagrees with the context's "
-                          f"truncation order {ctx.trunc}")
+    trunc = default_truncation(trunc)
     start = time.perf_counter()
     env = _check_params(rec, params)
-    lhs = eval_side_value(rec, "lhs", env, ctx)
-    rhs = eval_side_value(rec, "rhs", env, ctx)
-    rep = compare(ident, dict(env), ctx.trunc, lhs, rhs)
+    lhs = eval_side_value(rec, "lhs", env, trunc, ctx)
+    rhs = eval_side_value(rec, "rhs", env, trunc, ctx)
+    rep = compare(ident, dict(env), trunc, lhs, rhs)
     rep.millis = (time.perf_counter() - start) * 1000.0
     return rep
 
@@ -203,9 +200,9 @@ def eval_side(ident: str, side: str, params: dict,
     (individual terms may pass through them; only the total matters).
     """
     rec = get_record(ident)
-    ctx = EvalCtx(trunc)
+    trunc = default_truncation(trunc)
     env = _check_params(rec, params)
-    return power_series(eval_side_value(rec, side, env, ctx), ctx.trunc,
+    return power_series(eval_side_value(rec, side, env, trunc), trunc,
                         f"{ident} {side}")
 
 
@@ -226,16 +223,18 @@ def support_bounds(ident: str, side: str, params: dict,
     if isinstance(s, QnSum):
         return _qn_support(s, env, trunc)
     assert isinstance(s, PochSum)
-    *_, kmin, kmax = _poch_support(s, env, trunc,
-                                   [eval_affine(t, env) for t in s.num],
-                                   [eval_affine(t, env) for t in s.den])
-    return kmin, kmax
+    return _poch_support(s, env, trunc, *_poch_slots(
+        s, [eval_affine(t, env) for t in s.num], [eval_affine(t, env) for t in s.den]))
 
 
 # ---------------------------------------------------------------------------
 # the q -> 1 free and the n -> infinity Rogers-Ramanujan limits
 # ---------------------------------------------------------------------------
 
+
+# the context of the sums below, read at each call so that a test can
+# perturb them
+_CTX = UNPERTURBED
 
 # the terminating sums of q^(k^2 + extra k) (q)_n / ((q)_k (q)_(n-k)),
 # taken at n = T, and the product each one tends to
@@ -259,7 +258,7 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     spec, product = _RR_LIMITS[which]
     trunc = default_truncation(trunc)
     env = {"n": trunc}
-    lhs = sum_terms(_qn_sum_terms(spec, env, EvalCtx(trunc), which, trunc), trunc)
+    lhs = sum_terms(_qn_sum_terms(spec, env, _CTX, which, trunc), trunc)
     return compare(which, env, trunc, lhs, (0, list(_rr_product(product, trunc).coeffs)))
 
 
@@ -291,11 +290,12 @@ def liu_counterexample(which: str, a_exp: int,
     """
     if which not in _LIU_SUMS:
         raise UnknownIdentity(f"liu_counterexample knows LIU1 and LIU2, not {which!r}")
-    if not 1 <= a_exp <= MAX_LIU_EXPONENT:
-        raise EngineError(f"the first parameter must be q^e with 1 <= e <= "
-                          f"{MAX_LIU_EXPONENT}, got e={a_exp}")
+    if (isinstance(a_exp, bool) or not isinstance(a_exp, int)
+            or not 1 <= a_exp <= MAX_LIU_EXPONENT):
+        raise EngineError(f"the first parameter must be q^e with an integer "
+                          f"1 <= e <= {MAX_LIU_EXPONENT}, got e={a_exp!r}")
     trunc = default_truncation(trunc)
-    terms = _poch_sum_terms(_LIU_SUMS[which], {"a": a_exp}, EvalCtx(trunc), which, trunc)
+    terms = _poch_sum_terms(_LIU_SUMS[which], {"a": a_exp}, _CTX, which, trunc)
     closed = sum_terms([liu_closed_form(which, a_exp)], trunc)
     if compare_side_values(sum_terms(terms, trunc), closed, trunc) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")
@@ -310,23 +310,13 @@ def liu_counterexample(which: str, a_exp: int,
 
 def identity_sites(ident: str, params: dict, trunc: int = 20) -> list[str]:
     """Names of every exponent that enters the evaluation at this point."""
-    rec = get_record(ident)
     recorder: set[str] = set()
-    ctx = EvalCtx(trunc, recorder=recorder)
-    env = _check_params(rec, params)
-    eval_side_value(rec, "lhs", env, ctx)
-    eval_side_value(rec, "rhs", env, ctx)
+    verify(ident, params, trunc, EvalCtx(recorder=recorder))
     return sorted(recorder)
 
 
 def verify_mutated(ident: str, params: dict, site: str, delta: int,
                    trunc: int = 20) -> VerificationReport:
-    """Re-verify with one exponent site perturbed.
-
-    Power-of-q sites are perturbed linearly in k (delta * k) so that even a
-    side that sums to zero is knocked off its cancellation; index and
-    argument sites are shifted by the constant delta.
-    """
-    kind = "linear" if site.endswith(".qpow") else "const"
-    ctx = EvalCtx(trunc, mutations={site: (kind, delta)})
-    return verify(ident, params, trunc=None, ctx=ctx)
+    """Re-verify with one exponent site perturbed by ``delta``, by the rule
+    of :meth:`EvalCtx.site`."""
+    return verify(ident, params, trunc, EvalCtx({site: delta}))

@@ -31,6 +31,10 @@ still leaves the side exact through q^T.  Writing the sides
 this way keeps each record a direct transcription of its printed form, and
 lets the evaluator expose every exponent in every record as a named "site"
 that tests can perturb to confirm the verification actually bites.
+
+The truncation order T is an argument of every evaluation; an
+:class:`EvalCtx` carries only the perturbations, and every unperturbed
+evaluation shares the one context :data:`UNPERTURBED`.
 """
 
 from __future__ import annotations
@@ -49,11 +53,7 @@ from ..pochhammer import (
     mul_binomial,
     sum_terms,
 )
-from ..series import (
-    NeedsLaurent,
-    SeriesError,
-    default_truncation,
-)
+from ..series import NeedsLaurent, SeriesError
 
 
 class UnknownIdentity(SeriesError):
@@ -122,39 +122,39 @@ def parse_affine_row(exprs: tuple[str, ...]) -> CodeType:
 
 
 # ---------------------------------------------------------------------------
-# evaluation context: truncation + perturbation sites
+# evaluation context: perturbation sites
 # ---------------------------------------------------------------------------
 
 
 class EvalCtx:
-    """Carries the truncation order and any active exponent perturbations.
+    """Carries the exponent perturbations of one evaluation, if any.
 
     Every integer that enters a term — the power of q, each (q)_j index,
     each Pochhammer argument exponent — passes through :meth:`site` under a
-    stable name.  A mutation maps a site name to ("const", d) or
-    ("linear", d); the latter adds d*k so that even a sum that happens to be
-    identically zero is knocked off its cancellation.
+    stable name.  ``mutations`` maps a site name to a shift d: a
+    ``<tag>.qpow`` site moves by d*k, so that even a sum that happens to be
+    identically zero is knocked off its cancellation, and any other site by
+    d.  A ``recorder`` set collects the name of every site passed.
     """
 
-    __slots__ = ("trunc", "mutations", "recorder")
+    __slots__ = ("mutations", "recorder")
 
-    def __init__(self, trunc: int | None = None,
-                 mutations: Mapping[str, tuple[str, int]] | None = None,
+    def __init__(self, mutations: Mapping[str, int] | None = None,
                  recorder: set | None = None):
-        self.trunc = default_truncation(trunc)
         self.mutations = dict(mutations) if mutations else {}
         self.recorder = recorder
 
     def site(self, name: str, value: int, k: int = 0) -> int:
         if self.recorder is not None:
             self.recorder.add(name)
-        mut = self.mutations.get(name)
-        if mut is None:
+        d = self.mutations.get(name)
+        if d is None:
             return value
-        kind, d = mut
-        if kind == "linear":
-            return value + d * k
-        return value + d
+        return value + d * k if name.endswith(".qpow") else value + d
+
+
+# the context of every unperturbed evaluation
+UNPERTURBED = EvalCtx()
 
 
 # ---------------------------------------------------------------------------
@@ -383,68 +383,61 @@ def _qn_sum_terms(spec: QnSum, env: dict, ctx: EvalCtx, tag: str,
     return out
 
 
+def _poch_slots(spec: PochSum, num_args: list[int],
+                den_args: list[int]) -> tuple[list, list]:
+    """The slots of a PochSum from its (possibly perturbed) argument
+    exponents: every (q^a; q)_k slot that is summed as written, as
+    (a, times), and the b of each flip pair (a, b) with a = -b.  A pair that
+    a perturbation has broken is two slots as written."""
+    flip_num = {i for i, _ in spec.flips}
+    flip_den = {j for _, j in spec.flips}
+    plain = [(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
+    plain += [(b, -1) for j, b in enumerate(den_args) if j not in flip_den]
+    exact = []
+    for i, j in spec.flips:
+        a, b = num_args[i], den_args[j]
+        if a == -b:
+            exact.append(b)
+        else:
+            plain += [(a, 1), (b, -1)]
+    return plain, exact
+
+
 def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
-                  num_args: list[int], den_args: list[int]):
-    """Slots and support of a PochSum from its (possibly perturbed) argument
-    exponents: (plain numerator args, plain denominator args, flip pairs,
-    kmin, kmax).
+                  plain: list, exact: list[int]) -> tuple[int, int]:
+    """The support (kmin, kmax) of a PochSum with the slots of
+    :func:`_poch_slots`.
 
     Positive k survive until some numerator (q^a; q)_k with a <= 0 vanishes
     (k <= -a); negative k = -s survive while every denominator (q^b; q)_{-s}
-    with b >= 1 still avoids its zero at s = b (s <= b - 1).  Flip pairs
-    contribute through their rewritten form instead: the pair (a, b) with
-    a = -b bounds k above by b (when b >= 1, via (q^{1-b}; q)_{k-1}) and
-    below by s <= b - 1 like a plain denominator, except that b = 0 imposes
-    no bound at all because the pair cancels identically there.  A plain
-    (q; q)_k denominator (argument 1) keeps k >= 0.
+    with b >= 1 still avoids its zero at s = b (s <= b - 1), so a plain
+    (q; q)_k denominator keeps k >= 0.  An exact flip pair contributes
+    through its rewritten form instead: it bounds k above by b (when b >= 1,
+    via (q^{1-b}; q)_{k-1}) and below like a plain denominator, except that
+    b = 0 imposes no bound at all because the pair cancels identically
+    there.
     """
-    flip_num = {i for i, _ in spec.flips}
-    flip_den = {j for _, j in spec.flips}
-    plain_num = [a for i, a in enumerate(num_args) if i not in flip_num]
-    plain_den = [b for j, b in enumerate(den_args) if j not in flip_den]
-    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
-    upper = [-a for a in plain_num if a <= 0]
-    lower = [b - 1 for b in plain_den if b >= 1]
-    for a, b in pairs:
-        if a == -b:
-            if b >= 1:
-                upper.append(b)
-                lower.append(b - 1)
-        else:  # broken pairing (perturbations): behave like direct slots
-            if a <= 0:
-                upper.append(-a)
-            if b >= 1:
-                lower.append(b - 1)
-    if upper:
-        kmax = min(upper)
-    else:
-        kmax = _valuation_kmax(spec, env, 0, trunc)
-    if 1 in plain_den or not lower:
-        kmin = 0
-    else:
-        kmin = -min(lower)
-    return plain_num, plain_den, pairs, kmin, kmax
+    upper = ([-a for a, times in plain if times > 0 and a <= 0]
+             + [b for b in exact if b >= 1])
+    lower = ([b - 1 for b, times in plain if times < 0 and b >= 1]
+             + [b - 1 for b in exact if b >= 1])
+    kmax = min(upper) if upper else _valuation_kmax(spec, env, 0, trunc)
+    return -min(lower, default=0), kmax
 
 
 def _poch_sum_terms(spec: PochSum, env: dict, ctx: EvalCtx, tag: str,
                     trunc: int) -> list[PochProduct]:
     num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
     den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
-    plain_num, plain_den, pairs, kmin, kmax = _poch_support(
-        spec, env, trunc, num_args, den_args)
+    plain, exact = _poch_slots(spec, num_args, den_args)
+    kmin, kmax = _poch_support(spec, env, trunc, plain, exact)
     lin = eval_affine(spec.lin, env)
-    # (q^a; q)_k slots as (a, times); a pair with a = -b is rewritten exactly
-    # for k >= 1, with d = b + 1, as -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1)
-    # and kept as (a, argument from k = 1 on, times)
-    plain = [(a, 1) for a in plain_num] + [(b, -1) for b in plain_den]
-    flipped = []
-    for a, b in pairs:
-        if a == -b:
-            flipped += [(a, 1 - b, 1), (b, b + 1, -1)]
-        else:
-            plain += [(a, 1), (b, -1)]
-    flip_sign = -1 if len(flipped) // 2 & 1 else 1
-    flip_shift = -sum(b for a, b in pairs if a == -b)
+    # an exact pair (-b, b) is rewritten for k >= 1 as
+    # -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1); each of its slots is
+    # kept as (argument up to k = 0, argument from k = 1 on, times)
+    flipped = [slot for b in exact for slot in ((-b, 1 - b, 1), (b, b + 1, -1))]
+    flip_sign = -1 if len(exact) & 1 else 1
+    flip_shift = -sum(exact)
     # Every slot starts at index 0, where it is 1 whatever its argument, and
     # a flipped slot changes argument between k = 0 and k = 1, where both of
     # its forms have index 0; so each slot steps by its change of index.
@@ -531,13 +524,12 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
     return offset + p.shift, buf
 
 
-def eval_side_value(record: IdentityRecord, side_name: str, env: dict,
-                    ctx: EvalCtx) -> tuple[int, list]:
+def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: int,
+                    ctx: EvalCtx = UNPERTURBED) -> tuple[int, list]:
     """(offset, coeffs) for one side: coeffs[i] is the coefficient of
-    q^(offset+i), exact through q^ctx.trunc."""
+    q^(offset+i), exact through q^trunc, with the perturbations of ``ctx``."""
     side = record.side(side_name)
     tag = side_name
-    trunc = ctx.trunc
     if side.zero:
         return 0, [0] * (trunc + 1)
     pre = side.pre

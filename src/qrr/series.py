@@ -56,7 +56,8 @@ def default_truncation(trunc: int | None = None, *,
     if trunc is None:
         value = env_truncation()
         return fallback if value is None else value
-    if not isinstance(trunc, int) or not 1 <= trunc <= MAX_TRUNCATION:
+    if (isinstance(trunc, bool) or not isinstance(trunc, int)
+            or not 1 <= trunc <= MAX_TRUNCATION):
         raise ValueError(f"the truncation order must be an integer in "
                          f"1..{MAX_TRUNCATION}, got {trunc!r}")
     return trunc

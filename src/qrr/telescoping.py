@@ -33,12 +33,12 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 
-from .series import DEFAULT_TRUNCATION, default_truncation
+from .series import default_truncation
 from .pochhammer import PochProduct, mul_binomial, sum_terms
 from .identities.framework import (
     _AFFINE_GLOBALS,
+    UNPERTURBED,
     EngineError,
-    EvalCtx,
     QnSum,
     VerificationReport,
     _check_params,
@@ -86,8 +86,9 @@ _SPLIT_SUMS = (
           support=("0", "min(l,m,n)")),
 )
 
-# unperturbed, and the finite supports never read its truncation order
-_CTX = EvalCtx(DEFAULT_TRUNCATION)
+# the context of every certificate term, read at each call so that a test
+# can perturb them
+_CTX = UNPERTURBED
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def _add_values(a, b, scale: int = 1):
 
 def _registry_side(ident: str, env: dict, side: str, trunc: int):
     """One side of a registry record at a point already checked against it."""
-    return eval_side_value(get_record(ident), side, env, EvalCtx(trunc))
+    return eval_side_value(get_record(ident), side, env, trunc)
 
 
 # The most work a certificate may take, in coefficient updates: each k of

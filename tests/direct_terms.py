@@ -54,18 +54,23 @@ def qn_sum_terms(spec, env, ctx, tag, trunc):
 def poch_sum_terms(spec, env, ctx, tag, trunc):
     num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
     den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
-    plain_num, plain_den, pairs, kmin, kmax = _poch_support(
-        spec, env, trunc, num_args, den_args)
+    flip_num = {i for i, _ in spec.flips}
+    flip_den = {j for _, j in spec.flips}
+    plain = ([(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
+             + [(b, -1) for j, b in enumerate(den_args) if j not in flip_den])
+    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
+    # only the support comes from the engine: a broken pair is two plain slots
+    broken = [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
+    kmin, kmax = _poch_support(spec, env, trunc, plain + broken,
+                               [b for a, b in pairs if a == -b])
     out = []
     for k in range(kmin, kmax + 1):
         t = PochProduct()
         if spec.alt and (k & 1):
             t.scale(-1)
         t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
-        for a in plain_num:
-            t.poch(a, k)
-        for b in plain_den:
-            t.poch(b, k, -1)
+        for a, times in plain:
+            t.poch(a, k, times)
         for a, b in pairs:
             if k >= 1 and a == -b:
                 t.scale(-1)

@@ -234,6 +234,18 @@ def test_weighted_identity_guards():
         symmetrized_identity(unit_pair_x1(), 0, 0, -1, T)
 
 
+@pytest.mark.parametrize("N", [True, 1.5, -1, bailey.MAX_BAILEY_N + 1])
+def test_terminating_parameter_must_be_a_bounded_integer(N):
+    with pytest.raises(EngineError, match=f"parameter N must be an integer.*got {N!r}"):
+        symmetrized_identity(unit_pair_x1(), 0, 0, N, T)
+
+
+@pytest.mark.parametrize("n_max", [True, 2.5, -1])
+def test_relation_index_must_be_a_nonnegative_integer(n_max):
+    with pytest.raises(EngineError, match=f"n_max must be an integer.*got {n_max!r}"):
+        verify_pair(unit_pair_x1(), n_max=n_max, trunc=T)
+
+
 def test_chain_reproduce_pinned_case():
     rep = chain_reproduce("ABCDE1", 2, 2, 2, 1, 1, trunc=40)
     assert rep.equal

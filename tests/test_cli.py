@@ -1,9 +1,9 @@
 """End-to-end checks of the command-line interface.
 
 Every test drives ``cli.main`` in-process and inspects the exit code plus
-the emitted text or JSON.  One test shells out so that ``--jobs`` spawns
+the emitted text or JSON.  A few tests shell out: so that ``--jobs`` spawns
 real worker processes and the report bytes can be compared across worker
-counts.
+counts, and so that ``python -m qrr`` is run as a user runs it.
 """
 
 import dataclasses
@@ -211,6 +211,18 @@ def test_worker_count_does_not_change_reports():
     assert docs[0]["config"].pop("jobs") == 1
     assert docs[1]["config"].pop("jobs") == 2
     assert docs[0] == docs[1]
+
+
+def test_python_dash_m_qrr_runs_the_cli(capsys):
+    argv = ["verify", "--id", "ANDREWS1", "--range", "n=0..2", "--trunc", "20",
+            "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "qrr", *argv], capture_output=True,
+                          env=_child_env())
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == json.loads(run_cli(argv, capsys)[1])
+    proc = subprocess.run([sys.executable, "-m", "qrr", "verify", "--id", "NOPE"],
+                          capture_output=True, env=_child_env())
+    assert proc.returncode == 2 and b"no identity with id 'NOPE'" in proc.stderr
 
 
 # sha256 of the ``verify-all --trunc 40 --format json`` report with its

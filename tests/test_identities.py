@@ -23,7 +23,9 @@ from qrr.identities import (
 from qrr.identities import engine
 from qrr.identities.framework import (
     MAX_PARAMETER,
+    UNPERTURBED,
     EvalCtx,
+    _poch_slots,
     _poch_support,
     eval_affine,
     eval_side_value,
@@ -81,11 +83,7 @@ def test_verify_refuses_non_integral_parameters(value):
         verify("ANDREWS1", {"n": value}, 20)
 
 
-def test_verify_refuses_a_trunc_that_disagrees_with_its_context():
-    with pytest.raises(EngineError, match="trunc=30 disagrees"):
-        verify("ANDREWS1", {"n": 3}, 30, ctx=EvalCtx(20))
-    assert verify("ANDREWS1", {"n": 3}, 20, ctx=EvalCtx(20)).trunc == 20
-    assert verify("ANDREWS1", {"n": 3}, ctx=EvalCtx(20)).trunc == 20
+def test_verify_mutated_keeps_its_truncation_order():
     assert verify_mutated("ANDREWS1", {"n": 3}, "lhs.qpow", 1, trunc=18).trunc == 18
 
 
@@ -198,7 +196,7 @@ def test_eval_side_values():
 @pytest.mark.parametrize("call", [
     lambda side: eval_side("ANDREWS1", side, {"n": 3}, 20),
     lambda side: support_bounds("ANDREWS1", side, {"n": 3}, 20),
-    lambda side: eval_side_value(get_record("ANDREWS1"), side, {"n": 3}, EvalCtx(20)),
+    lambda side: eval_side_value(get_record("ANDREWS1"), side, {"n": 3}, 20),
 ], ids=["eval_side", "support_bounds", "eval_side_value"])
 def test_unknown_side_is_refused(call):
     with pytest.raises(EngineError, match="side must be 'lhs' or 'rhs', got 'both'"):
@@ -305,7 +303,7 @@ def test_liu_sums_keep_their_ranges():
         for which, want in (("LIU1", (1 - a, a - 1)), ("LIU2", (-a, a - 1))):
             spec = engine._LIU_SUMS[which]
             args = ([eval_affine(x, env) for x in xs] for xs in (spec.num, spec.den))
-            *_, kmin, kmax = _poch_support(spec, env, 20, *args)
+            kmin, kmax = _poch_support(spec, env, 20, *_poch_slots(spec, *args))
             assert (kmin, kmax) == want, (which, a)
 
 
@@ -326,6 +324,26 @@ def test_rr_limit_check_detects_a_corrupted_sum(monkeypatch):
     rep = rr_limit_check("RR1", 30)
     assert rep.verdict == "MISMATCH" and rep.mismatch_index == 1
     assert dict(rep.lhs_window)[1] == 0 and dict(rep.rhs_window)[1] == 1
+
+
+@pytest.mark.parametrize("a_exp", [True, 1.5, "2", 0])
+def test_liu_exponent_must_be_an_integer(a_exp):
+    with pytest.raises(EngineError, match=f"integer 1 <= e <= .*, got e={a_exp!r}"):
+        liu_counterexample("LIU1", a_exp, 20)
+
+
+def test_a_mutation_moves_qpow_sites_by_d_times_k_and_others_by_d():
+    names = set()
+    ctx = EvalCtx({"lhs.qpow": 3, "lhs.num[n]": 3, "f.2.qpow[k+k+u+v]": -2},
+                  recorder=names)
+    assert ctx.site("lhs.qpow", 10, 4) == 22
+    assert ctx.site("lhs.qpow", 10) == 10
+    assert ctx.site("lhs.num[n]", 10, 4) == 13
+    assert ctx.site("f.2.qpow[k+k+u+v]", 10, 4) == 8
+    assert ctx.site("rhs.qpow", 10, 4) == 10
+    assert names == {"lhs.qpow", "lhs.num[n]", "f.2.qpow[k+k+u+v]", "rhs.qpow"}
+    assert UNPERTURBED.site("lhs.qpow", 10, 4) == 10
+    assert UNPERTURBED.mutations == {} and UNPERTURBED.recorder is None
 
 
 def test_parameters_above_the_limit_are_refused(monkeypatch):

@@ -6,11 +6,21 @@ site bumped by +1 and -1, the ``verify_mutated`` verdict with its mismatch
 index and windows, or the name of the exception the probe raised.  A
 change to how terms are built or summed must leave every one of these
 outcomes as it was.
+
+The sums outside the registry (the certificate cores and families, the
+Rogers-Ramanujan limits, the LIU sums and the lattice closed form) read one
+shared context through their module's ``_CTX``; a perturbed context put
+there must change each one's outcome.
 """
 
 import hashlib
 
-from qrr.identities import REGISTRY, identity_sites, verify_mutated
+import pytest
+
+from qrr import bailey, telescoping
+from qrr.identities import REGISTRY, engine, identity_sites, verify_mutated
+from qrr.identities.framework import EngineError, EvalCtx
+from qrr.pochhammer import PoleError
 from qrr.series import SeriesError
 
 MUTATION_DIGEST = "a0b13e761f35b5056f1c78fa40fabe0817c017ebb4bd69eaebdd20b01163f380"
@@ -42,3 +52,43 @@ def test_mutation_outcomes_are_pinned():
     probes, text = _outcomes()
     assert probes == 4818
     assert hashlib.sha256(text.encode()).hexdigest() == MUTATION_DIGEST
+
+
+# (module, site, check, unperturbed outcome, shifts); the LIU checks report
+# their counterexample as a MISMATCH, so a perturbed LIU sum must raise
+# instead.  LIU1.argnum[1-a] + 1 is left out: at a = 2 the perturbed sum,
+# 1 - q from its k = 0 and k = -1 terms, still equals the closed form (q; q)_1.
+SHARED_PROBES = [
+    (telescoping, "A.num[l+m]",
+     lambda: telescoping.verify_telescoping(1, 2, 1, 1, 2, T), "EQUAL", (1, -1)),
+    (telescoping, "B.den[u+k]",
+     lambda: telescoping.verify_sk_tk(1, 2, 1, 2, 2, T), "EQUAL", (1, -1)),
+    (telescoping, "f.2.qpow[k+k+u+v]",
+     lambda: telescoping.verify_telescoping(1, 2, 1, 1, 2, T), "EQUAL", (1, -1)),
+    (engine, "RR1.qpow", lambda: engine.rr_limit_check("RR1", 40), "EQUAL", (1, -1)),
+    (engine, "RR2.den[k]", lambda: engine.rr_limit_check("RR2", 40), "EQUAL", (1, -1)),
+    (engine, "LIU1.argnum[1-a]",
+     lambda: engine.liu_counterexample("LIU1", 2, T), "MISMATCH", (-1,)),
+    (engine, "LIU2.argden[a+1]",
+     lambda: engine.liu_counterexample("LIU2", 2, T), "MISMATCH", (1, -1)),
+    # at c = 1 the slot (q^(1-c); q)_n zeroes every n >= 1 term, so c = 2
+    (bailey, "lattice.argnum[1-b]",
+     lambda: bailey.chain_reproduce("ABCDE3", 2, 2, 2, 3, 2, trunc=T), "EQUAL", (1, -1)),
+]
+
+
+def _verdict(check):
+    try:
+        return check().verdict
+    except (EngineError, PoleError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("module, site, check, plain, shifts", SHARED_PROBES,
+                         ids=[probe[1] for probe in SHARED_PROBES])
+def test_the_shared_context_reaches_every_sum_outside_the_registry(
+        module, site, check, plain, shifts, monkeypatch):
+    assert _verdict(check) == plain
+    for delta in shifts:
+        monkeypatch.setattr(module, "_CTX", EvalCtx({site: delta}))
+        assert _verdict(check) != plain, delta

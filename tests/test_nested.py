@@ -19,7 +19,7 @@ import per_term
 from dense_oracle import as_dict, expand
 from qrr import pochhammer
 from qrr.identities import REGISTRY, engine
-from qrr.identities.framework import EvalCtx, eval_side_value
+from qrr.identities.framework import eval_side_value
 from qrr.pochhammer import PochProduct, PoleError, SeriesAccumulator, sum_terms
 from qrr.series import SeriesError
 from test_prefactor import _corners
@@ -167,7 +167,7 @@ def registry_sums(trunc):
                 for side in ("lhs", "rhs"):
                     del seen[:]
                     try:
-                        eval_side_value(rec, side, env, EvalCtx(trunc))
+                        eval_side_value(rec, side, env, trunc)
                     except SeriesError:
                         continue
                     out += [((ident, side, env), *s) for s in seen]

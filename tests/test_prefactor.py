@@ -42,7 +42,7 @@ def dense_side(rec, side_name, env, trunc, shifts=None):
     """{exponent: coefficient} through q^trunc: the engine's sum without its
     prefactor, times the prefactor expanded densely.  ``shifts`` maps
     prefactor site names to a constant added to their values, as a
-    ("const", d) mutation does."""
+    mutation of such a site does."""
     side = getattr(rec, side_name)
     pre = side.pre
     shifts = shifts or {}
@@ -55,7 +55,7 @@ def dense_side(rec, side_name, env, trunc, shifts=None):
 
     mono = value("mono", pre.mono)
     bare = dataclasses.replace(rec, **{side_name: Side(sum=side.sum)})
-    off, buf = eval_side_value(bare, side_name, env, EvalCtx(trunc - mono)) \
+    off, buf = eval_side_value(bare, side_name, env, trunc - mono) \
         if side.sum is not None else (0, [1])
     width = trunc - mono - off
     unit = _dense_unit(vals(pre.inf_num, "infnum"), vals(pre.inf_den, "infden"),
@@ -82,7 +82,7 @@ def test_prefactor_matches_dense_product(ident, side):
     rec = get_record(ident)
     for trunc in (40, 160):
         for env in _corners(rec):
-            got = as_dict(eval_side_value(rec, side, env, EvalCtx(trunc)), trunc)
+            got = as_dict(eval_side_value(rec, side, env, trunc), trunc)
             assert got == dense_side(rec, side, env, trunc), (ident, side, env, trunc)
 
 
@@ -90,8 +90,8 @@ def test_prefactor_matches_dense_product(ident, side):
 def test_mutated_monomial_matches_dense_product(trunc):
     rec = get_record("ABCDE6_4")
     env = {"n": 2, "l": 1, "m": 2, "u": 0, "v": 1}
-    ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[v]": ("const", -2)})
-    got = as_dict(eval_side_value(rec, "rhs", env, ctx), trunc)
+    ctx = EvalCtx({"rhs.pre.mono[v]": -2})
+    got = as_dict(eval_side_value(rec, "rhs", env, trunc, ctx), trunc)
     want = dense_side(rec, "rhs", env, trunc, {"rhs.pre.mono[v]": -2})
     assert min(want) == -1 and max(want) == trunc
     assert got == want
@@ -104,8 +104,8 @@ def test_negative_monomial_keeps_top_coefficients():
     env = {name: 1 for name in "nlmuv"}
     values = {}
     for trunc in (20, 25):
-        ctx = EvalCtx(trunc, mutations={"rhs.pre.mono[n]": ("const", -2)})
-        values[trunc] = as_dict(eval_side_value(rec, "rhs", env, ctx), 20)
+        ctx = EvalCtx({"rhs.pre.mono[n]": -2})
+        values[trunc] = as_dict(eval_side_value(rec, "rhs", env, trunc, ctx), 20)
     assert values[20][20] == -265
     assert values[20] == values[25]
 
@@ -125,9 +125,9 @@ def test_moved_euler_denominator_matches_dense_product(ident, times_t, plus):
     rec = get_record(ident)
     for trunc in (40, 160):
         d = times_t * trunc + plus
-        ctx = EvalCtx(trunc, mutations={EULER_SITE: ("const", d)})
+        ctx = EvalCtx({EULER_SITE: d})
         for env in _corners(rec):
-            got = as_dict(eval_side_value(rec, "lhs", env, ctx), trunc)
+            got = as_dict(eval_side_value(rec, "lhs", env, trunc, ctx), trunc)
             assert got == dense_side(rec, "lhs", env, trunc, {EULER_SITE: d}), (env, trunc, d)
 
 
@@ -135,9 +135,8 @@ def test_moved_euler_denominator_matches_dense_product(ident, times_t, plus):
 def test_euler_denominator_at_q0_is_a_pole(ident):
     rec = get_record(ident)
     env = {ps.name: 2 for ps in rec.params}
-    ctx = EvalCtx(40, mutations={EULER_SITE: ("const", -1)})
     with pytest.raises(PoleError):
-        eval_side_value(rec, "lhs", env, ctx)
+        eval_side_value(rec, "lhs", env, 40, EvalCtx({EULER_SITE: -1}))
 
 
 @pytest.mark.parametrize("at, wrong, first", [
@@ -183,7 +182,7 @@ def test_unpaired_euler_product_is_one_division(ident, env, monkeypatch):
         count(framework, name)
     for name in ("mul_binomial", "div_binomial"):
         count(pochhammer, name)
-    eval_side_value(get_record(ident), "lhs", env, EvalCtx(160))
+    eval_side_value(get_record(ident), "lhs", env, 160)
     assert calls.pop(("framework", "div_euler")) == 1
     assert not any(n for (owner, _), n in calls.items() if owner == "framework")
     assert 0 < sum(calls.values()) <= 30

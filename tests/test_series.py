@@ -113,7 +113,7 @@ WORK = [(PochProduct, "__init__"), (SeriesAccumulator, "__init__"),
         (framework, "eval_affine"), (engine, "eval_affine")]
 
 
-@pytest.mark.parametrize("T", [-5, 0, 10001])
+@pytest.mark.parametrize("T", [-5, 0, 10001, True, 2.5])
 @pytest.mark.parametrize("name", sorted(TRUNC_CALLS))
 def test_every_call_refuses_a_bad_truncation_before_any_work(name, T, monkeypatch):
     def no_work(*args, **kwargs):

@@ -169,7 +169,7 @@ def test_every_declared_family_bites(name, monkeypatch):
 
 def test_every_site_belongs_to_one_declaration(monkeypatch):
     names = set()
-    monkeypatch.setattr(telescoping, "_CTX", EvalCtx(30, recorder=names))
+    monkeypatch.setattr(telescoping, "_CTX", EvalCtx(recorder=names))
     for certify in (verify_telescoping, verify_sk_tk):
         assert certify(2, 2, 2, 2, 2, 30).equal
     # the tag before the first "." names the declaration a site belongs to
