@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .series import default_truncation
-from .pochhammer import PochProduct, _sign, sum_terms, terms_to_series
+from .pochhammer import PochProduct, _sign, sum_terms
 from .identities.framework import (
     UNPERTURBED,
     EngineError,
@@ -98,14 +98,6 @@ class BaileyPair:
             raise EngineError("bilateral_xq pairs have x = q")
         if self.x_exp < 0:
             raise EngineError("pair parameter must be a nonnegative power of q")
-
-    # -- values -------------------------------------------------------------
-
-    def alpha_series(self, r: int, trunc: int | None = None):
-        return terms_to_series(self.alpha_terms(r), default_truncation(trunc))
-
-    def beta_series(self, n: int, trunc: int | None = None):
-        return terms_to_series(self.beta_terms(n), default_truncation(trunc))
 
     # -- the defining relation ------------------------------------------------
 
@@ -452,10 +444,11 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
             f"chain reconstruction covers {', '.join(CHAIN_TARGETS)}; "
             f"got {ident!r}"
         )
-    if N < 0:
-        raise EngineError("N must be >= 0")
-    if min(b_exp, c_exp, d_exp, e_exp) < 1:
-        raise EngineError("parameter exponents must be >= 1")
+    _check_index("N", N)
+    for name, value in (("b_exp", b_exp), ("c_exp", c_exp),
+                        ("d_exp", d_exp), ("e_exp", e_exp)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise EngineError(f"{name} must be an integer >= 1, got {value!r}")
     trunc = default_truncation(trunc)
 
     params = {"n": N, "l": b_exp - 1, "m": c_exp - 1,

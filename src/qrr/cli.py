@@ -303,6 +303,8 @@ def _stock_pairs() -> list:
 
 
 def cmd_bailey(args) -> int:
+    if args.exps is not None and not args.chain:
+        raise ValueError("--exps needs --chain")
     trunc = resolve_trunc(args.trunc)
     if not 0 <= args.n <= MAX_BAILEY_N:
         raise ValueError(f"--n must be in 0..{MAX_BAILEY_N}, got {args.n}")

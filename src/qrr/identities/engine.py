@@ -15,7 +15,7 @@ from ..pochhammer import (
     rr_product_side as _rr_product,
     sum_terms,
 )
-from ..series import TruncatedSeries, default_truncation, power_series
+from ..series import default_truncation, power_series
 from .catalog import REGISTRY
 from .framework import (
     UNPERTURBED,
@@ -193,8 +193,8 @@ def sweep_tasks(trunc: int | None = None) -> tuple[int, Iterator[tuple[str, dict
 
 
 def eval_side(ident: str, side: str, params: dict,
-              trunc: int | None = None) -> TruncatedSeries:
-    """One side of an identity as an honest power series.
+              trunc: int | None = None) -> list:
+    """The coefficients of q^0 .. q^T of one side of an identity.
 
     Raises NeedsLaurent if the value genuinely retains negative q-exponents
     (individual terms may pass through them; only the total matters).
@@ -259,7 +259,7 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     trunc = default_truncation(trunc)
     env = {"n": trunc}
     lhs = sum_terms(_qn_sum_terms(spec, env, _CTX, which, trunc), trunc)
-    return compare(which, env, trunc, lhs, (0, list(_rr_product(product, trunc).coeffs)))
+    return compare(which, env, trunc, lhs, (0, _rr_product(product, trunc)))
 
 
 def liu_closed_form(which: str, a_exp: int) -> PochProduct:
@@ -308,15 +308,17 @@ def liu_counterexample(which: str, a_exp: int,
 # ---------------------------------------------------------------------------
 
 
-def identity_sites(ident: str, params: dict, trunc: int = 20) -> list[str]:
-    """Names of every exponent that enters the evaluation at this point."""
+def identity_sites(ident: str, params: dict,
+                   trunc: int | None = None) -> list[str]:
+    """Names of every exponent that enters the evaluation at this point
+    (through q^trunc: QRR_TRUNC or else 60 when ``trunc`` is None)."""
     recorder: set[str] = set()
     verify(ident, params, trunc, EvalCtx(recorder=recorder))
     return sorted(recorder)
 
 
 def verify_mutated(ident: str, params: dict, site: str, delta: int,
-                   trunc: int = 20) -> VerificationReport:
+                   trunc: int | None = None) -> VerificationReport:
     """Re-verify with one exponent site perturbed by ``delta``, by the rule
     of :meth:`EvalCtx.site`."""
     return verify(ident, params, trunc, EvalCtx({site: delta}))

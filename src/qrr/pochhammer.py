@@ -31,18 +31,14 @@ U_(first): each step costs one O(T) pass of :func:`mul_binomial` /
 :func:`div_binomial` per factor of the ratio, not per factor of the term.
 Where a ratio would cost more than closing the chain, the chain is closed
 and a new one started, so a sum never takes more passes than rendering each
-term on its own would.
+term on its own would.  :func:`sum_terms` hands the sum back as that
+``(offset, coeffs)`` value; :func:`~qrr.series.power_series` turns it into
+the plain list of coefficients of q^0 .. q^T that the public calls return.
 """
 
 from __future__ import annotations
 
-from .series import (
-    Coeff,
-    SeriesError,
-    TruncatedSeries,
-    default_truncation,
-    power_series,
-)
+from .series import SeriesError, default_truncation
 
 
 class PoleError(SeriesError):
@@ -111,8 +107,8 @@ def div_euler(buf: list, lo: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
-def rr_product_side(which: str, trunc: int | None = None) -> TruncatedSeries:
-    """The Rogers-Ramanujan product sides.
+def rr_product_side(which: str, trunc: int | None = None) -> list:
+    """The coefficients of q^0 .. q^T of a Rogers-Ramanujan product side.
 
     mod5_14: 1 / ((q; q^5)_inf (q^4; q^5)_inf)  — parts congruent to 1, 4 mod 5
     mod5_23: 1 / ((q^2; q^5)_inf (q^3; q^5)_inf) — parts congruent to 2, 3 mod 5
@@ -124,12 +120,12 @@ def rr_product_side(which: str, trunc: int | None = None) -> TruncatedSeries:
         residues = (2, 3)
     else:
         raise ValueError(f"unknown product side {which!r}")
-    buf: list[Coeff] = [0] * (trunc + 1)
+    buf = [0] * (trunc + 1)
     buf[0] = 1
     for m in range(1, trunc + 1):
         if m % 5 in residues:
             div_binomial(buf, m)
-    return TruncatedSeries(buf, trunc)
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +153,13 @@ class PochProduct:
     __slots__ = ("coeff", "shift", "powers")
 
     def __init__(self):
-        self.coeff: Coeff = 1
+        self.coeff = 1
         self.shift = 0
         self.powers: dict[int, int] = {}
 
     # fluent builders ------------------------------------------------------
 
-    def scale(self, c: Coeff) -> "PochProduct":
+    def scale(self, c: int) -> "PochProduct":
         self.coeff *= c
         return self
 
@@ -373,18 +369,9 @@ class SeriesAccumulator:
             out = _close(out, buf, head.powers, lo, top)
         return offset, out if out is not None else [0] * (top + 1)
 
-    def series(self) -> TruncatedSeries:
-        """The sum as a power series; raises NeedsLaurent if a negative
-        q-exponent survives in the total."""
-        return power_series(self.value(), self.trunc)
-
 
 def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
     acc = SeriesAccumulator(trunc)
     for t in terms:
         acc.add(t)
     return acc.value()
-
-
-def terms_to_series(terms: list[PochProduct], trunc: int) -> TruncatedSeries:
-    return power_series(sum_terms(terms, trunc), trunc)

@@ -1,22 +1,16 @@
-"""The truncation order and the read-only power-series result type.
+"""The truncation order and the one boundary to a plain power series.
 
 The engine computes with :class:`~qrr.pochhammer.PochProduct` terms summed
 into ``(offset, coeffs)`` buffers, where ``coeffs[i]`` is the coefficient of
-q^(offset+i).  A :class:`TruncatedSeries` is what the public evaluators hand
-back: the coefficients of q^0 .. q^T of such a value, built by
-:func:`power_series`, which refuses a value that keeps a nonzero coefficient
-on a negative power of q.  Coefficients are exact: Python ints, or
-:class:`fractions.Fraction` normalised back to int whenever the denominator
-is 1.
+q^(offset+i).  The public evaluators hand back the plain list of the
+coefficients of q^0 .. q^T of such a value, built by :func:`power_series`,
+which refuses a value that keeps a nonzero coefficient on a negative power
+of q.  Coefficients are exact integers.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from typing import Iterable, Union
-
-Coeff = Union[int, Fraction]
 
 DEFAULT_TRUNCATION = 60
 
@@ -67,10 +61,6 @@ class SeriesError(Exception):
     """Base class for evaluation failures."""
 
 
-class ExponentExceedsTruncation(SeriesError):
-    """Raised when a requested coefficient lies beyond the truncation."""
-
-
 class NeedsLaurent(SeriesError):
     """Raised when a value has genuinely negative q-exponents.
 
@@ -79,79 +69,9 @@ class NeedsLaurent(SeriesError):
     """
 
 
-def _norm(x: Coeff) -> Coeff:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
-    return x
-
-
-class TruncatedSeries:
-    """A power series in q known exactly through q^trunc."""
-
-    __slots__ = ("_c", "trunc")
-
-    def __init__(self, coeffs: Iterable[Coeff], trunc: int | None = None):
-        data = [_norm(c) for c in coeffs]
-        if trunc is None:
-            trunc = len(data) - 1
-            if trunc < 0:
-                raise ValueError("a series needs at least the q^0 coefficient")
-        if trunc < 0:
-            raise ValueError("truncation order must be >= 0")
-        if len(data) < trunc + 1:
-            data.extend([0] * (trunc + 1 - len(data)))
-        elif len(data) > trunc + 1:
-            data = data[: trunc + 1]
-        self._c = tuple(data)
-        self.trunc = trunc
-
-    @property
-    def coeffs(self) -> tuple[Coeff, ...]:
-        return self._c
-
-    def coeff(self, i: int) -> Coeff:
-        if i < 0:
-            return 0
-        if i > self.trunc:
-            raise ExponentExceedsTruncation(
-                f"coefficient of q^{i} unknown at truncation {self.trunc}"
-            )
-        return self._c[i]
-
-    def is_zero(self) -> bool:
-        return not any(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self.trunc, other.trunc)
-        return all(self._c[i] == other._c[i] for i in range(t + 1))
-
-    __hash__ = None  # equality is by alignment, which a hash cannot follow
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self._c):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"q^{i}" if i > 1 else "q")
-            else:
-                terms.append(f"{c}*q^{i}" if i > 1 else f"{c}*q")
-            if len(terms) >= 8:
-                terms.append("...")
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} (mod q^{self.trunc + 1})>"
-
-
-def power_series(value: tuple[int, list], trunc: int,
-                 what: str = "sum") -> TruncatedSeries:
-    """The (offset, coeffs) value as a power series through q^trunc.
+def power_series(value: tuple[int, list], trunc: int, what: str = "sum") -> list:
+    """The coefficients of q^0 .. q^trunc of the (offset, coeffs) value, as
+    a list of trunc + 1 entries, padded with zeros or clipped.
 
     Raises NeedsLaurent if a negative q-exponent keeps a nonzero coefficient
     (individual terms may pass through negative exponents; only the total
@@ -167,4 +87,4 @@ def power_series(value: tuple[int, list], trunc: int,
             )
     else:
         buf = [0] * offset + buf
-    return TruncatedSeries(buf, trunc)
+    return buf[:trunc + 1] + [0] * (trunc + 1 - len(buf))

@@ -9,7 +9,6 @@ modules cover the same code paths at finer granularity.
 import itertools
 import json
 import time
-from fractions import Fraction
 
 from qrr import cli
 from qrr.bailey import (
@@ -71,10 +70,7 @@ def test_rogers_ramanujan_limits_match_partition_enumeration():
     assert rr_limit_check("RR1", 50).equal
     assert rr_limit_check("RR2", 50).equal
     for which, residues in (("mod5_14", {1, 4}), ("mod5_23", {2, 3})):
-        series = rr_product_side(which, 50)
-        expect = _partition_counts(residues, 50)
-        assert [series.coeff(i) for i in range(51)] == \
-               [Fraction(e) for e in expect], which
+        assert rr_product_side(which, 50) == _partition_counts(residues, 50), which
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -23,42 +23,50 @@ from qrr.bailey import (
     verify_pair,
 )
 from qrr.identities import EngineError, verify
-from qrr.pochhammer import PochProduct, terms_to_series
-from qrr.series import TruncatedSeries
+from qrr.pochhammer import PochProduct, sum_terms
+from qrr.series import power_series
 
 T = 30
 
 
 def _series(*monomials):
-    """Series with given (coefficient, exponent) spikes, at trunc T."""
+    """Coefficients of q^0 .. q^T with given (coefficient, exponent) spikes."""
     buf = [0] * (T + 1)
     for c, e in monomials:
         buf[e] += c
-    return TruncatedSeries(buf, T)
+    return buf
+
+
+def _alpha(pair, r):
+    return power_series(sum_terms(pair.alpha_terms(r), T), T)
+
+
+def _beta(pair, n):
+    return power_series(sum_terms(pair.beta_terms(n), T), T)
 
 
 def test_unit_pair_x1_closed_form():
     pair = unit_pair_x1()
     assert pair.mode == "one_sided" and pair.x_exp == 0
-    assert pair.alpha_series(0, T) == _series((1, 0))
+    assert _alpha(pair, 0) == _series((1, 0))
     # alpha_n = (-1)^n (q^{n(n-1)/2} + q^{n(n+1)/2})
-    assert pair.alpha_series(1, T) == _series((-1, 0), (-1, 1))
-    assert pair.alpha_series(2, T) == _series((1, 1), (1, 3))
-    assert pair.alpha_series(3, T) == _series((-1, 3), (-1, 6))
-    assert pair.beta_series(0, T) == _series((1, 0))
-    assert pair.beta_series(3, T).is_zero()
+    assert _alpha(pair, 1) == _series((-1, 0), (-1, 1))
+    assert _alpha(pair, 2) == _series((1, 1), (1, 3))
+    assert _alpha(pair, 3) == _series((-1, 3), (-1, 6))
+    assert _beta(pair, 0) == _series((1, 0))
+    assert _beta(pair, 3) == _series()
 
 
 def test_unit_bilateral_closed_forms():
     for pair in (unit_bilateral_x1(), unit_bilateral_xq()):
         # A_r = (-1)^r q^{r(r-1)/2} on both sides of zero
-        assert pair.alpha_series(0, T) == _series((1, 0))
-        assert pair.alpha_series(1, T) == _series((-1, 0))
-        assert pair.alpha_series(2, T) == _series((1, 1))
-        assert pair.alpha_series(-1, T) == _series((-1, 1))
-        assert pair.alpha_series(-2, T) == _series((1, 3))
-        assert pair.beta_series(0, T) == _series((1, 0))
-        assert pair.beta_series(2, T).is_zero()
+        assert _alpha(pair, 0) == _series((1, 0))
+        assert _alpha(pair, 1) == _series((-1, 0))
+        assert _alpha(pair, 2) == _series((1, 1))
+        assert _alpha(pair, -1) == _series((-1, 1))
+        assert _alpha(pair, -2) == _series((1, 3))
+        assert _beta(pair, 0) == _series((1, 0))
+        assert _beta(pair, 2) == _series()
     assert unit_bilateral_x1().x_exp == 0
     assert unit_bilateral_xq().x_exp == 1
 
@@ -66,12 +74,12 @@ def test_unit_bilateral_closed_forms():
 def test_lattice_seed_closed_form():
     pair = lattice_seed_pair()
     assert pair.mode == "one_sided" and pair.x_exp == 1
-    assert pair.alpha_series(0, T) == _series((1, 0))
+    assert _alpha(pair, 0) == _series((1, 0))
     # alpha_n = (-1)^n q^{n(n-1)/2} (1-q^{2n+1})/(1-q)
     geom3 = _series((-1, 0), (-1, 1), (-1, 2))
-    assert pair.alpha_series(1, T) == geom3
+    assert _alpha(pair, 1) == geom3
     geom5 = _series(*((1, e) for e in range(1, 6)))
-    assert pair.alpha_series(2, T) == geom5
+    assert _alpha(pair, 2) == geom5
 
 
 def test_relation_ranges_per_mode():
@@ -103,13 +111,13 @@ def test_folds_recover_the_one_sided_units():
     folded = fold_to_one_sided(unit_bilateral_x1())
     unit = unit_pair_x1()
     for r in range(7):
-        assert folded.alpha_series(r, T) == unit.alpha_series(r, T)
+        assert _alpha(folded, r) == _alpha(unit, r)
     assert folded.x_exp == unit.x_exp
 
     folded_q = fold_to_one_sided(unit_bilateral_xq())
     seed = lattice_seed_pair()
     for r in range(7):
-        assert folded_q.alpha_series(r, T) == seed.alpha_series(r, T)
+        assert _alpha(folded_q, r) == _alpha(seed, r)
     assert folded_q.x_exp == seed.x_exp
 
     already = unit_pair_x1()
@@ -274,6 +282,22 @@ def test_chain_reproduce_rejects_bad_input():
         chain_reproduce("ABCDE1", -1)
     with pytest.raises(EngineError):
         chain_reproduce("ABCDE1", 2, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("N", (True,)),
+    ("N", (1.5,)),
+    ("N", (bailey.MAX_BAILEY_N + 1,)),
+    ("b_exp", (1, True)),
+    ("b_exp", (1, 1.5)),
+    ("c_exp", (1, 1, 2.0)),
+    ("d_exp", (1, 1, 1, False)),
+    ("e_exp", (1, 1, 1, 1, 0.5)),
+])
+def test_chain_inputs_must_be_bounded_integers(name, args):
+    # the message names the input, not a record parameter derived from it
+    with pytest.raises(EngineError, match=rf"^{name} must be an integer .*got {args[-1]!r}$"):
+        chain_reproduce("ABCDE1", *args, trunc=10)
 
 
 def test_relation_index_is_bounded():

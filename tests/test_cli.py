@@ -322,6 +322,7 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
      "range piece 'n=1..2.5' has a bound that is not an integer"),
     (["verify", "--id", "EULERN1", "--range", "n=1.."],
      "range piece 'n=1..' has a bound that is not an integer"),
+    (["bailey", "--exps", "9,9,9,9"], "--exps needs --chain"),
 ])
 def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
     start = time.perf_counter()

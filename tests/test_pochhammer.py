@@ -22,9 +22,13 @@ from qrr.pochhammer import (
     div_euler,
     rr_product_side,
     sum_terms,
-    terms_to_series,
 )
-from qrr.series import NeedsLaurent
+from qrr.series import NeedsLaurent, power_series
+
+
+def _series(terms, trunc):
+    """The coefficients of q^0 .. q^trunc of a sum of products."""
+    return power_series(sum_terms(terms, trunc), trunc)
 
 
 def _coeffs(term, trunc):
@@ -67,7 +71,7 @@ def test_qpoch_positive_index():
     # (q^2;q)_2 = (1-q^2)(1-q^3)
     t = PochProduct().poch(2, 2)
     assert t.state == "ok" and t.powers == {2: 1, 3: 1}
-    assert terms_to_series([t], 10) == terms_to_series([PochProduct().factor(2).factor(3)], 10)
+    assert _series([t], 10) == _series([PochProduct().factor(2).factor(3)], 10)
     assert _coeffs(t, 10) == expand(1, 0, [2, 3], [], 10) == {0: 1, 2: -1, 3: -1, 5: 1}
 
 
@@ -76,7 +80,7 @@ def test_qpoch_zero_and_reciprocal_zero():
     assert PochProduct().poch(0, 3).state == "zero"
     assert PochProduct().dpoch(0, 1).state == "pole"
     # an exact zero sums to the zero series; a pole refuses to render
-    assert terms_to_series([PochProduct().poch(0, 1)], 10).is_zero()
+    assert _series([PochProduct().poch(0, 1)], 10) == [0] * 11
     with pytest.raises(PoleError):
         sum_terms([PochProduct().dpoch(0, 1)], 10)
     # dividing the zero out and back in lands on the exact zero again
@@ -86,7 +90,7 @@ def test_qpoch_zero_and_reciprocal_zero():
 def test_qpoch_negative_index():
     # (q^5;q)_{-2} = 1/((1-q^3)(1-q^4))
     t = PochProduct().poch(5, -2)
-    assert terms_to_series([t], 20) == terms_to_series([PochProduct().dfactor(3).dfactor(4)], 20)
+    assert _series([t], 20) == _series([PochProduct().dfactor(3).dfactor(4)], 20)
     assert _coeffs(t, 20) == expand(1, 0, [], [3, 4], 20)
     # and it hits the zero denominator exactly when the offset is reached
     assert PochProduct().poch(2, -2).state == "pole"
@@ -96,7 +100,7 @@ def test_qpoch_laurent_guard():
     # (q^-1;q)_1 = 1 - q^-1 keeps its q^-1 term: no power series
     assert sum_terms([PochProduct().poch(-1, 1)], 3) == (-1, [-1, 1, 0, 0, 0])
     with pytest.raises(NeedsLaurent):
-        terms_to_series([PochProduct().poch(-1, 1)], 10)
+        _series([PochProduct().poch(-1, 1)], 10)
 
 
 def _form(t):
@@ -169,8 +173,8 @@ def _partition_counts(residues, top):
 
 
 def test_rr_products_against_partition_oracle():
-    assert list(rr_product_side("mod5_14", 30).coeffs) == _partition_counts((1, 4), 30)
-    assert list(rr_product_side("mod5_23", 30).coeffs) == _partition_counts((2, 3), 30)
+    assert rr_product_side("mod5_14", 30) == _partition_counts((1, 4), 30)
+    assert rr_product_side("mod5_23", 30) == _partition_counts((2, 3), 30)
     for residues in ((1, 4), (2, 3)):
         t = PochProduct()
         for m in range(1, 31):
@@ -182,8 +186,8 @@ def test_rr_products_against_partition_oracle():
 
 
 def test_rr_product_frozen_heads():
-    assert list(rr_product_side("mod5_14", 12).coeffs) == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
-    assert list(rr_product_side("mod5_23", 12).coeffs) == [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
+    assert rr_product_side("mod5_14", 12) == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]
+    assert rr_product_side("mod5_23", 12) == [1, 0, 1, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,7 @@ def test_accumulator_laurent_offsets():
     assert off == -3
     assert coeffs[0] == 1 and coeffs[5] == 1
     with pytest.raises(NeedsLaurent):
-        acc.series()                          # negative exponents survive
+        power_series(acc.value(), 5)          # negative exponents survive
 
 
 def test_accumulator_series_when_laurent_part_cancels():
@@ -267,15 +271,14 @@ def test_accumulator_series_when_laurent_part_cancels():
     acc.add(PochProduct().q(-1))
     acc.add(PochProduct().scale(-1).q(-1))
     acc.add(PochProduct().factor(2))
-    s = acc.series()
-    assert s.coeffs[:3] == (1, 0, -1)
+    assert power_series(acc.value(), 8) == [1, 0, -1, 0, 0, 0, 0, 0, 0]
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
 def test_qn_index_additivity(m, n):
     # (q;q)_{m+n} = (q;q)_m * (q^{m+1};q)_n
-    whole = terms_to_series([PochProduct().qn(m + n)], 20)
-    split = terms_to_series([PochProduct().qn(m).poch(m + 1, n)], 20)
+    whole = _series([PochProduct().qn(m + n)], 20)
+    split = _series([PochProduct().qn(m).poch(m + 1, n)], 20)
     assert whole == split
 
 

@@ -1,4 +1,4 @@
-"""The truncation-order resolver, the read-only power-series result type,
+"""The truncation-order resolver, the boundary to a plain power series,
 and the ring laws of the dense oracle that the differential tests compare
 the engine against."""
 
@@ -13,42 +13,7 @@ from qrr.bailey import chain_reproduce, symmetrized_identity, unit_pair_x1, veri
 from qrr.identities import engine, framework
 from qrr.pochhammer import PochProduct, SeriesAccumulator, rr_product_side
 from qrr.telescoping import verify_sk_tk, verify_telescoping
-from qrr.series import (
-    ExponentExceedsTruncation,
-    NeedsLaurent,
-    TruncatedSeries,
-    default_truncation,
-    power_series,
-)
-
-
-def test_construction_pads_and_clips():
-    s = TruncatedSeries([1, 2, 3], 5)
-    assert s.coeffs == (1, 2, 3, 0, 0, 0)
-    assert s.trunc == 5
-    t = TruncatedSeries([1, 2, 3, 4], 2)
-    assert t.coeffs == (1, 2, 3)
-
-
-def test_construction_infers_trunc_from_data():
-    s = TruncatedSeries([5, 0, 7])
-    assert s.trunc == 2
-    with pytest.raises(ValueError):
-        TruncatedSeries([])
-
-
-def test_whole_fractions_normalise_to_int():
-    s = TruncatedSeries([Fraction(4, 2), Fraction(1, 3)], 3)
-    assert s.coeffs[0] == 2 and isinstance(s.coeffs[0], int)
-    assert s.coeffs[1] == Fraction(1, 3)
-
-
-def test_coeff_accessor_boundaries():
-    s = TruncatedSeries([1, 2], 4)
-    assert s.coeff(-3) == 0
-    assert s.coeff(1) == 2
-    with pytest.raises(ExponentExceedsTruncation):
-        s.coeff(5)
+from qrr.series import NeedsLaurent, default_truncation, power_series
 
 
 def test_known_products():
@@ -64,14 +29,6 @@ def test_invert_needs_unit_constant_term():
 def test_invert_with_fractional_lead():
     s = [Fraction(1, 2), 1]
     assert convolve(s, invert(s, 6), 6) == [1, 0, 0, 0, 0, 0]
-
-
-def test_comparison_is_alignment_based():
-    a = TruncatedSeries([1, 2, 3], 2)
-    b = TruncatedSeries([1, 2, 3, 9], 3)
-    # compared through the shorter truncation only
-    assert a == b
-    assert a != TruncatedSeries([1, 5, 3], 2)
 
 
 def test_default_truncation_env(monkeypatch):
@@ -126,8 +83,15 @@ def test_every_call_refuses_a_bad_truncation_before_any_work(name, T, monkeypatc
 
 
 def test_power_series_strips_a_vanishing_laurent_head():
-    assert power_series((-2, [0, 0, 1, 2]), 3).coeffs == (1, 2, 0, 0)
-    assert power_series((2, [1, 2]), 4).coeffs == (0, 0, 1, 2, 0)
+    assert power_series((-2, [0, 0, 1, 2]), 3) == [1, 2, 0, 0]
+    assert power_series((2, [1, 2]), 4) == [0, 0, 1, 2, 0]
+    # always the T+1 coefficients of q^0 .. q^T: padded when the buffer
+    # stops short of q^T, clipped when it runs past
+    assert power_series((1, [1, 2, 3]), 5) == [0, 1, 2, 3, 0, 0]
+    assert power_series((-1, [0, 1, 2]), 4) == [1, 2, 0, 0, 0]
+    assert power_series((0, [1, 2, 3, 4]), 2) == [1, 2, 3]
+    assert power_series((2, [1, 2, 3]), 3) == [0, 0, 1, 2]
+    assert power_series((-1, [0, 1, 2, 3, 4]), 2) == [1, 2, 3]
     with pytest.raises(NeedsLaurent, match=r"side retains q\^-1 with coefficient 3"):
         power_series((-2, [0, 3, 1]), 3, "side")
 
