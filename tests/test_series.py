@@ -82,15 +82,19 @@ def test_every_call_refuses_a_bad_truncation_before_any_work(name, T, monkeypatc
         TRUNC_CALLS[name](T)
 
 
+def test_construction_pads_and_clips():
+    # always the T+1 coefficients of q^0 .. q^T: padded when the buffer
+    # stops short of q^T, clipped when it runs past
+    assert power_series((0, [1, 2, 3]), 5) == [1, 2, 3, 0, 0, 0]
+    assert power_series((0, [1, 2, 3, 4]), 2) == [1, 2, 3]
+    assert power_series((1, [1, 2, 3]), 5) == [0, 1, 2, 3, 0, 0]
+    assert power_series((2, [1, 2, 3]), 3) == [0, 0, 1, 2]
+
+
 def test_power_series_strips_a_vanishing_laurent_head():
     assert power_series((-2, [0, 0, 1, 2]), 3) == [1, 2, 0, 0]
     assert power_series((2, [1, 2]), 4) == [0, 0, 1, 2, 0]
-    # always the T+1 coefficients of q^0 .. q^T: padded when the buffer
-    # stops short of q^T, clipped when it runs past
-    assert power_series((1, [1, 2, 3]), 5) == [0, 1, 2, 3, 0, 0]
     assert power_series((-1, [0, 1, 2]), 4) == [1, 2, 0, 0, 0]
-    assert power_series((0, [1, 2, 3, 4]), 2) == [1, 2, 3]
-    assert power_series((2, [1, 2, 3]), 3) == [0, 0, 1, 2]
     assert power_series((-1, [0, 1, 2, 3, 4]), 2) == [1, 2, 3]
     with pytest.raises(NeedsLaurent, match=r"side retains q\^-1 with coefficient 3"):
         power_series((-2, [0, 3, 1]), 3, "side")
