@@ -7,15 +7,17 @@ Working at the term level keeps boundary cases exact -- vanishing numerator
 factors simply flip a term into its zero state instead of forcing a limit --
 and turns the chain transformations into one-line term multiplications.
 
-Three relation modes tie alpha to beta (with x = q^x_exp)::
+One relation ties alpha to beta in every mode, with x = q^x_exp::
 
-    one_sided      beta_n = sum_{r=0..n}    alpha_r / ((q)_{n-r} (xq)_{n+r})
-    bilateral_x1   beta_n = sum_{r in Z}    alpha_r / ((q)_{n-r} (q)_{n+r})
-    bilateral_xq   beta_n = sum_{r in Z}    alpha_r / ((q)_{n-r} (q)_{n+r+1})
+    beta_n = sum_r alpha_r / ((q)_{n-r} (xq)_{n+r})
 
-beta is defined for n >= 0 only; the bilateral modes are bilateral in the
-alpha index.  The bilateral relation sums are finite for each n because the
-reciprocal factorials kill every index outside [-n, n] (resp. [-n-1, n]).
+A ``one_sided`` pair sums over r = 0..n.  The bilateral modes,
+``bilateral_x1`` (x = 1) and ``bilateral_xq`` (x = q), sum over
+r = -n-x_exp..n: the reciprocal factorial 1/(xq)_{n+r} vanishes below that,
+so each sum is finite.  The bilateral x = q pair carries one extra factor
+1/(1-q), which makes its denominator (q)_{n-r} (q)_{n+r+1}.  beta is
+defined for n >= 0 only; the bilateral modes are bilateral in the alpha
+index.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable
 from .series import default_truncation
 from .pochhammer import PochProduct, _sign, sum_terms
 from .identities.framework import (
+    MAX_PARAMETER,
     UNPERTURBED,
     EngineError,
     PochSum,
@@ -102,24 +105,19 @@ class BaileyPair:
     # -- the defining relation ------------------------------------------------
 
     def relation_range(self, n: int) -> range:
-        if self.mode == "one_sided":
-            return range(0, n + 1)
-        if self.mode == "bilateral_x1":
-            return range(-n, n + 1)
-        return range(-n - 1, n + 1)
+        """The alpha indices of the relation sum for beta_n: 0..n for a
+        one-sided pair, -n-x..n for a bilateral one."""
+        return range(0 if self.mode == "one_sided" else -n - self.x_exp, n + 1)
 
     def relation_terms(self, n: int) -> list:
         """Terms of the relation sum whose value should equal beta_n."""
         if n < 0:
             raise EngineError("the pair relation is stated for n >= 0")
+        x = self.x_exp
+        extra = -1 if self.mode == "bilateral_xq" else 0
         out = []
         for r in self.relation_range(n):
-            if self.mode == "one_sided":
-                den = PochProduct().dqn(n - r).dpoch(self.x_exp + 1, n + r)
-            elif self.mode == "bilateral_x1":
-                den = PochProduct().dqn(n - r).dqn(n + r)
-            else:
-                den = PochProduct().dqn(n - r).dqn(n + r + 1)
+            den = PochProduct().dqn(n - r).dpoch(x + 1, n + r).factor(1, extra)
             for t in self.alpha_terms(r):
                 out.append(t.mul(den))
         return out
@@ -192,36 +190,23 @@ def lattice_seed_pair() -> BaileyPair:
 def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
     """Fold a bilateral pair onto nonnegative indices.
 
-    For x = 1 the relation denominators at r and -r agree, so
-    alpha'_n = alpha_n + alpha_{-n} (n >= 1) with alpha'_0 = alpha_0.
-    For x = q the denominators at r and -r-1 agree and (xq)_{n+r} picks up
-    one extra binomial, so alpha'_n = (alpha_n + alpha_{-n-1})/(1-q).
-    beta is unchanged either way.
+    The relation denominators at r and at its mirror -r-x_exp agree, so
+    alpha'_n = (alpha_n + alpha_{-n-x_exp}) / (1-q)^x_exp: for x = 1,
+    alpha_0 is its own mirror and is counted once; for x = q, the extra
+    1/(1-q) of the bilateral relation moves into alpha'.  beta is unchanged.
     """
     if pair.mode == "one_sided":
         return pair
-    old = pair.alpha_terms
-    if pair.mode == "bilateral_x1":
+    old, x = pair.alpha_terms, pair.x_exp
 
-        def alpha(r: int) -> list:
-            if r < 0:
-                return []
-            if r == 0:
-                return [t.copy() for t in old(0)]
-            return [t.copy() for t in old(r)] + [t.copy() for t in old(-r)]
+    def alpha(r: int) -> list:
+        if r < 0:
+            return []
+        mirror = -r - x
+        terms = old(r) + (old(mirror) if mirror != r else [])
+        return [t.copy().factor(1, -x) for t in terms]
 
-        x_exp = 0
-    else:
-
-        def alpha(r: int) -> list:
-            if r < 0:
-                return []
-            out = [t.copy() for t in old(r)] + [t.copy() for t in old(-r - 1)]
-            return [t.dfactor(1) for t in out]
-
-        x_exp = 1
-
-    return BaileyPair("one_sided", x_exp, alpha, pair.beta_terms,
+    return BaileyPair("one_sided", x, alpha, pair.beta_terms,
                       label=f"fold({pair.label})")
 
 
@@ -431,12 +416,12 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     """Rebuild one of the five-parameter identities from a unit pair.
 
     The first parameter is bound to q^(1+N); the others are q^b_exp ...
-    q^e_exp with exponents >= 1.  Depending on the target this runs two
-    chain steps from a bilateral unit pair, or a chain step followed by a
-    lattice step from the one-sided seed, evaluates beta_N through every
-    available route (relation sum, transformed-beta formula, closed form),
-    and compares each against the registry's left-hand side.  The report is
-    EQUAL only if all routes match.
+    q^e_exp with exponents from 1 to MAX_PARAMETER + 1.  Depending on the
+    target this runs two chain steps from a bilateral unit pair, or a chain
+    step followed by a lattice step from the one-sided seed, evaluates
+    beta_N through every available route (relation sum, transformed-beta
+    formula, closed form), and compares each against the registry's
+    left-hand side.  The report is EQUAL only if all routes match.
     """
     key = ident.upper()
     if key not in CHAIN_TARGETS:
@@ -447,8 +432,10 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     _check_index("N", N)
     for name, value in (("b_exp", b_exp), ("c_exp", c_exp),
                         ("d_exp", d_exp), ("e_exp", e_exp)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise EngineError(f"{name} must be an integer >= 1, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or not 1 <= value <= MAX_PARAMETER + 1):
+            raise EngineError(f"{name} must be an integer >= 1 and at most "
+                              f"{MAX_PARAMETER + 1}, got {value!r}")
     trunc = default_truncation(trunc)
 
     params = {"n": N, "l": b_exp - 1, "m": c_exp - 1,

@@ -39,7 +39,10 @@ def binom(n: int, k: int) -> int:
 
 
 def _check_range(values) -> None:
-    """Raise EngineError unless every value lies in 0..MAX_BINOMIAL_N."""
+    """Raise EngineError unless every value is an integer in 0..MAX_BINOMIAL_N."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EngineError(f"parameters must be integers, got {value!r}")
     if min(values) < 0:
         raise EngineError("parameters must be nonnegative")
     if max(values) > MAX_BINOMIAL_N:

@@ -98,21 +98,25 @@ def parse_ranges(spec: str) -> dict:
                 lo = hi = int(span)
         except ValueError:
             raise ValueError(f"range piece {piece!r} has a bound that is not an integer") from None
-        if hi < lo:
-            raise ValueError(f"range for {name!r} runs backwards: {span}")
         out[name] = (lo, hi)
     if not out:
         raise ValueError("empty range specification")
     return out
 
 
-def parse_int_list(spec: str, count: int | None = None, flag: str = "") -> list:
+def parse_int_list(spec: str, count: int | None, flag: str) -> list:
+    """The comma-separated integers given to ``flag``: exactly ``count`` of
+    them, or any number when ``count`` is None.  An empty entry is refused,
+    so that no value lands on the wrong parameter."""
+    pieces = spec.split(",")
+    if not all(p.strip() for p in pieces):
+        raise ValueError(f"{flag} has an empty entry: {spec!r}")
     try:
-        values = [int(p) for p in spec.split(",") if p.strip() != ""]
+        values = [int(p) for p in pieces]
     except ValueError:
-        raise ValueError(f"{flag or 'list'} must be comma-separated integers, got {spec!r}")
+        raise ValueError(f"{flag} must be comma-separated integers, got {spec!r}") from None
     if count is not None and len(values) != count:
-        raise ValueError(f"{flag or 'list'} needs exactly {count} integers, got {len(values)}")
+        raise ValueError(f"{flag} needs exactly {count} integers, got {len(values)}")
     return values
 
 
@@ -124,12 +128,6 @@ def resolve_trunc(flag_value: int | None) -> int | None:
         return default_truncation(flag_value)
     except ValueError:
         raise ValueError(f"--trunc must be in 1..{MAX_TRUNCATION}, got {flag_value}") from None
-
-
-def resolve_jobs(flag_value: int) -> int:
-    if flag_value < 1:
-        raise ValueError(f"--jobs must be >= 1, got {flag_value}")
-    return flag_value
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +267,22 @@ def cmd_verify(args) -> int:
     rec = get_record(ident)          # unknown id -> exit 2 before any work
     ranges = parse_ranges(args.range) if args.range else None
     trunc = resolve_trunc(args.trunc)
-    jobs = resolve_jobs(args.jobs)
-    reports = verify_grid(rec.ident, ranges, trunc, jobs=jobs)
+    reports = verify_grid(rec.ident, ranges, trunc, jobs=args.jobs)
     text_lines: list = []
     _grid_summary(rec.ident, reports, text_lines)
     config = {
         "id": rec.ident,
         "ranges": {k: list(v) for k, v in ranges.items()} if ranges else None,
         "trunc": trunc,
-        "jobs": jobs,
+        "jobs": args.jobs,
     }
     return emit("verify", config, reports, args.format, args.out, text_lines)
 
 
 def cmd_verify_all(args) -> int:
     trunc = resolve_trunc(args.trunc)
-    jobs = resolve_jobs(args.jobs)
     points, tasks = sweep_tasks(trunc)
-    all_reports = list(verify_points(tasks, points, jobs))
+    all_reports = list(verify_points(tasks, points, args.jobs))
     text_lines: list = []
     for ident, reports in groupby(all_reports, key=lambda r: r.ident):
         _grid_summary(ident, list(reports), text_lines)
@@ -294,7 +290,7 @@ def cmd_verify_all(args) -> int:
     text_lines.append(
         f"total: {len(list_identities())} identities, {len(all_reports)} points, {verdict}"
     )
-    config = {"trunc": trunc, "jobs": jobs}
+    config = {"trunc": trunc, "jobs": args.jobs}
     return emit("verify-all", config, all_reports, args.format, args.out, text_lines)
 
 
@@ -355,81 +351,78 @@ def cmd_telescope(args) -> int:
             for name, verdict in rep.checks:
                 text_lines.append(f"    {name:<24} {verdict}")
     if args.quartic:
-        ok = verify_quartic_identity()
-        reports.append(VerificationReport("QUARTIC", {}, 0,
-                                          "EQUAL" if ok else "MISMATCH"))
-        text_lines.append(f"quartic polynomial identity on the 5^4 grid: "
-                          f"{'EQUAL' if ok else 'MISMATCH'}")
+        rep = _verdict_report("QUARTIC", {}, verify_quartic_identity())
+        reports.append(rep)
+        text_lines.append(f"quartic polynomial identity on the 5^4 grid: {rep.verdict}")
     config = {"params": args.params, "quartic": bool(args.quartic), "trunc": trunc}
     return emit("telescope", config, reports, args.format, args.out, text_lines)
 
 
-def _binomial_report(name: str, params: dict, ok: bool) -> VerificationReport:
-    return VerificationReport(name, params, 0, "EQUAL" if ok else "MISMATCH")
+def _verdict_report(ident: str, params: dict, ok: bool) -> VerificationReport:
+    """The report of a check that yields only a truth value."""
+    return VerificationReport(ident, params, 0, "EQUAL" if ok else "MISMATCH")
+
+
+def _sides_agree(sides: tuple) -> bool:
+    return len(set(sides)) == 1
+
+
+# The checks of `qrr binomial` by flag, in report order.  A sweep flag
+# (parameter names None) runs each of its (report id, check of n) pairs for
+# n = 0..--n in turn.  A point flag takes one integer per parameter name and
+# compares the two sides that its function returns.
+_BINOMIAL_CHECKS = {
+    "bino5": ("fifth-power alternating sums", None,
+              (("BINO5", lambda n: _sides_agree(bino5_sides(n))),)),
+    "bino4": ("fourth-power alternating sums", None,
+              (("BINO4", lambda n: _sides_agree(bino4_sides(n))),)),
+    "divisibility": ("central-binomial divisibility, powers 4 and 5", None,
+                     (("DIV4", lambda n: divisibility_check(n, 4)),
+                      ("DIV5", lambda n: divisibility_check(n, 5)))),
+    "cor57": ("five-parameter factorial sum", "l,m,n,u,v", ("COR57", cor57_sides)),
+    "cor58a": ("four-parameter factorial sum", "l,m,n,u", ("COR58A", cor58a_sides)),
+    "cor58b": ("four-parameter factorial sum", "m,n,u,v", ("COR58B", cor58b_sides)),
+}
 
 
 def cmd_binomial(args) -> int:
+    flags = [*_BINOMIAL_CHECKS, "general"]
+    if not any(getattr(args, flag) for flag in flags):
+        raise ValueError("binomial needs at least one of "
+                         + "/".join(f"--{flag}" for flag in flags))
+    if not 0 <= args.n <= MAX_BINOMIAL_N:
+        raise ValueError(f"--n must be in 0..{MAX_BINOMIAL_N}, got {args.n}")
     reports: list = []
     text_lines: list = []
-    chosen = any([args.bino5, args.bino4, args.divisibility, args.cor57,
-                  args.cor58a, args.cor58b, args.general])
-    if not chosen:
-        raise ValueError("binomial needs at least one of --bino5/--bino4/"
-                         "--divisibility/--cor57/--cor58a/--cor58b/--general")
-    n_top = args.n if args.n is not None else 12
-    if not 0 <= n_top <= MAX_BINOMIAL_N:
-        raise ValueError(f"--n must be in 0..{MAX_BINOMIAL_N}, got {n_top}")
-    if args.bino5:
-        for n in range(n_top + 1):
-            lhs, r1, r2 = bino5_sides(n)
-            reports.append(_binomial_report("BINO5", {"n": n}, lhs == r1 == r2))
-        text_lines.append(f"fifth-power alternating sums, n=0..{n_top}")
-    if args.bino4:
-        for n in range(n_top + 1):
-            lhs, r1, r2 = bino4_sides(n)
-            reports.append(_binomial_report("BINO4", {"n": n}, lhs == r1 == r2))
-        text_lines.append(f"fourth-power alternating sums, n=0..{n_top}")
-    if args.divisibility:
-        for power in (4, 5):
-            for n in range(n_top + 1):
-                reports.append(_binomial_report(
-                    f"DIV{power}", {"n": n}, divisibility_check(n, power)))
-        text_lines.append(f"central-binomial divisibility, powers 4 and 5, n=0..{n_top}")
-    if args.cor57:
-        l, m, n, u, v = parse_int_list(args.cor57, 5, "--cor57")
-        lhs, rhs = cor57_sides(l, m, n, u, v)
-        reports.append(_binomial_report(
-            "COR57", {"l": l, "m": m, "n": n, "u": u, "v": v}, lhs == rhs))
-        text_lines.append(f"five-parameter factorial sum at {args.cor57}: {lhs} vs {rhs}")
-    if args.cor58a:
-        l, m, n, u = parse_int_list(args.cor58a, 4, "--cor58a")
-        lhs, rhs = cor58a_sides(l, m, n, u)
-        reports.append(_binomial_report(
-            "COR58A", {"l": l, "m": m, "n": n, "u": u}, lhs == rhs))
-        text_lines.append(f"four-parameter factorial sum at {args.cor58a}: {lhs} vs {rhs}")
-    if args.cor58b:
-        m, n, u, v = parse_int_list(args.cor58b, 4, "--cor58b")
-        lhs, rhs = cor58b_sides(m, n, u, v)
-        reports.append(_binomial_report(
-            "COR58B", {"m": m, "n": n, "u": u, "v": v}, lhs == rhs))
-        text_lines.append(f"four-parameter factorial sum at {args.cor58b}: {lhs} vs {rhs}")
+    config: dict = {}
+    for flag, (what, names, checks) in _BINOMIAL_CHECKS.items():
+        if names is not None:
+            # the config lists --n after the sweep flags it bounds
+            config.setdefault("n", args.n)
+        spec = config[flag] = getattr(args, flag)
+        if not spec:
+            continue
+        if names is None:
+            reports += [_verdict_report(ident, {"n": n}, check(n))
+                        for ident, check in checks for n in range(args.n + 1)]
+            text_lines.append(f"{what}, n=0..{args.n}")
+        else:
+            keys = names.split(",")
+            values = parse_int_list(spec, len(keys), f"--{flag}")
+            ident, sides = checks
+            lhs, rhs = sides(*values)
+            reports.append(_verdict_report(ident, dict(zip(keys, values)), lhs == rhs))
+            text_lines.append(f"{what} at {spec}: {lhs} vs {rhs}")
+    config["general"] = args.general
     if args.general:
         entries = parse_int_list(args.general, None, "--general")
-        if not entries:
-            raise ValueError("--general needs at least one entry")
         ok = general_divisibility_check(entries)
-        reports.append(_binomial_report(
+        reports.append(_verdict_report(
             "GENERAL", {f"n{i}": e for i, e in enumerate(entries)}, ok))
         text_lines.append(f"cyclic alternating sum at {entries}: "
                           f"{'nonnegative and divisible' if ok else 'FAILED'}")
     verdict = "all hold" if all(r.equal for r in reports) else "FAILURES"
     text_lines.append(f"{_tally(reports)} checks hold ({verdict})")
-    config = {
-        "bino5": bool(args.bino5), "bino4": bool(args.bino4),
-        "divisibility": bool(args.divisibility), "n": n_top,
-        "cor57": args.cor57, "cor58a": args.cor58a, "cor58b": args.cor58b,
-        "general": args.general,
-    }
     return emit("binomial", config, reports, args.format, args.out, text_lines)
 
 
@@ -510,14 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_telescope)
 
     p = subs.add_parser("binomial", help="q -> 1 binomial consequences")
-    p.add_argument("--bino5", action="store_true")
-    p.add_argument("--bino4", action="store_true")
-    p.add_argument("--divisibility", action="store_true")
-    p.add_argument("--n", type=int, default=None,
-                   help="upper bound for --bino5/--bino4/--divisibility sweeps")
-    p.add_argument("--cor57", default=None, help="five integers l,m,n,u,v")
-    p.add_argument("--cor58a", default=None, help="four integers l,m,n,u")
-    p.add_argument("--cor58b", default=None, help="four integers m,n,u,v")
+    for flag, (what, names, _) in _BINOMIAL_CHECKS.items():
+        if names is None:
+            p.add_argument(f"--{flag}", action="store_true", help=what)
+        else:
+            p.add_argument(f"--{flag}", default=None, help=f"{what} at integers {names}")
+    p.add_argument("--n", type=int, default=12, help="upper bound n of the sweeps")
     p.add_argument("--general", default=None, help="cycle entries n0,n1,...")
     _add_common(p)
     p.set_defaults(func=cmd_binomial)

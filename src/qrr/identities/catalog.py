@@ -7,8 +7,10 @@ that are pure powers of q; the registry works with their exponent offsets:
 
 with offsets l, m, n, u, v >= 0 (some records need u >= 1 or v >= 1 so a
 (q; q)_{u-1}-type symbol stays meaningful).  Four-parameter records reuse
-the subset of names matching their written form.  A record's default grid
-declares its parameters: their order, and each floor as the axis start.
+the subset of names matching their written form.  A record's default grid,
+one ``Axis(name, low, high)`` per parameter, declares its parameters: their
+order, and each floor as the axis start.  A side that is identically 0 is
+``Side()``, the empty sum.
 
 QnSum index strings and PochSum argument strings are literal transcriptions
 of the summand: e.g. den entry "l-k" is a (q; q)_{l-k} in the denominator,
@@ -18,6 +20,7 @@ and a PochSum num entry "-n" is a (q^{-n}; q)_k = (q/a; q)_k factor.
 from __future__ import annotations
 
 from .framework import (
+    Axis,
     IdentityRecord,
     PochSum,
     Prefactor,
@@ -26,8 +29,8 @@ from .framework import (
 )
 
 
-def _grid(*entries) -> tuple[tuple[str, int, int], ...]:
-    return tuple(entries)
+def _grid(*axes) -> tuple[Axis, ...]:
+    return tuple(Axis(*axis) for axis in axes)
 
 
 REGISTRY: dict[str, IdentityRecord] = {}
@@ -465,7 +468,7 @@ _add(IdentityRecord(
     lhs=Side(sum=PochSum(quad=(0, 0), lin="n+l+m+u+v+5",
                          num=_ABCDE_NUM,
                          den=("n+2", "l+2", "m+2", "u+2", "v+2"))),
-    rhs=Side(zero=True),
+    rhs=Side(),
     citation="bilateral sum with fully up-shifted denominators vanishes identically",
     default_grid=_grid(("n", 0, 2), ("l", 0, 2), ("m", 0, 2), ("u", 0, 2), ("v", 0, 2)),
 ))

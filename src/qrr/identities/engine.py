@@ -94,23 +94,28 @@ def lazy_grid(rec: IdentityRecord, ranges: dict[str, tuple[int, int]] | None = N
     """(number of points, the points) of a rectangular grid; the parameter
     dicts come in lexicographic order and are built one at a time.
 
-    The grid is checked when this is called: an unknown parameter, a start
-    below the minimum, or more than MAX_GRID_POINTS points (the product of
-    the axis lengths) raises EngineError before any point is built."""
-    by_name = {name: (lo, hi) for name, lo, hi in rec.default_grid}
-    if ranges:
-        for name, bounds in ranges.items():
-            if name not in {ps.name for ps in rec.params}:
-                raise EngineError(f"{rec.ident}: unknown parameter {name!r}")
-            by_name[name] = bounds
-    names, axes = [], []
-    for ps in rec.params:
-        lo, hi = by_name.get(ps.name, (ps.low, ps.low))
-        if lo < ps.low:
+    The grid is checked when this is called: an unknown parameter, an axis
+    with a bound that is not an integer, that starts below the parameter's
+    floor or that ends before it starts, or more than MAX_GRID_POINTS points
+    (the product of the axis lengths) raises EngineError before any point
+    is built."""
+    names = [axis.name for axis in rec.default_grid]
+    ranges = ranges or {}
+    for name in ranges:
+        if name not in names:
+            raise EngineError(f"{rec.ident}: unknown parameter {name!r}")
+    axes = []
+    for name, low, high in rec.default_grid:
+        lo, hi = ranges.get(name, (low, high))
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in (lo, hi)):
+            raise EngineError(f"{rec.ident}: grid for {name} needs integer bounds, "
+                              f"got {lo!r}..{hi!r}")
+        if lo < low:
             raise EngineError(
-                f"{rec.ident}: grid for {ps.name} starts at {lo}, below minimum {ps.low}"
+                f"{rec.ident}: grid for {name} starts at {lo}, below minimum {low}"
             )
-        names.append(ps.name)
+        if hi < lo:
+            raise EngineError(f"{rec.ident}: grid for {name} runs backwards: {lo}..{hi}")
         axes.append(range(lo, hi + 1))
     size = math.prod(len(axis) for axis in axes)
     if size > MAX_GRID_POINTS:
@@ -137,7 +142,11 @@ def verify_points(tasks: Iterable[tuple[str, dict, int]], points: int,
     With ``worker_count`` above 1 and at least 4 points, one process pool
     runs the whole stream: tasks are drawn from ``tasks`` only as chunks are
     handed to it, and a bounded window of chunks is in flight at a time.
-    Otherwise every task runs serially in this process."""
+    Otherwise every task runs serially in this process.  ``jobs`` must be an
+    integer >= 1; anything else raises EngineError before any task is
+    drawn."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise EngineError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = iter(tasks)
     workers = worker_count(jobs, _usable_cpus(), points)
     if workers <= 1 or points < 4:

@@ -27,10 +27,13 @@ to the summed side in place, one O(T) binomial pass each.  A denominator
 the finite part joins the product, and the summed side is divided by
 (q; q)_inf in one pass of Euler's pentagonal recurrence.  The sum is
 evaluated through q^(T - mono) so that the prefactor's monomial q^mono
-still leaves the side exact through q^T.  Writing the sides
-this way keeps each record a direct transcription of its printed form, and
-lets the evaluator expose every exponent in every record as a named "site"
-that tests can perturb to confirm the verification actually bites.
+still leaves the side exact through q^T.  A :class:`Side` with no sum is
+the empty sum, 0.  A record's parameters are the axes of its default grid,
+each an :class:`Axis` (name, low, high) whose low is the parameter's floor.
+Writing the sides this way keeps each record a direct transcription of its
+printed form, and lets the evaluator expose every exponent in every record
+as a named "site" that tests can perturb to confirm the verification
+actually bites.
 
 The truncation order T is an argument of every evaluation; an
 :class:`EvalCtx` carries only the perturbations, and every unperturbed
@@ -43,7 +46,7 @@ import ast
 import functools
 from dataclasses import dataclass
 from types import CodeType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..pochhammer import (
     PochProduct,
@@ -211,9 +214,11 @@ class Prefactor:
 
 @dataclass(frozen=True)
 class Side:
+    """A sum times a prefactor; either may be absent.  A side with no sum
+    is the empty sum, 0, whatever its prefactor."""
+
     sum: QnSum | PochSum | None = None
     pre: Prefactor | None = None
-    zero: bool = False               # the side is literally 0
 
 
 # The largest value of any record parameter.  Every term of a side's support
@@ -222,28 +227,31 @@ class Side:
 MAX_PARAMETER = 200
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class Axis(NamedTuple):
+    """One parameter of a record and its default grid axis low..high; low
+    is also the parameter's floor."""
+
     name: str
-    low: int = 0                     # admissibility floor
+    low: int
+    high: int
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """A registered identity; its parameters are the axes of its default grid,
-    in order, each axis starting at the parameter's floor."""
+    """A registered identity; its parameters are the axes of its default
+    grid, in order."""
 
     ident: str
     lhs: Side
     rhs: Side
     citation: str
-    default_grid: tuple[tuple[str, int, int], ...]   # (name, lo, hi)
+    default_grid: tuple[Axis, ...]
     default_trunc: int = 40
     expect: str = "equal"            # "equal" | "counterexample"
 
-    @functools.cached_property
-    def params(self) -> tuple[ParamSpec, ...]:
-        return tuple(ParamSpec(name, lo) for name, lo, _ in self.default_grid)
+    @property
+    def params(self) -> tuple[Axis, ...]:
+        return self.default_grid
 
     def side(self, name: str) -> Side:
         """The side called ``name``; raises EngineError unless it is "lhs"
@@ -281,21 +289,21 @@ class VerificationReport:
 
 def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     env = {}
-    for ps in record.params:
-        if ps.name not in params:
-            raise EngineError(f"{record.ident}: missing parameter {ps.name!r}")
-        value = params[ps.name]
+    for name, low, _ in record.params:
+        if name not in params:
+            raise EngineError(f"{record.ident}: missing parameter {name!r}")
+        value = params[name]
         if isinstance(value, bool) or not isinstance(value, int):
             raise EngineError(
-                f"{record.ident}: parameter {ps.name} must be an integer, got {value!r}")
-        if value < ps.low:
+                f"{record.ident}: parameter {name} must be an integer, got {value!r}")
+        if value < low:
             raise EngineError(
-                f"{record.ident}: parameter {ps.name}={value} below admissible minimum {ps.low}"
+                f"{record.ident}: parameter {name}={value} below admissible minimum {low}"
             )
         if value > MAX_PARAMETER:
-            raise EngineError(f"{record.ident}: parameter {ps.name}={value} is more "
+            raise EngineError(f"{record.ident}: parameter {name}={value} is more "
                               f"than the limit of {MAX_PARAMETER}")
-        env[ps.name] = value
+        env[name] = value
     extra = set(params) - set(env)
     if extra:
         raise EngineError(f"{record.ident}: unexpected parameters {sorted(extra)}")
@@ -530,8 +538,6 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: in
     q^(offset+i), exact through q^trunc, with the perturbations of ``ctx``."""
     side = record.side(side_name)
     tag = side_name
-    if side.zero:
-        return 0, [0] * (trunc + 1)
     pre = side.pre
     mono = 0
     if pre is not None and pre.mono != "0":
@@ -539,11 +545,11 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: in
     # the prefactor shifts the sum by q^mono, so the sum is needed through
     # q^(trunc - mono) for the product to be exact through q^trunc
     window = trunc - mono
-    if side.sum is None:
-        offset, buf = 0, [1] + [0] * window
-    else:
+    terms = []
+    if side.sum is not None:
         build = _qn_sum_terms if isinstance(side.sum, QnSum) else _poch_sum_terms
-        offset, buf = sum_terms(build(side.sum, env, ctx, tag, window), window)
+        terms = build(side.sum, env, ctx, tag, window)
+    offset, buf = sum_terms(terms, window)
     if pre is not None:
         offset, buf = _apply_prefactor(pre, env, ctx, tag, mono, offset, buf)
     return offset, buf

@@ -23,6 +23,7 @@ from qrr.bailey import (
     verify_pair,
 )
 from qrr.identities import EngineError, verify
+from qrr.identities.framework import MAX_PARAMETER
 from qrr.pochhammer import PochProduct, sum_terms
 from qrr.series import power_series
 
@@ -273,6 +274,9 @@ def test_chain_reproduce_all_targets():
 def test_chain_reproduce_nontrivial_exponents():
     rep = chain_reproduce("ABCDE3", 3, 2, 3, 1, 2, trunc=T)
     assert rep.equal
+    # the top exponent gives the top record parameter
+    rep = chain_reproduce("ABCDE1", 0, MAX_PARAMETER + 1, 1, 1, 1, trunc=5)
+    assert rep.equal and rep.params["l"] == MAX_PARAMETER
 
 
 def test_chain_reproduce_rejects_bad_input():
@@ -293,6 +297,10 @@ def test_chain_reproduce_rejects_bad_input():
     ("c_exp", (1, 1, 2.0)),
     ("d_exp", (1, 1, 1, False)),
     ("e_exp", (1, 1, 1, 1, 0.5)),
+    ("b_exp", (1, 300)),
+    ("c_exp", (1, 1, MAX_PARAMETER + 2)),
+    ("d_exp", (1, 1, 1, 10 ** 6)),
+    ("e_exp", (1, 1, 1, 1, MAX_PARAMETER + 2)),
 ])
 def test_chain_inputs_must_be_bounded_integers(name, args):
     # the message names the input, not a record parameter derived from it

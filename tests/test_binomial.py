@@ -131,3 +131,20 @@ def test_binomial_inputs_are_bounded():
                  lambda: general_alt_sum([2, top + 1])):
         with pytest.raises(EngineError, match=f"at most {top}"):
             call()
+
+
+@pytest.mark.parametrize("fn, args, bad", [
+    (bino5_sides, (True,), True),
+    (bino5_sides, (2.5,), 2.5),
+    (bino4_sides, (False,), False),
+    (divisibility_check, (True, 4), True),
+    (alt_power_sum, (2.0, 5), 2.0),
+    (cor57_sides, (1, 1, 1, 1, 1.0), 1.0),
+    (cor58a_sides, (1, True, 1, 1), True),
+    (cor58b_sides, (1, 1, "2", 1), "2"),
+    (general_alt_sum, ([1, True],), True),
+    (general_divisibility_check, ([2, 1.5],), 1.5),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_binomial_inputs_must_be_integers(fn, args, bad):
+    with pytest.raises(EngineError, match=rf"^parameters must be integers, got {bad!r}$"):
+        fn(*args)

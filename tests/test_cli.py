@@ -180,6 +180,8 @@ PINNED_REPORTS = {
         "097b262fb5c79095fd8bb79ed45c095c42aaa0f7c770e5ba24a376b5712784f6",
     "binomial --bino5 --bino4 --divisibility --cor57 1,1,1,1,1 --general 2,2,2":
         "a630ad137723d6580a1cf0d88095081ecd6a8ed8fdcc5ecd4888748f3855cb71",
+    "binomial --cor58a 1,2,1,1 --cor58b 2,1,1,2 --bino4 --divisibility --n 4":
+        "d7d9e588be2327c4abd65514affffb44932845be5ce68e84c90405742a4559d7",
 }
 
 
@@ -323,6 +325,9 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
     (["verify", "--id", "EULERN1", "--range", "n=1.."],
      "range piece 'n=1..' has a bound that is not an integer"),
     (["bailey", "--exps", "9,9,9,9"], "--exps needs --chain"),
+    (["bailey", "--chain", "abcde1", "--exps", "300,1,1,1"], "b_exp must be an integer"),
+    (["telescope", "--params", "1,,2,1,1,2"], "--params has an empty entry"),
+    (["binomial", "--general", "1,,2"], "--general has an empty entry"),
 ])
 def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
     start = time.perf_counter()

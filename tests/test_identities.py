@@ -171,6 +171,32 @@ def test_grid_size_limit_is_checked_before_any_point(monkeypatch):
         verify_grid("ANDREWS1", {"n": (0, 10 ** 8)}, 20)
 
 
+def test_malformed_grid_axis_is_refused_before_any_point(monkeypatch):
+    monkeypatch.setattr(engine, "_cartesian", None)     # no point may be built
+    with pytest.raises(EngineError, match=r"^ANDREWS1: grid for n runs backwards: 5..3$"):
+        verify_grid("ANDREWS1", {"n": (5, 3)}, 20)
+    with pytest.raises(EngineError, match="grid for m runs backwards"):
+        grid_points(get_record("EULERMN1"), {"m": (1, 0)})
+    for bounds in ((0, 2.5), (True, 2), (0.0, 2)):
+        with pytest.raises(EngineError, match=r"^ANDREWS1: grid for n needs integer bounds"):
+            verify_grid("ANDREWS1", {"n": bounds}, 20)
+
+
+@pytest.mark.parametrize("jobs", [0, -5, True, 1.5, "2"])
+def test_jobs_must_be_a_positive_integer(jobs):
+    drawn = []
+
+    def tasks():
+        drawn.append(1)
+        yield "ANDREWS1", {"n": 1}, 15
+
+    with pytest.raises(EngineError, match=rf"^jobs must be an integer >= 1, got {jobs!r}$"):
+        list(engine.verify_points(tasks(), 1, jobs))
+    assert drawn == []
+    with pytest.raises(EngineError, match="jobs must be an integer"):
+        verify_grid("ANDREWS1", {"n": (0, 1)}, 15, jobs=jobs)
+
+
 def test_grid_points_order_and_overrides():
     rec = get_record("EULERMN1")
     pts = grid_points(rec, {"m": (0, 1), "n": (2, 3)})
@@ -194,8 +220,12 @@ def test_verify_grid_matches_pointwise_and_parallel():
 
 
 def test_eval_side_values():
-    z = eval_side("ABCDE60", "rhs", {"n": 1, "l": 1, "m": 1, "u": 1, "v": 1}, 20)
+    point = {"n": 1, "l": 1, "m": 1, "u": 1, "v": 1}
+    z = eval_side("ABCDE60", "rhs", point, 20)
     assert z == [0] * 21
+    # the zero side is the empty sum: it has no exponent to perturb
+    sites = identity_sites("ABCDE60", point, 20)
+    assert sites and not any(s.startswith("rhs.") for s in sites)
     lhs = eval_side("ANDREWS1", "lhs", {"n": 3}, 20)
     rhs = eval_side("ANDREWS1", "rhs", {"n": 3}, 20)
     assert lhs == rhs
