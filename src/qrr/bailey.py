@@ -31,10 +31,10 @@ from .identities.framework import (
     MAX_PARAMETER,
     UNPERTURBED,
     EngineError,
-    PochSum,
+    Sum,
     VerificationReport,
     _check_params,
-    _poch_sum_terms,
+    _sum_terms,
     compare,
     eval_side_value,
 )
@@ -75,6 +75,13 @@ def _check_index(name: str, value) -> None:
             or not 0 <= value <= MAX_BAILEY_N):
         raise EngineError(f"{name} must be an integer >= 0 and at most "
                           f"{MAX_BAILEY_N}, got {value!r}")
+
+
+def _check_rhos(rho1_exp, rho2_exp) -> None:
+    """Refuse a rho exponent that is not an integer."""
+    for name, value in (("rho1_exp", rho1_exp), ("rho2_exp", rho2_exp)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EngineError(f"{name} must be an integer, got {value!r}")
 
 
 def _binom2(n: int) -> int:
@@ -243,8 +250,10 @@ def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
         beta_n -> sum_{r=0..n} (rho1, rho2)_r (xq/rho1 rho2)_{n-r}
                   (xq/rho1 rho2)^r / ((q)_{n-r} (xq/rho1)_n (xq/rho2)_n) beta_r.
 
-    Requires rho_i_exp <= x_exp so the new denominators stay regular.
+    Requires integers rho_i_exp <= x_exp so the new denominators stay
+    regular.
     """
+    _check_rhos(rho1_exp, rho2_exp)
     x = pair.x_exp
     if rho1_exp > x or rho2_exp > x:
         raise EngineError(
@@ -297,6 +306,7 @@ def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
 
     while beta transforms exactly as in the chain step with xq replaced by x.
     """
+    _check_rhos(rho1_exp, rho2_exp)
     if pair.mode != "one_sided":
         raise EngineError("the lattice step needs a one-sided pair")
     x = pair.x_exp
@@ -349,6 +359,7 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     pairs with x = q carry the extra 1/(1-q) that their fold introduces.
     """
     _check_index("the terminating parameter N", N)
+    _check_rhos(rho1_exp, rho2_exp)
     trunc = default_truncation(trunc)
     x = pair.x_exp
     if rho1_exp > x or rho2_exp > x:
@@ -394,8 +405,8 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
 _CTX = UNPERTURBED
 
 # the sum of the lattice closed form, at b = q^b and so on
-_LATTICE_SUM = PochSum(quad=(0, 0), lin="1", num=("-N", "1-b", "1-c", "d+e-2"),
-                       den=("1", "d", "e", "2-N-b-c"))
+_LATTICE_SUM = Sum(quad=(0, 0), lin="1", argnum=("-N", "1-b", "1-c", "d+e-2"),
+                   argden=("1", "d", "e", "2-N-b-c"))
 
 
 def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
@@ -406,7 +417,7 @@ def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
            .dqn(N).dpoch(b, N).dpoch(c, N))
     env = {"N": N, "b": b, "c": c, "d": d, "e": e}
     # the terminating sum never reads the truncation order
-    terms = _poch_sum_terms(_LATTICE_SUM, env, _CTX, "lattice", 0)
+    terms = _sum_terms(_LATTICE_SUM, env, _CTX, "lattice", 0)
     return [t.mul(pre) for t in terms]
 
 

@@ -9,12 +9,13 @@ as exact rationals and are asserted integral before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .identities.framework import EngineError
 
-# The largest parameter or cycle entry: each sum has O(n) terms of O(n) digits
-# and a sweep repeats it for every n (the acceptance sweeps stop at 20).
+# The largest parameter or cycle entry, and the most entries of one cycle:
+# each sum has O(n) terms of O(n) digits, with a factor per entry, and a
+# sweep repeats it for every n (the acceptance sweeps stop at 20).
 MAX_BINOMIAL_N = 150
 
 __all__ = [
@@ -55,16 +56,20 @@ def _as_int(x: Fraction, label: str) -> int:
     return int(x)
 
 
+def _alt_cycle_sum(*cycles: tuple[int, ...]) -> int:
+    """sum_k (-1)^k prod over the cycles (a_1, ..., a_r) of
+    prod_i binom(a_i + a_(i+1), a_i + k), where a_(r+1) = a_1.  A factor is
+    0 unless -a_i <= k <= a_(i+1), so k runs over |k| <= the least entry."""
+    pairs = [(a, a + b) for c in cycles for a, b in zip(c, c[1:] + c[:1])]
+    cap = min(a for a, _ in pairs)
+    return sum((-1 if k & 1 else 1) * prod(binom(top, a + k) for a, top in pairs)
+               for k in range(-cap, cap + 1))
+
+
 def cor57_sides(l: int, m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """Both sides of the five-fold alternating binomial identity."""
     _check_range((l, m, n, u, v))
-    big = max(l, m, n, u, v)
-    lhs = sum(
-        (-1 if k & 1 else 1)
-        * binom(l + m, l + k) * binom(m + n, m + k) * binom(n + l, n + k)
-        * binom(u + v, u + k) * binom(u + v, v + k)
-        for k in range(-big, big + 1)
-    )
+    lhs = _alt_cycle_sum((l, m, n), (u, v))
     acc = Fraction(0)
     for k in range(0, min(l, m, n) + 1):
         acc += Fraction(
@@ -79,13 +84,7 @@ def cor57_sides(l: int, m: int, n: int, u: int, v: int) -> tuple[int, int]:
 def cor58a_sides(l: int, m: int, n: int, u: int) -> tuple[int, int]:
     """The four-fold variant with a single central column."""
     _check_range((l, m, n, u))
-    big = max(l, m, n, u)
-    lhs = sum(
-        (-1 if k & 1 else 1)
-        * binom(l + m, l + k) * binom(m + n, m + k) * binom(n + l, n + k)
-        * binom(2 * u, u + k)
-        for k in range(-big, big + 1)
-    )
+    lhs = _alt_cycle_sum((l, m, n), (u,))
     acc = Fraction(0)
     for k in range(0, min(l, m, n) + 1):
         acc += Fraction(
@@ -100,13 +99,7 @@ def cor58a_sides(l: int, m: int, n: int, u: int) -> tuple[int, int]:
 def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """The four-fold variant with a doubled m+n column."""
     _check_range((m, n, u, v))
-    big = max(m, n, u, v)
-    lhs = sum(
-        (-1 if k & 1 else 1)
-        * binom(m + n, m + k) * binom(m + n, n + k)
-        * binom(u + v, u + k) * binom(u + v, v + k)
-        for k in range(-big, big + 1)
-    )
+    lhs = _alt_cycle_sum((m, n), (u, v))
     acc = Fraction(0)
     for k in range(0, min(m, n) + 1):
         acc += Fraction(
@@ -119,12 +112,11 @@ def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
 
 
 def alt_power_sum(n: int, power: int) -> int:
-    """sum_{k=-n}^{n} (-1)^k binom(2n, n+k)^power."""
+    """sum_{k=-n}^{n} (-1)^k binom(2n, n+k)^power, for a power >= 1."""
     _check_range((n,))
-    return sum(
-        (-1 if k & 1 else 1) * binom(2 * n, n + k) ** power
-        for k in range(-n, n + 1)
-    )
+    if isinstance(power, bool) or not isinstance(power, int) or power < 1:
+        raise EngineError(f"power must be an integer >= 1, got {power!r}")
+    return _alt_cycle_sum(*[(n,)] * power)
 
 
 def bino5_sides(n: int) -> tuple[int, int, int]:
@@ -167,20 +159,13 @@ def divisibility_check(n: int, power: int) -> bool:
 
 
 def general_alt_sum(entries: list[int] | tuple[int, ...]) -> int:
-    """sum_k (-1)^k prod_i binom(n_i + n_{i+1}, n_i + k), cyclically."""
-    ns = list(entries)
-    if not ns:
-        raise EngineError("need at least one entry")
+    """sum_k (-1)^k prod_i binom(n_i + n_{i+1}, n_i + k), cyclically, over
+    1 to MAX_BINOMIAL_N entries."""
+    ns = tuple(entries)
+    if not 1 <= len(ns) <= MAX_BINOMIAL_N:
+        raise EngineError(f"need 1 to at most {MAX_BINOMIAL_N} entries, got {len(ns)}")
     _check_range(ns)
-    cap = min(ns)
-    total = 0
-    for k in range(-cap, cap + 1):
-        term = 1
-        for i, a in enumerate(ns):
-            b = ns[(i + 1) % len(ns)]
-            term *= binom(a + b, a + k)
-        total += -term if k & 1 else term
-    return total
+    return _alt_cycle_sum(ns)
 
 
 def general_divisibility_check(entries: list[int] | tuple[int, ...]) -> bool:

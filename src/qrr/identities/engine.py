@@ -22,19 +22,15 @@ from .framework import (
     EngineError,
     EvalCtx,
     IdentityRecord,
-    PochSum,
-    QnSum,
+    Sum,
     UnknownIdentity,
     VerificationReport,
+    _arg_slots,
     _check_params,
-    _poch_slots,
-    _poch_sum_terms,
-    _poch_support,
-    _qn_sum_terms,
-    _qn_support,
+    _sum_terms,
+    _support,
     compare,
     compare_side_values,
-    eval_affine,
     eval_side_value,
 )
 
@@ -95,7 +91,7 @@ def lazy_grid(rec: IdentityRecord, ranges: dict[str, tuple[int, int]] | None = N
     dicts come in lexicographic order and are built one at a time.
 
     The grid is checked when this is called: an unknown parameter, an axis
-    with a bound that is not an integer, that starts below the parameter's
+    that is not a pair of integer bounds, that starts below the parameter's
     floor or that ends before it starts, or more than MAX_GRID_POINTS points
     (the product of the axis lengths) raises EngineError before any point
     is built."""
@@ -106,10 +102,12 @@ def lazy_grid(rec: IdentityRecord, ranges: dict[str, tuple[int, int]] | None = N
             raise EngineError(f"{rec.ident}: unknown parameter {name!r}")
     axes = []
     for name, low, high in rec.default_grid:
-        lo, hi = ranges.get(name, (low, high))
-        if any(isinstance(b, bool) or not isinstance(b, int) for b in (lo, hi)):
-            raise EngineError(f"{rec.ident}: grid for {name} needs integer bounds, "
-                              f"got {lo!r}..{hi!r}")
+        bounds = ranges.get(name, (low, high))
+        if (not isinstance(bounds, (tuple, list)) or len(bounds) != 2
+                or any(isinstance(b, bool) or not isinstance(b, int) for b in bounds)):
+            raise EngineError(f"{rec.ident}: grid for {name} needs integer bounds "
+                              f"(lo, hi), got {bounds!r}")
+        lo, hi = bounds
         if lo < low:
             raise EngineError(
                 f"{rec.ident}: grid for {name} starts at {lo}, below minimum {low}"
@@ -217,11 +215,9 @@ def eval_side(ident: str, side: str, params: dict,
 
 def support_bounds(ident: str, side: str, params: dict,
                    trunc: int | None = None) -> tuple[int, int]:
-    """The inclusive k-range the engine sums over for one side.
-
-    For QnSum sides this is the declared symmetric/terminating range (terms
-    outside the true support inside this range are exactly zero); for
-    PochSum sides it is derived from the argument exponents.
+    """The inclusive k-range the engine sums over for one side: the sum's
+    declared range (terms outside the true support inside this range are
+    exactly zero), or else the range derived from its argument exponents.
     """
     rec = get_record(ident)
     trunc = default_truncation(trunc, fallback=rec.default_trunc)
@@ -229,11 +225,7 @@ def support_bounds(ident: str, side: str, params: dict,
     s = rec.side(side).sum
     if s is None:
         raise EngineError(f"{ident} {side} has no sum")
-    if isinstance(s, QnSum):
-        return _qn_support(s, env, trunc)
-    assert isinstance(s, PochSum)
-    return _poch_support(s, env, trunc, *_poch_slots(
-        s, [eval_affine(t, env) for t in s.num], [eval_affine(t, env) for t in s.den]))
+    return _support(s, env, trunc, *_arg_slots(s, env, UNPERTURBED, side))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ _CTX = UNPERTURBED
 # the terminating sums of q^(k^2 + extra k) (q)_n / ((q)_k (q)_(n-k)),
 # taken at n = T, and the product each one tends to
 _RR_LIMITS = {
-    which: (QnSum(quad=(2, 2 * extra), num=("n",), den=("k", "n-k"), support=("0", "*")),
+    which: (Sum(quad=(2, 2 * extra), num=("n",), den=("k", "n-k"), support=("0", "*")),
             product)
     for which, extra, product in (("RR1", 0, "mod5_14"), ("RR2", 1, "mod5_23"))
 }
@@ -267,7 +259,7 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     spec, product = _RR_LIMITS[which]
     trunc = default_truncation(trunc)
     env = {"n": trunc}
-    lhs = sum_terms(_qn_sum_terms(spec, env, _CTX, which, trunc), trunc)
+    lhs = sum_terms(_sum_terms(spec, env, _CTX, which, trunc), trunc)
     return compare(which, env, trunc, lhs, (0, _rr_product(product, trunc)))
 
 
@@ -281,8 +273,8 @@ def liu_closed_form(which: str, a_exp: int) -> PochProduct:
 # the degenerate left sides at a = q^a: LIU1 sums (q/a)_k / (a)_k a^k q^(k^2-k)
 # over 1-a..a-1, LIU2 (q/a)_k / (aq)_k a^k q^(k^2) over -a..a-1
 _LIU_SUMS = {
-    "LIU1": PochSum(quad=(2, -2), lin="a", num=("1-a",), den=("a",)),
-    "LIU2": PochSum(quad=(2, 0), lin="a", num=("1-a",), den=("a+1",)),
+    "LIU1": Sum(quad=(2, -2), lin="a", argnum=("1-a",), argden=("a",)),
+    "LIU2": Sum(quad=(2, 0), lin="a", argnum=("1-a",), argden=("a+1",)),
 }
 
 
@@ -304,7 +296,7 @@ def liu_counterexample(which: str, a_exp: int,
         raise EngineError(f"the first parameter must be q^e with an integer "
                           f"1 <= e <= {MAX_LIU_EXPONENT}, got e={a_exp!r}")
     trunc = default_truncation(trunc)
-    terms = _poch_sum_terms(_LIU_SUMS[which], {"a": a_exp}, _CTX, which, trunc)
+    terms = _sum_terms(_LIU_SUMS[which], {"a": a_exp}, _CTX, which, trunc)
     closed = sum_terms([liu_closed_form(which, a_exp)], trunc)
     if compare_side_values(sum_terms(terms, trunc), closed, trunc) is not None:
         raise EngineError(f"{which}: degenerate sum disagrees with its closed form")

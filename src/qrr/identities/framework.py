@@ -1,25 +1,29 @@
 """Declarative machinery for two-sided q-series identity records.
 
-Every identity in the registry has sides built from one of two sum shapes:
+Every side in the registry sums one shape, a :class:`Sum`: over k, a sign
+(-1)^k if asked, a quadratic power of q, and two kinds of slot, each a
+q-shifted factorial (q^e; q)_n in the numerator or the denominator:
 
-* :class:`QnSum` — terms are powers of q times quotients of (q; q)_j symbols
-  whose indices are affine in the parameters and the summation variable k,
-  e.g.  q^{k^2} (q)_{l+m+n-k} / ((q)_k (q)_{l-k} (q)_{m-k} ...).
+* index slots (q; q)_j, ``num``/``den``, whose index j is affine in the
+  parameters and k, e.g.  q^{k^2} (q)_{l+m+n-k} / ((q)_k (q)_{l-k} ...);
 
-* :class:`PochSum` — terms are quotients of (q^a; q)_k symbols whose argument
-  exponents a are affine in the parameters (k is the index), times
-  sign^k q^{linear in k} and a quadratic power of q.
+* argument slots (q^a; q)_k, ``argnum``/``argden``, whose argument
+  exponent a is affine in the parameters and whose index is k.
 
-Either shape builds its terms as one chain of :class:`PochProduct` values:
+The paper's finite (q; q)_j quotients use index slots and the sums from
+Watson's transformation and Bailey's method use argument slots.  A sum
+declares its k-range, or derives it from its argument slots.
+
+Every sum builds its terms as one chain of :class:`PochProduct` values:
 a running product holds every slot of the term, and at each k only the
 change of each index is multiplied in (one factor for a slot whose index
-moves by one).  Each index still passes through its site at every k, and
-each kept term is a copy of the running product times its sign and power
-of q.  The terms are summed with :class:`SeriesAccumulator`, which
-evaluates the sum nested over the ratios of consecutive terms in one
-buffer.  A :class:`Prefactor` (infinite
-Pochhammer quotients, (q; q)_a and single binomial denominators, a
-monomial) can multiply either shape.  It is assembled as one
+moves by one).  Each (q; q)_j index passes through its site at every k,
+each argument exponent once per evaluation, and each kept term is a copy
+of the running product times its sign and power of q.  The terms are
+summed with :class:`SeriesAccumulator`, which evaluates the sum nested
+over the ratios of consecutive terms in one buffer.  A :class:`Prefactor`
+(infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
+a monomial) can multiply the sum.  It is assembled as one
 :class:`PochProduct`, where numerator and denominator infinite products
 cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
 to the summed side in place, one O(T) binomial pass each.  A denominator
@@ -166,37 +170,32 @@ UNPERTURBED = EvalCtx()
 
 
 @dataclass(frozen=True)
-class QnSum:
+class Sum:
     """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k}
-    prod (q)_num / prod (q)_den, indices affine in the parameters and k."""
+    prod (q)_num / prod (q)_den * prod (q^a; q)_k / prod (q^b; q)_k.
 
-    quad: tuple[int, int]            # (A, B) with (A k^2 + B k) always even
-    num: tuple[str, ...]
-    den: tuple[str, ...]
-    support: tuple[str, str]         # inclusive k-range; "*" = run until the
-                                     # q-power passes the truncation order
-    alt: bool = False                # include (-1)^k
-    lin: str = "0"                   # extra k-linear exponent (affine in params)
+    ``num``/``den`` are (q; q)_j slots whose index j is affine in the
+    parameters and k; ``argnum``/``argden`` are (q^a; q)_k slots whose
+    argument exponent a is affine in the parameters alone.  ``support`` is
+    the inclusive k-range, its end "*" to run until the q-power passes the
+    truncation order; None derives it from the argument slots and flips.
 
-
-@dataclass(frozen=True)
-class PochSum:
-    """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k}
-    prod (q^a; q)_k / prod (q^b; q)_k, argument exponents affine in params.
-
-    ``flips`` pairs a numerator slot with a denominator slot whose arguments
-    multiply to q^2 (i.e. (q/x; q)_k over (x/q; q)_k).  At parameter values
-    where both arguments hit q^0 the quotient is a genuine 0/0 that resolves
-    to -q^{1-d} (x = q^d); the paired slots are evaluated through the exact
-    rewrite  (q/x)_k / (x/q)_k = -q/x * (q^2/x)_{k-1} / (x)_{k-1}  for k >= 1,
-    which is regular for every x = q^d with d >= 1.
+    ``flips`` pairs an argnum slot with an argden slot whose arguments
+    multiply to 1 (a = -b, i.e. (q/x; q)_k over (x/q; q)_k).  At parameter
+    values where both arguments hit q^0 the quotient is a genuine 0/0 that
+    resolves to -q^{1-d} (x = q^d); the paired slots are evaluated through
+    the exact rewrite  (q/x)_k / (x/q)_k = -q/x * (q^2/x)_{k-1} / (x)_{k-1}
+    for k >= 1, which is regular for every x = q^d with d >= 1.
     """
 
-    quad: tuple[int, int]
-    num: tuple[str, ...]
-    den: tuple[str, ...]
-    alt: bool = False
-    lin: str = "0"
+    quad: tuple[int, int]            # (A, B) with (A k^2 + B k) always even
+    num: tuple[str, ...] = ()
+    den: tuple[str, ...] = ()
+    argnum: tuple[str, ...] = ()
+    argden: tuple[str, ...] = ()
+    support: tuple[str, str] | None = None
+    alt: bool = False                # include (-1)^k
+    lin: str = "0"                   # extra k-linear exponent (affine in params)
     flips: tuple[tuple[int, int], ...] = ()
 
 
@@ -217,7 +216,7 @@ class Side:
     """A sum times a prefactor; either may be absent.  A side with no sum
     is the empty sum, 0, whatever its prefactor."""
 
-    sum: QnSum | PochSum | None = None
+    sum: Sum | None = None
     pre: Prefactor | None = None
 
 
@@ -310,7 +309,7 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     return env
 
 
-def _quad_exponent(spec, lin: int, k: int) -> int:
+def _quad_exponent(spec: Sum, lin: int, k: int) -> int:
     """(A k^2 + B k)/2 + lin*k, where lin is the value of ``spec.lin``."""
     a, b = spec.quad
     twice = a * k * k + b * k
@@ -319,14 +318,7 @@ def _quad_exponent(spec, lin: int, k: int) -> int:
     return twice // 2 + lin * k
 
 
-def _qn_support(spec: QnSum, env: Mapping[str, int], trunc: int) -> tuple[int, int]:
-    kmin = eval_affine(spec.support[0], env)
-    if spec.support[1] == "*":
-        return kmin, _valuation_kmax(spec, env, kmin, trunc)
-    return kmin, eval_affine(spec.support[1], env)
-
-
-def _valuation_kmax(spec, env: Mapping[str, int], kmin: int, trunc: int) -> int:
+def _valuation_kmax(spec: Sum, env: Mapping[str, int], kmin: int, trunc: int) -> int:
     """Last k whose q-power can still reach the truncation window.
 
     Only used for sums whose terms carry q^{(A k^2 + ...)} with A > 0, so the
@@ -361,49 +353,23 @@ def _chain_term(run: PochProduct, sign: int, shift: int, tag: str, k: int,
     return t
 
 
-def _qn_sum_terms(spec: QnSum, env: dict, ctx: EvalCtx, tag: str,
-                  trunc: int) -> list[PochProduct]:
-    """The nonzero terms of a QnSum, built as one chain.
-
-    A running product holds every (q)_j slot; at each k the slot indices
-    are evaluated together and only the change of each is multiplied in,
-    (q)_a / (q)_a' = (q^(a'+1); q)_(a-a')."""
-    kmin, kmax = _qn_support(spec, env, trunc)
-    lin = eval_affine(spec.lin, env)
-    row = parse_affine_row(spec.num + spec.den)
-    names = [f"{tag}.num[{s}]" for s in spec.num] + [f"{tag}.den[{s}]" for s in spec.den]
-    times = [1] * len(spec.num) + [-1] * len(spec.den)
-    index = [0] * len(names)         # the empty product has every (q)_0 = 1
-    run = PochProduct()
-    out = []
-    tenv = dict(env)
-    for k in range(kmin, kmax + 1):
-        tenv["k"] = k
-        shift = ctx.site(f"{tag}.qpow", _quad_exponent(spec, lin, k), k)
-        for i, a in enumerate(eval(row, _AFFINE_GLOBALS, tenv)):
-            a = ctx.site(names[i], a, k)
-            if a != index[i]:
-                run.step(1, index[i], a, times[i])
-                index[i] = a
-        t = _chain_term(run, -1 if spec.alt and k & 1 else 1, shift, tag, k, env)
-        if t is not None:
-            out.append(t)
-    return out
-
-
-def _poch_slots(spec: PochSum, num_args: list[int],
-                den_args: list[int]) -> tuple[list, list]:
-    """The slots of a PochSum from its (possibly perturbed) argument
-    exponents: every (q^a; q)_k slot that is summed as written, as
-    (a, times), and the b of each flip pair (a, b) with a = -b.  A pair that
-    a perturbation has broken is two slots as written."""
+def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
+               tag: str) -> tuple[list, list[int]]:
+    """The argument slots of a sum, each exponent passed through its site:
+    every (q^a; q)_k slot that is summed as written, as (a, times), and the
+    b of each flip pair (a, b) with a = -b.  A pair that a perturbation has
+    broken is two slots as written."""
+    if not (spec.argnum or spec.argden):
+        return [], []
+    num = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
+    den = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
     flip_num = {i for i, _ in spec.flips}
     flip_den = {j for _, j in spec.flips}
-    plain = [(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
-    plain += [(b, -1) for j, b in enumerate(den_args) if j not in flip_den]
+    plain = [(a, 1) for i, a in enumerate(num) if i not in flip_num]
+    plain += [(b, -1) for j, b in enumerate(den) if j not in flip_den]
     exact = []
     for i, j in spec.flips:
-        a, b = num_args[i], den_args[j]
+        a, b = num[i], den[j]
         if a == -b:
             exact.append(b)
         else:
@@ -411,10 +377,11 @@ def _poch_slots(spec: PochSum, num_args: list[int],
     return plain, exact
 
 
-def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
-                  plain: list, exact: list[int]) -> tuple[int, int]:
-    """The support (kmin, kmax) of a PochSum with the slots of
-    :func:`_poch_slots`.
+def _support(spec: Sum, env: Mapping[str, int], trunc: int,
+             plain: Sequence = (), exact: Sequence[int] = ()) -> tuple[int, int]:
+    """The inclusive k-range (kmin, kmax) of a sum: its declared
+    ``support``, or else the range its argument slots ``plain`` and
+    ``exact``, as given by :func:`_arg_slots`, leave nonzero.
 
     Positive k survive until some numerator (q^a; q)_k with a <= 0 vanishes
     (k <= -a); negative k = -s survive while every denominator (q^b; q)_{-s}
@@ -423,8 +390,14 @@ def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
     through its rewritten form instead: it bounds k above by b (when b >= 1,
     via (q^{1-b}; q)_{k-1}) and below like a plain denominator, except that
     b = 0 imposes no bound at all because the pair cancels identically
-    there.
+    there.  With no bound above, k runs until the q-power passes the
+    truncation order.
     """
+    if spec.support is not None:
+        kmin = eval_affine(spec.support[0], env)
+        if spec.support[1] == "*":
+            return kmin, _valuation_kmax(spec, env, kmin, trunc)
+        return kmin, eval_affine(spec.support[1], env)
     upper = ([-a for a, times in plain if times > 0 and a <= 0]
              + [b for b in exact if b >= 1])
     lower = ([b - 1 for b, times in plain if times < 0 and b >= 1]
@@ -433,42 +406,69 @@ def _poch_support(spec: PochSum, env: Mapping[str, int], trunc: int,
     return -min(lower, default=0), kmax
 
 
-def _poch_sum_terms(spec: PochSum, env: dict, ctx: EvalCtx, tag: str,
-                    trunc: int) -> list[PochProduct]:
-    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
-    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
-    plain, exact = _poch_slots(spec, num_args, den_args)
-    kmin, kmax = _poch_support(spec, env, trunc, plain, exact)
+def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
+               trunc: int) -> list[PochProduct]:
+    """The nonzero terms of a sum, built as one chain.
+
+    A running product holds every slot of the term, and at each k only the
+    change of each index is multiplied in with :meth:`PochProduct.step`:
+    the (q)_j slot indices are evaluated together, each through its site,
+    and (q)_a / (q)_a' = (q^(a'+1); q)_(a-a'); each argument slot
+    (q^a; q)_k steps from the previous k.  A sum does no per-k work for a
+    slot kind it lacks."""
+    plain, exact = _arg_slots(spec, env, ctx, tag)
+    kmin, kmax = _support(spec, env, trunc, plain, exact)
     lin = eval_affine(spec.lin, env)
-    # an exact pair (-b, b) is rewritten for k >= 1 as
-    # -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1); each of its slots is
-    # kept as (argument up to k = 0, argument from k = 1 on, times)
-    flipped = [slot for b in exact for slot in ((-b, 1 - b, 1), (b, b + 1, -1))]
-    flip_sign = -1 if len(exact) & 1 else 1
-    flip_shift = -sum(exact)
-    # Every slot starts at index 0, where it is 1 whatever its argument, and
-    # a flipped slot changes argument between k = 0 and k = 1, where both of
-    # its forms have index 0; so each slot steps by its change of index.
+    qpow = f"{tag}.qpow"
+    row = flipped = None
+    if spec.num or spec.den:
+        row = parse_affine_row(spec.num + spec.den)
+        names = ([f"{tag}.num[{s}]" for s in spec.num]
+                 + [f"{tag}.den[{s}]" for s in spec.den])
+        times = [1] * len(spec.num) + [-1] * len(spec.den)
+        index = [0] * len(names)     # the empty product has every (q)_0 = 1
+        tenv = dict(env)
+    if exact:
+        # an exact pair (-b, b) is rewritten for k >= 1 as
+        # -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1); each of its slots
+        # is kept as (argument up to k = 0, argument from k = 1 on, times)
+        flipped = [slot for b in exact for slot in ((-b, 1 - b, 1), (b, b + 1, -1))]
+        flip_sign = -1 if len(exact) & 1 else 1
+        flip_shift = -sum(exact)
+    # Every argument slot starts at index 0, where it is 1 whatever its
+    # argument, and a flipped slot changes argument between k = 0 and k = 1,
+    # where both of its forms have index 0; so each slot steps by its change
+    # of index.
+    args = bool(plain or exact)
     run = PochProduct()
     prev = 0
     out = []
     for k in range(kmin, kmax + 1):
         sign = -1 if spec.alt and k & 1 else 1
-        shift = ctx.site(f"{tag}.qpow", _quad_exponent(spec, lin, k), k)
-        for a, times in plain:
-            run.step(a, prev, k, times)
-        if k < 1:
-            for a, _, times in flipped:
-                run.step(a, prev, k, times)
-        else:
-            for _, a, times in flipped:
-                run.step(a, max(prev - 1, 0), k - 1, times)
-            sign *= flip_sign
-            shift += flip_shift
-        prev = k
-        t = _chain_term(run, sign, shift, tag, k, env)
-        if t is not None:
-            out.append(t)
+        shift = ctx.site(qpow, _quad_exponent(spec, lin, k), k)
+        if row is not None:
+            tenv["k"] = k
+            for i, a in enumerate(eval(row, _AFFINE_GLOBALS, tenv)):
+                a = ctx.site(names[i], a, k)
+                if a != index[i]:
+                    run.step(1, index[i], a, times[i])
+                    index[i] = a
+        if args:
+            for a, t in plain:
+                run.step(a, prev, k, t)
+            if flipped:
+                if k < 1:
+                    for a, _, t in flipped:
+                        run.step(a, prev, k, t)
+                else:
+                    for _, a, t in flipped:
+                        run.step(a, max(prev - 1, 0), k - 1, t)
+                    sign *= flip_sign
+                    shift += flip_shift
+            prev = k
+        term = _chain_term(run, sign, shift, tag, k, env)
+        if term is not None:
+            out.append(term)
     return out
 
 
@@ -545,10 +545,7 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: in
     # the prefactor shifts the sum by q^mono, so the sum is needed through
     # q^(trunc - mono) for the product to be exact through q^trunc
     window = trunc - mono
-    terms = []
-    if side.sum is not None:
-        build = _qn_sum_terms if isinstance(side.sum, QnSum) else _poch_sum_terms
-        terms = build(side.sum, env, ctx, tag, window)
+    terms = [] if side.sum is None else _sum_terms(side.sum, env, ctx, tag, window)
     offset, buf = sum_terms(terms, window)
     if pre is not None:
         offset, buf = _apply_prefactor(pre, env, ctx, tag, mono, offset, buf)

@@ -17,7 +17,7 @@ polynomial identity that is verified separately on an integer grid.
 
 Every certificate term is declared as data in ``_FAMILIES``: a sign, a power
 of q and a few factors (1 - q^j) times the k-th term of a base core, each
-exponent affine in l, m, n, u, v and k.  The cores are QnSum specs built by
+exponent affine in l, m, n, u, v and k.  The cores are ``Sum`` specs built by
 the registry's term chain: A(k), the k-th term of LMNRS3's right side, under
 f_k, g_k and F(k); B(k) under S_k and T_k; a one-term C0 under L0 and R0.
 They are transcribed from the printed forms, not read from the records, so
@@ -39,11 +39,11 @@ from .identities.framework import (
     _AFFINE_GLOBALS,
     UNPERTURBED,
     EngineError,
-    QnSum,
+    Sum,
     VerificationReport,
     _check_params,
-    _qn_sum_terms,
-    _qn_support,
+    _sum_terms,
+    _support,
     compare_checks,
     eval_side_value,
     parse_affine_row,
@@ -61,29 +61,29 @@ __all__ = ["verify_telescoping", "verify_sk_tk", "quartic_sides",
 
 # A(k) and B(k) over k = 0..cap, where every index is nonnegative once
 # u, v >= 1; past cap some denominator index is negative and the term is 0
-_A_SUM = QnSum(quad=(5, -1), alt=True,
-               num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
-               den=("l-k", "m-k", "n-k", "u-k", "v-k",
-                    "l+k", "m+k", "n+k", "u+k-1", "v+k-1"),
-               support=("0", "min(l,m,n,u,v)"))
-_B_SUM = QnSum(quad=(5, 3), alt=True,
-               num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
-               den=("l-k", "m-k", "n-k", "u-k-1", "v-k-1",
-                    "l+k", "m+k", "n+k", "u+k", "v+k"),
-               support=("0", "min(l,m,n,u-1,v-1)"))
+_A_SUM = Sum(quad=(5, -1), alt=True,
+             num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
+             den=("l-k", "m-k", "n-k", "u-k", "v-k",
+                  "l+k", "m+k", "n+k", "u+k-1", "v+k-1"),
+             support=("0", "min(l,m,n,u,v)"))
+_B_SUM = Sum(quad=(5, 3), alt=True,
+             num=("l+m", "l+n", "m+n", "u-1", "v-1", "u+v-1"),
+             den=("l-k", "m-k", "n-k", "u-k-1", "v-k-1",
+                  "l+k", "m+k", "n+k", "u+k", "v+k"),
+             support=("0", "min(l,m,n,u-1,v-1)"))
 # C0, the one-term core of L0 and R0; (q)_l^2 is (q)_(l-k) (q)_(l+k) at
 # k = 0, so that each slot has a site of its own
-_C0_SUM = QnSum(quad=(0, 0), num=("l+m", "l+n", "m+n", "u+v"),
-                den=("l-k", "m-k", "n-k", "l+k", "m+k", "n+k", "u", "v"),
-                support=("0", "0"))
+_C0_SUM = Sum(quad=(0, 0), num=("l+m", "l+n", "m+n", "u+v"),
+              den=("l-k", "m-k", "n-k", "l+k", "m+k", "n+k", "u", "v"),
+              support=("0", "0"))
 
 # the cleared left side as two one-sided sums over the same denominator
 _SPLIT_DEN = ("k", "l-k", "m-k", "n-k", "u+k", "v+k")
 _SPLIT_SUMS = (
-    QnSum(quad=(2, 0), num=("l+m+n-k", "u+v+k"), den=_SPLIT_DEN,
-          support=("0", "min(l,m,n)")),
-    QnSum(quad=(2, 2), num=("l+m+n-k+1", "u+v+k-1"), den=_SPLIT_DEN,
-          support=("0", "min(l,m,n)")),
+    Sum(quad=(2, 0), num=("l+m+n-k", "u+v+k"), den=_SPLIT_DEN,
+        support=("0", "min(l,m,n)")),
+    Sum(quad=(2, 2), num=("l+m+n-k+1", "u+v+k-1"), den=_SPLIT_DEN,
+        support=("0", "min(l,m,n)")),
 )
 
 # the context of every certificate term, read at each call so that a test
@@ -151,12 +151,12 @@ _FAMILIES = {fam.name: fam for fam in (
 )}
 
 
-def _core(spec: QnSum, tag: str, params: dict, count: int) -> list:
+def _core(spec: Sum, tag: str, params: dict, count: int) -> list:
     """The terms of ``spec`` for k = 0..count-1: its chain over the support,
     then the zero product at every k past it.  A zero term inside the
     support would shift every later k, so it raises EngineError."""
-    terms = _qn_sum_terms(spec, params, _CTX, tag, 0)
-    _, cap = _qn_support(spec, params, 0)
+    terms = _sum_terms(spec, params, _CTX, tag, 0)
+    _, cap = _support(spec, params, 0)
     if len(terms) != cap + 1:
         raise EngineError(f"{tag}: zero term in k = 0..{cap} at {params}")
     return terms + [PochProduct().factor(0) for _ in range(count - cap - 1)]

@@ -1,17 +1,16 @@
-"""The per-k term builders, kept as a slow cross-check of the term chains.
+"""The per-k term builder, kept as a slow cross-check of the term chain.
 
-Each term of a QnSum or PochSum side is built from scratch at its k, one
-``qn``/``poch`` call per slot, with every index passed through ``ctx.site``
-under the same name as in the engine.  This is how ``_qn_sum_terms`` and
-``_poch_sum_terms`` built their terms before they kept one running product
-and multiplied in only the change of each index; the differential tests
-compare the two term by term.
+Each term of a registry ``Sum`` is built from scratch at its k, one
+``qn``/``poch`` call per slot, with every index and argument passed through
+``ctx.site`` under the same name as in the engine.  This is how the engine
+built its terms before it kept one running product and multiplied in only
+the change of each index; the differential tests compare the two term by
+term.
 """
 
 from qrr.identities.framework import (
     EngineError,
-    _poch_support,
-    _qn_support,
+    _support,
     eval_affine,
 )
 from qrr.pochhammer import PochProduct, PoleError
@@ -33,8 +32,18 @@ def _keep(out, t, tag, k, env):
         out.append(t)
 
 
-def qn_sum_terms(spec, env, ctx, tag, trunc):
-    kmin, kmax = _qn_support(spec, env, trunc)
+def sum_terms(spec, env, ctx, tag, trunc):
+    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
+    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
+    flip_num = {i for i, _ in spec.flips}
+    flip_den = {j for _, j in spec.flips}
+    plain = ([(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
+             + [(b, -1) for j, b in enumerate(den_args) if j not in flip_den])
+    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
+    # only the support comes from the engine: a broken pair is two plain slots
+    broken = [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
+    kmin, kmax = _support(spec, env, trunc, plain + broken,
+                          [b for a, b in pairs if a == -b])
     out = []
     tenv = dict(env)
     for k in range(kmin, kmax + 1):
@@ -47,28 +56,6 @@ def qn_sum_terms(spec, env, ctx, tag, trunc):
             t.qn(ctx.site(f"{tag}.num[{s}]", eval_affine(s, tenv), k))
         for s in spec.den:
             t.dqn(ctx.site(f"{tag}.den[{s}]", eval_affine(s, tenv), k))
-        _keep(out, t, tag, k, env)
-    return out
-
-
-def poch_sum_terms(spec, env, ctx, tag, trunc):
-    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.num]
-    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.den]
-    flip_num = {i for i, _ in spec.flips}
-    flip_den = {j for _, j in spec.flips}
-    plain = ([(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
-             + [(b, -1) for j, b in enumerate(den_args) if j not in flip_den])
-    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
-    # only the support comes from the engine: a broken pair is two plain slots
-    broken = [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
-    kmin, kmax = _poch_support(spec, env, trunc, plain + broken,
-                               [b for a, b in pairs if a == -b])
-    out = []
-    for k in range(kmin, kmax + 1):
-        t = PochProduct()
-        if spec.alt and (k & 1):
-            t.scale(-1)
-        t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))
         for a, times in plain:
             t.poch(a, k, times)
         for a, b in pairs:

@@ -5,6 +5,7 @@ independent oracles before any machinery is exercised on top of them.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -247,6 +248,23 @@ def test_weighted_identity_guards():
 def test_terminating_parameter_must_be_a_bounded_integer(N):
     with pytest.raises(EngineError, match=f"parameter N must be an integer.*got {N!r}"):
         symmetrized_identity(unit_pair_x1(), 0, 0, N, T)
+
+
+@pytest.mark.parametrize("rho", [-0.5, True, "0", None])
+@pytest.mark.parametrize("move", [
+    lambda rhos: bailey_step(unit_bilateral_x1(), *rhos),
+    lambda rhos: lattice_step(lattice_seed_pair(), *rhos),
+    lambda rhos: symmetrized_identity(unit_bilateral_x1(), *rhos, 2, T),
+], ids=["bailey_step", "lattice_step", "symmetrized_identity"])
+def test_rho_exponents_must_be_integers(move, rho, monkeypatch):
+    def no_term(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(PochProduct, "__init__", no_term)
+    for name, rhos in (("rho1_exp", (rho, 0)), ("rho2_exp", (0, rho))):
+        message = f"{name} must be an integer, got {rho!r}"
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            move(rhos)
 
 
 @pytest.mark.parametrize("n_max", [True, 2.5, -1])

@@ -82,6 +82,9 @@ def test_alt_power_sum_definition():
     assert alt_power_sum(2, 4) == binom(4, 2) ** 4 - 2 * binom(4, 1) ** 4 + 2
     with pytest.raises(EngineError):
         alt_power_sum(-1, 4)
+    for power in (0, -1, 2.0, True):
+        with pytest.raises(EngineError, match="power must be an integer >= 1"):
+            alt_power_sum(2, power)
 
 
 def test_divisibility():
@@ -128,7 +131,8 @@ def test_binomial_inputs_are_bounded():
                  lambda: cor57_sides(1, 1, 1, 1, top + 1),
                  lambda: cor58a_sides(top + 1, 1, 1, 1),
                  lambda: cor58b_sides(1, top + 1, 1, 1),
-                 lambda: general_alt_sum([2, top + 1])):
+                 lambda: general_alt_sum([2, top + 1]),
+                 lambda: general_alt_sum([1] * (top + 1))):
         with pytest.raises(EngineError, match=f"at most {top}"):
             call()
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qrr import cli
+from qrr import cli, telescoping
 from qrr.identities import REGISTRY, engine
 
 
@@ -328,6 +328,7 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
     (["bailey", "--chain", "abcde1", "--exps", "300,1,1,1"], "b_exp must be an integer"),
     (["telescope", "--params", "1,,2,1,1,2"], "--params has an empty entry"),
     (["binomial", "--general", "1,,2"], "--general has an empty entry"),
+    (["binomial", "--general", ",".join(["150"] * 151)], "at most 150 entries, got 151"),
 ])
 def test_out_of_bound_inputs_exit_2_at_once(argv, named, capsys):
     start = time.perf_counter()
@@ -407,6 +408,22 @@ def test_telescope_quartic(capsys):
     rc, out, _ = run_cli(["telescope", "--quartic"], capsys)
     assert rc == 0
     assert "quartic polynomial identity" in out
+
+
+@pytest.mark.parametrize("point", [(2, 2, 2, 2), (11, 3, 7, 5)])
+def test_telescope_quartic_catches_one_wrong_point(point, capsys, monkeypatch):
+    # a quartic whose left side is off by one at one point of the 5^4 grid
+    honest = telescoping.quartic_sides
+
+    def sides(*abcd):
+        lhs, rhs = honest(*abcd)
+        return lhs + (abcd == point), rhs
+
+    monkeypatch.setattr(telescoping, "quartic_sides", sides)
+    assert telescoping.verify_quartic_identity() is False
+    rc, out, _ = run_cli(["telescope", "--quartic"], capsys)
+    assert rc == 1
+    assert "quartic polynomial identity on the 5^4 grid: MISMATCH" in out
 
 
 def test_binomial_sweeps(capsys):

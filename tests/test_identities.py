@@ -25,9 +25,8 @@ from qrr.identities.framework import (
     MAX_PARAMETER,
     UNPERTURBED,
     EvalCtx,
-    _poch_slots,
-    _poch_support,
-    eval_affine,
+    _arg_slots,
+    _support,
     eval_side_value,
 )
 
@@ -177,7 +176,7 @@ def test_malformed_grid_axis_is_refused_before_any_point(monkeypatch):
         verify_grid("ANDREWS1", {"n": (5, 3)}, 20)
     with pytest.raises(EngineError, match="grid for m runs backwards"):
         grid_points(get_record("EULERMN1"), {"m": (1, 0)})
-    for bounds in ((0, 2.5), (True, 2), (0.0, 2)):
+    for bounds in ((0, 2.5), (True, 2), (0.0, 2), 3, [1], (0, 1, 2)):
         with pytest.raises(EngineError, match=r"^ANDREWS1: grid for n needs integer bounds"):
             verify_grid("ANDREWS1", {"n": bounds}, 20)
 
@@ -343,12 +342,11 @@ def test_liu_sums_keep_their_ranges():
         env = {"a": a}
         for which, want in (("LIU1", (1 - a, a - 1)), ("LIU2", (-a, a - 1))):
             spec = engine._LIU_SUMS[which]
-            args = ([eval_affine(x, env) for x in xs] for xs in (spec.num, spec.den))
-            kmin, kmax = _poch_support(spec, env, 20, *_poch_slots(spec, *args))
+            kmin, kmax = _support(spec, env, 20, *_arg_slots(spec, env, UNPERTURBED, which))
             assert (kmin, kmax) == want, (which, a)
 
 
-@pytest.mark.parametrize("which, change", [("LIU1", {"den": ("a+1",)}),
+@pytest.mark.parametrize("which, change", [("LIU1", {"argden": ("a+1",)}),
                                            ("LIU2", {"lin": "a+1"})])
 def test_liu_counterexample_refuses_a_corrupted_sum(which, change, monkeypatch):
     spec = dataclasses.replace(engine._LIU_SUMS[which], **change)

@@ -67,7 +67,7 @@ WORK = [(PochProduct, "__init__"), (SeriesAccumulator, "__init__"),
         (pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
         (framework, "mul_binomial"), (framework, "div_binomial"),
         (framework, "div_euler"),
-        (framework, "eval_affine"), (engine, "eval_affine")]
+        (framework, "eval_affine")]
 
 
 @pytest.mark.parametrize("T", [-5, 0, 10001, True, 2.5])

@@ -239,6 +239,15 @@ def test_certificates_refuse_non_integer_parameters(bad, monkeypatch):
             certify(1, bad, 1, 1, 1, 20)
 
 
+def test_add_values_aligns_two_nonzero_offsets():
+    # q^2..q^5 and q^-1..q^5, added in either order and at any scale
+    a, b = (2, [1, 2, 3, 4]), (-1, [5, 0, 7, 1, 1, 1, 1])
+    assert telescoping._add_values(a, b, -2) == (-1, [-10, 0, -14, -1, 0, 1, 2])
+    assert telescoping._add_values(b, a, 3) == (-1, [5, 0, 7, 4, 7, 10, 13])
+    assert telescoping._add_values(a, (1, [0, 9, 0, 0, 1])) == (1, [0, 10, 2, 3, 5])
+    assert a == (2, [1, 2, 3, 4]) and b == (-1, [5, 0, 7, 1, 1, 1, 1])
+
+
 def test_quartic_sides_frozen():
     assert quartic_sides(1, 2, 3, 4) == (462, 462)
     assert quartic_sides(2, 3, 5, 7) == (203320, 203320)

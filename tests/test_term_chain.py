@@ -1,7 +1,7 @@
 """Term chains against the per-k builders of ``direct_terms.py``.
 
-``_qn_sum_terms`` and ``_poch_sum_terms`` keep one running product per side
-and multiply in only the change of each index from one k to the next.  Here
+``framework._sum_terms`` keeps one running product per side and multiplies
+in only the change of each index from one k to the next.  Here
 every term they build is compared, coefficient, shift and factor powers,
 with the term built from scratch at its k: on every registry side at every
 corner of its default grid, and under every exponent-site perturbation the
@@ -65,18 +65,14 @@ def compared(monkeypatch):
     """While active, every side the engine sums is built both ways; returns
     the list of (tag, chained outcome, direct outcome) it fills."""
     seen = []
-    pairs = ((framework._qn_sum_terms, direct_terms.qn_sum_terms),
-             (framework._poch_sum_terms, direct_terms.poch_sum_terms))
+    chained, direct = framework._sum_terms, direct_terms.sum_terms
 
-    def both(chained, direct):
-        def run(spec, env, ctx, tag, trunc):
-            got = _outcome(chained, spec, env, ctx, tag, trunc)
-            seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc)))
-            return chained(spec, env, ctx, tag, trunc)
-        return run
+    def both(spec, env, ctx, tag, trunc):
+        got = _outcome(chained, spec, env, ctx, tag, trunc)
+        seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc)))
+        return chained(spec, env, ctx, tag, trunc)
 
-    for chained, direct in pairs:
-        monkeypatch.setattr(framework, chained.__name__, both(chained, direct))
+    monkeypatch.setattr(framework, "_sum_terms", both)
     return seen
 
 
