@@ -12,8 +12,13 @@ counts as a pass (``EQUAL``; for ``counterexample``, ``MISMATCH``, the
 reproduced disagreement), else 1.  Exit 2 is for configuration errors
 (unknown identity, malformed ranges, violated preconditions, a grid above
 ``engine.MAX_GRID_POINTS``, a truncation order outside
-1..``series.MAX_TRUNCATION``, an input above its ``MAX_*`` bound) and for a
-run that made no checks, so that a vacuous run never exits 0.
+1..``series.MAX_TRUNCATION``, an input above its ``MAX_*`` bound), for a
+run that made no checks, so that a vacuous run never exits 0, and for a run
+that failed partway (a check that raised, a pool worker that died).
+
+JSON reports are streamed, a batch of reports at a time, so a run that fails
+partway leaves a cut-short document on stdout; ``--out`` is written to a
+temporary file that replaces the target only when the run ends.
 
 JSON reports are deterministic: the same command line produces the same
 bytes, so timing is reported as 0.0 there.  Only ``verify`` reports are
@@ -24,9 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, suppress
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii as _str
+from typing import Iterable, Iterator
 
 from .bailey import (
     CHAIN_TARGETS,
@@ -135,61 +145,135 @@ def resolve_trunc(flag_value: int | None) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+# reports per write: one ``write`` per report costs more than encoding it
+_BATCH_REPORTS = 256
+
+
+def _scalar(v) -> str:
+    if isinstance(v, str):
+        return _str(v)
+    return repr(v) if type(v) is int else json.dumps(v)
+
+
+def _pairs_json(pairs, pad: str) -> str:
+    """A list of two-element lists, as ``json.dumps(indent=2)`` writes it
+    with its closing bracket at indent ``pad``."""
+    if not pairs:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + ",\n".join(
+        f"{inner}[\n{inner}  {_scalar(a)},\n{inner}  {_scalar(b)}\n{inner}]"
+        for a, b in pairs) + f"\n{pad}]"
+
+
+def _window_pairs(win) -> list:
+    return [(e, _frac_str(c)) for e, c in win]
+
+
 def _frac_str(c) -> str:
     f = Fraction(c)
     return f"{f.numerator}/{f.denominator}"
 
 
-def _window_json(win) -> list:
-    return [[e, _frac_str(c)] for e, c in win]
-
-
-def report_to_dict(rep: VerificationReport) -> dict:
-    d = {
-        "id": rep.ident,
-        "params": {k: rep.params[k] for k in sorted(rep.params)},
-        "trunc": rep.trunc,
-        "verdict": rep.verdict,
-    }
+def report_json(rep: VerificationReport) -> str:
+    """One report as an element of the document's ``reports`` list: the
+    bytes ``json.dumps(indent=2)`` writes for it at depth 2.  Parameters come
+    in sorted order, windows carry exact rationals as "num/den" strings, and
+    ``millis`` reads 0.0 so that the bytes are deterministic."""
+    params = rep.params
+    if params:
+        params_json = "{\n" + ",\n".join(
+            f"        {_str(k)}: {_scalar(params[k])}" for k in sorted(params)) + "\n      }"
+    else:
+        params_json = "{}"
+    out = (f'    {{\n      "id": {_str(rep.ident)},\n      "params": {params_json},\n'
+           f'      "trunc": {_scalar(rep.trunc)},\n      "verdict": {_str(rep.verdict)},\n')
     if rep.mismatch_index is not None:
-        d["mismatch_index"] = rep.mismatch_index
-        d["lhs_window"] = _window_json(rep.lhs_window)
-        d["rhs_window"] = _window_json(rep.rhs_window)
+        out += (f'      "mismatch_index": {_scalar(rep.mismatch_index)},\n'
+                f'      "lhs_window": {_pairs_json(_window_pairs(rep.lhs_window), "      ")},\n'
+                f'      "rhs_window": {_pairs_json(_window_pairs(rep.rhs_window), "      ")},\n')
     if rep.checks:
-        d["checks"] = [[name, verdict] for name, verdict in rep.checks]
-    d["millis"] = 0.0
-    return d
+        out += f'      "checks": {_pairs_json(rep.checks, "      ")},\n'
+    return out + '      "millis": 0.0\n    }'
 
 
-def emit(command: str, config: dict, reports: list, fmt: str,
+def _write_json(fh, command: str, config: dict, reports: Iterator, tally: list) -> None:
+    """Write the document ``json.dumps(doc, indent=2) + "\\n"`` would give for
+    the header, every report of ``reports`` and the summary, a batch of
+    reports at a time.  ``tally`` (total, passed) is read only once
+    ``reports`` is exhausted."""
+    head = json.dumps({"artifact_version": ARTIFACT_VERSION, "command": command,
+                       "config": config}, indent=2)
+    # the header object without its closing "\n}", continued by the list
+    fh.write(head[:-2] + ',\n  "reports": [\n')
+    sep, batch = "", []
+    for rep in reports:
+        batch.append(report_json(rep))
+        if len(batch) == _BATCH_REPORTS:
+            fh.write(sep + ",\n".join(batch))
+            sep, batch = ",\n", []
+    total, passed = tally
+    fh.write((sep + ",\n".join(batch) if batch else "")
+             + f'\n  ],\n  "summary": {{\n    "total": {total},\n'
+             f'    "passed": {passed},\n    "failed": {total - passed}\n  }}\n}}\n')
+
+
+@contextmanager
+def _output(out_path: str | None):
+    """stdout, or a temporary file beside ``out_path`` that replaces it only
+    when the block ends without an error; on an error it is removed and any
+    file at ``out_path`` is left as it was.  A path that exists but is not
+    a regular file, such as /dev/stdout or a pipe, is written in place."""
+    if not out_path:
+        yield sys.stdout
+        return
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, out_path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def emit(command: str, config: dict, reports: Iterable, fmt: str,
          out_path: str | None, text_lines: list, passing: str = "EQUAL") -> int:
     """Write the run's report and return its exit code: 0 when every report
-    has the verdict ``passing``, else 1.  A run with no reports raises
-    ValueError, so that it exits 2."""
-    if not reports:
+    has the verdict ``passing``, else 1.
+
+    ``reports`` is consumed once, as it is written: the JSON document goes
+    out a batch of reports at a time, and ``text_lines`` is written after the
+    last report, so a generator may append to it as it yields.  A run with
+    no reports raises ValueError before anything is written, so that it
+    exits 2."""
+    stream = iter(reports)
+    first = next(stream, None)
+    if first is None:
         raise ValueError(f"{command}: no checks were run")
-    passed = sum(1 for r in reports if r.verdict == passing)
-    if fmt == "json":
-        doc = {
-            "artifact_version": ARTIFACT_VERSION,
-            "command": command,
-            "config": config,
-            "reports": [report_to_dict(r) for r in reports],
-            "summary": {
-                "total": len(reports),
-                "passed": passed,
-                "failed": len(reports) - passed,
-            },
-        }
-        payload = json.dumps(doc, indent=2) + "\n"
-    else:
-        payload = "\n".join(text_lines) + "\n" if text_lines else ""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return 0 if passed == len(reports) else 1
+    tally = [0, 0]
+
+    def counted():
+        for rep in chain((first,), stream):
+            tally[0] += 1
+            tally[1] += rep.verdict == passing
+            yield rep
+
+    with _output(out_path) as fh:
+        if fmt == "json":
+            _write_json(fh, command, config, counted(), tally)
+        else:
+            for _ in counted():
+                pass
+            if text_lines:
+                fh.write("\n".join(text_lines) + "\n")
+    return 0 if tally[0] == tally[1] else 1
 
 
 def _poly_str(offset: int, coeffs: list) -> str:
@@ -279,19 +363,30 @@ def cmd_verify(args) -> int:
     return emit("verify", config, reports, args.format, args.out, text_lines)
 
 
+def _sweep_text(reports: Iterator, text_lines: list) -> Iterator:
+    """Pass the sweep's reports through, appending each identity's summary
+    line to ``text_lines`` once its group closes and the total line at the
+    end; only the open group is held."""
+    total, equal = 0, True
+    for ident, group in groupby(reports, key=lambda r: r.ident):
+        group = list(group)
+        yield from group
+        _grid_summary(ident, group, text_lines)
+        total += len(group)
+        equal = equal and all(r.equal for r in group)
+    text_lines.append(f"total: {len(list_identities())} identities, {total} points, "
+                      f"{'all equal' if equal else 'MISMATCHES FOUND'}")
+
+
 def cmd_verify_all(args) -> int:
     trunc = resolve_trunc(args.trunc)
     points, tasks = sweep_tasks(trunc)
-    all_reports = list(verify_points(tasks, points, args.jobs))
+    reports = verify_points(tasks, points, args.jobs)
     text_lines: list = []
-    for ident, reports in groupby(all_reports, key=lambda r: r.ident):
-        _grid_summary(ident, list(reports), text_lines)
-    verdict = "all equal" if all(r.equal for r in all_reports) else "MISMATCHES FOUND"
-    text_lines.append(
-        f"total: {len(list_identities())} identities, {len(all_reports)} points, {verdict}"
-    )
+    if args.format == "text":
+        reports = _sweep_text(reports, text_lines)
     config = {"trunc": trunc, "jobs": args.jobs}
-    return emit("verify-all", config, all_reports, args.format, args.out, text_lines)
+    return emit("verify-all", config, reports, args.format, args.out, text_lines)
 
 
 def _stock_pairs() -> list:
@@ -529,7 +624,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownIdentity, EngineError, ValueError, OSError) as exc:
+    except (UnknownIdentity, EngineError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qrr import cli, telescoping
+from qrr import binomial, cli, telescoping
 from qrr.identities import REGISTRY, engine
 
 
@@ -238,10 +238,23 @@ def test_pooled_sweep_bytes_are_pinned():
          "--jobs", "2", "--format", "json"],
         capture_output=True, env=_child_env(), check=True)
     doc = json.loads(proc.stdout)
+    # the streamed bytes are exactly what json.dumps writes for the document
+    assert proc.stdout == (json.dumps(doc, indent=2) + "\n").encode()
     assert doc["config"] == {"trunc": 40, "jobs": 2}
     doc["config"]["jobs"] = 1
     payload = json.dumps(doc, indent=2) + "\n"
     assert hashlib.sha256(payload.encode()).hexdigest() == SWEEP_T40_DIGEST
+
+
+def test_serial_sweep_bytes_are_pinned_on_stdout_and_in_out(tmp_path, capsys):
+    argv = ["verify-all", "--trunc", "40", "--jobs", "1", "--format", "json"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_T40_DIGEST
+    path = tmp_path / "sweep.json"
+    rc, out, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert rc == 0 and out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_T40_DIGEST
 
 
 def test_pooled_sweep_reports_mismatches_like_serial(monkeypatch, capsys):
@@ -432,6 +445,68 @@ def test_binomial_sweeps(capsys):
         capsys)
     assert rc == 0
     assert "24/24 checks hold (all hold)" in out
+
+
+def _bumped_at(fn, point):
+    """``fn`` with its value, or the first of its sides, one larger at
+    ``point`` (its arguments as a tuple) and unchanged elsewhere."""
+    def bumped(*args):
+        value = fn(*args)
+        if args != point:
+            return value
+        return value + 1 if isinstance(value, int) else (value[0] + 1, *value[1:])
+    return bumped
+
+
+def _point_check_bumped_at(flag, point):
+    what, names, (ident, sides) = cli._BINOMIAL_CHECKS[flag]
+    # the table holds the function itself, so the entry is what to patch
+    return lambda mp: mp.setitem(cli._BINOMIAL_CHECKS, flag,
+                                 (what, names, (ident, _bumped_at(sides, point))))
+
+
+# one check of `qrr binomial` at a time, off by one at one point; the
+# divisibility checks only return a truth value, so the sum each one tests
+# is what is off by one
+@pytest.mark.parametrize("argv, patch, ident, params", [
+    (["--bino5", "--n", "5"],
+     lambda mp: mp.setattr(cli, "bino5_sides", _bumped_at(binomial.bino5_sides, (3,))),
+     "BINO5", {"n": 3}),
+    (["--bino4", "--n", "5"],
+     lambda mp: mp.setattr(cli, "bino4_sides", _bumped_at(binomial.bino4_sides, (0,))),
+     "BINO4", {"n": 0}),
+    (["--divisibility", "--n", "5"],
+     lambda mp: mp.setattr(binomial, "alt_power_sum",
+                           _bumped_at(binomial.alt_power_sum, (4, 4))),
+     "DIV4", {"n": 4}),
+    (["--divisibility", "--n", "5"],
+     lambda mp: mp.setattr(binomial, "alt_power_sum",
+                           _bumped_at(binomial.alt_power_sum, (2, 5))),
+     "DIV5", {"n": 2}),
+    (["--cor57", "1,2,1,1,2"], _point_check_bumped_at("cor57", (1, 2, 1, 1, 2)),
+     "COR57", dict(l=1, m=2, n=1, u=1, v=2)),
+    (["--cor58a", "1,2,1,1"], _point_check_bumped_at("cor58a", (1, 2, 1, 1)),
+     "COR58A", dict(l=1, m=2, n=1, u=1)),
+    (["--cor58b", "2,1,1,2"], _point_check_bumped_at("cor58b", (2, 1, 1, 2)),
+     "COR58B", dict(m=2, n=1, u=1, v=2)),
+    (["--general", "2,3,2"],
+     lambda mp: mp.setattr(binomial, "general_alt_sum",
+                           _bumped_at(binomial.general_alt_sum, ([2, 3, 2],))),
+     "GENERAL", dict(n0=2, n1=3, n2=2)),
+], ids=["bino5", "bino4", "div4", "div5", "cor57", "cor58a", "cor58b", "general"])
+def test_binomial_catches_a_check_off_by_one(argv, patch, ident, params, monkeypatch, capsys):
+    argv = ["binomial", *argv, "--format", "json"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    honest = json.loads(out)["reports"]
+    assert all(r["verdict"] == "EQUAL" for r in honest)
+    patch(monkeypatch)
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 1
+    reports = json.loads(out)["reports"]
+    assert [(r["id"], r["params"]) for r in reports] == [(r["id"], r["params"]) for r in honest]
+    wrong = [(r["id"], r["params"]) for r in reports if r["verdict"] != "EQUAL"]
+    assert wrong == [(ident, params)]
 
 
 def test_binomial_point_checks(capsys):

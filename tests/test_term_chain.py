@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import direct_terms
-from qrr import telescoping
+from qrr import bailey, telescoping
 from qrr.identities import REGISTRY, engine, framework
 from qrr.identities.framework import EngineError, EvalCtx, eval_side_value
 from qrr.pochhammer import PochProduct
@@ -62,8 +62,9 @@ def _outcome(build, *args):
 
 @pytest.fixture
 def compared(monkeypatch):
-    """While active, every side the engine sums is built both ways; returns
-    the list of (tag, chained outcome, direct outcome) it fills."""
+    """While active, every sum built through ``_sum_terms`` is built both
+    ways, at each module's binding of it; returns the list of (tag, chained
+    outcome, direct outcome) it fills."""
     seen = []
     chained, direct = framework._sum_terms, direct_terms.sum_terms
 
@@ -72,7 +73,9 @@ def compared(monkeypatch):
         seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc)))
         return chained(spec, env, ctx, tag, trunc)
 
-    monkeypatch.setattr(framework, "_sum_terms", both)
+    for module in (framework, engine, telescoping, bailey):
+        assert module._sum_terms is chained
+        monkeypatch.setattr(module, "_sum_terms", both)
     return seen
 
 
@@ -96,6 +99,18 @@ def test_registry_sides_chain_to_the_direct_terms(compared, trunc):
                 sides += 1
                 terms += len(got)
     assert sides > 1500 and terms > 2000
+
+
+@pytest.mark.parametrize("check, tags", [
+    (lambda: engine.rr_limit_check("RR1", 20), {"RR1"}),
+    (lambda: engine.liu_counterexample("LIU1", 2, 20), {"LIU1"}),
+    (lambda: bailey.chain_reproduce("ABCDE3", 2, trunc=20), {"lattice", "lhs"}),
+], ids=["rr-limit", "liu", "lattice-closed-form"])
+def test_sums_outside_the_registry_chain_to_the_direct_terms(compared, check, tags):
+    check()
+    assert tags <= {tag for tag, _, _ in compared}
+    for tag, got, want in compared:
+        assert got == want, tag
 
 
 def _mutation_probes():
