@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, suppress
@@ -220,10 +221,11 @@ def _write_json(fh, command: str, config: dict, reports: Iterator, tally: list) 
 
 @contextmanager
 def _output(out_path: str | None):
-    """stdout, or a temporary file beside ``out_path`` that replaces it only
-    when the block ends without an error; on an error it is removed and any
-    file at ``out_path`` is left as it was.  A path that exists but is not
-    a regular file, such as /dev/stdout or a pipe, is written in place."""
+    """stdout, or a temporary file beside the file ``out_path`` names,
+    through any symlinks, that replaces that file, keeping its mode, only
+    when the block ends without an error; on an error it is removed and the
+    old file is left as it was.  A path that exists but is not a regular
+    file, such as /dev/stdout or a pipe, is written in place."""
     if not out_path:
         yield sys.stdout
         return
@@ -231,12 +233,20 @@ def _output(out_path: str | None):
         with open(out_path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = f"{out_path}.{os.getpid()}.tmp"
+    real = os.path.realpath(out_path)
+    old = os.path.isfile(real)
+    if old:
+        # fail, as writing in place would, on a file that may not be
+        # written; opening it to append changes nothing
+        open(real, "a").close()
+    tmp = f"{real}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh
-        os.replace(tmp, out_path)
+        if old:
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)

@@ -34,9 +34,9 @@ def test_runs_go_in_pair_order_and_append_one_line_each(bench_pairs, tmp_path,
                                                         monkeypatch, capsys):
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds, trace):
+    def fake_run(checkout, workload, seed, seconds):
         side = checkout.name
-        calls.append((side, seed))
+        calls.append((side, seed, seconds))
         return {"result": _result(100.0 if side == "parent" else 120.0, 50.0)}
 
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
@@ -47,17 +47,23 @@ def test_runs_go_in_pair_order_and_append_one_line_each(bench_pairs, tmp_path,
                                "workload": "registry-sweep",
                                "result": _result(1.0, 1.0)}) + "\n")
     assert bench_pairs.main(["--workload", "registry-sweep", "--first-seed", "7",
-                             "--pairs", "3", "--seconds", "2", "--out", str(out)]) == 0
-    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
-                     ("parent", 9), ("change", 9)]
+                             "--pairs", "3", "--out", str(out)]) == 0
+    # each run lasts the run_seconds BENCHMARK.json sets
+    seconds = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    assert calls == [(side, seed, seconds) for side, seed in
+                     [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                      ("parent", 9), ("change", 9)]]
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(lines) == 7                      # appended after the line there
-    assert [(l["side"], l["seed"]) for l in lines[1:]] == calls
+    assert [(l["side"], l["seed"], seconds) for l in lines[1:]] == calls
     assert all(l["workload"] == "registry-sweep" and l["trace"] == 0 for l in lines[1:])
     printed = capsys.readouterr().out.splitlines()
-    assert printed[0] == "registry-sweep --trace 0: 3 pairs, 0 runs not correct"
+    assert printed[0] == ("registry-sweep: 3 pairs, 0 runs not correct, "
+                          "0 runs repeat a seed and side")
     assert printed[1] == ("  checks_per_s: parent 100 [100, 100]  change 120 [120, 120]  "
                           "pairs won: change 3, parent 0")
+    # only end-to-end metrics are summarised
+    assert [line.split(":")[0] for line in printed[2:]] == ["  peak_rss_mb"]
 
 
 def test_summary_medians_quartiles_and_wins(bench_pairs):
@@ -72,22 +78,26 @@ def test_summary_medians_quartiles_and_wins(bench_pairs):
     # a run with no partner, a failed run and a traced run are not pairs
     runs.append({"side": "parent", "seed": 6, "trace": 0, "workload": "w",
                  "result": _result(1.0, 1.0)})
+    # a repeat of seed 4's change run, not correct, is counted and replaces
+    # the first in its pair
+    runs.append({"side": "change", "seed": 4, "trace": 0, "workload": "w",
+                 "result": _result(90.0, 52.0, correct=False)})
     runs.append({"side": "change", "seed": 7, "trace": 0, "workload": "w",
                  "result": None, "error": "exit 2"})
     runs.append({"side": "change", "seed": 1, "trace": 1, "workload": "w",
                  "result": _result(5.0, 5.0, correct=False)})
     better = {"checks_per_s": "higher", "peak_rss_mb": "lower"}
     summary = bench_pairs.summarize(runs, better)
-    group = summary[("w", 0)]
-    assert group["pairs"] == 5 and group["incorrect"] == 1
+    assert list(summary) == ["w"]                             # the traced run is left out
+    group = summary["w"]
+    assert group["pairs"] == 5 and group["incorrect"] == 2 and group["duplicate"] == 1
     assert set(group["metrics"]) == set(better)
     cps = group["metrics"]["checks_per_s"]
     assert cps["parent"] == (100.0, 102.0, 104.0)
-    assert cps["change"] == (103.0, 110.0, 120.0)
-    assert cps["wins"] == {"change": 3, "parent": 1}          # seed 3 is a tie
+    assert cps["change"] == (96.0, 103.0, 110.0)
+    assert cps["wins"] == {"change": 2, "parent": 2}          # seed 3 is a tie
     rss = group["metrics"]["peak_rss_mb"]
-    assert rss["wins"] == {"change": 4, "parent": 1}          # lower is better
-    assert summary[("w", 1)] == {"pairs": 0, "incorrect": 1, "metrics": {}}
+    assert rss["wins"] == {"change": 3, "parent": 2}          # lower is better
 
 
 def test_summarize_reads_a_file_and_runs_nothing(bench_pairs, tmp_path, monkeypatch, capsys):
@@ -103,6 +113,6 @@ def test_summarize_reads_a_file_and_runs_nothing(bench_pairs, tmp_path, monkeypa
                               for side, v in (("change", 2.0), ("parent", 1.0))) + "\n")
     assert bench_pairs.main(["--summarize", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "None --trace 0: 1 pairs, 0 runs not correct"
+    assert out[0] == "None: 1 pairs, 0 runs not correct, 0 runs repeat a seed and side"
     assert "pairs won: change 1, parent 0" in out[1]
     assert "pairs won: change 0, parent 0" in out[2]

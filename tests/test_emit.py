@@ -178,6 +178,33 @@ def test_a_finished_run_replaces_the_old_file(old_report, capsys):
     assert os.listdir(old_report.parent) == [old_report.name]
 
 
+_ANDREWS1 = ["verify", "--id", "ANDREWS1", "--range", "n=0..2", "--trunc", "12",
+             "--format", "json", "--out"]
+
+
+def test_a_symlink_updates_its_target_and_stays_a_link(old_report, capsys):
+    link = old_report.parent / "link.json"
+    link.symlink_to(old_report.name)
+    assert cli.main(_ANDREWS1 + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == old_report.name
+    assert json.loads(old_report.read_text(encoding="utf-8"))["summary"]["total"] == 3
+    assert sorted(os.listdir(old_report.parent)) == ["link.json", "report.json"]
+
+
+def test_the_replaced_file_keeps_its_mode(old_report, capsys):
+    os.chmod(old_report, 0o640)
+    assert cli.main(_ANDREWS1 + [str(old_report)]) == 0
+    assert stat.S_IMODE(os.stat(old_report).st_mode) == 0o640
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_read_only_file_exits_2_and_is_left_as_it_was(old_report, capsys):
+    os.chmod(old_report, 0o444)
+    assert cli.main(_ANDREWS1 + [str(old_report)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    _assert_untouched(old_report)
+
+
 def test_a_pipe_is_written_in_place(tmp_path, capsys):
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)

@@ -6,24 +6,27 @@ ignored) are copied beside it, so that both sides start from fresh
 directories with the same byte-code caches; with ``PYTHONDONTWRITEBYTECODE``
 set, a working tree that keeps old ``__pycache__`` files would otherwise
 start up faster than the extracted parent.  The unchanged
-``perfbench/run.py`` of each copy is run there, one pair per seed,
+``perfbench/run.py`` of each copy is run there, untraced and for the
+``run_seconds`` that ``BENCHMARK.json`` sets, one pair per seed,
 alternating which side runs first.  ``--parent`` defaults to HEAD, the
 parent of uncommitted work; once the change is committed, pass HEAD~1.
 Every run appends one JSON line to ``--out`` as soon as it ends:
 
-    {"side": "parent" | "change", "seed": S, "trace": 0 | 1, "workload": W,
+    {"side": "parent" | "change", "seed": S, "trace": 0, "workload": W,
      "result": {...}}
 
 where ``result`` is the last line ``run.py`` printed (``null`` if it printed
 none, with the exit code and the end of its stderr under ``"error"``).  At
-the end the tool prints, for each workload and trace setting in the file,
-the runs that were not correct and, for each metric that ``BENCHMARK.json``
-gives a direction, each side's median and quartiles and the number of pairs
-each side won (ties count for neither).
+the end the tool prints, for each workload in the file, the runs that were
+not correct, the runs whose seed and side an earlier line already had (of
+those with a result, the last one is paired) and, for each end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and the number of pairs
+each side won (ties count for neither).  Traced runs, which older
+``BENCH_*.json`` files hold, are left out.
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --workload registry-sweep \\
-        --first-seed 1801 --pairs 10 --seconds 25 --out BENCH_name.json
+        --first-seed 1801 --pairs 10 --out BENCH_name.json
     python3 tools/bench_pairs.py --summarize BENCH_name.json
 
 ``--summarize`` prints the summary of an existing file and runs nothing.
@@ -72,12 +75,12 @@ def snapshot(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; the result line, or None
-    with the exit code and the end of stderr under ``error``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced ``perfbench/run.py`` run in ``checkout``; the result
+    line, or None with the exit code and the end of stderr under ``error``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -94,15 +97,23 @@ def _quartiles(values: list) -> tuple[float, float, float]:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """{(workload, trace): group} over the pairs of runs, a pair being one
+    """{workload: group} over the pairs of untraced runs, a pair being one
     parent and one change run of a seed.  A group holds the number of
-    ``pairs``, the runs whose result is not ``correct`` (or missing) and,
-    per metric with a direction ``better[name]`` ("higher" or "lower"),
-    each side's (q1, median, q3) and the pairs each side won."""
+    ``pairs``, the runs whose result is not ``correct`` (or missing), the
+    ``duplicate`` runs whose seed and side an earlier run already had (of
+    those with a result, the last one is paired) and, per metric with a direction
+    ``better[name]`` ("higher" or "lower"), each side's (q1, median, q3)
+    and the pairs each side won."""
     groups: dict = {}
     for run in runs:
-        group = groups.setdefault((run.get("workload"), run["trace"]),
-                                  {"seeds": {}, "incorrect": 0})
+        if run.get("trace", 0):
+            continue
+        group = groups.setdefault(run.get("workload"),
+                                  {"seen": set(), "seeds": {}, "incorrect": 0,
+                                   "duplicate": 0})
+        key = (run["seed"], run["side"])
+        group["duplicate"] += key in group["seen"]
+        group["seen"].add(key)
         result = run.get("result")
         if not (result and result["correct"]):
             group["incorrect"] += 1
@@ -124,15 +135,17 @@ def summarize(runs: list, better: dict) -> dict:
                     wins["change" if sign * (c - p) > 0 else "parent"] += 1
             metrics[name] = {"wins": wins,
                              **{side: _quartiles(v) for side, v in values.items()}}
-        out[key] = {"pairs": len(pairs), "incorrect": group["incorrect"], "metrics": metrics}
+        out[key] = {"pairs": len(pairs), "incorrect": group["incorrect"],
+                    "duplicate": group["duplicate"], "metrics": metrics}
     return out
 
 
 def format_summary(summary: dict) -> list[str]:
     lines = []
-    for (workload, trace), group in summary.items():
-        lines.append(f"{workload} --trace {trace}: {group['pairs']} pairs, "
-                     f"{group['incorrect']} runs not correct")
+    for workload, group in summary.items():
+        lines.append(f"{workload}: {group['pairs']} pairs, "
+                     f"{group['incorrect']} runs not correct, "
+                     f"{group['duplicate']} runs repeat a seed and side")
         for name, s in group["metrics"].items():
             (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
             lines.append(f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
@@ -142,9 +155,8 @@ def format_summary(summary: dict) -> list[str]:
     return lines
 
 
-def _directions() -> dict:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def main(argv=None) -> int:
@@ -153,12 +165,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload")
     parser.add_argument("--first-seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="append one JSON line per run to this file")
     parser.add_argument("--summarize", metavar="FILE", help="summarise FILE and run nothing")
     args = parser.parse_args(argv)
 
+    spec = _benchmark()
     if args.summarize:
         out = Path(args.summarize)
     else:
@@ -172,16 +183,17 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 for side in pair_order(i):
-                    run = run_once(checkouts[side], args.workload, seed, args.seconds,
-                                   args.trace)
-                    line = {"side": side, "seed": seed, "trace": args.trace,
+                    run = run_once(checkouts[side], args.workload, seed,
+                                   spec["run_seconds"])
+                    line = {"side": side, "seed": seed, "trace": 0,
                             "workload": args.workload, **run}
                     with out.open("a", encoding="utf-8") as fh:
                         fh.write(json.dumps(line) + "\n")
                     print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                           f"{'ok' if run['result'] else run['error']}", file=sys.stderr)
     runs = [json.loads(line) for line in out.read_text().splitlines() if line.strip()]
-    print("\n".join(format_summary(summarize(runs, _directions()))))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    print("\n".join(format_summary(summarize(runs, better))))
     return 0
 
 
