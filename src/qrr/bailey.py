@@ -22,8 +22,8 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from .series import default_truncation
 from .pochhammer import PochProduct, _sign, sum_terms
@@ -77,16 +77,28 @@ def _check_index(name: str, value) -> None:
                           f"{MAX_BAILEY_N}, got {value!r}")
 
 
-def _check_rhos(rho1_exp, rho2_exp) -> None:
-    """Refuse a rho exponent that is not an integer."""
+def _rhos(what: str, rho1_exp, rho2_exp, top: int) -> tuple[int, int, int]:
+    """Refuse a rho exponent that is not an integer at most ``top``, before
+    any term is built.  With y = q^(top+1), return the exponents of y/rho1,
+    y/rho2 and y/rho1 rho2."""
     for name, value in (("rho1_exp", rho1_exp), ("rho2_exp", rho2_exp)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise EngineError(f"{name} must be an integer, got {value!r}")
+    if rho1_exp > top or rho2_exp > top:
+        raise EngineError(f"{what} needs rho exponents <= {top}, "
+                          f"got ({rho1_exp}, {rho2_exp})")
+    return top + 1 - rho1_exp, top + 1 - rho2_exp, top + 1 - rho1_exp - rho2_exp
 
 
 def _binom2(n: int) -> int:
     """n(n-1)/2, valid for negative n as well."""
     return n * (n - 1) // 2
+
+
+def _weigh(terms: TermFn, weights: Iterable[tuple[int, PochProduct]]) -> list:
+    """Each term of terms(r) times w, for every (r, w) of ``weights`` in
+    order: the one weighted sum behind every Bailey relation and move."""
+    return [t.mul(w) for r, w in weights for t in terms(r)]
 
 
 @dataclass(frozen=True)
@@ -102,12 +114,13 @@ class BaileyPair:
     def __post_init__(self):
         if self.mode not in MODES:
             raise EngineError(f"unknown pair mode {self.mode!r}")
-        if self.mode == "bilateral_x1" and self.x_exp != 0:
+        x = self.x_exp
+        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+            raise EngineError(f"x_exp must be an integer >= 0, got {x!r}")
+        if self.mode == "bilateral_x1" and x != 0:
             raise EngineError("bilateral_x1 pairs have x = 1")
-        if self.mode == "bilateral_xq" and self.x_exp != 1:
+        if self.mode == "bilateral_xq" and x != 1:
             raise EngineError("bilateral_xq pairs have x = q")
-        if self.x_exp < 0:
-            raise EngineError("pair parameter must be a nonnegative power of q")
 
     # -- the defining relation ------------------------------------------------
 
@@ -122,12 +135,9 @@ class BaileyPair:
             raise EngineError("the pair relation is stated for n >= 0")
         x = self.x_exp
         extra = -1 if self.mode == "bilateral_xq" else 0
-        out = []
-        for r in self.relation_range(n):
-            den = PochProduct().dqn(n - r).dpoch(x + 1, n + r).factor(1, extra)
-            for t in self.alpha_terms(r):
-                out.append(t.mul(den))
-        return out
+        return _weigh(self.alpha_terms,
+                      ((r, PochProduct().dqn(n - r).dpoch(x + 1, n + r).factor(1, extra))
+                       for r in self.relation_range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +150,12 @@ def _delta_beta(n: int) -> list:
 
 
 def unit_pair_x1() -> BaileyPair:
-    """The one-sided unit pair with x = 1.
+    """The one-sided unit pair with x = 1, the fold of the bilateral one:
 
     alpha_0 = 1, alpha_n = (-1)^n (q^(n(n-1)/2) + q^(n(n+1)/2)) for n >= 1,
     and beta_n = delta_{n,0}.
     """
-
-    def alpha(r: int) -> list:
-        if r < 0:
-            return []
-        if r == 0:
-            return [PochProduct()]
-        s = _sign(r)
-        return [
-            PochProduct().scale(s).q(_binom2(r)),
-            PochProduct().scale(s).q(_binom2(-r)),
-        ]
-
-    return BaileyPair("one_sided", 0, alpha, _delta_beta, label="unit-x1")
+    return replace(fold_to_one_sided(unit_bilateral_x1()), label="unit-x1")
 
 
 def _unit_bilateral_alpha(r: int) -> list:
@@ -205,13 +203,13 @@ def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
     if pair.mode == "one_sided":
         return pair
     old, x = pair.alpha_terms, pair.x_exp
+    w = PochProduct().factor(1, -x)
 
     def alpha(r: int) -> list:
         if r < 0:
             return []
-        mirror = -r - x
-        terms = old(r) + (old(mirror) if mirror != r else [])
-        return [t.copy().factor(1, -x) for t in terms]
+        # r, then its mirror unless r is its own
+        return _weigh(old, ((m, w) for m in dict.fromkeys((r, -r - x))))
 
     return BaileyPair("one_sided", x, alpha, pair.beta_terms,
                       label=f"fold({pair.label})")
@@ -253,21 +251,13 @@ def bailey_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
     Requires integers rho_i_exp <= x_exp so the new denominators stay
     regular.
     """
-    _check_rhos(rho1_exp, rho2_exp)
     x = pair.x_exp
-    if rho1_exp > x or rho2_exp > x:
-        raise EngineError(
-            f"chain step needs rho exponents <= {x}, got ({rho1_exp}, {rho2_exp})"
-        )
-    e1 = x + 1 - rho1_exp
-    e2 = x + 1 - rho2_exp
-    e12 = x + 1 - rho1_exp - rho2_exp
+    e1, e2, e12 = _rhos("chain step", rho1_exp, rho2_exp, x)
     old_alpha = pair.alpha_terms
 
     def alpha(r: int) -> list:
-        m = (PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
-             .q(e12 * r).dpoch(e1, r).dpoch(e2, r))
-        return [t.mul(m) for t in old_alpha(r)]
+        return _weigh(old_alpha, [(r, PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
+                                   .q(e12 * r).dpoch(e1, r).dpoch(e2, r))])
 
     beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
     return BaileyPair(pair.mode, x, alpha, beta,
@@ -283,14 +273,10 @@ def _beta_transform(old_beta: TermFn, rho1_exp: int, rho2_exp: int,
     """
 
     def beta(n: int) -> list:
-        out = []
-        for r in range(0, n + 1):
-            c = (PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
-                 .poch(e12, n - r).q(e12 * r)
-                 .dqn(n - r).dpoch(e1, n).dpoch(e2, n))
-            for t in old_beta(r):
-                out.append(t.mul(c))
-        return out
+        return _weigh(old_beta, ((r, PochProduct().poch(rho1_exp, r).poch(rho2_exp, r)
+                                  .poch(e12, n - r).q(e12 * r)
+                                  .dqn(n - r).dpoch(e1, n).dpoch(e2, n))
+                                 for r in range(n + 1)))
 
     return beta
 
@@ -299,39 +285,29 @@ def lattice_step(pair: BaileyPair, rho1_exp: int, rho2_exp: int) -> BaileyPair:
     """One move along the Bailey lattice: x -> x/q.
 
     Takes a one-sided pair with parameter x and returns a one-sided pair
-    with parameter x/q, where alpha'_0 = 1 and for n >= 1
+    with parameter x/q, where for n >= 0 (with alpha_{-1} = 0, so that
+    alpha'_0 = alpha_0)
 
         alpha'_n = (1-x) (x/rho1 rho2)^n (rho1, rho2)_n / ((x/rho1)_n (x/rho2)_n)
                    * ( alpha_n/(1-x q^{2n}) - x q^{2n-2} alpha_{n-1}/(1-x q^{2n-2}) ),
 
     while beta transforms exactly as in the chain step with xq replaced by x.
     """
-    _check_rhos(rho1_exp, rho2_exp)
     if pair.mode != "one_sided":
         raise EngineError("the lattice step needs a one-sided pair")
     x = pair.x_exp
-    e1 = x - rho1_exp
-    e2 = x - rho2_exp
-    e12 = x - rho1_exp - rho2_exp
-    if e1 < 1 or e2 < 1:
-        raise EngineError(
-            f"lattice step needs rho exponents < {x}, got ({rho1_exp}, {rho2_exp})"
-        )
+    e1, e2, e12 = _rhos("lattice step", rho1_exp, rho2_exp, x - 1)
     old_alpha = pair.alpha_terms
 
     def alpha(n: int) -> list:
         if n < 0:
             return []
-        if n == 0:
-            return [PochProduct()]
         head = (PochProduct().factor(x).q(e12 * n)
                 .poch(rho1_exp, n).poch(rho2_exp, n)
                 .dpoch(e1, n).dpoch(e2, n))
-        first = head.copy().dfactor(x + 2 * n)
-        second = head.copy().scale(-1).q(x + 2 * n - 2).dfactor(x + 2 * n - 2)
-        out = [t.mul(first) for t in old_alpha(n)]
-        out.extend(t.mul(second) for t in old_alpha(n - 1))
-        return out
+        return _weigh(old_alpha, (
+            (n, head.copy().dfactor(x + 2 * n)),
+            (n - 1, head.scale(-1).q(x + 2 * n - 2).dfactor(x + 2 * n - 2))))
 
     beta = _beta_transform(pair.beta_terms, rho1_exp, rho2_exp, e1, e2, e12)
     return BaileyPair("one_sided", x - 1, alpha, beta,
@@ -359,41 +335,23 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     pairs with x = q carry the extra 1/(1-q) that their fold introduces.
     """
     _check_index("the terminating parameter N", N)
-    _check_rhos(rho1_exp, rho2_exp)
-    trunc = default_truncation(trunc)
     x = pair.x_exp
-    if rho1_exp > x or rho2_exp > x:
-        raise EngineError(
-            f"weighted identity needs rho exponents <= {x}, "
-            f"got ({rho1_exp}, {rho2_exp})"
-        )
-    e1 = x + 1 - rho1_exp
-    e2 = x + 1 - rho2_exp
-
-    lhs_terms = []
-    for n in pair.relation_range(N):
-        w = (PochProduct().scale(_sign(n)).q(-_binom2(n))
-             .poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
-             .dpoch(e1, n).dpoch(e2, n).dpoch(x + N + 1, n)
-             .q((x + 1 + N - rho1_exp - rho2_exp) * n))
-        if pair.mode == "bilateral_xq":
-            w.dfactor(1)
-        for t in pair.alpha_terms(n):
-            lhs_terms.append(t.mul(w))
-
-    pre = (PochProduct().poch(x + 1, N).poch(x + 1 - rho1_exp - rho2_exp, N)
-           .dpoch(e1, N).dpoch(e2, N))
-    rhs_terms = []
-    for n in range(0, N + 1):
-        w = (PochProduct().poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
-             .q(n).dpoch(rho1_exp + rho2_exp - N - x, n).mul(pre))
-        for t in pair.beta_terms(n):
-            rhs_terms.append(t.mul(w))
-
-    lhs = sum_terms(lhs_terms, trunc)
-    rhs = sum_terms(rhs_terms, trunc)
+    e1, e2, e12 = _rhos("weighted identity", rho1_exp, rho2_exp, x)
+    trunc = default_truncation(trunc)
+    extra = -1 if pair.mode == "bilateral_xq" else 0
+    lhs = _weigh(pair.alpha_terms, (
+        (n, PochProduct().scale(_sign(n)).q(-_binom2(n))
+         .poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
+         .dpoch(e1, n).dpoch(e2, n).dpoch(x + N + 1, n)
+         .q((e12 + N) * n).factor(1, extra))
+        for n in pair.relation_range(N)))
+    pre = PochProduct().poch(x + 1, N).poch(e12, N).dpoch(e1, N).dpoch(e2, N)
+    rhs = _weigh(pair.beta_terms, (
+        (n, PochProduct().poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
+         .q(n).dpoch(1 - N - e12, n).mul(pre))
+        for n in range(N + 1)))
     return compare(f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})",
-                   {"N": N}, trunc, lhs, rhs)
+                   {"N": N}, trunc, sum_terms(lhs, trunc), sum_terms(rhs, trunc))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ independent oracles before any machinery is exercised on top of them.
 
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 
-from qrr import bailey
+from qrr import bailey, pochhammer
 from qrr.bailey import (
     BaileyPair,
     bailey_step,
@@ -23,7 +24,7 @@ from qrr.bailey import (
     unit_pair_x1,
     verify_pair,
 )
-from qrr.identities import EngineError, verify
+from qrr.identities import EngineError, framework, verify
 from qrr.identities.framework import MAX_PARAMETER
 from qrr.pochhammer import PochProduct, sum_terms
 from qrr.series import power_series
@@ -101,6 +102,17 @@ def test_mode_validation():
         BaileyPair("sideways", 0, lambda r: [], lambda n: [])
 
 
+@pytest.mark.parametrize("mode, x_exp", [
+    ("one_sided", 1.5), ("one_sided", True), ("one_sided", "1"),
+    ("one_sided", None), ("one_sided", -1), ("bilateral_x1", 0.0),
+    ("bilateral_x1", False), ("bilateral_xq", 1.0),
+])
+def test_x_exp_must_be_a_nonnegative_integer(mode, x_exp):
+    message = f"x_exp must be an integer >= 0, got {x_exp!r}"
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        BaileyPair(mode, x_exp, lambda r: [], lambda n: [])
+
+
 def test_stock_pairs_satisfy_relation():
     for pair in (unit_pair_x1(), unit_bilateral_x1(),
                  unit_bilateral_xq(), lattice_seed_pair()):
@@ -169,6 +181,24 @@ def test_lattice_step_guards():
         lattice_step(unit_bilateral_x1(), 0, 0)    # needs a one-sided pair
     with pytest.raises(EngineError):
         lattice_step(lattice_seed_pair(), 1, 0)    # rho exponent too high
+
+
+def _doubled(pair):
+    """The pair with every alpha and beta term scaled by 2: still a pair."""
+    def double(terms):
+        return lambda r: [t.copy().scale(2) for t in terms(r)]
+    return dataclasses.replace(pair, alpha_terms=double(pair.alpha_terms),
+                               beta_terms=double(pair.beta_terms))
+
+
+def test_lattice_step_keeps_alpha_0():
+    # the lattice gives alpha'_0 = alpha_0, which is 2 here, not 1
+    doubled = _doubled(lattice_seed_pair())
+    assert all(r.equal for r in verify_pair(doubled, n_max=3, trunc=20))
+    moved = lattice_step(doubled, 0, 0)
+    assert _alpha(moved, 0) == _series((2, 0))
+    reports = verify_pair(moved, n_max=3, trunc=20)
+    assert [r.verdict for r in reports] == ["EQUAL"] * 4
 
 
 def test_lattice_after_step():
@@ -335,3 +365,30 @@ def test_relation_index_is_bounded():
 
 def test_chain_is_case_insensitive():
     assert chain_reproduce("abcde2", 1, trunc=T).equal
+
+
+def test_bailey_work_is_pinned(monkeypatch):
+    # Kernel passes of the chain reconstructions and the stock pair
+    # relations at T=40, through both modules' bindings: the relation sums
+    # render through pochhammer's, the registry side's prefactor through
+    # framework's.  Term counts of a folded pair and of a lattice route pin
+    # how many terms the moves build.
+    calls = Counter()
+    for owner in (pochhammer, framework):
+        for name in ("mul_binomial", "div_binomial"):
+            def counted(*args, kernel=getattr(owner, name), name=name):
+                calls[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+    for target in bailey.CHAIN_TARGETS:
+        for N in range(5):
+            assert chain_reproduce(target, N, 2, 3, 1, 2, trunc=40).equal
+    for pair in (unit_pair_x1(), unit_bilateral_x1(),
+                 unit_bilateral_xq(), lattice_seed_pair()):
+        assert all(r.equal for r in verify_pair(pair, n_max=10, trunc=40))
+    assert dict(calls) == {"mul_binomial": 398, "div_binomial": 824}
+
+    route = lattice_step(bailey_step(lattice_seed_pair(), 0, 0), 0, -1)
+    assert [len(pair.relation_terms(6)) + len(pair.beta_terms(6))
+            for pair in (unit_pair_x1(), route)] == [13, 20]
