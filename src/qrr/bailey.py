@@ -35,6 +35,7 @@ from .identities.framework import (
     VerificationReport,
     _check_params,
     _sum_terms,
+    bounded_int,
     compare,
     eval_side_value,
 )
@@ -69,21 +70,12 @@ MAX_BAILEY_N = 40
 TermFn = Callable[[int], list]
 
 
-def _check_index(name: str, value) -> None:
-    """Refuse an index that is not an integer in 0..MAX_BAILEY_N."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 0 <= value <= MAX_BAILEY_N):
-        raise EngineError(f"{name} must be an integer >= 0 and at most "
-                          f"{MAX_BAILEY_N}, got {value!r}")
-
-
 def _rhos(what: str, rho1_exp, rho2_exp, top: int) -> tuple[int, int, int]:
     """Refuse a rho exponent that is not an integer at most ``top``, before
     any term is built.  With y = q^(top+1), return the exponents of y/rho1,
     y/rho2 and y/rho1 rho2."""
-    for name, value in (("rho1_exp", rho1_exp), ("rho2_exp", rho2_exp)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise EngineError(f"{name} must be an integer, got {value!r}")
+    bounded_int("rho1_exp", rho1_exp)
+    bounded_int("rho2_exp", rho2_exp)
     if rho1_exp > top or rho2_exp > top:
         raise EngineError(f"{what} needs rho exponents <= {top}, "
                           f"got ({rho1_exp}, {rho2_exp})")
@@ -114,9 +106,7 @@ class BaileyPair:
     def __post_init__(self):
         if self.mode not in MODES:
             raise EngineError(f"unknown pair mode {self.mode!r}")
-        x = self.x_exp
-        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-            raise EngineError(f"x_exp must be an integer >= 0, got {x!r}")
+        x = bounded_int("x_exp", self.x_exp, 0)
         if self.mode == "bilateral_x1" and x != 0:
             raise EngineError("bilateral_x1 pairs have x = 1")
         if self.mode == "bilateral_xq" and x != 1:
@@ -223,7 +213,7 @@ def fold_to_one_sided(pair: BaileyPair) -> BaileyPair:
 def verify_pair(pair: BaileyPair, n_max: int = 10,
                 trunc: int | None = None) -> list[VerificationReport]:
     """Check the defining relation for n = 0..n_max; one report per index."""
-    _check_index("n_max", n_max)
+    bounded_int("n_max", n_max, 0, MAX_BAILEY_N)
     trunc = default_truncation(trunc)
     return [compare(pair.label or "pair", {"n": n}, trunc,
                     sum_terms(pair.beta_terms(n), trunc),
@@ -334,7 +324,7 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
     all integers (the weights terminate the sum on both ends); bilateral
     pairs with x = q carry the extra 1/(1-q) that their fold introduces.
     """
-    _check_index("the terminating parameter N", N)
+    bounded_int("the terminating parameter N", N, 0, MAX_BAILEY_N)
     x = pair.x_exp
     e1, e2, e12 = _rhos("weighted identity", rho1_exp, rho2_exp, x)
     trunc = default_truncation(trunc)
@@ -398,13 +388,10 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
             f"chain reconstruction covers {', '.join(CHAIN_TARGETS)}; "
             f"got {ident!r}"
         )
-    _check_index("N", N)
+    bounded_int("N", N, 0, MAX_BAILEY_N)
     for name, value in (("b_exp", b_exp), ("c_exp", c_exp),
                         ("d_exp", d_exp), ("e_exp", e_exp)):
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or not 1 <= value <= MAX_PARAMETER + 1):
-            raise EngineError(f"{name} must be an integer >= 1 and at most "
-                              f"{MAX_PARAMETER + 1}, got {value!r}")
+        bounded_int(name, value, 1, MAX_PARAMETER + 1)
     trunc = default_truncation(trunc)
 
     params = {"n": N, "l": b_exp - 1, "m": c_exp - 1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .identities.framework import EngineError
+from .identities.framework import EngineError, bounded_int
 
 # The largest parameter or cycle entry, and the most entries of one cycle:
 # each sum has O(n) terms of O(n) digits, with a factor per entry, and a
@@ -42,12 +42,7 @@ def binom(n: int, k: int) -> int:
 def _check_range(values) -> None:
     """Raise EngineError unless every value is an integer in 0..MAX_BINOMIAL_N."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise EngineError(f"parameters must be integers, got {value!r}")
-    if min(values) < 0:
-        raise EngineError("parameters must be nonnegative")
-    if max(values) > MAX_BINOMIAL_N:
-        raise EngineError(f"parameters must be at most {MAX_BINOMIAL_N}, got {max(values)}")
+        bounded_int("parameter", value, 0, MAX_BINOMIAL_N)
 
 
 def _as_int(x: Fraction, label: str) -> int:
@@ -114,8 +109,7 @@ def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
 def alt_power_sum(n: int, power: int) -> int:
     """sum_{k=-n}^{n} (-1)^k binom(2n, n+k)^power, for a power >= 1."""
     _check_range((n,))
-    if isinstance(power, bool) or not isinstance(power, int) or power < 1:
-        raise EngineError(f"power must be an integer >= 1, got {power!r}")
+    bounded_int("power", power, 1)
     return _alt_cycle_sum(*[(n,)] * power)
 
 

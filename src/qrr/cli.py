@@ -71,6 +71,7 @@ from .identities import (
     verify_grid,
     verify_points,
 )
+from .identities.framework import bounded_int
 from .pochhammer import sum_terms
 from .series import MAX_TRUNCATION, default_truncation, env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
@@ -407,10 +408,8 @@ def cmd_bailey(args) -> int:
     if args.exps is not None and not args.chain:
         raise ValueError("--exps needs --chain")
     trunc = resolve_trunc(args.trunc)
-    if not 0 <= args.n <= MAX_BAILEY_N:
-        raise ValueError(f"--n must be in 0..{MAX_BAILEY_N}, got {args.n}")
-    if not 0 <= args.n_max <= MAX_BAILEY_N:
-        raise ValueError(f"--n-max must be in 0..{MAX_BAILEY_N}, got {args.n_max}")
+    bounded_int("--n", args.n, 0, MAX_BAILEY_N)
+    bounded_int("--n-max", args.n_max, 0, MAX_BAILEY_N)
     reports: list = []
     text_lines: list = []
     if args.chain:
@@ -495,8 +494,7 @@ def cmd_binomial(args) -> int:
     if not any(getattr(args, flag) for flag in flags):
         raise ValueError("binomial needs at least one of "
                          + "/".join(f"--{flag}" for flag in flags))
-    if not 0 <= args.n <= MAX_BINOMIAL_N:
-        raise ValueError(f"--n must be in 0..{MAX_BINOMIAL_N}, got {args.n}")
+    bounded_int("--n", args.n, 0, MAX_BINOMIAL_N)
     reports: list = []
     text_lines: list = []
     config: dict = {}

@@ -29,6 +29,7 @@ from .framework import (
     _check_params,
     _sum_terms,
     _support,
+    bounded_int,
     compare,
     compare_side_values,
     eval_side_value,
@@ -143,8 +144,7 @@ def verify_points(tasks: Iterable[tuple[str, dict, int]], points: int,
     Otherwise every task runs serially in this process.  ``jobs`` must be an
     integer >= 1; anything else raises EngineError before any task is
     drawn."""
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise EngineError(f"jobs must be an integer >= 1, got {jobs!r}")
+    bounded_int("jobs", jobs, 1)
     tasks = iter(tasks)
     workers = worker_count(jobs, _usable_cpus(), points)
     if workers <= 1 or points < 4:
@@ -225,7 +225,7 @@ def support_bounds(ident: str, side: str, params: dict,
     s = rec.side(side).sum
     if s is None:
         raise EngineError(f"{ident} {side} has no sum")
-    return _support(s, env, trunc, *_arg_slots(s, env, UNPERTURBED, side))
+    return _support(s, env, trunc, _arg_slots(s, env, UNPERTURBED, side)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +291,7 @@ def liu_counterexample(which: str, a_exp: int,
     """
     if which not in _LIU_SUMS:
         raise UnknownIdentity(f"liu_counterexample knows LIU1 and LIU2, not {which!r}")
-    if (isinstance(a_exp, bool) or not isinstance(a_exp, int)
-            or not 1 <= a_exp <= MAX_LIU_EXPONENT):
-        raise EngineError(f"the first parameter must be q^e with an integer "
-                          f"1 <= e <= {MAX_LIU_EXPONENT}, got e={a_exp!r}")
+    bounded_int("a_exp", a_exp, 1, MAX_LIU_EXPONENT)
     trunc = default_truncation(trunc)
     terms = _sum_terms(_LIU_SUMS[which], {"a": a_exp}, _CTX, which, trunc)
     closed = sum_terms([liu_closed_form(which, a_exp)], trunc)
@@ -321,5 +318,10 @@ def identity_sites(ident: str, params: dict,
 def verify_mutated(ident: str, params: dict, site: str, delta: int,
                    trunc: int | None = None) -> VerificationReport:
     """Re-verify with one exponent site perturbed by ``delta``, by the rule
-    of :meth:`EvalCtx.site`."""
-    return verify(ident, params, trunc, EvalCtx({site: delta}))
+    of :meth:`EvalCtx.site`; raises EngineError if the check never passes
+    that site, so a misspelt site cannot read EQUAL."""
+    ctx = EvalCtx({site: delta})
+    rep = verify(ident, params, trunc, ctx)
+    if not ctx.hits:
+        raise EngineError(f"{ident}: the check at {params} passes no site {site!r}")
+    return rep

@@ -141,15 +141,17 @@ class EvalCtx:
     stable name.  ``mutations`` maps a site name to a shift d: a
     ``<tag>.qpow`` site moves by d*k, so that even a sum that happens to be
     identically zero is knocked off its cancellation, and any other site by
-    d.  A ``recorder`` set collects the name of every site passed.
+    d.  A ``recorder`` set collects the name of every site passed, and
+    ``hits`` counts the passes of a perturbed one.
     """
 
-    __slots__ = ("mutations", "recorder")
+    __slots__ = ("mutations", "recorder", "hits")
 
     def __init__(self, mutations: Mapping[str, int] | None = None,
                  recorder: set | None = None):
         self.mutations = dict(mutations) if mutations else {}
         self.recorder = recorder
+        self.hits = 0
 
     def site(self, name: str, value: int, k: int = 0) -> int:
         if self.recorder is not None:
@@ -157,6 +159,7 @@ class EvalCtx:
         d = self.mutations.get(name)
         if d is None:
             return value
+        self.hits += 1
         return value + d * k if name.endswith(".qpow") else value + d
 
 
@@ -178,14 +181,14 @@ class Sum:
     parameters and k; ``argnum``/``argden`` are (q^a; q)_k slots whose
     argument exponent a is affine in the parameters alone.  ``support`` is
     the inclusive k-range, its end "*" to run until the q-power passes the
-    truncation order; None derives it from the argument slots and flips.
+    truncation order; None derives it from the argument slots.
 
     ``flips`` pairs an argnum slot with an argden slot whose arguments
-    multiply to 1 (a = -b, i.e. (q/x; q)_k over (x/q; q)_k).  At parameter
-    values where both arguments hit q^0 the quotient is a genuine 0/0 that
-    resolves to -q^{1-d} (x = q^d); the paired slots are evaluated through
-    the exact rewrite  (q/x)_k / (x/q)_k = -q/x * (q^2/x)_{k-1} / (x)_{k-1}
-    for k >= 1, which is regular for every x = q^d with d >= 1.
+    multiply to 1 (a = -b, i.e. (q/x; q)_k over (x/q; q)_k with x = q^(b+1)).
+    As written the pair is the quotient it means wherever b != 0, since
+    (1-q^-b)/(1-q^b) = -q^-b.  At b = 0 both arguments are q^0 and the
+    quotient is a genuine 0/0; the pair is taken at its limit x -> q, which
+    is 1 at k <= 0 and -1 at every k >= 1.
     """
 
     quad: tuple[int, int]            # (A, B) with (A k^2 + B k) always even
@@ -224,6 +227,18 @@ class Side:
 # holds O(parameters) factors, so memory grows with their square; the
 # default grids stop at 12.
 MAX_PARAMETER = 200
+
+
+def bounded_int(name: str, value, low: int | None = None,
+                high: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, within the bounds given; else
+    EngineError naming ``name``, the bounds and the value."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or low is not None and value < low or high is not None and value > high):
+        bounds = ("" if low is None else f" >= {low}") + (
+            "" if high is None else f" and at most {high}")
+        raise EngineError(f"{name} must be an integer{bounds}, got {value!r}")
+    return value
 
 
 class Axis(NamedTuple):
@@ -291,18 +306,8 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     for name, low, _ in record.params:
         if name not in params:
             raise EngineError(f"{record.ident}: missing parameter {name!r}")
-        value = params[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise EngineError(
-                f"{record.ident}: parameter {name} must be an integer, got {value!r}")
-        if value < low:
-            raise EngineError(
-                f"{record.ident}: parameter {name}={value} below admissible minimum {low}"
-            )
-        if value > MAX_PARAMETER:
-            raise EngineError(f"{record.ident}: parameter {name}={value} is more "
-                              f"than the limit of {MAX_PARAMETER}")
-        env[name] = value
+        env[name] = bounded_int(f"{record.ident}: parameter {name}", params[name],
+                                low, MAX_PARAMETER)
     extra = set(params) - set(env)
     if extra:
         raise EngineError(f"{record.ident}: unexpected parameters {sorted(extra)}")
@@ -354,54 +359,41 @@ def _chain_term(run: PochProduct, sign: int, shift: int, tag: str, k: int,
 
 
 def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
-               tag: str) -> tuple[list, list[int]]:
-    """The argument slots of a sum, each exponent passed through its site:
-    every (q^a; q)_k slot that is summed as written, as (a, times), and the
-    b of each flip pair (a, b) with a = -b.  A pair that a perturbation has
-    broken is two slots as written."""
+               tag: str) -> tuple[list, int]:
+    """The argument slots of a sum as written, each exponent passed through
+    its site, as (a, times) for (q^a; q)_k^times, and the number of flip
+    pairs at q^0/q^0.  Such a pair is left out of the slots: as written it
+    is 1 at every k, and it bounds no k."""
     if not (spec.argnum or spec.argden):
-        return [], []
+        return [], 0
     num = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
     den = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
-    flip_num = {i for i, _ in spec.flips}
-    flip_den = {j for _, j in spec.flips}
-    plain = [(a, 1) for i, a in enumerate(num) if i not in flip_num]
-    plain += [(b, -1) for j, b in enumerate(den) if j not in flip_den]
-    exact = []
-    for i, j in spec.flips:
-        a, b = num[i], den[j]
-        if a == -b:
-            exact.append(b)
-        else:
-            plain += [(a, 1), (b, -1)]
-    return plain, exact
+    zeros = {i: j for i, j in spec.flips if num[i] == den[j] == 0}
+    slots = [(a, 1) for i, a in enumerate(num) if i not in zeros]
+    slots += [(b, -1) for j, b in enumerate(den) if j not in zeros.values()]
+    return slots, len(zeros)
 
 
 def _support(spec: Sum, env: Mapping[str, int], trunc: int,
-             plain: Sequence = (), exact: Sequence[int] = ()) -> tuple[int, int]:
+             slots: Sequence = ()) -> tuple[int, int]:
     """The inclusive k-range (kmin, kmax) of a sum: its declared
-    ``support``, or else the range its argument slots ``plain`` and
-    ``exact``, as given by :func:`_arg_slots`, leave nonzero.
+    ``support``, or else the range its argument slots, as given by
+    :func:`_arg_slots`, leave nonzero.
 
     Positive k survive until some numerator (q^a; q)_k with a <= 0 vanishes
     (k <= -a); negative k = -s survive while every denominator (q^b; q)_{-s}
-    with b >= 1 still avoids its zero at s = b (s <= b - 1), so a plain
-    (q; q)_k denominator keeps k >= 0.  An exact flip pair contributes
-    through its rewritten form instead: it bounds k above by b (when b >= 1,
-    via (q^{1-b}; q)_{k-1}) and below like a plain denominator, except that
-    b = 0 imposes no bound at all because the pair cancels identically
-    there.  With no bound above, k runs until the q-power passes the
-    truncation order.
+    with b >= 1 still avoids its zero at s = b (s <= b - 1), so a (q; q)_k
+    denominator keeps k >= 0.  A flip pair (q^-b; q)_k / (q^b; q)_k with
+    b >= 1 thus runs over 1-b..b.  With no bound above, k runs until the
+    q-power passes the truncation order.
     """
     if spec.support is not None:
         kmin = eval_affine(spec.support[0], env)
         if spec.support[1] == "*":
             return kmin, _valuation_kmax(spec, env, kmin, trunc)
         return kmin, eval_affine(spec.support[1], env)
-    upper = ([-a for a, times in plain if times > 0 and a <= 0]
-             + [b for b in exact if b >= 1])
-    lower = ([b - 1 for b, times in plain if times < 0 and b >= 1]
-             + [b - 1 for b in exact if b >= 1])
+    upper = [-a for a, times in slots if times > 0 and a <= 0]
+    lower = [b - 1 for b, times in slots if times < 0 and b >= 1]
     kmax = min(upper) if upper else _valuation_kmax(spec, env, 0, trunc)
     return -min(lower, default=0), kmax
 
@@ -414,13 +406,14 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
     change of each index is multiplied in with :meth:`PochProduct.step`:
     the (q)_j slot indices are evaluated together, each through its site,
     and (q)_a / (q)_a' = (q^(a'+1); q)_(a-a'); each argument slot
-    (q^a; q)_k steps from the previous k.  A sum does no per-k work for a
-    slot kind it lacks."""
-    plain, exact = _arg_slots(spec, env, ctx, tag)
-    kmin, kmax = _support(spec, env, trunc, plain, exact)
+    (q^a; q)_k steps from the previous k, starting from index 0, where it
+    is 1.  Each flip pair at q^0/q^0 flips the sign of every term at k >= 1.
+    A sum does no per-k work for a slot kind it lacks."""
+    slots, zeros = _arg_slots(spec, env, ctx, tag)
+    kmin, kmax = _support(spec, env, trunc, slots)
     lin = eval_affine(spec.lin, env)
     qpow = f"{tag}.qpow"
-    row = flipped = None
+    row = None
     if spec.num or spec.den:
         row = parse_affine_row(spec.num + spec.den)
         names = ([f"{tag}.num[{s}]" for s in spec.num]
@@ -428,23 +421,13 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
         times = [1] * len(spec.num) + [-1] * len(spec.den)
         index = [0] * len(names)     # the empty product has every (q)_0 = 1
         tenv = dict(env)
-    if exact:
-        # an exact pair (-b, b) is rewritten for k >= 1 as
-        # -q^(-b) (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1); each of its slots
-        # is kept as (argument up to k = 0, argument from k = 1 on, times)
-        flipped = [slot for b in exact for slot in ((-b, 1 - b, 1), (b, b + 1, -1))]
-        flip_sign = -1 if len(exact) & 1 else 1
-        flip_shift = -sum(exact)
-    # Every argument slot starts at index 0, where it is 1 whatever its
-    # argument, and a flipped slot changes argument between k = 0 and k = 1,
-    # where both of its forms have index 0; so each slot steps by its change
-    # of index.
-    args = bool(plain or exact)
     run = PochProduct()
     prev = 0
     out = []
     for k in range(kmin, kmax + 1):
         sign = -1 if spec.alt and k & 1 else 1
+        if zeros & 1 and k >= 1:
+            sign = -sign
         shift = ctx.site(qpow, _quad_exponent(spec, lin, k), k)
         if row is not None:
             tenv["k"] = k
@@ -453,19 +436,9 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
                 if a != index[i]:
                     run.step(1, index[i], a, times[i])
                     index[i] = a
-        if args:
-            for a, t in plain:
-                run.step(a, prev, k, t)
-            if flipped:
-                if k < 1:
-                    for a, _, t in flipped:
-                        run.step(a, prev, k, t)
-                else:
-                    for _, a, t in flipped:
-                        run.step(a, max(prev - 1, 0), k - 1, t)
-                    sign *= flip_sign
-                    shift += flip_shift
-            prev = k
+        for a, t in slots:
+            run.step(a, prev, k, t)
+        prev = k
         term = _chain_term(run, sign, shift, tag, k, env)
         if term is not None:
             out.append(term)

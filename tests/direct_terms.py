@@ -5,12 +5,15 @@ Each term of a registry ``Sum`` is built from scratch at its k, one
 ``ctx.site`` under the same name as in the engine.  This is how the engine
 built its terms before it kept one running product and multiplied in only
 the change of each index; the differential tests compare the two term by
-term.
+term.  A flip pair (q^-b; q)_k / (q^b; q)_k is built through its rewrite
+-q^-b (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1) for k >= 1, and the k-range
+comes from :func:`exact_support`, not from the engine's slots.
 """
 
 from qrr.identities.framework import (
     EngineError,
     _support,
+    _valuation_kmax,
     eval_affine,
 )
 from qrr.pochhammer import PochProduct, PoleError
@@ -32,18 +35,40 @@ def _keep(out, t, tag, k, env):
         out.append(t)
 
 
-def sum_terms(spec, env, ctx, tag, trunc):
-    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
-    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
+def _split(spec, num_args, den_args):
+    """(plain slots as (a, times), flip pairs as (a, b))."""
     flip_num = {i for i, _ in spec.flips}
     flip_den = {j for _, j in spec.flips}
     plain = ([(a, 1) for i, a in enumerate(num_args) if i not in flip_num]
              + [(b, -1) for j, b in enumerate(den_args) if j not in flip_den])
-    pairs = [(num_args[i], den_args[j]) for i, j in spec.flips]
-    # only the support comes from the engine: a broken pair is two plain slots
-    broken = [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
-    kmin, kmax = _support(spec, env, trunc, plain + broken,
-                          [b for a, b in pairs if a == -b])
+    return plain, [(num_args[i], den_args[j]) for i, j in spec.flips]
+
+
+def exact_support(spec, env, trunc, num_args, den_args):
+    """The k-range of a sum by the exact rule, given its argument exponents.
+
+    A numerator (q^a; q)_k with a <= 0 bounds k <= -a and a denominator
+    (q^b; q)_k with b >= 1 bounds k >= 1-b.  A flip pair (a, b) with a = -b
+    is taken through its rewrite -q^-b (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1)
+    for k >= 1: it bounds k to 1-b..b when b >= 1 and nothing otherwise.  A
+    pair with a != -b is two plain slots.  A declared support is the
+    sum's own."""
+    if spec.support is not None:
+        return _support(spec, env, trunc)
+    plain, pairs = _split(spec, num_args, den_args)
+    plain += [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
+    exact = [b for a, b in pairs if a == -b and b >= 1]
+    upper = [-a for a, times in plain if times > 0 and a <= 0] + exact
+    lower = [b - 1 for b, times in plain if times < 0 and b >= 1] + [b - 1 for b in exact]
+    kmax = min(upper) if upper else _valuation_kmax(spec, env, 0, trunc)
+    return -min(lower, default=0), kmax
+
+
+def sum_terms(spec, env, ctx, tag, trunc):
+    num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
+    den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
+    plain, pairs = _split(spec, num_args, den_args)
+    kmin, kmax = exact_support(spec, env, trunc, num_args, den_args)
     out = []
     tenv = dict(env)
     for k in range(kmin, kmax + 1):

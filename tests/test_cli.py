@@ -317,15 +317,18 @@ def test_oversize_runs_are_refused_before_any_check(argv, env, monkeypatch, caps
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["verify", "--id", "ANDREWS1", "--range", "n=2000", "--trunc", "20"], "n=2000"),
+    (["verify", "--id", "ANDREWS1", "--range", "n=2000", "--trunc", "20"],
+     "parameter n must be an integer >= 0 and at most 200, got 2000"),
     (["verify", "--id", "LMNRS1", "--range", "u=1990..2000", "--trunc", "20", "--jobs", "2"],
-     "u=2000"),
-    (["counterexample", "--which", "liu1", "--a-exp", "800"], "e=800"),
-    (["binomial", "--bino5", "--n", "600"], "--n must be in 0..150"),
+     "parameter u must be an integer >= 0 and at most 200, got 2000"),
+    (["counterexample", "--which", "liu1", "--a-exp", "800"],
+     "a_exp must be an integer >= 1 and at most 200, got 800"),
+    (["binomial", "--bino5", "--n", "600"], "--n must be an integer >= 0 and at most 150, got 600"),
     (["binomial", "--general", "3000,3000"], "at most 150, got 3000"),
-    (["bailey", "--n-max", "240"], "--n-max must be in 0..40"),
-    (["bailey", "--n", "100"], "--n must be in 0..40"),
-    (["telescope", "--params", "1000,1000,1000,1000,1000"], "l=1000"),
+    (["bailey", "--n-max", "240"], "--n-max must be an integer >= 0 and at most 40, got 240"),
+    (["bailey", "--n", "100"], "--n must be an integer >= 0 and at most 40, got 100"),
+    (["telescope", "--params", "1000,1000,1000,1000,1000"],
+     "parameter l must be an integer >= 0 and at most 200, got 1000"),
     (["telescope", "--params", "200,200,200,200,200", "--trunc", "2000"], "T=2000"),
     (["verify", "--id", "EULERN1", "--range", "n=1..3,n=2"],
      "range piece 'n=2' names parameter 'n' again"),
@@ -414,7 +417,7 @@ def test_telescope_precondition(capsys):
         ["telescope", "--params", "1,1,1,0,1", "--trunc", "25"], capsys)
     assert rc == 2
     assert out == ""
-    assert "parameter u=0 below admissible minimum 1" in err
+    assert "parameter u must be an integer >= 1 and at most 200, got 0" in err
 
 
 def test_telescope_quartic(capsys):

@@ -342,7 +342,7 @@ def test_liu_sums_keep_their_ranges():
         env = {"a": a}
         for which, want in (("LIU1", (1 - a, a - 1)), ("LIU2", (-a, a - 1))):
             spec = engine._LIU_SUMS[which]
-            kmin, kmax = _support(spec, env, 20, *_arg_slots(spec, env, UNPERTURBED, which))
+            kmin, kmax = _support(spec, env, 20, _arg_slots(spec, env, UNPERTURBED, which)[0])
             assert (kmin, kmax) == want, (which, a)
 
 
@@ -367,7 +367,7 @@ def test_rr_limit_check_detects_a_corrupted_sum(monkeypatch):
 
 @pytest.mark.parametrize("a_exp", [True, 1.5, "2", 0])
 def test_liu_exponent_must_be_an_integer(a_exp):
-    with pytest.raises(EngineError, match=f"integer 1 <= e <= .*, got e={a_exp!r}"):
+    with pytest.raises(EngineError, match=f"a_exp must be an integer >= 1 .*, got {a_exp!r}"):
         liu_counterexample("LIU1", a_exp, 20)
 
 
@@ -387,9 +387,10 @@ def test_a_mutation_moves_qpow_sites_by_d_times_k_and_others_by_d():
 
 def test_parameters_above_the_limit_are_refused(monkeypatch):
     assert verify("ANDREWS1", {"n": MAX_PARAMETER}, 20).equal
-    with pytest.raises(EngineError, match=f"n={MAX_PARAMETER + 1} is more than the limit"):
+    with pytest.raises(EngineError, match=f"parameter n must be an integer >= 0 and "
+                                          f"at most {MAX_PARAMETER}, got {MAX_PARAMETER + 1}"):
         eval_side("ANDREWS1", "lhs", {"n": MAX_PARAMETER + 1}, 20)
-    with pytest.raises(EngineError, match=f"e <= {engine.MAX_LIU_EXPONENT}, got"):
+    with pytest.raises(EngineError, match=f"at most {engine.MAX_LIU_EXPONENT}, got"):
         liu_counterexample("LIU1", engine.MAX_LIU_EXPONENT + 1, 20)
 
     def no_work(*args, **kwargs):
@@ -397,7 +398,8 @@ def test_parameters_above_the_limit_are_refused(monkeypatch):
 
     # a grid is refused at its top corner, before any of its points
     monkeypatch.setattr(engine, "verify", no_work)
-    with pytest.raises(EngineError, match=f"v={MAX_PARAMETER + 1} is more than the limit"):
+    with pytest.raises(EngineError, match=f"parameter v must be an integer >= 0 and "
+                                          f"at most {MAX_PARAMETER}, got {MAX_PARAMETER + 1}"):
         verify_grid("LMNRS1", {"v": (0, MAX_PARAMETER + 1)}, 20)
 
 
@@ -411,6 +413,26 @@ def test_mutation_hooks_have_teeth():
         if not rep.equal:
             flipped += 1
     assert flipped >= len(sites) - 1
+
+
+def test_a_misspelt_site_is_refused():
+    # "lhs.nmu[k]" is passed nowhere, so the probe cannot read EQUAL
+    assert "lhs.nmu[k]" not in identity_sites("ANDREWS1", {"n": 2})
+    with pytest.raises(EngineError, match=r"ANDREWS1: .* passes no site 'lhs\.nmu\[k\]'"):
+        verify_mutated("ANDREWS1", {"n": 2}, "lhs.nmu[k]", 1)
+    # a site the check does pass, bumped by 0, reads EQUAL
+    assert verify_mutated("ANDREWS1", {"n": 2}, "lhs.den[k]", 0).equal
+
+
+def test_the_flip_declaration_is_load_bearing(monkeypatch):
+    # at u = 0 the pair (q^-u; q)_k / (q^u; q)_k is a 0/0 taken at its limit
+    point = dict(n=1, l=1, m=1, u=0, v=1)
+    assert verify("ABCDE3", point, 40).equal
+    rec = REGISTRY["ABCDE3"]
+    bare = dataclasses.replace(rec.lhs.sum, flips=())
+    monkeypatch.setitem(REGISTRY, "ABCDE3",
+                        dataclasses.replace(rec, lhs=dataclasses.replace(rec.lhs, sum=bare)))
+    assert verify("ABCDE3", point, 40).verdict == "MISMATCH"
 
 
 def test_mutated_verdict_reports_window():

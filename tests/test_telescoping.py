@@ -195,9 +195,9 @@ def test_certificate_cores_pad_past_the_support():
 
 def test_precondition_refused_by_name():
     # u, v >= 1 is the floor of LMNRS3 and LMNRS4 themselves
-    with pytest.raises(EngineError, match="parameter u=0 below admissible minimum 1"):
+    with pytest.raises(EngineError, match="parameter u must be an integer >= 1 .*, got 0"):
         verify_telescoping(1, 1, 1, 0, 1, 30)
-    with pytest.raises(EngineError, match="parameter v=0 below admissible minimum 1"):
+    with pytest.raises(EngineError, match="parameter v must be an integer >= 1 .*, got 0"):
         verify_sk_tk(1, 1, 1, 1, 0, 30)
 
 
@@ -216,7 +216,8 @@ def _no_terms(monkeypatch):
 def test_certificates_refuse_oversize_parameters(monkeypatch):
     _no_terms(monkeypatch)
     for certify in (verify_telescoping, verify_sk_tk):
-        with pytest.raises(EngineError, match="more than the limit"):
+        with pytest.raises(EngineError, match=f"parameter n must be an integer >= 0 and "
+                                              f"at most {MAX_PARAMETER}, got {MAX_PARAMETER + 1}"):
             certify(1, 1, MAX_PARAMETER + 1, 1, 1, 20)
 
 

@@ -113,6 +113,25 @@ def test_sums_outside_the_registry_chain_to_the_direct_terms(compared, check, ta
         assert got == want, tag
 
 
+@pytest.mark.parametrize("ident", ["ABCDE3", "ABCDE4", "COR52A", "COR52B", "SEC33PAIR"])
+def test_written_flip_pairs_keep_the_exact_support(ident):
+    # the engine's written slots bound k as the rewrite of each pair does
+    rec = REGISTRY[ident]
+    flipped = 0
+    for env in engine.grid_points(rec):
+        for side in ("lhs", "rhs"):
+            spec = rec.side(side).sum
+            if not spec.flips:
+                continue
+            slots = framework._arg_slots(spec, env, framework.UNPERTURBED, side)[0]
+            num = [framework.eval_affine(a, env) for a in spec.argnum]
+            den = [framework.eval_affine(b, env) for b in spec.argden]
+            assert (framework._support(spec, env, 40, slots)
+                    == direct_terms.exact_support(spec, env, 40, num, den)), (env, side)
+            flipped += 1
+    assert flipped >= 243         # every point of the grid, 3^5 or 4^4 of them
+
+
 def _mutation_probes():
     """(ident, point, site, delta) for every exponent site of every record at
     its first off-minimum point, bumped by +1 and -1."""

@@ -2,8 +2,9 @@
 
 Each module is parsed, its module, class and function docstrings are
 dropped, and the tree is printed back with ``ast.unparse``; the count is
-the number of lines of that text.  This measures code alone, whatever its
-formatting and commentary.  Run from the repository root:
+the number of lines of that text that are not empty (``ast.unparse`` sets
+each ``def`` and ``class`` apart with an empty line).  This measures code
+alone, whatever its formatting and commentary.  Run from the repository root:
 
     python3 tools/src_lines.py [ROOT]
 
@@ -23,15 +24,15 @@ def _is_docstring(node: ast.stmt) -> bool:
 
 
 def code_lines(source: str) -> int:
-    """The line count of ``source`` unparsed without its docstrings."""
+    """The count of nonempty lines of ``source`` unparsed without its
+    docstrings."""
     tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             if node.body and _is_docstring(node.body[0]):
                 node.body = node.body[1:] or [ast.Pass()]
-    text = ast.unparse(tree)
-    return len(text.splitlines()) if text else 0
+    return sum(1 for line in ast.unparse(tree).splitlines() if line)
 
 
 def main(argv: list[str]) -> int:
