@@ -45,10 +45,15 @@ def _check_range(values) -> None:
         bounded_int("parameter", value, 0, MAX_BINOMIAL_N)
 
 
-def _as_int(x: Fraction, label: str) -> int:
-    if x.denominator != 1:
-        raise EngineError(f"{label} accumulated to the non-integer {x}")
-    return int(x)
+def _factorial_sum(label: str, scale: int, kmax: int, summand) -> int:
+    """scale * sum_{k=0}^{kmax} prod_i a_i! / prod_j b_j!, where
+    summand(k) gives the tuples (a_i) and (b_j); raises EngineError naming
+    ``label`` unless the total is an integer."""
+    total = scale * sum((Fraction(prod(map(factorial, a)), prod(map(factorial, b)))
+                         for a, b in map(summand, range(kmax + 1))), Fraction(0))
+    if total.denominator != 1:
+        raise EngineError(f"{label} accumulated to the non-integer {total}")
+    return int(total)
 
 
 def _alt_cycle_sum(*cycles: tuple[int, ...]) -> int:
@@ -64,46 +69,25 @@ def _alt_cycle_sum(*cycles: tuple[int, ...]) -> int:
 def cor57_sides(l: int, m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """Both sides of the five-fold alternating binomial identity."""
     _check_range((l, m, n, u, v))
-    lhs = _alt_cycle_sum((l, m, n), (u, v))
-    acc = Fraction(0)
-    for k in range(0, min(l, m, n) + 1):
-        acc += Fraction(
-            factorial(l + m + n - k) * factorial(u + v + k),
-            factorial(k) * factorial(l - k) * factorial(m - k)
-            * factorial(n - k) * factorial(u + k) * factorial(v + k),
-        )
-    rhs = binom(u + v, u) * acc
-    return lhs, _as_int(rhs, "cor57 right side")
+    return _alt_cycle_sum((l, m, n), (u, v)), _factorial_sum(
+        "cor57 right side", binom(u + v, u), min(l, m, n), lambda k: (
+            (l + m + n - k, u + v + k), (k, l - k, m - k, n - k, u + k, v + k)))
 
 
 def cor58a_sides(l: int, m: int, n: int, u: int) -> tuple[int, int]:
     """The four-fold variant with a single central column."""
     _check_range((l, m, n, u))
-    lhs = _alt_cycle_sum((l, m, n), (u,))
-    acc = Fraction(0)
-    for k in range(0, min(l, m, n) + 1):
-        acc += Fraction(
-            factorial(l + m + n - k),
-            factorial(k) * factorial(l - k) * factorial(m - k)
-            * factorial(n - k) * factorial(u + k),
-        )
-    rhs = Fraction(factorial(2 * u), factorial(u)) * acc
-    return lhs, _as_int(rhs, "cor58a right side")
+    return _alt_cycle_sum((l, m, n), (u,)), _factorial_sum(
+        "cor58a right side", factorial(2 * u) // factorial(u), min(l, m, n), lambda k: (
+            (l + m + n - k,), (k, l - k, m - k, n - k, u + k)))
 
 
 def cor58b_sides(m: int, n: int, u: int, v: int) -> tuple[int, int]:
     """The four-fold variant with a doubled m+n column."""
     _check_range((m, n, u, v))
-    lhs = _alt_cycle_sum((m, n), (u, v))
-    acc = Fraction(0)
-    for k in range(0, min(m, n) + 1):
-        acc += Fraction(
-            factorial(m + n) * factorial(u + v + k),
-            factorial(k) * factorial(m - k) * factorial(n - k)
-            * factorial(u + k) * factorial(v + k),
-        )
-    rhs = binom(u + v, u) * acc
-    return lhs, _as_int(rhs, "cor58b right side")
+    return _alt_cycle_sum((m, n), (u, v)), _factorial_sum(
+        "cor58b right side", binom(u + v, u), min(m, n), lambda k: (
+            (m + n, u + v + k), (k, m - k, n - k, u + k, v + k)))
 
 
 def alt_power_sum(n: int, power: int) -> int:
@@ -143,13 +127,16 @@ def bino4_sides(n: int) -> tuple[int, int, int]:
     return lhs, rhs1, rhs2
 
 
+def _nonnegative_multiple(s: int, divisors) -> bool:
+    """Is s >= 0 and a multiple of every nonzero divisor?"""
+    return s >= 0 and all(s % d == 0 for d in divisors if d)
+
+
 def divisibility_check(n: int, power: int) -> bool:
     """Is the alternating power sum a nonnegative multiple of binom(2n, n)?"""
     if power not in (4, 5):
         raise EngineError("the divisibility statement covers powers 4 and 5")
-    s = alt_power_sum(n, power)
-    central = binom(2 * n, n)
-    return s >= 0 and s % central == 0
+    return _nonnegative_multiple(alt_power_sum(n, power), (binom(2 * n, n),))
 
 
 def general_alt_sum(entries: list[int] | tuple[int, ...]) -> int:
@@ -165,12 +152,5 @@ def general_alt_sum(entries: list[int] | tuple[int, ...]) -> int:
 def general_divisibility_check(entries: list[int] | tuple[int, ...]) -> bool:
     """Nonnegative and divisible by every cyclic binom(n_j + n_{j+1}, n_j)."""
     ns = list(entries)
-    s = general_alt_sum(ns)
-    if s < 0:
-        return False
-    for i, a in enumerate(ns):
-        b = ns[(i + 1) % len(ns)]
-        d = binom(a + b, a)
-        if d and s % d != 0:
-            return False
-    return True
+    return _nonnegative_multiple(general_alt_sum(ns), [
+        binom(a + b, a) for a, b in zip(ns, ns[1:] + ns[:1])])

@@ -73,7 +73,7 @@ from .identities import (
 )
 from .identities.framework import bounded_int
 from .pochhammer import sum_terms
-from .series import MAX_TRUNCATION, default_truncation, env_truncation
+from .series import checked_truncation, env_truncation
 from .telescoping import verify_quartic_identity, verify_sk_tk, verify_telescoping
 
 ARTIFACT_VERSION = 1
@@ -134,12 +134,7 @@ def parse_int_list(spec: str, count: int | None, flag: str) -> list:
 
 def resolve_trunc(flag_value: int | None) -> int | None:
     """--trunc beats QRR_TRUNC beats each record's default (returned as None)."""
-    if flag_value is None:
-        return env_truncation()
-    try:
-        return default_truncation(flag_value)
-    except ValueError:
-        raise ValueError(f"--trunc must be in 1..{MAX_TRUNCATION}, got {flag_value}") from None
+    return env_truncation() if flag_value is None else checked_truncation("--trunc", flag_value)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +231,16 @@ def _output(out_path: str | None):
         return
     real = os.path.realpath(out_path)
     old = os.path.isfile(real)
-    if old:
-        # fail, as writing in place would, on a file that may not be
-        # written; opening it to append changes nothing
-        open(real, "a").close()
     tmp = f"{real}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        if old:
+            # fail, as writing in place would, on a file that may not be
+            # written; opening it to append changes nothing
+            open(real, "a").close()
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        # name the path the user gave, not the temporary file
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with fh:
             yield fh
@@ -360,7 +359,7 @@ def _grid_summary(ident: str, reports: list, text_lines: list) -> None:
 def cmd_verify(args) -> int:
     ident = args.id.upper()
     rec = get_record(ident)          # unknown id -> exit 2 before any work
-    ranges = parse_ranges(args.range) if args.range else None
+    ranges = parse_ranges(args.range) if args.range is not None else None
     trunc = resolve_trunc(args.trunc)
     reports = verify_grid(rec.ident, ranges, trunc, jobs=args.jobs)
     text_lines: list = []
@@ -414,7 +413,7 @@ def cmd_bailey(args) -> int:
     text_lines: list = []
     if args.chain:
         target = args.chain.upper()
-        exps = parse_int_list(args.exps, 4, "--exps") if args.exps else [1, 1, 1, 1]
+        exps = [1, 1, 1, 1] if args.exps is None else parse_int_list(args.exps, 4, "--exps")
         rep = chain_reproduce(target, args.n, *exps, trunc=trunc)
         reports.append(rep)
         _summary(text_lines, f"{rep.ident:<14} {_fmt_params(rep.params)}  "
@@ -441,12 +440,12 @@ def cmd_bailey(args) -> int:
 
 
 def cmd_telescope(args) -> int:
-    if not args.params and not args.quartic:
+    if args.params is None and not args.quartic:
         raise ValueError("telescope needs --params l,m,n,u,v (or --quartic)")
     trunc = resolve_trunc(args.trunc)
     reports: list = []
     text_lines: list = []
-    if args.params:
+    if args.params is not None:
         l, m, n, u, v = parse_int_list(args.params, 5, "--params")
         for rep in (verify_telescoping(l, m, n, u, v, trunc),
                     verify_sk_tk(l, m, n, u, v, trunc)):
@@ -491,7 +490,8 @@ _BINOMIAL_CHECKS = {
 
 def cmd_binomial(args) -> int:
     flags = [*_BINOMIAL_CHECKS, "general"]
-    if not any(getattr(args, flag) for flag in flags):
+    # a flag left out reads False (a sweep) or None; "" is a value given
+    if all(getattr(args, flag) in (None, False) for flag in flags):
         raise ValueError("binomial needs at least one of "
                          + "/".join(f"--{flag}" for flag in flags))
     bounded_int("--n", args.n, 0, MAX_BINOMIAL_N)
@@ -503,7 +503,7 @@ def cmd_binomial(args) -> int:
             # the config lists --n after the sweep flags it bounds
             config.setdefault("n", args.n)
         spec = config[flag] = getattr(args, flag)
-        if not spec:
+        if spec in (None, False):
             continue
         if names is None:
             reports += [_verdict_report(ident, {"n": n}, check(n))
@@ -517,7 +517,7 @@ def cmd_binomial(args) -> int:
             reports.append(_verdict_report(ident, dict(zip(keys, values)), lhs == rhs))
             text_lines.append(f"{what} at {spec}: {lhs} vs {rhs}")
     config["general"] = args.general
-    if args.general:
+    if args.general is not None:
         entries = parse_int_list(args.general, None, "--general")
         ok = general_divisibility_check(entries)
         reports.append(_verdict_report(
@@ -554,9 +554,10 @@ def cmd_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, jobs: bool = False) -> None:
-    sub.add_argument("--trunc", type=int, default=None,
-                     help="truncation order T (default: per-record, or QRR_TRUNC)")
+def _add_common(sub, jobs: bool = False, trunc: bool = True) -> None:
+    if trunc:
+        sub.add_argument("--trunc", type=int, default=None,
+                         help="truncation order T (default: per-record, or QRR_TRUNC)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None, help="write the report to this file")
     if jobs:
@@ -613,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", default=None, help=f"{what} at integers {names}")
     p.add_argument("--n", type=int, default=12, help="upper bound n of the sweeps")
     p.add_argument("--general", default=None, help="cycle entries n0,n1,...")
-    _add_common(p)
+    _add_common(p, trunc=False)
     p.set_defaults(func=cmd_binomial)
 
     p = subs.add_parser("counterexample",

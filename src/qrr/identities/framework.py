@@ -556,32 +556,27 @@ def _aligned(value: tuple[int, list], lo: int, hi: int) -> list:
     return out
 
 
-def window(value: tuple[int, list], center: int, trunc: int) -> list:
-    """Coefficients around a mismatch: exponents max(0, center-2)..center+2,
-    clipped to the truncation order.  (The floor drops below 0 only when the
-    value genuinely extends to negative exponents.)"""
+def window(value: tuple[int, list], lo: int, hi: int) -> list:
+    """The (exponent, coefficient) pairs of ``value`` at q^lo..q^hi."""
     off, buf = value
-    floor = 0 if off >= 0 else off
-    lo = max(floor, center - 2)
-    hi = min(trunc, center + 2)
-    out = []
-    for e in range(lo, hi + 1):
-        c = buf[e - off] if 0 <= e - off < len(buf) else 0
-        out.append((e, c))
-    return out
+    return [(e, buf[e - off] if 0 <= e - off < len(buf) else 0)
+            for e in range(lo, hi + 1)]
 
 
 def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
             rhs: tuple[int, list]) -> VerificationReport:
     """Report on two values compared through q^trunc: EQUAL, or MISMATCH with
-    the first differing exponent and a window of each side around it."""
+    the first differing exponent e and both sides over the same exponents,
+    e-2..e+2 clipped to q^trunc and to a floor of q^0, or of the lower
+    offset when a value extends to negative exponents."""
     mismatch = compare_side_values(lhs, rhs, trunc)
     if mismatch is None:
         return VerificationReport(ident, params, trunc, "EQUAL")
     e = mismatch[0]
+    lo, hi = max(min(0, lhs[0], rhs[0]), e - 2), min(trunc, e + 2)
     return VerificationReport(ident, params, trunc, "MISMATCH", mismatch_index=e,
-                              lhs_window=window(lhs, e, trunc),
-                              rhs_window=window(rhs, e, trunc))
+                              lhs_window=window(lhs, lo, hi),
+                              rhs_window=window(rhs, lo, hi))
 
 
 def compare_checks(ident: str, params: dict, trunc: int,

@@ -107,6 +107,9 @@ def div_euler(buf: list, lo: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
+_RR_RESIDUES = {"mod5_14": (1, 4), "mod5_23": (2, 3)}
+
+
 def rr_product_side(which: str, trunc: int | None = None) -> list:
     """The coefficients of q^0 .. q^T of a Rogers-Ramanujan product side.
 
@@ -114,18 +117,14 @@ def rr_product_side(which: str, trunc: int | None = None) -> list:
     mod5_23: 1 / ((q^2; q^5)_inf (q^3; q^5)_inf) — parts congruent to 2, 3 mod 5
     """
     trunc = default_truncation(trunc)
-    if which == "mod5_14":
-        residues = (1, 4)
-    elif which == "mod5_23":
-        residues = (2, 3)
-    else:
+    residues = _RR_RESIDUES.get(which)
+    if residues is None:
         raise ValueError(f"unknown product side {which!r}")
-    buf = [0] * (trunc + 1)
-    buf[0] = 1
+    p = PochProduct()
     for m in range(1, trunc + 1):
         if m % 5 in residues:
-            div_binomial(buf, m)
-    return buf
+            p.dfactor(m)
+    return sum_terms([p], trunc)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ of q.  Coefficients are exact integers.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 
 DEFAULT_TRUNCATION = 60
 
@@ -21,20 +22,25 @@ DEFAULT_TRUNCATION = 60
 MAX_TRUNCATION = 10_000
 
 
+def checked_truncation(name: str, value) -> int:
+    """``value`` if it is an integer in 1..MAX_TRUNCATION, else ValueError
+    naming ``name``; a negative order would make a check that compares no
+    coefficient pass."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= MAX_TRUNCATION):
+        raise ValueError(f"{name} must be an integer in 1..{MAX_TRUNCATION}, got {value!r}")
+    return value
+
+
 def env_truncation() -> int | None:
     """The truncation order set by the QRR_TRUNC environment variable, or
-    None when it is unset; raises ValueError unless it is an integer in
-    1..MAX_TRUNCATION."""
+    None when it is unset; checked by :func:`checked_truncation`."""
     raw = os.environ.get("QRR_TRUNC")
     if raw is None:
         return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"QRR_TRUNC must be an integer >= 1, got {raw!r}") from None
-    if not 1 <= value <= MAX_TRUNCATION:
-        raise ValueError(f"QRR_TRUNC must be in 1..{MAX_TRUNCATION}, got {value}")
-    return value
+    with suppress(ValueError):
+        raw = int(raw)
+    return checked_truncation("QRR_TRUNC", raw)
 
 
 def default_truncation(trunc: int | None = None, *,
@@ -42,19 +48,13 @@ def default_truncation(trunc: int | None = None, *,
     """The truncation order a call works at: ``trunc`` when the caller passes
     one, else the QRR_TRUNC environment variable (so the whole suite can be
     re-run at a different precision without touching call sites), else
-    ``fallback`` (a record's own default, or 60).
-
-    Raises ValueError unless the order is an integer in 1..MAX_TRUNCATION;
-    a negative order would make a check that compares no coefficient pass.
+    ``fallback`` (a record's own default, or 60).  A given order is checked
+    by :func:`checked_truncation`.
     """
     if trunc is None:
         value = env_truncation()
         return fallback if value is None else value
-    if (isinstance(trunc, bool) or not isinstance(trunc, int)
-            or not 1 <= trunc <= MAX_TRUNCATION):
-        raise ValueError(f"the truncation order must be an integer in "
-                         f"1..{MAX_TRUNCATION}, got {trunc!r}")
-    return trunc
+    return checked_truncation("the truncation order", trunc)
 
 
 class SeriesError(Exception):

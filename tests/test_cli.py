@@ -610,3 +610,47 @@ def test_bad_env_truncation(monkeypatch, capsys):
                              capsys)
         assert rc == 2
         assert "QRR_TRUNC" in err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["verify", "--id", "ANDREWS1", "--range", "n=0..1", "--trunc", "0"], {},
+     "--trunc must be an integer in 1..10000, got 0"),
+    (["verify-all", "--trunc", "10001"], {}, "--trunc must be an integer in 1..10000, got 10001"),
+    (["verify", "--id", "ANDREWS1"], {"QRR_TRUNC": "0"},
+     "QRR_TRUNC must be an integer in 1..10000, got 0"),
+    (["telescope", "--quartic"], {"QRR_TRUNC": "abc"},
+     "QRR_TRUNC must be an integer in 1..10000, got 'abc'"),
+], ids=["flag-0", "flag-10001", "env-0", "env-abc"])
+def test_every_truncation_route_gives_one_message(argv, env, message, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_binomial_takes_no_truncation_order(capsys):
+    # none of its checks reads one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["binomial", "--bino5", "--n", "2", "--trunc", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trunc 5" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# empty flag values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "ANDREWS1", "--range="],
+    ["bailey", "--chain", "abcde1", "--exps="],
+    ["telescope", "--params=", "--quartic"],
+    ["binomial", "--bino5", "--n", "1", "--cor57="],
+    ["binomial", "--bino5", "--n", "1", "--cor58a="],
+    ["binomial", "--bino5", "--n", "1", "--cor58b="],
+    ["binomial", "--bino5", "--n", "1", "--general="],
+], ids=["range", "exps", "params", "cor57", "cor58a", "cor58b", "general"])
+def test_an_empty_flag_value_is_refused(argv, capsys):
+    # "" is a value given, not a flag left out
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == "" and err.startswith("error:")

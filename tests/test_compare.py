@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from qrr.identities.framework import compare_side_values
+from qrr.identities import verify_mutated
+from qrr.identities.framework import compare, compare_side_values
 
 
 def loop_compare(lhs, rhs, trunc):
@@ -72,3 +73,15 @@ def test_offsets_and_window_edges():
     ]
     expected = [None, None, None, (0, 1, 5), (2, 3, 4), None, (-4, 1, 0), None, None]
     assert [_same(*case) for case in cases] == expected
+
+
+def test_both_mismatch_windows_cover_the_same_exponents():
+    # the lhs goes down to q^-1 and differs there; the rhs starts at q^0,
+    # yet its window must show q^-1 too
+    rep = verify_mutated("ABCDE60", dict(n=1, l=1, m=1, u=1, v=1), "lhs.argnum[-l]", 1, 18)
+    assert rep.mismatch_index == -1
+    assert rep.lhs_window == [(-1, -1), (0, 0), (1, 0)]
+    assert rep.rhs_window == [(-1, 0), (0, 0), (1, 0)]
+    rep = compare("X", {}, 5, (0, [0, 0, 0, 1]), (-3, [0, 0, 0, 0, 0, 0, 2]))
+    assert rep.mismatch_index == 3
+    assert [e for e, _ in rep.lhs_window] == [e for e, _ in rep.rhs_window] == [1, 2, 3, 4, 5]

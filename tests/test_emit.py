@@ -218,3 +218,11 @@ def test_a_pipe_is_written_in_place(tmp_path, capsys):
     assert json.loads(got[0])["summary"]["total"] == 3
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_a_missing_directory_names_the_path_given(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(_ANDREWS1 + [str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert os.listdir(tmp_path) == []

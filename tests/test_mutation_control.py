@@ -23,7 +23,7 @@ from qrr.identities.framework import EngineError, EvalCtx
 from qrr.pochhammer import PoleError
 from qrr.series import SeriesError
 
-MUTATION_DIGEST = "a0b13e761f35b5056f1c78fa40fabe0817c017ebb4bd69eaebdd20b01163f380"
+MUTATION_DIGEST = "61ad148dbbb8f74b98bb48b88a689a53d27e45d5ff220f1e641c3f00314076e9"
 T = 16
 
 

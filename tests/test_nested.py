@@ -10,6 +10,7 @@ per-term renderer's, and a copy that drops one ratio factor must be caught.
 
 import contextlib
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 import per_term
 from dense_oracle import as_dict, expand
 from qrr import pochhammer
-from qrr.identities import REGISTRY, engine
+from qrr.identities import REGISTRY, engine, framework
 from qrr.identities.framework import eval_side_value
 from qrr.pochhammer import PochProduct, PoleError, SeriesAccumulator, sum_terms
 from qrr.series import SeriesError
@@ -193,6 +194,43 @@ def test_registry_sides_take_no_more_kernel_passes(trunc):
         nested += passes
         flat += bound
     assert nested < flat
+
+
+# exact kernel passes, by kernel, through pochhammer's and framework's
+# bindings: the registry sides at their grid corners, by T, and the
+# Rogers-Ramanujan limits (sums and products) at T=300
+PINNED_WORK = {
+    40: {"mul_binomial": 3752, "div_binomial": 5621, "div_euler": 12},
+    160: {"mul_binomial": 3804, "div_binomial": 5827, "div_euler": 12},
+    "RR": {"div_binomial": 272},
+}
+
+
+def test_kernel_work_is_pinned(monkeypatch):
+    # the test above bounds the passes from above only; this catches a
+    # change that alters nothing but the work
+    calls = Counter()
+    for owner, name in ((pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
+                        (framework, "mul_binomial"), (framework, "div_binomial"),
+                        (framework, "div_euler")):
+        def counted(*args, kernel=getattr(owner, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    work = {}
+    for trunc in (40, 160):
+        for ident, rec in sorted(REGISTRY.items()):
+            for env in _corners(rec):
+                for side in ("lhs", "rhs"):
+                    with contextlib.suppress(SeriesError):
+                        eval_side_value(rec, side, env, trunc)
+        work[trunc] = dict(calls)
+        calls.clear()
+    for which in ("RR1", "RR2"):
+        assert engine.rr_limit_check(which, 300).equal
+    work["RR"] = dict(calls)
+    assert work == PINNED_WORK
 
 
 # ---------------------------------------------------------------------------
