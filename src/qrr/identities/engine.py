@@ -7,6 +7,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import islice, product as _cartesian
 from typing import Iterable, Iterator
 
@@ -141,9 +142,11 @@ def verify_points(tasks: Iterable[tuple[str, dict, int]], points: int,
     With ``worker_count`` above 1 and at least 4 points, one process pool
     runs the whole stream: tasks are drawn from ``tasks`` only as chunks are
     handed to it, and a bounded window of chunks is in flight at a time.
-    Otherwise every task runs serially in this process.  ``jobs`` must be an
-    integer >= 1; anything else raises EngineError before any task is
-    drawn."""
+    Once the pool breaks, nothing more is handed to it: a chunk still in
+    the window raises the error its worker met, or else the error of the
+    refused hand-off.  Otherwise every task runs serially in this process.
+    ``jobs`` must be an integer >= 1; anything else raises EngineError
+    before any task is drawn."""
     bounded_int("jobs", jobs, 1)
     tasks = iter(tasks)
     workers = worker_count(jobs, _usable_cpus(), points)
@@ -160,12 +163,18 @@ def verify_points(tasks: Iterable[tuple[str, dict, int]], points: int,
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque(pool.submit(_verify_chunk, chunk)
                        for chunk in islice(chunks, depth))
+        broken = None
         while window:
             reports = window.popleft().result()
-            chunk = next(chunks, None)
+            chunk = None if broken else next(chunks, None)
             if chunk is not None:
-                window.append(pool.submit(_verify_chunk, chunk))
+                try:
+                    window.append(pool.submit(_verify_chunk, chunk))
+                except BrokenProcessPool as exc:
+                    broken = exc
             yield from reports
+        if broken:
+            raise broken
 
 
 def verify_grid(ident: str, ranges: dict[str, tuple[int, int]] | None = None,

@@ -24,20 +24,22 @@ summed with :class:`SeriesAccumulator`, which evaluates the sum nested
 over the ratios of consecutive terms in one buffer.  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
 a monomial) can multiply the sum.  It is assembled as one
-:class:`PochProduct`, where numerator and denominator infinite products
-cancel to a few finite ranges of (1-q^m) factors; the survivors are applied
-to the summed side in place, one O(T) binomial pass each.  A denominator
+:class:`PochProduct` before the sum, where numerator and denominator
+infinite products cancel to a few finite ranges of (1-q^m) factors, and the
+term chain starts from it: every term carries the prefactor, whose factors
+cancel against the term's own before any kernel pass, and
+:func:`side_terms` hands a side back as that term list.  A denominator
 (q^b; q)_inf left without a partner is written (q; q)_(b-1) / (q; q)_inf:
 the finite part joins the product, and the summed side is divided by
-(q; q)_inf in one pass of Euler's pentagonal recurrence.  The sum is
-evaluated through q^(T - mono) so that the prefactor's monomial q^mono
-still leaves the side exact through q^T.  A :class:`Side` with no sum is
-the empty sum, 0.  A record's parameters are the axes of its default grid,
-each an :class:`Axis` (name, low, high) whose low is the parameter's floor.
-Writing the sides this way keeps each record a direct transcription of its
-printed form, and lets the evaluator expose every exponent in every record
-as a named "site" that tests can perturb to confirm the verification
-actually bites.
+(q; q)_inf in one pass of Euler's pentagonal recurrence.  An open-ended
+sum runs until its own q-power passes q^(T - mono), so that with the
+prefactor's monomial q^mono every term that reaches q^T is kept.  A
+:class:`Side` with no sum is the empty sum, 0.  A record's parameters are
+the axes of its default grid, each an :class:`Axis` (name, low, high) whose
+low is the parameter's floor.  Writing the sides this way keeps each record
+a direct transcription of its printed form, and lets the evaluator expose
+every exponent in every record as a named "site" that tests can perturb to
+confirm the verification actually bites.
 
 The truncation order T is an argument of every evaluation; an
 :class:`EvalCtx` carries only the perturbations, and every unperturbed
@@ -52,14 +54,7 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..pochhammer import (
-    PochProduct,
-    PoleError,
-    div_binomial,
-    div_euler,
-    mul_binomial,
-    sum_terms,
-)
+from ..pochhammer import PochProduct, PoleError, div_euler, sum_terms
 from ..series import NeedsLaurent, SeriesError
 
 
@@ -342,22 +337,6 @@ def _valuation_kmax(spec: Sum, env: Mapping[str, int], kmin: int, trunc: int) ->
         prev = nxt
 
 
-def _chain_term(run: PochProduct, sign: int, shift: int, tag: str, k: int,
-                env: dict) -> PochProduct | None:
-    """The k-th term, sign * q^shift times the running product of a term
-    chain, or None if the running product is exactly zero; a pole raises
-    PoleError."""
-    st = run.state
-    if st == "zero":
-        return None
-    if st == "pole":
-        raise PoleError(f"{tag}: pole at k={k} with {env}")
-    t = run.copy()
-    t.coeff *= sign
-    t.shift += shift
-    return t
-
-
 def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
                tag: str) -> tuple[list, int]:
     """The argument slots of a sum as written, each exponent passed through
@@ -398,14 +377,16 @@ def _support(spec: Sum, env: Mapping[str, int], trunc: int,
     return -min(lower, default=0), kmax
 
 
-def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
-               trunc: int) -> list[PochProduct]:
-    """The nonzero terms of a sum, built as one chain.
+def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str, trunc: int,
+               start: PochProduct | None = None) -> list[PochProduct]:
+    """The nonzero terms of a sum, each times ``start`` (by default 1),
+    built as one chain.
 
-    A running product holds every slot of the term, and at each k only the
-    change of each index is multiplied in with :meth:`PochProduct.step`:
-    the (q)_j slot indices are evaluated together, each through its site,
-    and (q)_a / (q)_a' = (q^(a'+1); q)_(a-a'); each argument slot
+    A running product starts as a copy of ``start`` and holds every slot of
+    the term, and at each k only the change of each index is multiplied in
+    with :meth:`PochProduct.step`: the (q)_j slot indices are evaluated
+    together, each through its site, and (q)_a / (q)_a' =
+    (q^(a'+1); q)_(a-a'); each argument slot
     (q^a; q)_k steps from the previous k, starting from index 0, where it
     is 1.  Each flip pair at q^0/q^0 flips the sign of every term at k >= 1.
     A sum does no per-k work for a slot kind it lacks."""
@@ -421,7 +402,7 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
         times = [1] * len(spec.num) + [-1] * len(spec.den)
         index = [0] * len(names)     # the empty product has every (q)_0 = 1
         tenv = dict(env)
-    run = PochProduct()
+    run = PochProduct() if start is None else start.copy()
     prev = 0
     out = []
     for k in range(kmin, kmax + 1):
@@ -439,32 +420,39 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str,
         for a, t in slots:
             run.step(a, prev, k, t)
         prev = k
-        term = _chain_term(run, sign, shift, tag, k, env)
-        if term is not None:
+        # the k-th term is sign * q^shift times the running product; a zero
+        # product is left out and a pole raises
+        st = run.state
+        if st == "pole":
+            raise PoleError(f"{tag}: pole at k={k} with {env}")
+        if st == "ok":
+            term = run.copy()
+            term.coeff *= sign
+            term.shift += shift
             out.append(term)
     return out
 
 
-def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
-                     mono: int, offset: int, buf: list) -> tuple[int, list]:
-    """Multiply the summed side (offset, buf) by its prefactor, in place.
+def _prefactor(pre: Prefactor, env: dict, ctx: EvalCtx,
+               tag: str) -> tuple[PochProduct, int]:
+    """A side's prefactor as one PochProduct, its monomial included, and
+    the number of times the side is to be divided by (q; q)_inf.
 
-    The whole prefactor is assembled as one PochProduct.  Pairing the sorted
-    numerator and denominator infinite products leaves exact finite
-    quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_{b-a}.  An unpaired
-    denominator that reaches the buffer (b <= top) is rewritten exactly as
-    1/(q^b; q)_inf = (q; q)_{b-1} / (q; q)_inf: the product takes
-    (q; q)_{b-1}, which cancels with the other factors, and the buffer is
-    divided by (q; q)_inf with :func:`div_euler`; b = 0 leaves
-    (q; q)_{-1}, a pole.  An unpaired numerator is cut at the top of the
-    buffer.  The factors that survive cancellation in ``powers`` are applied
-    with one binomial pass each, so there is no unit series and no
-    convolution.  ``mono`` is the prefactor's monomial; the caller evaluates
-    it first and sums the side through q^(trunc - mono).
-    """
+    Pairing the sorted numerator and denominator infinite products leaves
+    exact finite quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_(b-a).  An
+    unpaired denominator is rewritten exactly as 1/(q^b; q)_inf =
+    (q; q)_(b-1) / (q; q)_inf, for any b: the product takes (q; q)_(b-1),
+    which cancels with the other factors, and b = 0 leaves (q; q)_(-1), a
+    pole.  An unpaired numerator is refused, since a cut at q^T would be
+    wrong on a side with negative powers of q.  A pole raises PoleError
+    here, before any term is built.  Every factor's exponent is >= 0, so
+    the product's shift is its monomial."""
     def args(exprs: tuple[str, ...], kind: str) -> list[int]:
         return [ctx.site(f"{tag}.pre.{kind}[{s}]", eval_affine(s, env)) for s in exprs]
 
+    p = PochProduct()
+    if pre.mono != "0":
+        p.q(ctx.site(f"{tag}.pre.mono[{pre.mono}]", eval_affine(pre.mono, env)))
     inf_num = sorted(args(pre.inf_num, "infnum"))
     inf_den = sorted(args(pre.inf_den, "infden"))
     qn_den, bin_den = args(pre.qn_den, "qnden"), args(pre.bin_den, "binden")
@@ -472,56 +460,53 @@ def _apply_prefactor(pre: Prefactor, env: dict, ctx: EvalCtx, tag: str,
         raise NeedsLaurent(f"{tag}: prefactor factor with a negative q-exponent")
     if min(qn_den, default=0) < 0:
         raise EngineError(f"{tag}: prefactor (q; q)_n with n < 0")
+    if len(inf_num) > len(inf_den):
+        raise EngineError(f"{tag}: prefactor (q^a; q)_inf in the numerator has no "
+                          f"denominator to pair with")
 
-    top = len(buf) - 1
-    p = PochProduct().q(mono)
     for a, b in zip(inf_num, inf_den):
         p.poch(a, b - a)
-    for a in inf_num[len(inf_den):]:
-        p.poch(a, max(top + 1 - a, 0))
-    euler = [b for b in inf_den[len(inf_num):] if b <= top]
+    euler = inf_den[len(inf_num):]
     for b in euler:
         p.qn(b - 1)
     for a in qn_den:
         p.dqn(a)
     for a in bin_den:
         p.dfactor(a)
-
-    st = p.state
-    if st == "zero":
-        return offset + p.shift, [0] * len(buf)
-    if st == "pole":
+    if p.state == "pole":
         raise PoleError(f"{tag}: the prefactor has a (1 - q^0) in its denominator")
-    for _ in euler:
-        div_euler(buf)
-    for m, t in p.powers.items():
-        if m <= top:
-            kernel = mul_binomial if t > 0 else div_binomial
-            for _ in range(abs(t)):
-                kernel(buf, m)
-    if p.coeff != 1:
-        for i, c in enumerate(buf):
-            buf[i] = p.coeff * c
-    return offset + p.shift, buf
+    return p, len(euler)
+
+
+def side_terms(record: IdentityRecord, side_name: str, env: dict, trunc: int,
+               ctx: EvalCtx = UNPERTURBED) -> tuple[list[PochProduct], int]:
+    """(terms, euler) for one side: the nonzero terms of its sum, each times
+    its prefactor, whose sum divided ``euler`` times by (q; q)_inf is the
+    side through q^trunc, with the perturbations of ``ctx``."""
+    side = record.side(side_name)
+    start, euler = ((None, 0) if side.pre is None
+                    else _prefactor(side.pre, env, ctx, side_name))
+    if side.sum is None:
+        return [], euler
+    # each term carries the prefactor's q^mono, its shift, so a "*" support
+    # runs until the sum's own q-power passes q^(trunc - mono)
+    window = trunc - (0 if start is None else start.shift)
+    return _sum_terms(side.sum, env, ctx, side_name, window, start), euler
 
 
 def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: int,
                     ctx: EvalCtx = UNPERTURBED) -> tuple[int, list]:
     """(offset, coeffs) for one side: coeffs[i] is the coefficient of
     q^(offset+i), exact through q^trunc, with the perturbations of ``ctx``."""
-    side = record.side(side_name)
-    tag = side_name
-    pre = side.pre
-    mono = 0
-    if pre is not None and pre.mono != "0":
-        mono = ctx.site(f"{tag}.pre.mono[{pre.mono}]", eval_affine(pre.mono, env))
-    # the prefactor shifts the sum by q^mono, so the sum is needed through
-    # q^(trunc - mono) for the product to be exact through q^trunc
-    window = trunc - mono
-    terms = [] if side.sum is None else _sum_terms(side.sum, env, ctx, tag, window)
-    offset, buf = sum_terms(terms, window)
-    if pre is not None:
-        offset, buf = _apply_prefactor(pre, env, ctx, tag, mono, offset, buf)
+    return side_value(*side_terms(record, side_name, env, trunc, ctx), trunc)
+
+
+def side_value(terms: list[PochProduct], euler: int, trunc: int) -> tuple[int, list]:
+    """The sum of a side's terms through q^trunc, divided ``euler`` times by
+    (q; q)_inf, as (offset, coeffs)."""
+    offset, buf = sum_terms(terms, trunc)
+    for _ in range(euler):
+        div_euler(buf)
     return offset, buf
 
 

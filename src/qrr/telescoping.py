@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct, mul_binomial, sum_terms
+from .pochhammer import PochProduct, sum_terms
 from .identities.framework import (
     _AFFINE_GLOBALS,
     UNPERTURBED,
@@ -47,6 +47,8 @@ from .identities.framework import (
     compare_checks,
     eval_side_value,
     parse_affine_row,
+    side_terms,
+    side_value,
 )
 from .identities.engine import get_record
 
@@ -198,14 +200,6 @@ def _two_sum_terms(params: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _times_binomial(value, c: int):
-    """(offset, buf) representing value * (1 - q^c), c >= 1."""
-    off, buf = value
-    out = list(buf)
-    mul_binomial(out, c)
-    return off, out
-
-
 def _add_values(a, b, scale: int = 1):
     """A new (offset, buf) holding a + scale * b, for two values that both
     end at the same truncation order."""
@@ -219,9 +213,11 @@ def _add_values(a, b, scale: int = 1):
     return off, out
 
 
-def _registry_side(ident: str, env: dict, side: str, trunc: int):
-    """One side of a registry record at a point already checked against it."""
-    return eval_side_value(get_record(ident), side, env, trunc)
+def _cleared_side(env: dict, side: str, trunc: int, c: int):
+    """One side of LMNRS3, at a point already checked against it, times
+    (1 - q^c): one factor on each of its terms."""
+    terms, euler = side_terms(get_record("LMNRS3"), side, env, trunc)
+    return side_value([t.factor(c) for t in terms], euler, trunc)
 
 
 # The most work a certificate may take, in coefficient updates: each k of
@@ -282,10 +278,8 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     checks += [
         ("boundary", left, right),
         ("sum-splitting", left, sum_terms(_two_sum_terms(params), trunc)),
-        ("lhs-clearing", left,
-         _times_binomial(_registry_side("LMNRS3", params, "lhs", trunc), c)),
-        ("rhs-clearing", right,
-         _times_binomial(_registry_side("LMNRS3", params, "rhs", trunc), c)),
+        ("lhs-clearing", left, _cleared_side(params, "lhs", trunc, c)),
+        ("rhs-clearing", right, _cleared_side(params, "rhs", trunc, c)),
     ]
     return compare_checks("telescoping", params, trunc, checks)
 
@@ -310,9 +304,10 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
         checks.append((f"termwise k={k}", s_k, t_k))
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
+    record = get_record("LMNRS4")
     checks += [
-        ("lhs-assembly", s_sum, _registry_side("LMNRS4", params, "lhs", trunc)),
-        ("rhs-assembly", t_sum, _registry_side("LMNRS4", params, "rhs", trunc)),
+        ("lhs-assembly", s_sum, eval_side_value(record, "lhs", params, trunc)),
+        ("rhs-assembly", t_sum, eval_side_value(record, "rhs", params, trunc)),
     ]
     return compare_checks("termwise", params, trunc, checks)
 

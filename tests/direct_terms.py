@@ -1,7 +1,8 @@
 """The per-k term builder, kept as a slow cross-check of the term chain.
 
-Each term of a registry ``Sum`` is built from scratch at its k, one
-``qn``/``poch`` call per slot, with every index and argument passed through
+Each term of a registry ``Sum`` is built from scratch at its k, from a copy
+of the side's start product (its prefactor, if any), one ``qn``/``poch``
+call per slot, with every index and argument passed through
 ``ctx.site`` under the same name as in the engine.  This is how the engine
 built its terms before it kept one running product and multiplied in only
 the change of each index; the differential tests compare the two term by
@@ -64,7 +65,7 @@ def exact_support(spec, env, trunc, num_args, den_args):
     return -min(lower, default=0), kmax
 
 
-def sum_terms(spec, env, ctx, tag, trunc):
+def sum_terms(spec, env, ctx, tag, trunc, start=None):
     num_args = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
     den_args = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
     plain, pairs = _split(spec, num_args, den_args)
@@ -73,7 +74,7 @@ def sum_terms(spec, env, ctx, tag, trunc):
     tenv = dict(env)
     for k in range(kmin, kmax + 1):
         tenv["k"] = k
-        t = PochProduct()
+        t = PochProduct() if start is None else start.copy()
         if spec.alt and (k & 1):
             t.scale(-1)
         t.q(ctx.site(f"{tag}.qpow", _quad_exponent(spec, env, k), k))

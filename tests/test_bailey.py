@@ -24,7 +24,7 @@ from qrr.bailey import (
     unit_pair_x1,
     verify_pair,
 )
-from qrr.identities import EngineError, framework, verify
+from qrr.identities import EngineError, verify
 from qrr.identities.framework import MAX_PARAMETER
 from qrr.pochhammer import PochProduct, sum_terms
 from qrr.series import power_series
@@ -369,17 +369,16 @@ def test_chain_is_case_insensitive():
 
 def test_bailey_work_is_pinned(monkeypatch):
     # Kernel passes of the chain reconstructions and the stock pair
-    # relations at T=40, through both modules' bindings: the relation sums
-    # render through pochhammer's, the registry side's prefactor through
-    # framework's.  Term counts of a folded pair and of a lattice route pin
+    # relations at T=40: the relation sums and the registry side, its
+    # prefactor carried by every term, render through pochhammer's
+    # bindings, the only ones.  Term counts of a folded pair and of a lattice route pin
     # how many terms the moves build.
     calls = Counter()
-    for owner in (pochhammer, framework):
-        for name in ("mul_binomial", "div_binomial"):
-            def counted(*args, kernel=getattr(owner, name), name=name):
-                calls[name] += 1
-                return kernel(*args)
-            monkeypatch.setattr(owner, name, counted)
+    for name in ("mul_binomial", "div_binomial"):
+        def counted(*args, kernel=getattr(pochhammer, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(pochhammer, name, counted)
 
     for target in bailey.CHAIN_TARGETS:
         for N in range(5):

@@ -1,6 +1,8 @@
 """Registry records and the verification engine built on them."""
 
 import dataclasses
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -153,6 +155,57 @@ def test_verify_points_keeps_task_order_across_chunks(inline_pool, monkeypatch):
     rest = list(stream)
     assert [r.params["n"] for r in [first] + rest] == [n % 13 for n in range(40)]
     assert inline_pool == [2] and all(r.equal for r in rest)
+
+
+# the messages of a pool whose worker died: a future that was in flight
+# fails with the first, and every later hand-off is refused with the second
+_DIED_RUNNING = ("A process in the process pool was terminated abruptly while "
+                 "the future was running or pending.")
+_DIED_SUBMIT = ("A child process terminated abruptly, the process pool is not "
+                "usable anymore")
+
+
+@pytest.mark.parametrize("failing, message", [(3, "while the future was running"),
+                                              (None, "not usable anymore")],
+                         ids=["failed-future", "no-failed-future"])
+def test_a_broken_pool_raises_its_workers_error(failing, message, monkeypatch):
+    # 40 tasks in chunks of 2, 4 chunks in flight; the pool breaks once the
+    # first window is handed out.  The reports before the failed chunk come
+    # back in order, then the failed chunk raises its own error; with no
+    # failed chunk in the window the refused hand-off raises, and the stream
+    # never ends short
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    submitted = []
+
+    class BreakingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            if len(submitted) == 4:
+                raise BrokenProcessPool(_DIED_SUBMIT)
+            done = Future()
+            if len(submitted) == failing:
+                done.set_exception(BrokenProcessPool(_DIED_RUNNING))
+            else:
+                done.set_result(fn(*args))
+            submitted.append(args)
+            return done
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", BreakingPool)
+    tasks = (("ANDREWS1", {"n": n % 13}, 15) for n in range(40))
+    got = []
+    with pytest.raises(BrokenProcessPool, match=message):
+        for rep in engine.verify_points(tasks, 40, jobs=2):
+            got.append(rep.params["n"])
+    assert got == list(range(2 * (failing or 4)))
+    assert len(submitted) == 4
 
 
 def test_grid_size_limit_is_checked_before_any_point(monkeypatch):

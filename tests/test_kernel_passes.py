@@ -1,0 +1,66 @@
+"""``tools/kernel_passes.py``: its counts and its table, on one tiny check
+instead of the three benchmark runs."""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from qrr import pochhammer
+from qrr.identities import engine, framework
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "kernel_passes.py"
+
+
+@pytest.fixture(scope="module")
+def kernel_passes():
+    spec = importlib.util.spec_from_file_location("kernel_passes", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tiny():
+    return engine.verify("EULERMN1", {"m": 4, "n": 5}, 160)
+
+
+def _bindings():
+    return [(module, name, getattr(module, name))
+            for module in (pochhammer, framework)
+            for name in ("mul_binomial", "div_binomial", "div_euler")
+            if hasattr(module, name)]
+
+
+def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch):
+    before = _bindings()
+    with kernel_passes.counted_kernels() as calls:
+        assert _tiny().equal
+    assert _bindings() == before                 # every binding is put back
+    want = Counter()
+    for module, name, kernel in before:
+        def counted(*args, kernel=kernel, name=name):
+            want[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    _tiny()
+    assert calls == want
+    assert calls["div_euler"] == 1 and calls["mul_binomial"] + calls["div_binomial"] > 0
+
+
+def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(kernel_passes, "_runs", lambda workloads: [
+        ("tiny", workloads.verify_items([("EULERMN1", {"m": 4, "n": 5})], 160)),
+        ("wrong", workloads.verify_items([("ANDREWS1", {"n": -1})], 20))])
+    with kernel_passes.counted_kernels() as calls:
+        _tiny()
+    assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
+    head, tiny, wrong = capsys.readouterr().out.splitlines()
+    assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
+                            "binomial", "div_euler"]
+    mul, div = calls["mul_binomial"], calls["div_binomial"]
+    assert tiny.split() == ["tiny", "1", "0", str(mul), str(div), str(mul + div), "1"]
+    assert wrong.split()[:3] == ["wrong", "1", "1"]

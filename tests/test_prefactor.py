@@ -1,11 +1,11 @@
 """The engine's prefactor path against an independent dense evaluation.
 
-``_apply_prefactor`` cancels the infinite products of a side's prefactor
-inside one PochProduct and applies the surviving binomials to the summed
-side in place.  Here the same prefactor is expanded by the dense oracle
-(every infinite product cut at the window, multiplied out by convolution,
-the denominator inverted as a power series), multiplied by the summed side,
-and compared coefficient for coefficient.
+``framework._prefactor`` cancels the infinite products of a side's
+prefactor inside one PochProduct, and the side's term chain starts from it,
+so that every term carries the prefactor.  Here the same prefactor is
+expanded by the dense oracle (every infinite product cut at the window,
+multiplied out by convolution, the denominator inverted as a power series),
+multiplied by the summed side, and compared coefficient for coefficient.
 """
 
 import dataclasses
@@ -18,7 +18,17 @@ import pytest
 from dense_oracle import as_dict, convolve, expand
 from qrr import pochhammer
 from qrr.identities import REGISTRY, engine, framework, get_record
-from qrr.identities.framework import EvalCtx, Side, eval_affine, eval_side_value
+from qrr.identities.framework import (
+    Axis,
+    EngineError,
+    EvalCtx,
+    IdentityRecord,
+    Prefactor,
+    Side,
+    Sum,
+    eval_affine,
+    eval_side_value,
+)
 from qrr.pochhammer import PoleError
 
 PREFACTOR_SIDES = [(ident, side) for ident, rec in sorted(REGISTRY.items())
@@ -163,10 +173,11 @@ def test_a_wrong_pentagonal_term_is_a_mismatch(at, wrong, first, monkeypatch):
 @pytest.mark.parametrize("ident, env", [("EULERMN1", {"m": 4, "n": 5}),
                                         ("EULERN1", {"n": 5})])
 def test_unpaired_euler_product_is_one_division(ident, env, monkeypatch):
-    # Kernel calls while the left side is evaluated at T=160: the prefactor's
-    # through framework's bindings, the sum's through pochhammer's.  Cutting
-    # 1/(q; q)_inf at the top took 160 prefactor passes here, on top of the
-    # sum's 19 (EULERMN1) and 13 (EULERN1).
+    # Kernel calls while the left side is evaluated at T=160: the Euler
+    # division through framework's binding, the sum's binomial passes, the
+    # prefactor's factors among them, through pochhammer's.  Cutting
+    # 1/(q; q)_inf at the top once took 160 prefactor passes here, on top of
+    # the sum's 19 (EULERMN1) and 13 (EULERN1).
     calls = Counter()
 
     def count(owner, name):
@@ -178,11 +189,45 @@ def test_unpaired_euler_product_is_one_division(ident, env, monkeypatch):
             return kernel(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("mul_binomial", "div_binomial", "div_euler"):
-        count(framework, name)
+    count(framework, "div_euler")
     for name in ("mul_binomial", "div_binomial"):
         count(pochhammer, name)
     eval_side_value(get_record(ident), "lhs", env, 160)
     assert calls.pop(("framework", "div_euler")) == 1
     assert not any(n for (owner, _), n in calls.items() if owner == "framework")
     assert 0 < sum(calls.values()) <= 30
+
+
+# A side of negative valuation: q^(k^2 - 3k) / (q)_k over k = 0..3 reaches
+# q^-2, so an unpaired 1/(q^b; q)_inf reaches q^T for every b <= T + 2.
+_LAURENT = Sum(quad=(2, -6), den=("k",), support=("0", "3"))
+
+
+def _record(lhs: Side) -> IdentityRecord:
+    return IdentityRecord("PREFACTOR_RULES", lhs, Side(), "test-local",
+                          (Axis("b", 0, 200),))
+
+
+@pytest.mark.parametrize("trunc", [40, 160])
+def test_unpaired_denominator_past_t_reaches_a_laurent_side(trunc):
+    rec = _record(Side(sum=_LAURENT, pre=Prefactor(inf_den=("b",))))
+    bare = as_dict(eval_side_value(_record(Side(sum=_LAURENT)), "lhs", {"b": 0}, trunc),
+                   trunc)
+    assert min(bare) == -2
+    for b in (trunc + 1, trunc + 2):
+        got = as_dict(eval_side_value(rec, "lhs", {"b": b}, trunc), trunc)
+        assert got == dense_side(rec, "lhs", {"b": b}, trunc), (trunc, b)
+        assert got != bare, (trunc, b)
+
+
+def test_unpaired_numerator_is_refused():
+    rec = _record(Side(sum=_LAURENT, pre=Prefactor(inf_num=("b",))))
+    with pytest.raises(EngineError, match="^lhs: .*numerator"):
+        eval_side_value(rec, "lhs", {"b": 3}, 40)
+
+
+def test_pole_prefactor_over_no_sum_is_a_pole():
+    rec = _record(Side(pre=Prefactor(bin_den=("b",))))
+    assert eval_side_value(rec, "lhs", {"b": 1}, 40) == (0, [0] * 41)
+    with pytest.raises(PoleError):
+        eval_side_value(rec, "lhs", {"b": 0}, 40)

@@ -65,7 +65,6 @@ TRUNC_CALLS = {
 # building a term or a sum, a coefficient pass, or an affine evaluation
 WORK = [(PochProduct, "__init__"), (SeriesAccumulator, "__init__"),
         (pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
-        (framework, "mul_binomial"), (framework, "div_binomial"),
         (framework, "div_euler"),
         (framework, "eval_affine")]
 

@@ -92,8 +92,15 @@ def test_telescoping_detects_a_corrupted_f_term(monkeypatch):
 
 def test_telescoping_clearing_checks_bite(monkeypatch):
     # without the cleared factor (1 - q^(l+m+n+u+v+1)) both registry sides
-    # disagree with the reassembled sums, and nothing else changes
-    monkeypatch.setattr(telescoping, "mul_binomial", lambda buf, c: None)
+    # disagree with the reassembled sums, and nothing else changes: each
+    # registry term comes back divided by the factor the clearing multiplies in
+    terms_of = telescoping.side_terms
+
+    def uncleared(record, side, env, trunc):
+        terms, euler = terms_of(record, side, env, trunc)
+        return [t.dfactor(sum(env.values()) + 1) for t in terms], euler
+
+    monkeypatch.setattr(telescoping, "side_terms", uncleared)
     rep = verify_telescoping(1, 1, 1, 1, 1, 30)
     assert rep.verdict == "MISMATCH"
     assert _failed(rep) == {"lhs-clearing", "rhs-clearing"}

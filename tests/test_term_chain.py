@@ -63,15 +63,16 @@ def _outcome(build, *args):
 @pytest.fixture
 def compared(monkeypatch):
     """While active, every sum built through ``_sum_terms`` is built both
-    ways, at each module's binding of it; returns the list of (tag, chained
+    ways, from the same start product, at each module's binding of it;
+    returns the list of (tag, chained
     outcome, direct outcome) it fills."""
     seen = []
     chained, direct = framework._sum_terms, direct_terms.sum_terms
 
-    def both(spec, env, ctx, tag, trunc):
-        got = _outcome(chained, spec, env, ctx, tag, trunc)
-        seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc)))
-        return chained(spec, env, ctx, tag, trunc)
+    def both(spec, env, ctx, tag, trunc, start=None):
+        got = _outcome(chained, spec, env, ctx, tag, trunc, start)
+        seen.append((tag, got, _outcome(direct, spec, env, ctx, tag, trunc, start)))
+        return chained(spec, env, ctx, tag, trunc, start)
 
     for module in (framework, engine, telescoping, bailey):
         assert module._sum_terms is chained

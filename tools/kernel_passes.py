@@ -1,0 +1,94 @@
+"""Count the exact kernel calls of three benchmark runs.
+
+Prints how many times ``mul_binomial``, ``div_binomial`` and ``div_euler``
+are called while three runs execute, serially in this process:
+
+* the registry sweep's points, every default-grid point of every record,
+  each verified through ``engine.verify`` at the sweep's T (40), with no
+  command line and no pool;
+* the deep-window workload's checks for seed 1;
+* the certificates workload's checks for seed 1.
+
+The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
+default this repository) and the program from its ``src/``; nothing is
+written there.  A kernel is counted at every ``qrr`` module's binding of it,
+so a call made through another module's import of a kernel counts too.
+The counts are deterministic, so one run of each side of a change compares
+the work they do.  The exit code is 1 if any check got the wrong verdict.
+Run from anywhere:
+
+    python3 tools/kernel_passes.py [ROOT]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNELS = ("mul_binomial", "div_binomial", "div_euler")
+
+
+@contextlib.contextmanager
+def counted_kernels():
+    """Count the calls of each kernel, through every binding of it in a
+    loaded ``qrr`` module, while active; yields the Counter it fills and
+    puts every binding back on exit."""
+    from qrr import pochhammer
+
+    calls = Counter()
+    kernels = {name: getattr(pochhammer, name) for name in KERNELS}
+    patched = []
+    for module in [m for name, m in list(sys.modules.items())
+                   if m is not None and (name == "qrr" or name.startswith("qrr."))]:
+        for name, kernel in kernels.items():
+            if getattr(module, name, None) is kernel:
+                def counted(*args, kernel=kernel, name=name):
+                    calls[name] += 1
+                    return kernel(*args)
+                patched.append((module, name, kernel))
+                setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        for module, name, kernel in patched:
+            setattr(module, name, kernel)
+
+
+def _runs(workloads) -> list[tuple[str, list]]:
+    """(label, checks) of the three runs, built from ``workloads``."""
+    trunc = workloads.REGISTRY_T
+    return [
+        (f"sweep T={trunc}", workloads.verify_items(workloads.registry_points(), trunc)),
+        ("deep-window seed 1", workloads.build_inputs("deep-window", 1)[0]),
+        ("certificates seed 1", workloads.build_inputs("certificates", 1)[0]),
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", default=str(ROOT),
+                        help="the checkout whose program and inputs are run")
+    root = Path(parser.parse_args(argv).root).resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
+          f"{'div_binomial':>14}{'binomial':>10}{'div_euler':>11}")
+    failed = 0
+    for label, items in _runs(workloads):
+        with counted_kernels() as calls:
+            res = workloads.run_items(items)
+        failed += res.failed
+        mul, div = calls["mul_binomial"], calls["div_binomial"]
+        print(f"{label:<22}{res.attempted:>8}{res.failed:>8}{mul:>14}{div:>14}"
+              f"{mul + div:>10}{calls['div_euler']:>11}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
