@@ -33,7 +33,9 @@ from .framework import (
     bounded_int,
     compare,
     compare_side_values,
+    compare_sides,
     eval_side_value,
+    side_terms,
 )
 
 
@@ -74,15 +76,15 @@ def verify(ident: str, params: dict, trunc: int | None = None,
            ctx: EvalCtx = UNPERTURBED) -> VerificationReport:
     """Evaluate both sides of one identity at one parameter point, with the
     perturbations of ``ctx``, and compare every coefficient through the
-    truncation order (QRR_TRUNC or else 60 when ``trunc`` is None).  This is
+    truncation order (QRR_TRUNC or else 60 when ``trunc`` is None), both
+    summed divided by one shared unit (:func:`compare_sides`).  This is
     the one check whose report carries its wall time, in ``millis``."""
     rec = get_record(ident)
     trunc = default_truncation(trunc)
     start = time.perf_counter()
     env = _check_params(rec, params)
-    lhs = eval_side_value(rec, "lhs", env, trunc, ctx)
-    rhs = eval_side_value(rec, "rhs", env, trunc, ctx)
-    rep = compare(ident, dict(env), trunc, lhs, rhs)
+    rep = compare_sides(ident, dict(env), trunc, side_terms(rec, "lhs", env, trunc, ctx),
+                        side_terms(rec, "rhs", env, trunc, ctx))
     rep.millis = (time.perf_counter() - start) * 1000.0
     return rep
 

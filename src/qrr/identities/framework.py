@@ -54,7 +54,8 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..pochhammer import PochProduct, PoleError, div_euler, sum_terms
+from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, shared_unit,
+                          sum_terms)
 from ..series import NeedsLaurent, SeriesError
 
 
@@ -501,10 +502,12 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: in
     return side_value(*side_terms(record, side_name, env, trunc, ctx), trunc)
 
 
-def side_value(terms: list[PochProduct], euler: int, trunc: int) -> tuple[int, list]:
+def side_value(terms: list[PochProduct], euler: int, trunc: int,
+               unit: dict | None = None) -> tuple[int, list]:
     """The sum of a side's terms through q^trunc, divided ``euler`` times by
-    (q; q)_inf, as (offset, coeffs)."""
-    offset, buf = sum_terms(terms, trunc)
+    (q; q)_inf and once by the unit ``unit`` (by default 1), as
+    (offset, coeffs)."""
+    offset, buf = sum_terms(terms, trunc, unit)
     for _ in range(euler):
         div_euler(buf)
     return offset, buf
@@ -562,6 +565,24 @@ def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
     return VerificationReport(ident, params, trunc, "MISMATCH", mismatch_index=e,
                               lhs_window=window(lhs, lo, hi),
                               rhs_window=window(rhs, lo, hi))
+
+
+def compare_sides(ident: str, params: dict, trunc: int, lhs: tuple[list, int],
+                  rhs: tuple[list, int]) -> VerificationReport:
+    """Report on two sides given as (terms, euler), as :func:`compare`
+    reports on their values.
+
+    Both sides are summed divided by one unit G, :func:`shared_unit` of
+    their terms, which changes neither the verdict nor the first differing
+    exponent.  Only a MISMATCH needs the true values, for its windows: both
+    buffers are then multiplied back by G."""
+    unit = shared_unit(lhs[0], rhs[0])
+    a, b = side_value(*lhs, trunc, unit), side_value(*rhs, trunc, unit)
+    if compare_side_values(a, b, trunc) is None:
+        return VerificationReport(ident, params, trunc, "EQUAL")
+    for _, buf in (a, b):
+        _apply(buf, unit, 0, len(buf) - 1)
+    return compare(ident, params, trunc, a, b)
 
 
 def compare_checks(ident: str, params: dict, trunc: int,

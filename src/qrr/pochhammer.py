@@ -34,6 +34,16 @@ and a new one started, so a sum never takes more passes than rendering each
 term on its own would.  :func:`sum_terms` hands the sum back as that
 ``(offset, coeffs)`` value; :func:`~qrr.series.power_series` turns it into
 the plain list of coefficients of q^0 .. q^T that the public calls return.
+
+A sum may also be taken divided by a unit G = prod_(m>=1) (1-q^m)^g_m:
+every such G is a unit of Z[[q]] with constant term 1, so dividing the
+two values of a check by the same G changes neither its verdict nor the
+first exponent where they differ.  The ratios of consecutive terms do not
+change, since G cancels in U_(k+1)/U_k; only closing a chain applies
+U_head/G, so a factor that G takes out of every term costs no pass at all.
+:func:`shared_unit` picks G from the terms of both sides: for each m, the
+median multiplicity over the terms, which makes the factors left to
+apply, summed over the terms, as few as any G can.
 """
 
 from __future__ import annotations
@@ -312,20 +322,25 @@ class SeriesAccumulator:
     enough window for the most negative shift seen and lets the caller
     decide what to do with any surviving negative part.
 
+    ``unit``, a powers dict with keys m >= 1 (by default empty), is a unit
+    G of Z[[q]]: :meth:`value` returns the sum of the terms divided by G.
+
     :meth:`value` walks the terms from last to first.  A chain headed by
     term h holds A_h in one buffer indexed by exponent, and is worth
     U_h * A_h.  Taking in the next term t multiplies the buffer by U_h / U_t
-    and adds c_t at q^(s_t); closing the chain multiplies it by U_h and adds
-    it to the output.  t joins the chain only if the ratio, plus the extra
-    passes t's own factors will need from the chain's lower floor, costs no
-    more than closing; otherwise the chain is closed and t heads a new one.
-    So the passes spent plus those owed for closing never exceed what
-    rendering each term on its own takes.  A pass is counted only for a
-    factor (1-q^m) whose m can reach q^trunc from the buffer's lowest entry.
+    and adds c_t at q^(s_t); closing the chain multiplies it by U_h / G and
+    adds it to the output.  t joins the chain only if the ratio, plus the
+    extra passes t's own factors U_t / G will need from the chain's lower
+    floor, costs no more than closing; otherwise the chain is closed and t
+    heads a new one.  So the passes spent plus those owed for closing never
+    exceed what rendering each term divided by G on its own takes.  A pass
+    is counted only for a factor (1-q^m) whose m can reach q^trunc from the
+    buffer's lowest entry.
     """
 
-    def __init__(self, trunc: int):
+    def __init__(self, trunc: int, unit: dict | None = None):
         self.trunc = trunc
+        self.unit = unit or {}
         self.terms: list[PochProduct] = []
 
     def add(self, term: PochProduct) -> None:
@@ -346,16 +361,17 @@ class SeriesAccumulator:
             s = t.shift - offset
             if s > top:
                 continue
+            own = _ratio(self.unit, t.powers)    # U_t / G
             if buf is not None:
                 reach = top - lo
-                ratio = _ratio(t.powers, head.powers)
+                ratio = _ratio(own, head)        # U_head / U_t: G cancels
                 cost = _passes(ratio, reach)
                 if s >= lo:     # t does not lower the chain's floor
-                    cost += _passes(t.powers, reach) - _passes(t.powers, top - s)
-                if cost <= _passes(head.powers, reach):
+                    cost += _passes(own, reach) - _passes(own, top - s)
+                if cost <= _passes(head, reach):
                     _apply(buf, ratio, lo, reach)
                 else:
-                    out = _close(out, buf, head.powers, lo, top)
+                    out = _close(out, buf, head, lo, top)
                     buf = None
             if buf is None:
                 buf = [0] * (top + 1)
@@ -363,14 +379,41 @@ class SeriesAccumulator:
             buf[s] += t.coeff
             if s < lo:
                 lo = s
-            head = t
+            head = own
         if buf is not None:
-            out = _close(out, buf, head.powers, lo, top)
+            out = _close(out, buf, head, lo, top)
         return offset, out if out is not None else [0] * (top + 1)
 
 
-def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
-    acc = SeriesAccumulator(trunc)
+def sum_terms(terms: list[PochProduct], trunc: int,
+              unit: dict | None = None) -> tuple[int, list]:
+    """The sum of ``terms`` through q^trunc, divided by the unit ``unit``
+    (a powers dict, by default 1), as (offset, coeffs)."""
+    acc = SeriesAccumulator(trunc, unit)
     for t in terms:
         acc.add(t)
     return acc.value()
+
+
+def shared_unit(*term_lists: list[PochProduct]) -> dict:
+    """A unit G = prod_(m>=1) (1-q^m)^g_m for summing every list divided
+    by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
+    the nonzero terms of all the lists, a term without the factor counting
+    as 0.  The median makes sum_t |e_t(m) - g_m|, the factors left on the
+    terms, as small as it can be.  The key m = 0, the zero and pole count,
+    stays with the terms."""
+    terms = [t for terms in term_lists for t in terms if t.state == "ok"]
+    seen: dict[int, list] = {}
+    for t in terms:
+        for m, e in t.powers.items():
+            if m:
+                seen.setdefault(m, []).append(e)
+    n = len(terms)
+    unit = {}
+    for m, es in seen.items():
+        if 2 * len(es) >= n:     # else most terms lack (1-q^m), and g_m = 0
+            es += [0] * (n - len(es))
+            es.sort()
+            if es[n // 2]:
+                unit[m] = es[n // 2]
+    return unit

@@ -24,7 +24,10 @@ They are transcribed from the printed forms, not read from the records, so
 that each certificate stays an independent check of the records it ties
 back to.  Every exponent passes through ``ctx.site`` under a name that no
 other declaration uses.  Each quantity is summed once per k, and every check
-that reads it reuses that value.
+that reads it reuses that value.  Every value of a certificate is summed
+divided by one unit, :func:`~qrr.pochhammer.shared_unit` of its core: each
+check compares sums of values divided by the same G, so it reads as the
+true values would, and the factors that the terms share cost no pass.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct, sum_terms
+from .pochhammer import PochProduct, shared_unit, sum_terms
 from .identities.framework import (
     _AFFINE_GLOBALS,
     UNPERTURBED,
@@ -45,7 +48,6 @@ from .identities.framework import (
     _sum_terms,
     _support,
     compare_checks,
-    eval_side_value,
     parse_affine_row,
     side_terms,
     side_value,
@@ -213,11 +215,11 @@ def _add_values(a, b, scale: int = 1):
     return off, out
 
 
-def _cleared_side(env: dict, side: str, trunc: int, c: int):
+def _cleared_side(env: dict, side: str, trunc: int, c: int, unit: dict):
     """One side of LMNRS3, at a point already checked against it, times
-    (1 - q^c): one factor on each of its terms."""
+    (1 - q^c): one factor on each of its terms; divided by ``unit``."""
     terms, euler = side_terms(get_record("LMNRS3"), side, env, trunc)
-    return side_value([t.factor(c) for t in terms], euler, trunc)
+    return side_value([t.factor(c) for t in terms], euler, trunc, unit)
 
 
 # The most work a certificate may take, in coefficient updates: each k of
@@ -257,9 +259,10 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u, v)
     cores = {"A": _core(_A_SUM, "A", params, cap + 4),
              "C0": _core(_C0_SUM, "C0", params, 1)}
+    unit = shared_unit(cores["A"])
 
     def value(name: str, k: int):
-        return sum_terms(_terms(name, cores, params, k), trunc)
+        return sum_terms(_terms(name, cores, params, k), trunc, unit)
 
     checks = []
     F = [value("F", k) for k in range(cap + 4)]
@@ -277,9 +280,9 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     c = l + m + n + u + v + 1
     checks += [
         ("boundary", left, right),
-        ("sum-splitting", left, sum_terms(_two_sum_terms(params), trunc)),
-        ("lhs-clearing", left, _cleared_side(params, "lhs", trunc, c)),
-        ("rhs-clearing", right, _cleared_side(params, "rhs", trunc, c)),
+        ("sum-splitting", left, sum_terms(_two_sum_terms(params), trunc, unit)),
+        ("lhs-clearing", left, _cleared_side(params, "lhs", trunc, c, unit)),
+        ("rhs-clearing", right, _cleared_side(params, "rhs", trunc, c, unit)),
     ]
     return compare_checks("telescoping", params, trunc, checks)
 
@@ -296,19 +299,20 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     params = _checked("termwise", "LMNRS4", (l, m, n, u, v), trunc)
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
+    unit = shared_unit(cores["B"])
 
     checks = []
     s_sum = t_sum = (0, [0] * (trunc + 1))
     for k in range(cap + 3):
-        s_k, t_k = (sum_terms(_terms(name, cores, params, k), trunc) for name in "ST")
+        s_k, t_k = (sum_terms(_terms(name, cores, params, k), trunc, unit)
+                    for name in "ST")
         checks.append((f"termwise k={k}", s_k, t_k))
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
     record = get_record("LMNRS4")
-    checks += [
-        ("lhs-assembly", s_sum, eval_side_value(record, "lhs", params, trunc)),
-        ("rhs-assembly", t_sum, eval_side_value(record, "rhs", params, trunc)),
-    ]
+    checks += [(f"{side}-assembly", total,
+                side_value(*side_terms(record, side, params, trunc), trunc, unit))
+               for side, total in (("lhs", s_sum), ("rhs", t_sum))]
     return compare_checks("termwise", params, trunc, checks)
 
 

@@ -42,11 +42,26 @@ def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch):
     for module, name, kernel in before:
         def counted(*args, kernel=kernel, name=name):
             want[name] += 1
+            if name != "div_euler":
+                buf, m, lo = args
+                want["coeff_updates"] += len(range(lo + m, len(buf)))
             return kernel(*args)
         monkeypatch.setattr(module, name, counted)
     _tiny()
     assert calls == want
     assert calls["div_euler"] == 1 and calls["mul_binomial"] + calls["div_binomial"] > 0
+    assert calls["coeff_updates"] > calls["mul_binomial"] + calls["div_binomial"]
+
+
+@pytest.mark.parametrize("kernel", [pochhammer.mul_binomial, pochhammer.div_binomial])
+@pytest.mark.parametrize("n,m,lo", [(10, 1, 0), (10, 3, 4), (10, 7, 3), (10, 9, 2), (1, 1, 0)])
+def test_coeff_updates_count_the_entries_a_pass_changes(kernel_passes, kernel, n, m, lo):
+    # with every entry from lo on nonzero, each entry a pass visits changes
+    buf = [0] * lo + [1] * (n - lo)
+    after = list(buf)
+    kernel(after, m, lo)
+    changed = sum(a != b for a, b in zip(buf, after))
+    assert kernel_passes.coeff_updates(buf, m, lo) == changed
 
 
 def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
@@ -60,7 +75,8 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
     head, tiny, wrong = capsys.readouterr().out.splitlines()
     assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
-                            "binomial", "div_euler"]
+                            "binomial", "coeff_updates", "div_euler"]
     mul, div = calls["mul_binomial"], calls["div_binomial"]
-    assert tiny.split() == ["tiny", "1", "0", str(mul), str(div), str(mul + div), "1"]
+    assert tiny.split() == ["tiny", "1", "0", str(mul), str(div), str(mul + div),
+                            str(calls["coeff_updates"]), "1"]
     assert wrong.split()[:3] == ["wrong", "1", "1"]

@@ -6,6 +6,12 @@ compared with the dense oracle (``dense_oracle.py``) on random term lists
 and with the per-term renderer (``per_term.py``) on every registry side at
 its default-grid corners; its kernel passes are counted against the
 per-term renderer's, and a copy that drops one ratio factor must be caught.
+
+``engine.verify`` sums both sides divided by one shared unit G
+(``framework.compare_sides``).  Its reports are compared with those of the
+true side values, each divided side times G with the side itself, and the
+divided sums with the per-term renderer of the divided terms; a unit put on
+one side only must be caught.
 """
 
 import contextlib
@@ -18,10 +24,11 @@ from hypothesis import given, strategies as st
 
 import per_term
 from dense_oracle import as_dict, expand
-from qrr import pochhammer
+from qrr import pochhammer, telescoping
 from qrr.identities import REGISTRY, engine, framework
-from qrr.identities.framework import eval_side_value
-from qrr.pochhammer import PochProduct, PoleError, SeriesAccumulator, sum_terms
+from qrr.identities.framework import EvalCtx, eval_side_value, side_terms, side_value
+from qrr.pochhammer import (PochProduct, PoleError, SeriesAccumulator, shared_unit,
+                            sum_terms)
 from qrr.series import SeriesError
 from test_prefactor import _corners
 
@@ -207,9 +214,9 @@ PINNED_WORK = {
 }
 
 
-def test_kernel_work_is_pinned(monkeypatch):
-    # the test above bounds the passes from above only; this catches a
-    # change that alters nothing but the work
+def _count_kernels(monkeypatch) -> Counter:
+    """Count the kernel passes through pochhammer's binomial and
+    framework's div_euler bindings, by kernel, in the Counter returned."""
     calls = Counter()
     for owner, name in ((pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
                         (framework, "div_euler")):
@@ -217,7 +224,13 @@ def test_kernel_work_is_pinned(monkeypatch):
             calls[name] += 1
             return kernel(*args)
         monkeypatch.setattr(owner, name, counted)
+    return calls
 
+
+def test_kernel_work_is_pinned(monkeypatch):
+    # the test above bounds the passes from above only; this catches a
+    # change that alters nothing but the work
+    calls = _count_kernels(monkeypatch)
     work = {}
     for trunc in (40, 160):
         for ident, rec in sorted(REGISTRY.items()):
@@ -231,6 +244,153 @@ def test_kernel_work_is_pinned(monkeypatch):
         assert engine.rr_limit_check(which, 300).equal
     work["RR"] = dict(calls)
     assert work == PINNED_WORK
+
+
+# exact kernel passes, by kernel, of engine.verify, which sums both sides
+# divided by one shared unit: every record at its grid corners, by T; and
+# of one telescoping and one termwise certificate at T=40, each summed
+# divided by the unit of its core
+PINNED_VERIFY_WORK = {
+    40: {"mul_binomial": 2400, "div_binomial": 1827, "div_euler": 12},
+    160: {"mul_binomial": 2617, "div_binomial": 2028, "div_euler": 12},
+    "telescoping": {"mul_binomial": 123, "div_binomial": 199},
+    "termwise": {"mul_binomial": 88, "div_binomial": 87},
+}
+
+
+def test_verify_work_is_pinned(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    work = {}
+    for trunc in (40, 160):
+        for ident, rec in sorted(REGISTRY.items()):
+            for env in _corners(rec):
+                with contextlib.suppress(SeriesError):
+                    assert engine.verify(ident, env, trunc).equal
+        work[trunc] = dict(calls)
+        calls.clear()
+    for name, certify in (("telescoping", telescoping.verify_telescoping),
+                          ("termwise", telescoping.verify_sk_tk)):
+        assert certify(3, 3, 3, 3, 3, 40).equal
+        work[name] = dict(calls)
+        calls.clear()
+    assert work == PINNED_VERIFY_WORK
+
+
+# ---------------------------------------------------------------------------
+# both sides of a check divided by one shared unit
+# ---------------------------------------------------------------------------
+
+
+def _corner_sides(trunc):
+    """(ident, record, env, {side: (terms, euler)}) for every record at its
+    grid corners where both sides can be built."""
+    for ident, rec in sorted(REGISTRY.items()):
+        for env in _corners(rec):
+            with contextlib.suppress(SeriesError):
+                yield ident, rec, env, {side: side_terms(rec, side, env, trunc)
+                                        for side in ("lhs", "rhs")}
+
+
+def _times_unit(value, unit):
+    """A copy of ``value`` times G = prod (1-q^m)^unit[m], one kernel pass
+    per factor."""
+    off, buf = value[0], list(value[1])
+    for m, e in unit.items():
+        kernel = pochhammer.mul_binomial if e > 0 else pochhammer.div_binomial
+        for _ in range(abs(e)):
+            kernel(buf, m)
+    return off, buf
+
+
+def _report(rep):
+    return (rep.ident, rep.params, rep.trunc, rep.verdict, rep.mismatch_index,
+            rep.lhs_window, rep.rhs_window, rep.checks)
+
+
+@pytest.mark.parametrize("trunc", [40, 160])
+def test_verify_reports_as_the_true_values_compare(trunc):
+    # unperturbed, and with the first of the point's sites moved by 1, which
+    # turns most points into a MISMATCH whose windows come from the values
+    # multiplied back by the unit
+    verdicts = Counter()
+    for ident, rec, env, _ in _corner_sides(trunc):
+        for mutations in ({}, {engine.identity_sites(ident, env, trunc)[0]: 1}):
+            true = [eval_side_value(rec, side, env, trunc, EvalCtx(mutations))
+                    for side in ("lhs", "rhs")]
+            want = framework.compare(ident, env, trunc, *true)
+            got = engine.verify(ident, env, trunc, EvalCtx(mutations))
+            assert _report(got) == _report(want), (ident, env, mutations)
+            verdicts[want.verdict] += 1
+    assert verdicts["EQUAL"] >= 800 and verdicts["MISMATCH"] > 500
+
+
+def _divided(terms, unit):
+    g = PochProduct()
+    for m, e in unit.items():
+        g.factor(m, -e)
+    return [t.mul(g) for t in terms]
+
+
+@pytest.mark.parametrize("trunc", [40, 160])
+def test_unit_divided_sides_match_the_slow_paths(trunc):
+    nested = flat = 0
+    for ident, rec, env, sides in _corner_sides(trunc):
+        unit = shared_unit(*(terms for terms, _ in sides.values()))
+        for side, (terms, euler) in sides.items():
+            label = (ident, side, env)
+            divided = side_value(terms, euler, trunc, unit)
+            assert _times_unit(divided, unit) == eval_side_value(rec, side, env, trunc), label
+            with counted_kernels() as count:
+                value = sum_terms(terms, trunc, unit)
+            slow = _divided(terms, unit)
+            assert value == per_term.sum_per_term(slow, trunc), label
+            bound = per_term.passes(slow, trunc)
+            assert count[0] <= bound, label
+            nested += count[0]
+            flat += bound
+    assert nested < flat
+
+
+def test_shared_unit_takes_the_median_of_every_nonzero_term():
+    a = PochProduct().factor(1, 2).factor(2).factor(3, -1)
+    b = PochProduct().factor(1).factor(3, -2).factor(4)
+    c = PochProduct().factor(1, 3).factor(3, -1).q(5)
+    zero = PochProduct().factor(1, 9).factor(0)
+    # (1-q^1): 1, 2, 3; (1-q^2): 0, 0, 1; (1-q^3): -2, -1, -1; (1-q^4): 0, 0, 1
+    assert shared_unit([a, zero], [b, c]) == {1: 2, 3: -1}
+    assert shared_unit([a, b]) == {1: 2, 2: 1, 3: -1, 4: 1}   # upper median
+    assert shared_unit() == shared_unit([zero]) == {}
+
+
+def _unit_on_one_side(monkeypatch, change):
+    """framework.side_value with ``change(unit)`` in place of the unit on
+    every second call, the rhs of each check of compare_sides."""
+    value, calls = framework.side_value, []
+
+    def patched(terms, euler, trunc, unit=None):
+        calls.append(unit)
+        return value(terms, euler, trunc, change(unit) if len(calls) % 2 == 0 else unit)
+
+    monkeypatch.setattr(framework, "side_value", patched)
+    return calls
+
+
+def _drop_first_factor(unit):
+    m = min(unit)
+    out = dict(unit)
+    out[m] -= 1 if out[m] > 0 else -1
+    return {m: e for m, e in out.items() if e}
+
+
+@pytest.mark.parametrize("change", [lambda unit: {}, _drop_first_factor],
+                         ids=["rhs-undivided", "rhs-drops-a-factor"])
+def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
+    calls = _unit_on_one_side(monkeypatch, change)
+    for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
+        params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
+        del calls[:]
+        assert engine.verify(ident, params, 30).verdict == "MISMATCH", ident
+        assert min(calls[0]) <= 30, ident        # G is not 1 through q^30
 
 
 # ---------------------------------------------------------------------------

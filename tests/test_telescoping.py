@@ -106,6 +106,30 @@ def test_telescoping_clearing_checks_bite(monkeypatch):
     assert _failed(rep) == {"lhs-clearing", "rhs-clearing"}
 
 
+def test_termwise_detects_a_corrupted_s_factor(monkeypatch):
+    # one more (1 - q^(k+1)) on every S_k: each termwise check with a nonzero
+    # S_k breaks, and so does the left assembly, but not the right one
+    _patch_family(monkeypatch, "S", lambda terms, k: [t.factor(k + 1) for t in terms])
+    rep = verify_sk_tk(1, 1, 1, 2, 2, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"termwise k=0", "termwise k=1", "lhs-assembly"}
+
+
+def test_termwise_assembly_checks_bite(monkeypatch):
+    # every registry term times one factor (1 - q^(l+m+n+u+v+1)): both
+    # assemblies break, and no termwise check reads the registry
+    terms_of = telescoping.side_terms
+
+    def cleared(record, side, env, trunc):
+        terms, euler = terms_of(record, side, env, trunc)
+        return [t.factor(sum(env.values()) + 1) for t in terms], euler
+
+    monkeypatch.setattr(telescoping, "side_terms", cleared)
+    rep = verify_sk_tk(1, 1, 1, 2, 2, 30)
+    assert rep.verdict == "MISMATCH"
+    assert _failed(rep) == {"lhs-assembly", "rhs-assembly"}
+
+
 def test_termwise_detects_a_corrupted_t_term(monkeypatch):
     _patch_family(monkeypatch, "T", lambda terms, k: terms + [PochProduct().q(k + 2)])
     rep = verify_sk_tk(1, 1, 1, 1, 1, 30)

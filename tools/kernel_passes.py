@@ -1,7 +1,12 @@
 """Count the exact kernel calls of three benchmark runs.
 
 Prints how many times ``mul_binomial``, ``div_binomial`` and ``div_euler``
-are called while three runs execute, serially in this process:
+are called while three runs execute, serially in this process, and the
+``coeff_updates`` of the binomial passes: the buffer entries each pass
+visits, ``len(buf) - lo - m`` for a pass by (1 - q^m) over a buffer whose
+first ``lo`` entries are zero (see :func:`coeff_updates`).  A pass count
+alone does not weigh the length of the buffer or how much of it a pass
+skips.  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
   each verified through ``engine.verify`` at the sweep's T (40), with no
@@ -32,10 +37,17 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("mul_binomial", "div_binomial", "div_euler")
 
 
+def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
+    """The entries that ``mul_binomial(buf, m, lo)`` or
+    ``div_binomial(buf, m, lo)`` visits: lo + m .. len(buf) - 1."""
+    return max(0, len(buf) - lo - m)
+
+
 @contextlib.contextmanager
 def counted_kernels():
     """Count the calls of each kernel, through every binding of it in a
-    loaded ``qrr`` module, while active; yields the Counter it fills and
+    loaded ``qrr`` module, and under ``"coeff_updates"`` the entries the
+    binomial passes visit, while active; yields the Counter it fills and
     puts every binding back on exit."""
     from qrr import pochhammer
 
@@ -48,6 +60,8 @@ def counted_kernels():
             if getattr(module, name, None) is kernel:
                 def counted(*args, kernel=kernel, name=name):
                     calls[name] += 1
+                    if name != "div_euler":
+                        calls["coeff_updates"] += coeff_updates(*args)
                     return kernel(*args)
                 patched.append((module, name, kernel))
                 setattr(module, name, counted)
@@ -78,7 +92,7 @@ def main(argv=None) -> int:
     import workloads
 
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
-          f"{'div_binomial':>14}{'binomial':>10}{'div_euler':>11}")
+          f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}")
     failed = 0
     for label, items in _runs(workloads):
         with counted_kernels() as calls:
@@ -86,7 +100,7 @@ def main(argv=None) -> int:
         failed += res.failed
         mul, div = calls["mul_binomial"], calls["div_binomial"]
         print(f"{label:<22}{res.attempted:>8}{res.failed:>8}{mul:>14}{div:>14}"
-              f"{mul + div:>10}{calls['div_euler']:>11}")
+              f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}")
     return 1 if failed else 0
 
 
