@@ -18,6 +18,12 @@ so each sum is finite.  The bilateral x = q pair carries one extra factor
 1/(1-q), which makes its denominator (q)_{n-r} (q)_{n+r+1}.  beta is
 defined for n >= 0 only; the bilateral modes are bilateral in the alpha
 index.
+
+Every check here compares two term lists through
+:func:`~qrr.identities.framework.compare_sides`, which sums both divided
+by one shared unit, so the factors they have in common cost no kernel
+pass: beta_n against the relation sum, the two sides of the weighted
+identity, and each route to beta_N against the registry's left-hand side.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .series import default_truncation
-from .pochhammer import PochProduct, _sign, sum_terms
+from .pochhammer import PochProduct, _sign
 from .identities.framework import (
     MAX_PARAMETER,
     UNPERTURBED,
@@ -36,8 +42,8 @@ from .identities.framework import (
     _check_params,
     _sum_terms,
     bounded_int,
-    compare,
-    eval_side_value,
+    compare_sides,
+    side_terms,
 )
 from .identities.engine import get_record
 
@@ -215,9 +221,8 @@ def verify_pair(pair: BaileyPair, n_max: int = 10,
     """Check the defining relation for n = 0..n_max; one report per index."""
     bounded_int("n_max", n_max, 0, MAX_BAILEY_N)
     trunc = default_truncation(trunc)
-    return [compare(pair.label or "pair", {"n": n}, trunc,
-                    sum_terms(pair.beta_terms(n), trunc),
-                    sum_terms(pair.relation_terms(n), trunc))
+    return [compare_sides(pair.label or "pair", {"n": n}, trunc,
+                          (pair.beta_terms(n), 0), (pair.relation_terms(n), 0))
             for n in range(n_max + 1)]
 
 
@@ -340,8 +345,8 @@ def symmetrized_identity(pair: BaileyPair, rho1_exp: int, rho2_exp: int,
         (n, PochProduct().poch(rho1_exp, n).poch(rho2_exp, n).poch(-N, n)
          .q(n).dpoch(1 - N - e12, n).mul(pre))
         for n in range(N + 1)))
-    return compare(f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})",
-                   {"N": N}, trunc, sum_terms(lhs, trunc), sum_terms(rhs, trunc))
+    return compare_sides(f"weighted[{rho1_exp},{rho2_exp};N={N}]({pair.label})",
+                         {"N": N}, trunc, (lhs, 0), (rhs, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,8 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     step followed by a lattice step from the one-sided seed, evaluates
     beta_N through every available route (relation sum, transformed-beta
     formula, closed form), and compares each against the registry's
-    left-hand side.  The report is EQUAL only if all routes match.
+    left-hand side, route by route.  The report is EQUAL only if all routes
+    match; otherwise it is the first route's that does not.
     """
     key = ident.upper()
     if key not in CHAIN_TARGETS:
@@ -398,7 +404,7 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
               "u": d_exp - 1, "v": e_exp - 1}
     rec = get_record(key)
     env = _check_params(rec, params)
-    target = eval_side_value(rec, "lhs", env, trunc)
+    target = side_terms(rec, "lhs", env, trunc)
 
     if key == "ABCDE3":
         stepped = bailey_step(lattice_seed_pair(), 2 - d_exp, 2 - e_exp)
@@ -411,10 +417,9 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
         closed = []
     bridge = PochProduct().qn(N).qn(N + 1) if key == "ABCDE2" else PochProduct().qn(N, 2)
 
-    routes = [sum_terms([t.mul(bridge) for t in terms], trunc)
-              for terms in (pair.relation_terms(N), pair.beta_terms(N), *closed)]
-    for value in routes:
-        rep = compare(f"chain({key})", params, trunc, value, target)
+    for terms in (pair.relation_terms(N), pair.beta_terms(N), *closed):
+        rep = compare_sides(f"chain({key})", params, trunc,
+                            ([t.mul(bridge) for t in terms], 0), target)
         if not rep.equal:
             break
     return rep

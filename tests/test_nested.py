@@ -7,14 +7,16 @@ and with the per-term renderer (``per_term.py``) on every registry side at
 its default-grid corners; its kernel passes are counted against the
 per-term renderer's, and a copy that drops one ratio factor must be caught.
 
-``engine.verify`` sums both sides divided by one shared unit G
-(``framework.compare_sides``).  Its reports are compared with those of the
-true side values, each divided side times G with the side itself, and the
-divided sums with the per-term renderer of the divided terms; a unit put on
-one side only must be caught.
+``engine.verify``, the Bailey checks and the LIU refutation sum both
+sides divided by one shared unit G (``framework.compare_sides``).  Their
+reports are compared with those of the true values, unperturbed and
+corrupted, each divided side times G with the side itself, and the divided
+sums with the per-term renderer of the divided terms; a unit put on one
+side only must be caught.
 """
 
 import contextlib
+import dataclasses
 import functools
 from collections import Counter
 from fractions import Fraction
@@ -24,12 +26,16 @@ from hypothesis import given, strategies as st
 
 import per_term
 from dense_oracle import as_dict, expand
-from qrr import pochhammer, telescoping
-from qrr.identities import REGISTRY, engine, framework
+from qrr import bailey, pochhammer, telescoping
+from qrr.bailey import (bailey_step, chain_reproduce, lattice_seed_pair,
+                        symmetrized_identity, unit_bilateral_x1, unit_bilateral_xq,
+                        unit_pair_x1, verify_pair)
+from qrr.identities import REGISTRY, EngineError, engine, framework
 from qrr.identities.framework import EvalCtx, eval_side_value, side_terms, side_value
 from qrr.pochhammer import (PochProduct, PoleError, SeriesAccumulator, shared_unit,
                             sum_terms)
 from qrr.series import SeriesError
+from test_bailey import _with_extra_beta_2
 from test_prefactor import _corners
 
 
@@ -376,6 +382,8 @@ def _unit_on_one_side(monkeypatch, change):
 
 
 def _drop_first_factor(unit):
+    if not unit:                 # G = 1 has no factor to drop
+        return unit
     m = min(unit)
     out = dict(unit)
     out[m] -= 1 if out[m] > 0 else -1
@@ -391,6 +399,149 @@ def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
         del calls[:]
         assert engine.verify(ident, params, 30).verdict == "MISMATCH", ident
         assert min(calls[0]) <= 30, ident        # G is not 1 through q^30
+    # the Bailey checks, at points where G is not 1 through q^30 and both
+    # values are nonzero (a unit pair's beta_n is 0 for n >= 1)
+    for target, exps in (("ABCDE1", (2, 2, 2, 2)), ("ABCDE3", (2, 2, 1, 1))):
+        del calls[:]
+        assert chain_reproduce(target, 2, *exps, trunc=30).verdict == "MISMATCH", target
+        assert min(calls[0]) <= 30, target
+    del calls[:]
+    stepped = bailey_step(unit_bilateral_x1(), -1, -2)
+    reports = verify_pair(stepped, n_max=3, trunc=30)
+    for n in (1, 2, 3):
+        assert reports[n].verdict == "MISMATCH", n
+        assert min(calls[2 * n]) <= 30, n
+    del calls[:]
+    assert symmetrized_identity(stepped, -1, -2, 3, 30).verdict == "MISMATCH"
+    assert min(calls[0]) <= 30
+    del calls[:]
+    with pytest.raises(EngineError, match="disagrees with its closed form"):
+        engine.liu_counterexample("LIU2", 3, 30)
+    assert min(calls[0]) <= 30
+
+
+# ---------------------------------------------------------------------------
+# the Bailey and LIU checks against compare of the undivided sums
+# ---------------------------------------------------------------------------
+
+
+def _recorded_checks(monkeypatch):
+    """compare_sides in bailey and engine, wrapped: each check appends its
+    report and, as the oracle, framework.compare's report on the undivided
+    sums of the same two term lists."""
+    real, checks = framework.compare_sides, []
+
+    def recorded(ident, params, trunc, lhs, rhs):
+        rep = real(ident, params, trunc, lhs, rhs)
+        want = framework.compare(ident, params, trunc, side_value(*lhs, trunc),
+                                 side_value(*rhs, trunc))
+        checks.append((_report(rep), _report(want)))
+        return rep
+
+    for module in (bailey, engine):
+        monkeypatch.setattr(module, "compare_sides", recorded)
+    return checks
+
+
+def _assert_undivided_reports(checks, corrupted):
+    verdicts = Counter(want[3] for _, want in checks)
+    for got, want in checks:
+        assert got == want
+    # a corrupted run has MISMATCH windows to compare
+    assert verdicts["MISMATCH"] > 0 if corrupted else verdicts["EQUAL"] > 0
+
+
+def _alpha_1_times_factor_3(pair):
+    """The pair with the first term of alpha_1 times (1-q^3)."""
+    alpha = pair.alpha_terms
+
+    def corrupted(r):
+        terms = alpha(r)
+        return [terms[0].mul(PochProduct().factor(3))] + terms[1:] if r == 1 else terms
+
+    return dataclasses.replace(pair, alpha_terms=corrupted)
+
+
+PAIR_CORRUPTIONS = {"unperturbed": lambda pair: pair,
+                    "extra-beta-2": _with_extra_beta_2,
+                    "alpha-1-times-factor-3": _alpha_1_times_factor_3}
+STOCK_PAIRS = (unit_pair_x1, unit_bilateral_x1, unit_bilateral_xq, lattice_seed_pair)
+
+
+@pytest.mark.parametrize("corrupt", list(PAIR_CORRUPTIONS.values()), ids=list(PAIR_CORRUPTIONS))
+def test_pair_checks_report_as_the_undivided_compare(corrupt, monkeypatch):
+    checks = _recorded_checks(monkeypatch)
+    for make in STOCK_PAIRS:
+        verify_pair(corrupt(make()), n_max=10, trunc=30)
+        for rho1, rho2, N in ((-3, -4, 3), (-2, -3, 2), (-5, -5, 5)):
+            symmetrized_identity(corrupt(make()), rho1, rho2, N, 30)
+    assert len(checks) == 4 * (11 + 3)
+    _assert_undivided_reports(checks, corrupt is not PAIR_CORRUPTIONS["unperturbed"])
+
+
+def _chain_pairs_corrupted(corrupt):
+    def apply(monkeypatch):
+        for name in ("unit_bilateral_x1", "unit_bilateral_xq", "lattice_seed_pair"):
+            make = getattr(bailey, name)
+            monkeypatch.setattr(bailey, name, lambda make=make: corrupt(make()))
+    return apply
+
+
+def _closed_plus_q5(monkeypatch):
+    closed = bailey._closed_beta_via_lattice
+    monkeypatch.setattr(bailey, "_closed_beta_via_lattice",
+                        lambda *a: closed(*a) + [PochProduct().q(5)])
+
+
+CHAIN_CORRUPTIONS = {"unperturbed": None,
+                     "extra-beta-2": _chain_pairs_corrupted(_with_extra_beta_2),
+                     "alpha-1-times-factor-3": _chain_pairs_corrupted(_alpha_1_times_factor_3),
+                     "closed-plus-q5": _closed_plus_q5}
+
+
+@pytest.mark.parametrize("corrupt", list(CHAIN_CORRUPTIONS.values()), ids=list(CHAIN_CORRUPTIONS))
+def test_chain_checks_report_as_the_undivided_compare(corrupt, monkeypatch):
+    if corrupt:
+        corrupt(monkeypatch)
+    checks = _recorded_checks(monkeypatch)
+    for target in bailey.CHAIN_TARGETS:
+        for N in range(4):
+            # exponents >= 3, and >= 4 for ABCDE3's first step, keep beta_2
+            # in the transformed beta: (q^(1-b); q)_r is 0 for r >= b
+            for exps in ((1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 4, 4)):
+                chain_reproduce(target, N, *exps, trunc=30)
+    _assert_undivided_reports(checks, corrupt is not None)
+
+
+def _liu_sum_plus_q5(monkeypatch):
+    terms = engine._sum_terms
+    monkeypatch.setattr(engine, "_sum_terms", lambda *a: terms(*a) + [PochProduct().q(5)])
+
+
+def _liu_closed_times_factor_3(monkeypatch):
+    closed = engine.liu_closed_form
+    monkeypatch.setattr(engine, "liu_closed_form", lambda *a: closed(*a).factor(3))
+
+
+LIU_CORRUPTIONS = {"unperturbed": None, "sum-plus-q5": _liu_sum_plus_q5,
+                   "closed-times-factor-3": _liu_closed_times_factor_3}
+
+
+@pytest.mark.parametrize("corrupt", list(LIU_CORRUPTIONS.values()), ids=list(LIU_CORRUPTIONS))
+def test_liu_checks_report_as_the_undivided_compare(corrupt, monkeypatch):
+    if corrupt:
+        corrupt(monkeypatch)
+    checks = _recorded_checks(monkeypatch)
+    for which in ("LIU1", "LIU2"):
+        for a in range(1, 6):
+            if corrupt:
+                with pytest.raises(EngineError, match="disagrees with its closed form"):
+                    engine.liu_counterexample(which, a, 30)
+            else:
+                assert engine.liu_counterexample(which, a, 30).verdict == "MISMATCH"
+    # the sum against its closed form, then (unperturbed) the closed form against 0
+    assert len(checks) == (10 if corrupt else 20)
+    _assert_undivided_reports(checks, True)
 
 
 # ---------------------------------------------------------------------------
