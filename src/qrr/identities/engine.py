@@ -76,8 +76,11 @@ def verify(ident: str, params: dict, trunc: int | None = None,
     """Evaluate both sides of one identity at one parameter point, with the
     perturbations of ``ctx``, and compare every coefficient through the
     truncation order (QRR_TRUNC or else 60 when ``trunc`` is None), both
-    summed divided by one shared unit (:func:`compare_sides`).  This is
-    the one check whose report carries its wall time, in ``millis``."""
+    summed divided by one shared unit (:func:`compare_sides`).  Unless a
+    side is divided by (q; q)_inf (the EULER records), both are summed only
+    through q^(B+2) when the point's degree bound B lies below T, which
+    gives the same report.  This is the one check whose report carries its
+    wall time, in ``millis``."""
     rec = get_record(ident)
     trunc = default_truncation(trunc)
     start = time.perf_counter()
@@ -266,7 +269,9 @@ def rr_limit_check(which: str, trunc: int | None = None) -> VerificationReport:
     The product side is an independent value, so this is the one check
     that compares through :func:`compare` rather than :func:`compare_sides`:
     summing the product as a one-term list beside the sum's terms takes
-    more kernel passes (322 against 272 for RR1 and RR2 at T=300).
+    more kernel passes (322 against 272 for RR1 and RR2 at T=300).  Both
+    sides are summed through q^T: the product is infinite, so the check has
+    no degree bound.
     """
     if which not in _RR_LIMITS:
         raise UnknownIdentity(f"rr_limit_check knows RR1 and RR2, not {which!r}")

@@ -575,10 +575,17 @@ def compare_sides(ident: str, params: dict, trunc: int, lhs: tuple[list, int],
     Both sides are summed divided by one unit G, :func:`shared_unit` of
     their terms, which changes neither the verdict nor the first differing
     exponent.  Only a MISMATCH needs the true values, for its windows: both
-    buffers are then multiplied back by G."""
-    unit = shared_unit(lhs[0], rhs[0])
-    a, b = side_value(*lhs, trunc, unit), side_value(*rhs, trunc, unit)
-    if compare_side_values(a, b, trunc) is None:
+    buffers are then multiplied back by G.
+
+    Where neither side is divided by (q; q)_inf, both are summed only
+    through q^min(trunc, B + 2), B the degree bound :func:`shared_unit`
+    reads off the same terms: the two sums are equal or first differ at
+    some q^e with e <= B, and a MISMATCH window reaches q^(e+2), so the
+    report is the one a sum through q^trunc gives."""
+    unit, bound = shared_unit(lhs[0], rhs[0])
+    depth = trunc if lhs[1] or rhs[1] or bound is None else min(trunc, bound + 2)
+    a, b = side_value(*lhs, depth, unit), side_value(*rhs, depth, unit)
+    if compare_side_values(a, b, depth) is None:
         return VerificationReport(ident, params, trunc, "EQUAL")
     for _, buf in (a, b):
         _apply(buf, unit, 0, len(buf) - 1)

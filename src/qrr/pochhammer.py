@@ -44,6 +44,15 @@ U_head/G, so a factor that G takes out of every term costs no pass at all.
 :func:`shared_unit` picks G from the terms of both sides: for each m, the
 median multiplicity over the terms, which makes the factors left to
 apply, summed over the terms, as few as any G can.
+
+The same scan reads the check's degree bound B.  Let d_m be the largest
+denominator multiplicity of (1-q^m) over the terms of both sides; then
+D = prod (1-q^m)^d_m is a unit with D(0) = 1, and each term times D is a
+Laurent polynomial of degree at most s + sum_m m (e_m + d_m).  So the two
+sides of a check are equal, or first differ at some q^e with e <= B, the
+largest of these degrees, and no coefficient past q^(B+2) can change its
+report.  This is the denominator clearing of Wilf-Zeilberger certification
+(Wilf and Zeilberger, JAMS 1990).
 """
 
 from __future__ import annotations
@@ -395,25 +404,42 @@ def sum_terms(terms: list[PochProduct], trunc: int,
     return acc.value()
 
 
-def shared_unit(*term_lists: list[PochProduct]) -> dict:
-    """A unit G = prod_(m>=1) (1-q^m)^g_m for summing every list divided
+def shared_unit(*term_lists: list[PochProduct]) -> tuple[dict, int | None]:
+    """(G, B) for a check of the lists against each other, from one scan of
+    their nonzero terms c q^s prod (1-q^m)^e_m.
+
+    G = prod_(m>=1) (1-q^m)^g_m is a unit for summing every list divided
     by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
-    the nonzero terms of all the lists, a term without the factor counting
-    as 0.  The median makes sum_t |e_t(m) - g_m|, the factors left on the
-    terms, as small as it can be.  The key m = 0, the zero and pole count,
-    stays with the terms."""
+    the terms, a term without the factor counting as 0.  The median makes
+    sum_t |e_t(m) - g_m|, the factors left on the terms, as small as it can
+    be.  The key m = 0, the zero and pole count, stays with the terms.
+
+    B is the degree bound of the check (None when there are no terms): with
+    d_m the largest denominator multiplicity of (1-q^m) over the terms,
+    every term times D = prod (1-q^m)^d_m is a Laurent polynomial of degree
+    at most s + sum_m m (e_m + d_m), and B is the largest of these.  D is a
+    unit with D(0) = 1, so two sums of these terms are equal, or first
+    differ at some q^e with e <= B."""
     terms = [t for terms in term_lists for t in terms if t.state == "ok"]
     seen: dict[int, list] = {}
+    bound = None
     for t in terms:
+        degree = t.shift
         for m, e in t.powers.items():
             if m:
                 seen.setdefault(m, []).append(e)
+                degree += m * e
+        if bound is None or degree > bound:
+            bound = degree
     n = len(terms)
     unit = {}
     for m, es in seen.items():
+        low = min(es)
+        if low < 0:              # D clears (1-q^m)^-low from every term
+            bound -= m * low
         if 2 * len(es) >= n:     # else most terms lack (1-q^m), and g_m = 0
             es += [0] * (n - len(es))
             es.sort()
             if es[n // 2]:
                 unit[m] = es[n // 2]
-    return unit
+    return unit, bound

@@ -28,6 +28,10 @@ that reads it reuses that value.  Every value of a certificate is summed
 divided by one unit, :func:`~qrr.pochhammer.shared_unit` of its core: each
 check compares sums of values divided by the same G, so it reads as the
 true values would, and the factors that the terms share cost no pass.
+Every value is summed through q^T: a check compares values already summed
+and combined (:func:`_add_values`), not two term lists, so there is no
+degree bound to stop at, as :func:`~qrr.identities.framework.compare_sides`
+has.
 """
 
 from __future__ import annotations
@@ -259,7 +263,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u, v)
     cores = {"A": _core(_A_SUM, "A", params, cap + 4),
              "C0": _core(_C0_SUM, "C0", params, 1)}
-    unit = shared_unit(cores["A"])
+    unit = shared_unit(cores["A"])[0]
 
     def value(name: str, k: int):
         return sum_terms(_terms(name, cores, params, k), trunc, unit)
@@ -299,7 +303,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     params = _checked("termwise", "LMNRS4", (l, m, n, u, v), trunc)
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
-    unit = shared_unit(cores["B"])
+    unit = shared_unit(cores["B"])[0]
 
     checks = []
     s_sum = t_sum = (0, [0] * (trunc + 1))

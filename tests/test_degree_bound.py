@@ -1,0 +1,214 @@
+"""The degree bound B of a check, and the depth its two sides are summed to.
+
+Besides the unit G, ``pochhammer.shared_unit`` reads the degree bound B off
+the terms of a check: D = prod (1-q^m)^d_m, with d_m the largest
+denominator multiplicity of (1-q^m), clears every denominator, and every
+term times D is a Laurent polynomial of degree at most B.  D is a unit with
+D(0) = 1, so the two sums are equal or first differ at some q^e with
+e <= B, and ``framework.compare_sides`` sums both sides only through
+q^min(T, B + 2) when neither owes a (q; q)_inf division.
+
+Here B is checked against the dense oracle, which shares no kernel with
+the program; the capped reports against the full-depth ones, at the edges
+of the bound and at every default-grid point; and the kernel work against T.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dense_oracle import expand
+from qrr import cli
+from qrr.identities import engine, framework
+from qrr.identities.framework import compare, compare_sides, side_value
+from qrr.pochhammer import PochProduct, shared_unit
+from test_nested import _corner_sides, _count_kernels, _report
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _term(coeff, shift, *factors):
+    t = PochProduct().scale(coeff).q(shift)
+    for m, times in factors:
+        t.factor(m, times)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# B against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def test_every_cleared_term_stays_within_the_bound():
+    checked = 0
+    for ident, _, env, sides in _corner_sides(40):
+        lists = [terms for terms, _ in sides.values()]
+        bound = shared_unit(*lists)[1]
+        terms = [t for terms in lists for t in terms if t.state == "ok"]
+        if not terms:
+            assert bound is None, (ident, env)
+            continue
+        clear = {}
+        for t in terms:
+            for m, e in t.powers.items():
+                clear[m] = max(clear.get(m, 0), -e)
+        top = None
+        for t in terms:
+            num = [m for m in clear.keys() | t.powers.keys()
+                   for _ in range(t.powers.get(m, 0) + clear.get(m, 0))]
+            poly = expand(t.coeff, t.shift, num, [], bound + 8)
+            assert poly and max(poly) <= bound, (ident, env, t)
+            top = max(poly) if top is None else max(top, max(poly))
+            checked += 1
+        # each cleared term's leading coefficient is +-c, so the bound is met
+        assert top == bound, (ident, env)
+    assert checked > 2000
+
+
+# ---------------------------------------------------------------------------
+# negative controls at the edges of the bound
+# ---------------------------------------------------------------------------
+
+
+def _depths(monkeypatch):
+    """framework.side_value, recording the depth each side is summed to."""
+    real, depths = framework.side_value, []
+
+    def recorded(terms, euler, trunc, unit=None):
+        depths.append(trunc)
+        return real(terms, euler, trunc, unit)
+
+    monkeypatch.setattr(framework, "side_value", recorded)
+    return depths
+
+
+def _as_full_compare(lhs, rhs, trunc, depths):
+    """compare_sides' report, which must be compare's on the undivided sums
+    through q^trunc; returns it and the depth both sides were summed to."""
+    del depths[:]
+    got = compare_sides("X", {}, trunc, lhs, rhs)
+    depth = depths[0]
+    assert depths == [depth, depth]
+    want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
+    assert _report(got) == _report(want)
+    return got, depth
+
+
+# L - R = q^5 / (1 - q^3): D = 1 - q^3, and the cleared terms have degrees
+# 5, 3 and 4, so the first difference lies exactly at q^B
+AT_B = ([_term(1, 3, (1, 2), (3, -1))], 0), ([_term(1, 3, (3, -1)), _term(-2, 4, (3, -1))], 0)
+
+
+def test_a_difference_exactly_at_the_bound(monkeypatch):
+    depths = _depths(monkeypatch)
+    assert shared_unit(AT_B[0][0], AT_B[1][0])[1] == 5
+    rep, depth = _as_full_compare(*AT_B, 30, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 5, 7)
+    assert [e for e, _ in rep.lhs_window] == [3, 4, 5, 6, 7]
+    # with the difference added to the right side the two agree
+    lhs, (terms, _) = AT_B
+    rep, depth = _as_full_compare(lhs, (terms + [_term(1, 5, (3, -1))], 0), 30, depths)
+    assert (rep.verdict, depth) == ("EQUAL", 7)
+
+
+def test_a_bound_at_or_past_the_truncation_order_sums_through_it(monkeypatch):
+    depths = _depths(monkeypatch)
+    rep, depth = _as_full_compare(*AT_B, 5, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 5, 5)
+    assert [e for e, _ in rep.rhs_window] == [3, 4, 5]
+    rep, depth = _as_full_compare(*AT_B, 4, depths)
+    assert (rep.verdict, depth) == ("EQUAL", 4)
+
+
+def test_a_negative_bound(monkeypatch):
+    # q^-7 (1 - q) against q^-7 - 2 q^-6: B = -6, summed through q^-4
+    depths = _depths(monkeypatch)
+    lhs = ([_term(1, -7, (1, 1))], 0)
+    rep, depth = _as_full_compare(lhs, ([_term(1, -7), _term(-2, -6)], 0), 30, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", -6, -4)
+    assert [e for e, _ in rep.lhs_window] == [-7, -6, -5, -4]
+    rep, depth = _as_full_compare(lhs, ([_term(1, -7), _term(-1, -6)], 0), 30, depths)
+    assert (rep.verdict, depth) == ("EQUAL", -4)
+
+
+def test_an_empty_side(monkeypatch):
+    # LIU1's closed form at a = q^3, (q; q)_2, against 0: B = 3
+    depths = _depths(monkeypatch)
+    closed = ([engine.liu_closed_form("LIU1", 3)], 0)
+    rep, depth = _as_full_compare(closed, ([], 0), 30, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 0, 5)
+    rep, depth = _as_full_compare(([], 0), closed, 30, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 0, 5)
+    # no term at all: no bound, and nothing to sum
+    rep, depth = _as_full_compare(([], 0), ([], 0), 30, depths)
+    assert (rep.verdict, depth) == ("EQUAL", 30)
+
+
+def test_a_side_divided_by_the_euler_product_is_summed_through_t(monkeypatch):
+    # 1 / (q; q)_inf against 1 / ((1 - q)(1 - q^2)): the terms give B = 3,
+    # but a (q; q)_inf division is no finite term, so both go to q^T
+    depths = _depths(monkeypatch)
+    rhs = ([_term(1, 0, (1, -1), (2, -1))], 0)
+    rep, depth = _as_full_compare(([PochProduct()], 1), rhs, 30, depths)
+    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 3, 30)
+    rep, depth = _as_full_compare(rhs, ([PochProduct()], 1), 30, depths)
+    assert depth == 30
+
+
+# ---------------------------------------------------------------------------
+# the work no longer grows with T; the reports do not change
+# ---------------------------------------------------------------------------
+
+
+def _verify_work(calls, ident, params, trunc):
+    calls.clear()
+    assert engine.verify(ident, params, trunc).equal, (ident, params, trunc)
+    return dict(calls)
+
+
+@pytest.mark.parametrize("ident", ["ABCDE1", "ANDREWS1", "LMNRS3", "QINV1"])
+def test_an_in_scope_point_does_the_same_work_at_any_depth(ident, monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    params = {ps.name: ps.low + 2 for ps in engine.get_record(ident).params}
+    work = _verify_work(calls, ident, params, 160)
+    assert work["coeff_updates"] > 0
+    assert _verify_work(calls, ident, params, 10_000) == work
+
+
+def test_the_euler_records_work_grows_with_t(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    params = {"m": 4, "n": 5}
+    shallow = _verify_work(calls, "EULERMN1", params, 160)
+    deep = _verify_work(calls, "EULERMN1", params, 10_000)
+    assert deep["div_euler"] == shallow["div_euler"] == 1
+    assert deep["coeff_updates"] > 50 * shallow["coeff_updates"]
+
+
+def _full_depth(monkeypatch):
+    """compare_sides with no degree bound: every side summed through q^T."""
+    real = framework.shared_unit
+    monkeypatch.setattr(framework, "shared_unit", lambda *lists: (real(*lists)[0], None))
+
+
+def _reports(points, trunc):
+    return [cli.report_json(engine.verify(ident, params, trunc)) for ident, params in points]
+
+
+def _deep_window_points():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    return workloads.deep_window_points(1), workloads.DEEP_T
+
+
+@pytest.mark.parametrize("sample", ["sweep", "deep-window"])
+def test_capped_reports_are_the_full_depth_reports(sample, monkeypatch):
+    if sample == "sweep":
+        points, trunc = [(ident, p) for ident in engine.list_identities()
+                         for p in engine.grid_points(engine.get_record(ident))], 40
+    else:
+        points, trunc = _deep_window_points()
+    capped = _reports(points, trunc)
+    _full_depth(monkeypatch)
+    assert capped == _reports(points, trunc)
+    assert len(capped) > (10_000 if sample == "sweep" else 900)

@@ -18,8 +18,10 @@ side only must be caught.
 import contextlib
 import dataclasses
 import functools
+import importlib.util
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +39,11 @@ from qrr.pochhammer import (PochProduct, PoleError, SeriesAccumulator, shared_un
 from qrr.series import SeriesError
 from test_bailey import _with_extra_beta_2
 from test_prefactor import _corners
+
+_SPEC = importlib.util.spec_from_file_location(
+    "kernel_passes", Path(__file__).resolve().parent.parent / "tools" / "kernel_passes.py")
+kernel_passes = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(kernel_passes)
 
 
 @contextlib.contextmanager
@@ -211,23 +218,30 @@ def test_registry_sides_take_no_more_kernel_passes(trunc):
 
 
 # exact kernel passes, by kernel, through pochhammer's binomial and
-# framework's div_euler bindings: the registry sides at their grid corners,
-# by T, and the Rogers-Ramanujan limits (sums and products) at T=300
+# framework's div_euler bindings, and the coefficient updates of the
+# binomial passes: the registry sides at their grid corners, by T, and the
+# Rogers-Ramanujan limits (sums and products) at T=300
 PINNED_WORK = {
-    40: {"mul_binomial": 3650, "div_binomial": 5519, "div_euler": 12},
-    160: {"mul_binomial": 3702, "div_binomial": 5725, "div_euler": 12},
-    "RR": {"div_binomial": 272},
+    40: {"mul_binomial": 3650, "div_binomial": 5519, "div_euler": 12,
+         "coeff_updates": 328247},
+    160: {"mul_binomial": 3702, "div_binomial": 5725, "div_euler": 12,
+          "coeff_updates": 1447931},
+    "RR": {"div_binomial": 272, "coeff_updates": 42472},
 }
 
 
 def _count_kernels(monkeypatch) -> Counter:
     """Count the kernel passes through pochhammer's binomial and
-    framework's div_euler bindings, by kernel, in the Counter returned."""
+    framework's div_euler bindings, by kernel, in the Counter returned, and
+    under "coeff_updates" the buffer entries the binomial passes visit
+    (``tools/kernel_passes.coeff_updates``)."""
     calls = Counter()
     for owner, name in ((pochhammer, "mul_binomial"), (pochhammer, "div_binomial"),
                         (framework, "div_euler")):
         def counted(*args, kernel=getattr(owner, name), name=name):
             calls[name] += 1
+            if name != "div_euler":
+                calls["coeff_updates"] += kernel_passes.coeff_updates(*args)
             return kernel(*args)
         monkeypatch.setattr(owner, name, counted)
     return calls
@@ -252,15 +266,18 @@ def test_kernel_work_is_pinned(monkeypatch):
     assert work == PINNED_WORK
 
 
-# exact kernel passes, by kernel, of engine.verify, which sums both sides
-# divided by one shared unit: every record at its grid corners, by T; and
-# of one telescoping and one termwise certificate at T=40, each summed
-# divided by the unit of its core
+# exact kernel passes, by kernel, and coefficient updates of engine.verify,
+# which sums both sides divided by one shared unit and, where neither owes
+# a (q; q)_inf division, only through q^min(T, B + 2): every record at its
+# grid corners, by T; and of one telescoping and one termwise certificate
+# at T=40, each summed divided by the unit of its core through q^T
 PINNED_VERIFY_WORK = {
-    40: {"mul_binomial": 2400, "div_binomial": 1827, "div_euler": 12},
-    160: {"mul_binomial": 2617, "div_binomial": 2028, "div_euler": 12},
-    "telescoping": {"mul_binomial": 123, "div_binomial": 199},
-    "termwise": {"mul_binomial": 88, "div_binomial": 87},
+    40: {"mul_binomial": 2400, "div_binomial": 1827, "div_euler": 12,
+         "coeff_updates": 112830},
+    160: {"mul_binomial": 2617, "div_binomial": 2028, "div_euler": 12,
+          "coeff_updates": 243395},
+    "telescoping": {"mul_binomial": 123, "div_binomial": 199, "coeff_updates": 9273},
+    "termwise": {"mul_binomial": 88, "div_binomial": 87, "coeff_updates": 4904},
 }
 
 
@@ -341,7 +358,7 @@ def _divided(terms, unit):
 def test_unit_divided_sides_match_the_slow_paths(trunc):
     nested = flat = 0
     for ident, rec, env, sides in _corner_sides(trunc):
-        unit = shared_unit(*(terms for terms, _ in sides.values()))
+        unit = shared_unit(*(terms for terms, _ in sides.values()))[0]
         for side, (terms, euler) in sides.items():
             label = (ident, side, env)
             divided = side_value(terms, euler, trunc, unit)
@@ -363,9 +380,11 @@ def test_shared_unit_takes_the_median_of_every_nonzero_term():
     c = PochProduct().factor(1, 3).factor(3, -1).q(5)
     zero = PochProduct().factor(1, 9).factor(0)
     # (1-q^1): 1, 2, 3; (1-q^2): 0, 0, 1; (1-q^3): -2, -1, -1; (1-q^4): 0, 0, 1
-    assert shared_unit([a, zero], [b, c]) == {1: 2, 3: -1}
-    assert shared_unit([a, b]) == {1: 2, 2: 1, 3: -1, 4: 1}   # upper median
-    assert shared_unit() == shared_unit([zero]) == {}
+    # and the degree bound: D = (1-q^3)^2 clears every denominator, and the
+    # cleared terms have degrees 7 (a), 5 (b) and 11 (c)
+    assert shared_unit([a, zero], [b, c]) == ({1: 2, 3: -1}, 11)
+    assert shared_unit([a, b]) == ({1: 2, 2: 1, 3: -1, 4: 1}, 7)   # upper median
+    assert shared_unit() == shared_unit([zero]) == ({}, None)
 
 
 def _unit_on_one_side(monkeypatch, change):
