@@ -19,11 +19,12 @@ so each sum is finite.  The bilateral x = q pair carries one extra factor
 defined for n >= 0 only; the bilateral modes are bilateral in the alpha
 index.
 
-Every check here compares two term lists through
-:func:`~qrr.identities.framework.compare_sides`, which sums both divided
-by one shared unit, so the factors they have in common cost no kernel
-pass: beta_n against the relation sum, the two sides of the weighted
-identity, and each route to beta_N against the registry's left-hand side.
+Every check here compares term lists through
+:func:`~qrr.identities.framework.compare_sides`, which sums them all
+divided by one shared unit, so the factors they have in common cost no
+kernel pass: beta_n against the relation sum, the two sides of the
+weighted identity, and every route to beta_N against the registry's
+left-hand side, which is summed once for all the routes.
 """
 
 from __future__ import annotations
@@ -385,8 +386,10 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     step followed by a lattice step from the one-sided seed, evaluates
     beta_N through every available route (relation sum, transformed-beta
     formula, closed form), and compares each against the registry's
-    left-hand side, route by route.  The report is EQUAL only if all routes
-    match; otherwise it is the first route's that does not.
+    left-hand side in one :func:`compare_sides` call: the target is summed
+    once, and every route and the target share one unit and one depth.
+    The report is EQUAL only if all routes match; otherwise it is the first
+    route's that does not.
     """
     key = ident.upper()
     if key not in CHAIN_TARGETS:
@@ -417,9 +420,6 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
         closed = []
     bridge = PochProduct().qn(N).qn(N + 1) if key == "ABCDE2" else PochProduct().qn(N, 2)
 
-    for terms in (pair.relation_terms(N), pair.beta_terms(N), *closed):
-        rep = compare_sides(f"chain({key})", params, trunc,
-                            ([t.mul(bridge) for t in terms], 0), target)
-        if not rep.equal:
-            break
-    return rep
+    routes = (pair.relation_terms(N), pair.beta_terms(N), *closed)
+    return compare_sides(f"chain({key})", params, trunc,
+                         *(([t.mul(bridge) for t in terms], 0) for terms in routes), target)

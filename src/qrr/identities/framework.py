@@ -518,14 +518,12 @@ def compare_side_values(lhs: tuple[int, list], rhs: tuple[int, list],
     """None if equal through q^trunc, else (exponent, lhs_c, rhs_c) at the
     lowest exponent where the two differ.
 
-    Both buffers are padded to the exponents min(offsets)..trunc and compared
-    as two lists; only differing lists are walked to find the exponent."""
-    lo = min(lhs[0], rhs[0])
-    a = _aligned(lhs, lo, trunc)
-    b = _aligned(rhs, lo, trunc)
-    if a == b:
+    Two values held alike are equal; any others are padded to the
+    exponents min(offsets)..trunc and walked to the first that differs."""
+    if lhs == rhs:
         return None
-    for i, (ca, cb) in enumerate(zip(a, b)):
+    lo = min(lhs[0], rhs[0])
+    for i, (ca, cb) in enumerate(zip(_aligned(lhs, lo, trunc), _aligned(rhs, lo, trunc))):
         if ca != cb:
             return lo + i, ca, cb
     return None
@@ -567,29 +565,49 @@ def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
                               rhs_window=window(rhs, lo, hi))
 
 
-def compare_sides(ident: str, params: dict, trunc: int, lhs: tuple[list, int],
-                  rhs: tuple[list, int]) -> VerificationReport:
-    """Report on two sides given as (terms, euler), as :func:`compare`
-    reports on their values.
+def sum_sides(sides: Sequence[tuple[list, int]],
+              trunc: int) -> tuple[list, int, dict]:
+    """(values, depth, G) for the sides of a check, each given as (terms,
+    euler): every side summed through q^depth divided by one unit G,
+    :func:`shared_unit` of all their terms.
 
-    Both sides are summed divided by one unit G, :func:`shared_unit` of
-    their terms, which changes neither the verdict nor the first differing
-    exponent.  Only a MISMATCH needs the true values, for its windows: both
-    buffers are then multiplied back by G.
+    Dividing every value by the same G changes neither whether an integer
+    linear combination of them vanishes nor the first exponent where it
+    does not.  Unless some side is divided by (q; q)_inf, the depth is
+    min(trunc, B + 2), B the degree bound :func:`shared_unit` reads off the
+    same terms: D times every term is a Laurent polynomial of degree at
+    most B, so any such combination is 0 or first differs from 0 at some
+    q^e with e <= B, and a MISMATCH window reaches q^(e+2)."""
+    lists, euler = [], 0
+    for terms, e in sides:
+        lists.append(terms)
+        euler |= e
+    unit, bound = shared_unit(*lists)
+    depth = trunc if euler or bound is None else min(trunc, bound + 2)
+    return [side_value(terms, e, depth, unit) for terms, e in sides], depth, unit
 
-    Where neither side is divided by (q; q)_inf, both are summed only
-    through q^min(trunc, B + 2), B the degree bound :func:`shared_unit`
-    reads off the same terms: the two sums are equal or first differ at
-    some q^e with e <= B, and a MISMATCH window reaches q^(e+2), so the
-    report is the one a sum through q^trunc gives."""
-    unit, bound = shared_unit(lhs[0], rhs[0])
-    depth = trunc if lhs[1] or rhs[1] or bound is None else min(trunc, bound + 2)
-    a, b = side_value(*lhs, depth, unit), side_value(*rhs, depth, unit)
-    if compare_side_values(a, b, depth) is None:
-        return VerificationReport(ident, params, trunc, "EQUAL")
-    for _, buf in (a, b):
-        _apply(buf, unit, 0, len(buf) - 1)
-    return compare(ident, params, trunc, a, b)
+
+def compare_sides(ident: str, params: dict, trunc: int,
+                  *sides: tuple[list, int]) -> VerificationReport:
+    """Report on each side but the last, in order, against the last, the
+    sides given as (terms, euler): the first MISMATCH, as :func:`compare`
+    reports on the true values of that pair, or else EQUAL.  Fewer than
+    two sides compare nothing and raise EngineError.
+
+    Every side is summed once, by :func:`sum_sides`.  Only a MISMATCH
+    needs the true values, for its windows: both buffers of that pair are
+    then multiplied back by G, and the report is the one a sum through
+    q^trunc gives."""
+    if len(sides) < 2:
+        raise EngineError(f"{ident}: a check needs two sides or more, got {len(sides)}")
+    values, depth, unit = sum_sides(sides, trunc)
+    rhs = values[-1]
+    for lhs in values[:-1]:
+        if compare_side_values(lhs, rhs, depth) is not None:
+            for _, buf in (lhs, rhs):
+                _apply(buf, unit, 0, len(buf) - 1)
+            return compare(ident, params, trunc, lhs, rhs)
+    return VerificationReport(ident, params, trunc, "EQUAL")
 
 
 def compare_checks(ident: str, params: dict, trunc: int,

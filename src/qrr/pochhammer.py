@@ -36,26 +36,31 @@ term on its own would.  :func:`sum_terms` hands the sum back as that
 the plain list of coefficients of q^0 .. q^T that the public calls return.
 
 A sum may also be taken divided by a unit G = prod_(m>=1) (1-q^m)^g_m:
-every such G is a unit of Z[[q]] with constant term 1, so dividing the
-two values of a check by the same G changes neither its verdict nor the
-first exponent where they differ.  The ratios of consecutive terms do not
-change, since G cancels in U_(k+1)/U_k; only closing a chain applies
-U_head/G, so a factor that G takes out of every term costs no pass at all.
-:func:`shared_unit` picks G from the terms of both sides: for each m, the
-median multiplicity over the terms, which makes the factors left to
-apply, summed over the terms, as few as any G can.
+every such G is a unit of Z[[q]] with constant term 1, so dividing every
+value of a check by the same G changes neither its verdict nor the first
+exponent where two integer combinations of them differ.  The ratios of
+consecutive terms do not change, since G cancels in U_(k+1)/U_k; only
+closing a chain applies U_head/G, so a factor that G takes out of every
+term costs no pass at all.  :func:`shared_unit` picks G from the terms of
+every side of the check: for each m, the median multiplicity over the
+terms, which makes the factors left to apply, summed over the terms, as
+few as any G can.
 
 The same scan reads the check's degree bound B.  Let d_m be the largest
-denominator multiplicity of (1-q^m) over the terms of both sides; then
+denominator multiplicity of (1-q^m) over the terms of every side; then
 D = prod (1-q^m)^d_m is a unit with D(0) = 1, and each term times D is a
-Laurent polynomial of degree at most s + sum_m m (e_m + d_m).  So the two
-sides of a check are equal, or first differ at some q^e with e <= B, the
-largest of these degrees, and no coefficient past q^(B+2) can change its
-report.  This is the denominator clearing of Wilf-Zeilberger certification
-(Wilf and Zeilberger, JAMS 1990).
+Laurent polynomial of degree at most s + sum_m m (e_m + d_m).  So any
+integer combination of the sides is 0, or first differs from 0 at some q^e
+with e <= B, the largest of these degrees, and no coefficient past
+q^(B+2) can change the check's report.  This is the denominator clearing
+of Wilf-Zeilberger certification (Wilf and Zeilberger, JAMS 1990).
+:func:`~qrr.identities.framework.sum_sides` is the one caller: every
+check of term lists sums them through it.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .series import SeriesError, default_truncation
 
@@ -405,8 +410,8 @@ def sum_terms(terms: list[PochProduct], trunc: int,
 
 
 def shared_unit(*term_lists: list[PochProduct]) -> tuple[dict, int | None]:
-    """(G, B) for a check of the lists against each other, from one scan of
-    their nonzero terms c q^s prod (1-q^m)^e_m.
+    """(G, B) for a check of integer combinations of the lists, from one
+    scan of their nonzero terms c q^s prod (1-q^m)^e_m.
 
     G = prod_(m>=1) (1-q^m)^g_m is a unit for summing every list divided
     by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
@@ -418,17 +423,18 @@ def shared_unit(*term_lists: list[PochProduct]) -> tuple[dict, int | None]:
     d_m the largest denominator multiplicity of (1-q^m) over the terms,
     every term times D = prod (1-q^m)^d_m is a Laurent polynomial of degree
     at most s + sum_m m (e_m + d_m), and B is the largest of these.  D is a
-    unit with D(0) = 1, so two sums of these terms are equal, or first
-    differ at some q^e with e <= B."""
-    terms = [t for terms in term_lists for t in terms if t.state == "ok"]
-    seen: dict[int, list] = {}
+    unit with D(0) = 1, so an integer combination of the lists' sums is 0,
+    or first differs from 0 at some q^e with e <= B."""
+    # a multiplicity that reaches 0 is deleted, so a term is "ok" exactly
+    # when it holds no key m = 0
+    terms = [t for terms in term_lists for t in terms if 0 not in t.powers]
+    seen = defaultdict(list)
     bound = None
     for t in terms:
         degree = t.shift
         for m, e in t.powers.items():
-            if m:
-                seen.setdefault(m, []).append(e)
-                degree += m * e
+            seen[m].append(e)
+            degree += m * e
         if bound is None or degree > bound:
             bound = degree
     n = len(terms)

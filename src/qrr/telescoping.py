@@ -23,15 +23,16 @@ f_k, g_k and F(k); B(k) under S_k and T_k; a one-term C0 under L0 and R0.
 They are transcribed from the printed forms, not read from the records, so
 that each certificate stays an independent check of the records it ties
 back to.  Every exponent passes through ``ctx.site`` under a name that no
-other declaration uses.  Each quantity is summed once per k, and every check
-that reads it reuses that value.  Every value of a certificate is summed
-divided by one unit, :func:`~qrr.pochhammer.shared_unit` of its core: each
-check compares sums of values divided by the same G, so it reads as the
-true values would, and the factors that the terms share cost no pass.
-Every value is summed through q^T: a check compares values already summed
-and combined (:func:`_add_values`), not two term lists, so there is no
-degree bound to stop at, as :func:`~qrr.identities.framework.compare_sides`
-has.
+other declaration uses.  Each quantity is built once per k, and every check
+that reads it reuses its value.  A certificate builds every term list
+first and sums them all in one
+:func:`~qrr.identities.framework.sum_sides` call, the rule
+:func:`~qrr.identities.framework.compare_sides` uses: divided by one unit
+G, :func:`~qrr.pochhammer.shared_unit` of every term, and through
+q^min(T, B + 2).  Each check compares two integer combinations of those
+values (:func:`_add_values`), so it reads as the true values would: the
+factors the terms share cost no pass, and no coefficient past the degree
+bound is summed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct, shared_unit, sum_terms
+from .pochhammer import PochProduct
 from .identities.framework import (
     _AFFINE_GLOBALS,
     UNPERTURBED,
@@ -54,7 +55,7 @@ from .identities.framework import (
     compare_checks,
     parse_affine_row,
     side_terms,
-    side_value,
+    sum_sides,
 )
 from .identities.engine import get_record
 
@@ -219,11 +220,12 @@ def _add_values(a, b, scale: int = 1):
     return off, out
 
 
-def _cleared_side(env: dict, side: str, trunc: int, c: int, unit: dict):
+def _cleared_side(env: dict, side: str, trunc: int):
     """One side of LMNRS3, at a point already checked against it, times
-    (1 - q^c): one factor on each of its terms; divided by ``unit``."""
+    (1 - q^(l+m+n+u+v+1)), as (terms, euler): one factor on each of its
+    terms."""
     terms, euler = side_terms(get_record("LMNRS3"), side, env, trunc)
-    return side_value([t.factor(c) for t in terms], euler, trunc, unit)
+    return [t.factor(sum(env.values()) + 1) for t in terms], euler
 
 
 # The most work a certificate may take, in coefficient updates: each k of
@@ -263,17 +265,20 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u, v)
     cores = {"A": _core(_A_SUM, "A", params, cap + 4),
              "C0": _core(_C0_SUM, "C0", params, 1)}
-    unit = shared_unit(cores["A"])[0]
-
-    def value(name: str, k: int):
-        return sum_terms(_terms(name, cores, params, k), trunc, unit)
+    lists = ([_terms("F", cores, params, k) for k in range(cap + 4)]
+             + [_terms(name, cores, params, 0) for name in ("L0", "R0")]
+             + [_terms(name, cores, params, k) for k in range(cap + 3) for name in "fg"]
+             + [_two_sum_terms(params)])
+    values, depth, _ = sum_sides([(terms, 0) for terms in lists]
+                                 + [_cleared_side(params, side, trunc)
+                                    for side in ("lhs", "rhs")], trunc)
+    F = values[:cap + 4]
+    left, right, *fg, split, lhs, rhs = values[cap + 4:]
 
     checks = []
-    F = [value("F", k) for k in range(cap + 4)]
-    left, right = value("L0", 0), value("R0", 0)
-    running = (0, [0] * (trunc + 1))
+    running = (0, [0] * (depth + 1))
     for k in range(cap + 3):
-        fv, gv = value("f", k), value("g", k)
+        fv, gv = fg[2 * k], fg[2 * k + 1]
         diff = _add_values(fv, gv, -1)
         checks.append((f"difference k={k}", diff, _add_values(F[k + 1], F[k], -1)))
         running = _add_values(running, diff)
@@ -281,12 +286,11 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         if k <= cap:
             left = _add_values(left, fv)
             right = _add_values(right, gv)
-    c = l + m + n + u + v + 1
     checks += [
         ("boundary", left, right),
-        ("sum-splitting", left, sum_terms(_two_sum_terms(params), trunc, unit)),
-        ("lhs-clearing", left, _cleared_side(params, "lhs", trunc, c, unit)),
-        ("rhs-clearing", right, _cleared_side(params, "rhs", trunc, c, unit)),
+        ("sum-splitting", left, split),
+        ("lhs-clearing", left, lhs),
+        ("rhs-clearing", right, rhs),
     ]
     return compare_checks("telescoping", params, trunc, checks)
 
@@ -303,20 +307,19 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     params = _checked("termwise", "LMNRS4", (l, m, n, u, v), trunc)
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
-    unit = shared_unit(cores["B"])[0]
+    record = get_record("LMNRS4")
+    values, depth, _ = sum_sides(
+        [(_terms(name, cores, params, k), 0) for k in range(cap + 3) for name in "ST"]
+        + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
 
     checks = []
-    s_sum = t_sum = (0, [0] * (trunc + 1))
+    s_sum = t_sum = (0, [0] * (depth + 1))
     for k in range(cap + 3):
-        s_k, t_k = (sum_terms(_terms(name, cores, params, k), trunc, unit)
-                    for name in "ST")
+        s_k, t_k = values[2 * k], values[2 * k + 1]
         checks.append((f"termwise k={k}", s_k, t_k))
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
-    record = get_record("LMNRS4")
-    checks += [(f"{side}-assembly", total,
-                side_value(*side_terms(record, side, params, trunc), trunc, unit))
-               for side, total in (("lhs", s_sum), ("rhs", t_sum))]
+    checks += [("lhs-assembly", s_sum, values[-2]), ("rhs-assembly", t_sum, values[-1])]
     return compare_checks("termwise", params, trunc, checks)
 
 

@@ -1,9 +1,10 @@
 """``compare_side_values`` against the coefficient-by-coefficient loop.
 
-The engine compares two ``(offset, coeffs)`` values by padding both to the
-exponents min(offsets)..T and comparing two lists.  ``loop_compare`` below is
-the walk it replaced, kept as the oracle: it must give the same
-``(exponent, lhs_c, rhs_c)``, or None, on every pair of values.
+The engine compares two ``(offset, coeffs)`` values by returning at once
+when they are held alike and otherwise padding both to the exponents
+min(offsets)..T.  ``loop_compare`` below is the walk it replaced, kept as the
+oracle: it must give the same ``(exponent, lhs_c, rhs_c)``, or None, on every
+pair of values.
 """
 
 from fractions import Fraction

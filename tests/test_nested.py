@@ -270,14 +270,15 @@ def test_kernel_work_is_pinned(monkeypatch):
 # which sums both sides divided by one shared unit and, where neither owes
 # a (q; q)_inf division, only through q^min(T, B + 2): every record at its
 # grid corners, by T; and of one telescoping and one termwise certificate
-# at T=40, each summed divided by the unit of its core through q^T
+# at T=40, each summing every term list by the same rule (at (3,3,3,3,3)
+# B + 2 >= T, so only the unit moved them off their core's)
 PINNED_VERIFY_WORK = {
     40: {"mul_binomial": 2400, "div_binomial": 1827, "div_euler": 12,
          "coeff_updates": 112830},
     160: {"mul_binomial": 2617, "div_binomial": 2028, "div_euler": 12,
           "coeff_updates": 243395},
-    "telescoping": {"mul_binomial": 123, "div_binomial": 199, "coeff_updates": 9273},
-    "termwise": {"mul_binomial": 88, "div_binomial": 87, "coeff_updates": 4904},
+    "telescoping": {"mul_binomial": 172, "div_binomial": 128, "coeff_updates": 8467},
+    "termwise": {"mul_binomial": 108, "div_binomial": 65, "coeff_updates": 4979},
 }
 
 
@@ -439,6 +440,32 @@ def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
     assert min(calls[0]) <= 30
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_a_check_of_fewer_than_two_sides_raises(count):
+    # a check that compares nothing must never read EQUAL
+    sides = [([PochProduct()], 0)] * count
+    with pytest.raises(EngineError, match="needs two sides or more"):
+        framework.compare_sides("X", {}, 30, *sides)
+
+
+def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
+    value, calls = framework.side_value, []
+
+    def recorded(terms, euler, trunc, unit=None):
+        calls.append((terms, unit))
+        return value(terms, euler, trunc, unit)
+
+    monkeypatch.setattr(framework, "side_value", recorded)
+    assert chain_reproduce("ABCDE3", 2, 2, 2, 1, 1, trunc=30).equal
+    # the relation sum, the transformed beta and the closed form, then the target
+    assert len(calls) == 4
+    env = {"n": 2, "l": 1, "m": 1, "u": 0, "v": 0}
+    target = side_terms(REGISTRY["ABCDE3"], "lhs", env, 30)[0]
+    assert repr(calls[-1][0]) == repr(target)
+    units = [unit for _, unit in calls]
+    assert units[0] and all(unit is units[0] for unit in units)
+
+
 # ---------------------------------------------------------------------------
 # the Bailey and LIU checks against compare of the undivided sums
 # ---------------------------------------------------------------------------
@@ -447,13 +474,17 @@ def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
 def _recorded_checks(monkeypatch):
     """compare_sides in bailey and engine, wrapped: each check appends its
     report and, as the oracle, framework.compare's report on the undivided
-    sums of the same two term lists."""
+    sums of the first side whose sum differs from the last side's, or of
+    the last two sides when none does."""
     real, checks = framework.compare_sides, []
 
-    def recorded(ident, params, trunc, lhs, rhs):
-        rep = real(ident, params, trunc, lhs, rhs)
-        want = framework.compare(ident, params, trunc, side_value(*lhs, trunc),
-                                 side_value(*rhs, trunc))
+    def recorded(ident, params, trunc, *sides):
+        rep = real(ident, params, trunc, *sides)
+        rhs = side_value(*sides[-1], trunc)
+        for lhs in sides[:-1]:
+            want = framework.compare(ident, params, trunc, side_value(*lhs, trunc), rhs)
+            if not want.equal:
+                break
         checks.append((_report(rep), _report(want)))
         return rep
 

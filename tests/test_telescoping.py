@@ -1,11 +1,12 @@
 """The two summation certificates and the quartic polynomial identity."""
 
 import dataclasses
+from itertools import product
 
 import pytest
 
 from qrr import telescoping
-from qrr.identities import EngineError
+from qrr.identities import EngineError, framework
 from qrr.identities.framework import MAX_PARAMETER, EvalCtx
 from qrr.pochhammer import PochProduct
 from qrr.telescoping import (
@@ -214,6 +215,73 @@ def test_every_site_belongs_to_one_declaration(monkeypatch):
                  *telescoping._SPLIT_SUMS):
         assert len(set(spec.num)) == len(spec.num)
         assert len(set(spec.den)) == len(spec.den)
+
+
+# ---------------------------------------------------------------------------
+# every term list of a certificate summed by the rule compare_sides uses
+# ---------------------------------------------------------------------------
+
+
+# the default grid of both certificates: l, m, n in 0..3 and u, v in 1..3
+DEFAULT_POINTS = [(l, m, n, u, v) for l, m, n in product(range(4), repeat=3)
+                  for u, v in product((1, 2, 3), repeat=2)]
+
+
+def _recorded_depths(monkeypatch):
+    """telescoping.sum_sides, wrapped: the depth of each call is appended."""
+    real, depths = telescoping.sum_sides, []
+
+    def recorded(sides, trunc):
+        out = real(sides, trunc)
+        depths.append(out[1])
+        return out
+
+    monkeypatch.setattr(telescoping, "sum_sides", recorded)
+    return depths
+
+
+def _full_depth(monkeypatch):
+    """framework.shared_unit with no degree bound: every value through q^T."""
+    real = framework.shared_unit
+    monkeypatch.setattr(framework, "shared_unit", lambda *lists: (real(*lists)[0], None))
+
+
+def _both_certificates(points):
+    return [certify(*point, 40) for point in points
+            for certify in (verify_telescoping, verify_sk_tk)]
+
+
+def test_capped_certificates_report_as_at_full_depth(monkeypatch):
+    depths = _recorded_depths(monkeypatch)
+    capped = _both_certificates(DEFAULT_POINTS)
+    # B + 2 < T at most points, so the cap is not vacuous
+    assert sum(d < 40 for d in depths[0::2]) == 488
+    assert sum(d < 40 for d in depths[1::2]) == 524
+    del depths[:]
+    _full_depth(monkeypatch)
+    assert _both_certificates(DEFAULT_POINTS) == capped
+    assert set(depths) == {40}
+    assert all(rep.equal for rep in capped)
+
+
+@pytest.mark.parametrize("certify,depth,site,failed", [
+    (verify_telescoping, 16, "F.0.num[l+m+n+k+1]",
+     {"difference k=0", "partial-sum k=0", "difference k=1", "partial-sum k=1",
+      "partial-sum k=2", "partial-sum k=3"}),
+    (verify_sk_tk, 12, "S.0.num[k+k+1]", {"termwise k=0", "lhs-assembly"}),
+], ids=["telescoping-F", "termwise-S"])
+def test_a_corrupted_factor_fails_alike_capped_and_at_full_depth(
+        certify, depth, site, failed, monkeypatch):
+    depths = _recorded_depths(monkeypatch)
+    assert certify(1, 1, 1, 1, 1, 40).equal
+    assert depths == [depth]
+    monkeypatch.setattr(telescoping, "_CTX", EvalCtx({site: 1}))
+    capped = certify(1, 1, 1, 1, 1, 40)
+    assert depths[-1] < 40
+    assert _failed(capped) == failed
+    _full_depth(monkeypatch)
+    assert certify(1, 1, 1, 1, 1, 40) == capped
+    assert depths[-1] == 40
 
 
 def test_certificate_cores_pad_past_the_support():

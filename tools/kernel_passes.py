@@ -12,7 +12,8 @@ skips.  The runs are:
   each verified through ``engine.verify`` at the sweep's T (40), with no
   command line and no pool;
 * the deep-window workload's checks for seed 1;
-* the certificates workload's checks for seed 1.
+* the certificates workload's checks for seed 1, with one indented row
+  under it for each kind of item (the first word of its label).
 
 The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
 default this repository) and the program from its ``src/``; nothing is
@@ -72,14 +73,28 @@ def counted_kernels():
             setattr(module, name, kernel)
 
 
-def _runs(workloads) -> list[tuple[str, list]]:
-    """(label, checks) of the three runs, built from ``workloads``."""
+def _runs(workloads) -> list[tuple[str, list, bool]]:
+    """(label, checks, by kind) of the three runs, built from ``workloads``."""
     trunc = workloads.REGISTRY_T
     return [
-        (f"sweep T={trunc}", workloads.verify_items(workloads.registry_points(), trunc)),
-        ("deep-window seed 1", workloads.build_inputs("deep-window", 1)[0]),
-        ("certificates seed 1", workloads.build_inputs("certificates", 1)[0]),
+        (f"sweep T={trunc}", workloads.verify_items(workloads.registry_points(), trunc),
+         False),
+        ("deep-window seed 1", workloads.build_inputs("deep-window", 1)[0], False),
+        ("certificates seed 1", workloads.build_inputs("certificates", 1)[0], True),
     ]
+
+
+def _count(workloads, items: list) -> tuple[int, int, Counter]:
+    """(checks, failed, kernel counts) of one run of ``items``."""
+    with counted_kernels() as calls:
+        res = workloads.run_items(items)
+    return res.attempted, res.failed, calls
+
+
+def _row(label: str, attempted: int, failed: int, calls: Counter) -> str:
+    mul, div = calls["mul_binomial"], calls["div_binomial"]
+    return (f"{label:<22}{attempted:>8}{failed:>8}{mul:>14}{div:>14}"
+            f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}")
 
 
 def main(argv=None) -> int:
@@ -94,13 +109,19 @@ def main(argv=None) -> int:
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
           f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}")
     failed = 0
-    for label, items in _runs(workloads):
-        with counted_kernels() as calls:
-            res = workloads.run_items(items)
-        failed += res.failed
-        mul, div = calls["mul_binomial"], calls["div_binomial"]
-        print(f"{label:<22}{res.attempted:>8}{res.failed:>8}{mul:>14}{div:>14}"
-              f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}")
+    for label, items, by_kind in _runs(workloads):
+        # no check caches a sum, so running the items kind by kind does the
+        # work of running them in order
+        groups = {}
+        for item in items:
+            groups.setdefault(item.label.split()[0] if by_kind else label, []).append(item)
+        rows = {kind: _count(workloads, group) for kind, group in groups.items()}
+        checks, run_failed = (sum(row[i] for row in rows.values()) for i in (0, 1))
+        failed += run_failed
+        print(_row(label, checks, run_failed, sum((row[2] for row in rows.values()), Counter())))
+        if by_kind:
+            for kind, row in rows.items():
+                print(_row(f"  {kind}", *row))
     return 1 if failed else 0
 
 
