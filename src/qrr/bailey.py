@@ -20,11 +20,12 @@ defined for n >= 0 only; the bilateral modes are bilateral in the alpha
 index.
 
 Every check here compares term lists through
-:func:`~qrr.identities.framework.compare_sides`, which sums them all
+:func:`~qrr.identities.framework.compare_sides`, which decides them at one
+integer point where their degree bound allows, or else sums them all
 divided by one shared unit, so the factors they have in common cost no
 kernel pass: beta_n against the relation sum, the two sides of the
 weighted identity, and every route to beta_N against the registry's
-left-hand side, which is summed once for all the routes.
+left-hand side, which is evaluated once for all the routes.
 """
 
 from __future__ import annotations
@@ -387,7 +388,8 @@ def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,
     beta_N through every available route (relation sum, transformed-beta
     formula, closed form), and compares each against the registry's
     left-hand side in one :func:`compare_sides` call: the target is summed
-    once, and every route and the target share one unit and one depth.
+    or evaluated once, and every route and the target share one route, and
+    one point or one unit and one depth.
     The report is EQUAL only if all routes match; otherwise it is the first
     route's that does not.
     """

@@ -3,13 +3,14 @@
 Every alternating sum of products of central-ish binomial coefficients here
 is evaluated in exact integer arithmetic, with the convention 1/n! = 0 for
 n < 0 (so sums terminate by themselves).  The right-hand sides accumulate
-as exact rationals and are asserted integral before being returned.
+as integers over the common denominator of their terms and are asserted
+integral before being returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .identities.framework import EngineError, bounded_int
 
@@ -48,12 +49,16 @@ def _check_range(values) -> None:
 def _factorial_sum(label: str, scale: int, kmax: int, summand) -> int:
     """scale * sum_{k=0}^{kmax} prod_i a_i! / prod_j b_j!, where
     summand(k) gives the tuples (a_i) and (b_j); raises EngineError naming
-    ``label`` unless the total is an integer."""
-    total = scale * sum((Fraction(prod(map(factorial, a)), prod(map(factorial, b)))
-                         for a, b in map(summand, range(kmax + 1))), Fraction(0))
-    if total.denominator != 1:
-        raise EngineError(f"{label} accumulated to the non-integer {total}")
-    return int(total)
+    ``label`` unless the total is an integer.  The terms are summed over
+    the least common multiple of their denominators, in integers."""
+    terms = [(prod(map(factorial, a)), prod(map(factorial, b)))
+             for a, b in map(summand, range(kmax + 1))]
+    den = lcm(*(b for _, b in terms))
+    total, rest = divmod(scale * sum(a * (den // b) for a, b in terms), den)
+    if rest:
+        raise EngineError(f"{label} accumulated to the non-integer "
+                          f"{Fraction(total * den + rest, den)}")
+    return total
 
 
 def _alt_cycle_sum(*cycles: tuple[int, ...]) -> int:

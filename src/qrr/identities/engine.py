@@ -75,12 +75,13 @@ def verify(ident: str, params: dict, trunc: int | None = None,
            ctx: EvalCtx = UNPERTURBED) -> VerificationReport:
     """Evaluate both sides of one identity at one parameter point, with the
     perturbations of ``ctx``, and compare every coefficient through the
-    truncation order (QRR_TRUNC or else 60 when ``trunc`` is None), both
-    summed divided by one shared unit (:func:`compare_sides`).  Unless a
-    side is divided by (q; q)_inf (the EULER records), both are summed only
-    through q^(B+2) when the point's degree bound B lies below T, which
-    gives the same report.  This is the one check whose report carries its
-    wall time, in ``millis``."""
+    truncation order (QRR_TRUNC or else 60 when ``trunc`` is None), by
+    :func:`compare_sides`.  Unless a side is divided by (q; q)_inf (the
+    EULER records), a point whose degree bound B has B + 2 <= T is decided
+    at one integer point, and any other is summed only through
+    q^min(T, B+2), divided by one shared unit; each gives the same report.
+    This is the one check whose report carries its wall time, in
+    ``millis``."""
     rec = get_record(ident)
     trunc = default_truncation(trunc)
     start = time.perf_counter()

@@ -19,9 +19,13 @@ a running product holds every slot of the term, and at each k only the
 change of each index is multiplied in (one factor for a slot whose index
 moves by one).  Each (q; q)_j index passes through its site at every k,
 each argument exponent once per evaluation, and each kept term is a copy
-of the running product times its sign and power of q.  The terms are
-summed with :class:`SeriesAccumulator`, which evaluates the sum nested
-over the ratios of consecutive terms in one buffer.  A :class:`Prefactor`
+of the running product times its sign and power of q.  A check of term
+lists takes its values by one rule, :func:`sum_sides`: where its degree
+bound B satisfies B + 2 <= T and no side is divided by (q; q)_inf, each
+side is one exact integer, its terms evaluated at q = 2^b (the point
+route, no kernel pass); otherwise the terms are summed with
+:class:`SeriesAccumulator`, which evaluates the sum nested over the ratios
+of consecutive terms in one buffer.  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
 a monomial) can multiply the sum.  It is assembled as one
 :class:`PochProduct` before the sum, where numerator and denominator
@@ -54,8 +58,8 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, shared_unit,
-                          sum_terms)
+from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, point_values,
+                          shared_unit, sum_terms)
 from ..series import NeedsLaurent, SeriesError
 
 
@@ -565,26 +569,43 @@ def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
                               rhs_window=window(rhs, lo, hi))
 
 
-def sum_sides(sides: Sequence[tuple[list, int]],
-              trunc: int) -> tuple[list, int, dict]:
-    """(values, depth, G) for the sides of a check, each given as (terms,
-    euler): every side summed through q^depth divided by one unit G,
-    :func:`shared_unit` of all their terms.
+class Sums(NamedTuple):
+    """The values of the sides of a check, as :func:`sum_sides` gives them."""
 
-    Dividing every value by the same G changes neither whether an integer
-    linear combination of them vanishes nor the first exponent where it
-    does not.  Unless some side is divided by (q; q)_inf, the depth is
-    min(trunc, B + 2), B the degree bound :func:`shared_unit` reads off the
-    same terms: D times every term is a Laurent polynomial of degree at
-    most B, so any such combination is 0 or first differs from 0 at some
-    q^e with e <= B, and a MISMATCH window reaches q^(e+2)."""
+    values: list     # (offset, coeffs), or an int at q = 2^base
+    depth: int       # each (offset, coeffs) is exact through q^depth
+    unit: dict       # G, which divides each (offset, coeffs)
+    base: int        # b of the point route, or 0 on the series route
+    low: int | None  # s_min, the lowest shift of a nonzero term
+
+
+def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
+    """The values of the sides of a check, each given as (terms, euler),
+    by one rule read off one :func:`shared_unit` scan of all their terms.
+
+    Dividing every value by the same unit changes neither whether an
+    integer linear combination of them vanishes nor the first exponent
+    where it does not.  Unless some side is divided by (q; q)_inf, the
+    depth is min(trunc, B + 2), B the degree bound: D times every term is a
+    Laurent polynomial of degree at most B, so any such combination is 0
+    or first differs from 0 at some q^e with e <= B, and a MISMATCH window
+    reaches q^(e+2).  Where B + 2 <= trunc and every coefficient is an int,
+    such a combination is a Laurent polynomial identity, and each value is
+    an int, :func:`point_values` of the cleared terms at q = 2^base, with
+    no kernel pass: the point route.  Otherwise (the series route) each
+    side is summed through q^depth divided by G."""
     lists, euler = [], 0
     for terms, e in sides:
         lists.append(terms)
         euler |= e
-    unit, bound = shared_unit(*lists)
-    depth = trunc if euler or bound is None else min(trunc, bound + 2)
-    return [side_value(terms, e, depth, unit) for terms, e in sides], depth, unit
+    unit, bound, low, clear = shared_unit(*lists)
+    depth, point = trunc, None
+    if not euler and bound is not None and bound + 2 <= trunc:
+        depth, point = bound + 2, point_values(lists, low, clear)
+    if point is not None:
+        return Sums(point[1], depth, unit, point[0], low)
+    return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
+                depth, unit, 0, low)
 
 
 def compare_sides(ident: str, params: dict, trunc: int,
@@ -594,29 +615,46 @@ def compare_sides(ident: str, params: dict, trunc: int,
     reports on the true values of that pair, or else EQUAL.  Fewer than
     two sides compare nothing and raise EngineError.
 
-    Every side is summed once, by :func:`sum_sides`.  Only a MISMATCH
-    needs the true values, for its windows: both buffers of that pair are
-    then multiplied back by G, and the report is the one a sum through
+    Every side is summed or evaluated once, by :func:`sum_sides`.  Only a
+    MISMATCH needs the true values, for its windows.  On the series route
+    both buffers of that pair are multiplied back by G.  On the point
+    route the difference of the two ints gives the first differing
+    exponent e, and only that pair is summed, undivided, through q^(e+2);
+    if those sums differ first at any other q^e, the routes disagree and
+    EngineError is raised.  Either way the report is the one a sum through
     q^trunc gives."""
     if len(sides) < 2:
         raise EngineError(f"{ident}: a check needs two sides or more, got {len(sides)}")
-    values, depth, unit = sum_sides(sides, trunc)
-    rhs = values[-1]
-    for lhs in values[:-1]:
-        if compare_side_values(lhs, rhs, depth) is not None:
+    sums = sum_sides(sides, trunc)
+    *values, rhs = sums.values
+    for i, lhs in enumerate(values):
+        if not sums.base:
+            if compare_side_values(lhs, rhs, sums.depth) is None:
+                continue
             for _, buf in (lhs, rhs):
-                _apply(buf, unit, 0, len(buf) - 1)
+                _apply(buf, sums.unit, 0, len(buf) - 1)
             return compare(ident, params, trunc, lhs, rhs)
+        d = lhs - rhs
+        if d:
+            # the lowest set bit of d lies in the digit of q^(e - s_min)
+            e = sums.low + ((d & -d).bit_length() - 1) // sums.base
+            rep = compare(ident, params, trunc,
+                          *(side_value(*side, e + 2) for side in (sides[i], sides[-1])))
+            if rep.mismatch_index != e:
+                raise EngineError(f"{ident}: the point and the series disagree at {params}")
+            return rep
     return VerificationReport(ident, params, trunc, "EQUAL")
 
 
 def compare_checks(ident: str, params: dict, trunc: int,
                    checks: list) -> VerificationReport:
-    """Report on a certificate: each (name, lhs, rhs) in ``checks`` is
-    compared through q^trunc and listed with its verdict; the report is
+    """Report on a certificate: each (name, lhs, rhs) in ``checks``, two
+    values from one :func:`sum_sides` call, is compared through q^trunc, or
+    as ints on the point route, and listed with its verdict; the report is
     EQUAL only if every check is."""
     verdicts = [
-        (name, "EQUAL" if compare_side_values(lhs, rhs, trunc) is None else "MISMATCH")
+        (name, "EQUAL" if lhs == rhs or isinstance(lhs, tuple)
+         and compare_side_values(lhs, rhs, trunc) is None else "MISMATCH")
         for name, lhs, rhs in checks]
     ok = all(v == "EQUAL" for _, v in verdicts)
     return VerificationReport(ident, params, trunc, "EQUAL" if ok else "MISMATCH",

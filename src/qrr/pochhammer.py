@@ -54,8 +54,23 @@ integer combination of the sides is 0, or first differs from 0 at some q^e
 with e <= B, the largest of these degrees, and no coefficient past
 q^(B+2) can change the check's report.  This is the denominator clearing
 of Wilf-Zeilberger certification (Wilf and Zeilberger, JAMS 1990).
-:func:`~qrr.identities.framework.sum_sides` is the one caller: every
-check of term lists sums them through it.
+
+Where B + 2 <= T the check is an identity of Laurent polynomials, which one
+exact integer evaluation decides with no kernel pass (Kronecker
+substitution).  The same scan gives s_min, the lowest shift, and lambda_m,
+the least multiplicity of each (1-q^m): every term times q^-s_min
+prod (1-q^m)^-lambda_m is an integer polynomial whose coefficients have
+absolute values summing to at most |c| 2^(sum n_m), n_m >= 0 its factors
+left.  With H the sum of these bounds over the terms of every side and
+2^b > H, :func:`point_values` evaluates each side at q = 2^b: each cleared
+term is built on its own from its scalar by one shift and subtraction per
+factor, with no division and no chaining.  Every coefficient of a signed
+combination of distinct sides is then below 2^b in absolute value, so the
+combination is 0 exactly when its value is, and otherwise its lowest set
+bit falls in the digit of its first nonzero exponent.
+:func:`~qrr.identities.framework.sum_sides` is the one caller of
+:func:`shared_unit` and :func:`point_values`: every check of term lists
+takes its values through it.
 """
 
 from __future__ import annotations
@@ -409,9 +424,10 @@ def sum_terms(terms: list[PochProduct], trunc: int,
     return acc.value()
 
 
-def shared_unit(*term_lists: list[PochProduct]) -> tuple[dict, int | None]:
-    """(G, B) for a check of integer combinations of the lists, from one
-    scan of their nonzero terms c q^s prod (1-q^m)^e_m.
+def shared_unit(*term_lists: list[PochProduct]
+                ) -> tuple[dict, int | None, int | None, dict]:
+    """(G, B, s_min, L) for a check of integer combinations of the lists,
+    from one scan of their nonzero terms c q^s prod (1-q^m)^e_m.
 
     G = prod_(m>=1) (1-q^m)^g_m is a unit for summing every list divided
     by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
@@ -424,28 +440,100 @@ def shared_unit(*term_lists: list[PochProduct]) -> tuple[dict, int | None]:
     every term times D = prod (1-q^m)^d_m is a Laurent polynomial of degree
     at most s + sum_m m (e_m + d_m), and B is the largest of these.  D is a
     unit with D(0) = 1, so an integer combination of the lists' sums is 0,
-    or first differs from 0 at some q^e with e <= B."""
+    or first differs from 0 at some q^e with e <= B.
+
+    s_min is the lowest shift of the terms, and L, a powers dict, holds the
+    clearing exponents: lambda_m, the least multiplicity of (1-q^m) over the
+    terms, a term without the factor counting as 0.  Every term times
+    q^-s_min prod (1-q^m)^-lambda_m is a polynomial, the input of
+    :func:`point_values`."""
     # a multiplicity that reaches 0 is deleted, so a term is "ok" exactly
     # when it holds no key m = 0
     terms = [t for terms in term_lists for t in terms if 0 not in t.powers]
     seen = defaultdict(list)
     bound = None
+    low = terms[0].shift if terms else None
     for t in terms:
-        degree = t.shift
+        degree = s = t.shift
+        if s < low:
+            low = s
         for m, e in t.powers.items():
             seen[m].append(e)
             degree += m * e
         if bound is None or degree > bound:
             bound = degree
     n = len(terms)
-    unit = {}
+    unit, clear = {}, {}
     for m, es in seen.items():
-        low = min(es)
-        if low < 0:              # D clears (1-q^m)^-low from every term
-            bound -= m * low
+        least = min(es)
+        if least < 0:            # D clears (1-q^m)^-least from every term
+            bound -= m * least
+        elif len(es) < n:        # some term lacks (1-q^m)
+            least = 0
+        if least:
+            clear[m] = least
         if 2 * len(es) >= n:     # else most terms lack (1-q^m), and g_m = 0
             es += [0] * (n - len(es))
             es.sort()
             if es[n // 2]:
                 unit[m] = es[n // 2]
-    return unit, bound
+    return unit, bound, low, clear
+
+
+# ---------------------------------------------------------------------------
+# a check decided at one integer point
+# ---------------------------------------------------------------------------
+
+
+def point_value(terms: list[PochProduct], base: int, low: int, clear: dict) -> int:
+    """The sum of the nonzero ``terms``, each times q^-low prod
+    (1-q^m)^-clear[m], at q = 2^base: each cleared term is built on its own
+    from its scalar, one shift and subtraction R -= R * 2^(base m) for each
+    factor (1-q^m) left on it, and shifted by base (s - low) bits."""
+    total = 0
+    for t in terms:
+        powers = t.powers
+        if 0 in powers:
+            continue
+        r = t.coeff
+        for m, e in powers.items():
+            for _ in range(e - clear.get(m, 0)):
+                r -= r << base * m
+        for m, e in clear.items():
+            if m not in powers:
+                for _ in range(-e):
+                    r -= r << base * m
+        total += r << base * (t.shift - low)
+    return total
+
+
+def point_values(term_lists: list[list[PochProduct]], low: int,
+                 clear: dict) -> tuple[int, list] | None:
+    """(b, values) for a check of signed combinations of the lists, each
+    list at most once in a combination: every list's :func:`point_value`
+    at q = 2^b, or None if some coefficient is not an int.  A pole term
+    raises PoleError.
+
+    With (low, clear) the s_min and L of :func:`shared_unit`, each cleared
+    term c q^(s - s_min) prod (1-q^m)^n_m, n_m >= 0, has coefficients whose
+    absolute values sum to at most |c| 2^(sum n_m); H is the sum of these
+    bounds over every term, and b the bit length of H.  Every coefficient of
+    such a combination of cleared lists is then below 2^b in absolute
+    value, so its value at 2^b is 0 only if the combination is, and
+    otherwise its lowest set bit lies in the digit of its first nonzero
+    exponent: a combination of the uncleared lists first differs from 0 at
+    q^e, e = s_min + v_2(value) // b."""
+    drop = sum(clear.values())
+    bound = 0
+    for terms in term_lists:
+        for t in terms:
+            z = t.powers.get(0)
+            if z:
+                if z < 0:
+                    raise PoleError(f"pole term reached the accumulator: {t!r}")
+                continue
+            if type(t.coeff) is not int:
+                return None
+            bound += abs(t.coeff) << (sum(t.powers.values()) - drop)
+    base = max(bound.bit_length(), 1)
+    return base, [point_value(terms, base, low, clear) for terms in term_lists]

@@ -17,11 +17,11 @@ DEFAULT_TRUNCATION = 60
 
 # The highest truncation order any call, QRR_TRUNC and the command line
 # accept.  A check of finite term lists, the certificates' included, is
-# summed only through its degree bound (``framework.sum_sides``), but the
-# EULER records, the Rogers-Ramanujan limits and every side evaluation work
-# on O(T) buffers with O(T) passes per term, so a mistyped T of millions
-# would run for hours.  The deepest order in regular use is T=300 (the
-# Rogers-Ramanujan limit checks).
+# decided at one integer point or summed only through its degree bound
+# (``framework.sum_sides``), but the EULER records, the Rogers-Ramanujan
+# limits and every side evaluation work on O(T) buffers with O(T) passes
+# per term, so a mistyped T of millions would run for hours.  The deepest
+# order in regular use is T=300 (the Rogers-Ramanujan limit checks).
 MAX_TRUNCATION = 10_000
 
 

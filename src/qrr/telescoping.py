@@ -25,14 +25,16 @@ that each certificate stays an independent check of the records it ties
 back to.  Every exponent passes through ``ctx.site`` under a name that no
 other declaration uses.  Each quantity is built once per k, and every check
 that reads it reuses its value.  A certificate builds every term list
-first and sums them all in one
+first and takes their values from one
 :func:`~qrr.identities.framework.sum_sides` call, the rule
-:func:`~qrr.identities.framework.compare_sides` uses: divided by one unit
-G, :func:`~qrr.pochhammer.shared_unit` of every term, and through
-q^min(T, B + 2).  Each check compares two integer combinations of those
-values (:func:`_add_values`), so it reads as the true values would: the
-factors the terms share cost no pass, and no coefficient past the degree
-bound is summed.
+:func:`~qrr.identities.framework.compare_sides` uses.  Where B + 2 <= T,
+B the degree bound of every term, each value is one integer, the list at
+q = 2^b (the point route, no kernel pass); otherwise each is the list
+summed through q^min(T, B + 2), divided by one unit G,
+:func:`~qrr.pochhammer.shared_unit` of every term.  Each check is written
+once, as two integer combinations of those values (:func:`_add_values`),
+and reads alike on either route.  Every check uses each list at most
+once, with sign +1 or -1, so the one bound H behind b holds for each.
 """
 
 from __future__ import annotations
@@ -208,8 +210,10 @@ def _two_sum_terms(params: dict) -> list:
 
 
 def _add_values(a, b, scale: int = 1):
-    """A new (offset, buf) holding a + scale * b, for two values that both
-    end at the same truncation order."""
+    """a + scale * b: a new int for two values of the point route, or a new
+    (offset, buf) for two that both end at the same truncation order."""
+    if not isinstance(a, tuple):
+        return a + scale * b
     (off_a, buf_a), (off_b, buf_b) = a, b
     off = min(off_a, off_b)
     out = [0] * (off_a - off) + buf_a
@@ -218,6 +222,14 @@ def _add_values(a, b, scale: int = 1):
         if c:
             out[base + i] += scale * c
     return off, out
+
+
+def _values(sides: list, trunc: int) -> tuple[list, object]:
+    """(values, zero): every side's value from one
+    :func:`~qrr.identities.framework.sum_sides` call, and the zero value of
+    its route."""
+    sums = sum_sides(sides, trunc)
+    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1))
 
 
 def _cleared_side(env: dict, side: str, trunc: int):
@@ -269,14 +281,14 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
              + [_terms(name, cores, params, 0) for name in ("L0", "R0")]
              + [_terms(name, cores, params, k) for k in range(cap + 3) for name in "fg"]
              + [_two_sum_terms(params)])
-    values, depth, _ = sum_sides([(terms, 0) for terms in lists]
-                                 + [_cleared_side(params, side, trunc)
-                                    for side in ("lhs", "rhs")], trunc)
+    values, zero = _values([(terms, 0) for terms in lists]
+                           + [_cleared_side(params, side, trunc)
+                              for side in ("lhs", "rhs")], trunc)
     F = values[:cap + 4]
     left, right, *fg, split, lhs, rhs = values[cap + 4:]
 
     checks = []
-    running = (0, [0] * (depth + 1))
+    running = zero
     for k in range(cap + 3):
         fv, gv = fg[2 * k], fg[2 * k + 1]
         diff = _add_values(fv, gv, -1)
@@ -308,12 +320,12 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
     record = get_record("LMNRS4")
-    values, depth, _ = sum_sides(
+    values, zero = _values(
         [(_terms(name, cores, params, k), 0) for k in range(cap + 3) for name in "ST"]
         + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
 
     checks = []
-    s_sum = t_sum = (0, [0] * (depth + 1))
+    s_sum = t_sum = zero
     for k in range(cap + 3):
         s_k, t_k = values[2 * k], values[2 * k + 1]
         checks.append((f"termwise k={k}", s_k, t_k))

@@ -6,9 +6,12 @@ computed by hand from the defining sums.
 
 import math
 import re
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from qrr import binomial
 from qrr.binomial import (
     MAX_BINOMIAL_N,
     alt_power_sum,
@@ -48,6 +51,35 @@ def test_cor57_grid():
                     for v in range(3):
                         lhs, rhs = cor57_sides(l, m, n, u, v)
                         assert lhs == rhs, (l, m, n, u, v)
+
+
+def _fraction_sum(scale, kmax, summand):
+    """The slow path: the same sum in exact rationals."""
+    return scale * sum((Fraction(math.prod(map(math.factorial, a)),
+                                 math.prod(map(math.factorial, b)))
+                        for a, b in map(summand, range(kmax + 1))), Fraction(0))
+
+
+def test_factorial_sums_are_the_rational_sums():
+    # cor57's right side on [0, 4]^5, summed over a common denominator,
+    # against the same sum in Fractions
+    for l, m, n, u, v in product(range(5), repeat=5):
+        def summand(k):
+            return (l + m + n - k, u + v + k), (k, l - k, m - k, n - k, u + k, v + k)
+        want = _fraction_sum(binom(u + v, u), min(l, m, n), summand)
+        assert want.denominator == 1
+        assert binomial._factorial_sum("x", binom(u + v, u), min(l, m, n), summand) == want
+
+
+@pytest.mark.parametrize("scale,kmax,summand,total", [
+    (1, 0, lambda k: ((), (2,)), "1/2"),
+    (-1, 1, lambda k: ((k,), (3,)), "-1/3"),
+    (5, 2, lambda k: ((k + 1,), (k + 2,)), "65/12"),
+])
+def test_a_non_integral_factorial_sum_raises(scale, kmax, summand, total):
+    assert str(_fraction_sum(scale, kmax, summand)) == total
+    with pytest.raises(EngineError, match=f"^label accumulated to the non-integer {total}$"):
+        binomial._factorial_sum("label", scale, kmax, summand)
 
 
 def test_cor58_grids():

@@ -6,11 +6,14 @@ denominator multiplicity of (1-q^m), clears every denominator, and every
 term times D is a Laurent polynomial of degree at most B.  D is a unit with
 D(0) = 1, so the two sums are equal or first differ at some q^e with
 e <= B, and ``framework.compare_sides`` sums both sides only through
-q^min(T, B + 2) when neither owes a (q; q)_inf division.
+q^min(T, B + 2) when neither owes a (q; q)_inf division, or, where
+B + 2 <= T, decides the check at one integer point and sums only a
+MISMATCH pair, through q^(e+2).
 
 Here B is checked against the dense oracle, which shares no kernel with
-the program; the capped reports against the full-depth ones, at the edges
-of the bound and at every default-grid point; and the kernel work against T.
+the program; the capped reports against the full-depth ones, on both
+routes at the edges of the bound and on the series route at every
+default-grid point; and the kernel work against T.
 """
 
 from pathlib import Path
@@ -18,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from dense_oracle import expand
-from qrr import cli
+from qrr import cli, pochhammer
 from qrr.identities import engine, framework
 from qrr.identities.framework import compare, compare_sides, side_value
 from qrr.pochhammer import PochProduct, shared_unit
@@ -70,28 +73,34 @@ def test_every_cleared_term_stays_within_the_bound():
 # ---------------------------------------------------------------------------
 
 
-def _depths(monkeypatch):
-    """framework.side_value, recording the depth each side is summed to."""
-    real, depths = framework.side_value, []
+def _as_full_compare(lhs, rhs, trunc, monkeypatch):
+    """compare_sides' report on both routes, each of which must be
+    compare's on the undivided sums through q^trunc; returns it, the depth
+    both sides were summed to on the series route, and on the point route
+    the depths of the sums of its MISMATCH pair (none for an EQUAL), or
+    None where the check is not on the point route."""
+    want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
+    real, depths, points = framework.side_value, [], []
 
     def recorded(terms, euler, trunc, unit=None):
         depths.append(trunc)
         return real(terms, euler, trunc, unit)
 
-    monkeypatch.setattr(framework, "side_value", recorded)
-    return depths
+    def evaluated(*args):
+        points.append(pochhammer.point_values(*args))
+        return points[-1]
 
-
-def _as_full_compare(lhs, rhs, trunc, depths):
-    """compare_sides' report, which must be compare's on the undivided sums
-    through q^trunc; returns it and the depth both sides were summed to."""
-    del depths[:]
-    got = compare_sides("X", {}, trunc, lhs, rhs)
-    depth = depths[0]
-    assert depths == [depth, depth]
-    want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
-    assert _report(got) == _report(want)
-    return got, depth
+    with monkeypatch.context() as mp:
+        mp.setattr(framework, "side_value", recorded)
+        mp.setattr(framework, "point_values", lambda *args: None)
+        got = compare_sides("X", {}, trunc, lhs, rhs)
+        depth = depths[0]
+        assert depths == [depth, depth]
+        assert _report(got) == _report(want)
+        del depths[:]
+        mp.setattr(framework, "point_values", evaluated)
+        assert _report(compare_sides("X", {}, trunc, lhs, rhs)) == _report(want)
+    return got, depth, (depths if points and points[0] is not None else None)
 
 
 # L - R = q^5 / (1 - q^3): D = 1 - q^3, and the cleared terms have degrees
@@ -100,59 +109,62 @@ AT_B = ([_term(1, 3, (1, 2), (3, -1))], 0), ([_term(1, 3, (3, -1)), _term(-2, 4,
 
 
 def test_a_difference_exactly_at_the_bound(monkeypatch):
-    depths = _depths(monkeypatch)
     assert shared_unit(AT_B[0][0], AT_B[1][0])[1] == 5
-    rep, depth = _as_full_compare(*AT_B, 30, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 5, 7)
+    rep, depth, pair = _as_full_compare(*AT_B, 30, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 7, [7, 7])
     assert [e for e, _ in rep.lhs_window] == [3, 4, 5, 6, 7]
     # with the difference added to the right side the two agree
     lhs, (terms, _) = AT_B
-    rep, depth = _as_full_compare(lhs, (terms + [_term(1, 5, (3, -1))], 0), 30, depths)
-    assert (rep.verdict, depth) == ("EQUAL", 7)
+    rep, depth, pair = _as_full_compare(lhs, (terms + [_term(1, 5, (3, -1))], 0), 30,
+                                        monkeypatch)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 7, [])
 
 
 def test_a_bound_at_or_past_the_truncation_order_sums_through_it(monkeypatch):
-    depths = _depths(monkeypatch)
-    rep, depth = _as_full_compare(*AT_B, 5, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 5, 5)
+    # B + 2 > T: the series route alone
+    rep, depth, pair = _as_full_compare(*AT_B, 5, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 5, None)
     assert [e for e, _ in rep.rhs_window] == [3, 4, 5]
-    rep, depth = _as_full_compare(*AT_B, 4, depths)
-    assert (rep.verdict, depth) == ("EQUAL", 4)
+    rep, depth, pair = _as_full_compare(*AT_B, 4, monkeypatch)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 4, None)
+    # B + 2 = T: both
+    rep, depth, pair = _as_full_compare(*AT_B, 7, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 7, [7, 7])
 
 
 def test_a_negative_bound(monkeypatch):
     # q^-7 (1 - q) against q^-7 - 2 q^-6: B = -6, summed through q^-4
-    depths = _depths(monkeypatch)
     lhs = ([_term(1, -7, (1, 1))], 0)
-    rep, depth = _as_full_compare(lhs, ([_term(1, -7), _term(-2, -6)], 0), 30, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", -6, -4)
+    rep, depth, pair = _as_full_compare(lhs, ([_term(1, -7), _term(-2, -6)], 0), 30,
+                                        monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", -6, -4, [-4, -4])
     assert [e for e, _ in rep.lhs_window] == [-7, -6, -5, -4]
-    rep, depth = _as_full_compare(lhs, ([_term(1, -7), _term(-1, -6)], 0), 30, depths)
-    assert (rep.verdict, depth) == ("EQUAL", -4)
+    rep, depth, pair = _as_full_compare(lhs, ([_term(1, -7), _term(-1, -6)], 0), 30,
+                                        monkeypatch)
+    assert (rep.verdict, depth, pair) == ("EQUAL", -4, [])
 
 
 def test_an_empty_side(monkeypatch):
-    # LIU1's closed form at a = q^3, (q; q)_2, against 0: B = 3
-    depths = _depths(monkeypatch)
+    # LIU1's closed form at a = q^3, (q; q)_2, against 0: B = 3, and the
+    # pair differs first at q^0, so the point route sums it through q^2
     closed = ([engine.liu_closed_form("LIU1", 3)], 0)
-    rep, depth = _as_full_compare(closed, ([], 0), 30, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 0, 5)
-    rep, depth = _as_full_compare(([], 0), closed, 30, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 0, 5)
+    rep, depth, pair = _as_full_compare(closed, ([], 0), 30, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 0, 5, [2, 2])
+    rep, depth, pair = _as_full_compare(([], 0), closed, 30, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 0, 5, [2, 2])
     # no term at all: no bound, and nothing to sum
-    rep, depth = _as_full_compare(([], 0), ([], 0), 30, depths)
-    assert (rep.verdict, depth) == ("EQUAL", 30)
+    rep, depth, pair = _as_full_compare(([], 0), ([], 0), 30, monkeypatch)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 30, None)
 
 
 def test_a_side_divided_by_the_euler_product_is_summed_through_t(monkeypatch):
     # 1 / (q; q)_inf against 1 / ((1 - q)(1 - q^2)): the terms give B = 3,
     # but a (q; q)_inf division is no finite term, so both go to q^T
-    depths = _depths(monkeypatch)
     rhs = ([_term(1, 0, (1, -1), (2, -1))], 0)
-    rep, depth = _as_full_compare(([PochProduct()], 1), rhs, 30, depths)
-    assert (rep.verdict, rep.mismatch_index, depth) == ("MISMATCH", 3, 30)
-    rep, depth = _as_full_compare(rhs, ([PochProduct()], 1), 30, depths)
-    assert depth == 30
+    rep, depth, pair = _as_full_compare(([PochProduct()], 1), rhs, 30, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 3, 30, None)
+    rep, depth, pair = _as_full_compare(rhs, ([PochProduct()], 1), 30, monkeypatch)
+    assert (depth, pair) == (30, None)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +182,15 @@ def _verify_work(calls, ident, params, trunc):
 def test_an_in_scope_point_does_the_same_work_at_any_depth(ident, monkeypatch):
     calls = _count_kernels(monkeypatch)
     params = {ps.name: ps.low + 2 for ps in engine.get_record(ident).params}
-    work = _verify_work(calls, ident, params, 160)
-    assert work["coeff_updates"] > 0
-    assert _verify_work(calls, ident, params, 10_000) == work
+    # on the series route, its passes
+    with monkeypatch.context() as mp:
+        mp.setattr(framework, "point_values", lambda *args: None)
+        work = _verify_work(calls, ident, params, 160)
+        assert work["coeff_updates"] > 0
+        assert _verify_work(calls, ident, params, 10_000) == work
+    # on the point route, none
+    assert _verify_work(calls, ident, params, 160) == {}
+    assert _verify_work(calls, ident, params, 10_000) == {}
 
 
 def test_the_euler_records_work_grows_with_t(monkeypatch):
@@ -187,7 +205,12 @@ def test_the_euler_records_work_grows_with_t(monkeypatch):
 def _full_depth(monkeypatch):
     """compare_sides with no degree bound: every side summed through q^T."""
     real = framework.shared_unit
-    monkeypatch.setattr(framework, "shared_unit", lambda *lists: (real(*lists)[0], None))
+
+    def unbounded(*lists):
+        unit, _, low, clear = real(*lists)
+        return unit, None, low, clear
+
+    monkeypatch.setattr(framework, "shared_unit", unbounded)
 
 
 def _reports(points, trunc):
@@ -202,7 +225,7 @@ def _deep_window_points():
 
 
 @pytest.mark.parametrize("sample", ["sweep", "deep-window"])
-def test_capped_reports_are_the_full_depth_reports(sample, monkeypatch):
+def test_capped_reports_are_the_full_depth_reports(sample, monkeypatch, series_route):
     if sample == "sweep":
         points, trunc = [(ident, p) for ident in engine.list_identities()
                          for p in engine.grid_points(engine.get_record(ident))], 40

@@ -68,28 +68,36 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
 
+    def point():
+        # B + 2 <= T: one point evaluation and no kernel pass
+        return engine.verify("ANDREWS1", {"n": 2}, 40)
+
     def runs(workloads):
         tiny = workloads.verify_items([("EULERMN1", {"m": 4, "n": 5})], 160)
         wrong = workloads.verify_items([("ANDREWS1", {"n": -1})], 20)
         kinds = [workloads.Item("two words", lambda: [_tiny().verdict], "EQUAL"),
-                 workloads.Item("other", lambda: ["EQUAL"], "EQUAL"),
+                 workloads.Item("other", lambda: [point().verdict], "EQUAL"),
                  workloads.Item("two more", lambda: [_tiny().verdict], "EQUAL")]
         return [("tiny", tiny, False), ("wrong", wrong, False), ("kinds", kinds, True)]
 
     monkeypatch.setattr(kernel_passes, "_runs", runs)
     with kernel_passes.counted_kernels() as calls:
         _tiny()
+    with kernel_passes.counted_kernels() as points:
+        point()
+    assert points == {"point_values": 1}
     assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
     head, tiny, wrong, kinds, two, other = capsys.readouterr().out.splitlines()
     assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
-                            "binomial", "coeff_updates", "div_euler"]
+                            "binomial", "coeff_updates", "div_euler", "points"]
     mul, div = calls["mul_binomial"], calls["div_binomial"]
-    row = [str(mul), str(div), str(mul + div), str(calls["coeff_updates"]), "1"]
+    row = [str(mul), str(div), str(mul + div), str(calls["coeff_updates"]), "1", "0"]
     assert tiny.split() == ["tiny", "1", "0", *row]
     assert wrong.split()[:3] == ["wrong", "1", "1"]
     # a run by kind: its total, then one indented row per first word of a
     # label, in order of first appearance
     twice = [str(2 * int(c)) for c in row]
-    assert kinds.split() == ["kinds", "3", "0", *twice]
+    assert kinds.split() == ["kinds", "3", "0", *twice[:-1], "1"]
     assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice]
-    assert other.startswith("  other ") and other.split() == ["other", "1", "0"] + ["0"] * 5
+    assert other.startswith("  other ")
+    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1"]

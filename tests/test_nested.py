@@ -12,7 +12,11 @@ sides divided by one shared unit G (``framework.compare_sides``).  Their
 reports are compared with those of the true values, unperturbed and
 corrupted, each divided side times G with the side itself, and the divided
 sums with the per-term renderer of the divided terms; a unit put on one
-side only must be caught.
+side only must be caught.  Where B + 2 <= T those checks take the point
+route instead (``tests/test_point_route.py``); the tests here that watch
+the summing force the series route, and their counterparts check that a
+clearing put on one side only, or a factor dropped from a point
+evaluation, is caught.
 """
 
 import contextlib
@@ -268,15 +272,16 @@ def test_kernel_work_is_pinned(monkeypatch):
 
 # exact kernel passes, by kernel, and coefficient updates of engine.verify,
 # which sums both sides divided by one shared unit and, where neither owes
-# a (q; q)_inf division, only through q^min(T, B + 2): every record at its
-# grid corners, by T; and of one telescoping and one termwise certificate
-# at T=40, each summing every term list by the same rule (at (3,3,3,3,3)
-# B + 2 >= T, so only the unit moved them off their core's)
+# a (q; q)_inf division, only through q^min(T, B + 2), or where B + 2 <= T
+# decides the check at one integer point with no pass at all: every record
+# at its grid corners, by T; and of one telescoping and one termwise
+# certificate at T=40, each summing every term list by the same rule (at
+# (3,3,3,3,3) B + 2 > T, so only the unit moved them off their core's)
 PINNED_VERIFY_WORK = {
-    40: {"mul_binomial": 2400, "div_binomial": 1827, "div_euler": 12,
-         "coeff_updates": 112830},
-    160: {"mul_binomial": 2617, "div_binomial": 2028, "div_euler": 12,
-          "coeff_updates": 243395},
+    40: {"mul_binomial": 1479, "div_binomial": 1342, "div_euler": 12,
+         "coeff_updates": 87951},
+    160: {"mul_binomial": 406, "div_binomial": 365, "div_euler": 12,
+          "coeff_updates": 97507},
     "telescoping": {"mul_binomial": 172, "div_binomial": 128, "coeff_updates": 8467},
     "termwise": {"mul_binomial": 108, "div_binomial": 65, "coeff_updates": 4979},
 }
@@ -382,10 +387,12 @@ def test_shared_unit_takes_the_median_of_every_nonzero_term():
     zero = PochProduct().factor(1, 9).factor(0)
     # (1-q^1): 1, 2, 3; (1-q^2): 0, 0, 1; (1-q^3): -2, -1, -1; (1-q^4): 0, 0, 1
     # and the degree bound: D = (1-q^3)^2 clears every denominator, and the
-    # cleared terms have degrees 7 (a), 5 (b) and 11 (c)
-    assert shared_unit([a, zero], [b, c]) == ({1: 2, 3: -1}, 11)
-    assert shared_unit([a, b]) == ({1: 2, 2: 1, 3: -1, 4: 1}, 7)   # upper median
-    assert shared_unit() == shared_unit([zero]) == ({}, None)
+    # cleared terms have degrees 7 (a), 5 (b) and 11 (c); the lowest shift
+    # is 0, and the least multiplicities are 1 for (1-q^1) and -2 for (1-q^3)
+    assert shared_unit([a, zero], [b, c]) == ({1: 2, 3: -1}, 11, 0, {1: 1, 3: -2})
+    assert shared_unit([a, b]) == ({1: 2, 2: 1, 3: -1, 4: 1}, 7, 0, {1: 1, 3: -2})
+    assert shared_unit([c.copy().q(-9), a]) == ({1: 3, 2: 1, 3: -1}, 4, -4, {1: 2, 3: -1})
+    assert shared_unit() == shared_unit([zero]) == ({}, None, None, {})
 
 
 def _unit_on_one_side(monkeypatch, change):
@@ -412,7 +419,7 @@ def _drop_first_factor(unit):
 
 @pytest.mark.parametrize("change", [lambda unit: {}, _drop_first_factor],
                          ids=["rhs-undivided", "rhs-drops-a-factor"])
-def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
+def test_a_unit_on_one_side_only_is_caught(change, monkeypatch, series_route):
     calls = _unit_on_one_side(monkeypatch, change)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
@@ -440,6 +447,31 @@ def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
     assert min(calls[0]) <= 30
 
 
+# at their floors plus 2 each has B + 2 <= 60
+POINT_IDENTS = ("ABCDE1", "ANDREWS1", "LMNRS3", "QINV1")
+
+
+@pytest.mark.parametrize("change", [lambda clear: {}, _drop_first_factor],
+                         ids=["rhs-uncleared", "rhs-drops-a-factor"])
+def test_a_clearing_on_one_side_only_is_caught(change, monkeypatch):
+    # the point route's counterpart: the rhs's point value, cleared by
+    # ``change(clear)``, reads a difference that the sums of the pair do not
+    # show, and the check raises
+    value, calls = pochhammer.point_value, []
+
+    def patched(terms, base, low, clear):
+        calls.append(clear)
+        return value(terms, base, low, change(clear) if len(calls) % 2 == 0 else clear)
+
+    monkeypatch.setattr(pochhammer, "point_value", patched)
+    for ident in POINT_IDENTS:
+        params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
+        del calls[:]
+        with pytest.raises(EngineError, match="the point and the series disagree"):
+            engine.verify(ident, params, 60)
+        assert calls[0] and len(calls) == 2, ident
+
+
 @pytest.mark.parametrize("count", [0, 1])
 def test_a_check_of_fewer_than_two_sides_raises(count):
     # a check that compares nothing must never read EQUAL
@@ -448,7 +480,7 @@ def test_a_check_of_fewer_than_two_sides_raises(count):
         framework.compare_sides("X", {}, 30, *sides)
 
 
-def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
+def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch, series_route):
     value, calls = framework.side_value, []
 
     def recorded(terms, euler, trunc, unit=None):
@@ -464,6 +496,24 @@ def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
     assert repr(calls[-1][0]) == repr(target)
     units = [unit for _, unit in calls]
     assert units[0] and all(unit is units[0] for unit in units)
+
+
+def test_chain_routes_and_target_are_evaluated_at_one_point(monkeypatch):
+    value, calls = pochhammer.point_values, []
+
+    def recorded(lists, low, clear):
+        calls.append(lists)
+        return value(lists, low, clear)
+
+    monkeypatch.setattr(framework, "point_values", recorded)
+    monkeypatch.setattr(framework, "side_value", None)      # no sum at all
+    assert chain_reproduce("ABCDE3", 2, 2, 2, 1, 1, trunc=30).equal
+    # one evaluation of the relation sum, the transformed beta and the
+    # closed form, then the target
+    assert len(calls) == 1 and len(calls[0]) == 4
+    env = {"n": 2, "l": 1, "m": 1, "u": 0, "v": 0}
+    target = side_terms(REGISTRY["ABCDE3"], "lhs", env, 30)[0]
+    assert repr(calls[0][-1]) == repr(target)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +662,7 @@ def _drop_one_factor(ratio):
     return dropped
 
 
-def test_a_dropped_ratio_factor_is_caught(monkeypatch):
+def test_a_dropped_ratio_factor_is_caught(monkeypatch, series_route):
     monkeypatch.setattr(pochhammer, "_ratio", _drop_one_factor(pochhammer._ratio))
     shared = [(4, 1), (9, -1)]
     drawn = [(1, k * k, [(k, 1), (k + 1, -1)], True, 0) for k in range(1, 6)]
@@ -620,3 +670,25 @@ def test_a_dropped_ratio_factor_is_caught(monkeypatch):
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
         assert engine.verify(ident, params, 30).verdict == "MISMATCH", ident
+
+
+def test_a_dropped_point_factor_is_caught(monkeypatch):
+    # the point route's counterpart: an evaluation that leaves one factor off
+    # the first term of each list reads a difference that the sums do not
+    # show, and the check raises
+    value = pochhammer.point_value
+
+    def dropped(terms, base, low, clear):
+        terms = list(terms)
+        for i, t in enumerate(terms):
+            if t.powers:
+                m = min(t.powers)
+                terms[i] = t.copy().factor(m, -1 if t.powers[m] > 0 else 1)
+                break
+        return value(terms, base, low, clear)
+
+    monkeypatch.setattr(pochhammer, "point_value", dropped)
+    for ident in POINT_IDENTS:
+        params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
+        with pytest.raises(EngineError, match="the point and the series disagree"):
+            engine.verify(ident, params, 60)

@@ -243,7 +243,12 @@ def _recorded_depths(monkeypatch):
 def _full_depth(monkeypatch):
     """framework.shared_unit with no degree bound: every value through q^T."""
     real = framework.shared_unit
-    monkeypatch.setattr(framework, "shared_unit", lambda *lists: (real(*lists)[0], None))
+
+    def unbounded(*lists):
+        unit, _, low, clear = real(*lists)
+        return unit, None, low, clear
+
+    monkeypatch.setattr(framework, "shared_unit", unbounded)
 
 
 def _both_certificates(points):
@@ -251,7 +256,7 @@ def _both_certificates(points):
             for certify in (verify_telescoping, verify_sk_tk)]
 
 
-def test_capped_certificates_report_as_at_full_depth(monkeypatch):
+def test_capped_certificates_report_as_at_full_depth(monkeypatch, series_route):
     depths = _recorded_depths(monkeypatch)
     capped = _both_certificates(DEFAULT_POINTS)
     # B + 2 < T at most points, so the cap is not vacuous
@@ -264,14 +269,17 @@ def test_capped_certificates_report_as_at_full_depth(monkeypatch):
     assert all(rep.equal for rep in capped)
 
 
-@pytest.mark.parametrize("certify,depth,site,failed", [
+CORRUPTED_FACTORS = pytest.mark.parametrize("certify,depth,site,failed", [
     (verify_telescoping, 16, "F.0.num[l+m+n+k+1]",
      {"difference k=0", "partial-sum k=0", "difference k=1", "partial-sum k=1",
       "partial-sum k=2", "partial-sum k=3"}),
     (verify_sk_tk, 12, "S.0.num[k+k+1]", {"termwise k=0", "lhs-assembly"}),
 ], ids=["telescoping-F", "termwise-S"])
+
+
+@CORRUPTED_FACTORS
 def test_a_corrupted_factor_fails_alike_capped_and_at_full_depth(
-        certify, depth, site, failed, monkeypatch):
+        certify, depth, site, failed, monkeypatch, series_route):
     depths = _recorded_depths(monkeypatch)
     assert certify(1, 1, 1, 1, 1, 40).equal
     assert depths == [depth]
@@ -282,6 +290,26 @@ def test_a_corrupted_factor_fails_alike_capped_and_at_full_depth(
     _full_depth(monkeypatch)
     assert certify(1, 1, 1, 1, 1, 40) == capped
     assert depths[-1] == 40
+
+
+@CORRUPTED_FACTORS
+def test_a_corrupted_factor_fails_alike_at_one_point(certify, depth, site, failed,
+                                                     monkeypatch):
+    # the same checks fail on the point route, which decides both
+    # certificates here with no kernel pass
+    real, calls = telescoping.sum_sides, []
+
+    def recorded(sides, trunc):
+        out = real(sides, trunc)
+        calls.append((out.depth, out.base))
+        return out
+
+    monkeypatch.setattr(telescoping, "sum_sides", recorded)
+    assert certify(1, 1, 1, 1, 1, 40).equal
+    monkeypatch.setattr(telescoping, "_CTX", EvalCtx({site: 1}))
+    assert _failed(certify(1, 1, 1, 1, 1, 40)) == failed
+    (plain, base), (_, corrupted) = calls
+    assert plain == depth and base and corrupted
 
 
 def test_certificate_cores_pad_past_the_support():

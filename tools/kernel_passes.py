@@ -6,7 +6,8 @@ are called while three runs execute, serially in this process, and the
 visits, ``len(buf) - lo - m`` for a pass by (1 - q^m) over a buffer whose
 first ``lo`` entries are zero (see :func:`coeff_updates`).  A pass count
 alone does not weigh the length of the buffer or how much of it a pass
-skips.  The runs are:
+skips.  The ``points`` column counts the calls of ``point_values``, one per
+check decided at an integer point with no kernel pass.  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
   each verified through ``engine.verify`` at the sweep's T (40), with no
@@ -17,8 +18,9 @@ skips.  The runs are:
 
 The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
 default this repository) and the program from its ``src/``; nothing is
-written there.  A kernel is counted at every ``qrr`` module's binding of it,
-so a call made through another module's import of a kernel counts too.
+written there.  A kernel, and ``point_values``, is counted at every
+``qrr`` module's binding of it, so a call made through another module's
+import counts too; a checkout without ``point_values`` reads 0 points.
 The counts are deterministic, so one run of each side of a change compares
 the work they do.  The exit code is 1 if any check got the wrong verdict.
 Run from anywhere:
@@ -35,7 +37,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ("mul_binomial", "div_binomial", "div_euler")
+KERNELS = ("mul_binomial", "div_binomial", "div_euler", "point_values")
 
 
 def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
@@ -46,14 +48,15 @@ def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
 
 @contextlib.contextmanager
 def counted_kernels():
-    """Count the calls of each kernel, through every binding of it in a
-    loaded ``qrr`` module, and under ``"coeff_updates"`` the entries the
-    binomial passes visit, while active; yields the Counter it fills and
-    puts every binding back on exit."""
+    """Count the calls of each kernel and of ``point_values``, through every
+    binding of it in a loaded ``qrr`` module, and under ``"coeff_updates"``
+    the entries the binomial passes visit, while active; yields the Counter
+    it fills and puts every binding back on exit."""
     from qrr import pochhammer
 
     calls = Counter()
-    kernels = {name: getattr(pochhammer, name) for name in KERNELS}
+    kernels = {name: getattr(pochhammer, name) for name in KERNELS
+               if hasattr(pochhammer, name)}
     patched = []
     for module in [m for name, m in list(sys.modules.items())
                    if m is not None and (name == "qrr" or name.startswith("qrr."))]:
@@ -61,7 +64,7 @@ def counted_kernels():
             if getattr(module, name, None) is kernel:
                 def counted(*args, kernel=kernel, name=name):
                     calls[name] += 1
-                    if name != "div_euler":
+                    if name.endswith("_binomial"):
                         calls["coeff_updates"] += coeff_updates(*args)
                     return kernel(*args)
                 patched.append((module, name, kernel))
@@ -94,7 +97,8 @@ def _count(workloads, items: list) -> tuple[int, int, Counter]:
 def _row(label: str, attempted: int, failed: int, calls: Counter) -> str:
     mul, div = calls["mul_binomial"], calls["div_binomial"]
     return (f"{label:<22}{attempted:>8}{failed:>8}{mul:>14}{div:>14}"
-            f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}")
+            f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}"
+            f"{calls['point_values']:>8}")
 
 
 def main(argv=None) -> int:
@@ -107,7 +111,8 @@ def main(argv=None) -> int:
     import workloads
 
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
-          f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}")
+          f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}"
+          f"{'points':>8}")
     failed = 0
     for label, items, by_kind in _runs(workloads):
         # no check caches a sum, so running the items kind by kind does the
