@@ -21,9 +21,9 @@ index.
 
 Every check here compares term lists through
 :func:`~qrr.identities.framework.compare_sides`, which decides them at one
-integer point where their degree bound allows, or else sums them all
-divided by one shared unit, so the factors they have in common cost no
-kernel pass: beta_n against the relation sum, the two sides of the
+integer point, term by term where their degree bound allows and otherwise
+summed over their term ratios on one packed integer, with no kernel pass:
+beta_n against the relation sum, the two sides of the
 weighted identity, and every route to beta_N against the registry's
 left-hand side, which is evaluated once for all the routes.
 """

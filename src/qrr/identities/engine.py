@@ -76,10 +76,12 @@ def verify(ident: str, params: dict, trunc: int | None = None,
     """Evaluate both sides of one identity at one parameter point, with the
     perturbations of ``ctx``, and compare every coefficient through the
     truncation order (QRR_TRUNC or else 60 when ``trunc`` is None), by
-    :func:`compare_sides`.  Unless a side is divided by (q; q)_inf (the
-    EULER records), a point whose degree bound B has B + 2 <= T is decided
-    at one integer point, and any other is summed only through
-    q^min(T, B+2), divided by one shared unit; each gives the same report.
+    :func:`compare_sides`.  Every point is decided at one integer point
+    with no kernel pass: term by term where its degree bound B has
+    B + 2 <= T and no side is divided by (q; q)_inf (as the EULER records'
+    are), and otherwise modulo 2^(b(T + 1 - s_min)) on one packed integer
+    per side; only a MISMATCH sums its two sides, for its windows.  Each
+    gives the report of the sums through q^T.
     This is the one check whose report carries its wall time, in
     ``millis``."""
     rec = get_record(ident)

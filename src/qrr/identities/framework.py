@@ -20,12 +20,15 @@ change of each index is multiplied in (one factor for a slot whose index
 moves by one).  Each (q; q)_j index passes through its site at every k,
 each argument exponent once per evaluation, and each kept term is a copy
 of the running product times its sign and power of q.  A check of term
-lists takes its values by one rule, :func:`sum_sides`: where its degree
-bound B satisfies B + 2 <= T and no side is divided by (q; q)_inf, each
-side is one exact integer, its terms evaluated at q = 2^b (the point
-route, no kernel pass); otherwise the terms are summed with
-:class:`SeriesAccumulator`, which evaluates the sum nested over the ratios
-of consecutive terms in one buffer.  A :class:`Prefactor`
+lists takes its values by one rule, :func:`sum_sides`: where every
+coefficient is an int, each side is one integer at q = 2^b, with no
+kernel pass.  Where the degree bound B satisfies B + 2 <= T and no side is
+divided by (q; q)_inf, its terms are evaluated one by one (the per-term
+route); otherwise the side is a residue modulo 2^(b(T + 1 - s_min)),
+summed nested over the ratios of consecutive terms on one packed integer
+(the packed route).  Only a check with some other coefficient is summed
+with :class:`SeriesAccumulator`, over the same ratios in one coefficient
+buffer (the series route).  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
 a monomial) can multiply the sum.  It is assembled as one
 :class:`PochProduct` before the sum, where numerator and denominator
@@ -34,8 +37,10 @@ term chain starts from it: every term carries the prefactor, whose factors
 cancel against the term's own before any kernel pass, and
 :func:`side_terms` hands a side back as that term list.  A denominator
 (q^b; q)_inf left without a partner is written (q; q)_(b-1) / (q; q)_inf:
-the finite part joins the product, and the summed side is divided by
-(q; q)_inf in one pass of Euler's pentagonal recurrence.  An open-ended
+the finite part joins the product, and the side is divided by (q; q)_inf
+through Euler's pentagonal series: on the packed route the other sides are
+multiplied by its image, and a summed side is divided in one pass of the
+pentagonal recurrence.  An open-ended
 sum runs until its own q-power passes q^(T - mono), so that with the
 prefactor's monomial q^mono every term that reaches q^T is kept.  A
 :class:`Side` with no sum is the empty sum, 0.  A record's parameters are
@@ -58,8 +63,8 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, point_values,
-                          shared_unit, sum_terms)
+from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, packed_values,
+                          point_values, shared_unit, sum_terms)
 from ..series import NeedsLaurent, SeriesError
 
 
@@ -573,10 +578,11 @@ class Sums(NamedTuple):
     """The values of the sides of a check, as :func:`sum_sides` gives them."""
 
     values: list     # (offset, coeffs), or an int at q = 2^base
-    depth: int       # each (offset, coeffs) is exact through q^depth
+    depth: int       # each value is exact through q^depth
     unit: dict       # G, which divides each (offset, coeffs)
-    base: int        # b of the point route, or 0 on the series route
-    low: int | None  # s_min, the lowest shift of a nonzero term
+    base: int        # b of a point route, or 0 on the series route
+    low: int         # s_min, the lowest shift of a nonzero term, or 0
+    modulus: int     # 2^(base (depth + 1 - s_min)) of a point route, or 0
 
 
 def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
@@ -589,23 +595,33 @@ def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
     depth is min(trunc, B + 2), B the degree bound: D times every term is a
     Laurent polynomial of degree at most B, so any such combination is 0
     or first differs from 0 at some q^e with e <= B, and a MISMATCH window
-    reaches q^(e+2).  Where B + 2 <= trunc and every coefficient is an int,
-    such a combination is a Laurent polynomial identity, and each value is
-    an int, :func:`point_values` of the cleared terms at q = 2^base, with
-    no kernel pass: the point route.  Otherwise (the series route) each
-    side is summed through q^depth divided by G."""
+    reaches q^(e+2).
+
+    Where every coefficient is an int, no kernel pass is made: each value
+    is an int at q = 2^base, and a combination of values is compared by its
+    difference modulo ``modulus``, 2^(base K) with K = depth + 1 - s_min,
+    whose lowest set bit lies in the digit of its first nonzero exponent.
+    Where B + 2 <= trunc and no side is divided by (q; q)_inf, the
+    combination is a Laurent polynomial identity, and each value is the
+    :func:`point_values` of the cleared terms, evaluated term by term.  Any
+    other such check is decided through q^trunc by the residues of
+    :func:`packed_values`, each side summed over its term ratios on one
+    integer.  Otherwise (the series route, for a coefficient that is not an
+    int) each side is summed through q^depth divided by G."""
     lists, euler = [], 0
     for terms, e in sides:
         lists.append(terms)
         euler |= e
     unit, bound, low, clear = shared_unit(*lists)
-    depth, point = trunc, None
+    low = low or 0       # None when no term is nonzero, and every value is 0
     if not euler and bound is not None and bound + 2 <= trunc:
         depth, point = bound + 2, point_values(lists, low, clear)
-    if point is not None:
-        return Sums(point[1], depth, unit, point[0], low)
-    return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
-                depth, unit, 0, low)
+    else:
+        depth, point = trunc, packed_values(sides, trunc, low, clear, unit)
+    if point is None:
+        return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
+                    depth, unit, 0, low, 0)
+    return Sums(point[1], depth, unit, point[0], low, 1 << point[0] * max(depth + 1 - low, 0))
 
 
 def compare_sides(ident: str, params: dict, trunc: int,
@@ -617,12 +633,12 @@ def compare_sides(ident: str, params: dict, trunc: int,
 
     Every side is summed or evaluated once, by :func:`sum_sides`.  Only a
     MISMATCH needs the true values, for its windows.  On the series route
-    both buffers of that pair are multiplied back by G.  On the point
-    route the difference of the two ints gives the first differing
-    exponent e, and only that pair is summed, undivided, through q^(e+2);
-    if those sums differ first at any other q^e, the routes disagree and
-    EngineError is raised.  Either way the report is the one a sum through
-    q^trunc gives."""
+    both buffers of that pair are multiplied back by G.  On a point route
+    the difference of the two ints, modulo the modulus, gives the first
+    differing exponent e, and only that pair is summed, undivided, through
+    q^min(trunc, e+2); if those sums differ first at any other q^e, the
+    routes disagree and EngineError is raised.  Either way the report is
+    the one a sum through q^trunc gives."""
     if len(sides) < 2:
         raise EngineError(f"{ident}: a check needs two sides or more, got {len(sides)}")
     sums = sum_sides(sides, trunc)
@@ -634,28 +650,27 @@ def compare_sides(ident: str, params: dict, trunc: int,
             for _, buf in (lhs, rhs):
                 _apply(buf, sums.unit, 0, len(buf) - 1)
             return compare(ident, params, trunc, lhs, rhs)
-        d = lhs - rhs
-        if d:
+        if d := (lhs - rhs) % sums.modulus:
             # the lowest set bit of d lies in the digit of q^(e - s_min)
             e = sums.low + ((d & -d).bit_length() - 1) // sums.base
-            rep = compare(ident, params, trunc,
-                          *(side_value(*side, e + 2) for side in (sides[i], sides[-1])))
+            rep = compare(ident, params, trunc, *(side_value(*side, min(trunc, e + 2))
+                                                  for side in (sides[i], sides[-1])))
             if rep.mismatch_index != e:
                 raise EngineError(f"{ident}: the point and the series disagree at {params}")
             return rep
     return VerificationReport(ident, params, trunc, "EQUAL")
 
 
-def compare_checks(ident: str, params: dict, trunc: int,
-                   checks: list) -> VerificationReport:
+def compare_checks(ident: str, params: dict, trunc: int, checks: list,
+                   modulus: int) -> VerificationReport:
     """Report on a certificate: each (name, lhs, rhs) in ``checks``, two
-    values from one :func:`sum_sides` call, is compared through q^trunc, or
-    as ints on the point route, and listed with its verdict; the report is
-    EQUAL only if every check is."""
-    verdicts = [
-        (name, "EQUAL" if lhs == rhs or isinstance(lhs, tuple)
-         and compare_side_values(lhs, rhs, trunc) is None else "MISMATCH")
-        for name, lhs, rhs in checks]
+    values from one :func:`sum_sides` call whose ``modulus`` is given, is
+    compared through q^trunc, or modulo ``modulus`` on a point route, and
+    listed with its verdict; the report is EQUAL only if every check is."""
+    # a nonzero residue, or the first difference of two (offset, coeffs)
+    verdicts = [(name, "MISMATCH" if ((lhs - rhs) % modulus if modulus else
+                                      compare_side_values(lhs, rhs, trunc)) else "EQUAL")
+                for name, lhs, rhs in checks]
     ok = all(v == "EQUAL" for _, v in verdicts)
     return VerificationReport(ident, params, trunc, "EQUAL" if ok else "MISMATCH",
                               checks=verdicts)

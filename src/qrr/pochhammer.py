@@ -68,9 +68,23 @@ factor, with no division and no chaining.  Every coefficient of a signed
 combination of distinct sides is then below 2^b in absolute value, so the
 combination is 0 exactly when its value is, and otherwise its lowest set
 bit falls in the digit of its first nonzero exponent.
-:func:`~qrr.identities.framework.sum_sides` is the one caller of
-:func:`shared_unit` and :func:`point_values`: every check of term lists
-takes its values through it.
+
+Where B + 2 > T, or a side is divided by (q; q)_inf, the check is decided
+at the same kind of point modulo 2^(bK), K = T + 1 - s_min.  Modulo
+q^(T+1) every (1-q^m) is a unit, and so is (q; q)_inf, whose image is
+Euler's pentagonal polynomial; so q -> 2^b maps the truncated check into
+Z / 2^(bK) as a ring homomorphism, and intermediate values need no bound.
+:func:`packed_values` runs the accumulator's chain on one integer
+(:class:`PackedAccumulator`, the same plan as :class:`SeriesAccumulator`
+on another buffer kind), where a factor costs one shift, subtraction and
+mask and a division a few shift-add-masks, and multiplies a side that owes
+fewer (q; q)_inf divisions than another by the pentagonal image; H then
+counts only terms that reach q^T, each weighed by the pentagonal terms it
+is multiplied by.  :func:`~qrr.identities.framework.sum_sides` is the one
+caller of :func:`shared_unit`, :func:`point_values` and
+:func:`packed_values`: every check of term lists takes its values through
+it, and only one with a coefficient that is not an int is summed by the
+coefficient kernels.
 """
 
 from __future__ import annotations
@@ -323,24 +337,15 @@ def _passes(powers: dict, reach: int) -> int:
     return sum(abs(t) for m, t in powers.items() if 0 < m <= reach)
 
 
-def _apply(buf: list, powers: dict, lo: int, reach: int) -> None:
-    """In place: buf *= prod (1-q^m)^powers[m] over 0 < m <= reach."""
+def _apply(buf: list, powers: dict, lo: int, reach: int) -> list:
+    """In place: buf *= prod (1-q^m)^powers[m] over 0 < m <= reach; returns
+    buf."""
     for m, t in powers.items():
         if 0 < m <= reach:
             kernel = mul_binomial if t > 0 else div_binomial
             for _ in range(abs(t)):
                 kernel(buf, m, lo)
-
-
-def _close(out: list | None, buf: list, powers: dict, lo: int, top: int) -> list:
-    """Finish a chain: buf *= U_head, then add it into `out` (or become it)."""
-    _apply(buf, powers, lo, top - lo)
-    if out is None:
-        return buf
-    for i in range(lo, top + 1):
-        if buf[i]:
-            out[i] += buf[i]
-    return out
+    return buf
 
 
 class SeriesAccumulator:
@@ -365,6 +370,11 @@ class SeriesAccumulator:
     exceed what rendering each term divided by G on its own takes.  A pass
     is counted only for a factor (1-q^m) whose m can reach q^trunc from the
     buffer's lowest entry.
+
+    The buffer is a list of coefficients indexed by exponent from
+    :meth:`_offset`, and the plan reaches it only through :meth:`_new`,
+    :meth:`_add`, :meth:`_apply` and :meth:`_merge`;
+    :class:`PackedAccumulator` runs the same plan on one integer.
     """
 
     def __init__(self, trunc: int, unit: dict | None = None):
@@ -382,7 +392,7 @@ class SeriesAccumulator:
 
     def value(self) -> tuple[int, list]:
         """(offset, coeffs) with coeffs[i] the coefficient of q^(offset+i)."""
-        offset = min([0] + [t.shift for t in self.terms])
+        offset = self._offset()
         top = self.trunc - offset            # index of q^trunc
         out = None
         buf = None
@@ -398,20 +408,86 @@ class SeriesAccumulator:
                 if s >= lo:     # t does not lower the chain's floor
                     cost += _passes(own, reach) - _passes(own, top - s)
                 if cost <= _passes(head, reach):
-                    _apply(buf, ratio, lo, reach)
+                    buf = self._apply(buf, ratio, lo, reach)
                 else:
-                    out = _close(out, buf, head, lo, top)
+                    out = self._close(out, buf, head, lo, top)
                     buf = None
             if buf is None:
-                buf = [0] * (top + 1)
+                buf = self._new(top)
                 lo = s
-            buf[s] += t.coeff
+            buf = self._add(buf, s, t.coeff)
             if s < lo:
                 lo = s
             head = own
         if buf is not None:
-            out = _close(out, buf, head, lo, top)
-        return offset, out if out is not None else [0] * (top + 1)
+            out = self._close(out, buf, head, lo, top)
+        return offset, out if out is not None else self._new(top)
+
+    def _close(self, out, buf, powers: dict, lo: int, top: int):
+        """Finish a chain: buf *= U_head, then add it into `out` (or become it)."""
+        buf = self._apply(buf, powers, lo, top - lo)
+        return buf if out is None else self._merge(out, buf, lo, top)
+
+    def _offset(self) -> int:
+        return min([0] + [t.shift for t in self.terms])
+
+    def _new(self, top: int) -> list:
+        return [0] * (top + 1)
+
+    def _add(self, buf: list, s: int, c) -> list:
+        buf[s] += c
+        return buf
+
+    _apply = staticmethod(_apply)
+
+    def _merge(self, out: list, buf: list, lo: int, top: int) -> list:
+        for i in range(lo, top + 1):
+            if buf[i]:
+                out[i] += buf[i]
+        return out
+
+
+class PackedAccumulator(SeriesAccumulator):
+    """The same sum, by the same plan, on one integer: the coefficient of
+    q^(low+i) is the digit of 2^(base i), modulo 2^(base K),
+    K = trunc + 1 - low.  q -> 2^base maps Z[[q]] / q^K into Z / 2^(base K)
+    as a ring homomorphism, so the integer is the image of the sum through
+    q^trunc, times q^-low, whatever its coefficients: no digit needs to
+    stay below 2^base on the way.
+
+    Every (1-q^m) is a unit of that ring.  A factor costs one shift,
+    subtraction and mask, and a division by it, where the buffer's lowest
+    entry lies `reach` places below q^trunc, costs J shift-add-masks with
+    m 2^J > reach, since 1/(1-z) = prod_(j<J) (1 + z^(2^j)) modulo
+    z^(2^J).  Every term's shift must be at least ``low``; :meth:`value`
+    gives (low, an integer congruent to the image), which ``mask`` reduces."""
+
+    def __init__(self, trunc: int, unit: dict, base: int, low: int):
+        super().__init__(trunc, unit)
+        self.base, self.low, self.mask = base, low, (1 << base * max(trunc + 1 - low, 0)) - 1
+
+    def _offset(self) -> int:
+        return self.low
+
+    def _new(self, top: int) -> int:
+        return 0
+
+    def _add(self, x: int, s: int, c: int) -> int:
+        return x + (c << self.base * s)
+
+    def _apply(self, x: int, powers: dict, lo: int, reach: int) -> int:
+        for m, t in powers.items():
+            if 0 < m <= reach:
+                for _ in range(abs(t)):
+                    if t > 0:
+                        x = (x - (x << self.base * m)) & self.mask
+                    else:
+                        for j in range((reach // m).bit_length()):
+                            x = (x + (x << (self.base * m << j))) & self.mask
+        return x
+
+    def _merge(self, out: int, x: int, lo: int, top: int) -> int:
+        return out + x
 
 
 def sum_terms(terms: list[PochProduct], trunc: int,
@@ -537,3 +613,56 @@ def point_values(term_lists: list[list[PochProduct]], low: int,
             bound += abs(t.coeff) << (sum(t.powers.values()) - drop)
     base = max(bound.bit_length(), 1)
     return base, [point_value(terms, base, low, clear) for terms in term_lists]
+
+
+def packed_values(sides: list[tuple[list, int]], trunc: int, low: int, clear: dict,
+                  unit: dict) -> tuple[int, list] | None:
+    """(b, residues) for a check of signed combinations of the sides, each
+    given as (terms, euler) and used at most once in a combination, through
+    q^trunc; or None if some coefficient is not an int.  A pole term raises
+    PoleError.
+
+    With (unit, low, clear) the G, s_min and L of :func:`shared_unit`,
+    E = (q; q)_inf and e_max the most divisions by E a side owes, a side's
+    residue is the image modulo 2^(bK), K = trunc + 1 - s_min, of its value
+    through q^trunc times q^-s_min L^-1 E^e_max: the value of its
+    :class:`PackedAccumulator`, which sums the terms divided by G, times
+    G / L, whose exponents are all >= 0, and times E once for each division
+    it owes fewer than e_max, one shift-add per pentagonal exponent below
+    K.  These multipliers are units with constant term 1, shared by every
+    side, so they move neither equality through q^trunc nor the first
+    exponent where a combination differs from 0.  The terms are cleared
+    polynomials, and E modulo q^K has P coefficients, all 0 or +-1, so with
+    H the majorant of :func:`point_values` over the terms at or below
+    q^trunc, each side's share times P^(e_max - euler), and b its bit
+    length, every coefficient below q^K of a combination is below 2^b in
+    absolute value: its residue is 0 exactly when the combination is 0
+    through q^trunc, and otherwise its lowest set bit lies in the digit of
+    its first nonzero exponent, as at :func:`point_values`."""
+    width = max(trunc + 1 - low, 0)
+    # the exponents below K of E = sum_k (-1)^k q^(k(3k-1)/2), with their signs
+    pentagonal = [(0, 1)] + [(e, -1 if odd else 1) for g, h, odd in
+                             _pentagonal_pairs(width - 1) for e in (g, h) if e < width]
+    most = max(euler for _, euler in sides)
+    drop, bound = sum(clear.values()), 0
+    for terms, euler in sides:
+        weight = len(pentagonal) ** (most - euler)
+        for t in terms:
+            if 0 in t.powers:        # a zero term, left out, or a pole, which add raises
+                continue
+            if type(t.coeff) is not int:
+                return None
+            if t.shift <= trunc:
+                bound += weight * abs(t.coeff) << (sum(t.powers.values()) - drop)
+    base = max(bound.bit_length(), 1)
+    values = []
+    for terms, euler in sides:
+        acc = PackedAccumulator(trunc, unit, base, low)
+        for t in terms:
+            acc.add(t)
+        # times G / L, then E^(e_max - euler)
+        x = acc._apply(acc.value()[1], _ratio(clear, unit), 0, width - 1)
+        for _ in range(most - euler):
+            x = sum(sign * x << base * g for g, sign in pentagonal) & acc.mask
+        values.append(x & acc.mask)
+    return base, values

@@ -16,10 +16,11 @@ from contextlib import suppress
 DEFAULT_TRUNCATION = 60
 
 # The highest truncation order any call, QRR_TRUNC and the command line
-# accept.  A check of finite term lists, the certificates' included, is
-# decided at one integer point or summed only through its degree bound
-# (``framework.sum_sides``), but the EULER records, the Rogers-Ramanujan
-# limits and every side evaluation work on O(T) buffers with O(T) passes
+# accept.  Every check of term lists with int coefficients, the EULER
+# records and the certificates included, is decided at one integer point
+# (``framework.sum_sides``), but past its degree bound that point is a
+# residue of O(T b) bits, and the Rogers-Ramanujan limits, every MISMATCH
+# window and every side evaluation work on O(T) buffers with O(T) passes
 # per term, so a mistyped T of millions would run for hours.  The deepest
 # order in regular use is T=300 (the Rogers-Ramanujan limit checks).
 MAX_TRUNCATION = 10_000

@@ -27,14 +27,19 @@ other declaration uses.  Each quantity is built once per k, and every check
 that reads it reuses its value.  A certificate builds every term list
 first and takes their values from one
 :func:`~qrr.identities.framework.sum_sides` call, the rule
-:func:`~qrr.identities.framework.compare_sides` uses.  Where B + 2 <= T,
-B the degree bound of every term, each value is one integer, the list at
-q = 2^b (the point route, no kernel pass); otherwise each is the list
-summed through q^min(T, B + 2), divided by one unit G,
-:func:`~qrr.pochhammer.shared_unit` of every term.  Each check is written
-once, as two integer combinations of those values (:func:`_add_values`),
-and reads alike on either route.  Every check uses each list at most
-once, with sign +1 or -1, so the one bound H behind b holds for each.
+:func:`~qrr.identities.framework.compare_sides` uses.  Every coefficient
+is an int, so each value is one integer, the list at q = 2^b, with no
+kernel pass: evaluated term by term where B + 2 <= T, B the degree bound
+of every term, and otherwise a residue modulo 2^(b(T + 1 - s_min)),
+summed over the term ratios on one packed integer.  Two combinations of
+values are compared by their difference modulo that modulus.  (Forced
+onto the series route, each value is the list summed through
+q^min(T, B + 2), divided by one unit G,
+:func:`~qrr.pochhammer.shared_unit` of every term.)  Each check is
+written once, as two integer combinations of those values
+(:func:`_add_values`), and reads alike on every route.  Every check uses
+each list at most once, with sign +1 or -1, so the one bound H behind b
+holds for each.
 """
 
 from __future__ import annotations
@@ -210,7 +215,7 @@ def _two_sum_terms(params: dict) -> list:
 
 
 def _add_values(a, b, scale: int = 1):
-    """a + scale * b: a new int for two values of the point route, or a new
+    """a + scale * b: a new int for two values of a point route, or a new
     (offset, buf) for two that both end at the same truncation order."""
     if not isinstance(a, tuple):
         return a + scale * b
@@ -224,12 +229,12 @@ def _add_values(a, b, scale: int = 1):
     return off, out
 
 
-def _values(sides: list, trunc: int) -> tuple[list, object]:
-    """(values, zero): every side's value from one
-    :func:`~qrr.identities.framework.sum_sides` call, and the zero value of
-    its route."""
+def _values(sides: list, trunc: int) -> tuple[list, object, int]:
+    """(values, zero, modulus): every side's value from one
+    :func:`~qrr.identities.framework.sum_sides` call, the zero value of its
+    route and its modulus."""
     sums = sum_sides(sides, trunc)
-    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1))
+    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1)), sums.modulus
 
 
 def _cleared_side(env: dict, side: str, trunc: int):
@@ -240,10 +245,14 @@ def _cleared_side(env: dict, side: str, trunc: int):
     return [t.factor(sum(env.values()) + 1) for t in terms], euler
 
 
-# The most work a certificate may take, in coefficient updates: each k of
-# 0..cap+3 whose A(k) starts at or below q^T renders a few terms of up to
-# about min(l+m+n+u+v, T) factors (1 - q^j), one pass over T coefficients
-# each.  At the limit both certificates of a point take about a second.
+# The most work a certificate may take, in coefficient updates of the list
+# kernels: each k of 0..cap+3 whose A(k) starts at or below q^T renders a
+# few terms of up to about min(l+m+n+u+v, T) factors (1 - q^j), one pass
+# over T coefficients each.  At the limit both certificates of a point take
+# about a second on the series route; the point routes make no such pass,
+# and a packed residue of T digits costs a few big-integer shifts per factor
+# (at (15,15,15,15,15), T=1000, both certificates took 0.23 s against 0.53 s
+# on the series route, single runs on a shared 2-core machine).
 MAX_CERTIFICATE_WORK = 2_000_000
 
 
@@ -281,7 +290,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
              + [_terms(name, cores, params, 0) for name in ("L0", "R0")]
              + [_terms(name, cores, params, k) for k in range(cap + 3) for name in "fg"]
              + [_two_sum_terms(params)])
-    values, zero = _values([(terms, 0) for terms in lists]
+    values, zero, modulus = _values([(terms, 0) for terms in lists]
                            + [_cleared_side(params, side, trunc)
                               for side in ("lhs", "rhs")], trunc)
     F = values[:cap + 4]
@@ -304,7 +313,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         ("lhs-clearing", left, lhs),
         ("rhs-clearing", right, rhs),
     ]
-    return compare_checks("telescoping", params, trunc, checks)
+    return compare_checks("telescoping", params, trunc, checks, modulus)
 
 
 def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
@@ -320,7 +329,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
     record = get_record("LMNRS4")
-    values, zero = _values(
+    values, zero, modulus = _values(
         [(_terms(name, cores, params, k), 0) for k in range(cap + 3) for name in "ST"]
         + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
 
@@ -332,7 +341,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
     checks += [("lhs-assembly", s_sum, values[-2]), ("rhs-assembly", t_sum, values[-1])]
-    return compare_checks("termwise", params, trunc, checks)
+    return compare_checks("termwise", params, trunc, checks, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture
 def series_route(monkeypatch):
-    """Every check of term lists on the series route: ``point_values``, as
-    ``framework.sum_sides`` calls it, declines every check, as it does one
+    """Every check of term lists on the series route: both evaluators of
+    the point routes, ``point_values`` and ``packed_values`` as
+    ``framework.sum_sides`` calls them, decline every check, as they do one
     with a coefficient that is not an int."""
-    monkeypatch.setattr(framework, "point_values", lambda *args: None)
+    for name in ("point_values", "packed_values"):
+        monkeypatch.setattr(framework, name, lambda *args: None)

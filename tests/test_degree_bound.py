@@ -6,14 +6,16 @@ denominator multiplicity of (1-q^m), clears every denominator, and every
 term times D is a Laurent polynomial of degree at most B.  D is a unit with
 D(0) = 1, so the two sums are equal or first differ at some q^e with
 e <= B, and ``framework.compare_sides`` sums both sides only through
-q^min(T, B + 2) when neither owes a (q; q)_inf division, or, where
-B + 2 <= T, decides the check at one integer point and sums only a
-MISMATCH pair, through q^(e+2).
+q^min(T, B + 2) when neither owes a (q; q)_inf division.  With int
+coefficients it sums neither: it decides the check at one integer point,
+term by term where B + 2 <= T and no side owes that division and on one
+packed integer modulo 2^(b(T + 1 - s_min)) otherwise, and sums only a
+MISMATCH pair, through q^min(T, e+2).
 
 Here B is checked against the dense oracle, which shares no kernel with
-the program; the capped reports against the full-depth ones, on both
-routes at the edges of the bound and on the series route at every
-default-grid point; and the kernel work against T.
+the program; the capped reports against the full-depth ones, on every
+route at the edges of the bound and on the series and packed routes at
+every default-grid point; and the kernel work against T.
 """
 
 from pathlib import Path
@@ -73,12 +75,20 @@ def test_every_cleared_term_stays_within_the_bound():
 # ---------------------------------------------------------------------------
 
 
+POINT_ROUTES = ("point_values", "packed_values")
+
+
+def _decline_point_routes(mp):
+    for name in POINT_ROUTES:
+        mp.setattr(framework, name, lambda *args: None)
+
+
 def _as_full_compare(lhs, rhs, trunc, monkeypatch):
-    """compare_sides' report on both routes, each of which must be
-    compare's on the undivided sums through q^trunc; returns it, the depth
-    both sides were summed to on the series route, and on the point route
-    the depths of the sums of its MISMATCH pair (none for an EQUAL), or
-    None where the check is not on the point route."""
+    """compare_sides' report on the series route and on a point route, each
+    of which must be compare's on the undivided sums through q^trunc;
+    returns it, the depth both sides were summed to on the series route,
+    and on a point route the depths of the sums of its MISMATCH pair (none
+    for an EQUAL), or None where the check is on no point route."""
     want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
     real, depths, points = framework.side_value, [], []
 
@@ -86,19 +96,22 @@ def _as_full_compare(lhs, rhs, trunc, monkeypatch):
         depths.append(trunc)
         return real(terms, euler, trunc, unit)
 
-    def evaluated(*args):
-        points.append(pochhammer.point_values(*args))
-        return points[-1]
+    def evaluated(name):
+        def evaluate(*args):
+            points.append(getattr(pochhammer, name)(*args))
+            return points[-1]
+        return evaluate
 
     with monkeypatch.context() as mp:
         mp.setattr(framework, "side_value", recorded)
-        mp.setattr(framework, "point_values", lambda *args: None)
+        _decline_point_routes(mp)
         got = compare_sides("X", {}, trunc, lhs, rhs)
         depth = depths[0]
         assert depths == [depth, depth]
         assert _report(got) == _report(want)
         del depths[:]
-        mp.setattr(framework, "point_values", evaluated)
+        for name in POINT_ROUTES:
+            mp.setattr(framework, name, evaluated(name))
         assert _report(compare_sides("X", {}, trunc, lhs, rhs)) == _report(want)
     return got, depth, (depths if points and points[0] is not None else None)
 
@@ -121,12 +134,13 @@ def test_a_difference_exactly_at_the_bound(monkeypatch):
 
 
 def test_a_bound_at_or_past_the_truncation_order_sums_through_it(monkeypatch):
-    # B + 2 > T: the series route alone
+    # B + 2 > T: the series route sums through q^T, and the packed route
+    # sums only a MISMATCH pair, through q^min(T, e+2)
     rep, depth, pair = _as_full_compare(*AT_B, 5, monkeypatch)
-    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 5, None)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 5, [5, 5])
     assert [e for e, _ in rep.rhs_window] == [3, 4, 5]
     rep, depth, pair = _as_full_compare(*AT_B, 4, monkeypatch)
-    assert (rep.verdict, depth, pair) == ("EQUAL", 4, None)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 4, [])
     # B + 2 = T: both
     rep, depth, pair = _as_full_compare(*AT_B, 7, monkeypatch)
     assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 7, [7, 7])
@@ -152,19 +166,27 @@ def test_an_empty_side(monkeypatch):
     assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 0, 5, [2, 2])
     rep, depth, pair = _as_full_compare(([], 0), closed, 30, monkeypatch)
     assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 0, 5, [2, 2])
-    # no term at all: no bound, and nothing to sum
+    # no term at all: no bound, and on the packed route nothing to sum
     rep, depth, pair = _as_full_compare(([], 0), ([], 0), 30, monkeypatch)
-    assert (rep.verdict, depth, pair) == ("EQUAL", 30, None)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 30, [])
 
 
 def test_a_side_divided_by_the_euler_product_is_summed_through_t(monkeypatch):
     # 1 / (q; q)_inf against 1 / ((1 - q)(1 - q^2)): the terms give B = 3,
-    # but a (q; q)_inf division is no finite term, so both go to q^T
+    # but a (q; q)_inf division is no finite term, so both go to q^T on the
+    # series route, and the packed route decides the check through q^T
     rhs = ([_term(1, 0, (1, -1), (2, -1))], 0)
     rep, depth, pair = _as_full_compare(([PochProduct()], 1), rhs, 30, monkeypatch)
-    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 3, 30, None)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 3, 30, [5, 5])
     rep, depth, pair = _as_full_compare(rhs, ([PochProduct()], 1), 30, monkeypatch)
-    assert (depth, pair) == (30, None)
+    assert (depth, pair) == (30, [5, 5])
+    # 1 / prod_(m<=30) (1 - q^m) agrees with it through q^30: the packed
+    # route reads EQUAL and sums nothing
+    through_t = ([_term(1, 0, *((m, -1) for m in range(1, 31)))], 0)
+    rep, depth, pair = _as_full_compare(([PochProduct()], 1), through_t, 30, monkeypatch)
+    assert (rep.verdict, depth, pair) == ("EQUAL", 30, [])
+    rep, depth, pair = _as_full_compare(([PochProduct()], 1), through_t, 31, monkeypatch)
+    assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 31, 31, [31, 31])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +206,7 @@ def test_an_in_scope_point_does_the_same_work_at_any_depth(ident, monkeypatch):
     params = {ps.name: ps.low + 2 for ps in engine.get_record(ident).params}
     # on the series route, its passes
     with monkeypatch.context() as mp:
-        mp.setattr(framework, "point_values", lambda *args: None)
+        _decline_point_routes(mp)
         work = _verify_work(calls, ident, params, 160)
         assert work["coeff_updates"] > 0
         assert _verify_work(calls, ident, params, 10_000) == work
@@ -196,10 +218,16 @@ def test_an_in_scope_point_does_the_same_work_at_any_depth(ident, monkeypatch):
 def test_the_euler_records_work_grows_with_t(monkeypatch):
     calls = _count_kernels(monkeypatch)
     params = {"m": 4, "n": 5}
-    shallow = _verify_work(calls, "EULERMN1", params, 160)
-    deep = _verify_work(calls, "EULERMN1", params, 10_000)
-    assert deep["div_euler"] == shallow["div_euler"] == 1
-    assert deep["coeff_updates"] > 50 * shallow["coeff_updates"]
+    # on the series route, through q^T
+    with monkeypatch.context() as mp:
+        _decline_point_routes(mp)
+        shallow = _verify_work(calls, "EULERMN1", params, 160)
+        deep = _verify_work(calls, "EULERMN1", params, 10_000)
+        assert deep["div_euler"] == shallow["div_euler"] == 1
+        assert deep["coeff_updates"] > 50 * shallow["coeff_updates"]
+    # on the packed route, no pass at either depth
+    assert _verify_work(calls, "EULERMN1", params, 160) == {}
+    assert _verify_work(calls, "EULERMN1", params, 10_000) == {}
 
 
 def _full_depth(monkeypatch):
@@ -235,3 +263,19 @@ def test_capped_reports_are_the_full_depth_reports(sample, monkeypatch, series_r
     _full_depth(monkeypatch)
     assert capped == _reports(points, trunc)
     assert len(capped) > (10_000 if sample == "sweep" else 900)
+
+
+@pytest.mark.parametrize("sample", ["sweep", "deep-window"])
+def test_full_depth_reports_take_no_pass_on_the_packed_route(sample, monkeypatch):
+    # the counterpart of the test above: with no degree bound every check
+    # is decided on the packed route through q^T, with no kernel pass
+    if sample == "sweep":
+        points, trunc = [(ident, p) for ident in engine.list_identities()
+                         for p in engine.grid_points(engine.get_record(ident))], 40
+    else:
+        points, trunc = _deep_window_points()
+    capped = _reports(points, trunc)
+    calls = _count_kernels(monkeypatch)
+    _full_depth(monkeypatch)
+    assert capped == _reports(points, trunc)
+    assert not calls

@@ -23,7 +23,17 @@ def kernel_passes():
 
 
 def _tiny():
+    # an EULER record: one packed evaluation and no kernel pass
     return engine.verify("EULERMN1", {"m": 4, "n": 5}, 160)
+
+
+def _on_lists():
+    """_tiny() with both point routes declined: its sides summed by the
+    list kernels, div_euler among them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("point_values", "packed_values"):
+            mp.setattr(framework, name, lambda *args: None)
+        return _tiny()
 
 
 def _bindings():
@@ -33,7 +43,7 @@ def _bindings():
             if hasattr(module, name)]
 
 
-def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch):
+def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch, series_route):
     before = _bindings()
     with kernel_passes.counted_kernels() as calls:
         assert _tiny().equal
@@ -75,29 +85,32 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     def runs(workloads):
         tiny = workloads.verify_items([("EULERMN1", {"m": 4, "n": 5})], 160)
         wrong = workloads.verify_items([("ANDREWS1", {"n": -1})], 20)
-        kinds = [workloads.Item("two words", lambda: [_tiny().verdict], "EQUAL"),
+        kinds = [workloads.Item("two words", lambda: [_on_lists().verdict], "EQUAL"),
                  workloads.Item("other", lambda: [point().verdict], "EQUAL"),
-                 workloads.Item("two more", lambda: [_tiny().verdict], "EQUAL")]
+                 workloads.Item("two more", lambda: [_on_lists().verdict], "EQUAL")]
         return [("tiny", tiny, False), ("wrong", wrong, False), ("kinds", kinds, True)]
 
     monkeypatch.setattr(kernel_passes, "_runs", runs)
     with kernel_passes.counted_kernels() as calls:
-        _tiny()
+        _on_lists()
     with kernel_passes.counted_kernels() as points:
         point()
     assert points == {"point_values": 1}
+    with kernel_passes.counted_kernels() as packed:
+        _tiny()
+    assert packed == {"packed_values": 1}
     assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
     head, tiny, wrong, kinds, two, other = capsys.readouterr().out.splitlines()
     assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
-                            "binomial", "coeff_updates", "div_euler", "points"]
-    mul, div = calls["mul_binomial"], calls["div_binomial"]
-    row = [str(mul), str(div), str(mul + div), str(calls["coeff_updates"]), "1", "0"]
-    assert tiny.split() == ["tiny", "1", "0", *row]
+                            "binomial", "coeff_updates", "div_euler", "points", "packed"]
+    assert tiny.split() == ["tiny", "1", "0"] + ["0"] * 6 + ["1"]
     assert wrong.split()[:3] == ["wrong", "1", "1"]
     # a run by kind: its total, then one indented row per first word of a
     # label, in order of first appearance
+    mul, div = calls["mul_binomial"], calls["div_binomial"]
+    row = [str(mul), str(div), str(mul + div), str(calls["coeff_updates"]), "1", "0", "0"]
     twice = [str(2 * int(c)) for c in row]
-    assert kinds.split() == ["kinds", "3", "0", *twice[:-1], "1"]
+    assert kinds.split() == ["kinds", "3", "0", *twice[:-2], "1", "0"]
     assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice]
     assert other.startswith("  other ")
-    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1"]
+    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0"]

@@ -271,20 +271,13 @@ def test_kernel_work_is_pinned(monkeypatch):
 
 
 # exact kernel passes, by kernel, and coefficient updates of engine.verify,
-# which sums both sides divided by one shared unit and, where neither owes
-# a (q; q)_inf division, only through q^min(T, B + 2), or where B + 2 <= T
-# decides the check at one integer point with no pass at all: every record
-# at its grid corners, by T; and of one telescoping and one termwise
-# certificate at T=40, each summing every term list by the same rule (at
-# (3,3,3,3,3) B + 2 > T, so only the unit moved them off their core's)
-PINNED_VERIFY_WORK = {
-    40: {"mul_binomial": 1479, "div_binomial": 1342, "div_euler": 12,
-         "coeff_updates": 87951},
-    160: {"mul_binomial": 406, "div_binomial": 365, "div_euler": 12,
-          "coeff_updates": 97507},
-    "telescoping": {"mul_binomial": 172, "div_binomial": 128, "coeff_updates": 8467},
-    "termwise": {"mul_binomial": 108, "div_binomial": 65, "coeff_updates": 4979},
-}
+# which decides every check of int coefficients at one integer point, term
+# by term where B + 2 <= T and no side owes a (q; q)_inf division, and
+# otherwise on one packed integer, with no pass at all: every record at its
+# grid corners, by T; and of one telescoping and one termwise certificate
+# at T=40, each deciding every term list by the same rule (at (3,3,3,3,3)
+# B + 2 > T, so on the packed route)
+PINNED_VERIFY_WORK = {40: {}, 160: {}, "telescoping": {}, "termwise": {}}
 
 
 def test_verify_work_is_pinned(monkeypatch):

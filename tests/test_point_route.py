@@ -1,17 +1,26 @@
-"""The point route: a check decided by one exact integer evaluation.
+"""The point routes: a check decided by exact integer evaluation.
 
-Where no side owes a (q; q)_inf division, every coefficient is an int and
-the degree bound B of ``pochhammer.shared_unit`` satisfies B + 2 <= T,
-``framework.sum_sides`` evaluates each term list, every term times
-q^-s_min prod (1-q^m)^-lambda_m, at q = 2^b with 2^b above the coefficient
-majorant H (``pochhammer.point_values``), and no kernel pass is made.
+Where every coefficient is an int, ``framework.sum_sides`` evaluates each
+term list, every term times q^-s_min prod (1-q^m)^-lambda_m, at q = 2^b
+with 2^b above the coefficient majorant H, and no kernel pass is made.
+Where no side owes a (q; q)_inf division and the degree bound B of
+``pochhammer.shared_unit`` satisfies B + 2 <= T, each term is evaluated on
+its own (``pochhammer.point_values``).  Any other such check takes the
+packed route (``pochhammer.packed_values``): each side is summed over its
+term ratios on one integer modulo 2^(bK), K = T + 1 - s_min, and a side
+that owes fewer (q; q)_inf divisions than another is multiplied by the
+image of Euler's pentagonal series.
 
-Here the point route is cross-checked against the series route, which the
+Here both routes are cross-checked against the series route, which the
 ``series_route`` fixture forces: on every default-grid point at T = 40 and
 the deep-window sample at T = 160, on every mutation probe of the
 benchmark's mutation control at T = 18, and on both certificates at every
-default point.  Negative controls show that b matters and that one term
-off by one factor, by its scalar or by its shift is caught.
+default point.  On each of these checks that takes the packed route, its
+residues are also compared with the per-term ``point_value`` of each side
+reduced modulo 2^(bK), times the pentagonal image (the ``taken`` fixture).
+Negative controls show that b matters on both routes, that the pentagonal
+multiplication and every doubling step of a division matter, and that one
+term off by one factor, by its scalar or by its shift is caught.
 """
 
 from fractions import Fraction
@@ -22,38 +31,74 @@ import pytest
 from qrr import cli, pochhammer, telescoping
 from qrr.identities import REGISTRY, engine, framework
 from qrr.identities.framework import compare_sides, side_terms
-from qrr.pochhammer import PochProduct, PoleError, point_value, point_values
+from qrr.pochhammer import (PackedAccumulator, PochProduct, PoleError, packed_values,
+                            point_value, point_values)
 from qrr.series import SeriesError
 from test_degree_bound import _deep_window_points
 from test_nested import _report
 from test_telescoping import DEFAULT_POINTS
 
 
+def _per_term_residues(sides, trunc, low, clear, base):
+    """Each side's per-term ``point_value`` at q = 2^base, times the image
+    of (q; q)_inf = sum_k (-1)^k q^(k(3k-1)/2), over all integers k, once
+    for each division it owes fewer than the most, modulo 2^(base K),
+    K = trunc + 1 - low."""
+    width = max(trunc + 1 - low, 0)
+    modulus = 1 << base * width
+    euler = sum((-1) ** (k & 1) << base * (k * (3 * k - 1) // 2)
+                for k in range(-width, width + 1) if k * (3 * k - 1) // 2 < width)
+    most = max(e for _, e in sides)
+    return [point_value(terms, base, low, clear) * euler ** (most - e) % modulus
+            for terms, e in sides]
+
+
 @pytest.fixture
 def taken(monkeypatch):
-    """framework.point_values, recorded: the base b of each check it
-    decides, or None for each it declines."""
+    """framework.point_values and framework.packed_values, recorded: for
+    each check they are asked about, (route, b), b None where it was
+    declined.  Every packed residue must equal the per-term one."""
     bases = []
 
-    def recorded(*args):
+    def point(*args):
         out = pochhammer.point_values(*args)
-        bases.append(None if out is None else out[0])
+        bases.append(("point", None if out is None else out[0]))
         return out
 
-    monkeypatch.setattr(framework, "point_values", recorded)
+    def packed(sides, trunc, low, clear, unit):
+        out = pochhammer.packed_values(sides, trunc, low, clear, unit)
+        if out is not None:
+            assert out[1] == _per_term_residues(sides, trunc, low, clear, out[0])
+        bases.append(("packed", None if out is None else out[0]))
+        return out
+
+    monkeypatch.setattr(framework, "point_values", point)
+    monkeypatch.setattr(framework, "packed_values", packed)
     return bases
+
+
+def _decided(taken):
+    """(per term, packed): the checks each point route decided."""
+    return tuple(sum(b is not None for r, b in taken if r == route)
+                 for route in ("point", "packed"))
 
 
 def _series(monkeypatch, run):
     """``run()`` with every check forced onto the series route."""
     with monkeypatch.context() as mp:
-        mp.setattr(framework, "point_values", lambda *args: None)
+        for name in ("point_values", "packed_values"):
+            mp.setattr(framework, name, lambda *args: None)
         return run()
 
 
 # ---------------------------------------------------------------------------
 # the point route against the series route
 # ---------------------------------------------------------------------------
+
+
+# the checks of each sample that take the packed route, every other being
+# decided term by term
+PACKED = {"sweep": 473, "deep-window": 85}
 
 
 @pytest.mark.parametrize("sample,decided", [("sweep", 10_191), ("deep-window", 909)])
@@ -69,7 +114,8 @@ def test_point_route_reports_are_the_series_reports(sample, decided, taken, monk
                 for ident, params in points]
 
     got = reports()
-    assert sum(b is not None for b in taken) == decided
+    assert _decided(taken) == (decided, PACKED[sample])
+    assert decided + PACKED[sample] == len(points)
     assert got == _series(monkeypatch, reports)
 
 
@@ -100,9 +146,8 @@ def test_mutation_probes_report_alike_on_both_routes(taken, monkeypatch):
         return [_probe(*probe) for probe in probes]
 
     got = outcomes()
-    decided = sum(b is not None for b in taken)
     mismatches = sum(isinstance(o, tuple) and o[0] == "MISMATCH" for o in got)
-    assert (len(probes), decided, mismatches) == (3212, 1413, 3074)
+    assert (len(probes), _decided(taken), mismatches) == (3212, (1413, 1791), 3074)
     assert got == _series(monkeypatch, outcomes)
 
 
@@ -113,19 +158,37 @@ def test_certificate_reports_are_alike_on_both_routes(taken, monkeypatch):
         return [certify(*point, 40) for point in DEFAULT_POINTS]
 
     got = []
-    # B + 2 <= T at 491 telescoping and 524 termwise points
-    for certify, decided in zip(certificates, (491, 524)):
+    # B + 2 <= T at 491 telescoping and 524 termwise points, and every
+    # other point takes the packed route
+    for certify, decided in zip(certificates, ((491, 85), (524, 52))):
         del taken[:]
         got.append(reports(certify))
-        assert len(taken) == decided and None not in taken
+        assert _decided(taken) == decided and len(taken) == len(DEFAULT_POINTS)
     assert all(rep.equal for reps in got for rep in reps)
     assert got == _series(monkeypatch, lambda: [reports(c) for c in certificates])
 
 
+# points past the default grids and depths past the benchmark's, where a
+# per-term or a series evaluation would be dearer
+OFF_GRID = [("ANDREWS1", {"n": 48}, 40), ("ANDREWS1", {"n": 48}, 400),
+            ("ANDREWS2", {"n": 30}, 160), ("EULERMN1", {"m": 6, "n": 6}, 1000),
+            ("EULERN2", {"n": 20}, 600), ("LMNRS3", dict.fromkeys("lmnuv", 10), 300)]
+
+
+@pytest.mark.parametrize("ident,params,trunc", OFF_GRID)
+def test_off_grid_reports_are_alike_on_both_routes(ident, params, trunc, taken, monkeypatch):
+    def report():
+        return cli.report_json(engine.verify(ident, params, trunc))
+
+    got = report()
+    assert _decided(taken) == (0, 1)
+    assert got == _series(monkeypatch, report)
+
+
 class _Combination:
     """A formal integer combination of a certificate's term lists, standing
-    in for their values; comparing two records their difference and reads
-    equal."""
+    in for their values; reducing one modulo anything records it and reads
+    0."""
 
     def __init__(self, coeffs, checks):
         self.coeffs, self.checks = coeffs, checks
@@ -144,9 +207,12 @@ class _Combination:
     def __rmul__(self, scale):
         return _Combination({i: scale * c for i, c in self.coeffs.items()}, self.checks)
 
-    def __eq__(self, other):
-        self.checks.append((self + -1 * other).coeffs)
-        return True
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mod__(self, modulus):
+        self.checks.append(self.coeffs)
+        return 0
 
 
 @pytest.mark.parametrize("certify", [telescoping.verify_telescoping, telescoping.verify_sk_tk])
@@ -158,7 +224,7 @@ def test_every_certificate_check_is_a_signed_combination_of_distinct_lists(
 
     def formal(sides, trunc):
         return framework.Sums([_Combination({i: 1}, checks) for i in range(len(sides))],
-                              0, {}, 1, 0)
+                              0, {}, 1, 0, 1)
 
     monkeypatch.setattr(telescoping, "sum_sides", formal)
     rep = certify(*point, 40)
@@ -185,6 +251,70 @@ def test_a_base_at_or_below_the_majorant_reads_an_unequal_pair_equal(monkeypatch
     assert compare_sides("X", {}, 30, (two, 0), (q, 0)).verdict == "EQUAL"
 
 
+def test_a_packed_base_one_bit_short_reads_an_unequal_pair_equal(monkeypatch):
+    # the same pair through q^1: B + 2 > T, so the packed route decides it
+    # modulo 2^(2b), and b = 2; at b = 1 both sides read 2 modulo 4
+    two, q = ([PochProduct().scale(2)], 0), ([PochProduct().q(1)], 0)
+    assert packed_values([two, q], 1, 0, {}, {}) == (2, [2, 4])
+    rep = compare_sides("X", {}, 1, two, q)
+    assert (rep.verdict, rep.mismatch_index) == ("MISMATCH", 0)
+
+    def short(sides, trunc, low, clear, unit):
+        base = pochhammer.packed_values(sides, trunc, low, clear, unit)[0] - 1
+        values = []
+        for terms, _ in sides:
+            acc = PackedAccumulator(trunc, unit, base, low)
+            for t in terms:
+                acc.add(t)
+            values.append(acc.value()[1] & acc.mask)
+        return base, values
+
+    monkeypatch.setattr(framework, "packed_values", short)
+    assert compare_sides("X", {}, 1, two, q).verdict == "EQUAL"
+
+
+EULER_RECORDS = ("EULERMN1", "EULERMN2", "EULERN1", "EULERN2")
+
+
+def test_every_euler_record_needs_the_pentagonal_multiplication(monkeypatch):
+    # each EULER record's lhs owes one (q; q)_inf division; with the
+    # pentagonal image left off, its two residues differ, a MISMATCH that
+    # the sums of the pair refute
+    real = pochhammer.packed_values
+    monkeypatch.setattr(framework, "packed_values", lambda sides, *rest: real(
+        [(terms, 0) for terms, _ in sides], *rest))
+    for ident in EULER_RECORDS:
+        rec = REGISTRY[ident]
+        env = {p.name: p.low + 2 for p in rec.params}
+        sides = [side_terms(rec, side, env, 40) for side in ("lhs", "rhs")]
+        assert [euler for _, euler in sides] == [1, 0], ident
+        sums = framework.sum_sides(sides, 40)
+        assert sums.base and (sums.values[0] - sums.values[1]) % sums.modulus, ident
+        with pytest.raises(framework.EngineError, match="the point and the series disagree"):
+            engine.verify(ident, env, 40)
+
+
+def _one_doubling_short(self, x, powers, lo, reach):
+    """PackedAccumulator._apply with the last doubling step of every
+    division left out."""
+    for m, t in powers.items():
+        if 0 < m <= reach:
+            for _ in range(abs(t)):
+                if t > 0:
+                    x = (x - (x << self.base * m)) & self.mask
+                else:
+                    for j in range((reach // m).bit_length() - 1):
+                        x = (x + (x << (self.base * m << j))) & self.mask
+    return x
+
+
+def test_a_division_one_doubling_short_is_caught(monkeypatch):
+    assert engine.verify("EULERN1", {"n": 2}, 40).equal
+    monkeypatch.setattr(PackedAccumulator, "_apply", _one_doubling_short)
+    with pytest.raises(framework.EngineError, match="the point and the series disagree"):
+        engine.verify("EULERN1", {"n": 2}, 40)
+
+
 def _off_by_one(term, kind, delta):
     t = term.copy()
     if kind == "scalar":
@@ -209,7 +339,7 @@ def test_a_term_off_by_one_is_caught(kind, delta, taken, monkeypatch):
                       for j, t in enumerate(lhs)], 0), rhs
             del taken[:]
             rep = compare_sides(ident, env, 200, *sides)
-            assert taken[0] is not None, (ident, i)
+            assert taken[0][1] is not None, (ident, i)
             assert rep.verdict == "MISMATCH", (ident, i)
             assert _report(rep) == _report(
                 _series(monkeypatch, lambda: compare_sides(ident, env, 200, *sides)))
@@ -221,7 +351,7 @@ def test_a_coefficient_that_is_not_an_int_takes_the_series_route(taken):
     half = PochProduct().scale(Fraction(1, 2))
     rep = compare_sides("X", {}, 30, ([half.copy().factor(1)], 0),
                         ([half, half.copy().q(1).scale(-1)], 0))
-    assert rep.equal and taken == [None]
+    assert rep.equal and taken == [("point", None)]
     rep = compare_sides("X", {}, 30, ([half], 0), ([half.copy().q(1)], 0))
     assert (rep.verdict, rep.mismatch_index, rep.lhs_window[0]) == (
         "MISMATCH", 0, (0, Fraction(1, 2)))
@@ -230,11 +360,14 @@ def test_a_coefficient_that_is_not_an_int_takes_the_series_route(taken):
 def test_a_pole_raises_alike_on_both_routes(monkeypatch):
     pole = PochProduct().factor(0, -1)
     sides = ([PochProduct(), pole], 0), ([PochProduct()], 0)
-    with pytest.raises(PoleError, match="pole term reached the accumulator") as point:
-        compare_sides("X", {}, 30, *sides)
-    with pytest.raises(PoleError) as series:
-        _series(monkeypatch, lambda: compare_sides("X", {}, 30, *sides))
-    assert str(point.value) == str(series.value)
+    # B + 2 <= T at T = 30, the per-term route, and B + 2 > T at T = 1, the
+    # packed route
+    for trunc in (30, 1):
+        with pytest.raises(PoleError, match="pole term reached the accumulator") as point:
+            compare_sides("X", {}, trunc, *sides)
+        with pytest.raises(PoleError) as series:
+            _series(monkeypatch, lambda: compare_sides("X", {}, trunc, *sides))
+        assert str(point.value) == str(series.value)
 
 
 def test_a_point_that_disagrees_with_the_series_raises(monkeypatch):
@@ -249,4 +382,4 @@ def test_a_point_that_disagrees_with_the_series_raises(monkeypatch):
     monkeypatch.setattr(framework, "point_values", skewed)
     with pytest.raises(framework.EngineError, match="the point and the series disagree"):
         engine.verify("ANDREWS1", {"n": 2}, 40)
-    assert engine.verify("EULERN1", {"n": 2}, 40).equal       # the series route
+    assert engine.verify("EULERN1", {"n": 2}, 40).equal       # the packed route

@@ -9,6 +9,7 @@ from qrr import telescoping
 from qrr.identities import EngineError, framework
 from qrr.identities.framework import MAX_PARAMETER, EvalCtx
 from qrr.pochhammer import PochProduct
+from test_nested import _count_kernels
 from qrr.telescoping import (
     quartic_sides,
     verify_quartic_identity,
@@ -269,6 +270,24 @@ def test_capped_certificates_report_as_at_full_depth(monkeypatch, series_route):
     assert all(rep.equal for rep in capped)
 
 
+def test_full_depth_certificates_take_no_pass_on_the_packed_route(monkeypatch):
+    # the counterpart of the test above: with no degree bound every
+    # certificate is decided on the packed route through q^T, with no pass
+    capped = _both_certificates(DEFAULT_POINTS)
+    real, routes = telescoping.sum_sides, []
+
+    def recorded(sides, trunc):
+        out = real(sides, trunc)
+        routes.append((out.depth, out.base > 0, out.modulus > 0))
+        return out
+
+    monkeypatch.setattr(telescoping, "sum_sides", recorded)
+    calls = _count_kernels(monkeypatch)
+    _full_depth(monkeypatch)
+    assert _both_certificates(DEFAULT_POINTS) == capped
+    assert set(routes) == {(40, True, True)} and not calls
+
+
 CORRUPTED_FACTORS = pytest.mark.parametrize("certify,depth,site,failed", [
     (verify_telescoping, 16, "F.0.num[l+m+n+k+1]",
      {"difference k=0", "partial-sum k=0", "difference k=1", "partial-sum k=1",
@@ -310,6 +329,30 @@ def test_a_corrupted_factor_fails_alike_at_one_point(certify, depth, site, faile
     assert _failed(certify(1, 1, 1, 1, 1, 40)) == failed
     (plain, base), (_, corrupted) = calls
     assert plain == depth and base and corrupted
+
+
+@pytest.mark.parametrize("certify,site", [(verify_telescoping, "F.0.num[l+m+n+k+1]"),
+                                          (verify_sk_tk, "S.0.num[k+k+1]")],
+                         ids=["telescoping-F", "termwise-S"])
+def test_a_corrupted_factor_fails_alike_past_the_bound(certify, site, monkeypatch):
+    # at (3,3,3,3,3) B + 2 > T, so the packed route decides both
+    # certificates, and the same checks fail there as on the series route
+    real, calls = telescoping.sum_sides, []
+
+    def recorded(sides, trunc):
+        out = real(sides, trunc)
+        calls.append((out.depth, out.base > 0))
+        return out
+
+    monkeypatch.setattr(telescoping, "sum_sides", recorded)
+    monkeypatch.setattr(telescoping, "_CTX", EvalCtx({site: 1}))
+    packed = certify(3, 3, 3, 3, 3, 40)
+    assert calls == [(40, True)] and _failed(packed)
+    with monkeypatch.context() as mp:
+        for name in ("point_values", "packed_values"):
+            mp.setattr(framework, name, lambda *args: None)
+        assert certify(3, 3, 3, 3, 3, 40) == packed
+    assert calls[-1] == (40, False)
 
 
 def test_certificate_cores_pad_past_the_support():

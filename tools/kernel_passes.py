@@ -7,7 +7,9 @@ visits, ``len(buf) - lo - m`` for a pass by (1 - q^m) over a buffer whose
 first ``lo`` entries are zero (see :func:`coeff_updates`).  A pass count
 alone does not weigh the length of the buffer or how much of it a pass
 skips.  The ``points`` column counts the calls of ``point_values``, one per
-check decided at an integer point with no kernel pass.  The runs are:
+check asked to be decided term by term at an integer point, and the
+``packed`` column those of ``packed_values``, one per check asked to be
+decided on one packed integer; neither makes a kernel pass.  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
   each verified through ``engine.verify`` at the sweep's T (40), with no
@@ -18,9 +20,10 @@ check decided at an integer point with no kernel pass.  The runs are:
 
 The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
 default this repository) and the program from its ``src/``; nothing is
-written there.  A kernel, and ``point_values``, is counted at every
-``qrr`` module's binding of it, so a call made through another module's
-import counts too; a checkout without ``point_values`` reads 0 points.
+written there.  A kernel, ``point_values`` and ``packed_values`` are
+counted at every ``qrr`` module's binding of them, so a call made through
+another module's import counts too; a checkout without one of them reads 0
+in its column.
 The counts are deterministic, so one run of each side of a change compares
 the work they do.  The exit code is 1 if any check got the wrong verdict.
 Run from anywhere:
@@ -37,7 +40,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ("mul_binomial", "div_binomial", "div_euler", "point_values")
+KERNELS = ("mul_binomial", "div_binomial", "div_euler", "point_values", "packed_values")
 
 
 def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
@@ -48,7 +51,7 @@ def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
 
 @contextlib.contextmanager
 def counted_kernels():
-    """Count the calls of each kernel and of ``point_values``, through every
+    """Count the calls of each kernel and evaluator in KERNELS, through every
     binding of it in a loaded ``qrr`` module, and under ``"coeff_updates"``
     the entries the binomial passes visit, while active; yields the Counter
     it fills and puts every binding back on exit."""
@@ -98,7 +101,7 @@ def _row(label: str, attempted: int, failed: int, calls: Counter) -> str:
     mul, div = calls["mul_binomial"], calls["div_binomial"]
     return (f"{label:<22}{attempted:>8}{failed:>8}{mul:>14}{div:>14}"
             f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}"
-            f"{calls['point_values']:>8}")
+            f"{calls['point_values']:>8}{calls['packed_values']:>8}")
 
 
 def main(argv=None) -> int:
@@ -112,7 +115,7 @@ def main(argv=None) -> int:
 
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
           f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}"
-          f"{'points':>8}")
+          f"{'points':>8}{'packed':>8}")
     failed = 0
     for label, items, by_kind in _runs(workloads):
         # no check caches a sum, so running the items kind by kind does the
