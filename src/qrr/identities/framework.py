@@ -16,10 +16,15 @@ declares its k-range, or derives it from its argument slots.
 
 Every sum builds its terms as one chain of :class:`PochProduct` values:
 a running product holds every slot of the term, and at each k only the
-change of each index is multiplied in (one factor for a slot whose index
-moves by one).  Each (q; q)_j index passes through its site at every k,
-each argument exponent once per evaluation, and each kept term is a copy
-of the running product times its sign and power of q.  A check of term
+change of each index is multiplied in (one factor, updated in place, for
+a slot whose index moves by one).  What the chain needs of a declaration
+is compiled once per (sum, tag) and per (prefactor, tag), on first use: its
+parameter-only exponents as one row, its (q; q)_j indices as a second row
+over the parameters and k, and every site name.  So a side costs one
+``eval`` for its prefactor, one for its sum's parameters and one per k.
+Each (q; q)_j index passes through its site at every k, each argument
+exponent once per evaluation, and each kept term is a copy of the running
+product times its sign and power of q.  A check of term
 lists takes its values by one rule, :func:`sum_sides`: where every
 coefficient is an int, each side is one integer at q = 2^b, with no
 kernel pass.  Where the degree bound B satisfies B + 2 <= T and no side is
@@ -60,6 +65,7 @@ from __future__ import annotations
 import ast
 import functools
 from dataclasses import dataclass
+from itertools import islice
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -311,12 +317,51 @@ def _check_params(record: IdentityRecord, params: Mapping[str, int]) -> dict:
     for name, low, _ in record.params:
         if name not in params:
             raise EngineError(f"{record.ident}: missing parameter {name!r}")
-        env[name] = bounded_int(f"{record.ident}: parameter {name}", params[name],
-                                low, MAX_PARAMETER)
+        value = params[name]
+        if type(value) is not int or value < low or value > MAX_PARAMETER:
+            # the message is made only for a value that may be refused
+            value = bounded_int(f"{record.ident}: parameter {name}", value, low,
+                                MAX_PARAMETER)
+        env[name] = value
     extra = set(params) - set(env)
     if extra:
         raise EngineError(f"{record.ident}: unexpected parameters {sorted(extra)}")
     return env
+
+
+class _Plan(NamedTuple):
+    """What the term chain of a sum needs of its declaration under one
+    tag, compiled once by :func:`_plan`."""
+
+    params: CodeType        # the row of :func:`_param_row`
+    args: tuple[str, ...]   # the site names of argnum, then argden
+    qpow: str               # the site name of the power of q
+    index: CodeType | None  # num, then den, over the parameters and k; None if neither
+    names: tuple[str, ...]  # their site names
+    times: tuple[int, ...]  # 1 for num, -1 for den
+
+
+@functools.cache
+def _param_row(spec: Sum) -> CodeType:
+    """Every exponent of a sum that depends on the parameters alone as one
+    row: argnum, argden, ``lin``, then the declared support bounds but a
+    "*"."""
+    bounds = () if spec.support is None else tuple(s for s in spec.support if s != "*")
+    return parse_affine_row(spec.argnum + spec.argden + (spec.lin,) + bounds)
+
+
+@functools.cache
+def _plan(spec: Sum, tag: str) -> _Plan:
+    """The compiled plan of a sum's term chain under ``tag``, built once
+    per (sum, tag): its rows, and every site name formatted."""
+    def sites(kind: str, exprs: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(f"{tag}.{kind}[{s}]" for s in exprs)
+
+    return _Plan(_param_row(spec), sites("argnum", spec.argnum) + sites("argden", spec.argden),
+                 f"{tag}.qpow",
+                 parse_affine_row(spec.num + spec.den) if spec.num or spec.den else None,
+                 sites("num", spec.num) + sites("den", spec.den),
+                 (1,) * len(spec.num) + (-1,) * len(spec.den))
 
 
 def _quad_exponent(spec: Sum, lin: int, k: int) -> int:
@@ -328,15 +373,15 @@ def _quad_exponent(spec: Sum, lin: int, k: int) -> int:
     return twice // 2 + lin * k
 
 
-def _valuation_kmax(spec: Sum, env: Mapping[str, int], kmin: int, trunc: int) -> int:
-    """Last k whose q-power can still reach the truncation window.
+def _valuation_kmax(spec: Sum, lin: int, kmin: int, trunc: int) -> int:
+    """Last k whose q-power can still reach the truncation window, where
+    lin is the value of ``spec.lin``.
 
     Only used for sums whose terms carry q^{(A k^2 + ...)} with A > 0, so the
     exponent is eventually strictly increasing in k.
     """
     if spec.quad[0] <= 0:
         raise EngineError("open-ended support requires a positive quadratic power")
-    lin = eval_affine(spec.lin, env)
     k = max(kmin, 0)
     prev = _quad_exponent(spec, lin, k)
     while True:
@@ -347,20 +392,30 @@ def _valuation_kmax(spec: Sum, env: Mapping[str, int], kmin: int, trunc: int) ->
         prev = nxt
 
 
-def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
-               tag: str) -> tuple[list, int]:
-    """The argument slots of a sum as written, each exponent passed through
-    its site, as (a, times) for (q^a; q)_k^times, and the number of flip
-    pairs at q^0/q^0.  Such a pair is left out of the slots: as written it
-    is 1 at every k, and it bounds no k."""
-    if not (spec.argnum or spec.argden):
+def _slots(spec: Sum, values: Sequence[int], names: tuple[str, ...],
+           ctx: EvalCtx) -> tuple[list, int]:
+    """The argument slots of a sum as written, from its evaluated
+    :func:`_param_row`, each exponent passed through its site in ``names``,
+    as (a, times) for (q^a; q)_k^times, and the number of flip pairs at
+    q^0/q^0.  Such a pair is left out of the slots: as written it is 1 at
+    every k, and it bounds no k."""
+    if not names:
         return [], 0
-    num = [ctx.site(f"{tag}.argnum[{s}]", eval_affine(s, env)) for s in spec.argnum]
-    den = [ctx.site(f"{tag}.argden[{s}]", eval_affine(s, env)) for s in spec.argden]
+    site = ctx.site
+    num = [site(name, a) for name, a in zip(names, values)]
+    den = num[len(spec.argnum):]
+    del num[len(spec.argnum):]
     zeros = {i: j for i, j in spec.flips if num[i] == den[j] == 0}
     slots = [(a, 1) for i, a in enumerate(num) if i not in zeros]
     slots += [(b, -1) for j, b in enumerate(den) if j not in zeros.values()]
     return slots, len(zeros)
+
+
+def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
+               tag: str) -> tuple[list, int]:
+    """The :func:`_slots` of a sum at ``env``, under ``tag``."""
+    return _slots(spec, eval(_param_row(spec), _AFFINE_GLOBALS, env),
+                  _plan(spec, tag).args, ctx)
 
 
 def _support(spec: Sum, env: Mapping[str, int], trunc: int,
@@ -376,66 +431,74 @@ def _support(spec: Sum, env: Mapping[str, int], trunc: int,
     b >= 1 thus runs over 1-b..b.  With no bound above, k runs until the
     q-power passes the truncation order.
     """
+    return _span(spec, eval(_param_row(spec), _AFFINE_GLOBALS, env), trunc, slots)
+
+
+def _span(spec: Sum, values: Sequence[int], trunc: int, slots: Sequence) -> tuple[int, int]:
+    """:func:`_support`, from the sum's evaluated :func:`_param_row`."""
+    n = len(spec.argnum) + len(spec.argden)
+    lin, bounds = values[n], values[n + 1:]
     if spec.support is not None:
-        kmin = eval_affine(spec.support[0], env)
-        if spec.support[1] == "*":
-            return kmin, _valuation_kmax(spec, env, kmin, trunc)
-        return kmin, eval_affine(spec.support[1], env)
+        return bounds[0], (bounds[1] if len(bounds) > 1
+                           else _valuation_kmax(spec, lin, bounds[0], trunc))
     upper = [-a for a, times in slots if times > 0 and a <= 0]
     lower = [b - 1 for b, times in slots if times < 0 and b >= 1]
-    kmax = min(upper) if upper else _valuation_kmax(spec, env, 0, trunc)
+    kmax = min(upper) if upper else _valuation_kmax(spec, lin, 0, trunc)
     return -min(lower, default=0), kmax
 
 
 def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str, trunc: int,
                start: PochProduct | None = None) -> list[PochProduct]:
     """The nonzero terms of a sum, each times ``start`` (by default 1),
-    built as one chain.
+    built as one chain from the sum's :func:`_plan` under ``tag``.
 
-    A running product starts as a copy of ``start`` and holds every slot of
+    One ``eval`` of the plan's parameter row gives every argument exponent,
+    each then passed through its site, ``lin`` and the support bounds.  A
+    running product starts as a copy of ``start`` and holds every slot of
     the term, and at each k only the change of each index is multiplied in
-    with :meth:`PochProduct.step`: the (q)_j slot indices are evaluated
-    together, each through its site, and (q)_a / (q)_a' =
+    with :meth:`PochProduct.step`, which makes a move by one in place: the
+    (q)_j slot indices are evaluated together, one ``eval`` of the index
+    row per k, each through its site, and (q)_a / (q)_a' =
     (q^(a'+1); q)_(a-a'); each argument slot
     (q^a; q)_k steps from the previous k, starting from index 0, where it
     is 1.  Each flip pair at q^0/q^0 flips the sign of every term at k >= 1.
-    A sum does no per-k work for a slot kind it lacks."""
-    slots, zeros = _arg_slots(spec, env, ctx, tag)
-    kmin, kmax = _support(spec, env, trunc, slots)
-    lin = eval_affine(spec.lin, env)
-    qpow = f"{tag}.qpow"
-    row = None
-    if spec.num or spec.den:
-        row = parse_affine_row(spec.num + spec.den)
-        names = ([f"{tag}.num[{s}]" for s in spec.num]
-                 + [f"{tag}.den[{s}]" for s in spec.den])
-        times = [1] * len(spec.num) + [-1] * len(spec.den)
+    A sum does no per-k work for a slot kind it lacks.  Every sum built
+    from a declaration, in the registry or not, is built here."""
+    plan = _plan(spec, tag)
+    values = eval(plan.params, _AFFINE_GLOBALS, env)
+    slots, zeros = _slots(spec, values, plan.args, ctx)
+    kmin, kmax = _span(spec, values, trunc, slots)
+    lin = values[len(plan.args)]
+    site, qpow, row, names, times = ctx.site, plan.qpow, plan.index, plan.names, plan.times
+    if row is not None:
         index = [0] * len(names)     # the empty product has every (q)_0 = 1
         tenv = dict(env)
     run = PochProduct() if start is None else start.copy()
+    step = run.step
     prev = 0
     out = []
+    alt = spec.alt
     for k in range(kmin, kmax + 1):
-        sign = -1 if spec.alt and k & 1 else 1
+        sign = -1 if alt and k & 1 else 1
         if zeros & 1 and k >= 1:
             sign = -sign
-        shift = ctx.site(qpow, _quad_exponent(spec, lin, k), k)
+        shift = site(qpow, _quad_exponent(spec, lin, k), k)
         if row is not None:
             tenv["k"] = k
             for i, a in enumerate(eval(row, _AFFINE_GLOBALS, tenv)):
-                a = ctx.site(names[i], a, k)
+                a = site(names[i], a, k)
                 if a != index[i]:
-                    run.step(1, index[i], a, times[i])
+                    step(1, index[i], a, times[i])
                     index[i] = a
         for a, t in slots:
-            run.step(a, prev, k, t)
+            step(a, prev, k, t)
         prev = k
         # the k-th term is sign * q^shift times the running product; a zero
-        # product is left out and a pole raises
-        st = run.state
-        if st == "pole":
+        # product (a positive count of (1-q^0)) is left out and a pole raises
+        z = run.powers.get(0)
+        if z is not None and z < 0:
             raise PoleError(f"{tag}: pole at k={k} with {env}")
-        if st == "ok":
+        if z is None:
             term = run.copy()
             term.coeff *= sign
             term.shift += shift
@@ -443,10 +506,23 @@ def _sum_terms(spec: Sum, env: dict, ctx: EvalCtx, tag: str, trunc: int,
     return out
 
 
+@functools.cache
+def _prefactor_plan(pre: Prefactor, tag: str) -> tuple[CodeType, tuple[str, ...]]:
+    """A prefactor's exponents under ``tag`` as one row, its monomial
+    (unless it is "0"), inf_num, inf_den, qn_den and bin_den in order, and
+    their site names; built once per (prefactor, tag)."""
+    kinds = (("mono", () if pre.mono == "0" else (pre.mono,)), ("infnum", pre.inf_num),
+             ("infden", pre.inf_den), ("qnden", pre.qn_den), ("binden", pre.bin_den))
+    return (parse_affine_row(tuple(s for _, exprs in kinds for s in exprs)),
+            tuple(f"{tag}.pre.{kind}[{s}]" for kind, exprs in kinds for s in exprs))
+
+
 def _prefactor(pre: Prefactor, env: dict, ctx: EvalCtx,
                tag: str) -> tuple[PochProduct, int]:
     """A side's prefactor as one PochProduct, its monomial included, and
-    the number of times the side is to be divided by (q; q)_inf.
+    the number of times the side is to be divided by (q; q)_inf.  Its
+    exponents come from one ``eval`` of its :func:`_prefactor_plan`, each
+    through its site.
 
     Pairing the sorted numerator and denominator infinite products leaves
     exact finite quotients (q^a; q)_inf / (q^b; q)_inf = (q^a; q)_(b-a).  An
@@ -457,15 +533,18 @@ def _prefactor(pre: Prefactor, env: dict, ctx: EvalCtx,
     wrong on a side with negative powers of q.  A pole raises PoleError
     here, before any term is built.  Every factor's exponent is >= 0, so
     the product's shift is its monomial."""
-    def args(exprs: tuple[str, ...], kind: str) -> list[int]:
-        return [ctx.site(f"{tag}.pre.{kind}[{s}]", eval_affine(s, env)) for s in exprs]
+    row, names = _prefactor_plan(pre, tag)
+    site = ctx.site
+    args = iter([site(name, a) for name, a in zip(names, eval(row, _AFFINE_GLOBALS, env))])
+
+    def take(exprs: tuple[str, ...]) -> list[int]:
+        return list(islice(args, len(exprs)))
 
     p = PochProduct()
     if pre.mono != "0":
-        p.q(ctx.site(f"{tag}.pre.mono[{pre.mono}]", eval_affine(pre.mono, env)))
-    inf_num = sorted(args(pre.inf_num, "infnum"))
-    inf_den = sorted(args(pre.inf_den, "infden"))
-    qn_den, bin_den = args(pre.qn_den, "qnden"), args(pre.bin_den, "binden")
+        p.q(next(args))
+    inf_num, inf_den = sorted(take(pre.inf_num)), sorted(take(pre.inf_den))
+    qn_den, bin_den = take(pre.qn_den), take(pre.bin_den)
     if min(inf_num + inf_den + bin_den, default=0) < 0:
         raise NeedsLaurent(f"{tag}: prefactor factor with a negative q-exponent")
     if min(qn_den, default=0) < 0:
@@ -579,10 +658,19 @@ class Sums(NamedTuple):
 
     values: list     # (offset, coeffs), or an int at q = 2^base
     depth: int       # each value is exact through q^depth
-    unit: dict       # G, which divides each (offset, coeffs)
+    unit: dict       # G, which divides each (offset, coeffs); {} on the per-term route
     base: int        # b of a point route, or 0 on the series route
     low: int         # s_min, the lowest shift of a nonzero term, or 0
-    modulus: int     # 2^(base (depth + 1 - s_min)) of a point route, or 0
+    modulus: int     # 2^(base (depth + 1 - s_min)) of the packed route, or 0
+
+    def residue(self, lhs: int, rhs: int) -> int:
+        """lhs - rhs for two values of a point route: exact on the per-term
+        route, reduced modulo ``modulus`` on the packed route.  Either way it
+        is 0 exactly when the two are equal through q^depth, and otherwise
+        its lowest set bit lies in the digit of the first exponent where
+        they differ."""
+        d = lhs - rhs
+        return d % self.modulus if self.modulus else d
 
 
 def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
@@ -599,29 +687,36 @@ def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
 
     Where every coefficient is an int, no kernel pass is made: each value
     is an int at q = 2^base, and a combination of values is compared by its
-    difference modulo ``modulus``, 2^(base K) with K = depth + 1 - s_min,
-    whose lowest set bit lies in the digit of its first nonzero exponent.
-    Where B + 2 <= trunc and no side is divided by (q; q)_inf, the
-    combination is a Laurent polynomial identity, and each value is the
-    :func:`point_values` of the cleared terms, evaluated term by term.  Any
-    other such check is decided through q^trunc by the residues of
-    :func:`packed_values`, each side summed over its term ratios on one
-    integer.  Otherwise (the series route, for a coefficient that is not an
-    int) each side is summed through q^depth divided by G."""
+    :meth:`Sums.residue`, whose lowest set bit lies in the digit of its
+    first nonzero exponent.  Where B + 2 <= trunc and no side is divided by
+    (q; q)_inf, the combination is a Laurent polynomial identity, and each
+    value is the :func:`point_values` of the cleared terms, evaluated term
+    by term, an exact int.  Any other such check is decided through q^trunc
+    by the residues of :func:`packed_values` modulo ``modulus``,
+    2^(base K) with K = depth + 1 - s_min, each side summed over its term
+    ratios on one integer.  Otherwise (the series route, for a coefficient
+    that is not an int) each side is summed through q^depth divided by G.
+    G, which sorts the multiplicities of every factor, is made only for
+    the packed and the series routes, which divide by it."""
     lists, euler = [], 0
     for terms, e in sides:
         lists.append(terms)
         euler |= e
-    unit, bound, low, clear = shared_unit(*lists)
+    median, bound, low, clear = shared_unit(*lists)
     low = low or 0       # None when no term is nonzero, and every value is 0
     if not euler and bound is not None and bound + 2 <= trunc:
         depth, point = bound + 2, point_values(lists, low, clear)
+        if point is not None:
+            return Sums(point[1], depth, {}, point[0], low, 0)
+        unit = median()
     else:
-        depth, point = trunc, packed_values(sides, trunc, low, clear, unit)
-    if point is None:
-        return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
-                    depth, unit, 0, low, 0)
-    return Sums(point[1], depth, unit, point[0], low, 1 << point[0] * max(depth + 1 - low, 0))
+        depth, unit = trunc, median()
+        point = packed_values(sides, trunc, low, clear, unit)
+        if point is not None:
+            return Sums(point[1], depth, unit, point[0], low,
+                        1 << point[0] * max(depth + 1 - low, 0))
+    return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
+                depth, unit, 0, low, 0)
 
 
 def compare_sides(ident: str, params: dict, trunc: int,
@@ -634,8 +729,8 @@ def compare_sides(ident: str, params: dict, trunc: int,
     Every side is summed or evaluated once, by :func:`sum_sides`.  Only a
     MISMATCH needs the true values, for its windows.  On the series route
     both buffers of that pair are multiplied back by G.  On a point route
-    the difference of the two ints, modulo the modulus, gives the first
-    differing exponent e, and only that pair is summed, undivided, through
+    the :meth:`Sums.residue` of the two ints gives the first differing
+    exponent e, and only that pair is summed, undivided, through
     q^min(trunc, e+2); if those sums differ first at any other q^e, the
     routes disagree and EngineError is raised.  Either way the report is
     the one a sum through q^trunc gives."""
@@ -650,8 +745,9 @@ def compare_sides(ident: str, params: dict, trunc: int,
             for _, buf in (lhs, rhs):
                 _apply(buf, sums.unit, 0, len(buf) - 1)
             return compare(ident, params, trunc, lhs, rhs)
-        if d := (lhs - rhs) % sums.modulus:
-            # the lowest set bit of d lies in the digit of q^(e - s_min)
+        if d := sums.residue(lhs, rhs):
+            # the lowest set bit of d lies in the digit of q^(e - s_min);
+            # d & -d is that bit for a negative d too
             e = sums.low + ((d & -d).bit_length() - 1) // sums.base
             rep = compare(ident, params, trunc, *(side_value(*side, min(trunc, e + 2))
                                                   for side in (sides[i], sides[-1])))
@@ -662,13 +758,14 @@ def compare_sides(ident: str, params: dict, trunc: int,
 
 
 def compare_checks(ident: str, params: dict, trunc: int, checks: list,
-                   modulus: int) -> VerificationReport:
+                   sums: Sums) -> VerificationReport:
     """Report on a certificate: each (name, lhs, rhs) in ``checks``, two
-    values from one :func:`sum_sides` call whose ``modulus`` is given, is
-    compared through q^trunc, or modulo ``modulus`` on a point route, and
-    listed with its verdict; the report is EQUAL only if every check is."""
+    values made from the values of ``sums``, one :func:`sum_sides` call,
+    is compared through q^trunc, or by its :meth:`Sums.residue` on a point
+    route, and listed with its verdict; the report is EQUAL only if every
+    check is."""
     # a nonzero residue, or the first difference of two (offset, coeffs)
-    verdicts = [(name, "MISMATCH" if ((lhs - rhs) % modulus if modulus else
+    verdicts = [(name, "MISMATCH" if (sums.residue(lhs, rhs) if sums.base else
                                       compare_side_values(lhs, rhs, trunc)) else "EQUAL")
                 for name, lhs, rhs in checks]
     ok = all(v == "EQUAL" for _, v in verdicts)

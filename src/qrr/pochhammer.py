@@ -44,7 +44,8 @@ closing a chain applies U_head/G, so a factor that G takes out of every
 term costs no pass at all.  :func:`shared_unit` picks G from the terms of
 every side of the check: for each m, the median multiplicity over the
 terms, which makes the factors left to apply, summed over the terms, as
-few as any G can.
+few as any G can.  It is computed only for a check that is summed over
+its ratios; a check evaluated term by term never divides by it.
 
 The same scan reads the check's degree bound B.  Let d_m be the largest
 denominator multiplicity of (1-q^m) over the terms of every side; then
@@ -89,7 +90,9 @@ coefficient kernels.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
+from typing import Callable
 
 from .series import SeriesError, default_truncation
 
@@ -268,8 +271,25 @@ class PochProduct:
     def step(self, e: int, old: int, new: int, times: int = 1) -> "PochProduct":
         """Multiply by ((q^e; q)_new / (q^e; q)_old)^times, which is
         (q^(e+old); q)_(new-old)^times for all integers old and new: the
-        change of one slot of a term chain from index old to index new."""
-        return self.poch(e + old, new - old, times)
+        change of one slot of a term chain from index old to index new.
+
+        Most steps of a chain move an index by one: new = old + 1 multiplies
+        by (1-q^(e+old))^times and new = old - 1 divides by (1-q^(e+new))^times.
+        Where that one factor has m >= 1 its multiplicity is updated here in
+        place; any other change, a zero or negative m among them, goes
+        through :meth:`poch`."""
+        d = new - old
+        if d == 1 or d == -1:
+            m = e + old if d == 1 else e + new
+            if m >= 1:
+                powers = self.powers
+                c = powers.get(m, 0) + d * times
+                if c:
+                    powers[m] = c
+                else:
+                    del powers[m]
+                return self
+        return self.poch(e + old, d, times)
 
     def qn(self, n: int, times: int = 1) -> "PochProduct":
         """Multiply by (q; q)_n^times."""
@@ -501,7 +521,7 @@ def sum_terms(terms: list[PochProduct], trunc: int,
 
 
 def shared_unit(*term_lists: list[PochProduct]
-                ) -> tuple[dict, int | None, int | None, dict]:
+                ) -> tuple[Callable[[], dict], int | None, int | None, dict]:
     """(G, B, s_min, L) for a check of integer combinations of the lists,
     from one scan of their nonzero terms c q^s prod (1-q^m)^e_m.
 
@@ -509,7 +529,10 @@ def shared_unit(*term_lists: list[PochProduct]
     by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
     the terms, a term without the factor counting as 0.  The median makes
     sum_t |e_t(m) - g_m|, the factors left on the terms, as small as it can
-    be.  The key m = 0, the zero and pole count, stays with the terms.
+    be.  The key m = 0, the zero and pole count, stays with the terms.  G
+    is handed back as a function of no argument that sorts the scan's
+    multiplicities for it, since only a check summed over its term ratios
+    divides by G.
 
     B is the degree bound of the check (None when there are no terms): with
     d_m the largest denominator multiplicity of (1-q^m) over the terms,
@@ -539,7 +562,7 @@ def shared_unit(*term_lists: list[PochProduct]
         if bound is None or degree > bound:
             bound = degree
     n = len(terms)
-    unit, clear = {}, {}
+    clear = {}
     for m, es in seen.items():
         least = min(es)
         if least < 0:            # D clears (1-q^m)^-least from every term
@@ -548,12 +571,19 @@ def shared_unit(*term_lists: list[PochProduct]
             least = 0
         if least:
             clear[m] = least
+    return functools.partial(_median_unit, seen, n), bound, low, clear
+
+
+def _median_unit(seen: dict, n: int) -> dict:
+    """G of :func:`shared_unit`, from the multiplicities ``seen`` of each
+    (1-q^m) over the n terms that have it."""
+    unit = {}
+    for m, es in seen.items():
         if 2 * len(es) >= n:     # else most terms lack (1-q^m), and g_m = 0
-            es += [0] * (n - len(es))
-            es.sort()
+            es = sorted(es + [0] * (n - len(es)))
             if es[n // 2]:
                 unit[m] = es[n // 2]
-    return unit, bound, low, clear
+    return unit
 
 
 # ---------------------------------------------------------------------------

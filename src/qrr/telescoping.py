@@ -32,7 +32,8 @@ is an int, so each value is one integer, the list at q = 2^b, with no
 kernel pass: evaluated term by term where B + 2 <= T, B the degree bound
 of every term, and otherwise a residue modulo 2^(b(T + 1 - s_min)),
 summed over the term ratios on one packed integer.  Two combinations of
-values are compared by their difference modulo that modulus.  (Forced
+values are compared by their difference, exact on the first route and
+modulo that modulus on the second.  (Forced
 onto the series route, each value is the list summed through
 q^min(T, B + 2), divided by one unit G,
 :func:`~qrr.pochhammer.shared_unit` of every term.)  Each check is
@@ -55,6 +56,7 @@ from .identities.framework import (
     UNPERTURBED,
     EngineError,
     Sum,
+    Sums,
     VerificationReport,
     _check_params,
     _sum_terms,
@@ -229,12 +231,12 @@ def _add_values(a, b, scale: int = 1):
     return off, out
 
 
-def _values(sides: list, trunc: int) -> tuple[list, object, int]:
-    """(values, zero, modulus): every side's value from one
+def _values(sides: list, trunc: int) -> tuple[list, object, Sums]:
+    """(values, zero, sums): every side's value from one
     :func:`~qrr.identities.framework.sum_sides` call, the zero value of its
-    route and its modulus."""
+    route and the call's :class:`~qrr.identities.framework.Sums`."""
     sums = sum_sides(sides, trunc)
-    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1)), sums.modulus
+    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1)), sums
 
 
 def _cleared_side(env: dict, side: str, trunc: int):
@@ -290,7 +292,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
              + [_terms(name, cores, params, 0) for name in ("L0", "R0")]
              + [_terms(name, cores, params, k) for k in range(cap + 3) for name in "fg"]
              + [_two_sum_terms(params)])
-    values, zero, modulus = _values([(terms, 0) for terms in lists]
+    values, zero, sums = _values([(terms, 0) for terms in lists]
                            + [_cleared_side(params, side, trunc)
                               for side in ("lhs", "rhs")], trunc)
     F = values[:cap + 4]
@@ -313,7 +315,7 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
         ("lhs-clearing", left, lhs),
         ("rhs-clearing", right, rhs),
     ]
-    return compare_checks("telescoping", params, trunc, checks, modulus)
+    return compare_checks("telescoping", params, trunc, checks, sums)
 
 
 def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
@@ -329,7 +331,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     cap = min(l, m, n, u - 1, v - 1)
     cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
     record = get_record("LMNRS4")
-    values, zero, modulus = _values(
+    values, zero, sums = _values(
         [(_terms(name, cores, params, k), 0) for k in range(cap + 3) for name in "ST"]
         + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
 
@@ -341,7 +343,7 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
         s_sum = _add_values(s_sum, s_k)
         t_sum = _add_values(t_sum, t_k)
     checks += [("lhs-assembly", s_sum, values[-2]), ("rhs-assembly", t_sum, values[-1])]
-    return compare_checks("termwise", params, trunc, checks, modulus)
+    return compare_checks("termwise", params, trunc, checks, sums)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def exact_support(spec, env, trunc, num_args, den_args):
     exact = [b for a, b in pairs if a == -b and b >= 1]
     upper = [-a for a, times in plain if times > 0 and a <= 0] + exact
     lower = [b - 1 for b, times in plain if times < 0 and b >= 1] + [b - 1 for b in exact]
-    kmax = min(upper) if upper else _valuation_kmax(spec, env, 0, trunc)
+    kmax = min(upper) if upper else _valuation_kmax(spec, eval_affine(spec.lin, env), 0, trunc)
     return -min(lower, default=0), kmax
 
 

@@ -83,6 +83,28 @@ def test_verify_refuses_non_integral_parameters(value):
         verify("ANDREWS1", {"n": value}, 20)
 
 
+@pytest.mark.parametrize("params,message", [
+    ({"l": 1, "m": 1, "n": 1}, "LMNR1: missing parameter 'u'"),
+    ({"l": 1, "m": 1, "n": 1, "u": 1, "x": 0, "a": 2},
+     "LMNR1: unexpected parameters ['a', 'x']"),
+    ({"l": 1, "m": True, "n": 1, "u": 1},
+     f"LMNR1: parameter m must be an integer >= 0 and at most {MAX_PARAMETER}, got True"),
+    ({"l": 1, "m": 1, "n": 2.0, "u": 1},
+     f"LMNR1: parameter n must be an integer >= 0 and at most {MAX_PARAMETER}, got 2.0"),
+    ({"l": 1, "m": 1, "n": 1, "u": "1"},
+     f"LMNR1: parameter u must be an integer >= 0 and at most {MAX_PARAMETER}, got '1'"),
+    ({"l": -1, "m": 1, "n": 1, "u": 1},
+     f"LMNR1: parameter l must be an integer >= 0 and at most {MAX_PARAMETER}, got -1"),
+    ({"l": 1, "m": 1, "n": 1, "u": MAX_PARAMETER + 1},
+     f"LMNR1: parameter u must be an integer >= 0 and at most {MAX_PARAMETER}, "
+     f"got {MAX_PARAMETER + 1}"),
+], ids=["missing", "extra", "bool", "float", "str", "below-floor", "above-limit"])
+def test_each_bad_parameter_has_its_exact_message(params, message):
+    with pytest.raises(EngineError) as exc:
+        verify("LMNR1", params, 20)
+    assert str(exc.value) == message
+
+
 def test_verify_mutated_keeps_its_truncation_order():
     assert verify_mutated("ANDREWS1", {"n": 3}, "lhs.qpow", 1, trunc=18).trunc == 18
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qrr import pochhammer
+from qrr.pochhammer import PochProduct
 from qrr.identities import engine, framework
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "kernel_passes.py"
@@ -43,11 +44,17 @@ def _bindings():
             if hasattr(module, name)]
 
 
+def _builders():
+    return [(module, "_sum_terms", module._sum_terms) for module in (framework, engine)]
+
+
 def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch, series_route):
-    before = _bindings()
+    before, builders, step = _bindings(), _builders(), PochProduct.step
     with kernel_passes.counted_kernels() as calls:
         assert _tiny().equal
-    assert _bindings() == before                 # every binding is put back
+    # every binding is put back, and no module keeps an eval of its own
+    assert _bindings() == before and _builders() == builders
+    assert PochProduct.step is step and "eval" not in vars(framework)
     want = Counter()
     for module, name, kernel in before:
         def counted(*args, kernel=kernel, name=name):
@@ -57,8 +64,30 @@ def test_counts_match_counting_at_each_binding(kernel_passes, monkeypatch, serie
                 want["coeff_updates"] += len(range(lo + m, len(buf)))
             return kernel(*args)
         monkeypatch.setattr(module, name, counted)
+    for module, name, build in builders:
+        def kept(*args, build=build):
+            terms = build(*args)
+            want["terms"] += len(terms)
+            return terms
+        monkeypatch.setattr(module, name, kept)
+
+    def stepped(self, *args):
+        want["steps"] += 1
+        return step(self, *args)
+
+    def evaluated(*args):
+        want["evals"] += 1
+        return eval(*args)
+
+    monkeypatch.setattr(PochProduct, "step", stepped)
+    monkeypatch.setattr(framework, "eval", evaluated, raising=False)
     _tiny()
     assert calls == want
+    # EULERMN1 at (4, 5): k runs over 0..4 on the lhs and 0..13 on the rhs,
+    # every term nonzero; each side costs one eval for its prefactor, one
+    # for its sum's parameters and one per k
+    assert calls["terms"] == 5 + 14 and calls["steps"] > calls["terms"]
+    assert calls["evals"] == 2 + 2 + 5 + 14
     assert calls["div_euler"] == 1 and calls["mul_binomial"] + calls["div_binomial"] > 0
     assert calls["coeff_updates"] > calls["mul_binomial"] + calls["div_binomial"]
 
@@ -91,26 +120,33 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
         return [("tiny", tiny, False), ("wrong", wrong, False), ("kinds", kinds, True)]
 
     monkeypatch.setattr(kernel_passes, "_runs", runs)
+    building = ("terms", "steps", "evals")
     with kernel_passes.counted_kernels() as calls:
         _on_lists()
     with kernel_passes.counted_kernels() as points:
         point()
-    assert points == {"point_values": 1}
+    assert {k: v for k, v in points.items() if k not in building} == {"point_values": 1}
     with kernel_passes.counted_kernels() as packed:
         _tiny()
-    assert packed == {"packed_values": 1}
+    assert {k: v for k, v in packed.items() if k not in building} == {"packed_values": 1}
+    # the same sides are built on every route
+    assert [calls[k] for k in building] == [packed[k] for k in building]
     assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
     head, tiny, wrong, kinds, two, other = capsys.readouterr().out.splitlines()
     assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
-                            "binomial", "coeff_updates", "div_euler", "points", "packed"]
-    assert tiny.split() == ["tiny", "1", "0"] + ["0"] * 6 + ["1"]
+                            "binomial", "coeff_updates", "div_euler", "points", "packed",
+                            "terms", "steps", "evals"]
+    built = [str(packed[k]) for k in building]
+    assert tiny.split() == ["tiny", "1", "0"] + ["0"] * 6 + ["1"] + built
     assert wrong.split()[:3] == ["wrong", "1", "1"]
     # a run by kind: its total, then one indented row per first word of a
     # label, in order of first appearance
     mul, div = calls["mul_binomial"], calls["div_binomial"]
     row = [str(mul), str(div), str(mul + div), str(calls["coeff_updates"]), "1", "0", "0"]
-    twice = [str(2 * int(c)) for c in row]
-    assert kinds.split() == ["kinds", "3", "0", *twice[:-2], "1", "0"]
+    twice = [str(2 * int(c)) for c in row + built]
+    each = [str(points[k]) for k in building]
+    summed = [str(2 * packed[k] + points[k]) for k in building]
+    assert kinds.split() == ["kinds", "3", "0", *twice[:-5], "1", "0", *summed]
     assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice]
     assert other.startswith("  other ")
-    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0"]
+    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0", *each]

@@ -221,3 +221,95 @@ def test_an_off_by_one_step_is_caught(monkeypatch, compared):
         except SeriesError as exc:
             verdict = type(exc).__name__
         assert verdict != "EQUAL", ident
+
+
+# ---------------------------------------------------------------------------
+# the compiled plans
+# ---------------------------------------------------------------------------
+
+
+def _built_under(spec, params, tag, ctx=None):
+    """(terms as triples, the sites passed) of ``spec`` built under ``tag``."""
+    sites = set()
+    ctx = ctx or EvalCtx(recorder=sites)
+    terms = framework._sum_terms(spec, params, ctx, tag, 0)
+    return [(t.coeff, t.shift, t.powers) for t in terms], sites
+
+
+def test_one_sum_under_two_tags_keeps_each_tags_site_names():
+    # a plan is compiled per (sum, tag), so a name formatted for one tag
+    # never reaches a build under the other, in either order
+    spec, params = telescoping._SPLIT_SUMS[0], dict(zip("lmnuv", (2, 3, 2, 1, 2)))
+    first, split0 = _built_under(spec, params, "split0")
+    second, other = _built_under(spec, params, "other")
+    again, split0_again = _built_under(spec, params, "split0")
+    assert first == second == again and len(first) == 3
+    assert split0 == split0_again and split0 and other
+    assert all(name.startswith("split0.") for name in split0)
+    assert other == {"other." + name.removeprefix("split0.") for name in split0}
+    # a perturbation of a site under one tag moves only the build under it
+    site = "other.num[l+m+n-k]"
+    assert site in other
+    for tag, moved in (("split0", False), ("other", True)):
+        ctx = EvalCtx({site: 1})
+        assert (_built_under(spec, params, tag, ctx)[0] != first) is moved
+        assert ctx.hits == (len(first) if moved else 0)
+
+
+def _one_factor_off(self, e, old, new, times=1):
+    """PochProduct.step with its in-place one-factor branch updating
+    (1-q^(m+1)) in place of (1-q^m); every other change as before."""
+    d = new - old
+    m = e + old if d == 1 else e + new
+    if d in (1, -1) and m >= 1:
+        powers = self.powers
+        c = powers.get(m + 1, 0) + d * times
+        if c:
+            powers[m + 1] = c
+        else:
+            del powers[m + 1]
+        return self
+    return self.poch(e + old, d, times)
+
+
+def test_a_one_factor_step_off_by_one_is_caught(monkeypatch, compared):
+    monkeypatch.setattr(PochProduct, "step", _one_factor_off)
+    _eval_both_sides(REGISTRY["ANDREWS1"], {"n": 4}, 30)
+    assert any(got != want for _, got, want in compared)
+    for ident in ("ANDREWS1", "LMNRS3", "EULERN1"):
+        params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
+        try:
+            verdict = engine.verify(ident, params, 30).verdict
+        except SeriesError as exc:
+            verdict = type(exc).__name__
+        assert verdict != "EQUAL", ident
+
+
+def test_each_plan_is_built_once_per_process(monkeypatch):
+    # every (sum, tag) the registry builds, and every (prefactor, tag),
+    # has one plan, compiled at its first build and reused after
+    built = set()
+    real = framework._sum_terms
+
+    def recorded(spec, env, ctx, tag, trunc, start=None):
+        built.add((spec, tag))
+        return real(spec, env, ctx, tag, trunc, start)
+
+    monkeypatch.setattr(framework, "_sum_terms", recorded)
+    prefactors = {(rec.side(side).pre, side) for rec in REGISTRY.values()
+                  for side in ("lhs", "rhs") if rec.side(side).pre is not None}
+    framework._plan.cache_clear()
+    framework._prefactor_plan.cache_clear()
+
+    def sweep():
+        for ident, rec in sorted(REGISTRY.items()):
+            engine.verify(ident, {ps.name: ps.low + 1 for ps in rec.params}, 20)
+
+    sweep()
+    plans, pres = framework._plan.cache_info(), framework._prefactor_plan.cache_info()
+    assert plans.misses == plans.currsize == len(built) > 50
+    assert pres.misses == pres.currsize == len(prefactors) > 10
+    sweep()
+    assert framework._plan.cache_info().misses == plans.misses
+    assert framework._prefactor_plan.cache_info().misses == pres.misses
+    assert framework._plan.cache_info().hits >= plans.hits + len(built)

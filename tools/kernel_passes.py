@@ -1,4 +1,5 @@
-"""Count the exact kernel calls of three benchmark runs.
+"""Count the exact kernel calls and the term-building work of three
+benchmark runs.
 
 Prints how many times ``mul_binomial``, ``div_binomial`` and ``div_euler``
 are called while three runs execute, serially in this process, and the
@@ -9,7 +10,12 @@ alone does not weigh the length of the buffer or how much of it a pass
 skips.  The ``points`` column counts the calls of ``point_values``, one per
 check asked to be decided term by term at an integer point, and the
 ``packed`` column those of ``packed_values``, one per check asked to be
-decided on one packed integer; neither makes a kernel pass.  The runs are:
+decided on one packed integer; neither makes a kernel pass.  Three more
+columns count the work of building the terms: ``terms``, the terms that
+``framework._sum_terms`` keeps, ``steps``, the calls of
+``PochProduct.step``, and ``evals``, the calls of the builtin ``eval`` made
+by a ``qrr`` module, each one evaluation of a compiled row of affine
+exponents.  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
   each verified through ``engine.verify`` at the sweep's T (40), with no
@@ -20,10 +26,11 @@ decided on one packed integer; neither makes a kernel pass.  The runs are:
 
 The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
 default this repository) and the program from its ``src/``; nothing is
-written there.  A kernel, ``point_values`` and ``packed_values`` are
-counted at every ``qrr`` module's binding of them, so a call made through
-another module's import counts too; a checkout without one of them reads 0
-in its column.
+written there.  A kernel, ``point_values``, ``packed_values`` and
+``_sum_terms`` are counted at every ``qrr`` module's binding of them, so a
+call made through another module's import counts too; a checkout without
+one of them reads 0 in its column.  ``eval`` is counted by a module global
+of that name in every ``qrr`` module, which the builtin lookup finds first.
 The counts are deterministic, so one run of each side of a change compares
 the work they do.  The exit code is 1 if any check got the wrong verdict.
 Run from anywhere:
@@ -51,32 +58,68 @@ def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
 
 @contextlib.contextmanager
 def counted_kernels():
-    """Count the calls of each kernel and evaluator in KERNELS, through every
-    binding of it in a loaded ``qrr`` module, and under ``"coeff_updates"``
-    the entries the binomial passes visit, while active; yields the Counter
-    it fills and puts every binding back on exit."""
+    """Count, while active, the calls of each kernel and evaluator in
+    KERNELS through every binding of it in a loaded ``qrr`` module, and
+    under ``"coeff_updates"`` the entries the binomial passes visit; under
+    ``"terms"`` the terms ``_sum_terms`` hands back through every binding,
+    under ``"steps"`` the calls of ``PochProduct.step`` and under
+    ``"evals"`` the ``eval`` calls of every ``qrr`` module.  Yields the
+    Counter it fills and puts every binding back on exit."""
     from qrr import pochhammer
+    from qrr.identities import framework
 
     calls = Counter()
-    kernels = {name: getattr(pochhammer, name) for name in KERNELS
-               if hasattr(pochhammer, name)}
-    patched = []
+
+    def kernel_counter(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            if name.endswith("_binomial"):
+                calls["coeff_updates"] += coeff_updates(*args)
+            return kernel(*args)
+        return counted
+
+    def terms_counter(build):
+        def counted(*args, **kwargs):
+            terms = build(*args, **kwargs)
+            calls["terms"] += len(terms)
+            return terms
+        return counted
+
+    def counted_eval(*args):
+        calls["evals"] += 1
+        return eval(*args)
+
+    originals = {name: getattr(pochhammer, name) for name in KERNELS
+                 if hasattr(pochhammer, name)}
+    wrappers = {name: kernel_counter(name, f) for name, f in originals.items()}
+    if hasattr(framework, "_sum_terms"):
+        originals["_sum_terms"] = framework._sum_terms
+        wrappers["_sum_terms"] = terms_counter(framework._sum_terms)
+    patched, added = [], []
     for module in [m for name, m in list(sys.modules.items())
                    if m is not None and (name == "qrr" or name.startswith("qrr."))]:
-        for name, kernel in kernels.items():
-            if getattr(module, name, None) is kernel:
-                def counted(*args, kernel=kernel, name=name):
-                    calls[name] += 1
-                    if name.endswith("_binomial"):
-                        calls["coeff_updates"] += coeff_updates(*args)
-                    return kernel(*args)
-                patched.append((module, name, kernel))
-                setattr(module, name, counted)
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                patched.append((module, name, original))
+                setattr(module, name, wrappers[name])
+        if "eval" not in vars(module):
+            added.append(module)
+            module.eval = counted_eval
+    step = pochhammer.PochProduct.step
+
+    def counted_step(self, *args):
+        calls["steps"] += 1
+        return step(self, *args)
+
+    pochhammer.PochProduct.step = counted_step
     try:
         yield calls
     finally:
-        for module, name, kernel in patched:
-            setattr(module, name, kernel)
+        pochhammer.PochProduct.step = step
+        for module in added:
+            del module.eval
+        for module, name, original in patched:
+            setattr(module, name, original)
 
 
 def _runs(workloads) -> list[tuple[str, list, bool]]:
@@ -101,7 +144,8 @@ def _row(label: str, attempted: int, failed: int, calls: Counter) -> str:
     mul, div = calls["mul_binomial"], calls["div_binomial"]
     return (f"{label:<22}{attempted:>8}{failed:>8}{mul:>14}{div:>14}"
             f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}"
-            f"{calls['point_values']:>8}{calls['packed_values']:>8}")
+            f"{calls['point_values']:>8}{calls['packed_values']:>8}"
+            f"{calls['terms']:>10}{calls['steps']:>10}{calls['evals']:>10}")
 
 
 def main(argv=None) -> int:
@@ -115,7 +159,7 @@ def main(argv=None) -> int:
 
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
           f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}"
-          f"{'points':>8}{'packed':>8}")
+          f"{'points':>8}{'packed':>8}{'terms':>10}{'steps':>10}{'evals':>10}")
     failed = 0
     for label, items, by_kind in _runs(workloads):
         # no check caches a sum, so running the items kind by kind does the
