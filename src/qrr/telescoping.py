@@ -23,9 +23,11 @@ f_k, g_k and F(k); B(k) under S_k and T_k; a one-term C0 under L0 and R0.
 They are transcribed from the printed forms, not read from the records, so
 that each certificate stays an independent check of the records it ties
 back to.  Every exponent passes through ``ctx.site`` under a name that no
-other declaration uses.  Each quantity is built once per k, and every check
-that reads it reuses its value.  A certificate builds every term list
-first and takes their values from one
+other declaration uses.  A core holds only the terms of its support, and
+each quantity is built once per k inside it, its exponents evaluated in
+one environment per certificate; past the support a quantity has no term,
+the value 0.  Every check that reads a quantity reuses its value.  A
+certificate builds every term list first and takes their values from one
 :func:`~qrr.identities.framework.sum_sides` call, the rule
 :func:`~qrr.identities.framework.compare_sides` uses.  Every coefficient
 is an int, so each value is one integer, the list at q = 2^b, with no
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .series import default_truncation
-from .pochhammer import PochProduct
 from .identities.framework import (
     _AFFINE_GLOBALS,
     UNPERTURBED,
@@ -60,7 +61,6 @@ from .identities.framework import (
     VerificationReport,
     _check_params,
     _sum_terms,
-    _support,
     compare_checks,
     parse_affine_row,
     side_terms,
@@ -169,27 +169,32 @@ _FAMILIES = {fam.name: fam for fam in (
 )}
 
 
-def _core(spec: Sum, tag: str, params: dict, count: int) -> list:
-    """The terms of ``spec`` for k = 0..count-1: its chain over the support,
-    then the zero product at every k past it.  A zero term inside the
+def _core(spec: Sum, tag: str, params: dict, cap: int) -> list:
+    """The terms of ``spec`` for k = 0..cap, the support its chain runs
+    over; past it the core is 0 and holds no term.  A zero term inside the
     support would shift every later k, so it raises EngineError."""
     terms = _sum_terms(spec, params, _CTX, tag, 0)
-    _, cap = _support(spec, params, 0)
     if len(terms) != cap + 1:
         raise EngineError(f"{tag}: zero term in k = 0..{cap} at {params}")
-    return terms + [PochProduct().factor(0) for _ in range(count - cap - 1)]
+    return terms
 
 
-def _terms(name: str, cores: dict, params: dict, k: int) -> list:
+def _terms(name: str, cores: dict, env: dict, k: int) -> list:
     """The k-th terms of family ``name``: each declared term times the k-th
-    term of its base in ``cores``, every exponent passed through its site."""
+    term of its base in ``cores``, every exponent passed through its site;
+    none past the base's support, where every term is 0.  ``env`` is the
+    one environment of a certificate call, the point and k, which is set
+    here."""
     family = _FAMILIES[name]
+    base = cores[family.base]
+    if k >= len(base):
+        return []
+    base = base[k]
     row, names, times = family.row
     site = _CTX.site
-    base = cores[family.base][k]
+    env["k"] = k
     out = []
-    exps = eval(row, _AFFINE_GLOBALS, dict(params, k=k))
-    for s, e, d in zip(names, exps, times):
+    for s, e, d in zip(names, eval(row, _AFFINE_GLOBALS, env), times):
         e = site(s, e, k)
         if d:
             t.factor(e, d)
@@ -204,8 +209,8 @@ def _terms(name: str, cores: dict, params: dict, k: int) -> list:
 def _two_sum_terms(params: dict) -> list:
     """The cleared left side as two one-sided sums, the second times q^(u+v),
     interleaved: the k-th terms of the two are a few factors apart."""
-    count = min(params["l"], params["m"], params["n"]) + 1
-    first, second = (_core(spec, f"split{i}", params, count)
+    cap = min(params["l"], params["m"], params["n"])
+    first, second = (_core(spec, f"split{i}", params, cap)
                      for i, spec in enumerate(_SPLIT_SUMS))
     return [t for a, b in zip(first, second, strict=True)
             for t in (a, b.q(params["u"] + params["v"]))]
@@ -248,13 +253,14 @@ def _cleared_side(env: dict, side: str, trunc: int):
 
 
 # The most work a certificate may take, in coefficient updates of the list
-# kernels: each k of 0..cap+3 whose A(k) starts at or below q^T renders a
-# few terms of up to about min(l+m+n+u+v, T) factors (1 - q^j), one pass
-# over T coefficients each.  At the limit both certificates of a point take
-# about a second on the series route; the point routes make no such pass,
-# and a packed residue of T digits costs a few big-integer shifts per factor
-# (at (15,15,15,15,15), T=1000, both certificates took 0.23 s against 0.53 s
-# on the series route, single runs on a shared 2-core machine).
+# kernels, estimated over k = 0..cap+3 (terms are built only for k = 0..cap):
+# each k whose A(k) starts at or below q^T sums a few terms of up to about
+# min(l+m+n+u+v, T) factors (1 - q^j), one pass over T coefficients each.
+# At the limit both certificates of a point take about a second on the
+# series route; the point routes make no such pass, and a packed residue of
+# T digits costs a few big-integer shifts per factor (at (15,15,15,15,15),
+# T=1000, both certificates took 0.23 s against 0.53 s on the series route,
+# single runs on a shared 2-core machine).
 MAX_CERTIFICATE_WORK = 2_000_000
 
 
@@ -277,7 +283,8 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     """Check the full telescoping certificate at one parameter point.
 
     Verifies, through q^trunc: the per-index difference f_k - g_k against
-    the increment F(k+1) - F(k) (with two sentinel indices past the support),
+    the increment F(k+1) - F(k) (with two sentinel indices past the support,
+    where both are 0 by the support and no term is built),
     every partial sum against F(k+1) - F(0), the reassembled equality
     L0 + sum f = R0 + sum g, the splitting of the cleared left side into its
     two constituent sums, and that both cleared sides match the registry's
@@ -286,11 +293,11 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
     trunc = default_truncation(trunc)
     params = _checked("telescoping", "LMNRS3", (l, m, n, u, v), trunc)
     cap = min(l, m, n, u, v)
-    cores = {"A": _core(_A_SUM, "A", params, cap + 4),
-             "C0": _core(_C0_SUM, "C0", params, 1)}
-    lists = ([_terms("F", cores, params, k) for k in range(cap + 4)]
-             + [_terms(name, cores, params, 0) for name in ("L0", "R0")]
-             + [_terms(name, cores, params, k) for k in range(cap + 3) for name in "fg"]
+    cores = {"A": _core(_A_SUM, "A", params, cap), "C0": _core(_C0_SUM, "C0", params, 0)}
+    env = dict(params)
+    lists = ([_terms("F", cores, env, k) for k in range(cap + 4)]
+             + [_terms(name, cores, env, 0) for name in ("L0", "R0")]
+             + [_terms(name, cores, env, k) for k in range(cap + 3) for name in "fg"]
              + [_two_sum_terms(params)])
     values, zero, sums = _values([(terms, 0) for terms in lists]
                            + [_cleared_side(params, side, trunc)
@@ -323,16 +330,18 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     """Check the termwise certificate for the q^(k^2+k) identity.
 
     The two sides regroup into sums over S_k and T_k; this verifies
-    S_k = T_k for each index (with sentinels), and that the regrouped sums
-    reproduce both registry sides.
+    S_k = T_k for each index (with two sentinels past the support, where
+    both are 0 by the support and no term is built), and that the regrouped
+    sums reproduce both registry sides.
     """
     trunc = default_truncation(trunc)
     params = _checked("termwise", "LMNRS4", (l, m, n, u, v), trunc)
     cap = min(l, m, n, u - 1, v - 1)
-    cores = {"B": _core(_B_SUM, "B", params, cap + 3)}
+    cores = {"B": _core(_B_SUM, "B", params, cap)}
+    env = dict(params)
     record = get_record("LMNRS4")
     values, zero, sums = _values(
-        [(_terms(name, cores, params, k), 0) for k in range(cap + 3) for name in "ST"]
+        [(_terms(name, cores, env, k), 0) for k in range(cap + 3) for name in "ST"]
         + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
 
     checks = []

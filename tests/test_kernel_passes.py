@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qrr import pochhammer
+from qrr import pochhammer, telescoping
 from qrr.pochhammer import PochProduct
 from qrr.identities import engine, framework
 
@@ -150,3 +150,21 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice]
     assert other.startswith("  other ")
     assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0", *each]
+
+
+def test_terms_count_the_certificate_family_terms(kernel_passes, monkeypatch):
+    with kernel_passes.counted_kernels() as calls:
+        assert telescoping.verify_sk_tk(1, 1, 1, 2, 2, 30).equal
+    built = Counter()
+    for module, name in ((framework, "_sum_terms"), (telescoping, "_sum_terms"),
+                         (telescoping, "_terms")):
+        def kept(*args, build=getattr(module, name), name=name):
+            terms = build(*args)
+            built[name] += len(terms)
+            return terms
+        monkeypatch.setattr(module, name, kept)
+    telescoping.verify_sk_tk(1, 1, 1, 2, 2, 30)
+    # cap = 1: S_k and T_k hold 3 and 2 terms at k = 0, 1 and none at the
+    # sentinels k = 2, 3, past the support of their core B(k)
+    assert built["_terms"] == 10
+    assert calls["terms"] == built["_sum_terms"] + built["_terms"]

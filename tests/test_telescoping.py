@@ -1,6 +1,7 @@
 """The two summation certificates and the quartic polynomial identity."""
 
 import dataclasses
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from qrr import telescoping
 from qrr.identities import EngineError, framework
 from qrr.identities.framework import MAX_PARAMETER, EvalCtx
 from qrr.pochhammer import PochProduct
+from qrr.series import SeriesError
 from test_nested import _count_kernels
 from qrr.telescoping import (
     quartic_sides,
@@ -218,6 +220,31 @@ def test_every_site_belongs_to_one_declaration(monkeypatch):
         assert len(set(spec.den)) == len(spec.den)
 
 
+def test_every_certificate_site_bites(monkeypatch):
+    # every site either certificate passes at two points, each moved by +1
+    # and by -1: the probe must read MISMATCH or raise
+    outcomes, blind = Counter(), set()
+    for certify, point in product((verify_telescoping, verify_sk_tk),
+                                  ((1, 1, 1, 2, 2), (2, 3, 2, 2, 3))):
+        sites = set()
+        monkeypatch.setattr(telescoping, "_CTX", EvalCtx(recorder=sites))
+        assert certify(*point, 30).equal
+        for site, delta in product(sorted(sites), (1, -1)):
+            monkeypatch.setattr(telescoping, "_CTX", EvalCtx({site: delta}))
+            try:
+                got = certify(*point, 30).verdict
+            except SeriesError as exc:
+                got = type(exc).__name__
+            outcomes[got] += 1
+            if got == "EQUAL":
+                blind.add((certify.__name__, point, site, delta))
+    assert outcomes == {"MISMATCH": 478, "EngineError": 26, "EQUAL": 4}
+    # a .qpow site moves by d*k, and C0 has only the term k = 0, so its
+    # power of q cannot move; every other site bites
+    assert blind == {("verify_telescoping", point, "C0.qpow", delta)
+                     for point in ((1, 1, 1, 2, 2), (2, 3, 2, 2, 3)) for delta in (1, -1)}
+
+
 # ---------------------------------------------------------------------------
 # every term list of a certificate summed by the rule compare_sides uses
 # ---------------------------------------------------------------------------
@@ -355,12 +382,24 @@ def test_a_corrupted_factor_fails_alike_past_the_bound(certify, site, monkeypatc
     assert calls[-1] == (40, False)
 
 
-def test_certificate_cores_pad_past_the_support():
-    # A(k) is nonzero for k = 0..min(l,m,n,u,v) and the zero product after
-    a = telescoping._core(telescoping._A_SUM, "A", dict(zip("lmnuv", (2, 3, 2, 1, 2))), 5)
-    assert [t.state for t in a] == ["ok", "ok", "zero", "zero", "zero"]
-    b = telescoping._core(telescoping._B_SUM, "B", dict(zip("lmnuv", (2, 3, 2, 2, 3))), 5)
-    assert [t.state for t in b] == ["ok", "ok", "zero", "zero", "zero"]
+def test_certificate_cores_stop_at_the_support():
+    # A(k) is nonzero for k = 0..min(l,m,n,u,v), B(k) for k = 0..min(l,m,n,u-1,v-1),
+    # and a core holds just those terms
+    params = dict(zip("lmnuv", (2, 3, 2, 1, 2)))
+    a = telescoping._core(telescoping._A_SUM, "A", params, 1)
+    assert [t.state for t in a] == ["ok", "ok"]
+    b = telescoping._core(telescoping._B_SUM, "B", dict(zip("lmnuv", (2, 3, 2, 2, 3))), 1)
+    assert [t.state for t in b] == ["ok", "ok"]
+    # a core shorter than the cap it is built for is refused
+    with pytest.raises(EngineError, match=r"A: zero term in k = 0..2 at"):
+        telescoping._core(telescoping._A_SUM, "A", params, 2)
+    # past its core's support a family has no term, the value 0, and the
+    # certificate's environment takes each k without reaching the report
+    env = dict(params)
+    assert telescoping._terms("F", {"A": a}, env, 1) and env["k"] == 1
+    assert all(telescoping._terms(name, {"A": a}, env, k) == []
+               for name in "fgF" for k in (2, 3, 4))
+    assert verify_telescoping(*params.values(), 30).params == params
 
 
 def test_precondition_refused_by_name():

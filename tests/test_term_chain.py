@@ -157,37 +157,33 @@ def test_every_perturbed_site_chains_to_the_direct_terms(compared):
     assert built > len(probes)
 
 
-def _chained_certificate_terms(l, m, n, u, v, count):
-    params = {"l": l, "m": m, "n": n, "u": u, "v": v}
-    cores = {"A": telescoping._core(telescoping._A_SUM, "A", params, count),
-             "B": telescoping._core(telescoping._B_SUM, "B", params, count),
-             "C0": telescoping._core(telescoping._C0_SUM, "C0", params, 1)}
+def _chained_certificate_terms(point, caps, count):
+    params = dict(zip("lmnuv", point))
+    cores = {name: telescoping._core(spec, name, params, caps[name])
+             for name, spec in (("A", telescoping._A_SUM), ("B", telescoping._B_SUM),
+                                ("C0", telescoping._C0_SUM))}
+    env = dict(params)
     for k in range(count):
         names = ["f", "g", "F", "S", "T"] + (["L0", "R0"] if k == 0 else [])
-        yield k, {name: telescoping._terms(name, cores, params, k) for name in names}
-
-
-def _as_built(terms, in_support):
-    """Each term's (coeff, shift, powers) inside the support of its core, and
-    past it only its state, which must be zero."""
-    if in_support:
-        return [(t.coeff, t.shift, t.powers) for t in terms]
-    return [t.state for t in terms]
+        yield k, {name: telescoping._terms(name, cores, env, k) for name in names}
 
 
 def test_certificate_terms_chain_to_the_direct_terms():
     # u, v >= 1, as both certificates require before building any term; k
-    # runs three places past the support, where every term is zero
+    # runs three places past the support, where every direct term is zero
+    # and the chain builds none
     for point in product(range(4), range(4), range(4), range(1, 4), range(1, 4)):
         l, m, n, u, v = point
-        caps = {"A": min(point), "B": min(l, m, n, u - 1, v - 1)}
-        for k, chained in _chained_certificate_terms(*point, min(point) + 4):
+        caps = {"A": min(point), "B": min(l, m, n, u - 1, v - 1), "C0": 0}
+        for k, chained in _chained_certificate_terms(point, caps, min(point) + 4):
             direct = direct_terms.certificate_terms(*point, k)
             for name, terms in chained.items():
-                inside = k <= caps["B" if name in "ST" else "A"]
-                got = _as_built(terms, inside)
-                assert got == _as_built(direct[name], inside), (point, k, name)
-                assert inside or set(got) == {"zero"}, (point, k, name)
+                want, where = direct[name], (point, k, name)
+                if k <= caps[telescoping._FAMILIES[name].base]:
+                    assert ([(t.coeff, t.shift, t.powers) for t in terms]
+                            == [(t.coeff, t.shift, t.powers) for t in want]), where
+                else:
+                    assert not terms and {t.state for t in want} == {"zero"}, where
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +309,17 @@ def test_each_plan_is_built_once_per_process(monkeypatch):
     assert framework._plan.cache_info().misses == plans.misses
     assert framework._prefactor_plan.cache_info().misses == pres.misses
     assert framework._plan.cache_info().hits >= plans.hits + len(built)
+
+
+def test_a_declaration_is_hashed_from_its_fields_once(monkeypatch):
+    # equal declarations hash alike, and a plan lookup after the first does
+    # not hash the fields again
+    spec = framework.Sum(quad=(2, 0), num=("l-k",), den=("k",), support=("0", "l"))
+    twin = framework.Sum(quad=(2, 0), num=("l-k",), den=("k",), support=("0", "l"))
+    pre = framework.Prefactor(inf_den=("l+1",))
+    assert spec == twin and spec is not twin and hash(spec) == hash(twin)
+    assert hash(pre) == hash(framework.Prefactor(inf_den=("l+1",)))
+    framework._plan(spec, "t"), framework._prefactor_plan(pre, "t")
+    monkeypatch.setattr(framework, "fields", None)
+    assert framework._plan(spec, "t") is framework._plan(twin, "t")
+    assert framework._prefactor_plan(pre, "t") == framework._prefactor_plan(pre, "t")

@@ -12,7 +12,8 @@ check asked to be decided term by term at an integer point, and the
 ``packed`` column those of ``packed_values``, one per check asked to be
 decided on one packed integer; neither makes a kernel pass.  Three more
 columns count the work of building the terms: ``terms``, the terms that
-``framework._sum_terms`` keeps, ``steps``, the calls of
+``framework._sum_terms`` keeps plus the certificate family terms that
+``telescoping._terms`` builds, ``steps``, the calls of
 ``PochProduct.step``, and ``evals``, the calls of the builtin ``eval`` made
 by a ``qrr`` module, each one evaluation of a compiled row of affine
 exponents.  The runs are:
@@ -26,14 +27,15 @@ exponents.  The runs are:
 
 The inputs come from ``perfbench/workloads.py`` of the checkout at ROOT (by
 default this repository) and the program from its ``src/``; nothing is
-written there.  A kernel, ``point_values``, ``packed_values`` and
-``_sum_terms`` are counted at every ``qrr`` module's binding of them, so a
-call made through another module's import counts too; a checkout without
-one of them reads 0 in its column.  ``eval`` is counted by a module global
-of that name in every ``qrr`` module, which the builtin lookup finds first.
-The counts are deterministic, so one run of each side of a change compares
-the work they do.  The exit code is 1 if any check got the wrong verdict.
-Run from anywhere:
+written there.  A kernel, ``point_values``, ``packed_values``,
+``_sum_terms`` and ``telescoping._terms`` are counted at every ``qrr``
+module's binding of them, so a call made through another module's import
+counts too; a checkout without one of them reads 0 in its column.
+``eval`` is counted by a module global of that name in every ``qrr``
+module, which the builtin lookup finds first.  The counts are
+deterministic, so one run of each side of a change compares the work they
+do.  The exit code is 1 if any check got the wrong verdict.  Run from
+anywhere:
 
     python3 tools/kernel_passes.py [ROOT]
 """
@@ -61,11 +63,12 @@ def counted_kernels():
     """Count, while active, the calls of each kernel and evaluator in
     KERNELS through every binding of it in a loaded ``qrr`` module, and
     under ``"coeff_updates"`` the entries the binomial passes visit; under
-    ``"terms"`` the terms ``_sum_terms`` hands back through every binding,
-    under ``"steps"`` the calls of ``PochProduct.step`` and under
-    ``"evals"`` the ``eval`` calls of every ``qrr`` module.  Yields the
-    Counter it fills and puts every binding back on exit."""
-    from qrr import pochhammer
+    ``"terms"`` the terms ``_sum_terms`` and ``telescoping._terms`` hand
+    back through every binding, under ``"steps"`` the calls of
+    ``PochProduct.step`` and under ``"evals"`` the ``eval`` calls of every
+    ``qrr`` module.  Yields the Counter it fills and puts every binding
+    back on exit."""
+    from qrr import pochhammer, telescoping
     from qrr.identities import framework
 
     calls = Counter()
@@ -92,9 +95,10 @@ def counted_kernels():
     originals = {name: getattr(pochhammer, name) for name in KERNELS
                  if hasattr(pochhammer, name)}
     wrappers = {name: kernel_counter(name, f) for name, f in originals.items()}
-    if hasattr(framework, "_sum_terms"):
-        originals["_sum_terms"] = framework._sum_terms
-        wrappers["_sum_terms"] = terms_counter(framework._sum_terms)
+    for module, name in ((framework, "_sum_terms"), (telescoping, "_terms")):
+        if hasattr(module, name):
+            originals[name] = getattr(module, name)
+            wrappers[name] = terms_counter(originals[name])
     patched, added = [], []
     for module in [m for name, m in list(sys.modules.items())
                    if m is not None and (name == "qrr" or name.startswith("qrr."))]:
