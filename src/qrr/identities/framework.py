@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import ast
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
@@ -183,24 +183,8 @@ UNPERTURBED = EvalCtx()
 # ---------------------------------------------------------------------------
 
 
-class _Declaration:
-    """A frozen declaration that keys a compiled plan, and so is hashed at
-    every build: its hash is taken from its fields once and kept on it.  A
-    subclass names ``__hash__`` in its body, or ``dataclass`` would put the
-    field-by-field hash back.  A str hashes differently in another process,
-    so a declaration is not to be pickled; the worker pool is sent record
-    names."""
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 @dataclass(frozen=True)
-class Sum(_Declaration):
+class Sum:
     """sum over k of  sign^k q^{(A k^2 + B k)/2 + lin*k}
     prod (q)_num / prod (q)_den * prod (q^a; q)_k / prod (q^b; q)_k.
 
@@ -228,11 +212,9 @@ class Sum(_Declaration):
     lin: str = "0"                   # extra k-linear exponent (affine in params)
     flips: tuple[tuple[int, int], ...] = ()
 
-    __hash__ = _Declaration.__hash__
-
 
 @dataclass(frozen=True)
-class Prefactor(_Declaration):
+class Prefactor:
     """A side-wide multiplier: a quotient of infinite Pochhammer products,
     divided by finite (q; q)_a and single binomials, times a monomial."""
 
@@ -241,8 +223,6 @@ class Prefactor(_Declaration):
     qn_den: tuple[str, ...] = ()     # divided by finite (q; q)_a
     bin_den: tuple[str, ...] = ()    # divided by single binomials (1 - q^a)
     mono: str = "0"                  # times q^a
-
-    __hash__ = _Declaration.__hash__
 
 
 @dataclass(frozen=True)

@@ -198,16 +198,21 @@ def _off_by_one(self, e, old, new, times=1):
 
 
 def test_an_off_by_one_step_is_caught(monkeypatch, compared):
+    # each core at its true cap, min(l, m, n, u, v) for A and
+    # min(l, m, n, u-1, v-1) for B; the correct step builds both
+    params = dict.fromkeys("lmnuv", 2)
+    cores = ((telescoping._A_SUM, 2), (telescoping._B_SUM, 1))
+    for spec, cap in cores:
+        assert len(telescoping._core(spec, "core", params, cap)) == cap + 1
     monkeypatch.setattr(PochProduct, "step", _off_by_one)
     rec = REGISTRY["ANDREWS1"]
     _eval_both_sides(rec, {"n": 4}, 30)
     assert any(got != want for _, got, want in compared)
     # the bad step leaves a zero term inside a certificate core's support,
     # which the core refuses instead of shifting every later k
-    params = dict.fromkeys("lmnuv", 2)
-    for spec in (telescoping._A_SUM, telescoping._B_SUM):
+    for spec, cap in cores:
         with pytest.raises(EngineError, match="zero term"):
-            telescoping._core(spec, "core", params, 4)
+            telescoping._core(spec, "core", params, cap)
     with pytest.raises(EngineError, match="zero term"):
         telescoping.verify_telescoping(2, 2, 2, 2, 2, 30)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
@@ -310,16 +315,3 @@ def test_each_plan_is_built_once_per_process(monkeypatch):
     assert framework._prefactor_plan.cache_info().misses == pres.misses
     assert framework._plan.cache_info().hits >= plans.hits + len(built)
 
-
-def test_a_declaration_is_hashed_from_its_fields_once(monkeypatch):
-    # equal declarations hash alike, and a plan lookup after the first does
-    # not hash the fields again
-    spec = framework.Sum(quad=(2, 0), num=("l-k",), den=("k",), support=("0", "l"))
-    twin = framework.Sum(quad=(2, 0), num=("l-k",), den=("k",), support=("0", "l"))
-    pre = framework.Prefactor(inf_den=("l+1",))
-    assert spec == twin and spec is not twin and hash(spec) == hash(twin)
-    assert hash(pre) == hash(framework.Prefactor(inf_den=("l+1",)))
-    framework._plan(spec, "t"), framework._prefactor_plan(pre, "t")
-    monkeypatch.setattr(framework, "fields", None)
-    assert framework._plan(spec, "t") is framework._plan(twin, "t")
-    assert framework._prefactor_plan(pre, "t") == framework._prefactor_plan(pre, "t")
