@@ -25,15 +25,16 @@ over the parameters and k, and every site name.  So a side costs one
 Each (q; q)_j index passes through its site at every k, each argument
 exponent once per evaluation, and each kept term is a copy of the running
 product times its sign and power of q.  A check of term
-lists takes its values by one rule, :func:`sum_sides`: where every
-coefficient is an int, each side is one integer at q = 2^b, with no
-kernel pass.  Where the degree bound B satisfies B + 2 <= T and no side is
-divided by (q; q)_inf, its terms are evaluated one by one (the per-term
-route); otherwise the side is a residue modulo 2^(b(T + 1 - s_min)),
-summed nested over the ratios of consecutive terms on one packed integer
-(the packed route).  Only a check with some other coefficient is summed
-with :class:`SeriesAccumulator`, over the same ratios in one coefficient
-buffer (the series route).  A :class:`Prefactor`
+lists takes its values by one rule, :func:`sum_sides`: every coefficient
+is an int, and each side is one integer at q = 2^b, with no kernel pass.
+Where the degree bound B satisfies B + 2 <= T and no side is divided by
+(q; q)_inf, its terms are evaluated one by one (the per-term route);
+otherwise the side is a residue modulo 2^(b(T + 1 - s_min)), summed nested
+over the ratios of consecutive terms on one packed integer (the packed
+route).  A check with a coefficient that is not an int is refused.  Only
+the windows of a MISMATCH and the public :func:`eval_side_value` sum a
+side's terms in one coefficient buffer, with
+:class:`~qrr.pochhammer.SeriesAccumulator`.  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
 a monomial) can multiply the sum.  It is assembled as one
 :class:`PochProduct` before the sum, where numerator and denominator
@@ -69,8 +70,8 @@ from itertools import islice
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..pochhammer import (PochProduct, PoleError, _apply, div_euler, packed_values,
-                          point_values, shared_unit, sum_terms)
+from ..pochhammer import (PochProduct, PoleError, div_euler, packed_values, point_values,
+                          shared_unit, sum_terms)
 from ..series import NeedsLaurent, SeriesError
 
 
@@ -590,12 +591,10 @@ def eval_side_value(record: IdentityRecord, side_name: str, env: dict, trunc: in
     return side_value(*side_terms(record, side_name, env, trunc, ctx), trunc)
 
 
-def side_value(terms: list[PochProduct], euler: int, trunc: int,
-               unit: dict | None = None) -> tuple[int, list]:
+def side_value(terms: list[PochProduct], euler: int, trunc: int) -> tuple[int, list]:
     """The sum of a side's terms through q^trunc, divided ``euler`` times by
-    (q; q)_inf and once by the unit ``unit`` (by default 1), as
-    (offset, coeffs)."""
-    offset, buf = sum_terms(terms, trunc, unit)
+    (q; q)_inf, as (offset, coeffs)."""
+    offset, buf = sum_terms(terms, trunc)
     for _ in range(euler):
         div_euler(buf)
     return offset, buf
@@ -654,69 +653,62 @@ def compare(ident: str, params: dict, trunc: int, lhs: tuple[int, list],
 
 
 class Sums(NamedTuple):
-    """The values of the sides of a check, as :func:`sum_sides` gives them."""
+    """The values of the sides of a check, as :func:`sum_sides` gives them:
+    each an int at q = 2^base."""
 
-    values: list     # (offset, coeffs), or an int at q = 2^base
-    depth: int       # each value is exact through q^depth
-    unit: dict       # G, which divides each (offset, coeffs); {} on the per-term route
-    base: int        # b of a point route, or 0 on the series route
+    values: list     # each side's int, exact or a residue modulo ``modulus``
+    depth: int       # the values decide the check through q^depth
+    base: int        # b: the coefficient of q^(low+i) is the digit of 2^(b i)
     low: int         # s_min, the lowest shift of a nonzero term, or 0
-    modulus: int     # 2^(base (depth + 1 - s_min)) of the packed route, or 0
+    modulus: int     # 2^(base (depth + 1 - s_min)) on the packed route, or 0
 
     def residue(self, lhs: int, rhs: int) -> int:
-        """lhs - rhs for two values of a point route: exact on the per-term
-        route, reduced modulo ``modulus`` on the packed route.  Either way it
-        is 0 exactly when the two are equal through q^depth, and otherwise
-        its lowest set bit lies in the digit of the first exponent where
-        they differ."""
+        """lhs - rhs for two values: exact on the per-term route, reduced
+        modulo ``modulus`` on the packed route.  Either way it is 0 exactly
+        when the two are equal through q^depth."""
         d = lhs - rhs
         return d % self.modulus if self.modulus else d
+
+    def first(self, d: int) -> int:
+        """The first exponent where two values differ, from their nonzero
+        :meth:`residue` ``d``: its lowest set bit lies in that exponent's
+        digit, and d & -d is that bit for a negative d too."""
+        return self.low + ((d & -d).bit_length() - 1) // self.base
 
 
 def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
     """The values of the sides of a check, each given as (terms, euler),
-    by one rule read off one :func:`shared_unit` scan of all their terms.
+    by one rule read off one :func:`shared_unit` scan of all their terms;
+    a term whose coefficient is not an int raises EngineError naming it.
 
-    Dividing every value by the same unit changes neither whether an
-    integer linear combination of them vanishes nor the first exponent
-    where it does not.  Unless some side is divided by (q; q)_inf, the
-    depth is min(trunc, B + 2), B the degree bound: D times every term is a
-    Laurent polynomial of degree at most B, so any such combination is 0
-    or first differs from 0 at some q^e with e <= B, and a MISMATCH window
-    reaches q^(e+2).
-
-    Where every coefficient is an int, no kernel pass is made: each value
-    is an int at q = 2^base, and a combination of values is compared by its
-    :meth:`Sums.residue`, whose lowest set bit lies in the digit of its
-    first nonzero exponent.  Where B + 2 <= trunc and no side is divided by
-    (q; q)_inf, the combination is a Laurent polynomial identity, and each
-    value is the :func:`point_values` of the cleared terms, evaluated term
-    by term, an exact int.  Any other such check is decided through q^trunc
-    by the residues of :func:`packed_values` modulo ``modulus``,
-    2^(base K) with K = depth + 1 - s_min, each side summed over its term
-    ratios on one integer.  Otherwise (the series route, for a coefficient
-    that is not an int) each side is summed through q^depth divided by G.
-    G, which sorts the multiplicities of every factor, is made only for
-    the packed and the series routes, which divide by it."""
+    No kernel pass is made: each value is an int at q = 2^base, and a
+    combination of values is compared by its :meth:`Sums.residue`.  Unless
+    some side is divided by (q; q)_inf, D times every term is a Laurent
+    polynomial of degree at most B, the degree bound, so any integer
+    combination of the sides is 0 or first differs from 0 at some q^e with
+    e <= B.  So where B + 2 <= trunc and no side is divided by (q; q)_inf,
+    the check is a Laurent polynomial identity, decided at depth B + 2,
+    where a MISMATCH window ends at the latest: each value is the
+    :func:`point_values` of the cleared terms, evaluated term by term, an
+    exact int.  Any other check is decided through q^trunc by the residues
+    of :func:`packed_values` modulo ``modulus``, 2^(base K) with
+    K = trunc + 1 - s_min, each side summed over its term ratios on one
+    integer, divided by the unit G that sorts the multiplicities of every
+    factor; G is made only for this route."""
     lists, euler = [], 0
     for terms, e in sides:
+        for t in terms:
+            if type(t.coeff) is not int:
+                raise EngineError(f"the coefficient {t.coeff!r} of {t!r} is not an int")
         lists.append(terms)
         euler |= e
     median, bound, low, clear = shared_unit(*lists)
     low = low or 0       # None when no term is nonzero, and every value is 0
     if not euler and bound is not None and bound + 2 <= trunc:
-        depth, point = bound + 2, point_values(lists, low, clear)
-        if point is not None:
-            return Sums(point[1], depth, {}, point[0], low, 0)
-        unit = median()
-    else:
-        depth, unit = trunc, median()
-        point = packed_values(sides, trunc, low, clear, unit)
-        if point is not None:
-            return Sums(point[1], depth, unit, point[0], low,
-                        1 << point[0] * max(depth + 1 - low, 0))
-    return Sums([side_value(terms, e, depth, unit) for terms, e in sides],
-                depth, unit, 0, low, 0)
+        base, values = point_values(lists, low, clear)
+        return Sums(values, bound + 2, base, low, 0)
+    base, values = packed_values(sides, trunc, low, clear, median())
+    return Sums(values, trunc, base, low, 1 << base * max(trunc + 1 - low, 0))
 
 
 def compare_sides(ident: str, params: dict, trunc: int,
@@ -726,29 +718,20 @@ def compare_sides(ident: str, params: dict, trunc: int,
     reports on the true values of that pair, or else EQUAL.  Fewer than
     two sides compare nothing and raise EngineError.
 
-    Every side is summed or evaluated once, by :func:`sum_sides`.  Only a
-    MISMATCH needs the true values, for its windows.  On the series route
-    both buffers of that pair are multiplied back by G.  On a point route
-    the :meth:`Sums.residue` of the two ints gives the first differing
-    exponent e, and only that pair is summed, undivided, through
+    Every side is evaluated once, by :func:`sum_sides`.  Only a MISMATCH
+    needs the true values, for its windows: the :meth:`Sums.first` exponent
+    e of the pair's nonzero :meth:`Sums.residue` is where they first
+    differ, and only that pair is summed, undivided, through
     q^min(trunc, e+2); if those sums differ first at any other q^e, the
-    routes disagree and EngineError is raised.  Either way the report is
-    the one a sum through q^trunc gives."""
+    point and the sums disagree and EngineError is raised.  So the report
+    is the one a sum through q^trunc gives."""
     if len(sides) < 2:
         raise EngineError(f"{ident}: a check needs two sides or more, got {len(sides)}")
     sums = sum_sides(sides, trunc)
     *values, rhs = sums.values
     for i, lhs in enumerate(values):
-        if not sums.base:
-            if compare_side_values(lhs, rhs, sums.depth) is None:
-                continue
-            for _, buf in (lhs, rhs):
-                _apply(buf, sums.unit, 0, len(buf) - 1)
-            return compare(ident, params, trunc, lhs, rhs)
         if d := sums.residue(lhs, rhs):
-            # the lowest set bit of d lies in the digit of q^(e - s_min);
-            # d & -d is that bit for a negative d too
-            e = sums.low + ((d & -d).bit_length() - 1) // sums.base
+            e = sums.first(d)
             rep = compare(ident, params, trunc, *(side_value(*side, min(trunc, e + 2))
                                                   for side in (sides[i], sides[-1])))
             if rep.mismatch_index != e:
@@ -761,12 +744,9 @@ def compare_checks(ident: str, params: dict, trunc: int, checks: list,
                    sums: Sums) -> VerificationReport:
     """Report on a certificate: each (name, lhs, rhs) in ``checks``, two
     values made from the values of ``sums``, one :func:`sum_sides` call,
-    is compared through q^trunc, or by its :meth:`Sums.residue` on a point
-    route, and listed with its verdict; the report is EQUAL only if every
-    check is."""
-    # a nonzero residue, or the first difference of two (offset, coeffs)
-    verdicts = [(name, "MISMATCH" if (sums.residue(lhs, rhs) if sums.base else
-                                      compare_side_values(lhs, rhs, trunc)) else "EQUAL")
+    is compared by its :meth:`Sums.residue` and listed with its verdict;
+    the report is EQUAL only if every check is."""
+    verdicts = [(name, "MISMATCH" if sums.residue(lhs, rhs) else "EQUAL")
                 for name, lhs, rhs in checks]
     ok = all(v == "EQUAL" for _, v in verdicts)
     return VerificationReport(ident, params, trunc, "EQUAL" if ok else "MISMATCH",

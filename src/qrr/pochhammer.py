@@ -35,7 +35,8 @@ term on its own would.  :func:`sum_terms` hands the sum back as that
 ``(offset, coeffs)`` value; :func:`~qrr.series.power_series` turns it into
 the plain list of coefficients of q^0 .. q^T that the public calls return.
 
-A sum may also be taken divided by a unit G = prod_(m>=1) (1-q^m)^g_m:
+A sum may also be taken divided by a unit G = prod_(m>=1) (1-q^m)^g_m,
+as the packed route below takes it:
 every such G is a unit of Z[[q]] with constant term 1, so dividing every
 value of a check by the same G changes neither its verdict nor the first
 exponent where two integer combinations of them differ.  The ratios of
@@ -84,8 +85,8 @@ counts only terms that reach q^T, each weighed by the pentagonal terms it
 is multiplied by.  :func:`~qrr.identities.framework.sum_sides` is the one
 caller of :func:`shared_unit`, :func:`point_values` and
 :func:`packed_values`: every check of term lists takes its values through
-it, and only one with a coefficient that is not an int is summed by the
-coefficient kernels.
+it, and it refuses a coefficient that is not an int.  The coefficient
+kernels sum only the windows of a MISMATCH and the public sums.
 """
 
 from __future__ import annotations
@@ -510,11 +511,9 @@ class PackedAccumulator(SeriesAccumulator):
         return out + x
 
 
-def sum_terms(terms: list[PochProduct], trunc: int,
-              unit: dict | None = None) -> tuple[int, list]:
-    """The sum of ``terms`` through q^trunc, divided by the unit ``unit``
-    (a powers dict, by default 1), as (offset, coeffs)."""
-    acc = SeriesAccumulator(trunc, unit)
+def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
+    """The sum of ``terms`` through q^trunc, as (offset, coeffs)."""
+    acc = SeriesAccumulator(trunc)
     for t in terms:
         acc.add(t)
     return acc.value()
@@ -614,11 +613,10 @@ def point_value(terms: list[PochProduct], base: int, low: int, clear: dict) -> i
 
 
 def point_values(term_lists: list[list[PochProduct]], low: int,
-                 clear: dict) -> tuple[int, list] | None:
+                 clear: dict) -> tuple[int, list]:
     """(b, values) for a check of signed combinations of the lists, each
-    list at most once in a combination: every list's :func:`point_value`
-    at q = 2^b, or None if some coefficient is not an int.  A pole term
-    raises PoleError.
+    list at most once in a combination, every coefficient an int: every
+    list's :func:`point_value` at q = 2^b.  A pole term raises PoleError.
 
     With (low, clear) the s_min and L of :func:`shared_unit`, each cleared
     term c q^(s - s_min) prod (1-q^m)^n_m, n_m >= 0, has coefficients whose
@@ -638,19 +636,16 @@ def point_values(term_lists: list[list[PochProduct]], low: int,
                 if z < 0:
                     raise PoleError(f"pole term reached the accumulator: {t!r}")
                 continue
-            if type(t.coeff) is not int:
-                return None
             bound += abs(t.coeff) << (sum(t.powers.values()) - drop)
     base = max(bound.bit_length(), 1)
     return base, [point_value(terms, base, low, clear) for terms in term_lists]
 
 
 def packed_values(sides: list[tuple[list, int]], trunc: int, low: int, clear: dict,
-                  unit: dict) -> tuple[int, list] | None:
+                  unit: dict) -> tuple[int, list]:
     """(b, residues) for a check of signed combinations of the sides, each
-    given as (terms, euler) and used at most once in a combination, through
-    q^trunc; or None if some coefficient is not an int.  A pole term raises
-    PoleError.
+    given as (terms, euler) and used at most once in a combination, every
+    coefficient an int, through q^trunc.  A pole term raises PoleError.
 
     With (unit, low, clear) the G, s_min and L of :func:`shared_unit`,
     E = (q; q)_inf and e_max the most divisions by E a side owes, a side's
@@ -680,8 +675,6 @@ def packed_values(sides: list[tuple[list, int]], trunc: int, low: int, clear: di
         for t in terms:
             if 0 in t.powers:        # a zero term, left out, or a pole, which add raises
                 continue
-            if type(t.coeff) is not int:
-                return None
             if t.shift <= trunc:
                 bound += weight * abs(t.coeff) << (sum(t.powers.values()) - drop)
     base = max(bound.bit_length(), 1)

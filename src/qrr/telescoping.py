@@ -35,14 +35,10 @@ kernel pass: evaluated term by term where B + 2 <= T, B the degree bound
 of every term, and otherwise a residue modulo 2^(b(T + 1 - s_min)),
 summed over the term ratios on one packed integer.  Two combinations of
 values are compared by their difference, exact on the first route and
-modulo that modulus on the second.  (Forced
-onto the series route, each value is the list summed through
-q^min(T, B + 2), divided by one unit G,
-:func:`~qrr.pochhammer.shared_unit` of every term.)  Each check is
-written once, as two integer combinations of those values
-(:func:`_add_values`), and reads alike on every route.  Every check uses
-each list at most once, with sign +1 or -1, so the one bound H behind b
-holds for each.
+modulo that modulus on the second.  Each check is written once, as two
+integer combinations of those values, and reads alike on both routes.
+Every check uses each list at most once, with sign +1 or -1, so the one
+bound H behind b holds for each.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from .identities.framework import (
     UNPERTURBED,
     EngineError,
     Sum,
-    Sums,
     VerificationReport,
     _check_params,
     _sum_terms,
@@ -221,29 +216,6 @@ def _two_sum_terms(params: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _add_values(a, b, scale: int = 1):
-    """a + scale * b: a new int for two values of a point route, or a new
-    (offset, buf) for two that both end at the same truncation order."""
-    if not isinstance(a, tuple):
-        return a + scale * b
-    (off_a, buf_a), (off_b, buf_b) = a, b
-    off = min(off_a, off_b)
-    out = [0] * (off_a - off) + buf_a
-    base = off_b - off
-    for i, c in enumerate(buf_b):
-        if c:
-            out[base + i] += scale * c
-    return off, out
-
-
-def _values(sides: list, trunc: int) -> tuple[list, object, Sums]:
-    """(values, zero, sums): every side's value from one
-    :func:`~qrr.identities.framework.sum_sides` call, the zero value of its
-    route and the call's :class:`~qrr.identities.framework.Sums`."""
-    sums = sum_sides(sides, trunc)
-    return sums.values, 0 if sums.base else (0, [0] * (sums.depth + 1)), sums
-
-
 def _cleared_side(env: dict, side: str, trunc: int):
     """One side of LMNRS3, at a point already checked against it, times
     (1 - q^(l+m+n+u+v+1)), as (terms, euler): one factor on each of its
@@ -256,11 +228,12 @@ def _cleared_side(env: dict, side: str, trunc: int):
 # kernels, estimated over k = 0..cap+3 (terms are built only for k = 0..cap):
 # each k whose A(k) starts at or below q^T sums a few terms of up to about
 # min(l+m+n+u+v, T) factors (1 - q^j), one pass over T coefficients each.
-# At the limit both certificates of a point take about a second on the
-# series route; the point routes make no such pass, and a packed residue of
-# T digits costs a few big-integer shifts per factor (at (15,15,15,15,15),
-# T=1000, both certificates took 0.23 s against 0.53 s on the series route,
-# single runs on a shared 2-core machine).
+# No certificate makes such a pass: its values are taken at one integer
+# point, and a MISMATCH names its failed checks with no window to sum.  The
+# estimate bounds the packed route all the same, where a residue of T
+# digits costs a few big-integer shifts per factor (at (15,15,15,15,15),
+# T=1000, both certificates took 0.15 s, CPU time of single runs on a
+# shared 2-core machine).
 MAX_CERTIFICATE_WORK = 2_000_000
 
 
@@ -299,23 +272,22 @@ def verify_telescoping(l: int, m: int, n: int, u: int, v: int,
              + [_terms(name, cores, env, 0) for name in ("L0", "R0")]
              + [_terms(name, cores, env, k) for k in range(cap + 3) for name in "fg"]
              + [_two_sum_terms(params)])
-    values, zero, sums = _values([(terms, 0) for terms in lists]
-                           + [_cleared_side(params, side, trunc)
-                              for side in ("lhs", "rhs")], trunc)
-    F = values[:cap + 4]
-    left, right, *fg, split, lhs, rhs = values[cap + 4:]
+    sums = sum_sides([(terms, 0) for terms in lists]
+                     + [_cleared_side(params, side, trunc) for side in ("lhs", "rhs")], trunc)
+    F = sums.values[:cap + 4]
+    left, right, *fg, split, lhs, rhs = sums.values[cap + 4:]
 
     checks = []
-    running = zero
+    running = 0
     for k in range(cap + 3):
         fv, gv = fg[2 * k], fg[2 * k + 1]
-        diff = _add_values(fv, gv, -1)
-        checks.append((f"difference k={k}", diff, _add_values(F[k + 1], F[k], -1)))
-        running = _add_values(running, diff)
-        checks.append((f"partial-sum k={k}", running, _add_values(F[k + 1], F[0], -1)))
+        diff = fv - gv
+        checks.append((f"difference k={k}", diff, F[k + 1] - F[k]))
+        running += diff
+        checks.append((f"partial-sum k={k}", running, F[k + 1] - F[0]))
         if k <= cap:
-            left = _add_values(left, fv)
-            right = _add_values(right, gv)
+            left += fv
+            right += gv
     checks += [
         ("boundary", left, right),
         ("sum-splitting", left, split),
@@ -340,17 +312,18 @@ def verify_sk_tk(l: int, m: int, n: int, u: int, v: int,
     cores = {"B": _core(_B_SUM, "B", params, cap)}
     env = dict(params)
     record = get_record("LMNRS4")
-    values, zero, sums = _values(
+    sums = sum_sides(
         [(_terms(name, cores, env, k), 0) for k in range(cap + 3) for name in "ST"]
         + [side_terms(record, side, params, trunc) for side in ("lhs", "rhs")], trunc)
+    values = sums.values
 
     checks = []
-    s_sum = t_sum = zero
+    s_sum = t_sum = 0
     for k in range(cap + 3):
         s_k, t_k = values[2 * k], values[2 * k + 1]
         checks.append((f"termwise k={k}", s_k, t_k))
-        s_sum = _add_values(s_sum, s_k)
-        t_sum = _add_values(t_sum, t_k)
+        s_sum += s_k
+        t_sum += t_k
     checks += [("lhs-assembly", s_sum, values[-2]), ("rhs-assembly", t_sum, values[-1])]
     return compare_checks("termwise", params, trunc, checks, sums)
 

@@ -3,7 +3,8 @@ from concurrent.futures import Future
 import hypothesis
 import pytest
 
-from qrr.identities import engine, framework
+import series_oracle
+from qrr.identities import engine
 
 hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None,
@@ -40,9 +41,7 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture
 def series_route(monkeypatch):
-    """Every check of term lists on the series route: both evaluators of
-    the point routes, ``point_values`` and ``packed_values`` as
-    ``framework.sum_sides`` calls them, decline every check, as they do one
-    with a coefficient that is not an int."""
-    for name in ("point_values", "packed_values"):
-        monkeypatch.setattr(framework, name, lambda *args: None)
+    """Every check of term lists on the series route: ``sum_sides`` of the
+    oracle in ``series_oracle`` installed where ``framework`` and
+    ``telescoping`` call it, each side summed on the list kernels."""
+    series_oracle.install(monkeypatch)

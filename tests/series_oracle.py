@@ -1,0 +1,81 @@
+"""The series route, kept as the slow oracle of the point routes.
+
+``framework.sum_sides`` decides a check at one integer point: term by term
+at q = 2^b, or on one packed integer modulo 2^(b(T + 1 - s_min)).  This
+oracle takes the same values the old way, each side summed on the list
+kernels with the public ``framework.side_value`` into one coefficient
+buffer, and compares them coefficient by coefficient.  It divides by no
+unit G: it only has to be right, and summing undivided keeps it apart from
+the median that ``shared_unit`` picks for the packed route.
+
+The depth is the program's: min(T, B + 2), B the degree bound read through
+``framework.shared_unit``, where no side owes a (q; q)_inf division, and T
+otherwise; so a test that patches ``shared_unit`` moves the oracle too.
+:func:`sum_sides` returns a :class:`Sums` of :class:`Value`s, which
+``compare_sides``, ``compare_checks`` and the certificates of
+``telescoping`` take as they take the point routes' ints.
+"""
+
+from qrr import telescoping
+from qrr.identities import framework
+
+
+class Value:
+    """A sum through q^depth as (offset, coeffs), coeffs[i] the coefficient
+    of q^(offset+i), with + and - and truthiness: true when some
+    coefficient is nonzero.  0 adds as the zero sum."""
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset, coeffs):
+        self.offset, self.coeffs = offset, coeffs
+
+    def combine(self, other, scale):
+        """self + scale * other, aligned to the lower offset."""
+        if isinstance(other, int) and other == 0:
+            return self
+        off = min(self.offset, other.offset)
+        out = [0] * (self.offset - off) + self.coeffs
+        at = other.offset - off
+        out += [0] * (at + len(other.coeffs) - len(out))
+        for i, c in enumerate(other.coeffs):
+            out[at + i] += scale * c
+        return Value(off, out)
+
+    def __add__(self, other):
+        return self.combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.combine(other, -1)
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+
+class Sums(framework.Sums):
+    """The oracle's values, whose :meth:`first` reads the lowest nonzero
+    coefficient of a residue's buffer."""
+
+    def first(self, d):
+        return d.offset + next(i for i, c in enumerate(d.coeffs) if c)
+
+
+def sum_sides(sides, trunc):
+    """Each side, given as (terms, euler), summed through the depth of
+    ``framework.sum_sides`` as a :class:`Value`, with no unit; the
+    :class:`Sums` has no base and no modulus."""
+    lists = [terms for terms, _ in sides]
+    _, bound, low, _ = framework.shared_unit(*lists)
+    euler = any(e for _, e in sides)
+    depth = bound + 2 if not euler and bound is not None and bound + 2 <= trunc else trunc
+    values = [Value(*framework.side_value(terms, e, depth)) for terms, e in sides]
+    return Sums(values, depth, 0, low or 0, 0)
+
+
+def install(monkeypatch, oracle=sum_sides):
+    """Put ``oracle``, by default :func:`sum_sides`, at every binding the
+    program calls ``sum_sides`` by."""
+    for module in (framework, telescoping):
+        monkeypatch.setattr(module, "sum_sides", oracle)

@@ -5,12 +5,12 @@ the terms of a check: D = prod (1-q^m)^d_m, with d_m the largest
 denominator multiplicity of (1-q^m), clears every denominator, and every
 term times D is a Laurent polynomial of degree at most B.  D is a unit with
 D(0) = 1, so the two sums are equal or first differ at some q^e with
-e <= B, and ``framework.compare_sides`` sums both sides only through
-q^min(T, B + 2) when neither owes a (q; q)_inf division.  With int
-coefficients it sums neither: it decides the check at one integer point,
-term by term where B + 2 <= T and no side owes that division and on one
-packed integer modulo 2^(b(T + 1 - s_min)) otherwise, and sums only a
-MISMATCH pair, through q^min(T, e+2).
+e <= B.  ``framework.compare_sides`` sums neither side: it decides the
+check at one integer point, term by term where B + 2 <= T and no side owes
+a (q; q)_inf division and on one packed integer modulo
+2^(b(T + 1 - s_min)) otherwise, and sums only a MISMATCH pair, through
+q^min(T, e+2).  The series route of ``series_oracle`` sums both sides
+through q^min(T, B + 2) when neither owes that division.
 
 Here B is checked against the dense oracle, which shares no kernel with
 the program; the capped reports against the full-depth ones, on every
@@ -22,12 +22,13 @@ from pathlib import Path
 
 import pytest
 
+import series_oracle
 from dense_oracle import expand
-from qrr import cli, pochhammer
+from qrr import cli
 from qrr.identities import engine, framework
 from qrr.identities.framework import compare, compare_sides, side_value
 from qrr.pochhammer import PochProduct, shared_unit
-from test_nested import _corner_sides, _count_kernels, _report
+from test_nested import _corner_sides, _count_kernels, _full_depth, _report
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,45 +76,29 @@ def test_every_cleared_term_stays_within_the_bound():
 # ---------------------------------------------------------------------------
 
 
-POINT_ROUTES = ("point_values", "packed_values")
-
-
-def _decline_point_routes(mp):
-    for name in POINT_ROUTES:
-        mp.setattr(framework, name, lambda *args: None)
-
-
 def _as_full_compare(lhs, rhs, trunc, monkeypatch):
-    """compare_sides' report on the series route and on a point route, each
-    of which must be compare's on the undivided sums through q^trunc;
-    returns it, the depth both sides were summed to on the series route,
-    and on a point route the depths of the sums of its MISMATCH pair (none
-    for an EQUAL), or None where the check is on no point route."""
+    """compare_sides' report on the oracle's series route and on a point
+    route, each of which must be compare's on the undivided sums through
+    q^trunc; returns it, the depth both sides were summed to on the series
+    route, and the depths of the sums of the MISMATCH pair (none for an
+    EQUAL), which both routes sum alike."""
     want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
-    real, depths, points = framework.side_value, [], []
+    real, depths = framework.side_value, []
 
-    def recorded(terms, euler, trunc, unit=None):
+    def recorded(terms, euler, trunc):
         depths.append(trunc)
-        return real(terms, euler, trunc, unit)
+        return real(terms, euler, trunc)
 
-    def evaluated(name):
-        def evaluate(*args):
-            points.append(getattr(pochhammer, name)(*args))
-            return points[-1]
-        return evaluate
-
+    monkeypatch.setattr(framework, "side_value", recorded)
     with monkeypatch.context() as mp:
-        mp.setattr(framework, "side_value", recorded)
-        _decline_point_routes(mp)
+        series_oracle.install(mp)
         got = compare_sides("X", {}, trunc, lhs, rhs)
-        depth = depths[0]
-        assert depths == [depth, depth]
-        assert _report(got) == _report(want)
-        del depths[:]
-        for name in POINT_ROUTES:
-            mp.setattr(framework, name, evaluated(name))
-        assert _report(compare_sides("X", {}, trunc, lhs, rhs)) == _report(want)
-    return got, depth, (depths if points and points[0] is not None else None)
+    depth, *series = depths
+    del depths[:]
+    assert _report(got) == _report(want)
+    assert _report(compare_sides("X", {}, trunc, lhs, rhs)) == _report(want)
+    assert series == [depth] + depths
+    return got, depth, depths
 
 
 # L - R = q^5 / (1 - q^3): D = 1 - q^3, and the cleared terms have degrees
@@ -206,7 +191,7 @@ def test_an_in_scope_point_does_the_same_work_at_any_depth(ident, monkeypatch):
     params = {ps.name: ps.low + 2 for ps in engine.get_record(ident).params}
     # on the series route, its passes
     with monkeypatch.context() as mp:
-        _decline_point_routes(mp)
+        series_oracle.install(mp)
         work = _verify_work(calls, ident, params, 160)
         assert work["coeff_updates"] > 0
         assert _verify_work(calls, ident, params, 10_000) == work
@@ -220,7 +205,7 @@ def test_the_euler_records_work_grows_with_t(monkeypatch):
     params = {"m": 4, "n": 5}
     # on the series route, through q^T
     with monkeypatch.context() as mp:
-        _decline_point_routes(mp)
+        series_oracle.install(mp)
         shallow = _verify_work(calls, "EULERMN1", params, 160)
         deep = _verify_work(calls, "EULERMN1", params, 10_000)
         assert deep["div_euler"] == shallow["div_euler"] == 1
@@ -228,17 +213,6 @@ def test_the_euler_records_work_grows_with_t(monkeypatch):
     # on the packed route, no pass at either depth
     assert _verify_work(calls, "EULERMN1", params, 160) == {}
     assert _verify_work(calls, "EULERMN1", params, 10_000) == {}
-
-
-def _full_depth(monkeypatch):
-    """compare_sides with no degree bound: every side summed through q^T."""
-    real = framework.shared_unit
-
-    def unbounded(*lists):
-        unit, _, low, clear = real(*lists)
-        return unit, None, low, clear
-
-    monkeypatch.setattr(framework, "shared_unit", unbounded)
 
 
 def _reports(points, trunc):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import series_oracle
 from qrr import pochhammer, telescoping
 from qrr.pochhammer import PochProduct
 from qrr.identities import engine, framework
@@ -29,11 +30,10 @@ def _tiny():
 
 
 def _on_lists():
-    """_tiny() with both point routes declined: its sides summed by the
-    list kernels, div_euler among them."""
+    """_tiny() on the series route of ``series_oracle``: its sides summed
+    by the list kernels, div_euler among them."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("point_values", "packed_values"):
-            mp.setattr(framework, name, lambda *args: None)
+        series_oracle.install(mp)
         return _tiny()
 
 

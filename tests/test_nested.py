@@ -7,16 +7,17 @@ and with the per-term renderer (``per_term.py``) on every registry side at
 its default-grid corners; its kernel passes are counted against the
 per-term renderer's, and a copy that drops one ratio factor must be caught.
 
-``engine.verify``, the Bailey checks and the LIU refutation sum both
-sides divided by one shared unit G (``framework.compare_sides``).  Their
-reports are compared with those of the true values, unperturbed and
-corrupted, each divided side times G with the side itself, and the divided
-sums with the per-term renderer of the divided terms; a unit put on one
-side only must be caught.  Where B + 2 <= T those checks take the point
-route instead (``tests/test_point_route.py``); the tests here that watch
-the summing force the series route, and their counterparts check that a
-clearing put on one side only, or a factor dropped from a point
-evaluation, is caught.
+``engine.verify``, the Bailey checks and the LIU refutation decide each
+check at one integer point (``framework.compare_sides``,
+``tests/test_point_route.py``): term by term where B + 2 <= T, and
+otherwise on one packed integer that sums each side over its term ratios
+divided by one shared unit G.  Their reports are compared with those of
+the true values, unperturbed and corrupted; each side summed divided by G
+by the accumulator, times G, with the side itself, and the divided sums
+with the per-term renderer of the divided terms.  On the packed route, a
+unit put on one side only and a ratio missing one factor must be caught;
+on the per-term route, a clearing put on one side only and a factor
+dropped from a point evaluation.
 """
 
 import contextlib
@@ -346,6 +347,27 @@ def test_verify_reports_as_the_true_values_compare(trunc):
     assert verdicts["EQUAL"] >= 800 and verdicts["MISMATCH"] > 500
 
 
+def _full_depth(monkeypatch):
+    """framework.shared_unit with no degree bound: every check decided on
+    the packed route through q^T."""
+    real = framework.shared_unit
+
+    def unbounded(*lists):
+        unit, _, low, clear = real(*lists)
+        return unit, None, low, clear
+
+    monkeypatch.setattr(framework, "shared_unit", unbounded)
+
+
+def _sum_divided(terms, trunc, unit):
+    """The sum of ``terms`` through q^trunc divided by the unit ``unit``, as
+    (offset, coeffs)."""
+    acc = SeriesAccumulator(trunc, unit)
+    for t in terms:
+        acc.add(t)
+    return acc.value()
+
+
 def _divided(terms, unit):
     g = PochProduct()
     for m, e in unit.items():
@@ -360,10 +382,12 @@ def test_unit_divided_sides_match_the_slow_paths(trunc):
         unit = shared_unit(*(terms for terms, _ in sides.values()))[0]()
         for side, (terms, euler) in sides.items():
             label = (ident, side, env)
-            divided = side_value(terms, euler, trunc, unit)
-            assert _times_unit(divided, unit) == eval_side_value(rec, side, env, trunc), label
             with counted_kernels() as count:
-                value = sum_terms(terms, trunc, unit)
+                value = _sum_divided(terms, trunc, unit)
+            divided = value[0], list(value[1])
+            for _ in range(euler):
+                pochhammer.div_euler(divided[1])
+            assert _times_unit(divided, unit) == eval_side_value(rec, side, env, trunc), label
             slow = _divided(terms, unit)
             assert value == per_term.sum_per_term(slow, trunc), label
             bound = per_term.passes(slow, trunc)
@@ -394,15 +418,17 @@ def test_shared_unit_takes_the_median_of_every_nonzero_term():
 
 
 def _unit_on_one_side(monkeypatch, change):
-    """framework.side_value with ``change(unit)`` in place of the unit on
-    every second call, the rhs of each check of compare_sides."""
-    value, calls = framework.side_value, []
+    """Every check on the packed route, each second PackedAccumulator made,
+    the rhs of a two-sided check, dividing by ``change(unit)`` in place of
+    the unit; returns the unit of every accumulator made."""
+    made, calls = pochhammer.PackedAccumulator, []
 
-    def patched(terms, euler, trunc, unit=None):
+    def patched(trunc, unit, base, low):
         calls.append(unit)
-        return value(terms, euler, trunc, change(unit) if len(calls) % 2 == 0 else unit)
+        return made(trunc, change(unit) if len(calls) % 2 == 0 else unit, base, low)
 
-    monkeypatch.setattr(framework, "side_value", patched)
+    _full_depth(monkeypatch)
+    monkeypatch.setattr(pochhammer, "PackedAccumulator", patched)
     return calls
 
 
@@ -415,32 +441,42 @@ def _drop_first_factor(unit):
     return {m: e for m, e in out.items() if e}
 
 
+DISAGREE = "the point and the series disagree"
+
+
 @pytest.mark.parametrize("change", [lambda unit: {}, _drop_first_factor],
                          ids=["rhs-undivided", "rhs-drops-a-factor"])
-def test_a_unit_on_one_side_only_is_caught(change, monkeypatch, series_route):
+def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
+    # the rhs's residue, divided by another unit than the one it is
+    # multiplied back by, reads a difference that the sums of the pair do
+    # not show, and the check raises
     calls = _unit_on_one_side(monkeypatch, change)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
         del calls[:]
-        assert engine.verify(ident, params, 30).verdict == "MISMATCH", ident
+        with pytest.raises(EngineError, match=DISAGREE):
+            engine.verify(ident, params, 30)
         assert min(calls[0]) <= 30, ident        # G is not 1 through q^30
     # the Bailey checks, at points where G is not 1 through q^30 and both
     # values are nonzero (a unit pair's beta_n is 0 for n >= 1)
     for target, exps in (("ABCDE1", (2, 2, 2, 2)), ("ABCDE3", (2, 2, 1, 1))):
         del calls[:]
-        assert chain_reproduce(target, 2, *exps, trunc=30).verdict == "MISMATCH", target
+        with pytest.raises(EngineError, match=DISAGREE):
+            chain_reproduce(target, 2, *exps, trunc=30)
         assert min(calls[0]) <= 30, target
-    del calls[:]
     stepped = bailey_step(unit_bilateral_x1(), -1, -2)
-    reports = verify_pair(stepped, n_max=3, trunc=30)
     for n in (1, 2, 3):
-        assert reports[n].verdict == "MISMATCH", n
-        assert min(calls[2 * n]) <= 30, n
+        del calls[:]
+        with pytest.raises(EngineError, match=DISAGREE):
+            framework.compare_sides("pair", {"n": n}, 30, (stepped.beta_terms(n), 0),
+                                    (stepped.relation_terms(n), 0))
+        assert min(calls[0]) <= 30, n
     del calls[:]
-    assert symmetrized_identity(stepped, -1, -2, 3, 30).verdict == "MISMATCH"
+    with pytest.raises(EngineError, match=DISAGREE):
+        symmetrized_identity(stepped, -1, -2, 3, 30)
     assert min(calls[0]) <= 30
     del calls[:]
-    with pytest.raises(EngineError, match="disagrees with its closed form"):
+    with pytest.raises(EngineError, match=DISAGREE):
         engine.liu_counterexample("LIU2", 3, 30)
     assert min(calls[0]) <= 30
 
@@ -465,7 +501,7 @@ def test_a_clearing_on_one_side_only_is_caught(change, monkeypatch):
     for ident in POINT_IDENTS:
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
         del calls[:]
-        with pytest.raises(EngineError, match="the point and the series disagree"):
+        with pytest.raises(EngineError, match=DISAGREE):
             engine.verify(ident, params, 60)
         assert calls[0] and len(calls) == 2, ident
 
@@ -478,21 +514,24 @@ def test_a_check_of_fewer_than_two_sides_raises(count):
         framework.compare_sides("X", {}, 30, *sides)
 
 
-def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch, series_route):
-    value, calls = framework.side_value, []
+def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
+    # on the packed route, the one route that divides by G
+    made = []
 
-    def recorded(terms, euler, trunc, unit=None):
-        calls.append((terms, unit))
-        return value(terms, euler, trunc, unit)
+    class Recorded(pochhammer.PackedAccumulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-    monkeypatch.setattr(framework, "side_value", recorded)
+    _full_depth(monkeypatch)
+    monkeypatch.setattr(pochhammer, "PackedAccumulator", Recorded)
     assert chain_reproduce("ABCDE3", 2, 2, 2, 1, 1, trunc=30).equal
     # the relation sum, the transformed beta and the closed form, then the target
-    assert len(calls) == 4
+    assert len(made) == 4
     env = {"n": 2, "l": 1, "m": 1, "u": 0, "v": 0}
     target = side_terms(REGISTRY["ABCDE3"], "lhs", env, 30)[0]
-    assert repr(calls[-1][0]) == repr(target)
-    units = [unit for _, unit in calls]
+    assert repr(made[-1].terms) == repr(target)
+    units = [acc.unit for acc in made]
     assert units[0] and all(unit is units[0] for unit in units)
 
 
@@ -660,14 +699,24 @@ def _drop_one_factor(ratio):
     return dropped
 
 
-def test_a_dropped_ratio_factor_is_caught(monkeypatch, series_route):
+def test_a_dropped_ratio_factor_is_caught(monkeypatch):
     monkeypatch.setattr(pochhammer, "_ratio", _drop_one_factor(pochhammer._ratio))
     shared = [(4, 1), (9, -1)]
     drawn = [(1, k * k, [(k, 1), (k + 1, -1)], True, 0) for k in range(1, 6)]
     assert _oracle_disagreement(shared, drawn, 30) is not None
+    # on the packed route, which sums over the same ratios
+    _full_depth(monkeypatch)
+    outcomes = []
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
-        assert engine.verify(ident, params, 30).verdict == "MISMATCH", ident
+        try:
+            outcomes.append(engine.verify(ident, params, 30).verdict)
+        except EngineError as exc:
+            assert DISAGREE in str(exc), ident
+            outcomes.append("EngineError")
+    # a MISMATCH where the windows, summed over the same wrong ratios,
+    # first differ where the residues do, and otherwise a raise
+    assert outcomes == ["MISMATCH", "EngineError", "MISMATCH", "EngineError", "EngineError"]
 
 
 def test_a_dropped_point_factor_is_caught(monkeypatch):
@@ -688,5 +737,5 @@ def test_a_dropped_point_factor_is_caught(monkeypatch):
     monkeypatch.setattr(pochhammer, "point_value", dropped)
     for ident in POINT_IDENTS:
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
-        with pytest.raises(EngineError, match="the point and the series disagree"):
+        with pytest.raises(EngineError, match=DISAGREE):
             engine.verify(ident, params, 60)

@@ -1,8 +1,8 @@
 """The point routes: a check decided by exact integer evaluation.
 
-Where every coefficient is an int, ``framework.sum_sides`` evaluates each
-term list, every term times q^-s_min prod (1-q^m)^-lambda_m, at q = 2^b
-with 2^b above the coefficient majorant H, and no kernel pass is made.
+``framework.sum_sides`` evaluates each term list, every term times
+q^-s_min prod (1-q^m)^-lambda_m, at q = 2^b with 2^b above the coefficient
+majorant H, and no kernel pass is made; every coefficient must be an int.
 Where no side owes a (q; q)_inf division and the degree bound B of
 ``pochhammer.shared_unit`` satisfies B + 2 <= T, each term is evaluated on
 its own (``pochhammer.point_values``).  Any other such check takes the
@@ -11,16 +11,19 @@ term ratios on one integer modulo 2^(bK), K = T + 1 - s_min, and a side
 that owes fewer (q; q)_inf divisions than another is multiplied by the
 image of Euler's pentagonal series.
 
-Here both routes are cross-checked against the series route, which the
-``series_route`` fixture forces: on every default-grid point at T = 40 and
-the deep-window sample at T = 160, on every mutation probe of the
-benchmark's mutation control at T = 18, and on both certificates at every
-default point.  On each of these checks that takes the packed route, its
-residues are also compared with the per-term ``point_value`` of each side
-reduced modulo 2^(bK), times the pentagonal image (the ``taken`` fixture).
-Negative controls show that b matters on both routes, that the pentagonal
-multiplication and every doubling step of a division matter, and that one
-term off by one factor, by its scalar or by its shift is caught.
+Here both routes are cross-checked against the series route, the slow
+oracle of ``series_oracle`` that sums each side on the list kernels: on
+every default-grid point at T = 40 and the deep-window sample at T = 160,
+on every mutation probe of the benchmark's mutation control at T = 18, on
+both certificates at every default point, and at six points off the grids,
+unperturbed and with one site moved, a MISMATCH read at a base above 50.
+On each of these checks that takes the packed route, its residues are also
+compared with the per-term ``point_value`` of each side reduced modulo
+2^(bK), times the pentagonal image (the ``taken`` fixture).  Negative controls show that b matters on
+both routes, that the pentagonal multiplication and every doubling step of
+a division matter, that one term off by one factor, by its scalar or by its
+shift is caught, and that a corrupted oracle fails the cross-checks.  A
+coefficient that is not an int is refused by name.
 """
 
 from fractions import Fraction
@@ -28,7 +31,8 @@ from itertools import product
 
 import pytest
 
-from qrr import cli, pochhammer, telescoping
+import series_oracle
+from qrr import bailey, cli, pochhammer, telescoping
 from qrr.identities import REGISTRY, engine, framework
 from qrr.identities.framework import compare_sides, side_terms
 from qrr.pochhammer import (PackedAccumulator, PochProduct, PoleError, packed_values,
@@ -56,20 +60,19 @@ def _per_term_residues(sides, trunc, low, clear, base):
 @pytest.fixture
 def taken(monkeypatch):
     """framework.point_values and framework.packed_values, recorded: for
-    each check they are asked about, (route, b), b None where it was
-    declined.  Every packed residue must equal the per-term one."""
+    each check they decide, (route, b).  Every packed residue must equal
+    the per-term one."""
     bases = []
 
     def point(*args):
         out = pochhammer.point_values(*args)
-        bases.append(("point", None if out is None else out[0]))
+        bases.append(("point", out[0]))
         return out
 
     def packed(sides, trunc, low, clear, unit):
         out = pochhammer.packed_values(sides, trunc, low, clear, unit)
-        if out is not None:
-            assert out[1] == _per_term_residues(sides, trunc, low, clear, out[0])
-        bases.append(("packed", None if out is None else out[0]))
+        assert out[1] == _per_term_residues(sides, trunc, low, clear, out[0])
+        bases.append(("packed", out[0]))
         return out
 
     monkeypatch.setattr(framework, "point_values", point)
@@ -77,17 +80,24 @@ def taken(monkeypatch):
     return bases
 
 
+def _sample(sample):
+    """(points, T): every default-grid point at T = 40 for the sweep, or
+    the deep-window sample at its T."""
+    if sample == "sweep":
+        return [(ident, p) for ident in engine.list_identities()
+                for p in engine.grid_points(engine.get_record(ident))], 40
+    return _deep_window_points()
+
+
 def _decided(taken):
     """(per term, packed): the checks each point route decided."""
-    return tuple(sum(b is not None for r, b in taken if r == route)
-                 for route in ("point", "packed"))
+    return tuple(sum(r == route for r, _ in taken) for route in ("point", "packed"))
 
 
-def _series(monkeypatch, run):
-    """``run()`` with every check forced onto the series route."""
+def _series(monkeypatch, run, oracle=series_oracle.sum_sides):
+    """``run()`` with every check on the series route of ``oracle``."""
     with monkeypatch.context() as mp:
-        for name in ("point_values", "packed_values"):
-            mp.setattr(framework, name, lambda *args: None)
+        series_oracle.install(mp, oracle)
         return run()
 
 
@@ -103,11 +113,7 @@ PACKED = {"sweep": 473, "deep-window": 85}
 
 @pytest.mark.parametrize("sample,decided", [("sweep", 10_191), ("deep-window", 909)])
 def test_point_route_reports_are_the_series_reports(sample, decided, taken, monkeypatch):
-    if sample == "sweep":
-        points, trunc = [(ident, p) for ident in engine.list_identities()
-                         for p in engine.grid_points(engine.get_record(ident))], 40
-    else:
-        points, trunc = _deep_window_points()
+    points, trunc = _sample(sample)
 
     def reports():
         return [cli.report_json(engine.verify(ident, params, trunc))
@@ -185,6 +191,21 @@ def test_off_grid_reports_are_alike_on_both_routes(ident, params, trunc, taken, 
     assert got == _series(monkeypatch, report)
 
 
+@pytest.mark.parametrize("ident,params,trunc", OFF_GRID)
+def test_off_grid_mismatches_are_alike_on_both_routes(ident, params, trunc, taken,
+                                                       monkeypatch):
+    # the first site of each point moved by one: a MISMATCH read off a
+    # residue at a wide base, far above the grids'
+    site = engine.identity_sites(ident, params, trunc)[0]
+
+    def report():
+        return cli.report_json(engine.verify_mutated(ident, params, site, 1, trunc))
+
+    got = report()
+    assert '"MISMATCH"' in got and min(b for _, b in taken) > 50
+    assert got == _series(monkeypatch, report)
+
+
 class _Combination:
     """A formal integer combination of a certificate's term lists, standing
     in for their values; reducing one modulo anything records it and reads
@@ -224,7 +245,7 @@ def test_every_certificate_check_is_a_signed_combination_of_distinct_lists(
 
     def formal(sides, trunc):
         return framework.Sums([_Combination({i: 1}, checks) for i in range(len(sides))],
-                              0, {}, 1, 0, 1)
+                              0, 1, 0, 1)
 
     monkeypatch.setattr(telescoping, "sum_sides", formal)
     rep = certify(*point, 40)
@@ -339,7 +360,7 @@ def test_a_term_off_by_one_is_caught(kind, delta, taken, monkeypatch):
                       for j, t in enumerate(lhs)], 0), rhs
             del taken[:]
             rep = compare_sides(ident, env, 200, *sides)
-            assert taken[0][1] is not None, (ident, i)
+            assert len(taken) == 1, (ident, i)
             assert rep.verdict == "MISMATCH", (ident, i)
             assert _report(rep) == _report(
                 _series(monkeypatch, lambda: compare_sides(ident, env, 200, *sides)))
@@ -347,14 +368,17 @@ def test_a_term_off_by_one_is_caught(kind, delta, taken, monkeypatch):
     assert caught >= 10
 
 
-def test_a_coefficient_that_is_not_an_int_takes_the_series_route(taken):
+def test_a_coefficient_that_is_not_an_int_is_refused_by_name(taken):
     half = PochProduct().scale(Fraction(1, 2))
-    rep = compare_sides("X", {}, 30, ([half.copy().factor(1)], 0),
-                        ([half, half.copy().q(1).scale(-1)], 0))
-    assert rep.equal and taken == [("point", None)]
-    rep = compare_sides("X", {}, 30, ([half], 0), ([half.copy().q(1)], 0))
-    assert (rep.verdict, rep.mismatch_index, rep.lhs_window[0]) == (
-        "MISMATCH", 0, (0, Fraction(1, 2)))
+    with pytest.raises(framework.EngineError,
+                       match=r"coefficient Fraction\(1, 2\) of .* is not an int"):
+        compare_sides("X", {}, 30, ([half.copy().factor(1)], 0), ([PochProduct()], 0))
+    # a user pair whose alpha carries 1/2, before any evaluation
+    pair = bailey.BaileyPair("one_sided", 0, lambda r: [half.copy()] if r == 0 else [],
+                             lambda n: [PochProduct()] if n == 0 else [], "half")
+    with pytest.raises(framework.EngineError, match=r"coefficient Fraction\(1, 2\)"):
+        bailey.verify_pair(pair, n_max=2, trunc=30)
+    assert taken == []
 
 
 def test_a_pole_raises_alike_on_both_routes(monkeypatch):
@@ -368,6 +392,61 @@ def test_a_pole_raises_alike_on_both_routes(monkeypatch):
         with pytest.raises(PoleError) as series:
             _series(monkeypatch, lambda: compare_sides("X", {}, trunc, *sides))
         assert str(point.value) == str(series.value)
+
+
+def _last_side_shifted(sides, trunc):
+    """The oracle with the last side's offset moved up by one."""
+    sums = series_oracle.sum_sides(sides, trunc)
+    *values, last = sums.values
+    return sums._replace(values=values + [series_oracle.Value(last.offset + 1,
+                                                               last.coeffs[:-1])])
+
+
+def _one_term_off_by_a_factor(sides, trunc):
+    """The oracle with the first term of the first side off by one factor:
+    one numerator factor of its least m dropped, or one denominator factor
+    where it has none in the numerator, or times (1 - q) where it has no
+    factor at all."""
+    (terms, euler), *rest = sides
+    if terms:
+        t = terms[0]
+        m = min(t.powers, default=1)
+        terms = [t.copy().factor(m, -1 if t.powers.get(m, -1) > 0 else 1), *terms[1:]]
+    return series_oracle.sum_sides([(terms, euler), *rest], trunc)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SeriesError as exc:
+        return type(exc).__name__
+
+
+# the sweep's ABCDE60 at (0, 1, 0, 0, 1) sums to 0 on both sides, which no
+# shift moves
+@pytest.mark.parametrize("corrupt,failed", [(_last_side_shifted, (10, 10, 6)),
+                                            (_one_term_off_by_a_factor, (11, 10, 6))],
+                         ids=["last-side-shifted", "one-term-off-by-a-factor"])
+def test_a_corrupted_oracle_fails_the_cross_checks(corrupt, failed, monkeypatch):
+    # every 1,000th sweep point, every 100th deep-window point and both
+    # certificates at every 200th default point: the sound oracle agrees
+    # with the point routes on each, and the corrupted one must not
+    runs = []
+    for sample in ("sweep", "deep-window"):
+        points, trunc = _sample(sample)
+        step = 1000 if sample == "sweep" else 100
+        runs.append([lambda ident=ident, params=params, trunc=trunc: cli.report_json(
+            engine.verify(ident, params, trunc)) for ident, params in points[::step]])
+    runs.append([lambda certify=certify, point=point: certify(*point, 40)
+                 for certify in (telescoping.verify_telescoping, telescoping.verify_sk_tk)
+                 for point in DEFAULT_POINTS[::200]])
+    caught = []
+    for group in runs:
+        got = [_outcome(run) for run in group]
+        assert got == _series(monkeypatch, lambda: [_outcome(run) for run in group])
+        bad = _series(monkeypatch, lambda: [_outcome(run) for run in group], corrupt)
+        caught.append(sum(g != b for g, b in zip(got, bad)))
+    assert tuple(caught) == failed
 
 
 def test_a_point_that_disagrees_with_the_series_raises(monkeypatch):
