@@ -26,10 +26,12 @@ from .framework import (
     Sum,
     UnknownIdentity,
     VerificationReport,
-    _arg_slots,
+    _AFFINE_GLOBALS,
     _check_params,
+    _plan,
+    _slots,
+    _span,
     _sum_terms,
-    _support,
     bounded_int,
     compare,
     compare_sides,
@@ -241,7 +243,9 @@ def support_bounds(ident: str, side: str, params: dict,
     s = rec.side(side).sum
     if s is None:
         raise EngineError(f"{ident} {side} has no sum")
-    return _support(s, env, trunc, _arg_slots(s, env, UNPERTURBED, side)[0])
+    plan = _plan(s, side)
+    values = eval(plan.params, _AFFINE_GLOBALS, env)
+    return _span(s, values, trunc, _slots(s, values, plan.args, UNPERTURBED)[0])
 
 
 # ---------------------------------------------------------------------------

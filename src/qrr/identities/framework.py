@@ -29,11 +29,11 @@ lists takes its values by one rule, :func:`sum_sides`: every coefficient
 is an int, and each side is one integer at q = 2^b, with no kernel pass.
 Where the degree bound B satisfies B + 2 <= T and no side is divided by
 (q; q)_inf, its terms are evaluated one by one (the per-term route);
-otherwise the side is a residue modulo 2^(b(T + 1 - s_min)), summed nested
-over the ratios of consecutive terms on one packed integer (the packed
-route).  A check with a coefficient that is not an int is refused.  Only
-the windows of a MISMATCH and the public :func:`eval_side_value` sum a
-side's terms in one coefficient buffer, with
+otherwise the side is a residue modulo 2^(b(T + 1 - s_min)), the same
+cleared terms summed nested over the ratios of consecutive terms on one
+packed integer (the packed route).  A check with a coefficient that is not
+an int is refused.  Only the windows of a MISMATCH and the public
+:func:`eval_side_value` sum a side's terms in one coefficient buffer, with
 :class:`~qrr.pochhammer.SeriesAccumulator`.  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,
 a monomial) can multiply the sum.  It is assembled as one
@@ -412,18 +412,10 @@ def _slots(spec: Sum, values: Sequence[int], names: tuple[str, ...],
     return slots, len(zeros)
 
 
-def _arg_slots(spec: Sum, env: Mapping[str, int], ctx: EvalCtx,
-               tag: str) -> tuple[list, int]:
-    """The :func:`_slots` of a sum at ``env``, under ``tag``."""
-    return _slots(spec, eval(_param_row(spec), _AFFINE_GLOBALS, env),
-                  _plan(spec, tag).args, ctx)
-
-
-def _support(spec: Sum, env: Mapping[str, int], trunc: int,
-             slots: Sequence = ()) -> tuple[int, int]:
-    """The inclusive k-range (kmin, kmax) of a sum: its declared
-    ``support``, or else the range its argument slots, as given by
-    :func:`_arg_slots`, leave nonzero.
+def _span(spec: Sum, values: Sequence[int], trunc: int, slots: Sequence) -> tuple[int, int]:
+    """The inclusive k-range (kmin, kmax) of a sum, from its evaluated
+    :func:`_param_row`: its declared ``support``, or else the range its
+    argument ``slots``, as :func:`_slots` gives them, leave nonzero.
 
     Positive k survive until some numerator (q^a; q)_k with a <= 0 vanishes
     (k <= -a); negative k = -s survive while every denominator (q^b; q)_{-s}
@@ -432,11 +424,6 @@ def _support(spec: Sum, env: Mapping[str, int], trunc: int,
     b >= 1 thus runs over 1-b..b.  With no bound above, k runs until the
     q-power passes the truncation order.
     """
-    return _span(spec, eval(_param_row(spec), _AFFINE_GLOBALS, env), trunc, slots)
-
-
-def _span(spec: Sum, values: Sequence[int], trunc: int, slots: Sequence) -> tuple[int, int]:
-    """:func:`_support`, from the sum's evaluated :func:`_param_row`."""
     n = len(spec.argnum) + len(spec.argden)
     lin, bounds = values[n], values[n + 1:]
     if spec.support is not None:
@@ -692,9 +679,9 @@ def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
     :func:`point_values` of the cleared terms, evaluated term by term, an
     exact int.  Any other check is decided through q^trunc by the residues
     of :func:`packed_values` modulo ``modulus``, 2^(base K) with
-    K = trunc + 1 - s_min, each side summed over its term ratios on one
-    integer, divided by the unit G that sorts the multiplicities of every
-    factor; G is made only for this route."""
+    K = trunc + 1 - s_min, each side's cleared terms summed over their
+    ratios on one integer: both routes take the values of the same cleared
+    terms, divided by the one clearing L of the scan."""
     lists, euler = [], 0
     for terms, e in sides:
         for t in terms:
@@ -702,12 +689,12 @@ def sum_sides(sides: Sequence[tuple[list, int]], trunc: int) -> Sums:
                 raise EngineError(f"the coefficient {t.coeff!r} of {t!r} is not an int")
         lists.append(terms)
         euler |= e
-    median, bound, low, clear = shared_unit(*lists)
+    bound, low, clear = shared_unit(*lists)
     low = low or 0       # None when no term is nonzero, and every value is 0
     if not euler and bound is not None and bound + 2 <= trunc:
         base, values = point_values(lists, low, clear)
         return Sums(values, bound + 2, base, low, 0)
-    base, values = packed_values(sides, trunc, low, clear, median())
+    base, values = packed_values(sides, trunc, low, clear)
     return Sums(values, trunc, base, low, 1 << base * max(trunc + 1 - low, 0))
 
 

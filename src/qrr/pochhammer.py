@@ -35,21 +35,9 @@ term on its own would.  :func:`sum_terms` hands the sum back as that
 ``(offset, coeffs)`` value; :func:`~qrr.series.power_series` turns it into
 the plain list of coefficients of q^0 .. q^T that the public calls return.
 
-A sum may also be taken divided by a unit G = prod_(m>=1) (1-q^m)^g_m,
-as the packed route below takes it:
-every such G is a unit of Z[[q]] with constant term 1, so dividing every
-value of a check by the same G changes neither its verdict nor the first
-exponent where two integer combinations of them differ.  The ratios of
-consecutive terms do not change, since G cancels in U_(k+1)/U_k; only
-closing a chain applies U_head/G, so a factor that G takes out of every
-term costs no pass at all.  :func:`shared_unit` picks G from the terms of
-every side of the check: for each m, the median multiplicity over the
-terms, which makes the factors left to apply, summed over the terms, as
-few as any G can.  It is computed only for a check that is summed over
-its ratios; a check evaluated term by term never divides by it.
-
-The same scan reads the check's degree bound B.  Let d_m be the largest
-denominator multiplicity of (1-q^m) over the terms of every side; then
+One scan of the terms of every side of a check, :func:`shared_unit`,
+reads its degree bound B.  Let d_m be the largest denominator multiplicity
+of (1-q^m) over the terms of every side; then
 D = prod (1-q^m)^d_m is a unit with D(0) = 1, and each term times D is a
 Laurent polynomial of degree at most s + sum_m m (e_m + d_m).  So any
 integer combination of the sides is 0, or first differs from 0 at some q^e
@@ -79,21 +67,21 @@ Z / 2^(bK) as a ring homomorphism, and intermediate values need no bound.
 :func:`packed_values` runs the accumulator's chain on one integer
 (:class:`PackedAccumulator`, the same plan as :class:`SeriesAccumulator`
 on another buffer kind), where a factor costs one shift, subtraction and
-mask and a division a few shift-add-masks, and multiplies a side that owes
-fewer (q; q)_inf divisions than another by the pentagonal image; H then
-counts only terms that reach q^T, each weighed by the pentagonal terms it
-is multiplied by.  :func:`~qrr.identities.framework.sum_sides` is the one
-caller of :func:`shared_unit`, :func:`point_values` and
-:func:`packed_values`: every check of term lists takes its values through
-it, and it refuses a coefficient that is not an int.  The coefficient
-kernels sum only the windows of a MISMATCH and the public sums.
+mask and a division a few shift-add-masks.  It sums the cleared terms
+that :func:`point_values` evaluates, each term divided by
+L = prod (1-q^m)^lambda_m: L cancels in the ratio of consecutive terms,
+and closing a chain applies U_head / L, a polynomial.  It multiplies a
+side that owes fewer (q; q)_inf divisions than another by the pentagonal
+image; H then counts only terms that reach q^T, each weighed by the
+pentagonal terms it is multiplied by.
+:func:`~qrr.identities.framework.sum_sides` is the one caller of
+:func:`shared_unit`, :func:`point_values` and :func:`packed_values`: every
+check of term lists takes its values through it, and it refuses a
+coefficient that is not an int.  The coefficient kernels sum only the
+windows of a MISMATCH and the public sums.
 """
 
 from __future__ import annotations
-
-import functools
-from collections import defaultdict
-from typing import Callable
 
 from .series import SeriesError, default_truncation
 
@@ -377,20 +365,19 @@ class SeriesAccumulator:
     enough window for the most negative shift seen and lets the caller
     decide what to do with any surviving negative part.
 
-    ``unit``, a powers dict with keys m >= 1 (by default empty), is a unit
-    G of Z[[q]]: :meth:`value` returns the sum of the terms divided by G.
-
     :meth:`value` walks the terms from last to first.  A chain headed by
     term h holds A_h in one buffer indexed by exponent, and is worth
     U_h * A_h.  Taking in the next term t multiplies the buffer by U_h / U_t
-    and adds c_t at q^(s_t); closing the chain multiplies it by U_h / G and
-    adds it to the output.  t joins the chain only if the ratio, plus the
-    extra passes t's own factors U_t / G will need from the chain's lower
-    floor, costs no more than closing; otherwise the chain is closed and t
-    heads a new one.  So the passes spent plus those owed for closing never
-    exceed what rendering each term divided by G on its own takes.  A pass
-    is counted only for a factor (1-q^m) whose m can reach q^trunc from the
-    buffer's lowest entry.
+    and adds c_t at q^(s_t); closing the chain multiplies it by U_h / L and
+    adds it to the output.  L = prod (1-q^m)^clear[m] is 1 here;
+    :class:`PackedAccumulator` takes the clearing L of :func:`shared_unit`,
+    and its value is the sum of the terms divided by L.  t joins the chain
+    only if the ratio, plus the extra passes t's own factors U_t / L will
+    need from the chain's lower floor, costs no more than closing;
+    otherwise the chain is closed and t heads a new one.  So the passes
+    spent plus those owed for closing never exceed what rendering each term
+    divided by L on its own takes.  A pass is counted only for a factor
+    (1-q^m) whose m can reach q^trunc from the buffer's lowest entry.
 
     The buffer is a list of coefficients indexed by exponent from
     :meth:`_offset`, and the plan reaches it only through :meth:`_new`,
@@ -398,9 +385,10 @@ class SeriesAccumulator:
     :class:`PackedAccumulator` runs the same plan on one integer.
     """
 
-    def __init__(self, trunc: int, unit: dict | None = None):
+    clear: dict = {}
+
+    def __init__(self, trunc: int):
         self.trunc = trunc
-        self.unit = unit or {}
         self.terms: list[PochProduct] = []
 
     def add(self, term: PochProduct) -> None:
@@ -421,10 +409,10 @@ class SeriesAccumulator:
             s = t.shift - offset
             if s > top:
                 continue
-            own = _ratio(self.unit, t.powers)    # U_t / G
+            own = _ratio(self.clear, t.powers)   # U_t / L
             if buf is not None:
                 reach = top - lo
-                ratio = _ratio(own, head)        # U_head / U_t: G cancels
+                ratio = _ratio(own, head)        # U_head / U_t: L cancels
                 cost = _passes(ratio, reach)
                 if s >= lo:     # t does not lower the chain's floor
                     cost += _passes(own, reach) - _passes(own, top - s)
@@ -445,7 +433,8 @@ class SeriesAccumulator:
         return offset, out if out is not None else self._new(top)
 
     def _close(self, out, buf, powers: dict, lo: int, top: int):
-        """Finish a chain: buf *= U_head, then add it into `out` (or become it)."""
+        """Finish a chain: buf *= U_head / L, then add it into `out` (or
+        become it)."""
         buf = self._apply(buf, powers, lo, top - lo)
         return buf if out is None else self._merge(out, buf, lo, top)
 
@@ -473,8 +462,9 @@ class PackedAccumulator(SeriesAccumulator):
     q^(low+i) is the digit of 2^(base i), modulo 2^(base K),
     K = trunc + 1 - low.  q -> 2^base maps Z[[q]] / q^K into Z / 2^(base K)
     as a ring homomorphism, so the integer is the image of the sum through
-    q^trunc, times q^-low, whatever its coefficients: no digit needs to
-    stay below 2^base on the way.
+    q^trunc, times q^-low and divided by L = prod (1-q^m)^clear[m],
+    whatever its coefficients: no digit needs to stay below 2^base on the
+    way.
 
     Every (1-q^m) is a unit of that ring.  A factor costs one shift,
     subtraction and mask, and a division by it, where the buffer's lowest
@@ -483,9 +473,10 @@ class PackedAccumulator(SeriesAccumulator):
     z^(2^J).  Every term's shift must be at least ``low``; :meth:`value`
     gives (low, an integer congruent to the image), which ``mask`` reduces."""
 
-    def __init__(self, trunc: int, unit: dict, base: int, low: int):
-        super().__init__(trunc, unit)
-        self.base, self.low, self.mask = base, low, (1 << base * max(trunc + 1 - low, 0)) - 1
+    def __init__(self, trunc: int, clear: dict, base: int, low: int):
+        super().__init__(trunc)
+        self.clear, self.base, self.low = clear, base, low
+        self.mask = (1 << base * max(trunc + 1 - low, 0)) - 1
 
     def _offset(self) -> int:
         return self.low
@@ -519,19 +510,9 @@ def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
     return acc.value()
 
 
-def shared_unit(*term_lists: list[PochProduct]
-                ) -> tuple[Callable[[], dict], int | None, int | None, dict]:
-    """(G, B, s_min, L) for a check of integer combinations of the lists,
-    from one scan of their nonzero terms c q^s prod (1-q^m)^e_m.
-
-    G = prod_(m>=1) (1-q^m)^g_m is a unit for summing every list divided
-    by it, as a powers dict: g_m is the median multiplicity of (1-q^m) over
-    the terms, a term without the factor counting as 0.  The median makes
-    sum_t |e_t(m) - g_m|, the factors left on the terms, as small as it can
-    be.  The key m = 0, the zero and pole count, stays with the terms.  G
-    is handed back as a function of no argument that sorts the scan's
-    multiplicities for it, since only a check summed over its term ratios
-    divides by G.
+def shared_unit(*term_lists: list[PochProduct]) -> tuple[int | None, int | None, dict]:
+    """(B, s_min, L) for a check of integer combinations of the lists, from
+    one scan of their nonzero terms c q^s prod (1-q^m)^e_m.
 
     B is the degree bound of the check (None when there are no terms): with
     d_m the largest denominator multiplicity of (1-q^m) over the terms,
@@ -544,11 +525,13 @@ def shared_unit(*term_lists: list[PochProduct]
     clearing exponents: lambda_m, the least multiplicity of (1-q^m) over the
     terms, a term without the factor counting as 0.  Every term times
     q^-s_min prod (1-q^m)^-lambda_m is a polynomial, the input of
-    :func:`point_values`."""
+    :func:`point_values` and of :func:`packed_values`.  The key m = 0, the
+    zero and pole count, stays with the terms."""
     # a multiplicity that reaches 0 is deleted, so a term is "ok" exactly
     # when it holds no key m = 0
     terms = [t for terms in term_lists for t in terms if 0 not in t.powers]
-    seen = defaultdict(list)
+    # per m, the least multiplicity of (1-q^m) and how many terms hold it
+    least, count = {}, {}
     bound = None
     low = terms[0].shift if terms else None
     for t in terms:
@@ -556,33 +539,26 @@ def shared_unit(*term_lists: list[PochProduct]
         if s < low:
             low = s
         for m, e in t.powers.items():
-            seen[m].append(e)
             degree += m * e
+            c = count.get(m)
+            if c is None:
+                least[m], count[m] = e, 1
+            else:
+                count[m] = c + 1
+                if e < least[m]:
+                    least[m] = e
         if bound is None or degree > bound:
             bound = degree
     n = len(terms)
     clear = {}
-    for m, es in seen.items():
-        least = min(es)
-        if least < 0:            # D clears (1-q^m)^-least from every term
-            bound -= m * least
-        elif len(es) < n:        # some term lacks (1-q^m)
-            least = 0
-        if least:
-            clear[m] = least
-    return functools.partial(_median_unit, seen, n), bound, low, clear
-
-
-def _median_unit(seen: dict, n: int) -> dict:
-    """G of :func:`shared_unit`, from the multiplicities ``seen`` of each
-    (1-q^m) over the n terms that have it."""
-    unit = {}
-    for m, es in seen.items():
-        if 2 * len(es) >= n:     # else most terms lack (1-q^m), and g_m = 0
-            es = sorted(es + [0] * (n - len(es)))
-            if es[n // 2]:
-                unit[m] = es[n // 2]
-    return unit
+    for m, e in least.items():
+        if e < 0:                # D clears (1-q^m)^-e from every term
+            bound -= m * e
+        elif count[m] < n:       # some term lacks (1-q^m)
+            e = 0
+        if e:
+            clear[m] = e
+    return bound, low, clear
 
 
 # ---------------------------------------------------------------------------
@@ -641,28 +617,27 @@ def point_values(term_lists: list[list[PochProduct]], low: int,
     return base, [point_value(terms, base, low, clear) for terms in term_lists]
 
 
-def packed_values(sides: list[tuple[list, int]], trunc: int, low: int, clear: dict,
-                  unit: dict) -> tuple[int, list]:
+def packed_values(sides: list[tuple[list, int]], trunc: int, low: int,
+                  clear: dict) -> tuple[int, list]:
     """(b, residues) for a check of signed combinations of the sides, each
     given as (terms, euler) and used at most once in a combination, every
     coefficient an int, through q^trunc.  A pole term raises PoleError.
 
-    With (unit, low, clear) the G, s_min and L of :func:`shared_unit`,
+    With (low, clear) the s_min and L of :func:`shared_unit`,
     E = (q; q)_inf and e_max the most divisions by E a side owes, a side's
     residue is the image modulo 2^(bK), K = trunc + 1 - s_min, of its value
     through q^trunc times q^-s_min L^-1 E^e_max: the value of its
-    :class:`PackedAccumulator`, which sums the terms divided by G, times
-    G / L, whose exponents are all >= 0, and times E once for each division
-    it owes fewer than e_max, one shift-add per pentagonal exponent below
-    K.  These multipliers are units with constant term 1, shared by every
-    side, so they move neither equality through q^trunc nor the first
-    exponent where a combination differs from 0.  The terms are cleared
-    polynomials, and E modulo q^K has P coefficients, all 0 or +-1, so with
-    H the majorant of :func:`point_values` over the terms at or below
-    q^trunc, each side's share times P^(e_max - euler), and b its bit
-    length, every coefficient below q^K of a combination is below 2^b in
-    absolute value: its residue is 0 exactly when the combination is 0
-    through q^trunc, and otherwise its lowest set bit lies in the digit of
+    :class:`PackedAccumulator`, which sums the terms divided by L, times E
+    once for each division it owes fewer than e_max, one shift-add per
+    pentagonal exponent below K.  These multipliers are units with constant
+    term 1, shared by every side, so they move neither equality through
+    q^trunc nor the first exponent where a combination differs from 0.  The
+    terms are cleared polynomials, and E modulo q^K has P coefficients, all
+    0 or +-1, so with H the majorant of :func:`point_values` over the terms
+    at or below q^trunc, each side's share times P^(e_max - euler), and b
+    its bit length, every coefficient below q^K of a combination is below
+    2^b in absolute value: its residue is 0 exactly when the combination is
+    0 through q^trunc, and otherwise its lowest set bit lies in the digit of
     its first nonzero exponent, as at :func:`point_values`."""
     width = max(trunc + 1 - low, 0)
     # the exponents below K of E = sum_k (-1)^k q^(k(3k-1)/2), with their signs
@@ -680,12 +655,11 @@ def packed_values(sides: list[tuple[list, int]], trunc: int, low: int, clear: di
     base = max(bound.bit_length(), 1)
     values = []
     for terms, euler in sides:
-        acc = PackedAccumulator(trunc, unit, base, low)
+        acc = PackedAccumulator(trunc, clear, base, low)
         for t in terms:
             acc.add(t)
-        # times G / L, then E^(e_max - euler)
-        x = acc._apply(acc.value()[1], _ratio(clear, unit), 0, width - 1)
-        for _ in range(most - euler):
+        x = acc.value()[1]
+        for _ in range(most - euler):        # times E^(e_max - euler)
             x = sum(sign * x << base * g for g, sign in pentagonal) & acc.mask
         values.append(x & acc.mask)
     return base, values

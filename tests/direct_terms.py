@@ -11,12 +11,7 @@ term.  A flip pair (q^-b; q)_k / (q^b; q)_k is built through its rewrite
 comes from :func:`exact_support`, not from the engine's slots.
 """
 
-from qrr.identities.framework import (
-    EngineError,
-    _support,
-    _valuation_kmax,
-    eval_affine,
-)
+from qrr.identities.framework import EngineError, _valuation_kmax, eval_affine
 from qrr.pochhammer import PochProduct, PoleError
 
 
@@ -53,15 +48,19 @@ def exact_support(spec, env, trunc, num_args, den_args):
     is taken through its rewrite -q^-b (q^(1-b); q)_(k-1) / (q^(b+1); q)_(k-1)
     for k >= 1: it bounds k to 1-b..b when b >= 1 and nothing otherwise.  A
     pair with a != -b is two plain slots.  A declared support is the
-    sum's own."""
+    sum's own, its end "*" to run until the q-power passes q^trunc."""
+    lin = eval_affine(spec.lin, env)
     if spec.support is not None:
-        return _support(spec, env, trunc)
+        lo, hi = spec.support
+        kmin = eval_affine(lo, env)
+        return kmin, (_valuation_kmax(spec, lin, kmin, trunc) if hi == "*"
+                      else eval_affine(hi, env))
     plain, pairs = _split(spec, num_args, den_args)
     plain += [s for a, b in pairs if a != -b for s in ((a, 1), (b, -1))]
     exact = [b for a, b in pairs if a == -b and b >= 1]
     upper = [-a for a, times in plain if times > 0 and a <= 0] + exact
     lower = [b - 1 for b, times in plain if times < 0 and b >= 1] + [b - 1 for b in exact]
-    kmax = min(upper) if upper else _valuation_kmax(spec, eval_affine(spec.lin, env), 0, trunc)
+    kmax = min(upper) if upper else _valuation_kmax(spec, lin, 0, trunc)
     return -min(lower, default=0), kmax
 
 

@@ -25,7 +25,7 @@ def render_unit(term, length):
         t = term.powers[m]
         kernel = pochhammer.mul_binomial if t > 0 else pochhammer.div_binomial
         for _ in range(abs(t)):
-            kernel(buf, m)
+            kernel(buf, m, 0)
     return buf
 
 
@@ -39,9 +39,11 @@ def passes(terms, trunc):
 
 def sum_per_term(terms, trunc):
     """(offset, coeffs) of the sum of `terms` through q^trunc; zero terms are
-    skipped and a pole raises PoleError, as in the accumulator."""
-    if any(t.state == "pole" for t in terms):
-        raise PoleError("a pole term reached the sum")
+    skipped and the first pole raises PoleError, with the accumulator's
+    message."""
+    for t in terms:
+        if t.state == "pole":
+            raise PoleError(f"pole term reached the accumulator: {t!r}")
     kept = [t for t in terms if t.state == "ok"]
     offset = min([0] + [t.shift for t in kept])
     out = [0] * (trunc - offset + 1)

@@ -2,11 +2,14 @@
 
 ``framework.sum_sides`` decides a check at one integer point: term by term
 at q = 2^b, or on one packed integer modulo 2^(b(T + 1 - s_min)).  This
-oracle takes the same values the old way, each side summed on the list
-kernels with the public ``framework.side_value`` into one coefficient
-buffer, and compares them coefficient by coefficient.  It divides by no
-unit G: it only has to be right, and summing undivided keeps it apart from
-the median that ``shared_unit`` picks for the packed route.
+oracle takes the same values the old way, on the list kernels, and
+compares them coefficient by coefficient.  Each side is rendered term by
+term by ``per_term.sum_per_term``, one binomial pass per factor of each
+term, and then divided once by (q; q)_inf for each division it owes, with
+``div_euler`` through ``framework``'s binding.  It shares none of the
+nested plan of ``SeriesAccumulator`` and ``PackedAccumulator`` (their
+ratios, pass counts and chains) and divides by no unit, so a fault there
+cannot move the packed route and its oracle together.
 
 The depth is the program's: min(T, B + 2), B the degree bound read through
 ``framework.shared_unit``, where no side owes a (q; q)_inf division, and T
@@ -16,6 +19,7 @@ otherwise; so a test that patches ``shared_unit`` moves the oracle too.
 ``telescoping`` take as they take the point routes' ints.
 """
 
+import per_term
 from qrr import telescoping
 from qrr.identities import framework
 
@@ -62,15 +66,24 @@ class Sums(framework.Sums):
         return d.offset + next(i for i, c in enumerate(d.coeffs) if c)
 
 
+def side_value(terms, euler, trunc):
+    """The sum of ``terms`` through q^trunc, each rendered on its own,
+    divided ``euler`` times by (q; q)_inf, as (offset, coeffs)."""
+    offset, buf = per_term.sum_per_term(terms, trunc)
+    for _ in range(euler):
+        framework.div_euler(buf)
+    return offset, buf
+
+
 def sum_sides(sides, trunc):
     """Each side, given as (terms, euler), summed through the depth of
-    ``framework.sum_sides`` as a :class:`Value`, with no unit; the
+    ``framework.sum_sides`` by :func:`side_value` as a :class:`Value`; the
     :class:`Sums` has no base and no modulus."""
     lists = [terms for terms, _ in sides]
-    _, bound, low, _ = framework.shared_unit(*lists)
+    bound, low, _ = framework.shared_unit(*lists)
     euler = any(e for _, e in sides)
     depth = bound + 2 if not euler and bound is not None and bound + 2 <= trunc else trunc
-    values = [Value(*framework.side_value(terms, e, depth)) for terms, e in sides]
+    values = [Value(*side_value(terms, e, depth)) for terms, e in sides]
     return Sums(values, depth, 0, low or 0, 0)
 
 

@@ -1,7 +1,7 @@
 """The degree bound B of a check, and the depth its two sides are summed to.
 
-Besides the unit G, ``pochhammer.shared_unit`` reads the degree bound B off
-the terms of a check: D = prod (1-q^m)^d_m, with d_m the largest
+Besides s_min and the clearing L, ``pochhammer.shared_unit`` reads the
+degree bound B off the terms of a check: D = prod (1-q^m)^d_m, with d_m the largest
 denominator multiplicity of (1-q^m), clears every denominator, and every
 term times D is a Laurent polynomial of degree at most B.  D is a unit with
 D(0) = 1, so the two sums are equal or first differ at some q^e with
@@ -49,7 +49,7 @@ def test_every_cleared_term_stays_within_the_bound():
     checked = 0
     for ident, _, env, sides in _corner_sides(40):
         lists = [terms for terms, _ in sides.values()]
-        bound = shared_unit(*lists)[1]
+        bound, _, _ = shared_unit(*lists)
         terms = [t for terms in lists for t in terms if t.state == "ok"]
         if not terms:
             assert bound is None, (ident, env)
@@ -83,13 +83,17 @@ def _as_full_compare(lhs, rhs, trunc, monkeypatch):
     route, and the depths of the sums of the MISMATCH pair (none for an
     EQUAL), which both routes sum alike."""
     want = compare("X", {}, trunc, side_value(*lhs, trunc), side_value(*rhs, trunc))
-    real, depths = framework.side_value, []
+    depths = []
 
-    def recorded(terms, euler, trunc):
-        depths.append(trunc)
-        return real(terms, euler, trunc)
+    def recorded(real):
+        def summed(terms, euler, trunc):
+            depths.append(trunc)
+            return real(terms, euler, trunc)
+        return summed
 
-    monkeypatch.setattr(framework, "side_value", recorded)
+    # the oracle's own sums, then those of the pair
+    for module in (series_oracle, framework):
+        monkeypatch.setattr(module, "side_value", recorded(module.side_value))
     with monkeypatch.context() as mp:
         series_oracle.install(mp)
         got = compare_sides("X", {}, trunc, lhs, rhs)
@@ -107,7 +111,8 @@ AT_B = ([_term(1, 3, (1, 2), (3, -1))], 0), ([_term(1, 3, (3, -1)), _term(-2, 4,
 
 
 def test_a_difference_exactly_at_the_bound(monkeypatch):
-    assert shared_unit(AT_B[0][0], AT_B[1][0])[1] == 5
+    bound, _, _ = shared_unit(AT_B[0][0], AT_B[1][0])
+    assert bound == 5
     rep, depth, pair = _as_full_compare(*AT_B, 30, monkeypatch)
     assert (rep.verdict, rep.mismatch_index, depth, pair) == ("MISMATCH", 5, 7, [7, 7])
     assert [e for e, _ in rep.lhs_window] == [3, 4, 5, 6, 7]

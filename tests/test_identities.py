@@ -27,8 +27,6 @@ from qrr.identities.framework import (
     MAX_PARAMETER,
     UNPERTURBED,
     EvalCtx,
-    _arg_slots,
-    _support,
     eval_side_value,
 )
 
@@ -411,14 +409,28 @@ def test_liu_counterexample_checks_its_closed_form(monkeypatch):
         liu_counterexample("LIU1", 2, 20)
 
 
+class _Ks(EvalCtx):
+    """A context that records each k at which a term chain passes its
+    q-power site, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.ks = []
+
+    def site(self, name, value, k=0):
+        if name.endswith(".qpow"):
+            self.ks.append(k)
+        return value
+
+
 def test_liu_sums_keep_their_ranges():
-    # LIU1 sums over 1-a..a-1 and LIU2 over -a..a-1, derived from the arguments
+    # LIU1 sums over 1-a..a-1 and LIU2 over -a..a-1, derived from the
+    # arguments: the k-range its term chain runs over
     for a in range(1, 8):
-        env = {"a": a}
         for which, want in (("LIU1", (1 - a, a - 1)), ("LIU2", (-a, a - 1))):
-            spec = engine._LIU_SUMS[which]
-            kmin, kmax = _support(spec, env, 20, _arg_slots(spec, env, UNPERTURBED, which)[0])
-            assert (kmin, kmax) == want, (which, a)
+            ctx = _Ks()
+            engine._sum_terms(engine._LIU_SUMS[which], {"a": a}, ctx, which, 20)
+            assert ctx.ks == list(range(want[0], want[1] + 1)), (which, a)
 
 
 @pytest.mark.parametrize("which, change", [("LIU1", {"argden": ("a+1",)}),

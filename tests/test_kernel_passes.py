@@ -128,16 +128,19 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     assert {k: v for k, v in points.items() if k not in building} == {"point_values": 1}
     with kernel_passes.counted_kernels() as packed:
         _tiny()
-    assert {k: v for k, v in packed.items() if k not in building} == {"packed_values": 1}
+    ops = packed["packed_ops"]
+    assert ops > 0
+    assert ({k: v for k, v in packed.items() if k not in building}
+            == {"packed_values": 1, "packed_ops": ops})
     # the same sides are built on every route
     assert [calls[k] for k in building] == [packed[k] for k in building]
     assert kernel_passes.main([]) == 1           # n = -1 raises: a failed check
     head, tiny, wrong, kinds, two, other = capsys.readouterr().out.splitlines()
     assert head.split() == ["run", "checks", "failed", "mul_binomial", "div_binomial",
                             "binomial", "coeff_updates", "div_euler", "points", "packed",
-                            "terms", "steps", "evals"]
+                            "terms", "steps", "evals", "packed_ops"]
     built = [str(packed[k]) for k in building]
-    assert tiny.split() == ["tiny", "1", "0"] + ["0"] * 6 + ["1"] + built
+    assert tiny.split() == ["tiny", "1", "0"] + ["0"] * 6 + ["1"] + built + [str(ops)]
     assert wrong.split()[:3] == ["wrong", "1", "1"]
     # a run by kind: its total, then one indented row per first word of a
     # label, in order of first appearance
@@ -146,10 +149,39 @@ def test_main_prints_one_row_per_run(kernel_passes, monkeypatch, capsys):
     twice = [str(2 * int(c)) for c in row + built]
     each = [str(points[k]) for k in building]
     summed = [str(2 * packed[k] + points[k]) for k in building]
-    assert kinds.split() == ["kinds", "3", "0", *twice[:-5], "1", "0", *summed]
-    assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice]
+    # no check of the kinds run takes the packed route
+    assert kinds.split() == ["kinds", "3", "0", *twice[:-5], "1", "0", *summed, "0"]
+    assert two.startswith("  two ") and two.split() == ["two", "2", "0", *twice, "0"]
     assert other.startswith("  other ")
-    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0", *each]
+    assert other.split() == ["other", "1", "0"] + ["0"] * 5 + ["1", "0", *each, "0"]
+
+
+def _term(shift, *factors):
+    t = PochProduct().q(shift)
+    for m, times in factors:
+        t.factor(m, times)
+    return t
+
+
+def test_packed_ops_count_the_shift_masks_by_hand(kernel_passes):
+    # lhs (1-q)(1-q^2)/(1-q^3) + q (1-q)^2/(1-q^3) against rhs 1/(1-q^3)
+    # through q^10: L = (1-q^3)^-1, so the cleared lhs terms hold
+    # (1-q)(1-q^2) and q (1-q)^2 and the rhs term nothing.  The lhs is
+    # summed from its last term: q (1-q)^2 heads a chain at floor 1, and
+    # the first term joins it, since the ratio (1-q)/(1-q^2) costs 2 factor
+    # passes, as closing would: one shift-subtract-mask for (1-q) and
+    # (9 // 2).bit_length() = 3 shift-add-masks for the division at reach
+    # 10 - 1 = 9.  Closing the chain at floor 0 applies (1-q)(1-q^2): two
+    # more.  The rhs applies nothing.
+    sides = [([_term(0, (1, 1), (2, 1), (3, -1)), _term(1, (1, 2), (3, -1))], 0),
+             ([_term(0, (3, -1))], 0)]
+    _, low, clear = pochhammer.shared_unit(*(terms for terms, _ in sides))
+    assert (low, clear) == (0, {3: -1})
+    with kernel_passes.counted_kernels() as calls:
+        pochhammer.packed_values(sides, 10, low, clear)
+    assert calls == Counter(packed_values=1, packed_ops=1 + 3 + 2)
+    assert kernel_passes.packed_ops({1: 1, 2: -1}, 9) == 4
+    assert kernel_passes.packed_ops({1: -2, 4: 3, 11: -1}, 10) == 2 * 4 + 3
 
 
 def test_terms_count_the_certificate_family_terms(kernel_passes, monkeypatch):

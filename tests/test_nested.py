@@ -11,13 +11,13 @@ per-term renderer's, and a copy that drops one ratio factor must be caught.
 check at one integer point (``framework.compare_sides``,
 ``tests/test_point_route.py``): term by term where B + 2 <= T, and
 otherwise on one packed integer that sums each side over its term ratios
-divided by one shared unit G.  Their reports are compared with those of
-the true values, unperturbed and corrupted; each side summed divided by G
-by the accumulator, times G, with the side itself, and the divided sums
-with the per-term renderer of the divided terms.  On the packed route, a
-unit put on one side only and a ratio missing one factor must be caught;
-on the per-term route, a clearing put on one side only and a factor
-dropped from a point evaluation.
+divided by the check's clearing L, the unit that makes every term a
+polynomial.  Their reports are compared with those of the true values,
+unperturbed and corrupted, and each side summed divided by L on one packed
+integer with the image of the per-term renderer's sum of the cleared
+terms.  On the packed route, a unit put on one side only and a ratio
+missing one factor must be caught; on the per-term route, a clearing put
+on one side only and a factor dropped from a point evaluation.
 """
 
 import contextlib
@@ -300,7 +300,7 @@ def test_verify_work_is_pinned(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# both sides of a check divided by one shared unit
+# both sides of a check divided by one shared unit, the clearing L
 # ---------------------------------------------------------------------------
 
 
@@ -314,17 +314,6 @@ def _corner_sides(trunc):
                                         for side in ("lhs", "rhs")}
 
 
-def _times_unit(value, unit):
-    """A copy of ``value`` times G = prod (1-q^m)^unit[m], one kernel pass
-    per factor."""
-    off, buf = value[0], list(value[1])
-    for m, e in unit.items():
-        kernel = pochhammer.mul_binomial if e > 0 else pochhammer.div_binomial
-        for _ in range(abs(e)):
-            kernel(buf, m)
-    return off, buf
-
-
 def _report(rep):
     return (rep.ident, rep.params, rep.trunc, rep.verdict, rep.mismatch_index,
             rep.lhs_window, rep.rhs_window, rep.checks)
@@ -333,8 +322,8 @@ def _report(rep):
 @pytest.mark.parametrize("trunc", [40, 160])
 def test_verify_reports_as_the_true_values_compare(trunc):
     # unperturbed, and with the first of the point's sites moved by 1, which
-    # turns most points into a MISMATCH whose windows come from the values
-    # multiplied back by the unit
+    # turns most points into a MISMATCH whose windows come from the true
+    # values of the pair
     verdicts = Counter()
     for ident, rec, env, _ in _corner_sides(trunc):
         for mutations in ({}, {engine.identity_sites(ident, env, trunc)[0]: 1}):
@@ -353,51 +342,67 @@ def _full_depth(monkeypatch):
     real = framework.shared_unit
 
     def unbounded(*lists):
-        unit, _, low, clear = real(*lists)
-        return unit, None, low, clear
+        _, low, clear = real(*lists)
+        return None, low, clear
 
     monkeypatch.setattr(framework, "shared_unit", unbounded)
 
 
-def _sum_divided(terms, trunc, unit):
-    """The sum of ``terms`` through q^trunc divided by the unit ``unit``, as
-    (offset, coeffs)."""
-    acc = SeriesAccumulator(trunc, unit)
-    for t in terms:
-        acc.add(t)
-    return acc.value()
+def _cleared(terms, clear):
+    """Each of ``terms`` divided by L = prod (1-q^m)^clear[m]."""
+    inverse = PochProduct()
+    for m, e in clear.items():
+        inverse.factor(m, -e)
+    return [t.mul(inverse) for t in terms]
 
 
-def _divided(terms, unit):
-    g = PochProduct()
-    for m, e in unit.items():
-        g.factor(m, -e)
-    return [t.mul(g) for t in terms]
+def _packed_image(value, acc):
+    """The image of the sum ``value``, (offset, coeffs), in the ring of the
+    PackedAccumulator ``acc``: at q = 2^base, times q^-low, modulo
+    2^(base K)."""
+    offset, coeffs = value
+    return sum(c << acc.base * (offset + i - acc.low)
+               for i, c in enumerate(coeffs) if c) & acc.mask
 
 
 @pytest.mark.parametrize("trunc", [40, 160])
-def test_unit_divided_sides_match_the_slow_paths(trunc):
-    nested = flat = 0
+def test_unit_divided_sides_match_the_slow_paths(trunc, monkeypatch):
+    # each side summed by the packed route's accumulator, divided by the
+    # clearing L of its check, against the per-term renderer of the
+    # L-cleared terms; the factor passes the plan makes, each one (1-q^m)
+    # applied by a shift-subtract or divided by a few shift-adds, never
+    # exceed the per-term renderer's
+    apply, applied = pochhammer.PackedAccumulator._apply, [0]
+
+    def counted(self, x, powers, lo, reach):
+        applied[0] += pochhammer._passes(powers, reach)
+        return apply(self, x, powers, lo, reach)
+
+    monkeypatch.setattr(pochhammer.PackedAccumulator, "_apply", counted)
+    nested = flat = cleared = 0
     for ident, rec, env, sides in _corner_sides(trunc):
-        unit = shared_unit(*(terms for terms, _ in sides.values()))[0]()
-        for side, (terms, euler) in sides.items():
+        lists = [terms for terms, _ in sides.values()]
+        _, low, clear = shared_unit(*lists)
+        low = low or 0       # None when no term is nonzero
+        base = pochhammer.packed_values(list(sides.values()), trunc, low, clear)[0]
+        cleared += bool(clear)
+        for side, (terms, _) in sides.items():
             label = (ident, side, env)
-            with counted_kernels() as count:
-                value = _sum_divided(terms, trunc, unit)
-            divided = value[0], list(value[1])
-            for _ in range(euler):
-                pochhammer.div_euler(divided[1])
-            assert _times_unit(divided, unit) == eval_side_value(rec, side, env, trunc), label
-            slow = _divided(terms, unit)
-            assert value == per_term.sum_per_term(slow, trunc), label
+            acc = pochhammer.PackedAccumulator(trunc, clear, base, low)
+            for t in terms:
+                acc.add(t)
+            applied[0] = 0
+            value = acc.value()[1] & acc.mask
+            slow = _cleared(terms, clear)
+            assert value == _packed_image(per_term.sum_per_term(slow, trunc), acc), label
             bound = per_term.passes(slow, trunc)
-            assert count[0] <= bound, label
-            nested += count[0]
+            assert applied[0] <= bound, label
+            nested += applied[0]
             flat += bound
-    assert nested < flat
+    assert nested < flat and cleared > 100
 
 
-def test_shared_unit_takes_the_median_of_every_nonzero_term():
+def test_shared_unit_reads_the_bound_the_lowest_shift_and_the_clearing():
     a = PochProduct().factor(1, 2).factor(2).factor(3, -1)
     b = PochProduct().factor(1).factor(3, -2).factor(4)
     c = PochProduct().factor(1, 3).factor(3, -1).q(5)
@@ -406,15 +411,10 @@ def test_shared_unit_takes_the_median_of_every_nonzero_term():
     # and the degree bound: D = (1-q^3)^2 clears every denominator, and the
     # cleared terms have degrees 7 (a), 5 (b) and 11 (c); the lowest shift
     # is 0, and the least multiplicities are 1 for (1-q^1) and -2 for (1-q^3)
-    # G comes back as a function that computes it
-    def scan(*lists):
-        median, *rest = shared_unit(*lists)
-        return median(), *rest
-
-    assert scan([a, zero], [b, c]) == ({1: 2, 3: -1}, 11, 0, {1: 1, 3: -2})
-    assert scan([a, b]) == ({1: 2, 2: 1, 3: -1, 4: 1}, 7, 0, {1: 1, 3: -2})
-    assert scan([c.copy().q(-9), a]) == ({1: 3, 2: 1, 3: -1}, 4, -4, {1: 2, 3: -1})
-    assert scan() == scan([zero]) == ({}, None, None, {})
+    assert shared_unit([a, zero], [b, c]) == (11, 0, {1: 1, 3: -2})
+    assert shared_unit([a, b]) == (7, 0, {1: 1, 3: -2})
+    assert shared_unit([c.copy().q(-9), a]) == (4, -4, {1: 2, 3: -1})
+    assert shared_unit() == shared_unit([zero]) == (None, None, {})
 
 
 def _unit_on_one_side(monkeypatch, change):
@@ -433,7 +433,7 @@ def _unit_on_one_side(monkeypatch, change):
 
 
 def _drop_first_factor(unit):
-    if not unit:                 # G = 1 has no factor to drop
+    if not unit:                 # L = 1 has no factor to drop
         return unit
     m = min(unit)
     out = dict(unit)
@@ -447,17 +447,17 @@ DISAGREE = "the point and the series disagree"
 @pytest.mark.parametrize("change", [lambda unit: {}, _drop_first_factor],
                          ids=["rhs-undivided", "rhs-drops-a-factor"])
 def test_a_unit_on_one_side_only_is_caught(change, monkeypatch):
-    # the rhs's residue, divided by another unit than the one it is
-    # multiplied back by, reads a difference that the sums of the pair do
-    # not show, and the check raises
+    # the rhs's residue, divided by another unit than the lhs's clearing,
+    # reads a difference that the sums of the pair do not show, and the
+    # check raises
     calls = _unit_on_one_side(monkeypatch, change)
     for ident in ("ABCDE1", "ANDREWS1", "EULERN1", "LMNRS3", "QINV1"):
         params = {ps.name: ps.low + 2 for ps in REGISTRY[ident].params}
         del calls[:]
         with pytest.raises(EngineError, match=DISAGREE):
             engine.verify(ident, params, 30)
-        assert min(calls[0]) <= 30, ident        # G is not 1 through q^30
-    # the Bailey checks, at points where G is not 1 through q^30 and both
+        assert min(calls[0]) <= 30, ident        # L is not 1 through q^30
+    # the Bailey checks, at points where L is not 1 through q^30 and both
     # values are nonzero (a unit pair's beta_n is 0 for n >= 1)
     for target, exps in (("ABCDE1", (2, 2, 2, 2)), ("ABCDE3", (2, 2, 1, 1))):
         del calls[:]
@@ -515,7 +515,7 @@ def test_a_check_of_fewer_than_two_sides_raises(count):
 
 
 def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
-    # on the packed route, the one route that divides by G
+    # on the packed route, whose accumulators divide by the clearing L
     made = []
 
     class Recorded(pochhammer.PackedAccumulator):
@@ -531,8 +531,10 @@ def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
     env = {"n": 2, "l": 1, "m": 1, "u": 0, "v": 0}
     target = side_terms(REGISTRY["ABCDE3"], "lhs", env, 30)[0]
     assert repr(made[-1].terms) == repr(target)
-    units = [acc.unit for acc in made]
-    assert units[0] and all(unit is units[0] for unit in units)
+    # the one unit is the check's L, read off the terms of all four sums
+    clear = shared_unit(*(acc.terms for acc in made))[2]
+    assert clear and made[0].clear == clear
+    assert all(acc.clear is made[0].clear for acc in made)
 
 
 def test_chain_routes_and_target_are_evaluated_at_one_point(monkeypatch):

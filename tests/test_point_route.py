@@ -69,8 +69,8 @@ def taken(monkeypatch):
         bases.append(("point", out[0]))
         return out
 
-    def packed(sides, trunc, low, clear, unit):
-        out = pochhammer.packed_values(sides, trunc, low, clear, unit)
+    def packed(sides, trunc, low, clear):
+        out = pochhammer.packed_values(sides, trunc, low, clear)
         assert out[1] == _per_term_residues(sides, trunc, low, clear, out[0])
         bases.append(("packed", out[0]))
         return out
@@ -276,15 +276,15 @@ def test_a_packed_base_one_bit_short_reads_an_unequal_pair_equal(monkeypatch):
     # the same pair through q^1: B + 2 > T, so the packed route decides it
     # modulo 2^(2b), and b = 2; at b = 1 both sides read 2 modulo 4
     two, q = ([PochProduct().scale(2)], 0), ([PochProduct().q(1)], 0)
-    assert packed_values([two, q], 1, 0, {}, {}) == (2, [2, 4])
+    assert packed_values([two, q], 1, 0, {}) == (2, [2, 4])
     rep = compare_sides("X", {}, 1, two, q)
     assert (rep.verdict, rep.mismatch_index) == ("MISMATCH", 0)
 
-    def short(sides, trunc, low, clear, unit):
-        base = pochhammer.packed_values(sides, trunc, low, clear, unit)[0] - 1
+    def short(sides, trunc, low, clear):
+        base = pochhammer.packed_values(sides, trunc, low, clear)[0] - 1
         values = []
         for terms, _ in sides:
-            acc = PackedAccumulator(trunc, unit, base, low)
+            acc = PackedAccumulator(trunc, clear, base, low)
             for t in terms:
                 acc.add(t)
             values.append(acc.value()[1] & acc.mask)

@@ -124,10 +124,9 @@ def test_written_flip_pairs_keep_the_exact_support(ident):
             spec = rec.side(side).sum
             if not spec.flips:
                 continue
-            slots = framework._arg_slots(spec, env, framework.UNPERTURBED, side)[0]
             num = [framework.eval_affine(a, env) for a in spec.argnum]
             den = [framework.eval_affine(b, env) for b in spec.argden]
-            assert (framework._support(spec, env, 40, slots)
+            assert (engine.support_bounds(ident, side, env, 40)
                     == direct_terms.exact_support(spec, env, 40, num, den)), (env, side)
             flipped += 1
     assert flipped >= 243         # every point of the grid, 3^5 or 4^4 of them

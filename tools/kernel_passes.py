@@ -16,7 +16,10 @@ columns count the work of building the terms: ``terms``, the terms that
 ``telescoping._terms`` builds, ``steps``, the calls of
 ``PochProduct.step``, and ``evals``, the calls of the builtin ``eval`` made
 by a ``qrr`` module, each one evaluation of a compiled row of affine
-exponents.  The runs are:
+exponents.  The last column, ``packed_ops``, counts the big-integer
+operations of the packed route: the shift-subtract-masks and
+shift-add-masks that ``PackedAccumulator._apply`` makes (see
+:func:`packed_ops`).  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
   each verified through ``engine.verify`` at the sweep's T (40), with no
@@ -58,6 +61,15 @@ def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
     return max(0, len(buf) - lo - m)
 
 
+def packed_ops(powers: dict, reach: int) -> int:
+    """The shift-subtract-masks and shift-add-masks that
+    ``PackedAccumulator._apply(x, powers, lo, reach)`` makes: for each
+    factor (1-q^m) with 0 < m <= reach, one per multiplication by it and
+    (reach // m).bit_length() per division by it."""
+    return sum(t if t > 0 else -t * (reach // m).bit_length()
+               for m, t in powers.items() if 0 < m <= reach)
+
+
 @contextlib.contextmanager
 def counted_kernels():
     """Count, while active, the calls of each kernel and evaluator in
@@ -65,9 +77,10 @@ def counted_kernels():
     under ``"coeff_updates"`` the entries the binomial passes visit; under
     ``"terms"`` the terms ``_sum_terms`` and ``telescoping._terms`` hand
     back through every binding, under ``"steps"`` the calls of
-    ``PochProduct.step`` and under ``"evals"`` the ``eval`` calls of every
-    ``qrr`` module.  Yields the Counter it fills and puts every binding
-    back on exit."""
+    ``PochProduct.step``, under ``"evals"`` the ``eval`` calls of every
+    ``qrr`` module and under ``"packed_ops"`` the :func:`packed_ops` of
+    every ``PackedAccumulator._apply`` call.  Yields the Counter it fills
+    and puts every binding back on exit."""
     from qrr import pochhammer, telescoping
     from qrr.identities import framework
 
@@ -116,10 +129,21 @@ def counted_kernels():
         return step(self, *args)
 
     pochhammer.PochProduct.step = counted_step
+    packed = getattr(pochhammer, "PackedAccumulator", None)
+    if packed is not None:
+        apply = packed._apply
+
+        def counted_apply(self, x, powers, lo, reach):
+            calls["packed_ops"] += packed_ops(powers, reach)
+            return apply(self, x, powers, lo, reach)
+
+        packed._apply = counted_apply
     try:
         yield calls
     finally:
         pochhammer.PochProduct.step = step
+        if packed is not None:
+            packed._apply = apply
         for module in added:
             del module.eval
         for module, name, original in patched:
@@ -149,7 +173,8 @@ def _row(label: str, attempted: int, failed: int, calls: Counter) -> str:
     return (f"{label:<22}{attempted:>8}{failed:>8}{mul:>14}{div:>14}"
             f"{mul + div:>10}{calls['coeff_updates']:>15}{calls['div_euler']:>11}"
             f"{calls['point_values']:>8}{calls['packed_values']:>8}"
-            f"{calls['terms']:>10}{calls['steps']:>10}{calls['evals']:>10}")
+            f"{calls['terms']:>10}{calls['steps']:>10}{calls['evals']:>10}"
+            f"{calls['packed_ops']:>12}")
 
 
 def main(argv=None) -> int:
@@ -163,7 +188,8 @@ def main(argv=None) -> int:
 
     print(f"{'run':<22}{'checks':>8}{'failed':>8}{'mul_binomial':>14}"
           f"{'div_binomial':>14}{'binomial':>10}{'coeff_updates':>15}{'div_euler':>11}"
-          f"{'points':>8}{'packed':>8}{'terms':>10}{'steps':>10}{'evals':>10}")
+          f"{'points':>8}{'packed':>8}{'terms':>10}{'steps':>10}{'evals':>10}"
+          f"{'packed_ops':>12}")
     failed = 0
     for label, items, by_kind in _runs(workloads):
         # no check caches a sum, so running the items kind by kind does the
