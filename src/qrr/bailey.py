@@ -372,8 +372,7 @@ def _closed_beta_via_lattice(N: int, b: int, c: int, d: int, e: int) -> list:
            .dqn(N).dpoch(b, N).dpoch(c, N))
     env = {"N": N, "b": b, "c": c, "d": d, "e": e}
     # the terminating sum never reads the truncation order
-    terms = _sum_terms(_LATTICE_SUM, env, _CTX, "lattice", 0)
-    return [t.mul(pre) for t in terms]
+    return _sum_terms(_LATTICE_SUM, env, _CTX, "lattice", 0, start=pre)
 
 
 def chain_reproduce(ident: str, N: int, b_exp: int = 1, c_exp: int = 1,

@@ -64,16 +64,18 @@ at the same kind of point modulo 2^(bK), K = T + 1 - s_min.  Modulo
 q^(T+1) every (1-q^m) is a unit, and so is (q; q)_inf, whose image is
 Euler's pentagonal polynomial; so q -> 2^b maps the truncated check into
 Z / 2^(bK) as a ring homomorphism, and intermediate values need no bound.
-:func:`packed_values` runs the accumulator's chain on one integer
-(:class:`PackedAccumulator`, the same plan as :class:`SeriesAccumulator`
-on another buffer kind), where a factor costs one shift, subtraction and
-mask and a division a few shift-add-masks.  It sums the cleared terms
-that :func:`point_values` evaluates, each term divided by
+:func:`packed_values` sums each side over its term ratios on one integer
+(:func:`packed_sum`), where a factor costs one shift, subtraction and mask
+and a division a few shift-add-masks.  Every term joins one chain, walked
+from the last term to the first, with no cost test: the test of
+:class:`SeriesAccumulator` counts list-kernel passes, not these
+operations, and takes more time than it would save here.  It sums the
+cleared terms that :func:`point_values` evaluates, each term divided by
 L = prod (1-q^m)^lambda_m: L cancels in the ratio of consecutive terms,
-and closing a chain applies U_head / L, a polynomial.  It multiplies a
-side that owes fewer (q; q)_inf divisions than another by the pentagonal
-image; H then counts only terms that reach q^T, each weighed by the
-pentagonal terms it is multiplied by.
+and finishing the chain applies U_first / L, a polynomial.  It multiplies
+a side that owes fewer (q; q)_inf divisions than another by the
+pentagonal image; H then counts only terms that reach q^T, each weighed
+by the pentagonal terms it is multiplied by.
 :func:`~qrr.identities.framework.sum_sides` is the one caller of
 :func:`shared_unit`, :func:`point_values` and :func:`packed_values`: every
 check of term lists takes its values through it, and it refuses a
@@ -357,6 +359,18 @@ def _apply(buf: list, powers: dict, lo: int, reach: int) -> list:
     return buf
 
 
+def _close(out: list | None, buf: list, powers: dict, lo: int, top: int) -> list:
+    """Finish a chain: buf *= U_head, then add it into ``out`` (or become
+    it)."""
+    _apply(buf, powers, lo, top - lo)
+    if out is None:
+        return buf
+    for i in range(lo, top + 1):
+        if buf[i]:
+            out[i] += buf[i]
+    return out
+
+
 class SeriesAccumulator:
     """Sums PochProduct terms, allowing negative q-exponents while summing.
 
@@ -366,26 +380,17 @@ class SeriesAccumulator:
     decide what to do with any surviving negative part.
 
     :meth:`value` walks the terms from last to first.  A chain headed by
-    term h holds A_h in one buffer indexed by exponent, and is worth
-    U_h * A_h.  Taking in the next term t multiplies the buffer by U_h / U_t
-    and adds c_t at q^(s_t); closing the chain multiplies it by U_h / L and
-    adds it to the output.  L = prod (1-q^m)^clear[m] is 1 here;
-    :class:`PackedAccumulator` takes the clearing L of :func:`shared_unit`,
-    and its value is the sum of the terms divided by L.  t joins the chain
-    only if the ratio, plus the extra passes t's own factors U_t / L will
-    need from the chain's lower floor, costs no more than closing;
-    otherwise the chain is closed and t heads a new one.  So the passes
-    spent plus those owed for closing never exceed what rendering each term
-    divided by L on its own takes.  A pass is counted only for a factor
-    (1-q^m) whose m can reach q^trunc from the buffer's lowest entry.
-
-    The buffer is a list of coefficients indexed by exponent from
-    :meth:`_offset`, and the plan reaches it only through :meth:`_new`,
-    :meth:`_add`, :meth:`_apply` and :meth:`_merge`;
-    :class:`PackedAccumulator` runs the same plan on one integer.
+    term h holds A_h in one list indexed by exponent, and is worth
+    U_h * A_h.  Taking in the next term t multiplies the list by U_h / U_t
+    and adds c_t at q^(s_t); closing the chain multiplies it by U_h and
+    adds it to the output.  t joins the chain only if the ratio, plus the
+    extra passes t's own factors will need from the chain's lower floor,
+    costs no more than closing; otherwise the chain is closed and t heads a
+    new one.  So the passes spent plus those owed for closing never exceed
+    what rendering each term on its own takes.  A pass is counted only for
+    a factor (1-q^m) whose m can reach q^trunc from the list's lowest
+    entry.
     """
-
-    clear: dict = {}
 
     def __init__(self, trunc: int):
         self.trunc = trunc
@@ -401,105 +406,34 @@ class SeriesAccumulator:
 
     def value(self) -> tuple[int, list]:
         """(offset, coeffs) with coeffs[i] the coefficient of q^(offset+i)."""
-        offset = self._offset()
+        offset = min([0] + [t.shift for t in self.terms])
         top = self.trunc - offset            # index of q^trunc
-        out = None
-        buf = None
+        out = buf = None
         for t in reversed(self.terms):
             s = t.shift - offset
             if s > top:
                 continue
-            own = _ratio(self.clear, t.powers)   # U_t / L
+            own = t.powers
             if buf is not None:
                 reach = top - lo
-                ratio = _ratio(own, head)        # U_head / U_t: L cancels
+                ratio = _ratio(own, head)        # U_head / U_t
                 cost = _passes(ratio, reach)
                 if s >= lo:     # t does not lower the chain's floor
                     cost += _passes(own, reach) - _passes(own, top - s)
                 if cost <= _passes(head, reach):
-                    buf = self._apply(buf, ratio, lo, reach)
+                    _apply(buf, ratio, lo, reach)
                 else:
-                    out = self._close(out, buf, head, lo, top)
+                    out = _close(out, buf, head, lo, top)
                     buf = None
             if buf is None:
-                buf = self._new(top)
-                lo = s
-            buf = self._add(buf, s, t.coeff)
+                buf, lo = [0] * (top + 1), s
+            buf[s] += t.coeff
             if s < lo:
                 lo = s
             head = own
         if buf is not None:
-            out = self._close(out, buf, head, lo, top)
-        return offset, out if out is not None else self._new(top)
-
-    def _close(self, out, buf, powers: dict, lo: int, top: int):
-        """Finish a chain: buf *= U_head / L, then add it into `out` (or
-        become it)."""
-        buf = self._apply(buf, powers, lo, top - lo)
-        return buf if out is None else self._merge(out, buf, lo, top)
-
-    def _offset(self) -> int:
-        return min([0] + [t.shift for t in self.terms])
-
-    def _new(self, top: int) -> list:
-        return [0] * (top + 1)
-
-    def _add(self, buf: list, s: int, c) -> list:
-        buf[s] += c
-        return buf
-
-    _apply = staticmethod(_apply)
-
-    def _merge(self, out: list, buf: list, lo: int, top: int) -> list:
-        for i in range(lo, top + 1):
-            if buf[i]:
-                out[i] += buf[i]
-        return out
-
-
-class PackedAccumulator(SeriesAccumulator):
-    """The same sum, by the same plan, on one integer: the coefficient of
-    q^(low+i) is the digit of 2^(base i), modulo 2^(base K),
-    K = trunc + 1 - low.  q -> 2^base maps Z[[q]] / q^K into Z / 2^(base K)
-    as a ring homomorphism, so the integer is the image of the sum through
-    q^trunc, times q^-low and divided by L = prod (1-q^m)^clear[m],
-    whatever its coefficients: no digit needs to stay below 2^base on the
-    way.
-
-    Every (1-q^m) is a unit of that ring.  A factor costs one shift,
-    subtraction and mask, and a division by it, where the buffer's lowest
-    entry lies `reach` places below q^trunc, costs J shift-add-masks with
-    m 2^J > reach, since 1/(1-z) = prod_(j<J) (1 + z^(2^j)) modulo
-    z^(2^J).  Every term's shift must be at least ``low``; :meth:`value`
-    gives (low, an integer congruent to the image), which ``mask`` reduces."""
-
-    def __init__(self, trunc: int, clear: dict, base: int, low: int):
-        super().__init__(trunc)
-        self.clear, self.base, self.low = clear, base, low
-        self.mask = (1 << base * max(trunc + 1 - low, 0)) - 1
-
-    def _offset(self) -> int:
-        return self.low
-
-    def _new(self, top: int) -> int:
-        return 0
-
-    def _add(self, x: int, s: int, c: int) -> int:
-        return x + (c << self.base * s)
-
-    def _apply(self, x: int, powers: dict, lo: int, reach: int) -> int:
-        for m, t in powers.items():
-            if 0 < m <= reach:
-                for _ in range(abs(t)):
-                    if t > 0:
-                        x = (x - (x << self.base * m)) & self.mask
-                    else:
-                        for j in range((reach // m).bit_length()):
-                            x = (x + (x << (self.base * m << j))) & self.mask
-        return x
-
-    def _merge(self, out: int, x: int, lo: int, top: int) -> int:
-        return out + x
+            out = _close(out, buf, head, lo, top)
+        return offset, out if out is not None else [0] * (top + 1)
 
 
 def sum_terms(terms: list[PochProduct], trunc: int) -> tuple[int, list]:
@@ -617,6 +551,58 @@ def point_values(term_lists: list[list[PochProduct]], low: int,
     return base, [point_value(terms, base, low, clear) for terms in term_lists]
 
 
+def _packed_apply(x: int, powers: dict, reach: int, base: int, mask: int) -> int:
+    """x times prod (1-q^m)^powers[m] over 0 < m <= reach, at q = 2^base,
+    modulo mask + 1, where x's lowest digit lies ``reach`` digits below its
+    top: one shift, subtraction and mask per factor, and J shift-add-masks
+    per division by one, m 2^J > reach, since 1/(1-z) = prod_(j<J)
+    (1 + z^(2^j)) modulo z^(2^J)."""
+    for m, t in powers.items():
+        if 0 < m <= reach:
+            for _ in range(abs(t)):
+                if t > 0:
+                    x = (x - (x << base * m)) & mask
+                else:
+                    for j in range((reach // m).bit_length()):
+                        x = (x + (x << (base * m << j))) & mask
+    return x
+
+
+def packed_sum(terms: list[PochProduct], trunc: int, clear: dict, base: int,
+               low: int, mask: int) -> int:
+    """The sum of the nonzero ``terms`` through q^trunc, times q^-low and
+    divided by L = prod (1-q^m)^clear[m], at q = 2^base, modulo
+    2^(base K) = mask + 1, K = trunc + 1 - low; every term's shift must be
+    at least ``low``.  A pole term raises PoleError.
+
+    q -> 2^base maps Z[[q]] / q^K into Z / 2^(base K) as a ring
+    homomorphism, in which every (1-q^m) is a unit, so no digit needs to
+    stay below 2^base on the way.  The terms are summed as one chain from
+    the last to the first: with t_k = c_k q^(s_k) U_k, the integer holds
+    A_k = c_k q^(s_k) + (U_(k+1)/U_k) A_(k+1), and the sum is U_first / L
+    times A_first, each ratio applied by :func:`_packed_apply` from the
+    chain's lowest digit so far.  The result is congruent to the image;
+    ``mask`` reduces it."""
+    top = lo = trunc - low               # the digit of q^trunc
+    x, head = 0, None
+    for t in reversed(terms):
+        z = t.powers.get(0)
+        if z:
+            if z < 0:
+                raise PoleError(f"pole term reached the accumulator: {t!r}")
+            continue
+        s = t.shift - low
+        if s > top:
+            continue
+        if head is not None:
+            x = _packed_apply(x, _ratio(t.powers, head), top - lo, base, mask)
+        x += t.coeff << base * s
+        if s < lo:
+            lo = s
+        head = t.powers
+    return 0 if head is None else _packed_apply(x, _ratio(clear, head), top - lo, base, mask)
+
+
 def packed_values(sides: list[tuple[list, int]], trunc: int, low: int,
                   clear: dict) -> tuple[int, list]:
     """(b, residues) for a check of signed combinations of the sides, each
@@ -626,8 +612,8 @@ def packed_values(sides: list[tuple[list, int]], trunc: int, low: int,
     With (low, clear) the s_min and L of :func:`shared_unit`,
     E = (q; q)_inf and e_max the most divisions by E a side owes, a side's
     residue is the image modulo 2^(bK), K = trunc + 1 - s_min, of its value
-    through q^trunc times q^-s_min L^-1 E^e_max: the value of its
-    :class:`PackedAccumulator`, which sums the terms divided by L, times E
+    through q^trunc times q^-s_min L^-1 E^e_max: its :func:`packed_sum`,
+    which sums the terms divided by L, times E
     once for each division it owes fewer than e_max, one shift-add per
     pentagonal exponent below K.  These multipliers are units with constant
     term 1, shared by every side, so they move neither equality through
@@ -648,18 +634,19 @@ def packed_values(sides: list[tuple[list, int]], trunc: int, low: int,
     for terms, euler in sides:
         weight = len(pentagonal) ** (most - euler)
         for t in terms:
-            if 0 in t.powers:        # a zero term, left out, or a pole, which add raises
+            z = t.powers.get(0)
+            if z:                # a zero term, left out, or a pole: the first one raises
+                if z < 0:
+                    raise PoleError(f"pole term reached the accumulator: {t!r}")
                 continue
             if t.shift <= trunc:
                 bound += weight * abs(t.coeff) << (sum(t.powers.values()) - drop)
     base = max(bound.bit_length(), 1)
+    mask = (1 << base * width) - 1
     values = []
     for terms, euler in sides:
-        acc = PackedAccumulator(trunc, clear, base, low)
-        for t in terms:
-            acc.add(t)
-        x = acc.value()[1]
+        x = packed_sum(terms, trunc, clear, base, low, mask)
         for _ in range(most - euler):        # times E^(e_max - euler)
-            x = sum(sign * x << base * g for g, sign in pentagonal) & acc.mask
-        values.append(x & acc.mask)
+            x = sum(sign * x << base * g for g, sign in pentagonal) & mask
+        values.append(x & mask)
     return base, values

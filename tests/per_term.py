@@ -4,7 +4,8 @@ Each product is rendered on its own, one O(T) binomial pass per factor, and
 added into the output with its scalar and shift.  This is how
 ``SeriesAccumulator.value`` summed before it evaluated over term ratios; the
 differential tests compare the two on random products and on every registry
-side.
+side, and the image of its sum of the L-cleared terms with the packed
+route's ``pochhammer.packed_sum`` on every registry side.
 """
 
 from qrr import pochhammer

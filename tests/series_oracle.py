@@ -7,7 +7,7 @@ compares them coefficient by coefficient.  Each side is rendered term by
 term by ``per_term.sum_per_term``, one binomial pass per factor of each
 term, and then divided once by (q; q)_inf for each division it owes, with
 ``div_euler`` through ``framework``'s binding.  It shares none of the
-nested plan of ``SeriesAccumulator`` and ``PackedAccumulator`` (their
+nested plans of ``SeriesAccumulator`` and ``pochhammer.packed_sum`` (their
 ratios, pass counts and chains) and divides by no unit, so a fault there
 cannot move the packed route and its oracle together.
 

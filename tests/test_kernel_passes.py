@@ -167,12 +167,12 @@ def test_packed_ops_count_the_shift_masks_by_hand(kernel_passes):
     # lhs (1-q)(1-q^2)/(1-q^3) + q (1-q)^2/(1-q^3) against rhs 1/(1-q^3)
     # through q^10: L = (1-q^3)^-1, so the cleared lhs terms hold
     # (1-q)(1-q^2) and q (1-q)^2 and the rhs term nothing.  The lhs is
-    # summed from its last term: q (1-q)^2 heads a chain at floor 1, and
-    # the first term joins it, since the ratio (1-q)/(1-q^2) costs 2 factor
-    # passes, as closing would: one shift-subtract-mask for (1-q) and
-    # (9 // 2).bit_length() = 3 shift-add-masks for the division at reach
-    # 10 - 1 = 9.  Closing the chain at floor 0 applies (1-q)(1-q^2): two
-    # more.  The rhs applies nothing.
+    # summed as one chain from its last term: q (1-q)^2 starts it at floor
+    # 1, and the first term joins it by the ratio (1-q)/(1-q^2): one
+    # shift-subtract-mask for (1-q) and (9 // 2).bit_length() = 3
+    # shift-add-masks for the division at reach 10 - 1 = 9.  Finishing the
+    # chain at floor 0 applies U_first / L = (1-q)(1-q^2): two more.  The
+    # rhs's U_first / L is 1, and applies nothing.
     sides = [([_term(0, (1, 1), (2, 1), (3, -1)), _term(1, (1, 2), (3, -1))], 0),
              ([_term(0, (3, -1))], 0)]
     _, low, clear = pochhammer.shared_unit(*(terms for terms, _ in sides))

@@ -12,10 +12,12 @@ check at one integer point (``framework.compare_sides``,
 ``tests/test_point_route.py``): term by term where B + 2 <= T, and
 otherwise on one packed integer that sums each side over its term ratios
 divided by the check's clearing L, the unit that makes every term a
-polynomial.  Their reports are compared with those of the true values,
-unperturbed and corrupted, and each side summed divided by L on one packed
-integer with the image of the per-term renderer's sum of the cleared
-terms.  On the packed route, a unit put on one side only and a ratio
+polynomial (``pochhammer.packed_sum``, one chain through every term).
+Their reports are compared with those of the true values, unperturbed and
+corrupted, and each side summed divided by L on one packed integer with
+the image of the per-term renderer's sum of the cleared terms; the factor
+passes of those chains are pinned, and in sum stay below the per-term
+renderer's.  On the packed route, a unit put on one side only and a ratio
 missing one factor must be caught; on the per-term route, a clearing put
 on one side only and a factor dropped from a point evaluation.
 """
@@ -356,50 +358,50 @@ def _cleared(terms, clear):
     return [t.mul(inverse) for t in terms]
 
 
-def _packed_image(value, acc):
-    """The image of the sum ``value``, (offset, coeffs), in the ring of the
-    PackedAccumulator ``acc``: at q = 2^base, times q^-low, modulo
-    2^(base K)."""
+def _packed_image(value, base, low, mask):
+    """The image of the sum ``value``, (offset, coeffs), in the ring of
+    ``packed_sum``: at q = 2^base, times q^-low, modulo mask + 1."""
     offset, coeffs = value
-    return sum(c << acc.base * (offset + i - acc.low)
-               for i, c in enumerate(coeffs) if c) & acc.mask
+    return sum(c << base * (offset + i - low) for i, c in enumerate(coeffs) if c) & mask
+
+
+# the factor passes of the packed route's chains, each one (1-q^m) applied
+# by a shift-subtract or divided by a few shift-adds, over every registry
+# side at its grid corners, by T
+PINNED_PACKED_PASSES = {40: 5666, 160: 6236}
 
 
 @pytest.mark.parametrize("trunc", [40, 160])
 def test_unit_divided_sides_match_the_slow_paths(trunc, monkeypatch):
-    # each side summed by the packed route's accumulator, divided by the
-    # clearing L of its check, against the per-term renderer of the
-    # L-cleared terms; the factor passes the plan makes, each one (1-q^m)
-    # applied by a shift-subtract or divided by a few shift-adds, never
-    # exceed the per-term renderer's
-    apply, applied = pochhammer.PackedAccumulator._apply, [0]
+    # each side summed by the packed route's chain, divided by the clearing
+    # L of its check, against the per-term renderer of the L-cleared terms;
+    # the factor passes of every chain stay below the per-term renderer's
+    # in sum, and are pinned
+    apply, applied = pochhammer._packed_apply, [0]
 
-    def counted(self, x, powers, lo, reach):
+    def counted(x, powers, reach, *rest):
         applied[0] += pochhammer._passes(powers, reach)
-        return apply(self, x, powers, lo, reach)
+        return apply(x, powers, reach, *rest)
 
-    monkeypatch.setattr(pochhammer.PackedAccumulator, "_apply", counted)
+    monkeypatch.setattr(pochhammer, "_packed_apply", counted)
     nested = flat = cleared = 0
     for ident, rec, env, sides in _corner_sides(trunc):
         lists = [terms for terms, _ in sides.values()]
         _, low, clear = shared_unit(*lists)
         low = low or 0       # None when no term is nonzero
         base = pochhammer.packed_values(list(sides.values()), trunc, low, clear)[0]
+        mask = (1 << base * (trunc + 1 - low)) - 1
         cleared += bool(clear)
+        applied[0] = 0
         for side, (terms, _) in sides.items():
-            label = (ident, side, env)
-            acc = pochhammer.PackedAccumulator(trunc, clear, base, low)
-            for t in terms:
-                acc.add(t)
-            applied[0] = 0
-            value = acc.value()[1] & acc.mask
+            value = pochhammer.packed_sum(terms, trunc, clear, base, low, mask) & mask
             slow = _cleared(terms, clear)
-            assert value == _packed_image(per_term.sum_per_term(slow, trunc), acc), label
-            bound = per_term.passes(slow, trunc)
-            assert applied[0] <= bound, label
-            nested += applied[0]
-            flat += bound
+            assert value == _packed_image(per_term.sum_per_term(slow, trunc), base, low,
+                                          mask), (ident, side, env)
+            flat += per_term.passes(slow, trunc)
+        nested += applied[0]
     assert nested < flat and cleared > 100
+    assert nested == PINNED_PACKED_PASSES[trunc]
 
 
 def test_shared_unit_reads_the_bound_the_lowest_shift_and_the_clearing():
@@ -418,17 +420,17 @@ def test_shared_unit_reads_the_bound_the_lowest_shift_and_the_clearing():
 
 
 def _unit_on_one_side(monkeypatch, change):
-    """Every check on the packed route, each second PackedAccumulator made,
-    the rhs of a two-sided check, dividing by ``change(unit)`` in place of
-    the unit; returns the unit of every accumulator made."""
-    made, calls = pochhammer.PackedAccumulator, []
+    """Every check on the packed route, each second packed_sum call, the
+    rhs of a two-sided check, dividing by ``change(unit)`` in place of the
+    unit; returns the unit of every call."""
+    real, calls = pochhammer.packed_sum, []
 
-    def patched(trunc, unit, base, low):
+    def patched(terms, trunc, unit, *rest):
         calls.append(unit)
-        return made(trunc, change(unit) if len(calls) % 2 == 0 else unit, base, low)
+        return real(terms, trunc, change(unit) if len(calls) % 2 == 0 else unit, *rest)
 
     _full_depth(monkeypatch)
-    monkeypatch.setattr(pochhammer, "PackedAccumulator", patched)
+    monkeypatch.setattr(pochhammer, "packed_sum", patched)
     return calls
 
 
@@ -515,26 +517,25 @@ def test_a_check_of_fewer_than_two_sides_raises(count):
 
 
 def test_chain_routes_and_target_are_summed_once_with_one_unit(monkeypatch):
-    # on the packed route, whose accumulators divide by the clearing L
-    made = []
+    # on the packed route, whose sums divide by the clearing L
+    real, made = pochhammer.packed_sum, []
 
-    class Recorded(pochhammer.PackedAccumulator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def recorded(terms, trunc, clear, *rest):
+        made.append((terms, clear))
+        return real(terms, trunc, clear, *rest)
 
     _full_depth(monkeypatch)
-    monkeypatch.setattr(pochhammer, "PackedAccumulator", Recorded)
+    monkeypatch.setattr(pochhammer, "packed_sum", recorded)
     assert chain_reproduce("ABCDE3", 2, 2, 2, 1, 1, trunc=30).equal
     # the relation sum, the transformed beta and the closed form, then the target
     assert len(made) == 4
     env = {"n": 2, "l": 1, "m": 1, "u": 0, "v": 0}
     target = side_terms(REGISTRY["ABCDE3"], "lhs", env, 30)[0]
-    assert repr(made[-1].terms) == repr(target)
+    assert repr(made[-1][0]) == repr(target)
     # the one unit is the check's L, read off the terms of all four sums
-    clear = shared_unit(*(acc.terms for acc in made))[2]
-    assert clear and made[0].clear == clear
-    assert all(acc.clear is made[0].clear for acc in made)
+    clear = shared_unit(*(terms for terms, _ in made))[2]
+    assert clear and made[0][1] == clear
+    assert all(unit is made[0][1] for _, unit in made)
 
 
 def test_chain_routes_and_target_are_evaluated_at_one_point(monkeypatch):
@@ -716,9 +717,10 @@ def test_a_dropped_ratio_factor_is_caught(monkeypatch):
         except EngineError as exc:
             assert DISAGREE in str(exc), ident
             outcomes.append("EngineError")
-    # a MISMATCH where the windows, summed over the same wrong ratios,
-    # first differ where the residues do, and otherwise a raise
-    assert outcomes == ["MISMATCH", "EngineError", "MISMATCH", "EngineError", "EngineError"]
+    # a MISMATCH where the windows, which SeriesAccumulator sums over its
+    # own chains of the same wrong ratios, first differ where the residues
+    # do, and otherwise a raise; never EQUAL
+    assert outcomes == ["EngineError", "EngineError", "MISMATCH", "EngineError", "EngineError"]
 
 
 def test_a_dropped_point_factor_is_caught(monkeypatch):

@@ -35,8 +35,8 @@ import series_oracle
 from qrr import bailey, cli, pochhammer, telescoping
 from qrr.identities import REGISTRY, engine, framework
 from qrr.identities.framework import compare_sides, side_terms
-from qrr.pochhammer import (PackedAccumulator, PochProduct, PoleError, packed_values,
-                            point_value, point_values)
+from qrr.pochhammer import (PochProduct, PoleError, packed_sum, packed_values, point_value,
+                            point_values)
 from qrr.series import SeriesError
 from test_degree_bound import _deep_window_points
 from test_nested import _report
@@ -57,11 +57,20 @@ def _per_term_residues(sides, trunc, low, clear, base):
             for terms, e in sides]
 
 
+def _first_difference(got, want, base, low):
+    """None if the residues ``got`` and ``want`` are equal, else the
+    exponent of their first differing digit, low + v_2(got - want) // base:
+    a small number where the residues hold thousands of digits."""
+    d = got - want
+    return low + ((d & -d).bit_length() - 1) // base if d else None
+
+
 @pytest.fixture
 def taken(monkeypatch):
     """framework.point_values and framework.packed_values, recorded: for
     each check they decide, (route, b).  Every packed residue must equal
-    the per-term one."""
+    the per-term one; a side that does not is named by its index and the
+    first exponent where they differ."""
     bases = []
 
     def point(*args):
@@ -70,9 +79,13 @@ def taken(monkeypatch):
         return out
 
     def packed(sides, trunc, low, clear):
-        out = pochhammer.packed_values(sides, trunc, low, clear)
-        assert out[1] == _per_term_residues(sides, trunc, low, clear, out[0])
-        bases.append(("packed", out[0]))
+        base, got = out = pochhammer.packed_values(sides, trunc, low, clear)
+        want = _per_term_residues(sides, trunc, low, clear, base)
+        assert len(got) == len(want) == len(sides)
+        for i, (g, w) in enumerate(zip(got, want)):
+            first = _first_difference(g, w, base, low)
+            assert first is None, f"side {i} of {len(sides)} differs first at q^{first}"
+        bases.append(("packed", base))
         return out
 
     monkeypatch.setattr(framework, "point_values", point)
@@ -282,13 +295,9 @@ def test_a_packed_base_one_bit_short_reads_an_unequal_pair_equal(monkeypatch):
 
     def short(sides, trunc, low, clear):
         base = pochhammer.packed_values(sides, trunc, low, clear)[0] - 1
-        values = []
-        for terms, _ in sides:
-            acc = PackedAccumulator(trunc, clear, base, low)
-            for t in terms:
-                acc.add(t)
-            values.append(acc.value()[1] & acc.mask)
-        return base, values
+        mask = (1 << base * (trunc + 1 - low)) - 1
+        return base, [packed_sum(terms, trunc, clear, base, low, mask) & mask
+                      for terms, _ in sides]
 
     monkeypatch.setattr(framework, "packed_values", short)
     assert compare_sides("X", {}, 1, two, q).verdict == "EQUAL"
@@ -315,23 +324,23 @@ def test_every_euler_record_needs_the_pentagonal_multiplication(monkeypatch):
             engine.verify(ident, env, 40)
 
 
-def _one_doubling_short(self, x, powers, lo, reach):
-    """PackedAccumulator._apply with the last doubling step of every
+def _one_doubling_short(x, powers, reach, base, mask):
+    """pochhammer._packed_apply with the last doubling step of every
     division left out."""
     for m, t in powers.items():
         if 0 < m <= reach:
             for _ in range(abs(t)):
                 if t > 0:
-                    x = (x - (x << self.base * m)) & self.mask
+                    x = (x - (x << base * m)) & mask
                 else:
                     for j in range((reach // m).bit_length() - 1):
-                        x = (x + (x << (self.base * m << j))) & self.mask
+                        x = (x + (x << (base * m << j))) & mask
     return x
 
 
 def test_a_division_one_doubling_short_is_caught(monkeypatch):
     assert engine.verify("EULERN1", {"n": 2}, 40).equal
-    monkeypatch.setattr(PackedAccumulator, "_apply", _one_doubling_short)
+    monkeypatch.setattr(pochhammer, "_packed_apply", _one_doubling_short)
     with pytest.raises(framework.EngineError, match="the point and the series disagree"):
         engine.verify("EULERN1", {"n": 2}, 40)
 

@@ -18,7 +18,7 @@ columns count the work of building the terms: ``terms``, the terms that
 by a ``qrr`` module, each one evaluation of a compiled row of affine
 exponents.  The last column, ``packed_ops``, counts the big-integer
 operations of the packed route: the shift-subtract-masks and
-shift-add-masks that ``PackedAccumulator._apply`` makes (see
+shift-add-masks that ``pochhammer._packed_apply`` makes (see
 :func:`packed_ops`).  The runs are:
 
 * the registry sweep's points, every default-grid point of every record,
@@ -33,7 +33,8 @@ default this repository) and the program from its ``src/``; nothing is
 written there.  A kernel, ``point_values``, ``packed_values``,
 ``_sum_terms`` and ``telescoping._terms`` are counted at every ``qrr``
 module's binding of them, so a call made through another module's import
-counts too; a checkout without one of them reads 0 in its column.
+counts too; a checkout without one of them, or without
+``pochhammer._packed_apply``, reads 0 in its column.
 ``eval`` is counted by a module global of that name in every ``qrr``
 module, which the builtin lookup finds first.  The counts are
 deterministic, so one run of each side of a change compares the work they
@@ -63,7 +64,7 @@ def coeff_updates(buf: list, m: int, lo: int = 0) -> int:
 
 def packed_ops(powers: dict, reach: int) -> int:
     """The shift-subtract-masks and shift-add-masks that
-    ``PackedAccumulator._apply(x, powers, lo, reach)`` makes: for each
+    ``pochhammer._packed_apply(x, powers, reach, base, mask)`` makes: for each
     factor (1-q^m) with 0 < m <= reach, one per multiplication by it and
     (reach // m).bit_length() per division by it."""
     return sum(t if t > 0 else -t * (reach // m).bit_length()
@@ -79,7 +80,7 @@ def counted_kernels():
     back through every binding, under ``"steps"`` the calls of
     ``PochProduct.step``, under ``"evals"`` the ``eval`` calls of every
     ``qrr`` module and under ``"packed_ops"`` the :func:`packed_ops` of
-    every ``PackedAccumulator._apply`` call.  Yields the Counter it fills
+    every ``pochhammer._packed_apply`` call.  Yields the Counter it fills
     and puts every binding back on exit."""
     from qrr import pochhammer, telescoping
     from qrr.identities import framework
@@ -129,21 +130,19 @@ def counted_kernels():
         return step(self, *args)
 
     pochhammer.PochProduct.step = counted_step
-    packed = getattr(pochhammer, "PackedAccumulator", None)
-    if packed is not None:
-        apply = packed._apply
-
-        def counted_apply(self, x, powers, lo, reach):
+    apply = getattr(pochhammer, "_packed_apply", None)
+    if apply is not None:
+        def counted_apply(x, powers, reach, *rest):
             calls["packed_ops"] += packed_ops(powers, reach)
-            return apply(self, x, powers, lo, reach)
+            return apply(x, powers, reach, *rest)
 
-        packed._apply = counted_apply
+        pochhammer._packed_apply = counted_apply
     try:
         yield calls
     finally:
         pochhammer.PochProduct.step = step
-        if packed is not None:
-            packed._apply = apply
+        if apply is not None:
+            pochhammer._packed_apply = apply
         for module in added:
             del module.eval
         for module, name, original in patched:

@@ -4,7 +4,7 @@ Verifies each check of CHECKS through ``engine.verify``, serially in this
 process, and prints for each the verdict, b (the digit width in bits of
 ``packed_values``), K = T + 1 - s_min (its number of digits), the bit length
 of the widest residue, and ``packed_ops``, the shift-subtract-masks and
-shift-add-masks of ``PackedAccumulator._apply``, as
+shift-add-masks of ``pochhammer._packed_apply``, as
 ``tools/kernel_passes.py`` counts them.  The counts are deterministic, so one
 run of each side of a change compares the work they do.  ``cpu_s`` is the
 process time of the check, one sample, and shows no more than where the
