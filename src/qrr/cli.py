@@ -10,11 +10,12 @@ Exit codes: every subcommand that runs checks ends in :func:`emit`, which
 alone decides between 0 and 1: 0 when every report has the verdict that
 counts as a pass (``EQUAL``; for ``counterexample``, ``MISMATCH``, the
 reproduced disagreement), else 1.  Exit 2 is for configuration errors
-(unknown identity, malformed ranges, violated preconditions, a grid above
-``engine.MAX_GRID_POINTS``, a truncation order outside
-1..``series.MAX_TRUNCATION``, an input above its ``MAX_*`` bound), for a
-run that made no checks, so that a vacuous run never exits 0, and for a run
-that failed partway (a check that raised, a pool worker that died).
+(unknown identity, malformed ranges, an option that takes a value given
+twice, violated preconditions, a grid above ``engine.MAX_GRID_POINTS``, a
+truncation order outside 1..``series.MAX_TRUNCATION``, an input above its
+``MAX_*`` bound), for a run that made no checks, so that a vacuous run
+never exits 0, and for a run that failed partway (a check that raised, a
+pool worker that died).
 
 JSON reports are streamed, a batch of reports at a time, so a run that fails
 partway leaves a cut-short document on stdout; ``--out`` is written to a
@@ -554,14 +555,26 @@ def cmd_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse the option given again: argparse
+    alone would keep the last value and drop the others unseen."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(sub, jobs: bool = False, trunc: bool = True) -> None:
     if trunc:
-        sub.add_argument("--trunc", type=int, default=None,
+        sub.add_argument("--trunc", action=_Once, type=int, default=None,
                          help="truncation order T (default: per-record, or QRR_TRUNC)")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", default=None, help="write the report to this file")
+    sub.add_argument("--format", action=_Once, choices=("text", "json"), default="text")
+    sub.add_argument("--out", action=_Once, default=None, help="write the report to this file")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", action=_Once, type=int, default=1,
                          help="worker processes for grid fan-out")
 
 
@@ -577,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_list)
 
     p = subs.add_parser("verify", help="verify one identity over a grid")
-    p.add_argument("--id", required=True, help="identity id (case-insensitive)")
-    p.add_argument("--range", default=None,
+    p.add_argument("--id", action=_Once, required=True, help="identity id (case-insensitive)")
+    p.add_argument("--range", action=_Once, default=None,
                    help="comma-separated name=lo..hi (default: the record's grid)")
     _add_common(p, jobs=True)
     p.set_defaults(func=cmd_verify)
@@ -588,19 +601,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_all)
 
     p = subs.add_parser("bailey", help="pair relations and chain reconstructions")
-    p.add_argument("--chain", choices=[t.lower() for t in CHAIN_TARGETS] + list(CHAIN_TARGETS),
+    p.add_argument("--chain", action=_Once,
+                   choices=[t.lower() for t in CHAIN_TARGETS] + list(CHAIN_TARGETS),
                    default=None, help="rebuild one target identity from a unit pair")
-    p.add_argument("--n", type=int, default=2,
+    p.add_argument("--n", action=_Once, type=int, default=2,
                    help="chain depth N (with --chain: exactly N; else 0..N)")
-    p.add_argument("--exps", default=None,
+    p.add_argument("--exps", action=_Once, default=None,
                    help="with --chain: the four parameter exponents b,c,d,e")
-    p.add_argument("--n-max", type=int, default=8,
+    p.add_argument("--n-max", action=_Once, type=int, default=8,
                    help="check the defining relation for n=0..n_max")
     _add_common(p)
     p.set_defaults(func=cmd_bailey)
 
     p = subs.add_parser("telescope", help="telescoping and termwise certificates")
-    p.add_argument("--params", default=None, help="five integers l,m,n,u,v")
+    p.add_argument("--params", action=_Once, default=None, help="five integers l,m,n,u,v")
     p.add_argument("--quartic", action="store_true",
                    help="also check the quartic polynomial identity")
     _add_common(p)
@@ -611,16 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
         if names is None:
             p.add_argument(f"--{flag}", action="store_true", help=what)
         else:
-            p.add_argument(f"--{flag}", default=None, help=f"{what} at integers {names}")
-    p.add_argument("--n", type=int, default=12, help="upper bound n of the sweeps")
-    p.add_argument("--general", default=None, help="cycle entries n0,n1,...")
+            p.add_argument(f"--{flag}", action=_Once, default=None,
+                           help=f"{what} at integers {names}")
+    p.add_argument("--n", action=_Once, type=int, default=12, help="upper bound n of the sweeps")
+    p.add_argument("--general", action=_Once, default=None, help="cycle entries n0,n1,...")
     _add_common(p, trunc=False)
     p.set_defaults(func=cmd_binomial)
 
     p = subs.add_parser("counterexample",
                         help="reproduce the degenerate refutation")
-    p.add_argument("--which", required=True, help="liu1 or liu2 (case-insensitive)")
-    p.add_argument("--a-exp", type=int, default=2,
+    p.add_argument("--which", action=_Once, required=True, help="liu1 or liu2 (case-insensitive)")
+    p.add_argument("--a-exp", action=_Once, type=int, default=2,
                    help="first parameter is q^a_exp (a_exp >= 1)")
     _add_common(p)
     p.set_defaults(func=cmd_counterexample)

@@ -30,9 +30,10 @@ is an int, and each side is one integer at q = 2^b, with no kernel pass.
 Where the degree bound B satisfies B + 2 <= T and no side is divided by
 (q; q)_inf, its terms are evaluated one by one (the per-term route);
 otherwise the side is a residue modulo 2^(b(T + 1 - s_min)), the same
-cleared terms summed as one chain over the ratios of consecutive terms
-on one packed integer (the packed route, ``pochhammer.packed_sum``).  A check with a coefficient that is not
-an int is refused.  Only the windows of a MISMATCH and the public
+cleared terms summed as one chain over the ratios of consecutive terms,
+from the first term to the last, on one packed integer (the packed route,
+``pochhammer.packed_sum``).  A check with a coefficient that is not an int
+is refused.  Only the windows of a MISMATCH and the public
 :func:`eval_side_value` sum a side's terms in one coefficient buffer, with
 :class:`~qrr.pochhammer.SeriesAccumulator`.  A :class:`Prefactor`
 (infinite Pochhammer quotients, (q; q)_a and single binomial denominators,

@@ -67,15 +67,19 @@ Z / 2^(bK) as a ring homomorphism, and intermediate values need no bound.
 :func:`packed_values` sums each side over its term ratios on one integer
 (:func:`packed_sum`), where a factor costs one shift, subtraction and mask
 and a division a few shift-add-masks.  Every term joins one chain, walked
-from the last term to the first, with no cost test: the test of
+from the first term to the last, with no cost test: the test of
 :class:`SeriesAccumulator` counts list-kernel passes, not these
-operations, and takes more time than it would save here.  It sums the
-cleared terms that :func:`point_values` evaluates, each term divided by
-L = prod (1-q^m)^lambda_m: L cancels in the ratio of consecutive terms,
-and finishing the chain applies U_first / L, a polynomial.  It multiplies
-a side that owes fewer (q; q)_inf divisions than another by the
-pentagonal image; H then counts only terms that reach q^T, each weighed
-by the pentagonal terms it is multiplied by.
+operations, and takes more time than it would save here.  The walk goes
+forward because a sum's later terms mostly carry more denominators, as
+1/(q; q)_k does: the ratio toward such a term is made of multiplications,
+at one shift-subtract-mask each, where the ratio back from it would be
+as many divisions.  It sums the cleared terms that :func:`point_values`
+evaluates, each term divided by L = prod (1-q^m)^lambda_m: L cancels in
+the ratio of consecutive terms, and finishing the chain applies
+U_last / L, a polynomial.  It multiplies a side that owes fewer
+(q; q)_inf divisions than another by the pentagonal image; H then counts
+only terms that reach q^T, each weighed by the pentagonal terms it is
+multiplied by.
 :func:`~qrr.identities.framework.sum_sides` is the one caller of
 :func:`shared_unit`, :func:`point_values` and :func:`packed_values`: every
 check of term lists takes its values through it, and it refuses a
@@ -578,14 +582,18 @@ def packed_sum(terms: list[PochProduct], trunc: int, clear: dict, base: int,
     q -> 2^base maps Z[[q]] / q^K into Z / 2^(base K) as a ring
     homomorphism, in which every (1-q^m) is a unit, so no digit needs to
     stay below 2^base on the way.  The terms are summed as one chain from
-    the last to the first: with t_k = c_k q^(s_k) U_k, the integer holds
-    A_k = c_k q^(s_k) + (U_(k+1)/U_k) A_(k+1), and the sum is U_first / L
-    times A_first, each ratio applied by :func:`_packed_apply` from the
-    chain's lowest digit so far.  The result is congruent to the image;
-    ``mask`` reduces it."""
+    the first to the last: with t_k = c_k q^(s_k) U_k, the integer holds
+    B_k = (U_(k-1)/U_k) B_(k-1) + c_k q^(s_k), and the sum is U_last / L
+    times B_last, each ratio applied by :func:`_packed_apply` from the
+    chain's lowest digit so far.  Forward, a denominator that grows with k
+    enters the ratio as a factor, one shift-subtract-mask, where walking
+    back it would be a division, (reach // m).bit_length() shift-add-masks.
+    A sum does not depend on the order of its terms, and every step is a
+    unit of Z / 2^(base K), so either walk gives the same residue.  The
+    result is congruent to the image; ``mask`` reduces it."""
     top = lo = trunc - low               # the digit of q^trunc
     x, head = 0, None
-    for t in reversed(terms):
+    for t in terms:
         z = t.powers.get(0)
         if z:
             if z < 0:
@@ -613,18 +621,18 @@ def packed_values(sides: list[tuple[list, int]], trunc: int, low: int,
     E = (q; q)_inf and e_max the most divisions by E a side owes, a side's
     residue is the image modulo 2^(bK), K = trunc + 1 - s_min, of its value
     through q^trunc times q^-s_min L^-1 E^e_max: its :func:`packed_sum`,
-    which sums the terms divided by L, times E
-    once for each division it owes fewer than e_max, one shift-add per
-    pentagonal exponent below K.  These multipliers are units with constant
-    term 1, shared by every side, so they move neither equality through
-    q^trunc nor the first exponent where a combination differs from 0.  The
-    terms are cleared polynomials, and E modulo q^K has P coefficients, all
-    0 or +-1, so with H the majorant of :func:`point_values` over the terms
-    at or below q^trunc, each side's share times P^(e_max - euler), and b
-    its bit length, every coefficient below q^K of a combination is below
-    2^b in absolute value: its residue is 0 exactly when the combination is
-    0 through q^trunc, and otherwise its lowest set bit lies in the digit of
-    its first nonzero exponent, as at :func:`point_values`."""
+    which sums the terms divided by L, times E once for each division it
+    owes fewer than e_max, one shift-add per pentagonal exponent below K.
+    These multipliers are units with constant term 1, shared by every side,
+    so they move neither equality through q^trunc nor the first exponent
+    where a combination differs from 0.  The terms are cleared polynomials,
+    and E modulo q^K has P coefficients, all 0 or +-1, so with H the
+    majorant of :func:`point_values` over the terms at or below q^trunc,
+    each side's share times P^(e_max - euler), and b its bit length, every
+    coefficient below q^K of a combination is below 2^b in absolute value:
+    its residue is 0 exactly when the combination is 0 through q^trunc, and
+    otherwise its lowest set bit lies in the digit of its first nonzero
+    exponent, as at :func:`point_values`."""
     width = max(trunc + 1 - low, 0)
     # the exponents below K of E = sum_k (-1)^k q^(k(3k-1)/2), with their signs
     pentagonal = [(0, 1)] + [(e, -1 if odd else 1) for g, h, odd in

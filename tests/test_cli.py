@@ -636,6 +636,41 @@ def test_binomial_takes_no_truncation_order(capsys):
     assert "unrecognized arguments: --trunc 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--id", "EULERMN1", "--range", "m=3", "--range", "n=3"], "--range"),
+    (["verify", "--id", "EULERMN1", "--id", "ANDREWS1", "--range", "n=3"], "--id"),
+    (["verify-all", "--trunc", "5", "--jobs", "1", "--jobs", "2"], "--jobs"),
+    (["telescope", "--params", "1,1,1,1,1", "--params", "1,2,1,1,2"], "--params"),
+    (["telescope", "--quartic", "--trunc", "10", "--trunc", "20"], "--trunc"),
+    (["binomial", "--cor57", "1,1,1,1,1", "--cor57", "1,2,1,1,1"], "--cor57"),
+    (["binomial", "--cor58a", "1,2,1,1", "--cor58b", "2,1,1,2", "--cor58a", "1,1,1,1"],
+     "--cor58a"),
+    (["binomial", "--general", "2,2,2", "--bino5", "--general", "2,2"], "--general"),
+    (["binomial", "--bino5", "--format", "json", "--format", "text"], "--format"),
+])
+def test_a_value_option_given_twice_exits_2(argv, flag, tmp_path, capsys):
+    # argparse alone keeps the last value: --range m=3 --range n=3 would
+    # verify m = 0..6 at n = 3 and drop m=3
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: given more than once" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_out_given_twice_writes_neither(tmp_path, capsys):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["telescope", "--params", "1,1,1,1,1", "--out", str(first),
+                  "--out", str(second)])
+    assert exc.value.code == 2
+    assert "argument --out: given more than once" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # empty flag values
 # ---------------------------------------------------------------------------

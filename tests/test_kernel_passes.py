@@ -167,21 +167,46 @@ def test_packed_ops_count_the_shift_masks_by_hand(kernel_passes):
     # lhs (1-q)(1-q^2)/(1-q^3) + q (1-q)^2/(1-q^3) against rhs 1/(1-q^3)
     # through q^10: L = (1-q^3)^-1, so the cleared lhs terms hold
     # (1-q)(1-q^2) and q (1-q)^2 and the rhs term nothing.  The lhs is
-    # summed as one chain from its last term: q (1-q)^2 starts it at floor
-    # 1, and the first term joins it by the ratio (1-q)/(1-q^2): one
-    # shift-subtract-mask for (1-q) and (9 // 2).bit_length() = 3
-    # shift-add-masks for the division at reach 10 - 1 = 9.  Finishing the
-    # chain at floor 0 applies U_first / L = (1-q)(1-q^2): two more.  The
-    # rhs's U_first / L is 1, and applies nothing.
+    # summed as one chain from its first term: (1-q)(1-q^2) starts it at
+    # floor 0, and the second term joins it by the ratio (1-q^2)/(1-q): one
+    # shift-subtract-mask for (1-q^2) and (10 // 1).bit_length() = 4
+    # shift-add-masks for the division at reach 10 - 0 = 10.  Finishing the
+    # chain applies U_last / L = (1-q)^2: two more.  The rhs's
+    # U_last / L is 1, and applies nothing.
     sides = [([_term(0, (1, 1), (2, 1), (3, -1)), _term(1, (1, 2), (3, -1))], 0),
              ([_term(0, (3, -1))], 0)]
     _, low, clear = pochhammer.shared_unit(*(terms for terms, _ in sides))
     assert (low, clear) == (0, {3: -1})
     with kernel_passes.counted_kernels() as calls:
         pochhammer.packed_values(sides, 10, low, clear)
-    assert calls == Counter(packed_values=1, packed_ops=1 + 3 + 2)
+    assert calls == Counter(packed_values=1, packed_ops=1 + 4 + 2)
     assert kernel_passes.packed_ops({1: 1, 2: -1}, 9) == 4
     assert kernel_passes.packed_ops({1: -2, 4: 3, 11: -1}, 10) == 2 * 4 + 3
+
+
+@pytest.mark.parametrize("run", [0, 1], ids=["sweep", "deep-window"])
+def test_the_walk_order_does_not_change_a_residue(kernel_passes, run, monkeypatch):
+    # every side of every packed_values call of the run, as main replays it,
+    # summed by packed_sum in its order, first term to last, and reversed,
+    # last to first: both walks are sums of the same units of Z / 2^(bK)
+    monkeypatch.syspath_prepend(str(_PATH.parent.parent / "perfbench"))
+    import workloads
+
+    items = kernel_passes._runs(workloads)[run][1]
+    real, sides, differ = pochhammer.packed_sum, [0], []
+
+    def both(terms, trunc, clear, base, low, mask):
+        forward = real(terms, trunc, clear, base, low, mask)
+        sides[0] += 1
+        if (forward - real(terms[::-1], trunc, clear, base, low, mask)) & mask:
+            differ.append(terms)
+        return forward
+
+    monkeypatch.setattr(pochhammer, "packed_sum", both)
+    with kernel_passes.counted_kernels() as calls:
+        res = workloads.run_items(items)
+    assert res.failed == 0 and not differ
+    assert calls["packed_values"] > 80 and sides[0] >= 2 * calls["packed_values"]
 
 
 def test_terms_count_the_certificate_family_terms(kernel_passes, monkeypatch):
